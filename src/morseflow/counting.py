@@ -5,8 +5,9 @@ Counting strategy for a pair x -> y with index drop one: shoot from the
 unstable sphere of x, track the closest approach to y and the signed
 offset w along y's unstable directions there, isolate sign changes of w by
 bisection on the sphere parameter, then verify each candidate by strict
-convergence into y's ball.  Every count is recomputed at doubled shooting
-resolution; any discrepancy raises instead of returning silently.
+convergence into y's ball.  Searched counts pass the doubling gate
+(``gated``): they are recomputed at doubled shooting resolution, and any
+discrepancy raises instead of returning silently.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .errors import (
     CountInstabilityError,
     GeometryError,
     InternalInconsistencyError,
+    TransversalityError,
 )
 from .geometry.flow import (
+    _ANGLE_OFFSET,
     CONVERGED,
     direction_point,
     fixed_time_flow,
@@ -41,36 +44,36 @@ DEFAULT_K_CIRCLE = 48
 DEFAULT_K_SPHERE = 160
 
 
-# -- approach data --------------------------------------------------------------
+# -- the doubling gate and the shared searches ---------------------------------
 
-@dataclass
-class Approach:
-    """Closest pass of one trajectory to one target critical point."""
+def gated(run, k, what):
+    """The doubling gate: ``run(k)`` and ``run(2k)`` must agree.
 
-    direction: np.ndarray
-    limit_name: str          # strict limit, or None if unresolved
-    min_dist: float
-    w: np.ndarray            # offsets along the target's unstable frame
-    point: np.ndarray        # closest-approach location
+    ``run`` returns (signed count, number of lines); comparing both catches
+    cancelling pairs of lines too.  Returns the signed count.
+    """
+    first, second = run(k), run(2 * k)
+    if first != second:
+        raise CountInstabilityError(
+            "%s changed under resolution doubling (%d/%d lines -> %d/%d)"
+            % (what, *first, *second))
+    return first[0]
 
-    @property
-    def hit(self):
-        return self.limit_name is not None
 
+def approach(system, pt, target, direction=+1):
+    """(strict limit name, closest distance, offsets w) of a loose flow.
 
-def _shoot(system, x_cp, u, rho, y_cp):
-    start = direction_point(system, x_cp, rho, u)
-    res = flow(system, start, +1, record=False,
-               approach_targets=[y_cp.name], loose=True)
+    w is the displacement at the closest pass of ``target``, on its
+    unstable frame for forward flows and its stable frame for backward ones.
+    """
+    res = flow(system, pt, direction, record=False,
+               approach_targets=[target.name], loose=True)
     if res.status != CONVERGED:
-        raise CountingIncompleteError(
-            "trajectory from %s (direction %s) did not resolve"
-            % (x_cp.name, np.array2string(u, precision=3)))
-    dist, _t, pt = res.closest[y_cp.name]
-    disp = system.manifold.displacement(y_cp.point, pt)
-    w = y_cp.unstable_frame.T @ disp
-    return Approach(direction=np.asarray(u, dtype=float),
-                    limit_name=res.limit.name, min_dist=dist, w=w, point=pt)
+        raise CountingIncompleteError("classification flow unresolved")
+    dist, _t, loc = res.closest[target.name]
+    frame = target.unstable_frame if direction == +1 else target.stable_frame
+    w = frame.T @ system.manifold.displacement(target.point, loc)
+    return res.limit.name, float(dist), w
 
 
 def refine_scalar_samples(eval_fn, t_lo, t_hi, grid, jump=0.5,
@@ -136,6 +139,99 @@ def _illinois_root(fn, lo, hi, w_lo, w_hi, tol_x, max_iter=90):
     return 0.5 * (lo + hi), None
 
 
+def bracketed_roots(ts, ws, eval_fn, accept, skip=()):
+    """Refine each sign change of sampled values and keep accepted roots.
+
+    ``eval_fn`` is as for ``_illinois_root``: an exact-hit payload is kept,
+    otherwise ``accept(root)`` returns the item to keep or None.  Intervals
+    containing a time in ``skip`` are passed over.
+    """
+    out = []
+    for i in range(len(ts) - 1):
+        t0, t1, w0, w1 = ts[i], ts[i + 1], ws[i], ws[i + 1]
+        if w0 * w1 >= 0 or any(t0 <= s <= t1 for s in skip):
+            continue
+        root, payload = _illinois_root(eval_fn, t0, t1, w0, w1,
+                                       1e-13 * max(1.0, abs(t1)))
+        hit = payload if payload is not None else accept(root)
+        if hit is not None:
+            out.append(hit)
+    return out
+
+
+def curve_crossings(curve_sys, cp, grid, probe, target, radius,
+                    rho=DEFAULT_RHO):
+    """Crossings of the unstable curve of an index-1 point, found by a probe.
+
+    Both branches of W^u(cp) are sampled uniformly in flow time.
+    ``probe(pt)`` returns (limit name, closest distance, w) of a flow aimed
+    at the point named ``target``.  A sample whose flow converges to the
+    target is a crossing; other sign changes of w are refined and kept when
+    the probe passes within ``radius`` of the target (an antipodal wrap, or
+    a crossing of another stable manifold, refines to an order-one
+    distance).  Returns one (branch flow, time, point) per crossing.
+    """
+    out = []
+    for u in sphere_directions(1, 2):
+        res = flow(curve_sys, direction_point(curve_sys, cp, rho, u), +1,
+                   record=True)
+        if res.status != CONVERGED:
+            raise CountingIncompleteError("branch flow unresolved")
+        hits = []
+
+        def eval_t(t):
+            pt = point_at_time(curve_sys, res, t)
+            limit, _dist, w = probe(pt)
+            return ((float(w[0]) if w.size else 0.0),
+                    (t, pt) if limit == target else None)
+
+        def w_at(t):
+            w, hit = eval_t(t)
+            if hit is not None and not any(abs(t - s) < 1e-9
+                                           for s, _ in hits):
+                hits.append(hit)
+            return w
+
+        def accept(t):
+            pt = point_at_time(curve_sys, res, t)
+            return (t, pt) if probe(pt)[1] <= radius else None
+
+        ts, ws = refine_scalar_samples(w_at, 0.0, float(res.t_end), grid)
+        found = hits + bracketed_roots(ts, ws, eval_t, accept,
+                                       skip=[s for s, _ in hits])
+        out.extend((res, t, pt) for t, pt in found)
+    return out
+
+
+def circle_lattice_roots(k, sample, tol):
+    """Zeros of an offset sampled on a circle of ``k`` lattice angles.
+
+    ``sample(angle)`` returns (w, payload), with a payload for an exact hit
+    and w None where the offset is undefined.  Returns (angle, payload) for
+    each lattice hit and each refined sign change between neighbours (the
+    last angle wraps to the first).
+    """
+    angles = _ANGLE_OFFSET + 2.0 * np.pi * np.arange(k) / k
+    vals = [sample(a) for a in angles]
+
+    def bracketed(a):
+        w, payload = sample(a)
+        if w is None:
+            raise TransversalityError(
+                "crossing vanished inside a refinement bracket")
+        return w, payload
+
+    out = []
+    for j in range(k):
+        (w0, hit), (w1, _) = vals[j], vals[(j + 1) % k]
+        if hit is not None:
+            out.append((angles[j], hit))
+        elif w0 is not None and w1 is not None and w0 * w1 < 0:
+            a1 = angles[j + 1] if j + 1 < k else angles[0] + 2.0 * np.pi
+            out.append(_illinois_root(bracketed, angles[j], a1, w0, w1, tol))
+    return out
+
+
 def _verify_connection(system, x_cp, y_cp, u, rho):
     """Strict test: the trajectory in direction u must converge into y."""
     start = direction_point(system, x_cp, rho, u)
@@ -145,17 +241,16 @@ def _verify_connection(system, x_cp, y_cp, u, rho):
     return None
 
 
-def connection_sign(system, x_cp, y_cp, u, rho, flow_result=None):
+def connection_sign(system, x_cp, y_cp, u, rho):
     """Sign of one isolated flow line from x to y.
 
     Transports the ordered unstable frame of x along the trajectory and
     compares it, near y, against (unstable frame of y, then the flow
     direction); the determinant's sign is the contribution.
     """
+    flow_result = _verify_connection(system, x_cp, y_cp, u, rho)
     if flow_result is None:
-        flow_result = _verify_connection(system, x_cp, y_cp, u, rho)
-        if flow_result is None:
-            raise InternalInconsistencyError("sign requested for a non-connection")
+        raise InternalInconsistencyError("sign requested for a non-connection")
     man = system.manifold
     pts = flow_result.points
     times = flow_result.times
@@ -182,23 +277,6 @@ def connection_sign(system, x_cp, y_cp, u, rho, flow_result=None):
 
 # -- connection finding ----------------------------------------------------------
 
-def _bisect_circle(system, x_cp, y_cp, rho, a0, a1, w0, w1, frame_pair,
-                   tol_angle=1e-13):
-    e1, e2 = frame_pair
-
-    def udir(a):
-        return math.cos(a) * e1 + math.sin(a) * e2
-
-    def eval_angle(a):
-        app = _shoot(system, x_cp, udir(a), rho, y_cp)
-        if app.limit_name == y_cp.name:
-            return 0.0, udir(a)
-        return (float(app.w[0]) if app.w.size else 0.0), None
-
-    root, payload = _illinois_root(eval_angle, a0, a1, w0, w1, tol_angle)
-    return payload if payload is not None else udir(root)
-
-
 def _find_connections_d1(system, x_cp, y_cp, rho):
     dirs = sphere_directions(1, 2)
     out = []
@@ -210,35 +288,24 @@ def _find_connections_d1(system, x_cp, y_cp, rho):
 
 
 def _find_connections_d2(system, x_cp, y_cp, rho, k):
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    angles = 0.5377156339 + 2.0 * np.pi * np.arange(k) / k
-    apps = []
-    for a in angles:
-        u = math.cos(a) * e1 + math.sin(a) * e2
-        apps.append(_shoot(system, x_cp, u, rho, y_cp))
-    candidates = []
-    for j in range(k):
-        a0, a1 = angles[j], angles[(j + 1) % k]
-        if j + 1 == k:
-            a1 += 2.0 * np.pi
-        w0 = float(apps[j].w[0])
-        w1 = float(apps[(j + 1) % k].w[0])
-        if apps[j].limit_name == y_cp.name:
-            candidates.append(apps[j].direction)
-            continue
-        if w0 == 0.0 or w1 == 0.0:
-            continue
-        if w0 * w1 < 0:
-            candidates.append(_bisect_circle(system, x_cp, y_cp, rho,
-                                             a0, a1, w0, w1, (e1, e2)))
+    def udir(a):
+        return np.array([math.cos(a), math.sin(a)])
+
+    def sample(a):
+        start = direction_point(system, x_cp, rho, udir(a))
+        limit, _dist, w = approach(system, start, y_cp)
+        return float(w[0]), (udir(a) if limit == y_cp.name else None)
+
+    candidates = [u if u is not None else udir(a)
+                  for a, u in circle_lattice_roots(k, sample, 1e-13)]
     return _dedupe_verified(system, x_cp, y_cp, rho, candidates)
 
 
 def _find_connections_d3(system, x_cp, y_cp, rho, k):
     dirs = sphere_directions(3, k)
-    apps = [_shoot(system, x_cp, u, rho, y_cp) for u in dirs]
-    dists = np.array([a.min_dist for a in apps])
+    dists = np.array([
+        approach(system, direction_point(system, x_cp, rho, u), y_cp)[1]
+        for u in dirs])
     # local minima of the approach distance over the direction lattice
     spacing = 2.0 / math.sqrt(k)
     seeds = []
@@ -276,7 +343,8 @@ def _newton_direction(system, x_cp, y_cp, rho, u0, max_iter=40):
         return q[:, cols[:d - 1]]
 
     def wfun(uu):
-        return _shoot(system, x_cp, uu, rho, y_cp).w
+        return approach(system, direction_point(system, x_cp, rho, uu),
+                        y_cp)[2]
 
     w = wfun(u)
     for _ in range(max_iter):
@@ -356,30 +424,20 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         dirs = find_connections(system, x_cp, y_cp, rho=rho, k=kk)
         if ring == RING_Z2:
             return len(dirs) % 2, len(dirs)
-        total = 0
-        for u in dirs:
-            total += connection_sign(system, x_cp, y_cp, u, rho)
-        return total, len(dirs)
+        return (sum(connection_sign(system, x_cp, y_cp, u, rho)
+                    for u in dirs), len(dirs))
 
     base_k = k or (DEFAULT_K_CIRCLE if x_cp.index == 2 else DEFAULT_K_SPHERE)
-    count, hits = run(base_k if x_cp.index >= 2 else None)
     if stability and x_cp.index >= 2:
-        count2, hits2 = run(2 * base_k)
-        if count2 != count or hits2 != hits:
-            raise CountInstabilityError(
-                "count %s->%s changed under resolution doubling "
-                "(%d/%d lines -> %d/%d)"
-                % (x_cp.name, y_cp.name, count, hits, count2, hits2))
-    return count
+        return gated(run, base_k, "count %s->%s" % (x_cp.name, y_cp.name))
+    return run(base_k)[0]
 
 
 def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None,
                       stability=True):
     """Assemble the Morse complex; verifies the square-zero identity."""
-    gens = {}
-    for cp in system.critical_points:
-        gens.setdefault(cp.index, []).append(cp.name)
-    gens = {p: tuple(v) for p, v in gens.items()}
+    gens = {p: tuple(cp.name for cp in system.by_index(p))
+            for p in system.indices()}
     maps = {}
     for p in sorted(gens):
         if (p - 1) not in gens:
@@ -516,18 +574,6 @@ def _systems_identical(sys_f, sys_g, samples=8, seed=0, tol=1e-9):
     return True
 
 
-def approach_from_point(system, pt, target_cp, loose=True):
-    """(strict limit name, closest distance, unstable offsets) of a flow."""
-    res = flow(system, pt, +1, record=False,
-               approach_targets=[target_cp.name], loose=loose)
-    if res.status != CONVERGED:
-        raise CountingIncompleteError("classification flow unresolved")
-    dist, _t, loc = res.closest[target_cp.name]
-    disp = system.manifold.displacement(target_cp.point, loc)
-    w = target_cp.unstable_frame.T @ disp
-    return res.limit.name, float(dist), w
-
-
 def point_at_time(system, res, t):
     """Point of a recorded trajectory at an intermediate time.
 
@@ -544,38 +590,51 @@ def point_at_time(system, res, t):
     return seg.x_end
 
 
-def stable_coorientation_frames(sys_g, m2_cp, z, approach_tol=None):
+def closest_pass_transport(system, z, direction, cp=None):
+    """Flow z toward cp and carry frames given at cp back to z.
+
+    The path is cut at its closest pass of cp, which must lie within half
+    the detection radius (landing exactly on a critical point is
+    numerically unreachable when the unstable rate beats the stable one).
+    With ``cp`` None the flow must converge and cp is its limit.  Returns
+    (cp, carry): ``carry(frame)`` transports a frame at cp back to z.
+    """
+    man = system.manifold
+    res = flow(system, z, direction, record=True)
+    if cp is None:
+        if res.status != CONVERGED:
+            raise CountingIncompleteError("flow from the point did not "
+                                          "converge")
+        cp = res.limit
+    dists = man.distances(cp.point, res.points)
+    cut = int(np.argmin(dists))
+    if float(dists[cut]) > 0.5 * system.tol.detect_radius:
+        raise InternalInconsistencyError(
+            "point misses %s by %.3g" % (cp.name, dists[cut]))
+    times = (res.times[cut] - res.times[:cut + 1])[::-1]
+    pts = res.points[cut::-1]
+
+    def back_field(x):
+        return -direction * system.field(x)
+
+    def carry(frame):
+        if not frame.shape[1]:
+            return frame
+        return transport_frame(man, back_field, times, pts, frame)
+
+    return cp, carry
+
+
+def stable_coorientation_frames(sys_g, m2_cp, z):
     """Frames (U, S) of W^u/W^s eigendata of m2 carried back to z.
 
     The point z must flow into m2's neighborhood under sys_g; the
-    eigenframes of m2 are parallel-copied at the trajectory's closest pass
-    and transported backward to z.  U coorients W^s(m2; g) there, S spans
-    its tangent.  (Landing exactly on m2 is numerically unreachable when
-    the unstable rate beats the stable one, hence closest-pass anchoring.)
+    eigenframes of m2 are carried back from the trajectory's closest pass
+    (``closest_pass_transport``).  U coorients W^s(m2; g) there, S spans
+    its tangent.
     """
-    man = sys_g.manifold
-    n = man.dim
-    if approach_tol is None:
-        approach_tol = 0.5 * sys_g.tol.detect_radius
-    res_g = flow(sys_g, z, +1, record=True, approach_targets=[m2_cp.name])
-    dists = man.distances(m2_cp.point, res_g.points)
-    cut = int(np.argmin(dists))
-    if float(dists[cut]) > approach_tol:
-        raise InternalInconsistencyError(
-            "point misses %s by %.3g" % (m2_cp.name, dists[cut]))
-    rev_pts = res_g.points[cut::-1]
-    rev_times = (res_g.times[cut] - res_g.times[:cut + 1])[::-1]
-
-    def neg_field(x):
-        return -sys_g.field(x)
-
-    U_g = (transport_frame(man, neg_field, rev_times, rev_pts,
-                           m2_cp.unstable_frame)
-           if m2_cp.index else np.zeros((man.coord_dim, 0)))
-    S_g = (transport_frame(man, neg_field, rev_times, rev_pts,
-                           m2_cp.stable_frame)
-           if m2_cp.index < n else np.zeros((man.coord_dim, 0)))
-    return U_g, S_g
+    _, carry = closest_pass_transport(sys_g, z, +1, m2_cp)
+    return carry(m2_cp.unstable_frame), carry(m2_cp.stable_frame)
 
 
 def transverse_sign(a_frame, u_frame, s_frame):
@@ -585,21 +644,6 @@ def transverse_sign(a_frame, u_frame, s_frame):
             return orthonormalize(fr - s_frame @ (s_frame.T @ fr))
         return orientation_sign(perp(a_frame), perp(u_frame))
     return orientation_sign(a_frame, u_frame)
-
-
-def _hybrid_sign_at(sys_f, sys_g, m_cp, m2_cp, z, f_path,
-                    approach_tol=None):
-    """Orientation sign at an intersection z of W^u(m; f) with W^s(m2; g).
-
-    ``f_path`` is a recorded f-trajectory from near m ending at z.  The
-    transported unstable frame of m is compared against the coorientation
-    of W^s(m2; g).
-    """
-    man = sys_f.manifold
-    times, pts = f_path
-    A = transport_frame(man, sys_f.field, times, pts, m_cp.unstable_frame)
-    U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, z, approach_tol)
-    return transverse_sign(A, U_g, S_g)
 
 
 def _truncated_path(res, t_star, z):
@@ -618,19 +662,14 @@ def continuation(sys_f, sys_g, rho=DEFAULT_RHO, k=None, stability=True):
     intersection W^u(m) with W^s(m') is empty unless m = m', where it is
     the point m itself with positive sign.
     """
-    gens_f = {}
-    for cp in sys_f.critical_points:
-        gens_f.setdefault(cp.index, []).append(cp)
-    gens_g = {}
-    for cp in sys_g.critical_points:
-        gens_g.setdefault(cp.index, []).append(cp)
     if _systems_identical(sys_f, sys_g):
-        return {p: np.array(np.eye(len(cps), dtype=int), dtype=object)
-                for p, cps in gens_f.items()}
+        return {p: np.array(np.eye(len(sys_f.by_index(p)), dtype=int),
+                            dtype=object)
+                for p in sys_f.indices()}
     out = {}
-    for p in sorted(gens_f):
-        rows = gens_g.get(p, [])
-        cols = gens_f[p]
+    for p in sys_f.indices():
+        rows = sys_g.by_index(p)
+        cols = sys_f.by_index(p)
         mat = np.zeros((len(rows), len(cols)), dtype=object)
         for j, m_cp in enumerate(cols):
             for i, m2_cp in enumerate(rows):
@@ -643,106 +682,46 @@ def continuation(sys_f, sys_g, rho=DEFAULT_RHO, k=None, stability=True):
 def _continuation_entry(sys_f, sys_g, m_cp, m2_cp, rho, k, stability):
     d = m_cp.index
     n = sys_f.manifold.dim
-
-    def run(kk):
-        if d == 0:
-            res = flow(sys_g, m_cp.point, +1, record=False)
-            if res.status != CONVERGED:
-                raise CountingIncompleteError("continuation flow unresolved")
-            return 1 if res.limit.name == m2_cp.name else 0
-        if d == n:
-            res = flow(sys_f, m2_cp.point, -1, record=True)
-            if res.status != CONVERGED:
-                raise CountingIncompleteError("continuation flow unresolved")
-            if res.limit.name != m_cp.name:
-                return 0
-            pts = res.points[::-1]
-            times = (res.times[-1] - res.times)[::-1]
-            return _hybrid_sign_at(sys_f, sys_g, m_cp, m2_cp, m2_cp.point,
-                                   f_path=(times, pts))
-        if d == 1:
-            return _crossings_along_unstable_curve(
-                sys_f, sys_g, m_cp, m2_cp, kk, rho)
+    if d == 0:
+        res = flow(sys_g, m_cp.point, +1, record=False)
+        if res.status != CONVERGED:
+            raise CountingIncompleteError("continuation flow unresolved")
+        return 1 if res.limit.name == m2_cp.name else 0
+    if d == n:
+        source, carry = closest_pass_transport(sys_f, m2_cp.point, -1)
+        if source.name != m_cp.name:
+            return 0
+        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, m2_cp.point)
+        return transverse_sign(carry(m_cp.unstable_frame), U_g, S_g)
+    if d != 1:
         raise GeometryError(
             "continuation for intermediate indices beyond curves is not "
             "implemented")
 
-    base_k = k or 20
-    total = run(base_k)
-    if stability and d == 1:
-        total2 = run(2 * base_k)
-        if total2 != total:
-            raise CountInstabilityError(
-                "continuation entry %s->%s unstable under refinement"
-                % (m_cp.name, m2_cp.name))
-    return total
+    def run(grid):
+        return _crossings_along_unstable_curve(sys_f, sys_g, m_cp, m2_cp,
+                                               grid, rho)
+
+    what = "continuation entry %s->%s" % (m_cp.name, m2_cp.name)
+    return gated(run, k or 20, what) if stability else run(k or 20)[0]
 
 
 def _crossings_along_unstable_curve(sys_f, sys_g, m_cp, m2_cp, grid, rho):
-    """Signed crossings of the 1-dim W^u(m; f) with W^s(m2; g).
+    """Crossings of the 1-dim W^u(m; f) with W^s(m2; g): (signed count,
+    number of crossings).
 
     The discriminator along the curve is the signed offset w of the g-flow
     at its closest pass of m2 (strict limits cannot separate the two sides
     of a saddle's stable manifold when both fall to the same minimum).
+    Each sign compares the unstable frame of m, transported along the
+    f-trajectory, against the coorientation of W^s(m2; g).
     """
-    total = 0
-    for u in sphere_directions(1, 2):
-        res = flow(sys_f, direction_point(sys_f, m_cp, rho, u), +1,
-                   record=True)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("branch flow unresolved")
-        strict_hits = []
-
-        def w_at(t):
-            pt = point_at_time(sys_f, res, t)
-            limit, _dist, w = approach_from_point(sys_g, pt, m2_cp)
-            if limit == m2_cp.name and not any(abs(t - s) < 1e-9
-                                               for s in strict_hits):
-                strict_hits.append(t)
-            return float(w[0]) if w.size else 0.0
-
-        ts, ws = refine_scalar_samples(w_at, 0.0, float(res.t_end), grid)
-        for t0 in strict_hits:
-            z = point_at_time(sys_f, res, t0)
-            tp = _truncated_path(res, t0, z)
-            total += _hybrid_sign_at(sys_f, sys_g, m_cp, m2_cp, z, tp)
-        for (t0, w0), (t1, w1) in zip(zip(ts, ws), list(zip(ts, ws))[1:]):
-            if any(t0 <= s <= t1 for s in strict_hits):
-                continue
-            if w0 == 0.0 or w1 == 0.0 or w0 * w1 > 0:
-                continue
-            hit = _bisect_w_crossing(sys_f, sys_g, res, t0, t1, w0, w1, m2_cp)
-            if hit is None:
-                continue
-            t_star, z = hit
-            tp = _truncated_path(res, t_star, z)
-            total += _hybrid_sign_at(sys_f, sys_g, m_cp, m2_cp, z, tp)
-    return total
-
-
-def _bisect_w_crossing(sys_f, sys_g, res, t_lo, t_hi, w_lo, w_hi, m2_cp,
-                       tol_t=1e-13):
-    """Refine the w sign change along the recorded f-trajectory.
-
-    Accepted when the refined point's g-flow passes well inside the
-    detection ball of m2; a sign change of the wrapped offset far from m2
-    (antipodal wrap, or a crossing of some other stable manifold) refines
-    to an order-one approach distance and is dropped.
-    """
-
-    def eval_t(t):
-        pt = point_at_time(sys_f, res, t)
-        limit, _dist, w = approach_from_point(sys_g, pt, m2_cp)
-        if limit == m2_cp.name:
-            return 0.0, (t, pt)
-        return (float(w[0]) if w.size else 0.0), None
-
-    root, payload = _illinois_root(eval_t, t_lo, t_hi, w_lo, w_hi,
-                                   tol_t * max(1.0, abs(t_hi)))
-    if payload is not None:
-        return payload
-    pt = point_at_time(sys_f, res, root)
-    _limit, dist, _w = approach_from_point(sys_g, pt, m2_cp)
-    if dist <= 0.5 * sys_g.tol.detect_radius:
-        return root, pt
-    return None
+    signs = []
+    for res, t, z in curve_crossings(
+            sys_f, m_cp, grid, lambda pt: approach(sys_g, pt, m2_cp),
+            m2_cp.name, 0.5 * sys_g.tol.detect_radius, rho):
+        A = transport_frame(sys_f.manifold, sys_f.field,
+                            *_truncated_path(res, t, z), m_cp.unstable_frame)
+        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, z)
+        signs.append(transverse_sign(A, U_g, S_g))
+    return sum(signs), len(signs)

@@ -11,7 +11,6 @@ from .systems import (
 )
 from .flow import (
     CONVERGED,
-    DETECTED,
     FIXED_TIME,
     MAX_TIME,
     FlowResult,
@@ -32,7 +31,7 @@ __all__ = [
     "ManifoldModel", "ProductModel", "SphereModel", "TorusModel",
     "CriticalPoint", "MorseSystem", "Tolerances", "parse_system_config",
     "product_system", "sphere_band", "sphere_height", "torus_cosine",
-    "CONVERGED", "DETECTED", "FIXED_TIME", "MAX_TIME", "FlowResult",
+    "CONVERGED", "FIXED_TIME", "MAX_TIME", "FlowResult",
     "direction_point", "fixed_time_flow", "flow", "membership_stable",
     "orientation_sign", "orthonormalize", "parallel_frame", "probe_limits",
     "sphere_directions", "transport_frame", "unstable_sphere_sample",

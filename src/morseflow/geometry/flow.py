@@ -29,7 +29,6 @@ _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 CONVERGED = "converged"
 MAX_TIME = "max_time"
 FIXED_TIME = "fixed_time"
-DETECTED = "detected"
 
 
 @dataclass
@@ -41,15 +40,14 @@ class FlowResult:
     times: np.ndarray
     points: np.ndarray
     f_values: np.ndarray
-    first_entries: dict            # name -> (t, point)
     closest: dict                  # name -> (dist, t, point)
     steps: int
-    detected: str = None           # name of first coarse-ball entry
 
 
-def _rk_step(field_fn, x, h):
-    k = []
-    for stage in range(6):
+def _rk_step(field_fn, x, h, k0):
+    """One Cash-Karp step; ``k0`` is the field at x (stage 0)."""
+    k = [k0]
+    for stage in range(1, 6):
         xs = x.copy()
         for j, a in enumerate(_CK_A[stage]):
             if a:
@@ -62,85 +60,68 @@ def _rk_step(field_fn, x, h):
             x5 = x5 + (h * _CK_B5[j]) * k[j]
         if _CK_B4[j]:
             x4 = x4 + (h * _CK_B4[j]) * k[j]
-    return x5, float(np.linalg.norm(x5 - x4)), k[0]
+    return x5, float(np.linalg.norm(x5 - x4))
 
 
 def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
-              event_points=None, event_names=None, strict_radius=None,
-              detect_radius=None, stop_on_detect=False, detect_exclude=(),
-              record=True, approach_targets=None):
+              event_points=None, event_names=None, record=True,
+              approach_targets=None):
     """Adaptive negative-flow integration with event tracking.
 
     ``event_points``: matrix of catalog positions; entering the
-    ``strict_radius`` ball of any of them ends the run as CONVERGED.
-    First entries into ``detect_radius`` balls are recorded (optionally
-    stopping the run).  ``approach_targets`` (indices into event rows) get
-    closest-approach tracking.
+    ``tol.eps_conv`` ball of any of them ends the run as CONVERGED.
+    ``approach_targets`` (indices into event rows) get closest-approach
+    tracking.  Each accepted point is swept for distances once; the sweep
+    serves the convergence test, the closest passes and the step cap.
     """
     x = manifold.project(np.asarray(x0, dtype=float))
     t = 0.0
     h = tol.h_init
-    strict_radius = tol.eps_conv if strict_radius is None else strict_radius
-    detect_radius = tol.detect_radius if detect_radius is None else detect_radius
+    strict_radius = tol.eps_conv
     names = list(event_names or ())
     pts = None
     if event_points is not None and len(names):
         pts = np.asarray(event_points, dtype=float)
+    targets = list(approach_targets or ()) if pts is not None else []
     f_prev = f_fn(x) if f_fn else None
     times = [0.0]
     path = [x.copy()]
     fvals = [f_prev if f_prev is not None else 0.0]
-    first_entries = {}
     closest = {}
-    if approach_targets is not None and pts is not None:
-        for idx in approach_targets:
-            d0 = float(manifold.distances(x, pts[idx:idx + 1])[0])
-            closest[names[idx]] = (d0, 0.0, x.copy())
     limit_name = None
-    detected = None
     status = MAX_TIME
     steps = 0
 
-    def check_events(xn, tn):
-        nonlocal limit_name, detected
-        if pts is None:
-            return None
+    def sweep(xn, tn):
+        nonlocal limit_name
         dists = manifold.distances(xn, pts)
-        for i, name in enumerate(names):
+        for i in targets:
             d = float(dists[i])
-            if approach_targets is not None and name in closest:
-                if d < closest[name][0]:
-                    closest[name] = (d, tn, xn.copy())
-            if d < detect_radius and name not in first_entries:
-                first_entries[name] = (tn, xn.copy())
-                if stop_on_detect and name not in detect_exclude \
-                        and detected is None:
-                    detected = name
-            if d < strict_radius and limit_name is None:
-                limit_name = name
-        if limit_name is not None:
-            return CONVERGED
-        if detected is not None:
-            return DETECTED
-        return None
+            if names[i] not in closest or d < closest[names[i]][0]:
+                closest[names[i]] = (d, tn, xn.copy())
+        nearest = int(np.argmin(dists))
+        if dists[nearest] < strict_radius:
+            limit_name = names[nearest]
+        return dists
 
-    immediate = check_events(x, 0.0)
-    if immediate:
-        return FlowResult(immediate, limit_name, 0.0, x, np.array(times),
-                          np.array(path), np.array(fvals), first_entries,
-                          closest, 0, detected)
+    dists = sweep(x, 0.0) if pts is not None else None
+    if limit_name is not None:
+        return FlowResult(CONVERGED, limit_name, 0.0, x, np.array(times),
+                          np.array(path), np.array(fvals), closest, 0)
 
+    v0 = None
     while t < t_max and steps < tol.max_steps:
         h = min(h, t_max - t)
-        v0 = field_fn(x)
-        speed = float(np.linalg.norm(v0))
-        if speed > 1e-14 and pts is not None:
-            dmin = float(np.min(manifold.distances(x, pts)))
+        if v0 is None:
+            v0 = field_fn(x)
+            speed = float(np.linalg.norm(v0))
+        if speed > 1e-14 and dists is not None:
+            dmin = float(np.min(dists))
             cap = max(0.45 * strict_radius, min(0.25, 0.5 * dmin))
             h = min(h, cap / speed)
         elif speed > 1e-14:
             h = min(h, 0.25 / speed)
-        x5, err, _ = _rk_step(field_fn, x, h)
+        x5, err = _rk_step(field_fn, x, h, v0)
         scale = tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(x)))
         if err > scale and h > tol.h_min:
             h = max(tol.h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
@@ -159,15 +140,17 @@ def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
                     % (t, f_prev, f_new))
             f_prev = f_new
         x, t = xn, tn
+        v0 = None
         steps += 1
         if record:
             times.append(t)
             path.append(x.copy())
             fvals.append(f_prev if f_prev is not None else 0.0)
-        outcome = check_events(x, t)
-        if outcome:
-            status = outcome
-            break
+        if pts is not None:
+            dists = sweep(x, t)
+            if limit_name is not None:
+                status = CONVERGED
+                break
         if err > 0:
             h = min(5.0 * h, 0.9 * h * (scale / (err + 1e-300)) ** 0.2)
         else:
@@ -179,13 +162,11 @@ def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
     if abs(t - t_max) < 1e-12 and status == MAX_TIME:
         status = FIXED_TIME
     return FlowResult(status, limit_name, t, x, np.array(times),
-                      np.array(path), np.array(fvals), first_entries,
-                      closest, steps, detected)
+                      np.array(path), np.array(fvals), closest, steps)
 
 
 def flow(system, x0, direction=+1, t_max=None, record=True,
-         stop_on_detect=False, detect_exclude=(), approach_targets=None,
-         strict_radius=None, loose=False):
+         approach_targets=None, loose=False):
     """Flow of the (anti)gradient field with catalog events.
 
     ``direction=+1`` descends (integrates the negative gradient), ``-1``
@@ -218,10 +199,8 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
     res = integrate(man, field_fn, x0,
                     t_max=t_max if t_max is not None else tol.t_max,
                     tol=tol, f_fn=f_fn, event_points=pts,
-                    event_names=names, stop_on_detect=stop_on_detect,
-                    detect_exclude=detect_exclude, record=record,
-                    approach_targets=idx_targets,
-                    strict_radius=strict_radius)
+                    event_names=names, record=record,
+                    approach_targets=idx_targets)
     if res.limit is not None:
         res.limit = system.point(res.limit)
     return res
@@ -236,7 +215,7 @@ def fixed_time_flow(system, x0, duration, direction=+1, record=True):
     if duration == 0.0:
         x = man.project(np.asarray(x0, dtype=float))
         return FlowResult(FIXED_TIME, None, 0.0, x, np.array([0.0]),
-                          np.array([x]), np.array([f_fn(x)]), {}, {}, 0)
+                          np.array([x]), np.array([f_fn(x)]), {}, 0)
     return integrate(man, field_fn, x0, t_max=duration, tol=system.tol,
                      f_fn=f_fn, record=record)
 

@@ -47,10 +47,6 @@ class ManifoldModel:
         """Distances from x to each row of pts."""
         return np.array([self.distance(x, p) for p in pts])
 
-    def check_on_manifold(self, x, tol=1e-8):
-        if self.distance(x, self.project(x)) > tol:
-            raise GeometryError("point drifted off the manifold")
-
 
 class SphereModel(ManifoldModel):
     """Unit n-sphere embedded in R^{n+1}; projection is normalization."""

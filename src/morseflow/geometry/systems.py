@@ -128,17 +128,6 @@ class MorseSystem:
     def indices(self):
         return sorted({cp.index for cp in self.critical_points})
 
-    def max_index(self):
-        return max(cp.index for cp in self.critical_points)
-
-    def nearest_critical_point(self, x):
-        best, dist = None, math.inf
-        for cp in self.critical_points:
-            d = self.manifold.distance(x, cp.point)
-            if d < dist:
-                best, dist = cp, d
-        return best, dist
-
     def field(self, x):
         """Negative-gradient flow direction."""
         return -self.manifold.tangent_project(x, self.grad(x))
@@ -171,12 +160,6 @@ class MorseSystem:
         return CriticalPoint(name=cp.name, point=p, index=index,
                              value=float(self.f(p)), eigenvalues=evals,
                              frame=frame)
-
-    def newton_refine(self, x0, steps=40, target=1e-12):
-        """Newton iteration on the tangential gradient from a seed point."""
-        return refine_critical_point(self.manifold, self.grad, x0,
-                                     steps=steps, target=target,
-                                     fd_step=self.fd_step)
 
     def __repr__(self):
         return "MorseSystem(%s, %d critical points)" % (

@@ -16,19 +16,21 @@ import numpy as np
 from .complexes import GradedComplex, chain_map_defect, homology
 from .counting import (
     DEFAULT_RHO,
-    _illinois_root,
     _truncated_path,
-    approach_from_point,
+    approach,
     boundary_operator,
+    bracketed_roots,
+    circle_lattice_roots,
+    closest_pass_transport,
     continuation,
+    curve_crossings,
+    gated,
     point_at_time,
-    refine_scalar_samples,
     stable_coorientation_frames,
     transverse_sign,
 )
 from .errors import (
     CountingIncompleteError,
-    CountInstabilityError,
     GeometryError,
     InternalInconsistencyError,
     OrientationError,
@@ -43,7 +45,6 @@ from .geometry.flow import (
     flow,
     orientation_sign,
     orthonormalize,
-    parallel_frame,
     sphere_directions,
     transport_frame,
 )
@@ -229,12 +230,10 @@ def pushforward(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
         return continuation(emb.domain, emb.codomain, rho=rho, k=k,
                             stability=stability)
     dom, cod = emb.domain, emb.codomain
-    gens_p = _gens_by_degree(dom)
-    gens_x = _gens_by_degree(cod)
     out = {}
-    for d in sorted(gens_p):
-        rows = gens_x.get(d, [])
-        cols = gens_p[d]
+    for d in dom.indices():
+        rows = cod.by_index(d)
+        cols = dom.by_index(d)
         mat = np.zeros((len(rows), len(cols)), dtype=object)
         for j, p_cp in enumerate(cols):
             for i, x_cp in enumerate(rows):
@@ -250,107 +249,45 @@ def pushforward(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
     return out
 
 
-def _gens_by_degree(system):
-    gens = {}
-    for cp in system.critical_points:
-        gens.setdefault(cp.index, []).append(cp)
-    return gens
-
-
 def _pushforward_entry(emb, p_cp, x_cp, rho, k, stability):
     d = p_cp.index
-
-    def run(grid):
-        if d == 0:
-            z = emb.codomain.manifold.project(emb.embed(p_cp.point))
-            res = flow(emb.codomain, z, +1, record=False)
-            if res.status != CONVERGED:
-                raise CountingIncompleteError("pushforward flow unresolved")
-            return 1 if res.limit.name == x_cp.name else 0
-        if d == 1:
-            return _pushforward_entry_d1(emb, p_cp, x_cp, grid, rho)
+    if d == 0:
+        z = emb.codomain.manifold.project(emb.embed(p_cp.point))
+        res = flow(emb.codomain, z, +1, record=False)
+        if res.status != CONVERGED:
+            raise CountingIncompleteError("pushforward flow unresolved")
+        return 1 if res.limit.name == x_cp.name else 0
+    if d != 1:
         raise GeometryError(
             "pushforward beyond one-dimensional unstable manifolds is not "
             "implemented")
 
-    base = k or 20
-    total = run(base)
-    if stability and d >= 1:
-        total2 = run(2 * base)
-        if total2 != total:
-            raise CountInstabilityError(
-                "pushforward entry %s->%s unstable under refinement"
-                % (p_cp.name, x_cp.name))
-    return total
+    def run(grid):
+        return _pushforward_entry_d1(emb, p_cp, x_cp, grid, rho)
+
+    what = "pushforward entry %s->%s" % (p_cp.name, x_cp.name)
+    return gated(run, k or 20, what) if stability else run(k or 20)[0]
 
 
 def _pushforward_entry_d1(emb, p_cp, x_cp, grid, rho):
-    """Crossings of the embedded unstable curve of p with W^s(x; f)."""
-    dom, cod = emb.domain, emb.codomain
-    total = 0
-    for u in sphere_directions(1, 2):
-        res = flow(dom, direction_point(dom, p_cp, rho, u), +1, record=True)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("branch flow unresolved")
-
-        def image_of(t):
-            pt = point_at_time(dom, res, t)
-            return cod.manifold.project(emb.embed(pt)), pt
-
-        strict_hits = []
-
-        def w_at(t):
-            z, _pt = image_of(float(t))
-            limit, _dist, w = approach_from_point(cod, z, x_cp)
-            if limit == x_cp.name and not any(abs(t - s) < 1e-9
-                                              for s in strict_hits):
-                strict_hits.append(float(t))
-            return float(w[0]) if w.size else 0.0
-
-        ts, ws = refine_scalar_samples(w_at, 0.0, float(res.t_end), grid)
-        pairs = list(zip(ts, ws))
-        hits = [(t0, image_of(t0)[0]) for t0 in strict_hits]
-        for (t0, w0), (t1, w1) in zip(pairs, pairs[1:]):
-            if any(t0 <= s <= t1 for s in strict_hits):
-                continue
-            hit = None
-            if w0 != 0.0 and w1 != 0.0 and w0 * w1 < 0:
-                hit = _refine_image_crossing(emb, res, t0, t1, w0, w1, x_cp)
-            if hit is not None:
-                hits.append(hit)
-        for hit in hits:
-            t_star, z = hit
-            zeta = point_at_time(dom, res, t_star)
-            inner = transport_frame(dom.manifold, dom.field,
-                                    *_truncated_path(res, t_star, zeta),
-                                    frame0=p_cp.unstable_frame)
-            A = emb.push_frame(zeta, inner)
-            U, S = stable_coorientation_frames(cod, x_cp, z)
-            total += transverse_sign(A, U, S)
-    return total
-
-
-def _refine_image_crossing(emb, res, t0, t1, w0, w1, x_cp):
+    """Crossings of the embedded unstable curve of p with W^s(x; f):
+    (signed count, number of crossings)."""
     dom, cod = emb.domain, emb.codomain
 
-    def eval_t(t):
-        pt = point_at_time(dom, res, t)
-        z = cod.manifold.project(emb.embed(pt))
-        limit, _dist, w = approach_from_point(cod, z, x_cp)
-        if limit == x_cp.name:
-            return 0.0, (t, z)
-        return (float(w[0]) if w.size else 0.0), None
+    def image(pt):
+        return cod.manifold.project(emb.embed(pt))
 
-    root, payload = _illinois_root(eval_t, t0, t1, w0, w1,
-                                   1e-13 * max(1.0, abs(t1)))
-    if payload is not None:
-        return payload
-    pt = point_at_time(dom, res, root)
-    z = cod.manifold.project(emb.embed(pt))
-    _limit, dist, _w = approach_from_point(cod, z, x_cp)
-    if dist <= 0.5 * cod.tol.detect_radius:
-        return root, z
-    return None
+    signs = []
+    for res, t, zeta in curve_crossings(
+            dom, p_cp, grid, lambda pt: approach(cod, image(pt), x_cp),
+            x_cp.name, 0.5 * cod.tol.detect_radius, rho):
+        inner = transport_frame(dom.manifold, dom.field,
+                                *_truncated_path(res, t, zeta),
+                                frame0=p_cp.unstable_frame)
+        A = emb.push_frame(zeta, inner)
+        U, S = stable_coorientation_frames(cod, x_cp, image(zeta))
+        signs.append(transverse_sign(A, U, S))
+    return sum(signs), len(signs)
 
 
 # -- umkehr ------------------------------------------------------------------------
@@ -367,12 +304,10 @@ def umkehr(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
                             stability=stability)
     dom, cod = emb.domain, emb.codomain
     r = emb.codim
-    gens_m = _gens_by_degree(cod)
-    gens_p = _gens_by_degree(dom)
     out = {}
-    for d in sorted(gens_m):
-        rows = gens_p.get(d - r, [])
-        cols = gens_m[d]
+    for d in cod.indices():
+        rows = dom.by_index(d - r)
+        cols = cod.by_index(d)
         mat = np.zeros((len(rows), len(cols)), dtype=object)
         for j, m_cp in enumerate(cols):
             for i, p_cp in enumerate(rows):
@@ -391,58 +326,68 @@ def _umkehr_entry(emb, m_cp, p_cp, rho, k, stability):
     if m_cp.index != p_cp.index + emb.codim:
         raise ValueError("umkehr entries need index(m) = index(p) + codim")
     d = m_cp.index
-
-    def run(grid):
-        if d == 1 and p_cp.index == 0:
-            return _umkehr_crossings_d1(emb, m_cp, p_cp, grid, rho)
-        if d == 2 and p_cp.index == 1 and emb.codim == 1:
-            return _umkehr_point_hits_d2(emb, m_cp, p_cp, grid, rho)
+    if d == 1 and p_cp.index == 0:
+        search = _umkehr_crossings_d1
+    elif d == 2 and p_cp.index == 1 and emb.codim == 1:
+        search = _umkehr_point_hits_d2
+    else:
         raise GeometryError(
             "umkehr case (index %d over index %d) is not implemented"
             % (d, p_cp.index))
 
-    base = k or 24
-    total = run(base)
-    if stability:
-        total2 = run(2 * base)
-        if total2 != total:
-            raise CountInstabilityError(
-                "umkehr entry %s->%s unstable under refinement"
-                % (m_cp.name, p_cp.name))
-    return total
+    def run(grid):
+        return search(emb, m_cp, p_cp, grid, rho)
+
+    what = "umkehr entry %s->%s" % (m_cp.name, p_cp.name)
+    return gated(run, k or 24, what) if stability else run(k or 24)[0]
 
 
 def _branch_image_crossings(emb, res, zero_tol=1e-8):
     """Transverse crossings (t, z) of a recorded codomain flow with e(P).
 
-    Wrapped normal coordinates jump by 2*pi across the antipodal locus;
-    such sign changes refine to an order-one residual and are dropped.
+    Sign changes are sampled at the recorded nodes.  Wrapped normal
+    coordinates jump by 2*pi across the antipodal locus; such sign changes
+    refine to an order-one residual and are dropped.
     """
     cod = emb.codomain
 
-    def eval_t(t):
-        pt = point_at_time(cod, res, t)
-        return float(np.atleast_1d(emb.normal_coordinate(pt))[0]), None
+    def eta(pt):
+        return float(np.atleast_1d(emb.normal_coordinate(pt))[0])
 
-    vals = [np.atleast_1d(emb.normal_coordinate(pt))[0] for pt in res.points]
-    out = []
-    for i in range(len(vals) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0:
-            continue
-        root, _ = _illinois_root(eval_t, float(res.times[i]),
-                                 float(res.times[i + 1]), vals[i],
-                                 vals[i + 1], 1e-13)
-        z = point_at_time(cod, res, root)
-        if abs(float(np.atleast_1d(emb.normal_coordinate(z))[0])) < zero_tol:
-            out.append((root, z))
-    return out
+    def eval_t(t):
+        return eta(point_at_time(cod, res, t)), None
+
+    def accept(t):
+        z = point_at_time(cod, res, t)
+        return (t, z) if abs(eta(z)) < zero_tol else None
+
+    return bracketed_roots([float(t) for t in res.times],
+                           [eta(pt) for pt in res.points], eval_t, accept)
+
+
+def _crossing_frames(emb, m_cp, p_cp, res, t_star, z, at):
+    """Frames compared at a crossing z of the branch flow ``res`` from m
+    with e(P): the unstable frame of m transported along the branch, and
+    the pushed unstable frame of p at ``at`` followed by the normal frame.
+    """
+    cod = emb.codomain
+    A = transport_frame(cod.manifold, cod.field,
+                        *_truncated_path(res, t_star, z),
+                        frame0=m_cp.unstable_frame)
+    pushed = emb.push_frame(at, p_cp.unstable_frame)
+    nf = emb.normal_frame(at)
+    cols = [pushed[:, j] for j in range(pushed.shape[1])]
+    cols.extend(cod.manifold.tangent_project(z, nf[:, j])
+                for j in range(nf.shape[1]))
+    return A, orthonormalize(np.stack(cols, axis=1))
 
 
 def _umkehr_crossings_d1(emb, m_cp, p_cp, grid, rho):
-    """index(m) = codim: isolated crossings of the unstable curve with P,
-    kept when the crossing point flows to p inside P."""
+    """index(m) = codim = 1, so p is a minimum of P: isolated crossings of
+    the unstable curve with P, kept when the crossing point flows to p
+    inside P.  Returns (signed count, number of crossings)."""
     dom, cod = emb.domain, emb.codomain
-    total = 0
+    signs = []
     for u in sphere_directions(1, 2):
         res = flow(cod, direction_point(cod, m_cp, rho, u), +1, record=True)
         if res.status != CONVERGED:
@@ -454,38 +399,18 @@ def _umkehr_crossings_d1(emb, m_cp, p_cp, grid, rho):
                 raise CountingIncompleteError("domain flow unresolved")
             if inner.limit.name != p_cp.name:
                 continue
-            A = transport_frame(cod.manifold, cod.field,
-                                *_truncated_path(res, t_star, z),
-                                frame0=m_cp.unstable_frame)
-            B_cols = []
-            if p_cp.index:
-                pushed = emb.push_frame(zeta, p_cp.unstable_frame)
-                B_cols.extend(pushed[:, j] for j in range(pushed.shape[1]))
-            nf = emb.normal_frame(zeta)
-            B_cols.extend(cod.manifold.tangent_project(z, nf[:, j])
-                          for j in range(nf.shape[1]))
-            B = orthonormalize(np.stack(B_cols, axis=1))
-            # project off the tangent of W^s(p; k) inside the image
-            ws_dim = dom.manifold.dim - p_cp.index
-            if ws_dim:
-                De = emb.differential(zeta)
-                stable_inner = (parallel_frame(dom.manifold, zeta,
-                                               p_cp.stable_frame)
-                                if p_cp.index else dom.manifold.tangent_basis(zeta))
-                S_cols = [De @ (dom.manifold.tangent_basis(zeta).T
-                                @ stable_inner[:, j])
-                          for j in range(stable_inner.shape[1])]
-                S = orthonormalize(np.stack(S_cols, axis=1))
-            else:
-                S = np.zeros((cod.manifold.coord_dim, 0))
-            total += transverse_sign(A, B, S)
-    return total
+            A, B = _crossing_frames(emb, m_cp, p_cp, res, t_star, z, zeta)
+            # project off the tangent of W^s(p; k), which is all of the
+            # image because p is a minimum
+            S = emb.push_frame(zeta, dom.manifold.tangent_basis(zeta))
+            signs.append(transverse_sign(A, B, S))
+    return sum(signs), len(signs)
 
 
 def _umkehr_point_hits_d2(emb, m_cp, p_cp, grid, rho):
-    """index(m) = 2, index(p) = dim P = 1: shots whose crossing IS p."""
+    """index(m) = 2, index(p) = dim P = 1: shots whose crossing IS p.
+    Returns (signed count, number of hits)."""
     dom, cod = emb.domain, emb.codomain
-    angles = 0.5377156339 + 2.0 * np.pi * np.arange(grid) / grid
 
     def offset_of(angle):
         u = np.array([math.cos(angle), math.sin(angle)])
@@ -500,39 +425,16 @@ def _umkehr_point_hits_d2(emb, m_cp, p_cp, grid, rho):
         disp = dom.manifold.displacement(p_cp.point, zeta)
         return float(disp[0]), (t_star, z), res
 
-    samples = [offset_of(a) for a in angles]
-    total = 0
-    for j in range(grid):
-        g0, _, _ = samples[j]
-        g1, _, _ = samples[(j + 1) % grid]
-        if g0 is None or g1 is None or g0 == 0.0 or g0 * g1 >= 0:
-            continue
-        a0 = angles[j]
-        a1 = angles[(j + 1) % grid] if j + 1 < grid else angles[0] + 2 * np.pi
-
-        def eval_angle(a):
-            g, _hit, _res = offset_of(a)
-            if g is None:
-                raise TransversalityError(
-                    "crossing vanished inside a refinement bracket")
-            return g, None
-
-        root, _ = _illinois_root(eval_angle, a0, a1, g0, g1, 1e-12)
-        g_final, hit, res = offset_of(root)
+    signs = []
+    for angle, _ in circle_lattice_roots(
+            grid, lambda a: (offset_of(a)[0], None), 1e-12):
+        g_final, hit, res = offset_of(angle)
         if hit is None or abs(g_final) > 1e-5:
             continue
         t_star, z = hit
-        A = transport_frame(cod.manifold, cod.field,
-                            *_truncated_path(res, t_star, z),
-                            frame0=m_cp.unstable_frame)
-        pushed = emb.push_frame(p_cp.point, p_cp.unstable_frame)
-        nf = emb.normal_frame(p_cp.point)
-        B_cols = [pushed[:, jj] for jj in range(pushed.shape[1])]
-        B_cols.extend(cod.manifold.tangent_project(z, nf[:, jj])
-                      for jj in range(nf.shape[1]))
-        B = orthonormalize(np.stack(B_cols, axis=1))
-        total += orientation_sign(A, B)
-    return total
+        signs.append(orientation_sign(
+            *_crossing_frames(emb, m_cp, p_cp, res, t_star, z, p_cp.point)))
+    return sum(signs), len(signs)
 
 
 # -- Thom data and the Euler class ---------------------------------------------------
@@ -744,19 +646,12 @@ def _newton_zero(bundle, man, section, x0, tol, max_iter=60):
 
 
 def _owning_unstable_frame(system, z, r):
-    res = flow(system, z, -1, record=True)
-    if res.status != CONVERGED:
-        raise CountingIncompleteError("zero did not flow back to a source")
-    owner = res.limit
+    owner, carry = closest_pass_transport(system, z, -1)
     if owner.index != r:
         raise TransversalityError(
             "section zero sits on a lower stratum (owner %s of index %d); "
             "re-seed the section" % (owner.name, owner.index))
-    pts = res.points[::-1]
-    times = (res.times[-1] - res.times)[::-1]
-    frame = transport_frame(system.manifold, system.field, times, pts,
-                            owner.unstable_frame)
-    return frame, owner.name
+    return carry(owner.unstable_frame), owner.name
 
 
 def _zero_sign(bundle, man, section, z, tangent_frame):
@@ -884,16 +779,6 @@ def expected_dimension(problem, input_names, output_names):
     return total + problem.chi_times_dim()
 
 
-# convention: the coorientation sign of the diagonal constraint is fixed so
-# that the continuation-normalized operation has the fundamental class as a
-# two-sided unit acting by +1
-_DIAGONAL_SIGN = {}
-
-
-def _diagonal_convention(i1, i2, n):
-    return _DIAGONAL_SIGN.get((i1, i2, n), 1)
-
-
 def graph_flow_count(problem, inputs, output, edge_time=0.0, k=None,
                      stability=True):
     """Signed count of configurations for one input/output tuple.
@@ -912,47 +797,17 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0, k=None,
     a1, a2, a3 = E1.point(inputs[0]), E2.point(inputs[1]), E3.point(output)
 
     def run(grid):
-        configs = _find_configurations(problem, a1, a2, a3, edge_time, grid)
-        total = 0
-        for x in configs:
-            total += _configuration_sign(problem, a1, a2, a3, x, edge_time)
-        return total, len(configs)
+        return _configuration_count(problem, a1, a2, a3, edge_time, grid)
 
-    base = k or 32
-    total, hits = run(base)
-    if stability:
-        total2, hits2 = run(2 * base)
-        if (total2, hits2) != (total, hits):
-            raise CountInstabilityError(
-                "configuration count (%s,%s)->%s unstable under refinement"
-                % (inputs[0], inputs[1], output))
-    return total
+    what = "configuration count (%s,%s)->%s" % (inputs[0], inputs[1], output)
+    return gated(run, k or 32, what) if stability else run(k or 32)[0]
 
 
-def _backward_approach(system, pt, target):
-    """Discriminator for unstable-manifold membership under backward flow."""
-    res = flow(system, pt, -1, record=False, approach_targets=[target.name],
-               loose=True)
-    if res.status != CONVERGED:
-        raise CountingIncompleteError("backward classification unresolved")
-    dist, _t, loc = res.closest[target.name]
-    disp = system.manifold.displacement(target.point, loc)
-    w = target.stable_frame.T @ disp
-    return res.limit.name, float(dist), w
-
-
-def _backward_limit_is(system, pt, cp):
-    res = flow(system, pt, -1, record=False, loose=True)
-    if res.status != CONVERGED:
-        raise CountingIncompleteError("backward classification unresolved")
-    return res.limit.name == cp.name
-
-
-def _forward_limit_is(system, pt, cp):
-    res = flow(system, pt, +1, record=False, loose=True)
-    if res.status != CONVERGED:
-        raise CountingIncompleteError("forward classification unresolved")
-    return res.limit.name == cp.name
+def _configuration_count(problem, a1, a2, a3, R, grid):
+    """(signed count, number of configurations) at one resolution."""
+    signs = [_configuration_sign(problem, a1, a2, a3, x, R)
+             for x in _find_configurations(problem, a1, a2, a3, R, grid)]
+    return sum(signs), len(signs)
 
 
 def _aux_time_map(problem, x, edge_time, direction=+1):
@@ -975,97 +830,44 @@ def _find_configurations(problem, a1, a2, a3, R, grid):
             "configuration counting is implemented on surfaces")
     if (i1, i2) == (2, 2):
         x = _aux_time_map(problem, a3.point, R, direction=-1)
-        if _backward_limit_is(E1, x, a1) and _backward_limit_is(E2, x, a2):
+        if approach(E1, x, a1, -1)[0] == a1.name \
+                and approach(E2, x, a2, -1)[0] == a2.name:
             return [x]
         return []
     if {i1, i2} == {2, 0}:
         x = a2.point if i2 == 0 else a1.point
         other_sys, other_cp = (E1, a1) if i2 == 0 else (E2, a2)
-        if not _backward_limit_is(other_sys, x, other_cp):
+        if approach(other_sys, x, other_cp, -1)[0] != other_cp.name:
             return []
         y = _aux_time_map(problem, x, R)
-        return [x] if _forward_limit_is(E3, y, a3) else []
+        return [x] if approach(E3, y, a3)[0] == a3.name else []
     if (i1, i2) == (1, 1):
-        configs = _curve_configs(
-            problem, curve_sys=E1, curve_cp=a1, R=R, grid=grid,
-            discriminator=lambda x: _backward_approach(E2, x, a2),
-            accept=lambda x: _backward_approach(E2, x, a2)[1]
-            <= 0.5 * E2.tol.detect_radius)
-        return [x for x in configs
-                if _forward_limit_is(E3, _aux_time_map(problem, x, R), a3)]
+        configs = curve_crossings(
+            E1, a1, grid, lambda x: approach(E2, x, a2, -1), a2.name,
+            0.5 * E2.tol.detect_radius)
+        return [x for _res, _t, x in configs
+                if approach(E3, _aux_time_map(problem, x, R), a3)[0]
+                == a3.name]
     if {i1, i2} == {2, 1}:
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
-
-        def out_disc(x):
-            y = _aux_time_map(problem, x, R)
-            return approach_from_point(E3, y, a3)
-
-        configs = _curve_configs(
-            problem, curve_sys=curve_sys, curve_cp=curve_cp, R=R, grid=grid,
-            discriminator=out_disc,
-            accept=lambda x: out_disc(x)[1] <= 0.5 * E3.tol.detect_radius)
-        return [x for x in configs
-                if _backward_limit_is(other_sys, x, other_cp)]
+        configs = curve_crossings(
+            curve_sys, curve_cp, grid,
+            lambda x: approach(E3, _aux_time_map(problem, x, R), a3),
+            a3.name, 0.5 * E3.tol.detect_radius)
+        return [x for _res, _t, x in configs
+                if approach(other_sys, x, other_cp, -1)[0] == other_cp.name]
     raise InternalInconsistencyError(
         "unreachable index pattern (%d, %d) after the dimension gate"
         % (i1, i2))
 
 
-def _curve_configs(problem, curve_sys, curve_cp, R, grid, discriminator,
-                   accept, rho=DEFAULT_RHO):
-    """Sign-change isolation of a scalar condition along unstable branches.
-
-    Samples run uniformly in flow time: the auxiliary time map can compress
-    the condition's sign structure toward the late, long-stepped stretch of
-    the branch, which index-based node sampling would miss.
-    """
-    out = []
-    for u in sphere_directions(1, 2):
-        res = flow(curve_sys, direction_point(curve_sys, curve_cp, rho, u),
-                   +1, record=True)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("branch flow unresolved")
-
-        def w_at(t):
-            pt = point_at_time(curve_sys, res, t)
-            _limit, _dist, w = discriminator(pt)
-            return float(w[0]) if w.size else 0.0
-
-        ts, ws = refine_scalar_samples(w_at, 0.0, float(res.t_end), grid)
-        for (t0, w0), (t1, w1) in zip(zip(ts, ws), list(zip(ts, ws))[1:]):
-            if w0 == 0.0 or w1 == 0.0 or w0 * w1 > 0:
-                continue
-
-            def eval_t(t):
-                return w_at(t), None
-
-            root, _ = _illinois_root(eval_t, t0, t1, w0, w1,
-                                     1e-13 * max(1.0, abs(t1)))
-            x_star = point_at_time(curve_sys, res, root)
-            if accept(x_star):
-                out.append(x_star)
-    return out
-
-
-def _unstable_coorientation_frame(system, cp, z, approach_tol=None):
+def _unstable_coorientation_frame(system, cp, z):
     """Oriented frame of T_z W^u(cp), anchored at the closest backward pass."""
-    man = system.manifold
     if cp.index == 0:
-        return np.zeros((man.coord_dim, 0))
-    if approach_tol is None:
-        approach_tol = 0.5 * system.tol.detect_radius
-    res = flow(system, z, -1, record=True, approach_targets=[cp.name])
-    dists = man.distances(cp.point, res.points)
-    cut = int(np.argmin(dists))
-    if float(dists[cut]) > approach_tol:
-        raise InternalInconsistencyError(
-            "configuration point misses W^u(%s) by %.3g"
-            % (cp.name, dists[cut]))
-    fwd_pts = res.points[cut::-1]
-    fwd_times = (res.times[cut] - res.times[:cut + 1])[::-1]
-    return transport_frame(man, system.field, fwd_times, fwd_pts,
-                           cp.unstable_frame)
+        return np.zeros((system.manifold.coord_dim, 0))
+    _, carry = closest_pass_transport(system, z, -1, cp)
+    return carry(cp.unstable_frame)
 
 
 def _configuration_sign(problem, a1, a2, a3, x, R):
@@ -1130,7 +932,7 @@ def _configuration_sign(problem, a1, a2, a3, x, R):
     if abs(det) < 1e-8:
         raise OrientationError("degenerate configuration determinant")
     sgn = 1 if det > 0 else -1
-    return sgn * s2 * _diagonal_convention(i1, i2, n)
+    return sgn * s2
 
 
 def diagram_flow_operation(problem, input_chain, edge_time=0.0, k=None,

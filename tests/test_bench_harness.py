@@ -1,0 +1,22 @@
+"""The benchmark harness must keep working against the package.
+
+``morsebench/tracer.py`` wraps ``integrate``, ``flow``, ``fixed_time_flow``,
+``transport_frame``, ``find_connections``, ``count_flow_lines``,
+``point_at_time`` and the operations entry points by name, classifies flows
+by their ``loose=`` keyword, and fails when ``integrate`` is called from
+anywhere but ``flow``/``fixed_time_flow``.  Its self-test exercises all of
+that on tiny inputs in about a second.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_bench_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "morsebench", "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
