@@ -27,8 +27,8 @@ from .errors import (
     TransversalityError,
 )
 from .geometry.flow import (
-    _ANGLE_OFFSET,
     CONVERGED,
+    circle_angles,
     direction_point,
     fixed_time_flow,
     flow,
@@ -65,15 +65,24 @@ def approach(system, pt, target, direction=+1):
 
     w is the displacement at the closest pass of ``target``, on its
     unstable frame for forward flows and its stable frame for backward ones.
+    ``target`` may be a tuple of critical points, all tracked by the one
+    flow; distance and w are then tuples with one entry per target.
     """
+    many = isinstance(target, tuple)
+    targets = target if many else (target,)
     res = flow(system, pt, direction, record=False,
-               approach_targets=[target.name], loose=True)
+               approach_targets=[cp.name for cp in targets], loose=True)
     if res.status != CONVERGED:
         raise CountingIncompleteError("classification flow unresolved")
-    dist, _t, loc = res.closest[target.name]
-    frame = target.unstable_frame if direction == +1 else target.stable_frame
-    w = frame.T @ system.manifold.displacement(target.point, loc)
-    return res.limit.name, float(dist), w
+    dists, ws = [], []
+    for cp in targets:
+        dist, _t, loc = res.closest[cp.name]
+        frame = cp.unstable_frame if direction == +1 else cp.stable_frame
+        dists.append(float(dist))
+        ws.append(frame.T @ system.manifold.displacement(cp.point, loc))
+    if many:
+        return res.limit.name, tuple(dists), tuple(ws)
+    return res.limit.name, dists[0], ws[0]
 
 
 def refine_scalar_samples(eval_fn, t_lo, t_hi, grid, jump=0.5,
@@ -211,7 +220,7 @@ def circle_lattice_roots(k, sample, tol):
     each lattice hit and each refined sign change between neighbours (the
     last angle wraps to the first).
     """
-    angles = _ANGLE_OFFSET + 2.0 * np.pi * np.arange(k) / k
+    angles = circle_angles(k)
     vals = [sample(a) for a in angles]
 
     def bracketed(a):
@@ -277,6 +286,26 @@ def connection_sign(system, x_cp, y_cp, u, rho):
 
 # -- connection finding ----------------------------------------------------------
 
+def _lattice_shot(system, x_cp, y_cp, rho, u):
+    """``approach`` of y from x's unstable sphere at lattice direction u.
+
+    The shot tracks every critical point of y's index, and the system
+    keeps it: each lattice point of a source is flown once per system,
+    shared by every target and by each gate resolution that contains it.
+    Refinement evaluations are not kept.
+    """
+    key = (x_cp.name, y_cp.index, rho, tuple(u))
+    shot = system.lattice_shots.get(key)
+    if shot is None:
+        lower = system.by_index(y_cp.index)
+        limit, dists, ws = approach(
+            system, direction_point(system, x_cp, rho, u), lower)
+        shot = system.lattice_shots[key] = (
+            limit, {cp.name: (d, w) for cp, d, w in zip(lower, dists, ws)})
+    limit, passes = shot
+    return (limit, *passes[y_cp.name])
+
+
 def _find_connections_d1(system, x_cp, y_cp, rho):
     dirs = sphere_directions(1, 2)
     out = []
@@ -288,12 +317,19 @@ def _find_connections_d1(system, x_cp, y_cp, rho):
 
 
 def _find_connections_d2(system, x_cp, y_cp, rho, k):
+    # lattice angles go through the shared table; the Illinois iterates
+    # between them almost never repeat, so they are flown directly
+    lattice = set(circle_angles(k))
+
     def udir(a):
         return np.array([math.cos(a), math.sin(a)])
 
     def sample(a):
-        start = direction_point(system, x_cp, rho, udir(a))
-        limit, _dist, w = approach(system, start, y_cp)
+        if a in lattice:
+            limit, _dist, w = _lattice_shot(system, x_cp, y_cp, rho, udir(a))
+        else:
+            start = direction_point(system, x_cp, rho, udir(a))
+            limit, _dist, w = approach(system, start, y_cp)
         return float(w[0]), (udir(a) if limit == y_cp.name else None)
 
     candidates = [u if u is not None else udir(a)
@@ -303,9 +339,8 @@ def _find_connections_d2(system, x_cp, y_cp, rho, k):
 
 def _find_connections_d3(system, x_cp, y_cp, rho, k):
     dirs = sphere_directions(3, k)
-    dists = np.array([
-        approach(system, direction_point(system, x_cp, rho, u), y_cp)[1]
-        for u in dirs])
+    dists = np.array([_lattice_shot(system, x_cp, y_cp, rho, u)[1]
+                      for u in dirs])
     # local minima of the approach distance over the direction lattice
     spacing = 2.0 / math.sqrt(k)
     seeds = []

@@ -300,6 +300,12 @@ def transport_frame(manifold, field_fn, times, points, frame0, fd_eps=1e-6):
 _ANGLE_OFFSET = 0.5377156339  # irrational-ish: avoids symmetric exact hits
 
 
+def circle_angles(k):
+    """The k lattice angles on the circle.  The k lattice is bit-for-bit
+    the even half of the 2k lattice (scaling by two is exact)."""
+    return _ANGLE_OFFSET + 2.0 * np.pi * np.arange(k) / k
+
+
 def sphere_directions(d, k, seed=0):
     """Deterministic low-discrepancy directions on S^{d-1}."""
     if d == 0:
@@ -307,7 +313,7 @@ def sphere_directions(d, k, seed=0):
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
-        ang = _ANGLE_OFFSET + 2.0 * np.pi * np.arange(k) / k
+        ang = circle_angles(k)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
     if d == 3:
         i = np.arange(k)

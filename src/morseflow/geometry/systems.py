@@ -116,6 +116,10 @@ class MorseSystem:
         if len(set(names)) != len(names):
             raise StructuralValidationError("critical point names collide")
         self._by_name = {cp.name: cp for cp in pts}
+        # loose lattice shots of the connection searches, filled by
+        # counting._lattice_shot: a cache of derived data, the catalog
+        # itself never changes
+        self.lattice_shots = {}
 
     # -- catalog ------------------------------------------------------------
 
@@ -311,17 +315,43 @@ def _floats(s):
     return [float(x) for x in s.replace(",", " ").split()]
 
 
-def _factor_from_spec(kind, kv):
+_REQUIRED = object()
+
+
+def _value(kv, key, cast, default=_REQUIRED):
+    """``cast(kv[key])``; a missing or malformed value is a ParseError."""
+    if key not in kv:
+        if default is _REQUIRED:
+            raise ParseError("config needs a %r value" % key)
+        return default
+    try:
+        return cast(kv[key])
+    except ValueError:
+        raise ParseError("malformed %s value %r" % (key, kv[key])) from None
+
+
+def _dim(kv):
+    n = _value(kv, "dim", int)
+    if n < 1:
+        raise StructuralValidationError("dim must be at least 1, got %d" % n)
+    return n
+
+
+def _system_from_spec(kind, kv, tol=None, name=None):
+    """One catalog system (sphere, torus or sphere-band) from its keys."""
     if kind == "sphere":
-        return sphere_height(int(kv["dim"]))
+        return sphere_height(_dim(kv), tol=tol, name=name)
     if kind == "torus":
-        n = int(kv["dim"])
-        amps = _floats(kv.get("amplitudes", " ".join(["1"] * n)))
-        phases = _floats(kv["phases"]) if "phases" in kv else None
-        return torus_cosine(n, amps, phases)
+        n = _dim(kv)
+        return torus_cosine(n, _value(kv, "amplitudes", _floats, [1.0] * n),
+                            _value(kv, "phases", _floats, None),
+                            perturb=_value(kv, "perturb", float, 0.0),
+                            seed=_value(kv, "seed", int, 0), tol=tol,
+                            name=name)
     if kind == "sphere-band":
-        return sphere_band(int(kv["dim"]), float(kv.get("eps", 0.15)))
-    raise ParseError("unknown factor kind %r" % kind)
+        return sphere_band(_dim(kv), _value(kv, "eps", float, 0.15), tol=tol,
+                           name=name)
+    raise ParseError("unknown system kind %r" % kind)
 
 
 def parse_system_config(text, tol=None):
@@ -340,6 +370,8 @@ def parse_system_config(text, tol=None):
         parts = line.split()
         key = parts[0].lower()
         if key == "factor":
+            if len(parts) < 2:
+                raise ParseError("factor line needs a kind", line=lineno)
             factors.append((parts[1].lower(), _parse_kv(parts[2:])))
         else:
             kv[key] = " ".join(parts[1:])
@@ -347,25 +379,12 @@ def parse_system_config(text, tol=None):
     if kind is None:
         raise ParseError("config needs a 'kind' line")
     tol = tol or Tolerances()
-    if "tol-conv" in kv:
-        tol.eps_conv = float(kv["tol-conv"])
+    tol.eps_conv = _value(kv, "tol-conv", float, tol.eps_conv)
     name = kv.get("name")
     if kind == "product":
         if len(factors) != 2:
             raise ParseError("product config needs exactly two factor lines")
-        s1 = _factor_from_spec(*factors[0])
-        s2 = _factor_from_spec(*factors[1])
+        s1 = _system_from_spec(*factors[0])
+        s2 = _system_from_spec(*factors[1])
         return product_system(s1, s2, tol=tol, name=name)
-    if kind == "sphere":
-        return sphere_height(int(kv["dim"]), tol=tol, name=name)
-    if kind == "torus":
-        n = int(kv["dim"])
-        amps = _floats(kv.get("amplitudes", " ".join(["1"] * n)))
-        phases = _floats(kv["phases"]) if "phases" in kv else None
-        return torus_cosine(n, amps, phases,
-                            perturb=float(kv.get("perturb", 0.0)),
-                            seed=int(kv.get("seed", 0)), tol=tol, name=name)
-    if kind == "sphere-band":
-        return sphere_band(int(kv["dim"]), float(kv.get("eps", 0.15)),
-                           tol=tol, name=name)
-    raise ParseError("unknown system kind %r" % kind)
+    return _system_from_spec(kind, kv, tol=tol, name=name)

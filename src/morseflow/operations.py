@@ -327,16 +327,15 @@ def _umkehr_entry(emb, m_cp, p_cp, rho, k, stability):
         raise ValueError("umkehr entries need index(m) = index(p) + codim")
     d = m_cp.index
     if d == 1 and p_cp.index == 0:
-        search = _umkehr_crossings_d1
-    elif d == 2 and p_cp.index == 1 and emb.codim == 1:
-        search = _umkehr_point_hits_d2
-    else:
+        # sampled at the branch flows' own nodes: no resolution to double
+        return _umkehr_crossings_d1(emb, m_cp, p_cp, rho)
+    if not (d == 2 and p_cp.index == 1 and emb.codim == 1):
         raise GeometryError(
             "umkehr case (index %d over index %d) is not implemented"
             % (d, p_cp.index))
 
     def run(grid):
-        return search(emb, m_cp, p_cp, grid, rho)
+        return _umkehr_point_hits_d2(emb, m_cp, p_cp, grid, rho)
 
     what = "umkehr entry %s->%s" % (m_cp.name, p_cp.name)
     return gated(run, k or 24, what) if stability else run(k or 24)[0]
@@ -382,10 +381,10 @@ def _crossing_frames(emb, m_cp, p_cp, res, t_star, z, at):
     return A, orthonormalize(np.stack(cols, axis=1))
 
 
-def _umkehr_crossings_d1(emb, m_cp, p_cp, grid, rho):
+def _umkehr_crossings_d1(emb, m_cp, p_cp, rho):
     """index(m) = codim = 1, so p is a minimum of P: isolated crossings of
     the unstable curve with P, kept when the crossing point flows to p
-    inside P.  Returns (signed count, number of crossings)."""
+    inside P.  Returns the signed count."""
     dom, cod = emb.domain, emb.codomain
     signs = []
     for u in sphere_directions(1, 2):
@@ -404,7 +403,7 @@ def _umkehr_crossings_d1(emb, m_cp, p_cp, grid, rho):
             # image because p is a minimum
             S = emb.push_frame(zeta, dom.manifold.tangent_basis(zeta))
             signs.append(transverse_sign(A, B, S))
-    return sum(signs), len(signs)
+    return sum(signs)
 
 
 def _umkehr_point_hits_d2(emb, m_cp, p_cp, grid, rho):

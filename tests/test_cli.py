@@ -124,6 +124,26 @@ class TestGraphCommands:
         assert "error" in err
 
 
+class TestConfigErrors:
+    # each malformed system config must map to a documented exit status
+    CASES = {
+        "malformed-dim": ("kind torus\ndim x\n", 2),
+        "factor-without-dim": ("kind product\nfactor torus amplitudes=1\n"
+                               "factor torus dim=1\n", 2),
+        "malformed-tol-conv": ("kind torus\ndim 2\ntol-conv abc\n", 2),
+        "zero-dim-sphere": ("kind sphere\ndim 0\n", 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_without_traceback(self, capsys, tmp_path, case):
+        text, expected = self.CASES[case]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, _out, err = run(capsys, "--json", "homology", str(cfg))
+        assert code == expected
+        assert "Traceback" not in err
+
+
 class TestGeomCommands:
     def test_probe(self, capsys, torus_cfg):
         code, out, _ = run(capsys, "--json", "geom", "probe", torus_cfg,

@@ -73,7 +73,7 @@ SITES = {
         operations, "_pushforward_entry_d1", add_pair,
         lambda: operations.pushforward(factor_circle(), verify=False)),
     "umkehr": (
-        operations, "_umkehr_crossings_d1", add_pair,
+        operations, "_umkehr_point_hits_d2", add_pair,
         lambda: operations.umkehr(factor_circle(), verify=False)),
     "graph_flow_count": (
         operations, "_configuration_count", add_pair,
