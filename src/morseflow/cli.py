@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -475,10 +474,6 @@ def build_parser():
 
 
 def main(argv=None):
-    if os.environ.get("MORSEFLOW_THREADS"):
-        # single orchestrator; worker pools are not spawned in this build,
-        # the variable is accepted for interface stability
-        pass
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

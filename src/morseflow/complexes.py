@@ -312,9 +312,6 @@ class DegreeHomology:
     _coord_U: np.ndarray             # SNF transform for class coordinates
     _diag: tuple
 
-    def rank_total(self):
-        return self.betti + len(self.torsion)
-
 
 class HomologyResult:
     """Betti numbers, torsion, and chosen representative cycles per degree."""
@@ -423,18 +420,6 @@ class RelativePair:
     quotient: GradedComplex
     sub_indices: dict       # degree -> tuple of generator positions in total
     quotient_indices: dict
-
-    def inclusion_matrix(self, p):
-        m = np.zeros((self.total.dim(p), self.sub.dim(p)), dtype=object)
-        for j, i in enumerate(self.sub_indices.get(p, ())):
-            m[i, j] = 1
-        return m
-
-    def projection_matrix(self, p):
-        m = np.zeros((self.quotient.dim(p), self.total.dim(p)), dtype=object)
-        for i, j in enumerate(self.quotient_indices.get(p, ())):
-            m[i, j] = 1
-        return m
 
     def connecting_map(self, p, sub_homology=None, quotient_homology=None):
         """Snake-lemma map H_p(quotient) -> H_{p-1}(sub) on free parts."""

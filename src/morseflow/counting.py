@@ -307,13 +307,8 @@ def _lattice_shot(system, x_cp, y_cp, rho, u):
 
 
 def _find_connections_d1(system, x_cp, y_cp, rho):
-    dirs = sphere_directions(1, 2)
-    out = []
-    for u in dirs:
-        res = _verify_connection(system, x_cp, y_cp, u, rho)
-        if res is not None:
-            out.append(np.asarray(u, dtype=float))
-    return out
+    return [np.asarray(u, dtype=float) for u in sphere_directions(1, 2)
+            if _verify_connection(system, x_cp, y_cp, u, rho) is not None]
 
 
 def _find_connections_d2(system, x_cp, y_cp, rho, k):
@@ -428,9 +423,10 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """Directions on the unstable sphere of x whose flow lines reach y."""
+    if x_cp.index - y_cp.index != 1:
+        raise ValueError("connections require index difference one, got "
+                         "%d - %d" % (x_cp.index, y_cp.index))
     d = x_cp.index
-    if d == 0:
-        return []
     if d == 1:
         return _find_connections_d1(system, x_cp, y_cp, rho)
     if d == 2:
@@ -451,9 +447,6 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         x_cp = system.point(x_cp)
     if isinstance(y_cp, str):
         y_cp = system.point(y_cp)
-    if x_cp.index - y_cp.index != 1:
-        raise ValueError("count requires index difference one, got %d - %d"
-                         % (x_cp.index, y_cp.index))
 
     def run(kk):
         dirs = find_connections(system, x_cp, y_cp, rho=rho, k=kk)
@@ -468,24 +461,33 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
     return run(base_k)[0]
 
 
+def graded_matrices(degrees, rows_of, cols_of, entry):
+    """{degree: integer matrix} with ``entry(col, row)`` at each position.
+
+    ``rows_of(p)`` and ``cols_of(p)`` give the critical points of each
+    degree in catalog order; entries are filled column by column.
+    """
+    out = {}
+    for p in degrees:
+        rows, cols = rows_of(p), cols_of(p)
+        mat = np.zeros((len(rows), len(cols)), dtype=object)
+        for j, col in enumerate(cols):
+            for i, row in enumerate(rows):
+                mat[i, j] = entry(col, row)
+        out[p] = mat
+    return out
+
+
 def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None,
                       stability=True):
     """Assemble the Morse complex; verifies the square-zero identity."""
     gens = {p: tuple(cp.name for cp in system.by_index(p))
             for p in system.indices()}
-    maps = {}
-    for p in sorted(gens):
-        if (p - 1) not in gens:
-            continue
-        rows = gens[p - 1]
-        cols = gens[p]
-        mat = np.zeros((len(rows), len(cols)), dtype=object)
-        for j, cname in enumerate(cols):
-            for i, rname in enumerate(rows):
-                mat[i, j] = count_flow_lines(system, cname, rname, rho=rho,
-                                             k=k, ring=ring,
-                                             stability=stability)
-        maps[p] = mat
+    maps = graded_matrices(
+        [p for p in gens if p - 1 in gens], lambda p: system.by_index(p - 1),
+        system.by_index,
+        lambda x_cp, y_cp: count_flow_lines(system, x_cp, y_cp, rho=rho, k=k,
+                                            ring=ring, stability=stability))
     return GradedComplex(gens, maps, ring=ring)
 
 
@@ -688,41 +690,44 @@ def _truncated_path(res, t_star, z):
     return times, pts
 
 
-
 def continuation(sys_f, sys_g, rho=DEFAULT_RHO, k=None, stability=True):
     """Chain map counting hybrid trajectories W^u(m; f) into W^s(m'; g).
 
-    Returns {degree: matrix} in catalog order.  Identical systems short
-    circuit to the identity: with one Morse-Smale system, an equal-index
-    intersection W^u(m) with W^s(m') is empty unless m = m', where it is
-    the point m itself with positive sign.
+    Returns {degree: matrix} in catalog order: the pushforward along the
+    identity (``hybrid_entry`` with its default maps).  Identical systems
+    short circuit to the identity: with one Morse-Smale system, an
+    equal-index intersection W^u(m) with W^s(m') is empty unless m = m',
+    where it is the point m itself with positive sign.
     """
     if _systems_identical(sys_f, sys_g):
         return {p: np.array(np.eye(len(sys_f.by_index(p)), dtype=int),
                             dtype=object)
                 for p in sys_f.indices()}
-    out = {}
-    for p in sys_f.indices():
-        rows = sys_g.by_index(p)
-        cols = sys_f.by_index(p)
-        mat = np.zeros((len(rows), len(cols)), dtype=object)
-        for j, m_cp in enumerate(cols):
-            for i, m2_cp in enumerate(rows):
-                mat[i, j] = _continuation_entry(sys_f, sys_g, m_cp, m2_cp,
-                                                rho, k, stability)
-        out[p] = mat
-    return out
+    return graded_matrices(
+        sys_f.indices(), sys_g.by_index, sys_f.by_index,
+        lambda m_cp, m2_cp: hybrid_entry(sys_f, sys_g, m_cp, m2_cp, rho, k,
+                                         stability))
 
 
-def _continuation_entry(sys_f, sys_g, m_cp, m2_cp, rho, k, stability):
+def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, rho, k, stability,
+                 image=lambda pt: pt, push=lambda pt, frame: frame):
+    """Signed count of f-trajectories leaving m whose image under a map e
+    flows into m2 under g, i.e. of W^u(m; f) meeting e^-1 W^s(m2; g).
+
+    ``image`` is e on points and ``push(pt, frame)`` its differential on a
+    frame at pt; both default to the identity, which gives continuation.
+    Index 0 flows the image of m; index dim(codomain), reached only when e
+    is the identity, compares frames at the closest passes; index 1 is the
+    gated curve-crossing count ``_hybrid_crossings``.
+    """
     d = m_cp.index
-    n = sys_f.manifold.dim
     if d == 0:
-        res = flow(sys_g, m_cp.point, +1, record=False)
+        res = flow(sys_g, image(m_cp.point), +1, record=False)
         if res.status != CONVERGED:
-            raise CountingIncompleteError("continuation flow unresolved")
+            raise CountingIncompleteError("flow from the image of %s "
+                                          "unresolved" % m_cp.name)
         return 1 if res.limit.name == m2_cp.name else 0
-    if d == n:
+    if d == sys_g.manifold.dim:
         source, carry = closest_pass_transport(sys_f, m2_cp.point, -1)
         if source.name != m_cp.name:
             return 0
@@ -730,33 +735,35 @@ def _continuation_entry(sys_f, sys_g, m_cp, m2_cp, rho, k, stability):
         return transverse_sign(carry(m_cp.unstable_frame), U_g, S_g)
     if d != 1:
         raise GeometryError(
-            "continuation for intermediate indices beyond curves is not "
-            "implemented")
+            "chain-map counts over index-%d points below the top index are "
+            "not implemented" % d)
 
     def run(grid):
-        return _crossings_along_unstable_curve(sys_f, sys_g, m_cp, m2_cp,
-                                               grid, rho)
+        return _hybrid_crossings(sys_f, sys_g, m_cp, m2_cp, grid, rho, image,
+                                 push)
 
-    what = "continuation entry %s->%s" % (m_cp.name, m2_cp.name)
+    what = "chain-map entry %s->%s" % (m_cp.name, m2_cp.name)
     return gated(run, k or 20, what) if stability else run(k or 20)[0]
 
 
-def _crossings_along_unstable_curve(sys_f, sys_g, m_cp, m2_cp, grid, rho):
-    """Crossings of the 1-dim W^u(m; f) with W^s(m2; g): (signed count,
-    number of crossings).
+def _hybrid_crossings(sys_f, sys_g, m_cp, m2_cp, grid, rho, image, push):
+    """Crossings of the unstable curve W^u(m; f) with e^-1 W^s(m2; g):
+    (signed count, number of crossings).
 
     The discriminator along the curve is the signed offset w of the g-flow
-    at its closest pass of m2 (strict limits cannot separate the two sides
-    of a saddle's stable manifold when both fall to the same minimum).
-    Each sign compares the unstable frame of m, transported along the
-    f-trajectory, against the coorientation of W^s(m2; g).
+    from the image point at its closest pass of m2 (strict limits cannot
+    separate the two sides of a saddle's stable manifold when both fall to
+    the same minimum).  Each sign compares the unstable frame of m,
+    transported along the f-trajectory and pushed through e, against the
+    coorientation of W^s(m2; g).
     """
     signs = []
     for res, t, z in curve_crossings(
-            sys_f, m_cp, grid, lambda pt: approach(sys_g, pt, m2_cp),
+            sys_f, m_cp, grid, lambda pt: approach(sys_g, image(pt), m2_cp),
             m2_cp.name, 0.5 * sys_g.tol.detect_radius, rho):
-        A = transport_frame(sys_f.manifold, sys_f.field,
-                            *_truncated_path(res, t, z), m_cp.unstable_frame)
-        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, z)
+        A = push(z, transport_frame(sys_f.manifold, sys_f.field,
+                                    *_truncated_path(res, t, z),
+                                    m_cp.unstable_frame))
+        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, image(z))
         signs.append(transverse_sign(A, U_g, S_g))
     return sum(signs), len(signs)

@@ -320,12 +320,6 @@ class BoundaryCycleSet:
         return tuple(c for c, r in zip(self.cycles, self.roles)
                      if r == OUTGOING)
 
-    def role_of_halfedge(self, h):
-        for cyc, role in zip(self.cycles, self.roles):
-            if h in cyc:
-                return role
-        raise InternalInconsistencyError("half-edge %d not in any cycle" % h)
-
 
 # -- module-level operations ------------------------------------------------
 

@@ -124,7 +124,11 @@ class MorseSystem:
     # -- catalog ------------------------------------------------------------
 
     def point(self, name):
-        return self._by_name[name]
+        cp = self._by_name.get(name)
+        if cp is None:
+            raise StructuralValidationError(
+                "system %s has no critical point named %r" % (self.name, name))
+        return cp
 
     def by_index(self, index):
         return tuple(cp for cp in self.critical_points if cp.index == index)

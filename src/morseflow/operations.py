@@ -25,6 +25,8 @@ from .counting import (
     continuation,
     curve_crossings,
     gated,
+    graded_matrices,
+    hybrid_entry,
     point_at_time,
     stable_coorientation_frames,
     transverse_sign,
@@ -223,71 +225,34 @@ def sphere_equator(codomain, phase=np.pi / 2):
 def pushforward(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
     """Chain map e_*: counts W^u(p; k) meeting W^s(x; f) across the embedding.
 
-    Returns {degree: matrix} with rows over codomain generators.  The
+    Returns {degree: matrix} with rows over codomain generators: the same
+    count as continuation (``hybrid_entry``), through the embedding.  The
     chain-map identity is verified exactly unless ``verify`` is False.
     """
     if emb.codim == 0:
         return continuation(emb.domain, emb.codomain, rho=rho, k=k,
                             stability=stability)
     dom, cod = emb.domain, emb.codomain
-    out = {}
-    for d in dom.indices():
-        rows = cod.by_index(d)
-        cols = dom.by_index(d)
-        mat = np.zeros((len(rows), len(cols)), dtype=object)
-        for j, p_cp in enumerate(cols):
-            for i, x_cp in enumerate(rows):
-                mat[i, j] = _pushforward_entry(emb, p_cp, x_cp, rho, k,
-                                               stability)
-        out[d] = mat
-    if verify:
-        defect = chain_map_defect(boundary_operator(dom),
-                                  boundary_operator(cod), out, 0)
-        if defect:
-            raise InternalInconsistencyError(
-                "pushforward is not a chain map (defect %d)" % defect)
-    return out
-
-
-def _pushforward_entry(emb, p_cp, x_cp, rho, k, stability):
-    d = p_cp.index
-    if d == 0:
-        z = emb.codomain.manifold.project(emb.embed(p_cp.point))
-        res = flow(emb.codomain, z, +1, record=False)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("pushforward flow unresolved")
-        return 1 if res.limit.name == x_cp.name else 0
-    if d != 1:
-        raise GeometryError(
-            "pushforward beyond one-dimensional unstable manifolds is not "
-            "implemented")
-
-    def run(grid):
-        return _pushforward_entry_d1(emb, p_cp, x_cp, grid, rho)
-
-    what = "pushforward entry %s->%s" % (p_cp.name, x_cp.name)
-    return gated(run, k or 20, what) if stability else run(k or 20)[0]
-
-
-def _pushforward_entry_d1(emb, p_cp, x_cp, grid, rho):
-    """Crossings of the embedded unstable curve of p with W^s(x; f):
-    (signed count, number of crossings)."""
-    dom, cod = emb.domain, emb.codomain
 
     def image(pt):
         return cod.manifold.project(emb.embed(pt))
 
-    signs = []
-    for res, t, zeta in curve_crossings(
-            dom, p_cp, grid, lambda pt: approach(cod, image(pt), x_cp),
-            x_cp.name, 0.5 * cod.tol.detect_radius, rho):
-        inner = transport_frame(dom.manifold, dom.field,
-                                *_truncated_path(res, t, zeta),
-                                frame0=p_cp.unstable_frame)
-        A = emb.push_frame(zeta, inner)
-        U, S = stable_coorientation_frames(cod, x_cp, image(zeta))
-        signs.append(transverse_sign(A, U, S))
-    return sum(signs), len(signs)
+    out = graded_matrices(
+        dom.indices(), cod.by_index, dom.by_index,
+        lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp, rho, k,
+                                        stability, image, emb.push_frame))
+    if verify:
+        _verify_chain_map("pushforward", dom, cod, out, 0)
+    return out
+
+
+def _verify_chain_map(what, source, target, maps, shift):
+    """Raise unless ``maps`` commutes exactly with both Morse differentials."""
+    defect = chain_map_defect(boundary_operator(source),
+                              boundary_operator(target), maps, shift)
+    if defect:
+        raise InternalInconsistencyError(
+            "%s is not a chain map (defect %d)" % (what, defect))
 
 
 # -- umkehr ------------------------------------------------------------------------
@@ -304,21 +269,11 @@ def umkehr(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
                             stability=stability)
     dom, cod = emb.domain, emb.codomain
     r = emb.codim
-    out = {}
-    for d in cod.indices():
-        rows = dom.by_index(d - r)
-        cols = cod.by_index(d)
-        mat = np.zeros((len(rows), len(cols)), dtype=object)
-        for j, m_cp in enumerate(cols):
-            for i, p_cp in enumerate(rows):
-                mat[i, j] = _umkehr_entry(emb, m_cp, p_cp, rho, k, stability)
-        out[d] = mat
+    out = graded_matrices(
+        cod.indices(), lambda d: dom.by_index(d - r), cod.by_index,
+        lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp, rho, k, stability))
     if verify:
-        defect = chain_map_defect(boundary_operator(cod),
-                                  boundary_operator(dom), out, -r)
-        if defect:
-            raise InternalInconsistencyError(
-                "umkehr is not a chain map (defect %d)" % defect)
+        _verify_chain_map("umkehr", cod, dom, out, -r)
     return out
 
 
@@ -552,11 +507,6 @@ class EulerClassData:
     coefficients: dict           # index-r generator name -> signed zero count
     zeros: tuple                 # (point, owner name, sign)
     fundamental_pairing: object  # int when rank == dim and betti_top == 1
-
-    def cochain_vector(self, base_complex, degree):
-        labels = base_complex.labels(degree)
-        return np.array([self.coefficients.get(name, 0) for name in labels],
-                        dtype=object)
 
 
 def euler_class(bundle, system, section=None, n_starts=200, seed=0):

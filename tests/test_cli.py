@@ -191,6 +191,21 @@ class TestGeomCommands:
         ids = {row.split(",")[0] for row in csv.read_text().splitlines()[1:]}
         assert ids == {"0", "1"}
 
+    def test_connections_unknown_point(self, capsys, torus_cfg):
+        code, _out, err = run(capsys, "geom", "connections", torus_cfg,
+                              "--source", "x99", "--target", "x00")
+        assert code == 3
+        assert "x99" in err
+        assert "Traceback" not in err
+
+    def test_connections_index_drop_two(self, capsys, torus_cfg):
+        # a maximum and a minimum are not index-adjacent
+        code, _out, err = run(capsys, "geom", "connections", torus_cfg,
+                              "--source", "x11", "--target", "x00")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestHomologyCommand:
     def test_torus_betti(self, capsys, torus_cfg):
@@ -260,20 +275,29 @@ class TestOpCommands:
         data = json.loads(out)
         assert abs(data["pairing_with_fundamental_class"]) == 2
 
-    def test_nu_single_input_golden_args(self, capsys, tmp_path, fig8_file):
-        cfgs = []
+    @pytest.fixture
+    def label_args(self, tmp_path):
+        args = []
         for i, phases in enumerate(("0.0 0.0", "0.9 1.3", "-0.7 0.55")):
             p = tmp_path / ("label%d.cfg" % i)
             p.write_text("kind torus\ndim 2\namplitudes 1.0 0.7\nphases %s\n"
                          % phases)
-            cfgs.append(str(p))
+            args += ["--label", str(p)]
+        return args
+
+    def test_nu_single_input_golden_args(self, capsys, fig8_file, label_args):
         code, out, _ = run(capsys, "--json", "op", "nu", fig8_file,
-                           "--label", cfgs[0], "--label", cfgs[1],
-                           "--label", cfgs[2],
-                           "--input", "x10,x01")
+                           *label_args, "--input", "x10,x01")
         data = json.loads(out)
         assert code == 0
         assert data["output"] == {"x00": -1}
+
+    def test_nu_unknown_input_point(self, capsys, fig8_file, label_args):
+        code, _out, err = run(capsys, "op", "nu", fig8_file, *label_args,
+                              "--input", "x99,x00")
+        assert code == 3
+        assert "x99" in err
+        assert "Traceback" not in err
 
 
 GOLDEN_CASES = [

@@ -66,11 +66,13 @@ SITES = {
     "count_flow_lines": (
         counting, "find_connections", repeat_lines,
         lambda: counting.count_flow_lines(t2(), "x11", "x10")),
+    # continuation and pushforward share one curve-crossing count; each
+    # site is reached through its own public call
     "continuation": (
-        counting, "_crossings_along_unstable_curve", add_pair,
+        counting, "_hybrid_crossings", add_pair,
         lambda: counting.continuation(t2(), t2_shifted())),
     "pushforward": (
-        operations, "_pushforward_entry_d1", add_pair,
+        counting, "_hybrid_crossings", add_pair,
         lambda: operations.pushforward(factor_circle(), verify=False)),
     "umkehr": (
         operations, "_umkehr_point_hits_d2", add_pair,
