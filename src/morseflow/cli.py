@@ -155,18 +155,20 @@ def cmd_geom_probe(args):
     lines.append("unresolved: %d" % stats["unresolved"])
     _emit(args, payload, lines)
     if args.trajectories_csv:
-        _write_trajectories_csv(args.trajectories_csv, system, args.seeds,
-                                args.seed)
+        rng = np.random.default_rng(args.seed)
+        _write_trajectories_csv(
+            args.trajectories_csv, system,
+            (system.manifold.random_point(rng)
+             for _ in range(min(args.seeds, 8))))
     return 0
 
 
-def _write_trajectories_csv(path, system, n, seed):
-    rng = np.random.default_rng(seed)
+def _write_trajectories_csv(path, system, starts):
+    """One row per recorded node of the descending flow from each start."""
     cols = ["trajectory", "t"] + \
         ["x%d" % i for i in range(system.manifold.coord_dim)] + ["f"]
     rows = []
-    for k in range(min(n, 8)):
-        x0 = system.manifold.random_point(rng)
+    for k, x0 in enumerate(starts):
         res = flow(system, x0, +1)
         for t, pt, fv in zip(res.times, res.points, res.f_values):
             rows.append([k, t] + list(pt) + [fv])
@@ -188,15 +190,9 @@ def cmd_geom_connections(args):
              % (len(dirs), args.source, args.target)]
     _emit(args, payload, lines)
     if args.csv:
-        cols = ["trajectory", "t"] + \
-            ["x%d" % i for i in range(system.manifold.coord_dim)] + ["f"]
-        with open(args.csv, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k, u in enumerate(dirs):
-                res = flow(system, direction_point(system, x, 0.02, u), +1)
-                for t, pt, fv in zip(res.times, res.points, res.f_values):
-                    fh.write(",".join(
-                        "%.12g" % v for v in [k, t] + list(pt) + [fv]) + "\n")
+        _write_trajectories_csv(
+            args.csv, system,
+            (direction_point(system, x, 0.02, u) for u in dirs))
     return 0
 
 
@@ -225,8 +221,9 @@ def cmd_homology(args):
         blocks = {"total": boundary_operator(system, ring=ring)}
     payload = {"system": system.name, "ring": ring, "blocks": {}}
     lines = ["%s (ring %s)" % (system.name, ring)]
+    homologies = {label: homology(cx) for label, cx in blocks.items()}
     for label, cx in sorted(blocks.items()):
-        h = homology(cx)
+        h = homologies[label]
         degrees = cx.degrees()
         entry = {
             "generators": {str(p): list(cx.labels(p)) for p in degrees},
@@ -256,7 +253,7 @@ def cmd_homology(args):
         with open(args.csv, "w") as fh:
             fh.write("block,degree,betti,torsion,generators\n")
             for label, cx in sorted(blocks.items()):
-                h = homology(cx)
+                h = homologies[label]
                 for p in cx.degrees():
                     fh.write("%s,%d,%d,%s,%s\n" % (
                         label, p, h.betti(p),

@@ -1,13 +1,16 @@
 """Morse complexes by counting flow lines, plus relative complexes and
 continuation maps.
 
-Counting strategy for a pair x -> y with index drop one: shoot from the
-unstable sphere of x, track the closest approach to y and the signed
-offset w along y's unstable directions there, isolate sign changes of w by
-bisection on the sphere parameter, then verify each candidate by strict
-convergence into y's ball.  Searched counts pass the doubling gate
-(``gated``): they are recomputed at doubled shooting resolution, and any
-discrepancy raises instead of returning silently.
+Counting strategy for a pair x -> y with index drop one.  From index 1,
+both directions of the unstable line of x are flown.  From index 2, the
+unstable circle of x is shot: track the closest approach to y and the
+signed offset w along y's unstable directions there, isolate sign changes
+of w by bisection on the circle, then verify each candidate by strict
+convergence into y's ball; these counts pass the doubling gate (``gated``):
+they are recomputed at doubled shooting resolution, and any discrepancy
+raises instead of returning silently.  From index 3 and up, the target must
+have index dim - 1, and the two curves of its stable manifold are followed
+upward to their limits; every other pair raises ``GeometryError``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .geometry.flow import (
 
 DEFAULT_RHO = 0.02
 DEFAULT_K_CIRCLE = 48
-DEFAULT_K_SPHERE = 160
 
 
 # -- the doubling gate and the shared searches ---------------------------------
@@ -251,11 +253,10 @@ def _verify_connection(system, x_cp, y_cp, u, rho):
 
 
 def connection_sign(system, x_cp, y_cp, u, rho):
-    """Sign of one isolated flow line from x to y.
+    """Sign of one isolated flow line from x to y, leaving x along u.
 
     Transports the ordered unstable frame of x along the trajectory and
-    compares it, near y, against (unstable frame of y, then the flow
-    direction); the determinant's sign is the contribution.
+    signs it at the first point near y (``_frame_sign``).
     """
     flow_result = _verify_connection(system, x_cp, y_cp, u, rho)
     if flow_result is None:
@@ -270,15 +271,21 @@ def connection_sign(system, x_cp, y_cp, u, rho):
         if man.distance(pts[i], y_cp.point) <= frame_radius:
             cut = i
             break
-    q = pts[cut]
     moved = transport_frame(man, system.field, times[:cut + 1],
                             pts[:cut + 1], x_cp.unstable_frame)
+    return _frame_sign(system, y_cp, pts[cut], moved)
+
+
+def _frame_sign(system, y_cp, q, moved):
+    """Sign of a line from x through q into y, given x's ordered unstable
+    frame carried to q: the determinant against (unstable frame of y, then
+    the flow direction) at q."""
     v = system.field(q)
     speed = np.linalg.norm(v)
     if speed < 1e-14:
         raise GeometryError("flow direction vanished before reaching y")
-    ref_cols = [parallel_frame(man, q, y_cp.unstable_frame)[:, j]
-                for j in range(y_cp.index)] if y_cp.index else []
+    ref_cols = (list(parallel_frame(system.manifold, q, y_cp.unstable_frame).T)
+                if y_cp.index else [])
     ref_cols.append(v / speed)
     ref = orthonormalize(np.stack(ref_cols, axis=1))
     return orientation_sign(moved, ref)
@@ -332,81 +339,33 @@ def _find_connections_d2(system, x_cp, y_cp, rho, k):
     return _dedupe_verified(system, x_cp, y_cp, rho, candidates)
 
 
-def _find_connections_d3(system, x_cp, y_cp, rho, k):
-    dirs = sphere_directions(3, k)
-    dists = np.array([_lattice_shot(system, x_cp, y_cp, rho, u)[1]
-                      for u in dirs])
-    # local minima of the approach distance over the direction lattice
-    spacing = 2.0 / math.sqrt(k)
-    seeds = []
-    for i in range(k):
-        nbrs = [j for j in range(k)
-                if j != i and np.linalg.norm(dirs[j] - dirs[i]) < 2.5 * spacing]
-        if all(dists[i] <= dists[j] for j in nbrs) and dists[i] < 0.8:
-            seeds.append(i)
-    candidates = []
-    for i in seeds:
-        u = _newton_direction(system, x_cp, y_cp, rho, dirs[i])
-        if u is not None:
-            candidates.append(u)
-    return _dedupe_verified(system, x_cp, y_cp, rho, candidates)
+def _find_connections_codim1(system, x_cp, y_cp, rho):
+    """(direction, sign) of each line from x into y of index dim - 1.
 
-
-def _newton_direction(system, x_cp, y_cp, rho, u0, max_iter=40):
-    """Solve w(u) = 0 on the direction sphere by damped FD Newton."""
-    d = len(u0)
-    m = y_cp.index
-    u = np.asarray(u0, dtype=float)
-    u /= np.linalg.norm(u)
-
-    def chart(u_base):
-        # orthonormal tangent of the sphere S^{d-1} at u_base
-        basis = []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            v = e - np.dot(e, u_base) * u_base
-            basis.append(v)
-        b = np.stack(basis, axis=1)
-        q, r = np.linalg.qr(b)
-        cols = [j for j in range(d) if abs(r[j, j]) > 1e-9]
-        return q[:, cols[:d - 1]]
-
-    def wfun(uu):
-        return approach(system, direction_point(system, x_cp, rho, uu),
-                        y_cp)[2]
-
-    w = wfun(u)
-    for _ in range(max_iter):
-        if np.linalg.norm(w) < 1e-11:
-            return u
-        T = chart(u)
-        eps = max(1e-7, 1e-4 * np.linalg.norm(w))
-        J = np.zeros((m, T.shape[1]))
-        for j in range(T.shape[1]):
-            up = u + eps * T[:, j]
-            up /= np.linalg.norm(up)
-            um = u - eps * T[:, j]
-            um /= np.linalg.norm(um)
-            J[:, j] = (wfun(up) - wfun(um)) / (2 * eps)
-        try:
-            step = np.linalg.lstsq(J, -w, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return None
-        if np.linalg.norm(step) > 0.8:
-            step *= 0.8 / np.linalg.norm(step)
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.1):
-            u_new = u + T @ (damp * step)
-            u_new /= np.linalg.norm(u_new)
-            w_new = wfun(u_new)
-            if np.linalg.norm(w_new) < np.linalg.norm(w):
-                u, w = u_new, w_new
-                improved = True
-                break
-        if not improved:
-            return None
-    return u if np.linalg.norm(w) < 1e-9 else None
+    A line of f from x to y is a line of -f from y to x, and W^s(y) is two
+    curves, followed upward from distance rho along +-y's stable
+    eigenvector.  A maximum attracts the ascent, so each branch reaches a
+    limit, and a branch that ends elsewhere carries no line.  The
+    direction is where the line leaves x, read off the ascent's closest
+    pass of x in x's unstable frame; the sign is taken at the start z, with
+    x's unstable frame carried down to z.
+    """
+    if y_cp.index != system.manifold.dim - 1:
+        raise GeometryError(
+            "connection search from index %d points reaches only index dim "
+            "- 1 = %d, not %s of index %d" % (
+                x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index))
+    man = system.manifold
+    out = []
+    for side in (1.0, -1.0):
+        z = man.project(y_cp.point + side * rho * y_cp.stable_frame[:, 0])
+        source, carry, q = closest_pass_transport(system, z, -1)
+        if source.name == x_cp.name:
+            u = x_cp.unstable_frame.T @ man.displacement(x_cp.point, q)
+            out.append((u / np.linalg.norm(u),
+                        _frame_sign(system, y_cp, z,
+                                    carry(x_cp.unstable_frame))))
+    return out
 
 
 def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
@@ -421,32 +380,41 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
     return out
 
 
-def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
-    """Directions on the unstable sphere of x whose flow lines reach y."""
+def _require_adjacent(x_cp, y_cp):
     if x_cp.index - y_cp.index != 1:
         raise ValueError("connections require index difference one, got "
                          "%d - %d" % (x_cp.index, y_cp.index))
-    d = x_cp.index
-    if d == 1:
+
+
+def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
+    """Directions on the unstable sphere of x whose flow lines reach y."""
+    _require_adjacent(x_cp, y_cp)
+    if x_cp.index == 1:
         return _find_connections_d1(system, x_cp, y_cp, rho)
-    if d == 2:
+    if x_cp.index == 2:
         return _find_connections_d2(system, x_cp, y_cp, rho,
                                     k or DEFAULT_K_CIRCLE)
-    if d == 3:
-        return _find_connections_d3(system, x_cp, y_cp, rho,
-                                    k or DEFAULT_K_SPHERE)
-    raise GeometryError(
-        "connection search beyond three-dimensional unstable spheres is "
-        "not implemented")
+    return [u for u, _sign in _find_connections_codim1(system, x_cp, y_cp,
+                                                        rho)]
 
 
 def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
                      ring=RING_Z, stability=True):
-    """Signed (or mod-2) number of flow lines between index-adjacent points."""
+    """Signed (or mod-2) number of flow lines between index-adjacent points.
+
+    Counts from index 2 pass the doubling gate; the index-1 and codimension-
+    one searches follow finitely many curves and have no resolution to
+    double.
+    """
     if isinstance(x_cp, str):
         x_cp = system.point(x_cp)
     if isinstance(y_cp, str):
         y_cp = system.point(y_cp)
+    if x_cp.index >= 3:
+        _require_adjacent(x_cp, y_cp)
+        signs = [sign for _u, sign in
+                 _find_connections_codim1(system, x_cp, y_cp, rho)]
+        return len(signs) % 2 if ring == RING_Z2 else sum(signs)
 
     def run(kk):
         dirs = find_connections(system, x_cp, y_cp, rho=rho, k=kk)
@@ -455,8 +423,8 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         return (sum(connection_sign(system, x_cp, y_cp, u, rho)
                     for u in dirs), len(dirs))
 
-    base_k = k or (DEFAULT_K_CIRCLE if x_cp.index == 2 else DEFAULT_K_SPHERE)
-    if stability and x_cp.index >= 2:
+    base_k = k or DEFAULT_K_CIRCLE
+    if stability and x_cp.index == 2:
         return gated(run, base_k, "count %s->%s" % (x_cp.name, y_cp.name))
     return run(base_k)[0]
 
@@ -634,7 +602,8 @@ def closest_pass_transport(system, z, direction, cp=None):
     the detection radius (landing exactly on a critical point is
     numerically unreachable when the unstable rate beats the stable one).
     With ``cp`` None the flow must converge and cp is its limit.  Returns
-    (cp, carry): ``carry(frame)`` transports a frame at cp back to z.
+    (cp, carry, closest pass): ``carry(frame)`` transports a frame at cp
+    back to z.
     """
     man = system.manifold
     res = flow(system, z, direction, record=True)
@@ -659,7 +628,7 @@ def closest_pass_transport(system, z, direction, cp=None):
             return frame
         return transport_frame(man, back_field, times, pts, frame)
 
-    return cp, carry
+    return cp, carry, pts[0]
 
 
 def stable_coorientation_frames(sys_g, m2_cp, z):
@@ -670,7 +639,7 @@ def stable_coorientation_frames(sys_g, m2_cp, z):
     (``closest_pass_transport``).  U coorients W^s(m2; g) there, S spans
     its tangent.
     """
-    _, carry = closest_pass_transport(sys_g, z, +1, m2_cp)
+    _, carry, _ = closest_pass_transport(sys_g, z, +1, m2_cp)
     return carry(m2_cp.unstable_frame), carry(m2_cp.stable_frame)
 
 
@@ -728,7 +697,7 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, rho, k, stability,
                                           "unresolved" % m_cp.name)
         return 1 if res.limit.name == m2_cp.name else 0
     if d == sys_g.manifold.dim:
-        source, carry = closest_pass_transport(sys_f, m2_cp.point, -1)
+        source, carry, _ = closest_pass_transport(sys_f, m2_cp.point, -1)
         if source.name != m_cp.name:
             return 0
         U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, m2_cp.point)

@@ -307,7 +307,8 @@ def circle_angles(k):
 
 
 def sphere_directions(d, k, seed=0):
-    """Deterministic low-discrepancy directions on S^{d-1}."""
+    """Deterministic directions on S^{d-1}: both points of S^0, the k
+    circle lattice angles, seeded Gaussian directions beyond."""
     if d == 0:
         return np.zeros((0, 0))
     if d == 1:
@@ -315,27 +316,9 @@ def sphere_directions(d, k, seed=0):
     if d == 2:
         ang = circle_angles(k)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if d == 3:
-        i = np.arange(k)
-        z = 1.0 - 2.0 * (i + 0.5) / k
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = _ANGLE_OFFSET + np.pi * (3.0 - np.sqrt(5.0)) * i
-        dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-        rot = _fixed_rotation(3)
-        return dirs @ rot.T
     rng = np.random.default_rng(seed + 1234)
     v = rng.standard_normal((k, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _fixed_rotation(d):
-    rng = np.random.default_rng(20240917)
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    for j in range(d):
-        if r[j, j] < 0:
-            q[:, j] = -q[:, j]
-    return q
 
 
 def unstable_sphere_sample(system, cp, rho, k, seed=0):

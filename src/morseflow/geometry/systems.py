@@ -116,9 +116,9 @@ class MorseSystem:
         if len(set(names)) != len(names):
             raise StructuralValidationError("critical point names collide")
         self._by_name = {cp.name: cp for cp in pts}
-        # loose lattice shots of the connection searches, filled by
-        # counting._lattice_shot: a cache of derived data, the catalog
-        # itself never changes
+        # loose circle-lattice shots of the index-2 connection search,
+        # filled by counting._lattice_shot: a cache of derived data, the
+        # catalog itself never changes
         self.lattice_shots = {}
 
     # -- catalog ------------------------------------------------------------

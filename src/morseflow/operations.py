@@ -595,7 +595,7 @@ def _newton_zero(bundle, man, section, x0, tol, max_iter=60):
 
 
 def _owning_unstable_frame(system, z, r):
-    owner, carry = closest_pass_transport(system, z, -1)
+    owner, carry, _ = closest_pass_transport(system, z, -1)
     if owner.index != r:
         raise TransversalityError(
             "section zero sits on a lower stratum (owner %s of index %d); "
@@ -815,7 +815,7 @@ def _unstable_coorientation_frame(system, cp, z):
     """Oriented frame of T_z W^u(cp), anchored at the closest backward pass."""
     if cp.index == 0:
         return np.zeros((system.manifold.coord_dim, 0))
-    _, carry = closest_pass_transport(system, z, -1, cp)
+    _, carry, _ = closest_pass_transport(system, z, -1, cp)
     return carry(cp.unstable_frame)
 
 

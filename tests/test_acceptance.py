@@ -41,8 +41,10 @@ from morseflow.operations import (
 )
 
 from oracles import (
+    circle_complex,
     s2xs2_complex,
     sphere2_complex,
+    tensor_complex,
     torus3_complex,
     torus_delta_complex,
     torus_intersection_table,
@@ -104,6 +106,10 @@ class TestCriterion3:
              (0, 1, 2, 3)),
             ("S2xS2", product_system(sphere_height(2), sphere_height(2)),
              s2xs2_complex(), (0, 1, 2, 3, 4)),
+            ("S1xS2-band", product_system(torus_cosine(1, [1.0]),
+                                          sphere_band(2)),
+             tensor_complex(circle_complex(), sphere2_complex()),
+             (0, 1, 2, 3)),
         ]
         summary = []
         for name, system, oracle, degrees in cases:

@@ -191,6 +191,14 @@ class TestGeomCommands:
         ids = {row.split(",")[0] for row in csv.read_text().splitlines()[1:]}
         assert ids == {"0", "1"}
 
+    def test_connections_from_index_three(self, capsys, tmp_path):
+        cfg = tmp_path / "torus3.cfg"
+        cfg.write_text("kind torus\ndim 3\namplitudes 1.0 0.7 0.55\n")
+        code, out, _ = run(capsys, "--json", "geom", "connections", str(cfg),
+                           "--source", "x111", "--target", "x110")
+        assert code == 0
+        assert json.loads(out)["count"] == 2
+
     def test_connections_unknown_point(self, capsys, torus_cfg):
         code, _out, err = run(capsys, "geom", "connections", torus_cfg,
                               "--source", "x99", "--target", "x00")

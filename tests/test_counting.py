@@ -14,8 +14,16 @@ from morseflow.counting import (
     morse_homology,
     relative_complex,
 )
-from morseflow.errors import AdmissibilityError, CountInstabilityError
-from morseflow.geometry import sphere_band, sphere_height, torus_cosine
+import morseflow.counting as counting
+from morseflow.errors import AdmissibilityError, GeometryError
+from morseflow.geometry import (
+    product_system,
+    sphere_band,
+    sphere_height,
+    torus_cosine,
+)
+
+from oracles import tensor_complex
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +111,63 @@ class TestCounts:
             for j, cname in enumerate(cols):
                 rev_count = count_flow_lines(rev, rname, cname)
                 assert abs(rev_count) == abs(int(d2[i, j]))
+
+
+class TestIntoCodimensionOne:
+    """Sources of index 3 and up: the two curves of W^s(y), followed up."""
+
+    @pytest.fixture(scope="class")
+    def t3(self):
+        return torus_cosine(3, [1.0, 0.7, 0.55])
+
+    @pytest.fixture(scope="class")
+    def t4(self):
+        return torus_cosine(4, [1.0, 0.8, 0.65, 0.5])
+
+    @pytest.mark.parametrize("target, axis",
+                             [("x110", 2), ("x101", 1), ("x011", 0)])
+    def test_torus3_two_lines_per_pair(self, t3, target, axis):
+        # the lines run along the one coordinate circle that drops,
+        # leaving x111 along +-e_axis of its unstable frame
+        dirs = find_connections(t3, t3.point("x111"), t3.point(target))
+        e = np.eye(3)[axis]
+        assert len(dirs) == 2
+        assert all(np.isclose(np.linalg.norm(u), 1.0) for u in dirs)
+        for want in (e, -e):
+            assert sum(np.allclose(u, want, atol=1e-6) for u in dirs) == 1
+        assert count_flow_lines(t3, "x111", target) == 0
+
+    def test_s1xs2_band_matches_kunneth(self):
+        circle, band = torus_cosine(1, [1.0]), sphere_band(2)
+        system = product_system(circle, band)
+        oracle = tensor_complex(boundary_operator(circle),
+                                boundary_operator(band))
+        d3 = oracle.map_from(3)
+        for j, x in enumerate(oracle.labels(3)):
+            for i, y in enumerate(oracle.labels(2)):
+                want = abs(int(d3[i, j]))
+                lines = len(find_connections(system, system.point(x),
+                                             system.point(y)))
+                # one line into x1|rim_hi; two cancelling lines or none
+                # into x0|pole+-
+                assert lines in ((1,) if y == "x1|rim_hi" else (0, 2))
+                assert abs(count_flow_lines(system, x, y)) == want, (x, y)
+
+    def test_torus4_top_pair(self, t4):
+        dirs = find_connections(t4, t4.point("x1111"), t4.point("x1110"))
+        assert len(dirs) == 2
+        assert count_flow_lines(t4, "x1111", "x1110") == 0
+
+    def test_torus4_lower_target_raises_before_flowing(self, t4,
+                                                       monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow was launched")
+
+        monkeypatch.setattr(counting, "flow", no_flow)
+        with pytest.raises(GeometryError):
+            count_flow_lines(t4, "x1110", "x1100")
+        with pytest.raises(GeometryError):
+            find_connections(t4, t4.point("x1110"), t4.point("x1100"))
 
 
 class TestRelative:
