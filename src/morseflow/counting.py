@@ -1,16 +1,17 @@
 """Morse complexes by counting flow lines, plus relative complexes and
 continuation maps.
 
-Counting strategy for a pair x -> y with index drop one.  From index 1,
-both directions of the unstable line of x are flown.  From index 2, the
-unstable circle of x is shot: track the closest approach to y and the
-signed offset w along y's unstable directions there, isolate sign changes
-of w by bisection on the circle, then verify each candidate by strict
-convergence into y's ball; these counts pass the doubling gate (``gated``):
-they are recomputed at doubled shooting resolution, and any discrepancy
-raises instead of returning silently.  From index 3 and up, the target must
-have index dim - 1, and the two curves of its stable manifold are followed
-upward to their limits; every other pair raises ``GeometryError``.
+A pair x -> y with index drop one is counted by the search that
+``_connection_search`` picks.  From index 1, both directions of the
+unstable line of x are flown.  Into index dim - 1 (every other pair on a
+surface), the two curves of the stable manifold of y are followed upward
+to their limits.  Otherwise, from index 2, the unstable circle of x is
+shot: track the closest approach to y and the signed offset w along y's
+unstable directions there, isolate sign changes of w by bisection on the
+circle, then verify each candidate by strict convergence into y's ball;
+these counts pass the doubling gate (``gated``): they are recomputed at
+doubled shooting resolution, and any discrepancy raises instead of
+returning silently.  Every other pair raises ``GeometryError``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     CountInstabilityError,
     GeometryError,
     InternalInconsistencyError,
-    TransversalityError,
 )
 from .geometry.flow import (
     CONVERGED,
@@ -217,29 +217,20 @@ def curve_crossings(curve_sys, cp, grid, probe, target, radius,
 def circle_lattice_roots(k, sample, tol):
     """Zeros of an offset sampled on a circle of ``k`` lattice angles.
 
-    ``sample(angle)`` returns (w, payload), with a payload for an exact hit
-    and w None where the offset is undefined.  Returns (angle, payload) for
-    each lattice hit and each refined sign change between neighbours (the
-    last angle wraps to the first).
+    ``sample(angle)`` returns (w, payload), with a payload for an exact
+    hit.  Returns (angle, payload) for each lattice hit and each refined
+    sign change between neighbours (the last angle wraps to the first).
     """
     angles = circle_angles(k)
     vals = [sample(a) for a in angles]
-
-    def bracketed(a):
-        w, payload = sample(a)
-        if w is None:
-            raise TransversalityError(
-                "crossing vanished inside a refinement bracket")
-        return w, payload
-
     out = []
     for j in range(k):
         (w0, hit), (w1, _) = vals[j], vals[(j + 1) % k]
         if hit is not None:
             out.append((angles[j], hit))
-        elif w0 is not None and w1 is not None and w0 * w1 < 0:
+        elif w0 * w1 < 0:
             a1 = angles[j + 1] if j + 1 < k else angles[0] + 2.0 * np.pi
-            out.append(_illinois_root(bracketed, angles[j], a1, w0, w1, tol))
+            out.append(_illinois_root(sample, angles[j], a1, w0, w1, tol))
     return out
 
 
@@ -313,11 +304,6 @@ def _lattice_shot(system, x_cp, y_cp, rho, u):
     return (limit, *passes[y_cp.name])
 
 
-def _find_connections_d1(system, x_cp, y_cp, rho):
-    return [np.asarray(u, dtype=float) for u in sphere_directions(1, 2)
-            if _verify_connection(system, x_cp, y_cp, u, rho) is not None]
-
-
 def _find_connections_d2(system, x_cp, y_cp, rho, k):
     # lattice angles go through the shared table; the Illinois iterates
     # between them almost never repeat, so they are flown directly
@@ -350,11 +336,6 @@ def _find_connections_codim1(system, x_cp, y_cp, rho):
     pass of x in x's unstable frame; the sign is taken at the start z, with
     x's unstable frame carried down to z.
     """
-    if y_cp.index != system.manifold.dim - 1:
-        raise GeometryError(
-            "connection search from index %d points reaches only index dim "
-            "- 1 = %d, not %s of index %d" % (
-                x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index))
     man = system.manifold
     out = []
     for side in (1.0, -1.0):
@@ -369,6 +350,12 @@ def _find_connections_codim1(system, x_cp, y_cp, rho):
 
 
 def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
+    """The distinct unit candidates whose strict flow converges into y.
+
+    A candidate that fails verification is dropped when its loose flow
+    passes y farther than half the detection radius (a wrap of the offset,
+    not a line); a closer pass is a line the strict flow lost, and raises.
+    """
     out = []
     for u in candidates:
         u = np.asarray(u, dtype=float)
@@ -377,21 +364,45 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
             continue
         if _verify_connection(system, x_cp, y_cp, u, rho) is not None:
             out.append(u)
+            continue
+        _limit, dist, _w = approach(
+            system, direction_point(system, x_cp, rho, u), y_cp)
+        if dist <= 0.5 * system.tol.detect_radius:
+            raise CountingIncompleteError(
+                "%s -> %s: direction %s passes within %.3g of %s but fails "
+                "strict verification" % (x_cp.name, y_cp.name, u.tolist(),
+                                         dist, y_cp.name))
     return out
 
 
-def _require_adjacent(x_cp, y_cp):
+SHOOT, ASCEND, LATTICE = "shoot", "ascend", "lattice"
+
+
+def _connection_search(system, x_cp, y_cp):
+    """The one rule (module docstring) that picks the search for x -> y;
+    any other pair raises before a flow is launched."""
     if x_cp.index - y_cp.index != 1:
         raise ValueError("connections require index difference one, got "
                          "%d - %d" % (x_cp.index, y_cp.index))
+    if x_cp.index == 1:
+        return SHOOT
+    if y_cp.index == system.manifold.dim - 1:
+        return ASCEND
+    if x_cp.index == 2:
+        return LATTICE
+    raise GeometryError(
+        "connection search from index %d points reaches only index dim "
+        "- 1 = %d, not %s of index %d" % (
+            x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index))
 
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """Directions on the unstable sphere of x whose flow lines reach y."""
-    _require_adjacent(x_cp, y_cp)
-    if x_cp.index == 1:
-        return _find_connections_d1(system, x_cp, y_cp, rho)
-    if x_cp.index == 2:
+    search = _connection_search(system, x_cp, y_cp)
+    if search == SHOOT:
+        return [np.asarray(u, dtype=float) for u in sphere_directions(1, 2)
+                if _verify_connection(system, x_cp, y_cp, u, rho) is not None]
+    if search == LATTICE:
         return _find_connections_d2(system, x_cp, y_cp, rho,
                                     k or DEFAULT_K_CIRCLE)
     return [u for u, _sign in _find_connections_codim1(system, x_cp, y_cp,
@@ -402,16 +413,15 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
                      ring=RING_Z, stability=True):
     """Signed (or mod-2) number of flow lines between index-adjacent points.
 
-    Counts from index 2 pass the doubling gate; the index-1 and codimension-
-    one searches follow finitely many curves and have no resolution to
-    double.
+    Lattice counts pass the doubling gate; the other two searches follow
+    finitely many curves and have no resolution to double.
     """
     if isinstance(x_cp, str):
         x_cp = system.point(x_cp)
     if isinstance(y_cp, str):
         y_cp = system.point(y_cp)
-    if x_cp.index >= 3:
-        _require_adjacent(x_cp, y_cp)
+    search = _connection_search(system, x_cp, y_cp)
+    if search == ASCEND:
         signs = [sign for _u, sign in
                  _find_connections_codim1(system, x_cp, y_cp, rho)]
         return len(signs) % 2 if ring == RING_Z2 else sum(signs)
@@ -423,10 +433,10 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         return (sum(connection_sign(system, x_cp, y_cp, u, rho)
                     for u in dirs), len(dirs))
 
-    base_k = k or DEFAULT_K_CIRCLE
-    if stability and x_cp.index == 2:
-        return gated(run, base_k, "count %s->%s" % (x_cp.name, y_cp.name))
-    return run(base_k)[0]
+    if stability and search == LATTICE:
+        return gated(run, k or DEFAULT_K_CIRCLE,
+                     "count %s->%s" % (x_cp.name, y_cp.name))
+    return run(k)[0]
 
 
 def graded_matrices(degrees, rows_of, cols_of, entry):

@@ -117,8 +117,9 @@ class MorseSystem:
             raise StructuralValidationError("critical point names collide")
         self._by_name = {cp.name: cp for cp in pts}
         # loose circle-lattice shots of the index-2 connection search,
-        # filled by counting._lattice_shot: a cache of derived data, the
-        # catalog itself never changes
+        # which only manifolds of dimension three and up reach, filled by
+        # counting._lattice_shot: a cache of derived data, the catalog
+        # itself never changes
         self.lattice_shots = {}
 
     # -- catalog ------------------------------------------------------------

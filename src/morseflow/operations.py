@@ -20,7 +20,6 @@ from .counting import (
     approach,
     boundary_operator,
     bracketed_roots,
-    circle_lattice_roots,
     closest_pass_transport,
     continuation,
     curve_crossings,
@@ -271,29 +270,29 @@ def umkehr(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
     r = emb.codim
     out = graded_matrices(
         cod.indices(), lambda d: dom.by_index(d - r), cod.by_index,
-        lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp, rho, k, stability))
+        lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp, rho))
     if verify:
         _verify_chain_map("umkehr", cod, dom, out, -r)
     return out
 
 
-def _umkehr_entry(emb, m_cp, p_cp, rho, k, stability):
+def _umkehr_entry(emb, m_cp, p_cp, rho):
     if m_cp.index != p_cp.index + emb.codim:
         raise ValueError("umkehr entries need index(m) = index(p) + codim")
-    d = m_cp.index
-    if d == 1 and p_cp.index == 0:
-        # sampled at the branch flows' own nodes: no resolution to double
+    if m_cp.index == 1 and p_cp.index == 0:
         return _umkehr_crossings_d1(emb, m_cp, p_cp, rho)
-    if not (d == 2 and p_cp.index == 1 and emb.codim == 1):
+    if not (m_cp.index == 2 and p_cp.index == 1 and emb.codim == 1):
         raise GeometryError(
             "umkehr case (index %d over index %d) is not implemented"
-            % (d, p_cp.index))
-
-    def run(grid):
-        return _umkehr_point_hits_d2(emb, m_cp, p_cp, grid, rho)
-
-    what = "umkehr entry %s->%s" % (m_cp.name, p_cp.name)
-    return gated(run, k or 24, what) if stability else run(k or 24)[0]
+            % (m_cp.index, p_cp.index))
+    # p is the maximum of the circle P, so W^s(p; k) is the point p and the
+    # entry asks whether e(p) lies in W^u(m): one backward flow answers it
+    z = emb.codomain.manifold.project(emb.embed(p_cp.point))
+    source, carry, _ = closest_pass_transport(emb.codomain, z, -1)
+    if source.name != m_cp.name:
+        return 0
+    return orientation_sign(carry(m_cp.unstable_frame),
+                            _image_frame(emb, p_cp, p_cp.point, z))
 
 
 def _branch_image_crossings(emb, res, zero_tol=1e-8):
@@ -319,27 +318,23 @@ def _branch_image_crossings(emb, res, zero_tol=1e-8):
                            [eta(pt) for pt in res.points], eval_t, accept)
 
 
-def _crossing_frames(emb, m_cp, p_cp, res, t_star, z, at):
-    """Frames compared at a crossing z of the branch flow ``res`` from m
-    with e(P): the unstable frame of m transported along the branch, and
-    the pushed unstable frame of p at ``at`` followed by the normal frame.
-    """
-    cod = emb.codomain
-    A = transport_frame(cod.manifold, cod.field,
-                        *_truncated_path(res, t_star, z),
-                        frame0=m_cp.unstable_frame)
+def _image_frame(emb, p_cp, at, z):
+    """The pushed unstable frame of p at ``at`` followed by the normal
+    frame, at the image point z: the frame every umkehr sign compares
+    against."""
     pushed = emb.push_frame(at, p_cp.unstable_frame)
     nf = emb.normal_frame(at)
     cols = [pushed[:, j] for j in range(pushed.shape[1])]
-    cols.extend(cod.manifold.tangent_project(z, nf[:, j])
+    cols.extend(emb.codomain.manifold.tangent_project(z, nf[:, j])
                 for j in range(nf.shape[1]))
-    return A, orthonormalize(np.stack(cols, axis=1))
+    return orthonormalize(np.stack(cols, axis=1))
 
 
 def _umkehr_crossings_d1(emb, m_cp, p_cp, rho):
     """index(m) = codim = 1, so p is a minimum of P: isolated crossings of
     the unstable curve with P, kept when the crossing point flows to p
-    inside P.  Returns the signed count."""
+    inside P.  Sampled at the branch flows' own nodes, so there is no
+    resolution to double.  Returns the signed count."""
     dom, cod = emb.domain, emb.codomain
     signs = []
     for u in sphere_directions(1, 2):
@@ -353,42 +348,15 @@ def _umkehr_crossings_d1(emb, m_cp, p_cp, rho):
                 raise CountingIncompleteError("domain flow unresolved")
             if inner.limit.name != p_cp.name:
                 continue
-            A, B = _crossing_frames(emb, m_cp, p_cp, res, t_star, z, zeta)
+            A = transport_frame(cod.manifold, cod.field,
+                                *_truncated_path(res, t_star, z),
+                                frame0=m_cp.unstable_frame)
             # project off the tangent of W^s(p; k), which is all of the
             # image because p is a minimum
             S = emb.push_frame(zeta, dom.manifold.tangent_basis(zeta))
-            signs.append(transverse_sign(A, B, S))
+            signs.append(transverse_sign(A, _image_frame(emb, p_cp, zeta, z),
+                                         S))
     return sum(signs)
-
-
-def _umkehr_point_hits_d2(emb, m_cp, p_cp, grid, rho):
-    """index(m) = 2, index(p) = dim P = 1: shots whose crossing IS p.
-    Returns (signed count, number of hits)."""
-    dom, cod = emb.domain, emb.codomain
-
-    def offset_of(angle):
-        u = np.array([math.cos(angle), math.sin(angle)])
-        res = flow(cod, direction_point(cod, m_cp, rho, u), +1, record=True)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("shot unresolved")
-        crossings = _branch_image_crossings(emb, res)
-        if not crossings:
-            return None, None, res
-        t_star, z = crossings[0]
-        zeta = dom.manifold.project(emb.retract(z))
-        disp = dom.manifold.displacement(p_cp.point, zeta)
-        return float(disp[0]), (t_star, z), res
-
-    signs = []
-    for angle, _ in circle_lattice_roots(
-            grid, lambda a: (offset_of(a)[0], None), 1e-12):
-        g_final, hit, res = offset_of(angle)
-        if hit is None or abs(g_final) > 1e-5:
-            continue
-        t_star, z = hit
-        signs.append(orientation_sign(
-            *_crossing_frames(emb, m_cp, p_cp, res, t_star, z, p_cp.point)))
-    return sum(signs), len(signs)
 
 
 # -- Thom data and the Euler class ---------------------------------------------------

@@ -259,9 +259,11 @@ class TestCriteria789:
         report(8, "continuation round trip induces the identity on H_*(T2)")
 
     def test_criterion9_stability_gate(self, monkeypatch):
-        t2 = torus_cosine(2, [1.0, 0.7])
+        # the doubling gate guards the circle lattice, which counts
+        # index-2 -> index-1 pairs only in dimension three and up
+        t3 = torus_cosine(3, [1.0, 0.7, 0.55])
         # the gate passes on honest counts
-        assert count_flow_lines(t2, "x11", "x10", stability=True) == 0
+        assert count_flow_lines(t3, "x110", "x100", stability=True) == 0
 
         # and fails loudly when a resolution-dependent count is injected
         real = morseflow.counting.find_connections
@@ -276,6 +278,6 @@ class TestCriteria789:
 
         monkeypatch.setattr(morseflow.counting, "find_connections", flaky)
         with pytest.raises(CountInstabilityError):
-            count_flow_lines(t2, "x11", "x10", stability=True)
+            count_flow_lines(t3, "x110", "x100", stability=True)
         report(9, "signed counts stable under resolution doubling; injected "
                "instability raises CountInstabilityError")

@@ -222,6 +222,23 @@ class TestHomologyCommand:
         betti = data["blocks"]["total"]["betti"]
         assert (betti["0"], betti["1"], betti["2"]) == (1, 2, 1)
 
+    def test_phased_torus_betti(self, capsys, tmp_path):
+        # the index-2 circle lattice counted -1 here, giving H_1 rank 1
+        cfg = tmp_path / "phased.cfg"
+        cfg.write_text("kind torus\ndim 2\namplitudes 1.0 0.55\n"
+                       "phases 0.3 2.0\n")
+        code, out, _ = run(capsys, "homology", str(cfg))
+        assert code == 0
+        assert "H_1: rank 2  (" in out
+        assert "H_2: rank 1  (" in out
+
+    def test_torus_lattice_instability_input(self, capsys, tmp_path):
+        # the index-2 circle lattice raised CountInstabilityError (exit 5)
+        cfg = tmp_path / "a0803171.cfg"
+        cfg.write_text("kind torus\ndim 2\namplitudes 1.0 0.803171\n")
+        code, _out, err = run(capsys, "homology", str(cfg))
+        assert code == 0, err
+
     def test_mod2_ring(self, capsys, torus_cfg):
         code, out, _ = run(capsys, "--json", "homology", torus_cfg,
                            "--ring", "z2")

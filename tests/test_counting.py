@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from morseflow.complexes import RING_Z2, chain_map_defect, cochain_complex, homology
+from morseflow.complexes import (
+    RING_Z,
+    RING_Z2,
+    chain_map_defect,
+    cochain_complex,
+    homology,
+)
 from morseflow.counting import (
     band_region,
     boundary_operator,
@@ -15,7 +21,11 @@ from morseflow.counting import (
     relative_complex,
 )
 import morseflow.counting as counting
-from morseflow.errors import AdmissibilityError, GeometryError
+from morseflow.errors import (
+    AdmissibilityError,
+    CountingIncompleteError,
+    GeometryError,
+)
 from morseflow.geometry import (
     product_system,
     sphere_band,
@@ -23,12 +33,17 @@ from morseflow.geometry import (
     torus_cosine,
 )
 
-from oracles import tensor_complex
+from oracles import circle_complex, tensor_complex
 
 
 @pytest.fixture(scope="module")
 def t2():
     return torus_cosine(2, [1.0, 0.7])
+
+
+@pytest.fixture(scope="module")
+def t3():
+    return torus_cosine(3, [1.0, 0.7, 0.55])
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +132,6 @@ class TestIntoCodimensionOne:
     """Sources of index 3 and up: the two curves of W^s(y), followed up."""
 
     @pytest.fixture(scope="class")
-    def t3(self):
-        return torus_cosine(3, [1.0, 0.7, 0.55])
-
-    @pytest.fixture(scope="class")
     def t4(self):
         return torus_cosine(4, [1.0, 0.8, 0.65, 0.5])
 
@@ -168,6 +179,73 @@ class TestIntoCodimensionOne:
             count_flow_lines(t4, "x1110", "x1100")
         with pytest.raises(GeometryError):
             find_connections(t4, t4.point("x1110"), t4.point("x1100"))
+
+
+def assert_kunneth_t2(system, ring):
+    """The T2 complex is the tensor square of the circle's: all zero."""
+    want = tensor_complex(circle_complex(), circle_complex())
+    got = boundary_operator(system, ring=ring)
+    for p in (1, 2):
+        assert got.map_from(p).shape == want.map_from(p).shape
+        assert not got.map_from(p).any(), (system.name, p, got.map_from(p))
+
+
+# T2 inputs on which the index-2 circle lattice raised, returned a wrong
+# count or lost every line
+LATTICE_DEFECTS = {
+    "a0.803171": dict(amplitudes=[1.0, 0.803171]),
+    "a0.494-phased": dict(amplitudes=[1.0, 0.494], phases=[0.346, 1.728]),
+    "a0.55-phased": dict(amplitudes=[1.0, 0.55], phases=[0.3, 2.0]),
+    "a0.400": dict(amplitudes=[1.0, 0.400]),
+    "a0.890": dict(amplitudes=[1.0, 0.890]),
+    "perturbed-seed3": dict(amplitudes=[1.0, 0.7], perturb=0.02, seed=3),
+}
+
+
+class TestSurfacesFromTheTarget:
+    """Every surface pair from index 2 ascends the two curves of W^s(y)."""
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_Z2])
+    @pytest.mark.parametrize("name", sorted(LATTICE_DEFECTS))
+    def test_lattice_defect_inputs_give_kunneth(self, name, ring):
+        assert_kunneth_t2(torus_cosine(2, **LATTICE_DEFECTS[name]), ring)
+
+    def test_seeded_sweep_gives_kunneth_with_two_lines(self):
+        rng = np.random.default_rng(6)
+        systems = [torus_cosine(2, [1.0, rng.uniform(0.4, 0.9)],
+                                phases=rng.uniform(0.0, 2 * np.pi, 2))
+                   for _ in range(12)]
+        systems += [torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=seed)
+                    for seed in range(6)]
+        for system in systems:
+            assert_kunneth_t2(system, RING_Z)
+            # two cancelling lines per index-2 pair, none lost
+            for y in ("x10", "x01"):
+                assert len(find_connections(system, system.point("x11"),
+                                            system.point(y))) == 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus_cosine(2, [1.0, 0.7]),
+        lambda: torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=3),
+        lambda: sphere_band(2),
+    ], ids=["t2", "t2-perturbed", "s2-band"])
+    def test_surfaces_never_reach_the_lattice(self, make, monkeypatch):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("the circle lattice was searched")
+
+        monkeypatch.setattr(counting, "_find_connections_d2", no_lattice)
+        boundary_operator(make())
+
+
+class TestLatticeDrops:
+    def test_candidate_failing_verification_near_y_raises(self, t3,
+                                                          monkeypatch):
+        # both lines pass within the detection radius of x100, so losing
+        # them in the strict flow must raise instead of returning []
+        monkeypatch.setattr(counting, "_verify_connection",
+                            lambda *args, **kwargs: None)
+        with pytest.raises(CountingIncompleteError, match="x110 -> x100"):
+            find_connections(t3, t3.point("x110"), t3.point("x100"))
 
 
 class TestRelative:

@@ -10,11 +10,18 @@ import numpy as np
 import pytest
 
 import morseflow.counting as counting
-from morseflow.geometry import sphere_band, torus_cosine
+from morseflow.geometry import product_system, sphere_band, torus_cosine
 
+
+def t3():
+    return torus_cosine(3, [1.0, 0.7, 0.55])
+
+
+# the lattice counts index-2 -> index-1 pairs only in dimension three and up
 SEARCHES = {
-    "torus": (lambda: torus_cosine(2, [1.0, 0.7]), "x11", "x10"),
-    "band": (lambda: sphere_band(2), "pole+", "rim_hi"),
+    "torus": (t3, "x110", "x100"),
+    "band": (lambda: product_system(torus_cosine(1, [1.0]), sphere_band(2)),
+             "x0|pole+", "x0|rim_hi"),
 }
 
 
@@ -46,15 +53,15 @@ def test_second_target_reuses_every_lattice_shot(monkeypatch):
 
     monkeypatch.setattr(counting, "flow", counted)
 
-    def count_x01(system):
+    def count_x010(system):
         before = sum(loose)
-        n = counting.count_flow_lines(system, "x11", "x01")
+        n = counting.count_flow_lines(system, "x110", "x010")
         return n, sum(loose) - before
 
-    shared = torus_cosine(2, [1.0, 0.7])
-    counting.count_flow_lines(shared, "x11", "x10")
-    n_fresh, flows_fresh = count_x01(torus_cosine(2, [1.0, 0.7]))
-    n_shared, flows_shared = count_x01(shared)
+    shared = t3()
+    counting.count_flow_lines(shared, "x110", "x100")
+    n_fresh, flows_fresh = count_x010(t3())
+    n_shared, flows_shared = count_x010(shared)
     assert n_shared == n_fresh
     # the 48 + 48 new lattice shots of the gated search are all reused
     assert flows_fresh - flows_shared == 96

@@ -171,6 +171,36 @@ class TestUmkehr:
         comp = factor_umkehr[1] @ factor_push[1]
         assert np.array_equal(comp, np.zeros_like(comp))
 
+    def test_documented_draw_top_entry(self):
+        # the fundamental class caps to the circle's class; the circle
+        # lattice that counted this entry before returned [0] here
+        t2 = torus_cosine(2, [1.0, 0.7], phases=[5.6212, 5.372])
+        emb = torus_factor_circle(t2, fixed_axis=0, level=6.0683,
+                                  phase=0.2643)
+        assert np.abs(umkehr(emb, verify=True)[2]).tolist() == [[1]]
+
+    def test_seeded_draws_top_entry(self):
+        # factor circles drawn as the embedding benchmark draws them
+        rng = np.random.default_rng(11)
+        tops = []
+        while len(tops) < 8:
+            u = rng.random(7)
+            t2 = torus_cosine(2, [1.0, 0.7], phases=2 * np.pi * u[0:2])
+            try:
+                emb = torus_factor_circle(t2, fixed_axis=int(2 * u[2]),
+                                          level=2 * np.pi * u[3],
+                                          phase=2 * np.pi * u[4])
+            except StructuralValidationError:
+                continue
+            tops.append(np.abs(umkehr(emb, verify=False)[2]).tolist())
+        assert tops == [[[1]]] * 8
+
+    def test_equator_top_entry(self, s2):
+        # the backward shot from e(p) in the sphere's 3-D coordinates
+        mats = umkehr(sphere_equator(s2))
+        assert {p: m.tolist() for p, m in mats.items() if m.size} == \
+            {2: [[1]]}
+
 
 class TestThom:
     def test_trivial_rank1_suspension(self, s2):
