@@ -20,8 +20,8 @@ from .counting import (
     band_region,
     boundary_operator,
     cap_region,
+    connection_lines,
     empty_region,
-    find_connections,
     relative_complex,
 )
 from .errors import MorseflowError, ParseError
@@ -32,7 +32,6 @@ from .geometry.bundles import (
     trivial_bundle,
     whitney_sum_with_trivial,
 )
-from .geometry.flow import direction_point
 from .operations import (
     FlowGraphProblem,
     diagram_flow_operation,
@@ -156,22 +155,21 @@ def cmd_geom_probe(args):
     _emit(args, payload, lines)
     if args.trajectories_csv:
         rng = np.random.default_rng(args.seed)
-        _write_trajectories_csv(
-            args.trajectories_csv, system,
-            (system.manifold.random_point(rng)
-             for _ in range(min(args.seeds, 8))))
+        flows = [flow(system, system.manifold.random_point(rng), +1)
+                 for _ in range(min(args.seeds, 8))]
+        _write_trajectories_csv(args.trajectories_csv, system,
+                                ((r.times, r.points) for r in flows))
     return 0
 
 
-def _write_trajectories_csv(path, system, starts):
-    """One row per recorded node of the descending flow from each start."""
+def _write_trajectories_csv(path, system, paths):
+    """One row per node of each (times, points) path."""
     cols = ["trajectory", "t"] + \
         ["x%d" % i for i in range(system.manifold.coord_dim)] + ["f"]
     rows = []
-    for k, x0 in enumerate(starts):
-        res = flow(system, x0, +1)
-        for t, pt, fv in zip(res.times, res.points, res.f_values):
-            rows.append([k, t] + list(pt) + [fv])
+    for k, (times, points) in enumerate(paths):
+        for t, pt in zip(times, points):
+            rows.append([k, t] + list(pt) + [system.f(pt)])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
@@ -182,7 +180,8 @@ def cmd_geom_connections(args):
     system = parse_system_config(_read(args.config))
     x = system.point(args.source)
     y = system.point(args.target)
-    dirs = find_connections(system, x, y)
+    found = connection_lines(system, x, y)
+    dirs = [u for u, _times, _pts in found]
     payload = {"source": args.source, "target": args.target,
                "count": len(dirs),
                "directions": [list(map(float, u)) for u in dirs]}
@@ -191,8 +190,7 @@ def cmd_geom_connections(args):
     _emit(args, payload, lines)
     if args.csv:
         _write_trajectories_csv(
-            args.csv, system,
-            (direction_point(system, x, 0.02, u) for u in dirs))
+            args.csv, system, ((times, pts) for _u, times, pts in found))
     return 0
 
 

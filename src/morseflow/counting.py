@@ -1,22 +1,22 @@
 """Morse complexes by counting flow lines, plus relative complexes and
 continuation maps.
 
-A pair x -> y with index drop one is counted by the search that
-``_connection_search`` picks.  From index 1, both directions of the
-unstable line of x are flown.  Into index dim - 1 (every other pair on a
-surface), the two curves of the stable manifold of y are followed upward
-to their limits.  Otherwise, from index 2, the unstable circle of x is
-shot: track the closest approach to y and the signed offset w along y's
-unstable directions there, isolate sign changes of w by bisection on the
-circle, then verify each candidate by strict convergence into y's ball;
-these counts pass the doubling gate (``gated``): they are recomputed at
-doubled shooting resolution, and any discrepancy raises instead of
-returning silently.  Every other pair raises ``GeometryError``.
+``_connection_search`` picks the search for a pair x -> y with index drop
+one.  From index 1, both directions of the unstable line of x are flown.
+Into index dim - 1, the two curves of W^s(y) are followed upward.
+Otherwise, from index 2, the unstable circle of x is shot on a lattice,
+sign changes of an offset are bisected, and each candidate is verified by
+strict convergence into y; only this search has a resolution, so only it
+passes the doubling gate (``gated``), which recounts at doubled resolution
+and raises on any change.  Every other pair raises ``GeometryError``.
+Index-1 chain-map entries on a surface intersect curves of recorded branch
+flows that start at their critical points (``curve_intersections``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +58,7 @@ def gated(run, k, what):
     if first != second:
         raise CountInstabilityError(
             "%s changed under resolution doubling (%d/%d lines -> %d/%d)"
-            % (what, *first, *second))
+            % (what, *first, *second), first, second)
     return first[0]
 
 
@@ -85,35 +85,6 @@ def approach(system, pt, target, direction=+1):
     if many:
         return res.limit.name, tuple(dists), tuple(ws)
     return res.limit.name, dists[0], ws[0]
-
-
-def refine_scalar_samples(eval_fn, t_lo, t_hi, grid, jump=0.5,
-                          max_extra=500, min_dt=1e-9):
-    """Sample a scalar on [t_lo, t_hi], subdividing fast swings.
-
-    Wrapped offsets can sweep through zero and back inside one interval
-    (e.g. when an auxiliary flow compresses the curve), so intervals whose
-    values differ by more than ``jump`` are split until resolved.  Genuine
-    discontinuities (antipodal wraps) stop at ``min_dt`` and surface as
-    sign changes that downstream acceptance rejects.
-    """
-    ts = [float(t) for t in np.linspace(t_lo, t_hi, grid + 1)]
-    ws = [float(eval_fn(t)) for t in ts]
-    extra = 0
-    i = 0
-    while i < len(ts) - 1:
-        if abs(ws[i + 1] - ws[i]) > jump and (ts[i + 1] - ts[i]) > min_dt:
-            if extra >= max_extra:
-                raise CountingIncompleteError(
-                    "sample refinement budget exhausted; discriminator "
-                    "varies too quickly")
-            tm = 0.5 * (ts[i] + ts[i + 1])
-            ts.insert(i + 1, tm)
-            ws.insert(i + 1, float(eval_fn(tm)))
-            extra += 1
-        else:
-            i += 1
-    return ts, ws
 
 
 def _illinois_root(fn, lo, hi, w_lo, w_hi, tol_x, max_iter=90):
@@ -150,70 +121,6 @@ def _illinois_root(fn, lo, hi, w_lo, w_hi, tol_x, max_iter=90):
     return 0.5 * (lo + hi), None
 
 
-def bracketed_roots(ts, ws, eval_fn, accept, skip=()):
-    """Refine each sign change of sampled values and keep accepted roots.
-
-    ``eval_fn`` is as for ``_illinois_root``: an exact-hit payload is kept,
-    otherwise ``accept(root)`` returns the item to keep or None.  Intervals
-    containing a time in ``skip`` are passed over.
-    """
-    out = []
-    for i in range(len(ts) - 1):
-        t0, t1, w0, w1 = ts[i], ts[i + 1], ws[i], ws[i + 1]
-        if w0 * w1 >= 0 or any(t0 <= s <= t1 for s in skip):
-            continue
-        root, payload = _illinois_root(eval_fn, t0, t1, w0, w1,
-                                       1e-13 * max(1.0, abs(t1)))
-        hit = payload if payload is not None else accept(root)
-        if hit is not None:
-            out.append(hit)
-    return out
-
-
-def curve_crossings(curve_sys, cp, grid, probe, target, radius,
-                    rho=DEFAULT_RHO):
-    """Crossings of the unstable curve of an index-1 point, found by a probe.
-
-    Both branches of W^u(cp) are sampled uniformly in flow time.
-    ``probe(pt)`` returns (limit name, closest distance, w) of a flow aimed
-    at the point named ``target``.  A sample whose flow converges to the
-    target is a crossing; other sign changes of w are refined and kept when
-    the probe passes within ``radius`` of the target (an antipodal wrap, or
-    a crossing of another stable manifold, refines to an order-one
-    distance).  Returns one (branch flow, time, point) per crossing.
-    """
-    out = []
-    for u in sphere_directions(1, 2):
-        res = flow(curve_sys, direction_point(curve_sys, cp, rho, u), +1,
-                   record=True)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("branch flow unresolved")
-        hits = []
-
-        def eval_t(t):
-            pt = point_at_time(curve_sys, res, t)
-            limit, _dist, w = probe(pt)
-            return ((float(w[0]) if w.size else 0.0),
-                    (t, pt) if limit == target else None)
-
-        def w_at(t):
-            w, hit = eval_t(t)
-            if hit is not None and not any(abs(t - s) < 1e-9
-                                           for s, _ in hits):
-                hits.append(hit)
-            return w
-
-        def accept(t):
-            pt = point_at_time(curve_sys, res, t)
-            return (t, pt) if probe(pt)[1] <= radius else None
-
-        ts, ws = refine_scalar_samples(w_at, 0.0, float(res.t_end), grid)
-        found = hits + bracketed_roots(ts, ws, eval_t, accept,
-                                       skip=[s for s, _ in hits])
-        out.extend((res, t, pt) for t, pt in found)
-    return out
-
-
 def circle_lattice_roots(k, sample, tol):
     """Zeros of an offset sampled on a circle of ``k`` lattice angles.
 
@@ -231,6 +138,211 @@ def circle_lattice_roots(k, sample, tol):
         elif w0 * w1 < 0:
             a1 = angles[j + 1] if j + 1 < k else angles[0] + 2.0 * np.pi
             out.append(_illinois_root(sample, angles[j], a1, w0, w1, tol))
+    return out
+
+
+# -- curves of branch flows ------------------------------------------------------
+
+class Branch:
+    """One branch of a one-dimensional W^u (direction +1) or W^s (-1) of a
+    critical point: a polyline from the critical point through the nodes of
+    one recorded strict flow that starts 10 eps_conv off it along the
+    eigenvector, so the first segment, a chord, is within O(1e-10) of the
+    curve.  ``image`` maps the nodes into the manifold where curves are
+    intersected (an embedding, or an auxiliary flow); None is the identity.
+    """
+
+    def __init__(self, system, points, times, limit, direction, image=None):
+        self.system, self.points, self.times = system, points, times
+        self.limit, self.direction, self.image = limit, direction, image
+        self.x = (points if image is None
+                  else np.array([image(p) for p in points]))
+
+    def mapped(self, image):
+        return self if image is None else Branch(
+            self.system, self.points, self.times, self.limit, self.direction,
+            image)
+
+    def velocity(self, k, man=None):
+        """Velocity at node k >= 1 in the branch's own manifold, or of its
+        image in ``man`` by central differences 1e-6 along the flow."""
+        v = self.direction * self.system.field(self.points[k])
+        if man is None or self.image is None:
+            return v
+        e = 1e-6 / max(float(np.linalg.norm(v)), 1e-12)
+        return man.displacement(*[self.image(self.system.manifold.project(
+            self.points[k] + s * e * v)) for s in (-1.0, 1.0)]) / (2.0 * e)
+
+    def acceleration(self, k):
+        """Acceleration at node k >= 1 in the branch's own manifold: the
+        derivative of the velocity field along itself, by central
+        differences 1e-5 along the flow."""
+        v = self.velocity(k)
+        e = 1e-5 / max(float(np.linalg.norm(v)), 1e-12)
+        return self.direction * (
+            self.system.field(self.system.manifold.project(
+                self.points[k] + e * v))
+            - self.system.field(self.system.manifold.project(
+                self.points[k] - e * v))) / (2.0 * e)
+
+    def poly(self, k, man, origin, T):
+        """Coefficients in theta of segment k, lowest degree first, in the
+        chart T^T displacement(origin, .) of the image's manifold ``man``
+        (None: the branch's own).  The first segment is a chord.  Others
+        are Hermite interpolants of the two nodes: quintic in positions,
+        velocities and accelerations, or cubic without accelerations on a
+        mapped image.  A cubic is off the curve by up to about 3e-8 on a
+        perturbed torus, which the sign's closest pass of a saddle
+        magnifies past the detection radius; a quintic by about 5e-11."""
+        own = man is None or self.image is None
+        nodes, m = ((self.points, self.system.manifold) if own
+                    else (self.x, man))
+        p0, p1 = (T.T @ m.displacement(origin, p) for p in nodes[k:k + 2])
+        if k == 0:
+            return p0, p1 - p0
+        h = self.times[k + 1] - self.times[k]
+        m0, m1 = (h * (T.T @ self.velocity(n, man)) for n in (k, k + 1))
+        if not own:
+            return (p0, m0, 3.0 * (p1 - p0) - 2.0 * m0 - m1,
+                    2.0 * (p0 - p1) + m0 + m1)
+        a0, a1 = (h * h * (T.T @ self.acceleration(n)) for n in (k, k + 1))
+        d, e, f = p1 - p0 - m0 - 0.5 * a0, m1 - m0 - a0, a1 - a0
+        return (p0, m0, 0.5 * a0, 10.0 * d - 4.0 * e + 0.5 * f,
+                -15.0 * d + 7.0 * e - f, 6.0 * d - 3.0 * e + 0.5 * f)
+
+    def point(self, k, theta):
+        """The point at theta on segment k, in the branch's own manifold."""
+        base, own = self.points[k], self.system.manifold
+        c = self.poly(k, None, base, np.eye(own.coord_dim))
+        return own.project(base + _poly_at(c, theta)[0])
+
+    def carry(self, k, theta, frame):
+        """``frame``, given at the flow's start, transported along the flow
+        to the point at theta on segment k (the start, on the first)."""
+        t = (1.0 - theta) * self.times[k] + theta * self.times[k + 1]
+        keep = self.times[1:] <= t
+        return transport_frame(
+            self.system.manifold,
+            lambda p: self.direction * self.system.field(p),
+            np.append(self.times[1:][keep], t),
+            np.concatenate([self.points[1:][keep], [self.point(k, theta)]]),
+            frame)
+
+
+def _poly_at(c, theta):
+    """(value, derivative) at theta of the polynomial with coefficients c,
+    lowest degree first."""
+    value = slope = 0.0 * c[0]
+    for ci in reversed(c):
+        slope = slope * theta + value
+        value = value * theta + ci
+    return value, slope
+
+
+def _cross_solve(a, b, r):
+    """(s, u) with s a - u b = r in the plane (nan for parallel a, b)."""
+    den = a[0] * b[1] - a[1] * b[0]
+    if den == 0.0:
+        return math.nan, math.nan
+    return ((r[0] * b[1] - r[1] * b[0]) / den,
+            (r[0] * a[1] - r[1] * a[0]) / den)
+
+
+def branches(system, cp, direction):
+    """The two branches of W^u(cp) (direction +1, one unstable direction)
+    or W^s(cp) (direction -1, one stable direction), flown once per
+    system and kept on it."""
+    key = (cp.name, direction)
+    if key not in system.branches:
+        frame = cp.unstable_frame if direction == +1 else cp.stable_frame
+        if frame.shape[1] != 1:
+            raise GeometryError("%s has no one-dimensional manifold in "
+                                "direction %d" % (cp.name, direction))
+        out = []
+        for side in (1.0, -1.0):
+            res = flow(system, system.manifold.project(
+                cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
+                direction, record=True)
+            if res.status != CONVERGED:
+                raise CountingIncompleteError("branch flow of %s unresolved"
+                                              % cp.name)
+            out.append(Branch(
+                system, np.concatenate([cp.point[None, :], res.points]),
+                np.concatenate([[0.0], res.times]), res.limit, direction))
+        system.branches[key] = out
+    return system.branches[key]
+
+
+def _chord_hits(man, P, Q):
+    """(i, j, s, u) for each crossing P[i] + s (P[i+1] - P[i]) =
+    Q[j] + u (Q[j+1] - Q[j]) with s, u in [0, 1), on the tangent-plane
+    chart at P[i] through ``displacement``.  Only segment pairs whose
+    starts are closer than their summed lengths are charted."""
+    da, db = (man.displacement(R[:-1], R[1:]) for R in (P, Q))
+    rel = man.displacement(P[:-1, None, :], Q[None, :-1, :])
+    near = np.linalg.norm(rel, axis=2) <= (
+        np.linalg.norm(da, axis=1)[:, None] + np.linalg.norm(db, axis=1))
+    out = []
+    for i, j in zip(*np.nonzero(near)):
+        T = man.tangent_basis(P[i])
+        s, u = _cross_solve(T.T @ da[i], T.T @ db[j], T.T @ rel[i, j])
+        if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
+            out.append((int(i), int(j), s, u))
+    return out
+
+
+def _refine_hit(man, A, B, i, j, s, u, tol=1e-12):
+    """Newton's method on the segment interpolants of A and B from a chord
+    hit; a solution past a segment's end moves on to its neighbour.
+    Returns (segment of A, theta on it, segment of B, u on it)."""
+    for _move in range(8):
+        T = man.tangent_basis(A.x[i])
+        ca, cb = A.poly(i, man, A.x[i], T), B.poly(j, man, A.x[i], T)
+        for _it in range(40):
+            (pa, va), (pb, vb) = _poly_at(ca, s), _poly_at(cb, u)
+            ds, du = _cross_solve(va, vb, pb - pa)
+            s, u = s + ds, u + du
+            if not abs(ds) + abs(du) > tol:
+                break
+        if not abs(ds) + abs(du) <= tol:
+            break
+        ni = i + (s > 1.0 + 1e-9) - (s < -1e-9)
+        nj = j + (u > 1.0 + 1e-9) - (u < -1e-9)
+        if (ni, nj) == (i, j):
+            return i, s, j, u
+        if not (0 <= ni < len(A.x) - 1 and 0 <= nj < len(B.x) - 1):
+            break
+        s = 0.0 if ni > i else 1.0 if ni < i else s
+        u = 0.0 if nj > j else 1.0 if nj < j else u
+        i, j = ni, nj
+    raise CountingIncompleteError("a crossing of the branch flows into %s "
+                                  "and %s did not refine"
+                                  % (A.limit.name, B.limit.name))
+
+
+Crossing = namedtuple("Crossing", "point a k theta b l u")
+
+
+def curve_intersections(man, curve_a, curve_b):
+    """The points where two curves of branches meet on the surface ``man``.
+
+    Chords of the polylines are crossed wrap-aware, and each hit is refined
+    on the segment interpolants (``_refine_hit``) or raises
+    ``CountingIncompleteError``, never dropped.  Returns one ``Crossing``
+    per point (branches share their critical point): the point on branch a
+    in a's own manifold, at theta on segment k of a and u on segment l of b.
+    """
+    if man.dim != 2:
+        raise GeometryError("curves are intersected on surfaces only")
+    out = []
+    for A in curve_a:
+        for B in curve_b:
+            for hit in _chord_hits(man, A.x, B.x):
+                k, theta, l, u = _refine_hit(man, A, B, *hit)
+                z = A.point(k, theta)
+                if all(A.system.manifold.distance(z, c.point) > 1e-9
+                       for c in out):
+                    out.append(Crossing(z, A, k, theta, B, l, u))
     return out
 
 
@@ -326,7 +438,8 @@ def _find_connections_d2(system, x_cp, y_cp, rho, k):
 
 
 def _find_connections_codim1(system, x_cp, y_cp, rho):
-    """(direction, sign) of each line from x into y of index dim - 1.
+    """(direction, sign, (times, points)) of each line from x into y of
+    index dim - 1.
 
     A line of f from x to y is a line of -f from y to x, and W^s(y) is two
     curves, followed upward from distance rho along +-y's stable
@@ -334,23 +447,26 @@ def _find_connections_codim1(system, x_cp, y_cp, rho):
     limit, and a branch that ends elsewhere carries no line.  The
     direction is where the line leaves x, read off the ascent's closest
     pass of x in x's unstable frame; the sign is taken at the start z, with
-    x's unstable frame carried down to z.
+    x's unstable frame carried down to z.  The line is the ascent reversed,
+    from that closest pass down to z.
     """
     man = system.manifold
     out = []
     for side in (1.0, -1.0):
         z = man.project(y_cp.point + side * rho * y_cp.stable_frame[:, 0])
-        source, carry, q = closest_pass_transport(system, z, -1)
+        source, carry, line = closest_pass_transport(system, z, -1)
         if source.name == x_cp.name:
-            u = x_cp.unstable_frame.T @ man.displacement(x_cp.point, q)
+            u = x_cp.unstable_frame.T @ man.displacement(x_cp.point,
+                                                         line[1][0])
             out.append((u / np.linalg.norm(u),
                         _frame_sign(system, y_cp, z,
-                                    carry(x_cp.unstable_frame))))
+                                    carry(x_cp.unstable_frame)), line))
     return out
 
 
 def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
-    """The distinct unit candidates whose strict flow converges into y.
+    """(direction, strict flow) of the distinct unit candidates whose strict
+    flow converges into y.
 
     A candidate that fails verification is dropped when its loose flow
     passes y farther than half the detection radius (a wrap of the offset,
@@ -360,10 +476,11 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
     for u in candidates:
         u = np.asarray(u, dtype=float)
         u = u / np.linalg.norm(u)
-        if any(np.linalg.norm(u - v) < min_angle for v in out):
+        if any(np.linalg.norm(u - v) < min_angle for v, _res in out):
             continue
-        if _verify_connection(system, x_cp, y_cp, u, rho) is not None:
-            out.append(u)
+        res = _verify_connection(system, x_cp, y_cp, u, rho)
+        if res is not None:
+            out.append((u, res))
             continue
         _limit, dist, _w = approach(
             system, direction_point(system, x_cp, rho, u), y_cp)
@@ -396,17 +513,29 @@ def _connection_search(system, x_cp, y_cp):
             x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index))
 
 
-def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
-    """Directions on the unstable sphere of x whose flow lines reach y."""
+def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
+    """(direction, times, points) of each line from x to y found by the
+    search ``_connection_search`` picks: a shot's verified strict flow, or
+    the ascent reversed and closed by y itself, reached at t = inf."""
     search = _connection_search(system, x_cp, y_cp)
     if search == SHOOT:
-        return [np.asarray(u, dtype=float) for u in sphere_directions(1, 2)
-                if _verify_connection(system, x_cp, y_cp, u, rho) is not None]
-    if search == LATTICE:
-        return _find_connections_d2(system, x_cp, y_cp, rho,
-                                    k or DEFAULT_K_CIRCLE)
-    return [u for u, _sign in _find_connections_codim1(system, x_cp, y_cp,
-                                                        rho)]
+        shots = [(np.asarray(u, dtype=float),
+                  _verify_connection(system, x_cp, y_cp, u, rho))
+                 for u in sphere_directions(1, 2)]
+    elif search == LATTICE:
+        shots = _find_connections_d2(system, x_cp, y_cp, rho,
+                                     k or DEFAULT_K_CIRCLE)
+    else:
+        return [(u, np.append(times, math.inf), np.vstack([pts, y_cp.point]))
+                for u, _sign, (times, pts) in _find_connections_codim1(
+                    system, x_cp, y_cp, rho)]
+    return [(u, res.times, res.points) for u, res in shots if res is not None]
+
+
+def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
+    """Directions on the unstable sphere of x whose flow lines reach y."""
+    return [u for u, _times, _pts in connection_lines(system, x_cp, y_cp,
+                                                       rho, k)]
 
 
 def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
@@ -422,7 +551,7 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         y_cp = system.point(y_cp)
     search = _connection_search(system, x_cp, y_cp)
     if search == ASCEND:
-        signs = [sign for _u, sign in
+        signs = [sign for _u, sign, _line in
                  _find_connections_codim1(system, x_cp, y_cp, rho)]
         return len(signs) % 2 if ring == RING_Z2 else sum(signs)
 
@@ -590,12 +719,10 @@ def _systems_identical(sys_f, sys_g, samples=8, seed=0, tol=1e-9):
 
 
 def point_at_time(system, res, t):
-    """Point of a recorded trajectory at an intermediate time.
-
-    Re-integrates from the preceding node, so the result sits on the true
-    trajectory to integrator accuracy (linear interpolation would spoil the
-    bisections that rely on this).
-    """
+    """Point of a recorded trajectory at an intermediate time, re-integrated
+    from the preceding node.  No count calls it since branch curves are
+    refined on Hermite interpolants; ``morsebench/tracer.py`` still wraps
+    it by name."""
     i = int(np.searchsorted(res.times, t, side="right") - 1)
     i = max(0, min(i, len(res.times) - 1))
     dt = float(t - res.times[i])
@@ -612,8 +739,8 @@ def closest_pass_transport(system, z, direction, cp=None):
     the detection radius (landing exactly on a critical point is
     numerically unreachable when the unstable rate beats the stable one).
     With ``cp`` None the flow must converge and cp is its limit.  Returns
-    (cp, carry, closest pass): ``carry(frame)`` transports a frame at cp
-    back to z.
+    (cp, carry, (times, points)): ``carry(frame)`` transports a frame at cp
+    back to z along the path, which runs from the closest pass to z.
     """
     man = system.manifold
     res = flow(system, z, direction, record=True)
@@ -638,7 +765,7 @@ def closest_pass_transport(system, z, direction, cp=None):
             return frame
         return transport_frame(man, back_field, times, pts, frame)
 
-    return cp, carry, pts[0]
+    return cp, carry, (times, pts)
 
 
 def stable_coorientation_frames(sys_g, m2_cp, z):
@@ -662,14 +789,7 @@ def transverse_sign(a_frame, u_frame, s_frame):
     return orientation_sign(a_frame, u_frame)
 
 
-def _truncated_path(res, t_star, z):
-    keep = res.times <= t_star
-    times = np.append(res.times[keep], t_star)
-    pts = np.concatenate([res.points[keep], z[None, :]], axis=0)
-    return times, pts
-
-
-def continuation(sys_f, sys_g, rho=DEFAULT_RHO, k=None, stability=True):
+def continuation(sys_f, sys_g):
     """Chain map counting hybrid trajectories W^u(m; f) into W^s(m'; g).
 
     Returns {degree: matrix} in catalog order: the pushforward along the
@@ -684,24 +804,25 @@ def continuation(sys_f, sys_g, rho=DEFAULT_RHO, k=None, stability=True):
                 for p in sys_f.indices()}
     return graded_matrices(
         sys_f.indices(), sys_g.by_index, sys_f.by_index,
-        lambda m_cp, m2_cp: hybrid_entry(sys_f, sys_g, m_cp, m2_cp, rho, k,
-                                         stability))
+        lambda m_cp, m2_cp: hybrid_entry(sys_f, sys_g, m_cp, m2_cp))
 
 
-def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, rho, k, stability,
-                 image=lambda pt: pt, push=lambda pt, frame: frame):
+def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None, push=None):
     """Signed count of f-trajectories leaving m whose image under a map e
     flows into m2 under g, i.e. of W^u(m; f) meeting e^-1 W^s(m2; g).
 
     ``image`` is e on points and ``push(pt, frame)`` its differential on a
-    frame at pt; both default to the identity, which gives continuation.
-    Index 0 flows the image of m; index dim(codomain), reached only when e
-    is the identity, compares frames at the closest passes; index 1 is the
-    gated curve-crossing count ``_hybrid_crossings``.
+    frame at pt; None is the identity, which gives continuation.  Index 0
+    flows the image of m; index dim(codomain), reached only when e is the
+    identity, compares frames at the closest passes; index 1 crosses
+    e(W^u(m; f)) with W^s(m2; g) on the codomain surface and signs each
+    crossing by m's unstable frame, carried along its branch and pushed
+    through e, against the coorientation of W^s(m2; g).
     """
     d = m_cp.index
     if d == 0:
-        res = flow(sys_g, image(m_cp.point), +1, record=False)
+        start = m_cp.point if image is None else image(m_cp.point)
+        res = flow(sys_g, start, +1, record=False)
         if res.status != CONVERGED:
             raise CountingIncompleteError("flow from the image of %s "
                                           "unresolved" % m_cp.name)
@@ -716,33 +837,15 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, rho, k, stability,
         raise GeometryError(
             "chain-map counts over index-%d points below the top index are "
             "not implemented" % d)
-
-    def run(grid):
-        return _hybrid_crossings(sys_f, sys_g, m_cp, m2_cp, grid, rho, image,
-                                 push)
-
-    what = "chain-map entry %s->%s" % (m_cp.name, m2_cp.name)
-    return gated(run, k or 20, what) if stability else run(k or 20)[0]
-
-
-def _hybrid_crossings(sys_f, sys_g, m_cp, m2_cp, grid, rho, image, push):
-    """Crossings of the unstable curve W^u(m; f) with e^-1 W^s(m2; g):
-    (signed count, number of crossings).
-
-    The discriminator along the curve is the signed offset w of the g-flow
-    from the image point at its closest pass of m2 (strict limits cannot
-    separate the two sides of a saddle's stable manifold when both fall to
-    the same minimum).  Each sign compares the unstable frame of m,
-    transported along the f-trajectory and pushed through e, against the
-    coorientation of W^s(m2; g).
-    """
-    signs = []
-    for res, t, z in curve_crossings(
-            sys_f, m_cp, grid, lambda pt: approach(sys_g, image(pt), m2_cp),
-            m2_cp.name, 0.5 * sys_g.tol.detect_radius, rho):
-        A = push(z, transport_frame(sys_f.manifold, sys_f.field,
-                                    *_truncated_path(res, t, z),
-                                    m_cp.unstable_frame))
-        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, image(z))
-        signs.append(transverse_sign(A, U_g, S_g))
-    return sum(signs), len(signs)
+    total = 0
+    for c in curve_intersections(
+            sys_g.manifold,
+            [b.mapped(image) for b in branches(sys_f, m_cp, +1)],
+            branches(sys_g, m2_cp, -1)):
+        A = c.a.carry(c.k, c.theta, m_cp.unstable_frame)
+        if push is not None:
+            A = push(c.point, A)
+        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp,
+                                               c.b.point(c.l, c.u))
+        total += transverse_sign(A, U_g, S_g)
+    return total

@@ -61,8 +61,13 @@ class TransversalityError(MorseflowError):
 
 
 class CountInstabilityError(TransversalityError):
-    """A signed count changed under resolution doubling."""
+    """A signed count changed under resolution doubling; ``first`` and
+    ``second`` are the (signed count, number of lines) at k and at 2k."""
     code = 5
+
+    def __init__(self, message, first=None, second=None):
+        super().__init__(message)
+        self.first, self.second = first, second
 
 
 class OrientationError(MorseflowError):

@@ -155,11 +155,11 @@ class ProductModel(ManifoldModel):
 
     def parts(self, x):
         x = np.asarray(x, dtype=float)
-        return x[:self._split], x[self._split:]
+        return x[..., :self._split], x[..., self._split:]
 
     def join(self, a, b):
         return np.concatenate([np.asarray(a, dtype=float),
-                               np.asarray(b, dtype=float)])
+                               np.asarray(b, dtype=float)], axis=-1)
 
     def project(self, x):
         a, b = self.parts(x)

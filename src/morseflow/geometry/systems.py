@@ -116,11 +116,12 @@ class MorseSystem:
         if len(set(names)) != len(names):
             raise StructuralValidationError("critical point names collide")
         self._by_name = {cp.name: cp for cp in pts}
-        # loose circle-lattice shots of the index-2 connection search,
-        # which only manifolds of dimension three and up reach, filled by
-        # counting._lattice_shot: a cache of derived data, the catalog
-        # itself never changes
-        self.lattice_shots = {}
+        # derived data, filled by counting (the catalog itself never
+        # changes): loose circle-lattice shots of the index-2 connection
+        # search, which only manifolds of dimension three and up reach
+        # (_lattice_shot), and branch flows of one-dimensional stable and
+        # unstable manifolds (branches)
+        self.lattice_shots, self.branches = {}, {}
 
     # -- catalog ------------------------------------------------------------
 

@@ -3,7 +3,9 @@ Thom data and Euler classes of oriented bundles, and the chord-diagram
 counting operation specialized to point configurations on the manifold.
 
 All maps come back as integer matrices in catalog order, with their chain
-identities checkable exactly via ``complexes.chain_map_defect``.
+identities checkable exactly via ``complexes.chain_map_defect``.  Index-1
+pushforward, umkehr and figure-8 counts on a surface are crossings of two
+curves of branch flows (``counting.curve_intersections``), with no gate.
 """
 
 from __future__ import annotations
@@ -15,23 +17,18 @@ import numpy as np
 
 from .complexes import GradedComplex, chain_map_defect, homology
 from .counting import (
-    DEFAULT_RHO,
-    _truncated_path,
     approach,
     boundary_operator,
-    bracketed_roots,
+    branches,
     closest_pass_transport,
     continuation,
-    curve_crossings,
-    gated,
+    curve_intersections,
     graded_matrices,
     hybrid_entry,
-    point_at_time,
     stable_coorientation_frames,
     transverse_sign,
 )
 from .errors import (
-    CountingIncompleteError,
     GeometryError,
     InternalInconsistencyError,
     OrientationError,
@@ -40,13 +37,9 @@ from .errors import (
     UnsupportedDiagramError,
 )
 from .geometry.flow import (
-    CONVERGED,
-    direction_point,
     fixed_time_flow,
-    flow,
     orientation_sign,
     orthonormalize,
-    sphere_directions,
     transport_frame,
 )
 from .geometry.systems import Tolerances
@@ -57,18 +50,16 @@ from .geometry.systems import Tolerances
 class EmbeddingModel:
     """A proper embedding e: P -> X between catalog Morse systems.
 
-    Carries the map, a retraction defined near the image, r signed normal
-    coordinates vanishing on the image, and an oriented normal frame (the
-    coorientation).
+    Carries the map, r signed normal coordinates vanishing on the image,
+    and an oriented normal frame (the coorientation).
     """
 
-    def __init__(self, domain, codomain, embed, retract, normal_coordinate,
+    def __init__(self, domain, codomain, embed, normal_coordinate,
                  normal_frame, codim, tubular_radius=0.3, name="embedding",
                  check=True, n_samples=24):
         self.domain = domain
         self.codomain = codomain
         self.embed = embed
-        self.retract = retract
         self.normal_coordinate = normal_coordinate
         self.normal_frame = normal_frame
         self.codim = int(codim)
@@ -79,6 +70,10 @@ class EmbeddingModel:
                 "declared codimension does not match the dimensions")
         if check and self.codim > 0:
             self._check(n_samples)
+
+    def image(self, p_point):
+        """e(p), on the codomain manifold."""
+        return self.codomain.manifold.project(self.embed(p_point))
 
     def differential(self, p_point, eps=1e-6):
         """Columns: the pushforward of the domain tangent basis at p."""
@@ -133,10 +128,6 @@ class EmbeddingModel:
             if np.linalg.norm(De.T @ nf) > 1e-6:
                 raise StructuralValidationError(
                     "normal frame is not normal to the image")
-            back = self.retract(x)
-            if dman.distance(back, p) > 1e-7:
-                raise StructuralValidationError(
-                    "retraction does not invert the embedding")
         # no critical point of the ambient function on the image
         for cp in self.codomain.critical_points:
             eta = np.atleast_1d(self.normal_coordinate(cp.point))
@@ -154,7 +145,7 @@ def identity_embedding(system):
     def eye(x):
         return np.asarray(x, dtype=float)
 
-    return EmbeddingModel(system, system, eye, eye,
+    return EmbeddingModel(system, system, eye,
                           lambda x: np.zeros(0),
                           lambda p: np.zeros((man.coord_dim, 0)),
                           codim=0, name="identity", check=False)
@@ -179,9 +170,6 @@ def torus_factor_circle(codomain, fixed_axis, level, amplitude=1.0,
         out[free_axis] = t[0]
         return out
 
-    def retract(x):
-        return np.array([x[free_axis]])
-
     def normal_coordinate(x):
         d = (x[fixed_axis] - level + np.pi) % (2 * np.pi) - np.pi
         return np.array([d])
@@ -189,7 +177,7 @@ def torus_factor_circle(codomain, fixed_axis, level, amplitude=1.0,
     e_fix = np.zeros((n, 1))
     e_fix[fixed_axis, 0] = 1.0
 
-    return EmbeddingModel(domain, codomain, embed, retract,
+    return EmbeddingModel(domain, codomain, embed,
                           normal_coordinate, lambda p: e_fix, codim=1,
                           name="factor-circle[axis=%d]" % fixed_axis)
 
@@ -205,23 +193,20 @@ def sphere_equator(codomain, phase=np.pi / 2):
     def embed(t):
         return np.array([math.cos(t[0]), math.sin(t[0]), 0.0])
 
-    def retract(x):
-        return np.array([math.atan2(x[1], x[0]) % (2 * np.pi)])
-
     def normal_coordinate(x):
         return np.array([x[2]])
 
     def normal_frame(p):
         return np.array([[0.0], [0.0], [1.0]])
 
-    return EmbeddingModel(domain, codomain, embed, retract,
+    return EmbeddingModel(domain, codomain, embed,
                           normal_coordinate, normal_frame, codim=1,
                           name="equator")
 
 
 # -- pushforward ------------------------------------------------------------------
 
-def pushforward(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
+def pushforward(emb, verify=True):
     """Chain map e_*: counts W^u(p; k) meeting W^s(x; f) across the embedding.
 
     Returns {degree: matrix} with rows over codomain generators: the same
@@ -229,17 +214,12 @@ def pushforward(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
     chain-map identity is verified exactly unless ``verify`` is False.
     """
     if emb.codim == 0:
-        return continuation(emb.domain, emb.codomain, rho=rho, k=k,
-                            stability=stability)
+        return continuation(emb.domain, emb.codomain)
     dom, cod = emb.domain, emb.codomain
-
-    def image(pt):
-        return cod.manifold.project(emb.embed(pt))
-
     out = graded_matrices(
         dom.indices(), cod.by_index, dom.by_index,
-        lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp, rho, k,
-                                        stability, image, emb.push_frame))
+        lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp, emb.image,
+                                        emb.push_frame))
     if verify:
         _verify_chain_map("pushforward", dom, cod, out, 0)
     return out
@@ -256,7 +236,7 @@ def _verify_chain_map(what, source, target, maps, shift):
 
 # -- umkehr ------------------------------------------------------------------------
 
-def umkehr(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
+def umkehr(emb, verify=True):
     """Wrong-way chain map e_! of degree -codim.
 
     Counts W^u(m; f) meeting W^s(p; k) across the cooriented embedding;
@@ -264,58 +244,34 @@ def umkehr(emb, rho=DEFAULT_RHO, k=None, stability=True, verify=True):
     unstable frame of p followed by the normal frame.
     """
     if emb.codim == 0:
-        return continuation(emb.codomain, emb.domain, rho=rho, k=k,
-                            stability=stability)
+        return continuation(emb.codomain, emb.domain)
     dom, cod = emb.domain, emb.codomain
     r = emb.codim
     out = graded_matrices(
         cod.indices(), lambda d: dom.by_index(d - r), cod.by_index,
-        lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp, rho))
+        lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp))
     if verify:
         _verify_chain_map("umkehr", cod, dom, out, -r)
     return out
 
 
-def _umkehr_entry(emb, m_cp, p_cp, rho):
+def _umkehr_entry(emb, m_cp, p_cp):
     if m_cp.index != p_cp.index + emb.codim:
         raise ValueError("umkehr entries need index(m) = index(p) + codim")
     if m_cp.index == 1 and p_cp.index == 0:
-        return _umkehr_crossings_d1(emb, m_cp, p_cp, rho)
+        return _umkehr_crossings_d1(emb, m_cp, p_cp)
     if not (m_cp.index == 2 and p_cp.index == 1 and emb.codim == 1):
         raise GeometryError(
             "umkehr case (index %d over index %d) is not implemented"
             % (m_cp.index, p_cp.index))
     # p is the maximum of the circle P, so W^s(p; k) is the point p and the
     # entry asks whether e(p) lies in W^u(m): one backward flow answers it
-    z = emb.codomain.manifold.project(emb.embed(p_cp.point))
+    z = emb.image(p_cp.point)
     source, carry, _ = closest_pass_transport(emb.codomain, z, -1)
     if source.name != m_cp.name:
         return 0
     return orientation_sign(carry(m_cp.unstable_frame),
                             _image_frame(emb, p_cp, p_cp.point, z))
-
-
-def _branch_image_crossings(emb, res, zero_tol=1e-8):
-    """Transverse crossings (t, z) of a recorded codomain flow with e(P).
-
-    Sign changes are sampled at the recorded nodes.  Wrapped normal
-    coordinates jump by 2*pi across the antipodal locus; such sign changes
-    refine to an order-one residual and are dropped.
-    """
-    cod = emb.codomain
-
-    def eta(pt):
-        return float(np.atleast_1d(emb.normal_coordinate(pt))[0])
-
-    def eval_t(t):
-        return eta(point_at_time(cod, res, t)), None
-
-    def accept(t):
-        z = point_at_time(cod, res, t)
-        return (t, z) if abs(eta(z)) < zero_tol else None
-
-    return bracketed_roots([float(t) for t in res.times],
-                           [eta(pt) for pt in res.points], eval_t, accept)
 
 
 def _image_frame(emb, p_cp, at, z):
@@ -330,33 +286,24 @@ def _image_frame(emb, p_cp, at, z):
     return orthonormalize(np.stack(cols, axis=1))
 
 
-def _umkehr_crossings_d1(emb, m_cp, p_cp, rho):
-    """index(m) = codim = 1, so p is a minimum of P: isolated crossings of
-    the unstable curve with P, kept when the crossing point flows to p
-    inside P.  Sampled at the branch flows' own nodes, so there is no
-    resolution to double.  Returns the signed count."""
+def _umkehr_crossings_d1(emb, m_cp, p_cp):
+    """index(m) = codim = 1 with P a circle in a surface, so p is a minimum
+    of P: the signed count of crossings of W^u(m) with the image of
+    W^s(p; P), the arcs of P's maxima that end at p."""
     dom, cod = emb.domain, emb.codomain
-    signs = []
-    for u in sphere_directions(1, 2):
-        res = flow(cod, direction_point(cod, m_cp, rho, u), +1, record=True)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("branch flow unresolved")
-        for t_star, z in _branch_image_crossings(emb, res):
-            zeta = dom.manifold.project(emb.retract(z))
-            inner = flow(dom, zeta, +1, record=False)
-            if inner.status != CONVERGED:
-                raise CountingIncompleteError("domain flow unresolved")
-            if inner.limit.name != p_cp.name:
-                continue
-            A = transport_frame(cod.manifold, cod.field,
-                                *_truncated_path(res, t_star, z),
-                                frame0=m_cp.unstable_frame)
-            # project off the tangent of W^s(p; k), which is all of the
-            # image because p is a minimum
-            S = emb.push_frame(zeta, dom.manifold.tangent_basis(zeta))
-            signs.append(transverse_sign(A, _image_frame(emb, p_cp, zeta, z),
-                                         S))
-    return sum(signs)
+    arcs = [b.mapped(emb.image) for q in dom.by_index(1)
+            for b in branches(dom, q, +1) if b.limit.name == p_cp.name]
+    total = 0
+    for c in curve_intersections(cod.manifold, branches(cod, m_cp, +1),
+                                 arcs):
+        zeta = c.b.point(c.l, c.u)
+        A = c.a.carry(c.k, c.theta, m_cp.unstable_frame)
+        # project off the tangent of W^s(p; k), which is all of the
+        # image because p is a minimum
+        S = emb.push_frame(zeta, dom.manifold.tangent_basis(zeta))
+        total += transverse_sign(
+            A, _image_frame(emb, p_cp, zeta, c.point), S)
+    return total
 
 
 # -- Thom data and the Euler class ---------------------------------------------------
@@ -663,6 +610,9 @@ class FlowGraphProblem:
         self._check_label_separation()
         self.aux = AuxiliaryFunction(self.incoming,
                                      tol=self.incoming[0].tol)
+        # outgoing stable curves pulled back through the auxiliary flow,
+        # filled by _find_configurations
+        self.pullbacks = {}
 
     def _check_label_separation(self, margin=1e-3):
         systems = self.incoming + self.outgoing
@@ -696,8 +646,7 @@ def expected_dimension(problem, input_names, output_names):
     return total + problem.chi_times_dim()
 
 
-def graph_flow_count(problem, inputs, output, edge_time=0.0, k=None,
-                     stability=True):
+def graph_flow_count(problem, inputs, output, edge_time=0.0):
     """Signed count of configurations for one input/output tuple.
 
     A configuration is a point of the manifold lying on both incoming
@@ -712,19 +661,9 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0, k=None,
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     a1, a2, a3 = E1.point(inputs[0]), E2.point(inputs[1]), E3.point(output)
-
-    def run(grid):
-        return _configuration_count(problem, a1, a2, a3, edge_time, grid)
-
-    what = "configuration count (%s,%s)->%s" % (inputs[0], inputs[1], output)
-    return gated(run, k or 32, what) if stability else run(k or 32)[0]
-
-
-def _configuration_count(problem, a1, a2, a3, R, grid):
-    """(signed count, number of configurations) at one resolution."""
-    signs = [_configuration_sign(problem, a1, a2, a3, x, R)
-             for x in _find_configurations(problem, a1, a2, a3, R, grid)]
-    return sum(signs), len(signs)
+    return sum(_configuration_sign(problem, a1, a2, a3, x, edge_time, y)
+               for x, y in _find_configurations(problem, a1, a2, a3,
+                                                edge_time))
 
 
 def _aux_time_map(problem, x, edge_time, direction=+1):
@@ -735,21 +674,23 @@ def _aux_time_map(problem, x, edge_time, direction=+1):
     return seg.x_end
 
 
-def _find_configurations(problem, a1, a2, a3, R, grid):
-    """Isolated points on both incoming unstable manifolds whose R-flow
-    lands on the outgoing stable manifold."""
+def _find_configurations(problem, a1, a2, a3, R):
+    """Isolated points x on both incoming unstable manifolds whose R-flow
+    lands on the outgoing stable manifold, as (x, y): y is the landing
+    point when the search found it on W^s(a3), else None.  With an index-1
+    input, configurations are crossings of two curves of branch flows."""
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     i1, i2 = a1.index, a2.index
-    n = problem.manifold.dim
-    if n != 2:
+    man = problem.manifold
+    if man.dim != 2:
         raise UnsupportedDiagramError(
             "configuration counting is implemented on surfaces")
     if (i1, i2) == (2, 2):
         x = _aux_time_map(problem, a3.point, R, direction=-1)
         if approach(E1, x, a1, -1)[0] == a1.name \
                 and approach(E2, x, a2, -1)[0] == a2.name:
-            return [x]
+            return [(x, None)]
         return []
     if {i1, i2} == {2, 0}:
         x = a2.point if i2 == 0 else a1.point
@@ -757,23 +698,30 @@ def _find_configurations(problem, a1, a2, a3, R, grid):
         if approach(other_sys, x, other_cp, -1)[0] != other_cp.name:
             return []
         y = _aux_time_map(problem, x, R)
-        return [x] if approach(E3, y, a3)[0] == a3.name else []
+        return [(x, None)] if approach(E3, y, a3)[0] == a3.name else []
     if (i1, i2) == (1, 1):
-        configs = curve_crossings(
-            E1, a1, grid, lambda x: approach(E2, x, a2, -1), a2.name,
-            0.5 * E2.tol.detect_radius)
-        return [x for _res, _t, x in configs
-                if approach(E3, _aux_time_map(problem, x, R), a3)[0]
+        # the two unstable curves do not depend on R; the outgoing
+        # minimum is checked after the R-flow
+        hits = curve_intersections(man, branches(E1, a1, +1),
+                                   branches(E2, a2, +1))
+        return [(c.point, None) for c in hits
+                if approach(E3, _aux_time_map(problem, c.point, R), a3)[0]
                 == a3.name]
     if {i1, i2} == {2, 1}:
+        # W^s(a3) pulled back through the time-R flow node by node; y is
+        # read off W^s(a3), as two time-R flows round-trip to about 1e-8
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
-        configs = curve_crossings(
-            curve_sys, curve_cp, grid,
-            lambda x: approach(E3, _aux_time_map(problem, x, R), a3),
-            a3.name, 0.5 * E3.tol.detect_radius)
-        return [x for _res, _t, x in configs
-                if approach(other_sys, x, other_cp, -1)[0] == other_cp.name]
+        stable, key = branches(E3, a3, -1), (a3.name, R)
+        if R and key not in problem.pullbacks:
+            problem.pullbacks[key] = [b.mapped(
+                lambda y: _aux_time_map(problem, y, R, direction=-1))
+                for b in stable]
+        hits = curve_intersections(man, branches(curve_sys, curve_cp, +1),
+                                   problem.pullbacks.get(key, stable))
+        return [(c.point, c.b.point(c.l, c.u)) for c in hits
+                if approach(other_sys, c.point, other_cp, -1)[0]
+                == other_cp.name]
     raise InternalInconsistencyError(
         "unreachable index pattern (%d, %d) after the dimension gate"
         % (i1, i2))
@@ -787,14 +735,15 @@ def _unstable_coorientation_frame(system, cp, z):
     return carry(cp.unstable_frame)
 
 
-def _configuration_sign(problem, a1, a2, a3, x, R):
+def _configuration_sign(problem, a1, a2, a3, x, R, y=None):
     """Orientation sign of one configuration.
 
     Computed in the doubled tangent space: the two incoming unstable
     frames against the diagonal copy of the outgoing stable tangent, with
     the stable tangent oriented by the outgoing unstable frame and the
-    manifold orientation; all outgoing data is pulled back through the
-    auxiliary time-R flow.
+    manifold orientation; all outgoing data is taken at y, where the
+    auxiliary time-R flow from x lands unless y is given, and pulled back
+    along that flow.
     """
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
@@ -802,24 +751,15 @@ def _configuration_sign(problem, a1, a2, a3, x, R):
     n = man.dim
     U1 = _unstable_coorientation_frame(E1, a1, x)
     U2 = _unstable_coorientation_frame(E2, a2, x)
-    if R > 0:
-        seg = fixed_time_flow(problem.aux, x, R, record=True)
-        y = seg.x_end
-    else:
-        seg = None
-        y = x
+    seg = fixed_time_flow(problem.aux, x, R, record=True) if R > 0 else None
+    if y is None:
+        y = x if seg is None else seg.x_end
     U3, S3 = stable_coorientation_frames(E3, a3, y)
     if seg is not None:
-        rev_pts = seg.points[::-1]
-        rev_times = (seg.times[-1] - seg.times)[::-1]
-
-        def neg_aux(p):
-            return -problem.aux.field(p)
-
-        if U3.shape[1]:
-            U3 = transport_frame(man, neg_aux, rev_times, rev_pts, U3)
-        if S3.shape[1]:
-            S3 = transport_frame(man, neg_aux, rev_times, rev_pts, S3)
+        back = ((seg.times[-1] - seg.times)[::-1], seg.points[::-1])
+        U3, S3 = (transport_frame(man, lambda p: -problem.aux.field(p),
+                                  *back, F) if F.shape[1] else F
+                  for F in (U3, S3))
     B = man.oriented_tangent_basis(x)
     full = np.concatenate([U3, S3], axis=1)
     if full.shape[1] != n:
@@ -827,33 +767,20 @@ def _configuration_sign(problem, a1, a2, a3, x, R):
     det_or = float(np.linalg.det(B.T @ full))
     if abs(det_or) < 1e-6:
         raise OrientationError("degenerate outgoing orientation data")
-    s2 = 1 if det_or > 0 else -1
-    i1, i2, i3 = a1.index, a2.index, a3.index
-    cols = i1 + i2 + (n - i3)
-    if cols != 2 * n:
+    i1, i2 = a1.index, a2.index
+    if i1 + i2 + S3.shape[1] != 2 * n:
         raise InternalInconsistencyError("configuration dimensions are off")
-    M = np.zeros((2 * n, cols))
-    c = 0
-    for j in range(i1):
-        M[:n, c] = B.T @ U1[:, j]
-        c += 1
-    for j in range(i2):
-        M[n:, c] = B.T @ U2[:, j]
-        c += 1
-    for j in range(n - i3):
-        v = B.T @ S3[:, j]
-        M[:n, c] = v
-        M[n:, c] = v
-        c += 1
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :i1] = B.T @ U1
+    M[n:, i1:i1 + i2] = B.T @ U2
+    M[:n, i1 + i2:] = M[n:, i1 + i2:] = B.T @ S3
     det = float(np.linalg.det(M))
     if abs(det) < 1e-8:
         raise OrientationError("degenerate configuration determinant")
-    sgn = 1 if det > 0 else -1
-    return sgn * s2
+    return (1 if det > 0 else -1) * (1 if det_or > 0 else -1)
 
 
-def diagram_flow_operation(problem, input_chain, edge_time=0.0, k=None,
-                           stability=True):
+def diagram_flow_operation(problem, input_chain, edge_time=0.0):
     """Apply the diagram operation to a chain in the incoming tensor basis.
 
     ``input_chain``: iterable of ((name_in_1, name_in_2), coefficient).
@@ -870,22 +797,29 @@ def diagram_flow_operation(problem, input_chain, edge_time=0.0, k=None,
             if expected_dimension(problem, (n1, n2), [cp3.name]) != 0:
                 continue
             cnt = graph_flow_count(problem, (n1, n2), cp3.name,
-                                   edge_time=edge_time, k=k,
-                                   stability=stability)
+                                   edge_time=edge_time)
             if cnt:
                 out[cp3.name] = out.get(cp3.name, 0) + coeff * cnt
     return {name: val for name, val in out.items() if val != 0}
 
 
-def operation_table(problem, edge_time=0.0, k=None, stability=True):
-    """Counts for every basis pair of the incoming systems."""
+def operation_table(problem, edge_time=0.0):
+    """Counts for every basis pair of the incoming systems.
+
+    The products share the labels' branch flows; the table drops them when
+    done, so that a problem kept afterwards holds none of them.
+    """
     E1, E2 = problem.incoming
     table = {}
-    for c1 in E1.critical_points:
-        for c2 in E2.critical_points:
-            table[(c1.name, c2.name)] = diagram_flow_operation(
-                problem, [((c1.name, c2.name), 1)], edge_time=edge_time,
-                k=k, stability=stability)
+    try:
+        for c1 in E1.critical_points:
+            for c2 in E2.critical_points:
+                table[(c1.name, c2.name)] = diagram_flow_operation(
+                    problem, [((c1.name, c2.name), 1)], edge_time=edge_time)
+    finally:
+        for system in problem.incoming + problem.outgoing:
+            system.branches.clear()
+        problem.pullbacks.clear()
     return table
 
 

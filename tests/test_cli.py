@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from morseflow.cli import main
+from morseflow.geometry import parse_system_config
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -190,6 +192,28 @@ class TestGeomCommands:
         assert data["count"] == 2
         ids = {row.split(",")[0] for row in csv.read_text().splitlines()[1:]}
         assert ids == {"0", "1"}
+
+    def test_connections_csv_ends_at_target(self, capsys, tmp_path):
+        # the lines into x10 are found from x10's side; each trajectory is
+        # that line, so it ends at x10 rather than sliding past it
+        cfg = tmp_path / "perturbed.cfg"
+        cfg.write_text(TORUS_CFG + "perturb 0.02\nseed 3\n")
+        csv = tmp_path / "conn.csv"
+        code, out, _ = run(capsys, "--json", "geom", "connections", str(cfg),
+                           "--source", "x11", "--target", "x10",
+                           "--csv", str(csv))
+        assert code == 0
+        assert json.loads(out)["count"] == 2
+        system = parse_system_config(cfg.read_text())
+        target = system.point("x10").point
+        last = {}
+        for row in csv.read_text().splitlines()[1:]:
+            vals = row.split(",")
+            last[vals[0]] = np.array([float(v) for v in vals[2:4]])
+        assert sorted(last) == ["0", "1"]
+        for pt in last.values():
+            assert system.manifold.distance(pt, target) \
+                <= system.tol.detect_radius
 
     def test_connections_from_index_three(self, capsys, tmp_path):
         cfg = tmp_path / "torus3.cfg"

@@ -27,6 +27,8 @@ from morseflow.errors import (
     GeometryError,
 )
 from morseflow.geometry import (
+    CriticalPoint,
+    MorseSystem,
     product_system,
     sphere_band,
     sphere_height,
@@ -304,6 +306,41 @@ class TestContinuation:
         phi = continuation(t2, g)
         for p, mat in phi.items():
             assert np.array_equal(mat, np.eye(mat.shape[0], dtype=object))
+
+    @pytest.mark.parametrize("phases", [(0.9, 0.005), (0.005, 1.3),
+                                        (0.012, 0.9)])
+    def test_near_alignment_phases_are_unimodular(self, phases):
+        # each phase pair puts a crossing of W^u(m; f) with W^s(m'; g)
+        # within 0.02 of m; a continuation map is an isomorphism on
+        # homology, and T2's differentials vanish, so every block is
+        # unimodular
+        f = torus_cosine(2, [1.0, 0.7])
+        phi = continuation(f, torus_cosine(2, [1.0, 0.7], phases=phases))
+        for p, mat in phi.items():
+            det = np.linalg.det(np.array(mat, dtype=float))
+            assert round(abs(det)) == 1, (p, mat.tolist())
+
+    @pytest.mark.parametrize("tilt, turn", [(0.3, 0.5), (0.4, 0.005)])
+    def test_rotated_sphere_band_roundtrip(self, tilt, turn):
+        # curves on the sphere's 3-D coordinates cross in tangent-plane
+        # charts; a turn of 0.005 puts the crossing of the equator
+        # W^u(rim_hi; f) with the rotated meridian W^s(rim_hi; g) within
+        # 0.02 of rim_hi
+        f = sphere_band(2, 0.15)
+        c, s = np.cos(tilt), np.sin(tilt)
+        R = np.array([[np.cos(turn), -np.sin(turn), 0.0],
+                      [np.sin(turn), np.cos(turn), 0.0],
+                      [0.0, 0.0, 1.0]]) @ np.array(
+            [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        g = MorseSystem(f.manifold, lambda x: f.f(R.T @ x),
+                        lambda x: R @ f.grad(R.T @ x),
+                        [CriticalPoint(cp.name, R @ cp.point, cp.index)
+                         for cp in f.critical_points], name="rotated")
+        fwd, back = continuation(f, g), continuation(g, f)
+        assert [abs(int(v)) for v in fwd[1].flat] == [1]
+        for p in fwd:
+            comp = back[p] @ fwd[p]
+            assert np.array_equal(comp, np.eye(comp.shape[0], dtype=object))
 
     def test_roundtrip_phase_shift(self, t2):
         g = torus_cosine(2, [1.0, 0.7], phases=[0.9, 1.3])

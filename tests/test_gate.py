@@ -1,47 +1,27 @@
-"""The doubling gate at every site that uses it.
+"""The doubling gate at the one site that still uses it.
 
-Each case injects a 2k run that finds one extra +1/-1 pair of lines, so
-the signed total is unchanged, and the gate must still raise: it compares
-the number of lines as well as the signed count.  The top umkehr entry
-is one backward shot, with no resolution to double, so it has no gate.
+The circle lattice of ``count_flow_lines`` (index 2 -> index 1 in
+dimension three and up) is the only search left with a shooting
+resolution.  The case injects a 2k run that finds one extra +1/-1 pair of
+lines, so the signed total is unchanged, and the gate must still raise: it
+compares the number of lines as well as the signed count.  Continuation,
+pushforward and figure-8 counts intersect curves of branch flows, and the
+top umkehr entry is one backward shot; none has a resolution to double, so
+their former gate cases are oracle tests at near-alignment inputs
+(``test_counting.TestContinuation`` and ``test_operations``).
 """
 
 import pytest
 
 import morseflow.counting as counting
-import morseflow.operations as operations
 from morseflow.errors import CountInstabilityError
-from morseflow.fatgraph import ChordDiagram, FatGraph
 from morseflow.geometry import torus_cosine
-
-
-def t2():
-    return torus_cosine(2, [1.0, 0.7])
 
 
 def t3():
     # the circle lattice, and so its gate, counts index-2 -> index-1
     # pairs only in dimension three and up
     return torus_cosine(3, [1.0, 0.7, 0.55])
-
-
-def t2_shifted():
-    return torus_cosine(2, [1.0, 0.7], phases=[0.9, 1.3])
-
-
-def factor_circle():
-    return operations.torus_factor_circle(t2_shifted(), fixed_axis=1,
-                                          level=2.0, phase=0.3)
-
-
-def figure8_problem():
-    g = FatGraph.from_vertex_cycles(pairs=[(0, 1), (2, 3)],
-                                    vertex_cycles=[(0, 3, 2, 1)])
-    labels = [torus_cosine(2, [1.0, 0.7], phases=ph, name=name)
-              for ph, name in (([0.0, 0.0], "in1"), ([0.9, 1.3], "in2"),
-                               ([-0.7, 0.55], "out"))]
-    return operations.FlowGraphProblem(ChordDiagram(g), labels[:2],
-                                       labels[2:])
 
 
 def every_second_call(real, change):
@@ -64,27 +44,10 @@ def repeat_lines(dirs):
     return dirs + dirs
 
 
-def add_pair(result):
-    count, lines = result
-    return count, lines + 2
-
-
 SITES = {
     "count_flow_lines": (
         counting, "find_connections", repeat_lines,
         lambda: counting.count_flow_lines(t3(), "x110", "x100")),
-    # continuation and pushforward share one curve-crossing count; each
-    # site is reached through its own public call
-    "continuation": (
-        counting, "_hybrid_crossings", add_pair,
-        lambda: counting.continuation(t2(), t2_shifted())),
-    "pushforward": (
-        counting, "_hybrid_crossings", add_pair,
-        lambda: operations.pushforward(factor_circle(), verify=False)),
-    "graph_flow_count": (
-        operations, "_configuration_count", add_pair,
-        lambda: operations.graph_flow_count(figure8_problem(),
-                                            ("x11", "x11"), "x11")),
 }
 
 
@@ -95,3 +58,16 @@ def test_gate_catches_cancelling_pair(site, monkeypatch):
                         every_second_call(getattr(module, attr), change))
     with pytest.raises(CountInstabilityError):
         call()
+
+
+def test_instability_carries_both_runs(monkeypatch):
+    module, attr, change, call = SITES["count_flow_lines"]
+    monkeypatch.setattr(module, attr,
+                        every_second_call(getattr(module, attr), change))
+    with pytest.raises(CountInstabilityError) as info:
+        call()
+    err = info.value
+    # (signed count, number of lines) at k and at 2k
+    assert (err.first, err.second) == ((0, 2), (0, 4))
+    assert str(err) == ("count x110->x100 changed under resolution "
+                        "doubling (0/2 lines -> 0/4)")

@@ -136,6 +136,15 @@ class TestPushforward:
         cod = boundary_operator(t2)
         assert chain_map_defect(dom, cod, factor_push, 0) == 0
 
+    @pytest.mark.parametrize("phase", [0.905, 0.895])
+    def test_near_alignment_circle_hits_one_saddle(self, t2, phase):
+        # the circle's maximum sits 0.005 from the vertical stable curve
+        # of x10, so the crossing lies within 0.02 of it in the domain
+        emb = torus_factor_circle(t2, fixed_axis=1, level=2.0, phase=phase)
+        push = pushforward(emb)
+        assert push[0].tolist() == [[1]]
+        assert sorted(abs(int(v)) for v in push[1].flat) == [0, 1]
+
     def test_equator_kills_h1(self, s2):
         emb = sphere_equator(s2)
         push = pushforward(emb)
@@ -296,6 +305,38 @@ def nu_table(nu_problem):
     return operation_table(nu_problem, edge_time=0.0)
 
 
+ORACLE_NAMES = {"pt": "x00", "c1": "x10", "c2": "x01", "top": "x11"}
+
+
+def assert_oracle_table(table):
+    """The table is the intersection product in the shared naming."""
+    basis, _deg, oracle = torus_intersection_table(eps=-1)
+    for a in basis:
+        for b in basis:
+            got = table.get((ORACLE_NAMES[a], ORACLE_NAMES[b]), {})
+            want = {ORACLE_NAMES[c]: v for c, v in oracle[(a, b)].items()}
+            assert got == want, (a, b, got, want)
+
+
+def phased_problem(phases, perturb=0.0, seeds=(0, 0, 0)):
+    labels = [torus_cosine(2, [1.0, 0.7], phases=list(ph), name=name,
+                           perturb=perturb, seed=seed)
+              for ph, name, seed in zip(phases, ("in1", "in2", "out"), seeds)]
+    return FlowGraphProblem(figure8_diagram(), labels[:2], labels[2:])
+
+
+def near_alignment_phases(seed, rho=0.02):
+    """Uniform label phases, except that one angle of in2 sits within rho
+    of in1's modulo pi: one of in2's index-1 points is then within rho of
+    one of in1's index-1 points in that angle."""
+    rng = np.random.default_rng(seed)
+    in1, in2, out = rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))
+    axis = rng.integers(2)
+    in2[axis] = (in1[axis] + np.pi * rng.integers(2)
+                 + rng.uniform(-rho, rho)) % (2.0 * np.pi)
+    return in1, in2, out
+
+
 class TestDiagramOperation:
     def test_expected_dimension_formula(self, nu_problem):
         assert nu_problem.chi_times_dim() == -2
@@ -329,13 +370,25 @@ class TestDiagramOperation:
     def test_intersection_table(self, nu_table):
         # continuation between the phase-shifted labels is the identity in
         # the shared naming, so the table reads directly as the product
-        name = {"pt": "x00", "c1": "x10", "c2": "x01", "top": "x11"}
-        basis, deg, oracle = torus_intersection_table(eps=-1)
-        for a in basis:
-            for b in basis:
-                got = nu_table.get((name[a], name[b]), {})
-                want = {name[c]: v for c, v in oracle[(a, b)].items()}
-                assert got == want, (a, b, got, want)
+        assert_oracle_table(nu_table)
+
+    def test_near_alignment_labels_give_the_oracle_table(self):
+        # the (x01, x10) -> x00 configuration sits 0.0052 from in1's x01,
+        # since in1's x01 and in2's x10 nearly share their second angle
+        assert_oracle_table(operation_table(phased_problem(
+            [(5.2212, 2.2679), (4.4154, 5.4043), (4.0295, 3.4455)])))
+
+    def test_perturbed_labels_give_the_oracle_table(self):
+        # perturbation bends every branch curve, so a crossing must lie on
+        # both curves closely enough for the signs' closest passes
+        assert_oracle_table(operation_table(phased_problem(
+            [(3.9276, 5.6374), (4.8738, 1.415), (1.886, 5.4887)],
+            perturb=0.02, seeds=(91, 0, 49))))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_near_alignment_sweep(self, seed):
+        assert_oracle_table(operation_table(phased_problem(
+            near_alignment_phases(seed))))
 
     def test_unit_is_fundamental_class(self, nu_table):
         for x in ("x00", "x10", "x01", "x11"):
