@@ -2,8 +2,9 @@
 continuation maps.
 
 ``_connection_search`` picks the search for a pair x -> y with index drop
-one.  From index 1, both directions of the unstable line of x are flown.
-Into index dim - 1, the two curves of W^s(y) are followed upward.
+one.  When x has index 1 or y has index dim - 1, W^u(x) or W^s(y) is one
+curve with two branches (``branches``), and the lines are the branches
+that end at the other point, signed in closed form (``_branch_lines``).
 Otherwise, from index 2, the unstable circle of x is shot on a lattice,
 sign changes of an offset are bisected, and each candidate is verified by
 strict convergence into y; only this search has a resolution, so only it
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,6 @@ from .geometry.flow import (
     orientation_sign,
     orthonormalize,
     parallel_frame,
-    sphere_directions,
     transport_frame,
 )
 
@@ -358,8 +359,9 @@ def _verify_connection(system, x_cp, y_cp, u, rho):
 def connection_sign(system, x_cp, y_cp, u, rho):
     """Sign of one isolated flow line from x to y, leaving x along u.
 
-    Transports the ordered unstable frame of x along the trajectory and
-    signs it at the first point near y (``_frame_sign``).
+    Transports the ordered unstable frame of x along the trajectory to the
+    first point q near y, and signs it there against the unstable frame of
+    y followed by the flow direction.
     """
     flow_result = _verify_connection(system, x_cp, y_cp, u, rho)
     if flow_result is None:
@@ -376,19 +378,13 @@ def connection_sign(system, x_cp, y_cp, u, rho):
             break
     moved = transport_frame(man, system.field, times[:cut + 1],
                             pts[:cut + 1], x_cp.unstable_frame)
-    return _frame_sign(system, y_cp, pts[cut], moved)
-
-
-def _frame_sign(system, y_cp, q, moved):
-    """Sign of a line from x through q into y, given x's ordered unstable
-    frame carried to q: the determinant against (unstable frame of y, then
-    the flow direction) at q."""
+    q = pts[cut]
     v = system.field(q)
     speed = np.linalg.norm(v)
     if speed < 1e-14:
         raise GeometryError("flow direction vanished before reaching y")
-    ref_cols = (list(parallel_frame(system.manifold, q, y_cp.unstable_frame).T)
-                if y_cp.index else [])
+    # lattice targets have index 1 or more
+    ref_cols = list(parallel_frame(man, q, y_cp.unstable_frame).T)
     ref_cols.append(v / speed)
     ref = orthonormalize(np.stack(ref_cols, axis=1))
     return orientation_sign(moved, ref)
@@ -437,33 +433,6 @@ def _find_connections_d2(system, x_cp, y_cp, rho, k):
     return _dedupe_verified(system, x_cp, y_cp, rho, candidates)
 
 
-def _find_connections_codim1(system, x_cp, y_cp, rho):
-    """(direction, sign, (times, points)) of each line from x into y of
-    index dim - 1.
-
-    A line of f from x to y is a line of -f from y to x, and W^s(y) is two
-    curves, followed upward from distance rho along +-y's stable
-    eigenvector.  A maximum attracts the ascent, so each branch reaches a
-    limit, and a branch that ends elsewhere carries no line.  The
-    direction is where the line leaves x, read off the ascent's closest
-    pass of x in x's unstable frame; the sign is taken at the start z, with
-    x's unstable frame carried down to z.  The line is the ascent reversed,
-    from that closest pass down to z.
-    """
-    man = system.manifold
-    out = []
-    for side in (1.0, -1.0):
-        z = man.project(y_cp.point + side * rho * y_cp.stable_frame[:, 0])
-        source, carry, line = closest_pass_transport(system, z, -1)
-        if source.name == x_cp.name:
-            u = x_cp.unstable_frame.T @ man.displacement(x_cp.point,
-                                                         line[1][0])
-            out.append((u / np.linalg.norm(u),
-                        _frame_sign(system, y_cp, z,
-                                    carry(x_cp.unstable_frame)), line))
-    return out
-
-
 def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
     """(direction, strict flow) of the distinct unit candidates whose strict
     flow converges into y.
@@ -492,7 +461,7 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
     return out
 
 
-SHOOT, ASCEND, LATTICE = "shoot", "ascend", "lattice"
+BRANCH, LATTICE = "branch", "lattice"
 
 
 def _connection_search(system, x_cp, y_cp):
@@ -501,10 +470,8 @@ def _connection_search(system, x_cp, y_cp):
     if x_cp.index - y_cp.index != 1:
         raise ValueError("connections require index difference one, got "
                          "%d - %d" % (x_cp.index, y_cp.index))
-    if x_cp.index == 1:
-        return SHOOT
-    if y_cp.index == system.manifold.dim - 1:
-        return ASCEND
+    if x_cp.index == 1 or y_cp.index == system.manifold.dim - 1:
+        return BRANCH
     if x_cp.index == 2:
         return LATTICE
     raise GeometryError(
@@ -513,23 +480,48 @@ def _connection_search(system, x_cp, y_cp):
             x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index))
 
 
+def _branch_lines(system, x_cp, y_cp):
+    """(direction, sign, times, points) of each line from x to y: each
+    branch of W^u(x) if x has index 1, else of W^s(y), whose limit is the
+    other point, with its nodes ordered from x to y.
+
+    A branch leaves its point along side (+-1) times the eigenvector.  From
+    x of index 1, direction and sign are the side: the linearised flow
+    carries the velocity to itself, and the minimum y adds only the flow
+    direction.  Into y of index dim - 1, x has top index, so its carried
+    frame spans the tangent space and keeps its orientation eps(x), and
+    near y the flow runs along -side S_y: the sign is -side eps(x) eps(y),
+    with eps(y) that of (U_y, S_y).  The direction is where the last node
+    lies from x, in x's unstable frame.
+    """
+    if x_cp.index == 1:
+        return [(np.array([float(side)]), side, b.times, b.points)
+                for side, b in zip((1, -1), branches(system, x_cp, +1))
+                if b.limit.name == y_cp.name]
+    man = system.manifold
+    eps = orientation_sign(man.oriented_tangent_basis(x_cp.point),
+                           x_cp.unstable_frame) * orientation_sign(
+        man.oriented_tangent_basis(y_cp.point),
+        np.hstack([y_cp.unstable_frame, y_cp.stable_frame]))
+    out = []
+    for side, b in zip((1, -1), branches(system, y_cp, -1)):
+        if b.limit.name == x_cp.name:
+            u = x_cp.unstable_frame.T @ man.displacement(x_cp.point,
+                                                         b.points[-1])
+            out.append((u / np.linalg.norm(u), -side * eps,
+                        b.times[-1] - b.times[::-1], b.points[::-1]))
+    return out
+
+
 def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """(direction, times, points) of each line from x to y found by the
-    search ``_connection_search`` picks: a shot's verified strict flow, or
-    the ascent reversed and closed by y itself, reached at t = inf."""
-    search = _connection_search(system, x_cp, y_cp)
-    if search == SHOOT:
-        shots = [(np.asarray(u, dtype=float),
-                  _verify_connection(system, x_cp, y_cp, u, rho))
-                 for u in sphere_directions(1, 2)]
-    elif search == LATTICE:
-        shots = _find_connections_d2(system, x_cp, y_cp, rho,
-                                     k or DEFAULT_K_CIRCLE)
-    else:
-        return [(u, np.append(times, math.inf), np.vstack([pts, y_cp.point]))
-                for u, _sign, (times, pts) in _find_connections_codim1(
-                    system, x_cp, y_cp, rho)]
-    return [(u, res.times, res.points) for u, res in shots if res is not None]
+    search ``_connection_search`` picks: a branch's nodes
+    (``_branch_lines``) or a lattice shot's verified strict flow."""
+    if _connection_search(system, x_cp, y_cp) == BRANCH:
+        return [(u, times, pts) for u, _sign, times, pts in _branch_lines(
+            system, x_cp, y_cp)]
+    return [(u, res.times, res.points) for u, res in _find_connections_d2(
+        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
 
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
@@ -539,33 +531,48 @@ def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
 
 
 def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
-                     ring=RING_Z, stability=True):
+                     ring=RING_Z):
     """Signed (or mod-2) number of flow lines between index-adjacent points.
 
-    Lattice counts pass the doubling gate; the other two searches follow
-    finitely many curves and have no resolution to double.
+    Branch lines take their signs in closed form (``_branch_lines``) and
+    have no resolution to double; lattice lines are signed by frame
+    transport (``connection_sign``), and lattice counts pass the doubling
+    gate.
     """
     if isinstance(x_cp, str):
         x_cp = system.point(x_cp)
     if isinstance(y_cp, str):
         y_cp = system.point(y_cp)
     search = _connection_search(system, x_cp, y_cp)
-    if search == ASCEND:
-        signs = [sign for _u, sign, _line in
-                 _find_connections_codim1(system, x_cp, y_cp, rho)]
-        return len(signs) % 2 if ring == RING_Z2 else sum(signs)
 
     def run(kk):
         dirs = find_connections(system, x_cp, y_cp, rho=rho, k=kk)
         if ring == RING_Z2:
             return len(dirs) % 2, len(dirs)
-        return (sum(connection_sign(system, x_cp, y_cp, u, rho)
-                    for u in dirs), len(dirs))
+        if search == BRANCH:
+            # the branches are kept on the system: this read flies nothing
+            signs = [sign for _u, sign, _t, _p in _branch_lines(system, x_cp,
+                                                                y_cp)]
+        else:
+            signs = [connection_sign(system, x_cp, y_cp, u, rho)
+                     for u in dirs]
+        return sum(signs), len(dirs)
 
-    if stability and search == LATTICE:
+    if search == LATTICE:
         return gated(run, k or DEFAULT_K_CIRCLE,
                      "count %s->%s" % (x_cp.name, y_cp.name))
     return run(k)[0]
+
+
+@contextmanager
+def dropping(*caches):
+    """Clear each dict in ``caches`` when the block ends, however it ends:
+    a public call keeps the branch flows it flies only until it returns."""
+    try:
+        yield
+    finally:
+        for cache in caches:
+            cache.clear()
 
 
 def graded_matrices(degrees, rows_of, cols_of, entry):
@@ -585,16 +592,16 @@ def graded_matrices(degrees, rows_of, cols_of, entry):
     return out
 
 
-def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None,
-                      stability=True):
+def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None):
     """Assemble the Morse complex; verifies the square-zero identity."""
     gens = {p: tuple(cp.name for cp in system.by_index(p))
             for p in system.indices()}
-    maps = graded_matrices(
-        [p for p in gens if p - 1 in gens], lambda p: system.by_index(p - 1),
-        system.by_index,
-        lambda x_cp, y_cp: count_flow_lines(system, x_cp, y_cp, rho=rho, k=k,
-                                            ring=ring, stability=stability))
+    with dropping(system.branches):
+        maps = graded_matrices(
+            [p for p in gens if p - 1 in gens],
+            lambda p: system.by_index(p - 1), system.by_index,
+            lambda x_cp, y_cp: count_flow_lines(system, x_cp, y_cp, rho=rho,
+                                                k=k, ring=ring))
     return GradedComplex(gens, maps, ring=ring)
 
 
@@ -739,8 +746,8 @@ def closest_pass_transport(system, z, direction, cp=None):
     the detection radius (landing exactly on a critical point is
     numerically unreachable when the unstable rate beats the stable one).
     With ``cp`` None the flow must converge and cp is its limit.  Returns
-    (cp, carry, (times, points)): ``carry(frame)`` transports a frame at cp
-    back to z along the path, which runs from the closest pass to z.
+    (cp, carry): ``carry(frame)`` transports a frame at cp back to z along
+    the path, which runs from the closest pass to z.
     """
     man = system.manifold
     res = flow(system, z, direction, record=True)
@@ -765,7 +772,7 @@ def closest_pass_transport(system, z, direction, cp=None):
             return frame
         return transport_frame(man, back_field, times, pts, frame)
 
-    return cp, carry, (times, pts)
+    return cp, carry
 
 
 def stable_coorientation_frames(sys_g, m2_cp, z):
@@ -776,7 +783,7 @@ def stable_coorientation_frames(sys_g, m2_cp, z):
     (``closest_pass_transport``).  U coorients W^s(m2; g) there, S spans
     its tangent.
     """
-    _, carry, _ = closest_pass_transport(sys_g, z, +1, m2_cp)
+    _, carry = closest_pass_transport(sys_g, z, +1, m2_cp)
     return carry(m2_cp.unstable_frame), carry(m2_cp.stable_frame)
 
 
@@ -802,9 +809,10 @@ def continuation(sys_f, sys_g):
         return {p: np.array(np.eye(len(sys_f.by_index(p)), dtype=int),
                             dtype=object)
                 for p in sys_f.indices()}
-    return graded_matrices(
-        sys_f.indices(), sys_g.by_index, sys_f.by_index,
-        lambda m_cp, m2_cp: hybrid_entry(sys_f, sys_g, m_cp, m2_cp))
+    with dropping(sys_f.branches, sys_g.branches):
+        return graded_matrices(
+            sys_f.indices(), sys_g.by_index, sys_f.by_index,
+            lambda m_cp, m2_cp: hybrid_entry(sys_f, sys_g, m_cp, m2_cp))
 
 
 def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None, push=None):
@@ -828,7 +836,7 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None, push=None):
                                           "unresolved" % m_cp.name)
         return 1 if res.limit.name == m2_cp.name else 0
     if d == sys_g.manifold.dim:
-        source, carry, _ = closest_pass_transport(sys_f, m2_cp.point, -1)
+        source, carry = closest_pass_transport(sys_f, m2_cp.point, -1)
         if source.name != m_cp.name:
             return 0
         U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, m2_cp.point)

@@ -23,6 +23,7 @@ from .counting import (
     closest_pass_transport,
     continuation,
     curve_intersections,
+    dropping,
     graded_matrices,
     hybrid_entry,
     stable_coorientation_frames,
@@ -55,15 +56,14 @@ class EmbeddingModel:
     """
 
     def __init__(self, domain, codomain, embed, normal_coordinate,
-                 normal_frame, codim, tubular_radius=0.3, name="embedding",
-                 check=True, n_samples=24):
+                 normal_frame, codim, name="embedding", check=True,
+                 n_samples=24):
         self.domain = domain
         self.codomain = codomain
         self.embed = embed
         self.normal_coordinate = normal_coordinate
         self.normal_frame = normal_frame
         self.codim = int(codim)
-        self.tubular_radius = float(tubular_radius)
         self.name = name
         if self.codim != codomain.manifold.dim - domain.manifold.dim:
             raise StructuralValidationError(
@@ -216,10 +216,11 @@ def pushforward(emb, verify=True):
     if emb.codim == 0:
         return continuation(emb.domain, emb.codomain)
     dom, cod = emb.domain, emb.codomain
-    out = graded_matrices(
-        dom.indices(), cod.by_index, dom.by_index,
-        lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp, emb.image,
-                                        emb.push_frame))
+    with dropping(dom.branches, cod.branches):
+        out = graded_matrices(
+            dom.indices(), cod.by_index, dom.by_index,
+            lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp, emb.image,
+                                            emb.push_frame))
     if verify:
         _verify_chain_map("pushforward", dom, cod, out, 0)
     return out
@@ -247,9 +248,10 @@ def umkehr(emb, verify=True):
         return continuation(emb.codomain, emb.domain)
     dom, cod = emb.domain, emb.codomain
     r = emb.codim
-    out = graded_matrices(
-        cod.indices(), lambda d: dom.by_index(d - r), cod.by_index,
-        lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp))
+    with dropping(dom.branches, cod.branches):
+        out = graded_matrices(
+            cod.indices(), lambda d: dom.by_index(d - r), cod.by_index,
+            lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp))
     if verify:
         _verify_chain_map("umkehr", cod, dom, out, -r)
     return out
@@ -267,7 +269,7 @@ def _umkehr_entry(emb, m_cp, p_cp):
     # p is the maximum of the circle P, so W^s(p; k) is the point p and the
     # entry asks whether e(p) lies in W^u(m): one backward flow answers it
     z = emb.image(p_cp.point)
-    source, carry, _ = closest_pass_transport(emb.codomain, z, -1)
+    source, carry = closest_pass_transport(emb.codomain, z, -1)
     if source.name != m_cp.name:
         return 0
     return orientation_sign(carry(m_cp.unstable_frame),
@@ -510,7 +512,7 @@ def _newton_zero(bundle, man, section, x0, tol, max_iter=60):
 
 
 def _owning_unstable_frame(system, z, r):
-    owner, carry, _ = closest_pass_transport(system, z, -1)
+    owner, carry = closest_pass_transport(system, z, -1)
     if owner.index != r:
         raise TransversalityError(
             "section zero sits on a lower stratum (owner %s of index %d); "
@@ -661,9 +663,10 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0):
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     a1, a2, a3 = E1.point(inputs[0]), E2.point(inputs[1]), E3.point(output)
-    return sum(_configuration_sign(problem, a1, a2, a3, x, edge_time, y)
-               for x, y in _find_configurations(problem, a1, a2, a3,
-                                                edge_time))
+    return sum(_configuration_sign(problem, a1, a2, a3, x, edge_time, y,
+                                   carried)
+               for x, y, carried in _find_configurations(problem, a1, a2, a3,
+                                                         edge_time))
 
 
 def _aux_time_map(problem, x, edge_time, direction=+1):
@@ -676,9 +679,11 @@ def _aux_time_map(problem, x, edge_time, direction=+1):
 
 def _find_configurations(problem, a1, a2, a3, R):
     """Isolated points x on both incoming unstable manifolds whose R-flow
-    lands on the outgoing stable manifold, as (x, y): y is the landing
-    point when the search found it on W^s(a3), else None.  With an index-1
-    input, configurations are crossings of two curves of branch flows."""
+    lands on the outgoing stable manifold, as (x, y, carried): y is the
+    landing point when the search found it on W^s(a3), else None.  With an
+    index-1 input, configurations are crossings of two curves of branch
+    flows, and ``carried`` maps each index-1 input's system to its unstable
+    frame carried along its branch to x."""
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     i1, i2 = a1.index, a2.index
@@ -690,7 +695,7 @@ def _find_configurations(problem, a1, a2, a3, R):
         x = _aux_time_map(problem, a3.point, R, direction=-1)
         if approach(E1, x, a1, -1)[0] == a1.name \
                 and approach(E2, x, a2, -1)[0] == a2.name:
-            return [(x, None)]
+            return [(x, None, {})]
         return []
     if {i1, i2} == {2, 0}:
         x = a2.point if i2 == 0 else a1.point
@@ -698,13 +703,15 @@ def _find_configurations(problem, a1, a2, a3, R):
         if approach(other_sys, x, other_cp, -1)[0] != other_cp.name:
             return []
         y = _aux_time_map(problem, x, R)
-        return [(x, None)] if approach(E3, y, a3)[0] == a3.name else []
+        return [(x, None, {})] if approach(E3, y, a3)[0] == a3.name else []
     if (i1, i2) == (1, 1):
         # the two unstable curves do not depend on R; the outgoing
         # minimum is checked after the R-flow
         hits = curve_intersections(man, branches(E1, a1, +1),
                                    branches(E2, a2, +1))
-        return [(c.point, None) for c in hits
+        return [(c.point, None,
+                 {E1: c.a.carry(c.k, c.theta, a1.unstable_frame),
+                  E2: c.b.carry(c.l, c.u, a2.unstable_frame)}) for c in hits
                 if approach(E3, _aux_time_map(problem, c.point, R), a3)[0]
                 == a3.name]
     if {i1, i2} == {2, 1}:
@@ -719,8 +726,10 @@ def _find_configurations(problem, a1, a2, a3, R):
                 for b in stable]
         hits = curve_intersections(man, branches(curve_sys, curve_cp, +1),
                                    problem.pullbacks.get(key, stable))
-        return [(c.point, c.b.point(c.l, c.u)) for c in hits
-                if approach(other_sys, c.point, other_cp, -1)[0]
+        return [(c.point, c.b.point(c.l, c.u),
+                 {curve_sys: c.a.carry(c.k, c.theta,
+                                       curve_cp.unstable_frame)})
+                for c in hits if approach(other_sys, c.point, other_cp, -1)[0]
                 == other_cp.name]
     raise InternalInconsistencyError(
         "unreachable index pattern (%d, %d) after the dimension gate"
@@ -731,11 +740,11 @@ def _unstable_coorientation_frame(system, cp, z):
     """Oriented frame of T_z W^u(cp), anchored at the closest backward pass."""
     if cp.index == 0:
         return np.zeros((system.manifold.coord_dim, 0))
-    _, carry, _ = closest_pass_transport(system, z, -1, cp)
+    _, carry = closest_pass_transport(system, z, -1, cp)
     return carry(cp.unstable_frame)
 
 
-def _configuration_sign(problem, a1, a2, a3, x, R, y=None):
+def _configuration_sign(problem, a1, a2, a3, x, R, y, carried):
     """Orientation sign of one configuration.
 
     Computed in the doubled tangent space: the two incoming unstable
@@ -743,14 +752,16 @@ def _configuration_sign(problem, a1, a2, a3, x, R, y=None):
     the stable tangent oriented by the outgoing unstable frame and the
     manifold orientation; all outgoing data is taken at y, where the
     auxiliary time-R flow from x lands unless y is given, and pulled back
-    along that flow.
+    along that flow.  An incoming frame that ``carried`` lacks is carried
+    to x from its closest backward pass of the input.
     """
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     man = problem.manifold
     n = man.dim
-    U1 = _unstable_coorientation_frame(E1, a1, x)
-    U2 = _unstable_coorientation_frame(E2, a2, x)
+    U1, U2 = (carried[E] if E in carried
+              else _unstable_coorientation_frame(E, cp, x)
+              for E, cp in ((E1, a1), (E2, a2)))
     seg = fixed_time_flow(problem.aux, x, R, record=True) if R > 0 else None
     if y is None:
         y = x if seg is None else seg.x_end
@@ -811,15 +822,12 @@ def operation_table(problem, edge_time=0.0):
     """
     E1, E2 = problem.incoming
     table = {}
-    try:
+    with dropping(problem.pullbacks, *(system.branches for system in
+                                       problem.incoming + problem.outgoing)):
         for c1 in E1.critical_points:
             for c2 in E2.critical_points:
                 table[(c1.name, c2.name)] = diagram_flow_operation(
                     problem, [((c1.name, c2.name), 1)], edge_time=edge_time)
-    finally:
-        for system in problem.incoming + problem.outgoing:
-            system.branches.clear()
-        problem.pullbacks.clear()
     return table
 
 

@@ -263,7 +263,7 @@ class TestCriteria789:
         # index-2 -> index-1 pairs only in dimension three and up
         t3 = torus_cosine(3, [1.0, 0.7, 0.55])
         # the gate passes on honest counts
-        assert count_flow_lines(t3, "x110", "x100", stability=True) == 0
+        assert count_flow_lines(t3, "x110", "x100") == 0
 
         # and fails loudly when a resolution-dependent count is injected
         real = morseflow.counting.find_connections
@@ -278,6 +278,6 @@ class TestCriteria789:
 
         monkeypatch.setattr(morseflow.counting, "find_connections", flaky)
         with pytest.raises(CountInstabilityError):
-            count_flow_lines(t3, "x110", "x100", stability=True)
+            count_flow_lines(t3, "x110", "x100")
         report(9, "signed counts stable under resolution doubling; injected "
                "instability raises CountInstabilityError")

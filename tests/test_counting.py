@@ -34,6 +34,7 @@ from morseflow.geometry import (
     sphere_height,
     torus_cosine,
 )
+from morseflow.geometry.flow import orientation_sign
 
 from oracles import circle_complex, tensor_complex
 
@@ -97,9 +98,11 @@ class TestCounts:
                 assert np.array_equal(cx2.map_from(p) % 2,
                                       cx.map_from(p).astype(object) % 2)
 
-    def test_rho_independence(self, t2):
-        assert count_flow_lines(t2, "x11", "x01", rho=0.01) == 0
-        assert count_flow_lines(t2, "x11", "x01", rho=0.04) == 0
+    def test_rho_independence(self, t3):
+        # rho is the radius of the circle lattice, which T3 x110 -> x100
+        # reaches; surface pairs are branch curves and never read it
+        assert count_flow_lines(t3, "x110", "x100", rho=0.01) == 0
+        assert count_flow_lines(t3, "x110", "x100", rho=0.04) == 0
 
     def test_perturbed_torus_counts_still_cancel(self):
         # seeded coupling term breaks the product symmetry; the catalog is
@@ -237,6 +240,30 @@ class TestSurfacesFromTheTarget:
 
         monkeypatch.setattr(counting, "_find_connections_d2", no_lattice)
         boundary_operator(make())
+
+
+class TestSignOracles:
+    """Checks on the signs themselves, which |entries| and homology leave
+    free: the top-index points signed by their orientation form the
+    fundamental class, a cycle, and every column of d1 sums to zero (the
+    augmentation)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: sphere_band(2),
+        lambda: sphere_band(3),
+        lambda: product_system(torus_cosine(1, [1.0]), sphere_band(2)),
+        lambda: torus_cosine(3, [1.0, 0.7, 0.55]),
+        lambda: torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=3),
+    ], ids=["s2-band", "s3-band", "s1xs2-band", "t3", "t2-perturbed"])
+    def test_fundamental_class_and_augmentation(self, make):
+        system = make()
+        cx = boundary_operator(system)
+        n = system.manifold.dim
+        eps = [orientation_sign(
+            system.manifold.oriented_tangent_basis(system.point(x).point),
+            system.point(x).unstable_frame) for x in cx.labels(n)]
+        assert not (cx.map_from(n) @ np.array(eps, dtype=object)).any()
+        assert not cx.map_from(1).sum(axis=0).any()
 
 
 class TestLatticeDrops:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morseflow.complexes import chain_map_defect, homology
-from morseflow.counting import boundary_operator
+from morseflow.counting import boundary_operator, continuation
 from morseflow.errors import (
     OrientationError,
     StructuralValidationError,
@@ -10,7 +10,13 @@ from morseflow.errors import (
     UnsupportedDiagramError,
 )
 from morseflow.fatgraph import ChordDiagram, FatGraph
-from morseflow.geometry import sphere_height, torus_cosine
+from morseflow.geometry import (
+    CriticalPoint,
+    MorseSystem,
+    sphere_band,
+    sphere_height,
+    torus_cosine,
+)
 from morseflow.geometry.bundles import (
     sphere_tangent_bundle,
     torus_tangent_bundle,
@@ -385,10 +391,64 @@ class TestDiagramOperation:
             [(3.9276, 5.6374), (4.8738, 1.415), (1.886, 5.4887)],
             perturb=0.02, seeds=(91, 0, 49))))
 
+    @pytest.mark.parametrize("phases, perturb, seeds, R", [
+        ([(4.5796, 3.7717), (4.4702, 3.3683), (3.5077, 5.6931)], 0.05,
+         (815, 282, 876), 0.0),
+        ([(5.95, 5.9258), (2.9908, 5.0314), (4.67, 5.9644)], 0.05,
+         (222, 354, 81), 0.0),
+        ([(5.6639, 1.3644), (0.2078, 1.2615), (2.1724, 2.9462)], 0.02,
+         (202, 339, 906), 1.0),
+    ], ids=["p05-815", "p05-222", "p02-202-R1"])
+    def test_incoming_frames_from_the_crossing(self, phases, perturb, seeds,
+                                               R):
+        # a backward flow from the crossing to an index-1 input missed it
+        # by about 1.1e-3; its frame is carried along the branch instead
+        assert_oracle_table(operation_table(
+            phased_problem(phases, perturb, seeds), edge_time=R))
+
+    def test_rotated_sphere_band_labels(self):
+        # backward flows from the (pole-, rim_hi) -> rim_hi and (rim_hi,
+        # rim_hi) -> rim_lo configurations left the band's weakly
+        # attracting equator and missed rim_hi by 0.09 and 0.23
+        band = sphere_band(2, 0.15)
+
+        def rotated(tilt, turn, name):
+            c, s = np.cos(tilt), np.sin(tilt)
+            R = np.array([[np.cos(turn), -np.sin(turn), 0.0],
+                          [np.sin(turn), np.cos(turn), 0.0],
+                          [0.0, 0.0, 1.0]]) @ np.array(
+                [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+            return MorseSystem(
+                band.manifold, lambda x: band.f(R.T @ x),
+                lambda x: R @ band.grad(R.T @ x),
+                [CriticalPoint(cp.name, R @ cp.point, cp.index)
+                 for cp in band.critical_points], name=name)
+
+        labels = [rotated(0.0, 0.0, "in1"), rotated(0.4, 1.1, "in2"),
+                  rotated(-0.3, 2.3, "out")]
+        problem = FlowGraphProblem(figure8_diagram(), labels[:2], labels[2:])
+        assert verify_operation_chain_map(problem, operation_table(problem))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_near_alignment_sweep(self, seed):
         assert_oracle_table(operation_table(phased_problem(
             near_alignment_phases(seed))))
+
+    def test_public_calls_keep_no_branch_flows(self):
+        # a kept system must not hold the branch flows of a finished call
+        problem = phased_problem([(0.0, 0.0), (0.9, 1.3), (-0.7, 0.55)])
+        labels = problem.incoming + problem.outgoing
+
+        def kept():
+            return [system.name for system in labels if system.branches]
+
+        for system in labels:
+            boundary_operator(system)
+        assert kept() == []
+        continuation(*problem.incoming)
+        assert kept() == []
+        operation_table(problem, edge_time=1.0)
+        assert kept() == [] and problem.pullbacks == {}
 
     def test_unit_is_fundamental_class(self, nu_table):
         for x in ("x00", "x10", "x01", "x11"):
