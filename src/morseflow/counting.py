@@ -11,7 +11,11 @@ strict convergence into y; only this search has a resolution, so only it
 passes the doubling gate (``gated``), which recounts at doubled resolution
 and raises on any change.  Every other pair raises ``GeometryError``.
 Index-1 chain-map entries on a surface intersect curves of recorded branch
-flows that start at their critical points (``curve_intersections``).
+flows that start at their critical points (``curve_intersections``).  Their
+signs need no frame carried along a flow: a one-dimensional W^u or W^s is
+oriented at each point of a branch by ``Branch.tangent``, and a
+top-dimensional one by the orientation class of its point's eigenframe
+(``orientation_class``).
 """
 
 from __future__ import annotations
@@ -147,22 +151,25 @@ def circle_lattice_roots(k, sample, tol):
 class Branch:
     """One branch of a one-dimensional W^u (direction +1) or W^s (-1) of a
     critical point: a polyline from the critical point through the nodes of
-    one recorded strict flow that starts 10 eps_conv off it along the
-    eigenvector, so the first segment, a chord, is within O(1e-10) of the
-    curve.  ``image`` maps the nodes into the manifold where curves are
-    intersected (an embedding, or an auxiliary flow); None is the identity.
+    one recorded strict flow that starts 10 eps_conv off it along side
+    (+-1) times the eigenvector, so the first segment, a chord, is within
+    O(1e-10) of the curve.  ``image`` maps the nodes into the manifold
+    where curves are intersected (an embedding, or an auxiliary flow); None
+    is the identity.
     """
 
-    def __init__(self, system, points, times, limit, direction, image=None):
+    def __init__(self, system, points, times, limit, direction, side,
+                 image=None):
         self.system, self.points, self.times = system, points, times
-        self.limit, self.direction, self.image = limit, direction, image
+        self.limit, self.direction, self.side = limit, direction, side
+        self.image = image
         self.x = (points if image is None
                   else np.array([image(p) for p in points]))
 
     def mapped(self, image):
         return self if image is None else Branch(
             self.system, self.points, self.times, self.limit, self.direction,
-            image)
+            self.side, image)
 
     def velocity(self, k, man=None):
         """Velocity at node k >= 1 in the branch's own manifold, or of its
@@ -193,8 +200,7 @@ class Branch:
         are Hermite interpolants of the two nodes: quintic in positions,
         velocities and accelerations, or cubic without accelerations on a
         mapped image.  A cubic is off the curve by up to about 3e-8 on a
-        perturbed torus, which the sign's closest pass of a saddle
-        magnifies past the detection radius; a quintic by about 5e-11."""
+        perturbed torus, a quintic by about 5e-11."""
         own = man is None or self.image is None
         nodes, m = ((self.points, self.system.manifold) if own
                     else (self.x, man))
@@ -217,17 +223,14 @@ class Branch:
         c = self.poly(k, None, base, np.eye(own.coord_dim))
         return own.project(base + _poly_at(c, theta)[0])
 
-    def carry(self, k, theta, frame):
-        """``frame``, given at the flow's start, transported along the flow
-        to the point at theta on segment k (the start, on the first)."""
-        t = (1.0 - theta) * self.times[k] + theta * self.times[k + 1]
-        keep = self.times[1:] <= t
-        return transport_frame(
-            self.system.manifold,
-            lambda p: self.direction * self.system.field(p),
-            np.append(self.times[1:][keep], t),
-            np.concatenate([self.points[1:][keep], [self.point(k, theta)]]),
-            frame)
+    def tangent(self, k, theta):
+        """The eigenvector, oriented, carried along the flow to the point at
+        theta on segment k, as a one-column frame: side times the unit
+        velocity there, since the linearised flow carries the velocity to
+        itself and the branch leaves its point along side times the
+        eigenvector."""
+        v = self.direction * self.system.field(self.point(k, theta))
+        return (self.side / np.linalg.norm(v)) * v[:, None]
 
 
 def _poly_at(c, theta):
@@ -260,7 +263,7 @@ def branches(system, cp, direction):
             raise GeometryError("%s has no one-dimensional manifold in "
                                 "direction %d" % (cp.name, direction))
         out = []
-        for side in (1.0, -1.0):
+        for side in (1, -1):
             res = flow(system, system.manifold.project(
                 cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
                 direction, record=True)
@@ -269,7 +272,8 @@ def branches(system, cp, direction):
                                               % cp.name)
             out.append(Branch(
                 system, np.concatenate([cp.point[None, :], res.points]),
-                np.concatenate([[0.0], res.times]), res.limit, direction))
+                np.concatenate([[0.0], res.times]), res.limit, direction,
+                side))
         system.branches[key] = out
     return system.branches[key]
 
@@ -461,6 +465,14 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
     return out
 
 
+def orientation_class(man, cp):
+    """Sign of cp's ordered eigenframe (U | S) in the manifold's
+    orientation.  A frame that spans the tangent space keeps this class
+    under any flow, so a top-dimensional W^u or W^s of cp is oriented by
+    it at every point."""
+    return orientation_sign(man.oriented_tangent_basis(cp.point), cp.frame)
+
+
 BRANCH, LATTICE = "branch", "lattice"
 
 
@@ -485,30 +497,26 @@ def _branch_lines(system, x_cp, y_cp):
     branch of W^u(x) if x has index 1, else of W^s(y), whose limit is the
     other point, with its nodes ordered from x to y.
 
-    A branch leaves its point along side (+-1) times the eigenvector.  From
-    x of index 1, direction and sign are the side: the linearised flow
-    carries the velocity to itself, and the minimum y adds only the flow
-    direction.  Into y of index dim - 1, x has top index, so its carried
-    frame spans the tangent space and keeps its orientation eps(x), and
-    near y the flow runs along -side S_y: the sign is -side eps(x) eps(y),
-    with eps(y) that of (U_y, S_y).  The direction is where the last node
-    lies from x, in x's unstable frame.
+    From x of index 1, direction and sign are the branch's side: the
+    linearised flow carries the velocity to itself, and the minimum y adds
+    only the flow direction.  Into y of index dim - 1, x has top index, so
+    its carried frame keeps the orientation class of x, and near y the flow
+    runs along -side S_y: the sign is -side times the classes of x and y.
+    The direction is where the last node lies from x, in x's unstable
+    frame.
     """
     if x_cp.index == 1:
-        return [(np.array([float(side)]), side, b.times, b.points)
-                for side, b in zip((1, -1), branches(system, x_cp, +1))
+        return [(np.array([float(b.side)]), b.side, b.times, b.points)
+                for b in branches(system, x_cp, +1)
                 if b.limit.name == y_cp.name]
     man = system.manifold
-    eps = orientation_sign(man.oriented_tangent_basis(x_cp.point),
-                           x_cp.unstable_frame) * orientation_sign(
-        man.oriented_tangent_basis(y_cp.point),
-        np.hstack([y_cp.unstable_frame, y_cp.stable_frame]))
+    eps = orientation_class(man, x_cp) * orientation_class(man, y_cp)
     out = []
-    for side, b in zip((1, -1), branches(system, y_cp, -1)):
+    for b in branches(system, y_cp, -1):
         if b.limit.name == x_cp.name:
             u = x_cp.unstable_frame.T @ man.displacement(x_cp.point,
                                                          b.points[-1])
-            out.append((u / np.linalg.norm(u), -side * eps,
+            out.append((u / np.linalg.norm(u), -b.side * eps,
                         b.times[-1] - b.times[::-1], b.points[::-1]))
     return out
 
@@ -739,61 +747,13 @@ def point_at_time(system, res, t):
     return seg.x_end
 
 
-def closest_pass_transport(system, z, direction, cp=None):
-    """Flow z toward cp and carry frames given at cp back to z.
-
-    The path is cut at its closest pass of cp, which must lie within half
-    the detection radius (landing exactly on a critical point is
-    numerically unreachable when the unstable rate beats the stable one).
-    With ``cp`` None the flow must converge and cp is its limit.  Returns
-    (cp, carry): ``carry(frame)`` transports a frame at cp back to z along
-    the path, which runs from the closest pass to z.
-    """
-    man = system.manifold
-    res = flow(system, z, direction, record=True)
-    if cp is None:
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("flow from the point did not "
-                                          "converge")
-        cp = res.limit
-    dists = man.distances(cp.point, res.points)
-    cut = int(np.argmin(dists))
-    if float(dists[cut]) > 0.5 * system.tol.detect_radius:
-        raise InternalInconsistencyError(
-            "point misses %s by %.3g" % (cp.name, dists[cut]))
-    times = (res.times[cut] - res.times[:cut + 1])[::-1]
-    pts = res.points[cut::-1]
-
-    def back_field(x):
-        return -direction * system.field(x)
-
-    def carry(frame):
-        if not frame.shape[1]:
-            return frame
-        return transport_frame(man, back_field, times, pts, frame)
-
-    return cp, carry
-
-
-def stable_coorientation_frames(sys_g, m2_cp, z):
-    """Frames (U, S) of W^u/W^s eigendata of m2 carried back to z.
-
-    The point z must flow into m2's neighborhood under sys_g; the
-    eigenframes of m2 are carried back from the trajectory's closest pass
-    (``closest_pass_transport``).  U coorients W^s(m2; g) there, S spans
-    its tangent.
-    """
-    _, carry = closest_pass_transport(sys_g, z, +1, m2_cp)
-    return carry(m2_cp.unstable_frame), carry(m2_cp.stable_frame)
-
-
-def transverse_sign(a_frame, u_frame, s_frame):
-    """Sign comparing two complements of a subspace spanned by s_frame."""
-    if s_frame.shape[1]:
-        def perp(fr):
-            return orthonormalize(fr - s_frame @ (s_frame.T @ fr))
-        return orientation_sign(perp(a_frame), perp(u_frame))
-    return orientation_sign(a_frame, u_frame)
+def backward_limit(system, z):
+    """The critical point whose unstable manifold contains z: the limit of
+    the backward flow from z, which must converge."""
+    res = flow(system, z, -1, record=False)
+    if res.status != CONVERGED:
+        raise CountingIncompleteError("flow from the point did not converge")
+    return res.limit
 
 
 def continuation(sys_f, sys_g):
@@ -822,10 +782,11 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None, push=None):
     ``image`` is e on points and ``push(pt, frame)`` its differential on a
     frame at pt; None is the identity, which gives continuation.  Index 0
     flows the image of m; index dim(codomain), reached only when e is the
-    identity, compares frames at the closest passes; index 1 crosses
-    e(W^u(m; f)) with W^s(m2; g) on the codomain surface and signs each
-    crossing by m's unstable frame, carried along its branch and pushed
-    through e, against the coorientation of W^s(m2; g).
+    identity, flows m2 backward under f and signs a hit on m by the
+    orientation classes of m and m2; index 1 crosses e(W^u(m; f)) with
+    W^s(m2; g) on the codomain surface and signs each crossing by the
+    tangent of m's branch, pushed through e and followed by the tangent of
+    m2's branch, against the orientation class of m2.
     """
     d = m_cp.index
     if d == 0:
@@ -835,25 +796,26 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None, push=None):
             raise CountingIncompleteError("flow from the image of %s "
                                           "unresolved" % m_cp.name)
         return 1 if res.limit.name == m2_cp.name else 0
-    if d == sys_g.manifold.dim:
-        source, carry = closest_pass_transport(sys_f, m2_cp.point, -1)
-        if source.name != m_cp.name:
+    man = sys_g.manifold
+    if d == man.dim:
+        if backward_limit(sys_f, m2_cp.point).name != m_cp.name:
             return 0
-        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp, m2_cp.point)
-        return transverse_sign(carry(m_cp.unstable_frame), U_g, S_g)
+        return (orientation_class(sys_f.manifold, m_cp)
+                * orientation_class(man, m2_cp))
     if d != 1:
         raise GeometryError(
             "chain-map counts over index-%d points below the top index are "
             "not implemented" % d)
     total = 0
     for c in curve_intersections(
-            sys_g.manifold,
-            [b.mapped(image) for b in branches(sys_f, m_cp, +1)],
+            man, [b.mapped(image) for b in branches(sys_f, m_cp, +1)],
             branches(sys_g, m2_cp, -1)):
-        A = c.a.carry(c.k, c.theta, m_cp.unstable_frame)
+        A = c.a.tangent(c.k, c.theta)
         if push is not None:
             A = push(c.point, A)
-        U_g, S_g = stable_coorientation_frames(sys_g, m2_cp,
-                                               c.b.point(c.l, c.u))
-        total += transverse_sign(A, U_g, S_g)
+        z = c.b.point(c.l, c.u)
+        total += orientation_sign(
+            man.oriented_tangent_basis(z),
+            np.hstack([A, c.b.tangent(c.l, c.u)]),
+            floor=1e-8) * orientation_class(man, m2_cp)
     return total

@@ -6,6 +6,12 @@ All maps come back as integer matrices in catalog order, with their chain
 identities checkable exactly via ``complexes.chain_map_defect``.  Index-1
 pushforward, umkehr and figure-8 counts on a surface are crossings of two
 curves of branch flows (``counting.curve_intersections``), with no gate.
+Their signs carry no frame along a flow: a one-dimensional W^u or W^s is
+oriented by its branch's tangent (``Branch.tangent``), and one that spans
+the tangent space by its point's orientation class
+(``counting.orientation_class``).  Only a figure-8 configuration with an
+auxiliary flow of positive time pulls the outgoing stable tangent back
+along that flow (``transport_frame``).
 """
 
 from __future__ import annotations
@@ -18,16 +24,15 @@ import numpy as np
 from .complexes import GradedComplex, chain_map_defect, homology
 from .counting import (
     approach,
+    backward_limit,
     boundary_operator,
     branches,
-    closest_pass_transport,
     continuation,
     curve_intersections,
     dropping,
     graded_matrices,
     hybrid_entry,
-    stable_coorientation_frames,
-    transverse_sign,
+    orientation_class,
 )
 from .errors import (
     GeometryError,
@@ -241,8 +246,9 @@ def umkehr(emb, verify=True):
     """Wrong-way chain map e_! of degree -codim.
 
     Counts W^u(m; f) meeting W^s(p; k) across the cooriented embedding;
-    signs compare the transported frame of W^u(m) against the pushed
-    unstable frame of p followed by the normal frame.
+    signs compare the oriented tangent frame of W^u(m) (``Branch.tangent``,
+    or the orientation class of m) against the pushed unstable frame of p
+    followed by the normal frame.
     """
     if emb.codim == 0:
         return continuation(emb.codomain, emb.domain)
@@ -269,11 +275,11 @@ def _umkehr_entry(emb, m_cp, p_cp):
     # p is the maximum of the circle P, so W^s(p; k) is the point p and the
     # entry asks whether e(p) lies in W^u(m): one backward flow answers it
     z = emb.image(p_cp.point)
-    source, carry = closest_pass_transport(emb.codomain, z, -1)
-    if source.name != m_cp.name:
+    man = emb.codomain.manifold
+    if backward_limit(emb.codomain, z).name != m_cp.name:
         return 0
-    return orientation_sign(carry(m_cp.unstable_frame),
-                            _image_frame(emb, p_cp, p_cp.point, z))
+    return orientation_class(man, m_cp) * orientation_sign(
+        man.oriented_tangent_basis(z), _image_frame(emb, p_cp, p_cp.point, z))
 
 
 def _image_frame(emb, p_cp, at, z):
@@ -299,12 +305,14 @@ def _umkehr_crossings_d1(emb, m_cp, p_cp):
     for c in curve_intersections(cod.manifold, branches(cod, m_cp, +1),
                                  arcs):
         zeta = c.b.point(c.l, c.u)
-        A = c.a.carry(c.k, c.theta, m_cp.unstable_frame)
-        # project off the tangent of W^s(p; k), which is all of the
-        # image because p is a minimum
+        # W^s(p; k) is all of the image because p is a minimum: both frames
+        # are followed by its tangent, so the sign compares their
+        # components off it
         S = emb.push_frame(zeta, dom.manifold.tangent_basis(zeta))
-        total += transverse_sign(
-            A, _image_frame(emb, p_cp, zeta, c.point), S)
+        total += orientation_sign(
+            np.hstack([c.a.tangent(c.k, c.theta), S]),
+            np.hstack([_image_frame(emb, p_cp, zeta, c.point), S]),
+            floor=1e-8)
     return total
 
 
@@ -512,12 +520,23 @@ def _newton_zero(bundle, man, section, x0, tol, max_iter=60):
 
 
 def _owning_unstable_frame(system, z, r):
-    owner, carry = closest_pass_transport(system, z, -1)
+    """(frame, owner name): W^u of the owner has rank r = dim, so the
+    frame is the class-signed tangent basis at z."""
+    owner = backward_limit(system, z)
     if owner.index != r:
         raise TransversalityError(
             "section zero sits on a lower stratum (owner %s of index %d); "
             "re-seed the section" % (owner.name, owner.index))
-    return carry(owner.unstable_frame), owner.name
+    return _class_frame(system.manifold, owner, z), owner.name
+
+
+def _class_frame(man, cp, z):
+    """The oriented tangent basis at z in cp's orientation class: the frame
+    of a W^u or W^s of cp that spans the tangent space, up to a change of
+    basis of positive determinant."""
+    B = man.oriented_tangent_basis(z).copy()
+    B[:, 0] *= orientation_class(man, cp)
+    return B
 
 
 def _zero_sign(bundle, man, section, z, tangent_frame):
@@ -663,10 +682,9 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0):
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     a1, a2, a3 = E1.point(inputs[0]), E2.point(inputs[1]), E3.point(output)
-    return sum(_configuration_sign(problem, a1, a2, a3, x, edge_time, y,
-                                   carried)
-               for x, y, carried in _find_configurations(problem, a1, a2, a3,
-                                                         edge_time))
+    return sum(_configuration_sign(problem, a1, a2, a3, x, edge_time, frames)
+               for x, frames in _find_configurations(problem, a1, a2, a3,
+                                                     edge_time))
 
 
 def _aux_time_map(problem, x, edge_time, direction=+1):
@@ -679,11 +697,11 @@ def _aux_time_map(problem, x, edge_time, direction=+1):
 
 def _find_configurations(problem, a1, a2, a3, R):
     """Isolated points x on both incoming unstable manifolds whose R-flow
-    lands on the outgoing stable manifold, as (x, y, carried): y is the
-    landing point when the search found it on W^s(a3), else None.  With an
+    lands on the outgoing stable manifold, as (x, frames).  With an
     index-1 input, configurations are crossings of two curves of branch
-    flows, and ``carried`` maps each index-1 input's system to its unstable
-    frame carried along its branch to x."""
+    flows, and ``frames`` maps the system of each one-dimensional manifold
+    to its branch's tangent at the crossing: W^u of an index-1 input at x,
+    and in case (2,1) W^s of the output at the landing point y."""
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     i1, i2 = a1.index, a2.index
@@ -695,7 +713,7 @@ def _find_configurations(problem, a1, a2, a3, R):
         x = _aux_time_map(problem, a3.point, R, direction=-1)
         if approach(E1, x, a1, -1)[0] == a1.name \
                 and approach(E2, x, a2, -1)[0] == a2.name:
-            return [(x, None, {})]
+            return [(x, {})]
         return []
     if {i1, i2} == {2, 0}:
         x = a2.point if i2 == 0 else a1.point
@@ -703,20 +721,20 @@ def _find_configurations(problem, a1, a2, a3, R):
         if approach(other_sys, x, other_cp, -1)[0] != other_cp.name:
             return []
         y = _aux_time_map(problem, x, R)
-        return [(x, None, {})] if approach(E3, y, a3)[0] == a3.name else []
+        return [(x, {})] if approach(E3, y, a3)[0] == a3.name else []
     if (i1, i2) == (1, 1):
         # the two unstable curves do not depend on R; the outgoing
         # minimum is checked after the R-flow
         hits = curve_intersections(man, branches(E1, a1, +1),
                                    branches(E2, a2, +1))
-        return [(c.point, None,
-                 {E1: c.a.carry(c.k, c.theta, a1.unstable_frame),
-                  E2: c.b.carry(c.l, c.u, a2.unstable_frame)}) for c in hits
+        return [(c.point, {E1: c.a.tangent(c.k, c.theta),
+                           E2: c.b.tangent(c.l, c.u)}) for c in hits
                 if approach(E3, _aux_time_map(problem, c.point, R), a3)[0]
                 == a3.name]
     if {i1, i2} == {2, 1}:
-        # W^s(a3) pulled back through the time-R flow node by node; y is
-        # read off W^s(a3), as two time-R flows round-trip to about 1e-8
+        # W^s(a3) pulled back through the time-R flow node by node; its
+        # tangent is read at y on W^s(a3), as two time-R flows round-trip
+        # to about 1e-8
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
         stable, key = branches(E3, a3, -1), (a3.name, R)
@@ -726,9 +744,8 @@ def _find_configurations(problem, a1, a2, a3, R):
                 for b in stable]
         hits = curve_intersections(man, branches(curve_sys, curve_cp, +1),
                                    problem.pullbacks.get(key, stable))
-        return [(c.point, c.b.point(c.l, c.u),
-                 {curve_sys: c.a.carry(c.k, c.theta,
-                                       curve_cp.unstable_frame)})
+        return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta),
+                           E3: c.b.tangent(c.l, c.u)})
                 for c in hits if approach(other_sys, c.point, other_cp, -1)[0]
                 == other_cp.name]
     raise InternalInconsistencyError(
@@ -736,51 +753,39 @@ def _find_configurations(problem, a1, a2, a3, R):
         % (i1, i2))
 
 
-def _unstable_coorientation_frame(system, cp, z):
-    """Oriented frame of T_z W^u(cp), anchored at the closest backward pass."""
-    if cp.index == 0:
-        return np.zeros((system.manifold.coord_dim, 0))
-    _, carry = closest_pass_transport(system, z, -1, cp)
-    return carry(cp.unstable_frame)
-
-
-def _configuration_sign(problem, a1, a2, a3, x, R, y, carried):
+def _configuration_sign(problem, a1, a2, a3, x, R, frames):
     """Orientation sign of one configuration.
 
     Computed in the doubled tangent space: the two incoming unstable
     frames against the diagonal copy of the outgoing stable tangent, with
     the stable tangent oriented by the outgoing unstable frame and the
-    manifold orientation; all outgoing data is taken at y, where the
-    auxiliary time-R flow from x lands unless y is given, and pulled back
-    along that flow.  An incoming frame that ``carried`` lacks is carried
-    to x from its closest backward pass of the input.
+    manifold orientation, which gives the orientation class of a3.  A W^u
+    or W^s of dimension 0 has the empty frame, one that spans the tangent
+    space the class-signed basis at x, and a one-dimensional one its
+    branch tangent in ``frames``; a one-dimensional outgoing tangent, read
+    at y, is pulled back along the auxiliary time-R flow from x.
     """
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     man = problem.manifold
     n = man.dim
-    U1, U2 = (carried[E] if E in carried
-              else _unstable_coorientation_frame(E, cp, x)
-              for E, cp in ((E1, a1), (E2, a2)))
-    seg = fixed_time_flow(problem.aux, x, R, record=True) if R > 0 else None
-    if y is None:
-        y = x if seg is None else seg.x_end
-    U3, S3 = stable_coorientation_frames(E3, a3, y)
-    if seg is not None:
-        back = ((seg.times[-1] - seg.times)[::-1], seg.points[::-1])
-        U3, S3 = (transport_frame(man, lambda p: -problem.aux.field(p),
-                                  *back, F) if F.shape[1] else F
-                  for F in (U3, S3))
-    B = man.oriented_tangent_basis(x)
-    full = np.concatenate([U3, S3], axis=1)
-    if full.shape[1] != n:
-        raise InternalInconsistencyError("outgoing frames do not span")
-    det_or = float(np.linalg.det(B.T @ full))
-    if abs(det_or) < 1e-6:
-        raise OrientationError("degenerate outgoing orientation data")
+
+    def frame(system, cp, d):
+        if d == 0:
+            return np.zeros((man.coord_dim, 0))
+        return _class_frame(man, cp, x) if d == n else frames[system]
+
+    U1, U2 = frame(E1, a1, a1.index), frame(E2, a2, a2.index)
+    S3 = frame(E3, a3, n - a3.index)
+    if R > 0 and E3 in frames:
+        seg = fixed_time_flow(problem.aux, x, R, record=True)
+        S3 = transport_frame(man, lambda p: -problem.aux.field(p),
+                             (seg.times[-1] - seg.times)[::-1],
+                             seg.points[::-1], S3)
     i1, i2 = a1.index, a2.index
     if i1 + i2 + S3.shape[1] != 2 * n:
         raise InternalInconsistencyError("configuration dimensions are off")
+    B = man.oriented_tangent_basis(x)
     M = np.zeros((2 * n, 2 * n))
     M[:n, :i1] = B.T @ U1
     M[n:, i1:i1 + i2] = B.T @ U2
@@ -788,7 +793,7 @@ def _configuration_sign(problem, a1, a2, a3, x, R, y, carried):
     det = float(np.linalg.det(M))
     if abs(det) < 1e-8:
         raise OrientationError("degenerate configuration determinant")
-    return (1 if det > 0 else -1) * (1 if det_or > 0 else -1)
+    return (1 if det > 0 else -1) * orientation_class(man, a3)
 
 
 def diagram_flow_operation(problem, input_chain, edge_time=0.0):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseflow.complexes import chain_map_defect, homology
 from morseflow.counting import boundary_operator, continuation
@@ -406,6 +407,20 @@ class TestDiagramOperation:
         assert_oracle_table(operation_table(
             phased_problem(phases, perturb, seeds), edge_time=R))
 
+    @pytest.mark.parametrize("phases, seeds, R", [
+        ([(0.8488, 3.7706), (2.6327, 2.0351), (1.0697, 4.9033)],
+         (945, 650, 914), 0.0),
+        ([(5.6317, 5.3918), (0.0178, 3.4021), (0.6714, 1.6208)],
+         (115, 351, 416), 1.0),
+        ([(4.9849, 2.949), (6.2568, 0.6178), (1.8502, 5.5373)],
+         (276, 714, 435), 1.0),
+    ], ids=["945", "115-R1", "276-R1"])
+    def test_outgoing_frames_from_the_branch(self, phases, seeds, R):
+        # a forward flow from the crossing on W^s(x10) to x10 missed it by
+        # 0.0011-0.0084; the stable tangent is read off the branch instead
+        assert_oracle_table(operation_table(
+            phased_problem(phases, 0.05, seeds), edge_time=R))
+
     def test_rotated_sphere_band_labels(self):
         # backward flows from the (pole-, rim_hi) -> rim_hi and (rim_hi,
         # rim_hi) -> rim_lo configurations left the band's weakly
@@ -433,6 +448,16 @@ class TestDiagramOperation:
     def test_near_alignment_sweep(self, seed):
         assert_oracle_table(operation_table(phased_problem(
             near_alignment_phases(seed))))
+
+    @settings(max_examples=10, derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), R=st.sampled_from([0.0, 1.0]))
+    def test_perturbed_label_sweep(self, seed, R):
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))
+        seeds = tuple(int(v) for v in rng.integers(0, 1000, size=3))
+        assert_oracle_table(operation_table(
+            phased_problem(phases, 0.05, seeds), edge_time=R))
 
     def test_public_calls_keep_no_branch_flows(self):
         # a kept system must not hold the branch flows of a finished call
