@@ -181,26 +181,13 @@ class Branch:
         return man.displacement(*[self.image(self.system.manifold.project(
             self.points[k] + s * e * v)) for s in (-1.0, 1.0)]) / (2.0 * e)
 
-    def acceleration(self, k):
-        """Acceleration at node k >= 1 in the branch's own manifold: the
-        derivative of the velocity field along itself, by central
-        differences 1e-5 along the flow."""
-        v = self.velocity(k)
-        e = 1e-5 / max(float(np.linalg.norm(v)), 1e-12)
-        return self.direction * (
-            self.system.field(self.system.manifold.project(
-                self.points[k] + e * v))
-            - self.system.field(self.system.manifold.project(
-                self.points[k] - e * v))) / (2.0 * e)
-
     def poly(self, k, man, origin, T):
         """Coefficients in theta of segment k, lowest degree first, in the
         chart T^T displacement(origin, .) of the image's manifold ``man``
         (None: the branch's own).  The first segment is a chord.  Others
-        are Hermite interpolants of the two nodes: quintic in positions,
-        velocities and accelerations, or cubic without accelerations on a
-        mapped image.  A cubic is off the curve by up to about 3e-8 on a
-        perturbed torus, a quintic by about 5e-11."""
+        are cubic Hermite interpolants of the positions and velocities of
+        the two nodes, off the curve by up to about 3e-8 on a perturbed
+        torus."""
         own = man is None or self.image is None
         nodes, m = ((self.points, self.system.manifold) if own
                     else (self.x, man))
@@ -209,13 +196,8 @@ class Branch:
             return p0, p1 - p0
         h = self.times[k + 1] - self.times[k]
         m0, m1 = (h * (T.T @ self.velocity(n, man)) for n in (k, k + 1))
-        if not own:
-            return (p0, m0, 3.0 * (p1 - p0) - 2.0 * m0 - m1,
-                    2.0 * (p0 - p1) + m0 + m1)
-        a0, a1 = (h * h * (T.T @ self.acceleration(n)) for n in (k, k + 1))
-        d, e, f = p1 - p0 - m0 - 0.5 * a0, m1 - m0 - a0, a1 - a0
-        return (p0, m0, 0.5 * a0, 10.0 * d - 4.0 * e + 0.5 * f,
-                -15.0 * d + 7.0 * e - f, 6.0 * d - 3.0 * e + 0.5 * f)
+        return (p0, m0, 3.0 * (p1 - p0) - 2.0 * m0 - m1,
+                2.0 * (p0 - p1) + m0 + m1)
 
     def point(self, k, theta):
         """The point at theta on segment k, in the branch's own manifold."""
@@ -268,8 +250,9 @@ def branches(system, cp, direction):
                 cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
                 direction, record=True)
             if res.status != CONVERGED:
-                raise CountingIncompleteError("branch flow of %s unresolved"
-                                              % cp.name)
+                raise CountingIncompleteError(
+                    "branch flow of %s unresolved (%s at t=%.6g after %d "
+                    "steps)" % (cp.name, res.status, res.t_end, res.steps))
             out.append(Branch(
                 system, np.concatenate([cp.point[None, :], res.points]),
                 np.concatenate([[0.0], res.times]), res.limit, direction,

@@ -46,8 +46,14 @@ class GeometryError(MorseflowError):
 
 
 class IntegrationError(GeometryError):
-    """Adaptive stepping failed (step underflow, monotonicity breach)."""
+    """Adaptive stepping failed (step underflow, monotonicity breach, step
+    budget); ``x0``, ``x``, ``t``, ``h`` and ``steps`` are the flow's start,
+    its point, time and step length when it failed, and its step count."""
     code = 1
+
+    def __init__(self, message, x0=None, x=None, t=None, h=None, steps=None):
+        super().__init__(message)
+        self.x0, self.x, self.t, self.h, self.steps = x0, x, t, h, steps
 
 
 class CountingIncompleteError(MorseflowError):

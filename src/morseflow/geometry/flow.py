@@ -3,10 +3,15 @@
 The stepper is an embedded Cash-Karp 4(5) pair with per-step reprojection
 to the manifold, a step-length cap that guarantees event balls are never
 jumped over, and a strict monotonicity assertion on the driving function.
+It runs its arithmetic on Python floats, float-exact to the written-out
+tableau (the same IEEE operations in the same order, not a matrix product):
+counts on the 3-manifold circle lattice depend on the last bits of the
+trajectories, so a reordered sum changes them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +51,22 @@ class FlowResult:
 
 def _rk_step(field_fn, x, h, k0):
     """One Cash-Karp step; ``k0`` is the field at x (stage 0)."""
-    k = [k0]
-    for stage in range(1, 6):
-        xs = x.copy()
-        for j, a in enumerate(_CK_A[stage]):
+    xl, k = x.tolist(), [k0.tolist()]
+
+    def combine(coeffs):
+        # x + (h a_0) k_0 + (h a_1) k_1 + ..., left to right, zeros skipped
+        out = xl
+        for kj, a in zip(k, coeffs):
             if a:
-                xs = xs + (h * a) * k[j]
-        k.append(field_fn(xs))
-    x5 = x.copy()
-    x4 = x.copy()
-    for j in range(6):
-        if _CK_B5[j]:
-            x5 = x5 + (h * _CK_B5[j]) * k[j]
-        if _CK_B4[j]:
-            x4 = x4 + (h * _CK_B4[j]) * k[j]
-    return x5, float(np.linalg.norm(x5 - x4))
+                c = h * a
+                out = [p + c * q for p, q in zip(out, kj)]
+        return out
+
+    for stage in range(1, 6):
+        k.append(field_fn(np.array(combine(_CK_A[stage]))).tolist())
+    x5 = np.array(combine(_CK_B5))
+    d = x5 - np.array(combine(_CK_B4))
+    return x5, math.sqrt(d.dot(d))
 
 
 def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
@@ -100,11 +106,15 @@ def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
             if names[i] not in closest or d < closest[names[i]][0]:
                 closest[names[i]] = (d, tn, xn.copy())
         nearest = int(np.argmin(dists))
-        if dists[nearest] < strict_radius:
+        dmin = float(dists[nearest])
+        if dmin < strict_radius:
             limit_name = names[nearest]
-        return dists
+        return dmin
 
-    dists = sweep(x, 0.0) if pts is not None else None
+    def failure(message):
+        return IntegrationError(message, x0=x0, x=x, t=t, h=h, steps=steps)
+
+    dmin = sweep(x, 0.0) if pts is not None else None
     if limit_name is not None:
         return FlowResult(CONVERGED, limit_name, 0.0, x, np.array(times),
                           np.array(path), np.array(fvals), closest, 0)
@@ -114,28 +124,27 @@ def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
         h = min(h, t_max - t)
         if v0 is None:
             v0 = field_fn(x)
-            speed = float(np.linalg.norm(v0))
-        if speed > 1e-14 and dists is not None:
-            dmin = float(np.min(dists))
+            speed = math.sqrt(v0.dot(v0))
+        if speed > 1e-14 and dmin is not None:
             cap = max(0.45 * strict_radius, min(0.25, 0.5 * dmin))
             h = min(h, cap / speed)
         elif speed > 1e-14:
             h = min(h, 0.25 / speed)
         x5, err = _rk_step(field_fn, x, h, v0)
-        scale = tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(x)))
+        scale = tol.atol + tol.rtol * max(1.0, math.sqrt(x.dot(x)))
         if err > scale and h > tol.h_min:
             h = max(tol.h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
             steps += 1
             continue
         if h <= tol.h_min and err > 10 * scale:
-            raise IntegrationError("step size underflow at t=%.6g" % t)
+            raise failure("step size underflow at t=%.6g" % t)
         xn = manifold.project(x5)
         tn = t + h
         if f_fn is not None:
             f_new = f_fn(xn)
             slack = (1e-9 + 50.0 * tol.rtol) * (1.0 + abs(f_prev))
             if f_new > f_prev + slack:
-                raise IntegrationError(
+                raise failure(
                     "monotonicity violated at t=%.6g: %.12g -> %.12g"
                     % (t, f_prev, f_new))
             f_prev = f_new
@@ -144,10 +153,10 @@ def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
         steps += 1
         if record:
             times.append(t)
-            path.append(x.copy())
+            path.append(x)
             fvals.append(f_prev if f_prev is not None else 0.0)
         if pts is not None:
-            dists = sweep(x, t)
+            dmin = sweep(x, t)
             if limit_name is not None:
                 status = CONVERGED
                 break
@@ -157,7 +166,7 @@ def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
             h = 5.0 * h
     else:
         if steps >= tol.max_steps:
-            raise IntegrationError("step budget exhausted")
+            raise failure("step budget exhausted")
         status = FIXED_TIME if abs(t - t_max) < 1e-12 else MAX_TIME
     if abs(t - t_max) < 1e-12 and status == MAX_TIME:
         status = FIXED_TIME

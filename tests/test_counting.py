@@ -28,10 +28,12 @@ from morseflow.errors import (
     AdmissibilityError,
     CountingIncompleteError,
     GeometryError,
+    StructuralValidationError,
 )
 from morseflow.geometry import (
     CriticalPoint,
     MorseSystem,
+    Tolerances,
     product_system,
     sphere_band,
     sphere_height,
@@ -243,6 +245,54 @@ class TestSurfacesFromTheTarget:
 
         monkeypatch.setattr(counting, "_find_connections_d2", no_lattice)
         boundary_operator(make())
+
+
+class TestComplexSweeps:
+    """Seeded sweeps of the ``complexes`` family: amplitudes, phases and
+    perturbations of T2, the band's eps, and the Z/2 reduction."""
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              database=None)
+    @given(a=st.floats(0.4, 0.9),
+           phases=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 2),
+           perturb=st.sampled_from([0.0, 0.05]),
+           seed=st.integers(0, 1000))
+    def test_t2_draws_give_kunneth(self, a, phases, perturb, seed):
+        system = torus_cosine(2, [1.0, a], phases=list(phases),
+                              perturb=perturb, seed=seed)
+        cx = boundary_operator(system)
+        assert homology(cx).betti_vector([0, 1, 2]) == (1, 2, 1)
+        assert all(not cx.map_from(p).any() for p in (1, 2))
+        assert_kunneth_t2(system, RING_Z2)
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              database=None)
+    @given(eps=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    def test_band_draws_give_the_sphere_or_raise(self, eps):
+        try:
+            system = sphere_band(2, eps)
+        except StructuralValidationError:
+            # rim_hi's Hessian eigenvalue is eps, under the catalog's
+            # nondegeneracy floor
+            assert eps < 2 * Tolerances().lambda_min
+            return
+        try:
+            cx = boundary_operator(system)
+            cx2 = boundary_operator(system, ring=RING_Z2)
+        except CountingIncompleteError:
+            return
+        assert homology(cx).betti_vector([0, 1, 2]) == (1, 0, 1)
+        assert sorted(abs(int(v)) for v in cx.map_from(2).flat) == [1, 1]
+        assert np.array_equal(cx2.map_from(2) % 2,
+                              cx.map_from(2).astype(object) % 2)
+
+    def test_slow_rim_branch_names_its_flow(self):
+        # rim_hi's stable eigenvalue is -eps: at eps = 0.05 its branch
+        # needs about 500 time units, past t_max = 400
+        with pytest.raises(CountingIncompleteError,
+                           match=r"branch flow of rim_hi unresolved "
+                                 r"\(fixed_time at t=400 after \d+ steps\)"):
+            boundary_operator(sphere_band(2, eps=0.05))
 
 
 class TestSignOracles:

@@ -1,7 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
-from morseflow.errors import GeometryError, ParseError, StructuralValidationError
+from morseflow.errors import (
+    GeometryError,
+    IntegrationError,
+    ParseError,
+    StructuralValidationError,
+)
 from morseflow.geometry import (
     CONVERGED,
     FIXED_TIME,
@@ -25,6 +32,9 @@ from morseflow.geometry import (
     transport_frame,
     unstable_sphere_sample,
 )
+from morseflow.operations import AuxiliaryFunction
+
+FLOW = sys.modules["morseflow.geometry.flow"]
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +188,100 @@ class TestFlow:
             assert t2.point(name).index < n
         for name in stats["backward"]:
             assert t2.point(name).index > 0
+
+
+def reference_rk_step(field_fn, x, h, k0):
+    """The Cash-Karp step written as numpy vector updates, one stage term
+    at a time; the module's kernel must reproduce it bit for bit."""
+    k = [k0]
+    for stage in range(1, 6):
+        xs = x.copy()
+        for j, a in enumerate(FLOW._CK_A[stage]):
+            if a:
+                xs = xs + (h * a) * k[j]
+        k.append(field_fn(xs))
+    x5 = x.copy()
+    x4 = x.copy()
+    for j in range(6):
+        if FLOW._CK_B5[j]:
+            x5 = x5 + (h * FLOW._CK_B5[j]) * k[j]
+        if FLOW._CK_B4[j]:
+            x4 = x4 + (h * FLOW._CK_B4[j]) * k[j]
+    return x5, float(np.linalg.norm(x5 - x4))
+
+
+def kernel_systems():
+    """Flat and perturbed tori, the sphere's 3-D coordinates, a product,
+    and the figure-8 auxiliary field."""
+    labels = [torus_cosine(2, [1.0, 0.7], phases=ph, name=nm)
+              for ph, nm in (([0.3, 1.9], "in1"), ([2.2, 4.0], "in2"))]
+    return {
+        "t2": torus_cosine(2, [1.0, 0.7]),
+        "t2-perturbed": torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=3),
+        "band2": sphere_band(2),
+        "s1xs2-band": product_system(torus_cosine(1, [1.0]), sphere_band(2)),
+        "fig8-aux": AuxiliaryFunction(labels),
+    }
+
+
+def _same_flow(a, b):
+    assert a.status == b.status and a.steps == b.steps
+    assert getattr(a.limit, "name", None) == getattr(b.limit, "name", None)
+    for key in ("times", "points", "f_values"):
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", ["t2", "t2-perturbed", "band2",
+                                      "s1xs2-band", "fig8-aux"])
+    def test_step_is_bit_exact(self, name):
+        system = kernel_systems()[name]
+        rng = np.random.default_rng(11)
+        for direction in (+1, -1):
+            def field_fn(x):
+                return direction * system.field(x)
+            for _ in range(4):
+                x = system.manifold.random_point(rng)
+                k0 = field_fn(x)
+                for h in (1e-6, 1e-3, 0.05, 0.4, 2.0):
+                    x5, err = FLOW._rk_step(field_fn, x, h, k0)
+                    x5_ref, err_ref = reference_rk_step(field_fn, x, h, k0)
+                    assert np.array_equal(x5, x5_ref)
+                    assert err == err_ref
+
+    @pytest.mark.parametrize("name", ["t2", "t2-perturbed", "band2",
+                                      "s1xs2-band"])
+    def test_flows_match_the_reference_step(self, name, monkeypatch):
+        system = kernel_systems()[name]
+        starts = [system.manifold.random_point(np.random.default_rng(seed))
+                  for seed in range(3)]
+
+        def run():
+            out = []
+            for x in starts:
+                for direction in (+1, -1):
+                    out.append(flow(system, x, direction))
+                    out.append(flow(system, x, direction, loose=True))
+                    out.append(fixed_time_flow(system, x, 1.3, direction))
+            return out
+
+        plain = run()
+        monkeypatch.setattr(FLOW, "_rk_step", reference_rk_step)
+        for a, b in zip(plain, run()):
+            _same_flow(a, b)
+
+
+class TestIntegrationErrors:
+    def test_step_budget_names_the_flow(self):
+        system = torus_cosine(2, [1.0, 0.7], tol=Tolerances(max_steps=5))
+        x0 = np.array([0.4, 1.1])
+        with pytest.raises(IntegrationError,
+                           match="^step budget exhausted$") as info:
+            flow(system, x0, +1)
+        err = info.value
+        assert err.steps == 5 and err.t > 0.0 and err.h > 0.0
+        assert np.array_equal(err.x0, x0)
+        assert err.x.shape == (2,) and not np.array_equal(err.x, x0)
 
 
 class TestSphereSampling:
