@@ -237,18 +237,26 @@ def _cross_solve(a, b, r):
 def branches(system, cp, direction):
     """The two branches of W^u(cp) (direction +1, one unstable direction)
     or W^s(cp) (direction -1, one stable direction), flown once per
-    system and kept on it."""
+    system and kept on it.
+
+    A branch leaves cp at the rate |lambda| of its eigenvalue: from 10
+    eps_conv off cp to unit distance takes about ln(1e5) / |lambda| = 11.5
+    / |lambda|.  So a branch flies for max(t_max, 40 / |lambda|), which
+    leaves room for the approach to its limit; a slow eigenvalue, such as
+    rim_hi's -eps on the sphere band, gets the time it needs."""
     key = (cp.name, direction)
     if key not in system.branches:
         frame = cp.unstable_frame if direction == +1 else cp.stable_frame
         if frame.shape[1] != 1:
             raise GeometryError("%s has no one-dimensional manifold in "
                                 "direction %d" % (cp.name, direction))
+        lam = cp.eigenvalues[0 if direction == +1 else cp.index]
+        t_max = max(system.tol.t_max, 40.0 / abs(float(lam)))
         out = []
         for side in (1, -1):
             res = flow(system, system.manifold.project(
                 cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
-                direction, record=True)
+                direction, t_max=t_max, record=True)
             if res.status != CONVERGED:
                 raise CountingIncompleteError(
                     "branch flow of %s unresolved (%s at t=%.6g after %d "

@@ -3,10 +3,34 @@
 The stepper is an embedded Cash-Karp 4(5) pair with per-step reprojection
 to the manifold, a step-length cap that guarantees event balls are never
 jumped over, and a strict monotonicity assertion on the driving function.
-It runs its arithmetic on Python floats, float-exact to the written-out
-tableau (the same IEEE operations in the same order, not a matrix product):
-counts on the 3-manifold circle lattice depend on the last bits of the
-trajectories, so a reordered sum changes them.
+It runs float-exact to the written-out tableau (the same IEEE operations in
+the same order, not a matrix product): counts on the 3-manifold circle
+lattice depend on the last bits of the trajectories, so a reordered sum
+changes them.
+
+``integrate`` is the one integration loop.  Between steps it keeps the
+state as a list of Python floats, and it reads the system through four
+list-in/list-out kernels: the field and the driving function
+(``float_kernels`` of the system), the projection (``project_floats`` of the
+manifold) and the distance sweep to the catalog (``distance_sweep``).  Tori
+with cosine wells supply all four natively; every other system adapts its
+numpy forms, which give the same bits by construction.  A native kernel
+must equal the numpy expression it replaces bit for bit, so it follows
+these rules, checked in ``tests/test_geometry.py``:
+
+- ``math.sin`` and ``math.cos`` equal ``np.sin`` and ``np.cos``, and
+  Python's float ``%`` equals ``np.mod``;
+- ``np.sum`` and ``add.reduce(axis=1)`` over two or three entries add left
+  to right, ``(a0 + a1) + a2``, and so must the kernel (never Python's
+  ``sum``, which compensates from Python 3.12 on);
+- negation commutes with rounding, so a kernel may fold a sign into a
+  product;
+- the error norm, the speed and the tolerance scale stay ``ndarray.dot``:
+  BLAS contracts a short dot product with fused multiply-adds, which a
+  Python sum of squares does not reproduce.
+
+Spheres and products keep the adapters for the last reason: their numpy
+projection and tangent projection go through BLAS ``dot`` and ``norm``.
 """
 
 from __future__ import annotations
@@ -49,114 +73,130 @@ class FlowResult:
     steps: int
 
 
-def _rk_step(field_fn, x, h, k0):
-    """One Cash-Karp step; ``k0`` is the field at x (stage 0)."""
-    xl, k = x.tolist(), [k0.tolist()]
-
-    def combine(coeffs):
-        # x + (h a_0) k_0 + (h a_1) k_1 + ..., left to right, zeros skipped
-        out = xl
-        for kj, a in zip(k, coeffs):
-            if a:
-                c = h * a
-                out = [p + c * q for p, q in zip(out, kj)]
-        return out
-
-    for stage in range(1, 6):
-        k.append(field_fn(np.array(combine(_CK_A[stage]))).tolist())
-    x5 = np.array(combine(_CK_B5))
-    d = x5 - np.array(combine(_CK_B4))
-    return x5, math.sqrt(d.dot(d))
+def _norm(v):
+    a = np.array(v)
+    return math.sqrt(a.dot(a))
 
 
-def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
-              event_points=None, event_names=None, record=True,
-              approach_targets=None):
+# the nonzero entries of the stage rows, then of B5 and B4, in the order
+# _rk_step unpacks them
+_CK_NONZERO = tuple(a for row in _CK_A + (_CK_B5, _CK_B4) for a in row if a)
+
+
+def _rk_step(field, x, h, k0):
+    """One Cash-Karp step on lists of floats; ``k0`` is the field at x
+    (stage 0).  Each stage is x + (h a_0) k_0 + (h a_1) k_1 + ..., summed
+    left to right over the nonzero tableau entries."""
+    (a10, a20, a21, a30, a31, a32, a40, a41, a42, a43,
+     a50, a51, a52, a53, a54, b0, b2, b3, b5, e0, e2, e3, e4, e5) = [
+        h * a for a in _CK_NONZERO]
+    k1 = field([p + a10 * q0 for p, q0 in zip(x, k0)])
+    k2 = field([p + a20 * q0 + a21 * q1 for p, q0, q1 in zip(x, k0, k1)])
+    k3 = field([p + a30 * q0 + a31 * q1 + a32 * q2
+                for p, q0, q1, q2 in zip(x, k0, k1, k2)])
+    k4 = field([p + a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3
+                for p, q0, q1, q2, q3 in zip(x, k0, k1, k2, k3)])
+    k5 = field([p + a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4
+                for p, q0, q1, q2, q3, q4 in zip(x, k0, k1, k2, k3, k4)])
+    x5 = [p + b0 * q0 + b2 * q2 + b3 * q3 + b5 * q5
+          for p, q0, q2, q3, q5 in zip(x, k0, k2, k3, k5)]
+    x4 = [p + e0 * q0 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5
+          for p, q0, q2, q3, q4, q5 in zip(x, k0, k2, k3, k4, k5)]
+    return x5, _norm([a - b for a, b in zip(x5, x4)])
+
+
+def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
+              record=True, approach_targets=None):
     """Adaptive negative-flow integration with event tracking.
 
-    ``event_points``: matrix of catalog positions; entering the
-    ``tol.eps_conv`` ball of any of them ends the run as CONVERGED.
-    ``approach_targets`` (indices into event rows) get closest-approach
-    tracking.  Each accepted point is swept for distances once; the sweep
-    serves the convergence test, the closest passes and the step cap.
+    ``field``, ``value``, ``project`` and ``sweep`` are the list-in/list-out
+    kernels of the module docstring; ``value`` must not increase along the
+    flow.  ``sweep`` (None: no events) gives the distances to the catalog
+    points named by ``names``; entering the ``tol.eps_conv`` ball of any of
+    them ends the run as CONVERGED.  ``approach_targets`` (indices into
+    ``names``) get closest-approach tracking.  Each accepted point is swept
+    for distances once; the sweep serves the convergence test, the closest
+    passes and the step cap.
     """
-    x = manifold.project(np.asarray(x0, dtype=float))
+    x = project(np.asarray(x0, dtype=float).tolist())
     t = 0.0
     h = tol.h_init
+    h_min, atol, rtol = tol.h_min, tol.atol, tol.rtol
     strict_radius = tol.eps_conv
-    names = list(event_names or ())
-    pts = None
-    if event_points is not None and len(names):
-        pts = np.asarray(event_points, dtype=float)
-    targets = list(approach_targets or ()) if pts is not None else []
-    f_prev = f_fn(x) if f_fn else None
+    targets = list(approach_targets or ()) if sweep is not None else []
+    f_prev = value(x)
     times = [0.0]
-    path = [x.copy()]
-    fvals = [f_prev if f_prev is not None else 0.0]
+    path = [x]
+    fvals = [f_prev]
     closest = {}
     limit_name = None
     status = MAX_TIME
     steps = 0
 
-    def sweep(xn, tn):
+    def track(xn, tn):
         nonlocal limit_name
-        dists = manifold.distances(xn, pts)
+        dists = sweep(xn)
         for i in targets:
-            d = float(dists[i])
-            if names[i] not in closest or d < closest[names[i]][0]:
-                closest[names[i]] = (d, tn, xn.copy())
-        nearest = int(np.argmin(dists))
-        dmin = float(dists[nearest])
+            d, name = dists[i], names[i]
+            if name not in closest or d < closest[name][0]:
+                closest[name] = (d, tn, xn)
+        dmin = min(dists)
         if dmin < strict_radius:
-            limit_name = names[nearest]
+            limit_name = names[dists.index(dmin)]
         return dmin
 
     def failure(message):
-        return IntegrationError(message, x0=x0, x=x, t=t, h=h, steps=steps)
+        return IntegrationError(message, x0=x0, x=np.array(x), t=t, h=h,
+                                steps=steps)
 
-    dmin = sweep(x, 0.0) if pts is not None else None
+    def result():
+        return FlowResult(status, limit_name, t, np.array(x),
+                          np.array(times), np.array(path), np.array(fvals),
+                          {name: (d, tn, np.array(xn))
+                           for name, (d, tn, xn) in closest.items()},
+                          steps)
+
+    dmin = track(x, 0.0) if sweep is not None else None
     if limit_name is not None:
-        return FlowResult(CONVERGED, limit_name, 0.0, x, np.array(times),
-                          np.array(path), np.array(fvals), closest, 0)
+        status = CONVERGED
+        return result()
 
     v0 = None
     while t < t_max and steps < tol.max_steps:
         h = min(h, t_max - t)
         if v0 is None:
-            v0 = field_fn(x)
-            speed = math.sqrt(v0.dot(v0))
+            v0 = field(x)
+            speed = _norm(v0)
+            scale = atol + rtol * max(1.0, _norm(x))
         if speed > 1e-14 and dmin is not None:
             cap = max(0.45 * strict_radius, min(0.25, 0.5 * dmin))
             h = min(h, cap / speed)
         elif speed > 1e-14:
             h = min(h, 0.25 / speed)
-        x5, err = _rk_step(field_fn, x, h, v0)
-        scale = tol.atol + tol.rtol * max(1.0, math.sqrt(x.dot(x)))
-        if err > scale and h > tol.h_min:
-            h = max(tol.h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
+        x5, err = _rk_step(field, x, h, v0)
+        if err > scale and h > h_min:
+            h = max(h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
             steps += 1
             continue
-        if h <= tol.h_min and err > 10 * scale:
+        if h <= h_min and err > 10 * scale:
             raise failure("step size underflow at t=%.6g" % t)
-        xn = manifold.project(x5)
+        xn = project(x5)
         tn = t + h
-        if f_fn is not None:
-            f_new = f_fn(xn)
-            slack = (1e-9 + 50.0 * tol.rtol) * (1.0 + abs(f_prev))
-            if f_new > f_prev + slack:
-                raise failure(
-                    "monotonicity violated at t=%.6g: %.12g -> %.12g"
-                    % (t, f_prev, f_new))
-            f_prev = f_new
+        f_new = value(xn)
+        slack = (1e-9 + 50.0 * rtol) * (1.0 + abs(f_prev))
+        if f_new > f_prev + slack:
+            raise failure("monotonicity violated at t=%.6g: %.12g -> %.12g"
+                          % (t, f_prev, f_new))
+        f_prev = f_new
         x, t = xn, tn
         v0 = None
         steps += 1
         if record:
             times.append(t)
             path.append(x)
-            fvals.append(f_prev if f_prev is not None else 0.0)
-        if pts is not None:
-            dmin = sweep(x, t)
+            fvals.append(f_prev)
+        if sweep is not None:
+            dmin = track(x, t)
             if limit_name is not None:
                 status = CONVERGED
                 break
@@ -170,8 +210,7 @@ def integrate(manifold, field_fn, x0, *, t_max, tol, f_fn=None,
         status = FIXED_TIME if abs(t - t_max) < 1e-12 else MAX_TIME
     if abs(t - t_max) < 1e-12 and status == MAX_TIME:
         status = FIXED_TIME
-    return FlowResult(status, limit_name, t, x, np.array(times),
-                      np.array(path), np.array(fvals), closest, steps)
+    return result()
 
 
 def flow(system, x0, direction=+1, t_max=None, record=True,
@@ -184,31 +223,19 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
     ``loose`` switches to coarse step control for classification flows
     whose exact path does not matter.
     """
-    man = system.manifold
-    if direction == +1:
-        field_fn = system.field
-        f_fn = system.f
-    elif direction == -1:
-        field_fn = lambda x: -system.field(x)
-        f_fn = lambda x: -system.f(x)
-    else:
+    if direction not in (+1, -1):
         raise GeometryError("direction must be +1 or -1")
-    tol = system.tol
-    if loose:
-        cached = getattr(system, "_loose_tol", None)
-        if cached is None:
-            cached = tol.loosened()
-            system._loose_tol = cached
-        tol = cached
-    names = [cp.name for cp in system.critical_points]
-    pts = np.stack([cp.point for cp in system.critical_points])
+    field, value = system.float_kernels(direction)
+    tol = system.tol.loosened() if loose else system.tol
+    names = system.catalog["name"].tolist()
     idx_targets = None
     if approach_targets is not None:
         idx_targets = [names.index(nm) for nm in approach_targets]
-    res = integrate(man, field_fn, x0,
+    man = system.manifold
+    res = integrate(field, value, man.project_floats,
+                    man.distance_sweep(system.points), x0,
                     t_max=t_max if t_max is not None else tol.t_max,
-                    tol=tol, f_fn=f_fn, event_points=pts,
-                    event_names=names, record=record,
+                    tol=tol, names=names, record=record,
                     approach_targets=idx_targets)
     if res.limit is not None:
         res.limit = system.point(res.limit)
@@ -217,16 +244,14 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
 
 def fixed_time_flow(system, x0, duration, direction=+1, record=True):
     """Integrate for exactly ``duration`` time units, no event stopping."""
-    man = system.manifold
-    field_fn = system.field if direction == +1 else (
-        lambda x: -system.field(x))
-    f_fn = system.f if direction == +1 else (lambda x: -system.f(x))
+    field, value = system.float_kernels(+1 if direction == +1 else -1)
+    project = system.manifold.project_floats
     if duration == 0.0:
-        x = man.project(np.asarray(x0, dtype=float))
-        return FlowResult(FIXED_TIME, None, 0.0, x, np.array([0.0]),
-                          np.array([x]), np.array([f_fn(x)]), {}, 0)
-    return integrate(man, field_fn, x0, t_max=duration, tol=system.tol,
-                     f_fn=f_fn, record=record)
+        x = project(np.asarray(x0, dtype=float).tolist())
+        return FlowResult(FIXED_TIME, None, 0.0, np.array(x), np.array([0.0]),
+                          np.array([x]), np.array([value(x)]), {}, 0)
+    return integrate(field, value, project, None, x0, t_max=duration,
+                     tol=system.tol, record=record)
 
 
 def membership_stable(system, cp, x, t_max=None):

@@ -3,10 +3,15 @@ and products by concatenation.
 
 Points are numpy arrays of length ``coord_dim``; every model supplies a
 projection (nearest point or wrap), tangent projection, and a distance used
-for convergence and event detection.
+for convergence and event detection.  The integrator reads the projection
+and the distance sweep on lists of Python floats (``project_floats``,
+``distance_sweep``): tori compute them natively, bit for bit the numpy
+forms, and every other model adapts its numpy methods.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,6 +21,7 @@ TWO_PI = 2.0 * np.pi
 
 
 class ManifoldModel:
+    __slots__ = ()
     dim: int
     coord_dim: int
 
@@ -46,6 +52,17 @@ class ManifoldModel:
     def distances(self, x, pts):
         """Distances from x to each row of pts."""
         return np.array([self.distance(x, p) for p in pts])
+
+    def project_floats(self, x):
+        """``project`` on a list of floats, returned as a list."""
+        return self.project(np.array(x)).tolist()
+
+    def distance_sweep(self, pts):
+        """The function taking a point (a list of floats) to the list of
+        its ``distances`` to the rows of ``pts``."""
+        def sweep(x):
+            return self.distances(np.array(x), pts).tolist()
+        return sweep
 
 
 class SphereModel(ManifoldModel):
@@ -110,6 +127,8 @@ class SphereModel(ManifoldModel):
 class TorusModel(ManifoldModel):
     """Flat n-torus with angle coordinates in [0, 2*pi)."""
 
+    __slots__ = ("dim", "coord_dim")
+
     def __init__(self, dim):
         self.dim = int(dim)
         self.coord_dim = self.dim
@@ -133,6 +152,25 @@ class TorusModel(ManifoldModel):
     def distances(self, x, pts):
         d = (np.asarray(pts) - np.asarray(x) + np.pi) % TWO_PI - np.pi
         return np.linalg.norm(d, axis=1)
+
+    def project_floats(self, x):
+        # Python's float % is np.mod: the same wrap, bit for bit
+        return [v % TWO_PI for v in x]
+
+    def distance_sweep(self, pts):
+        # norm(axis=1) squares and adds each row left to right, then takes
+        # the square root; the sweep runs the same operations column by
+        # column
+        cols = np.asarray(pts, dtype=float).T.tolist()
+        pi, sqrt = math.pi, math.sqrt
+
+        def sweep(x):
+            acc = None
+            for col, q in zip(cols, x):
+                sq = [(d := (p - q + pi) % TWO_PI - pi) * d for p in col]
+                acc = sq if acc is None else [a + b for a, b in zip(acc, sq)]
+            return [sqrt(a) for a in acc]
+        return sweep
 
     def tangent_basis(self, x):
         return np.eye(self.dim)

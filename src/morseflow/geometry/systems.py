@@ -3,13 +3,20 @@ verified catalog of nondegenerate critical points.
 
 Construction recomputes the covariant Hessian at every declared critical
 point, checks nondegeneracy and the declared index, and stores the ordered
-eigenbasis that fixes the unstable-manifold orientations.
+eigenbasis that fixes the unstable-manifold orientations.  The catalog is
+one structured array per system, one record per point.  A system hands
+the integrator its field and function on lists of Python floats
+(``float_kernels``): native for torus cosine wells, numpy adapters for
+everything else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -17,7 +24,7 @@ from ..errors import GeometryError, ParseError, StructuralValidationError
 from .manifolds import ProductModel, SphereModel, TorusModel, TWO_PI
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     eps_conv: float = 1e-6        # strict convergence ball radius
     detect_radius: float = 2e-3   # coarse event-ball radius
@@ -30,23 +37,76 @@ class Tolerances:
     h_min: float = 1e-13
     max_steps: int = 400_000
 
+    @lru_cache(maxsize=16)
     def loosened(self, factor=1e3):
         """Search-phase copy: classification flows tolerate coarser steps."""
-        out = Tolerances(**self.__dict__)
-        out.rtol = self.rtol * factor
-        out.atol = self.atol * factor
-        out.h_init = 1e-2
-        return out
+        return replace(self, rtol=self.rtol * factor,
+                       atol=self.atol * factor, h_init=1e-2)
 
 
-@dataclass
+DEFAULT_TOLERANCES = Tolerances()
+
+
+@lru_cache(maxsize=32)
+def catalog_dtype(coord_dim, dim):
+    """The record of one critical point in a system's catalog array."""
+    return np.dtype([("name", object), ("index", int),
+                     ("point", float, (coord_dim,)),
+                     ("eigenvalues", float, (dim,)),
+                     ("frame", float, (coord_dim, dim)),
+                     ("value", float)])
+
+
 class CriticalPoint:
-    name: str
-    point: np.ndarray
-    index: int
-    value: float = 0.0
-    eigenvalues: np.ndarray = None
-    frame: np.ndarray = None      # coord_dim x dim, ascending eigenvalues
+    """A named critical point of a given index.
+
+    A verified point is made on access from one record of its system's
+    catalog array.  ``point``, ``eigenvalues`` (ascending), ``frame``
+    (coord_dim x dim, columns in the order of the eigenvalues) and
+    ``value`` are read from that record; the arrays are views into it.  A
+    declared point, before a system verifies it, has a record of its own
+    holding the fields it was given; the others read as None.
+    """
+
+    __slots__ = ("name", "index", "_catalog", "_row")
+
+    def __init__(self, name, point, index, value=0.0, eigenvalues=None,
+                 frame=None):
+        given = [(key, np.asarray(a, dtype=float)) for key, a in (
+            ("point", point), ("eigenvalues", eigenvalues), ("frame", frame),
+            ("value", value)) if a is not None]
+        record = np.zeros(1, [(key, float, a.shape) for key, a in given])
+        record[0] = tuple(a for _key, a in given)
+        self.name, self.index = name, int(index)
+        self._catalog, self._row = record, 0
+
+    @classmethod
+    def _record(cls, name, index, catalog, row):
+        cp = cls.__new__(cls)
+        cp.name, cp.index, cp._catalog, cp._row = name, index, catalog, row
+        return cp
+
+    def _field(self, key):
+        catalog = self._catalog
+        if key not in catalog.dtype.names:
+            return None
+        return catalog[key][self._row]
+
+    @property
+    def point(self):
+        return self._catalog["point"][self._row]
+
+    @property
+    def eigenvalues(self):
+        return self._field("eigenvalues")
+
+    @property
+    def frame(self):
+        return self._field("frame")
+
+    @property
+    def value(self):
+        return float(self._catalog["value"][self._row])
 
     @property
     def unstable_frame(self):
@@ -98,61 +158,110 @@ def refine_critical_point(manifold, grad, x0, steps=40, target=1e-12,
 
 
 class MorseSystem:
-    """Immutable bundle of (manifold, f, grad f, verified critical points)."""
+    """Immutable bundle of (manifold, f, grad f, verified critical points).
+
+    ``f`` is a callable on numpy points, and ``grad`` its gradient, or
+    None when ``f`` has a ``grad`` method.  When ``f`` also has a
+    ``float_kernels(direction)`` method, as ``CosineWells`` does, the
+    integrator reads the flow through those kernels, and otherwise through
+    numpy adapters (``numpy_kernels``).
+    """
+
+    __slots__ = ("manifold", "f", "_grad", "name", "tol", "fd_step",
+                 "catalog", "_lattice_shots", "branches")
 
     def __init__(self, manifold, f, grad, critical_points, name="system",
                  tol=None, fd_step=1e-6):
         self.manifold = manifold
         self.f = f
-        self.grad = grad
+        self._grad = grad
         self.name = name
-        self.tol = tol or Tolerances()
+        self.tol = tol or DEFAULT_TOLERANCES
         self.fd_step = fd_step
-        pts = []
-        for cp in critical_points:
-            pts.append(self._verify(cp))
-        self.critical_points = tuple(pts)
-        names = [cp.name for cp in pts]
+        rows = [self._verify(cp) for cp in critical_points]
+        names = [row[0] for row in rows]
         if len(set(names)) != len(names):
             raise StructuralValidationError("critical point names collide")
-        self._by_name = {cp.name: cp for cp in pts}
+        self.catalog = np.zeros(len(rows), catalog_dtype(manifold.coord_dim,
+                                                         manifold.dim))
+        for i, row in enumerate(rows):
+            self.catalog[i] = row
         # derived data, filled by counting (the catalog itself never
-        # changes): loose circle-lattice shots of the index-2 connection
-        # search, which only manifolds of dimension three and up reach
-        # (_lattice_shot), and branch flows of one-dimensional stable and
-        # unstable manifolds (branches)
-        self.lattice_shots, self.branches = {}, {}
+        # changes): branch flows of one-dimensional stable and unstable
+        # manifolds (branches), and loose circle-lattice shots of the
+        # index-2 connection search (lattice_shots), made on first use
+        self.branches, self._lattice_shots = {}, None
 
     # -- catalog ------------------------------------------------------------
 
+    @property
+    def grad(self):
+        """The gradient on numpy points: ``f.grad`` when the system was
+        given none."""
+        return self.f.grad if self._grad is None else self._grad
+
+    @property
+    def critical_points(self):
+        """The verified catalog, in declared order."""
+        return tuple(self._catalog_point(i) for i in range(len(self.catalog)))
+
+    def _catalog_point(self, i):
+        return CriticalPoint._record(self.catalog["name"][i],
+                                     int(self.catalog["index"][i]),
+                                     self.catalog, i)
+
     def point(self, name):
-        cp = self._by_name.get(name)
-        if cp is None:
+        names = self.catalog["name"].tolist()
+        if name not in names:
             raise StructuralValidationError(
                 "system %s has no critical point named %r" % (self.name, name))
-        return cp
+        return self._catalog_point(names.index(name))
+
+    @property
+    def lattice_shots(self):
+        """Kept shots of the circle lattice (``counting._lattice_shot``),
+        which only manifolds of dimension three and up reach."""
+        if self._lattice_shots is None:
+            self._lattice_shots = {}
+        return self._lattice_shots
+
+    @property
+    def points(self):
+        """The catalog's points, one row per critical point."""
+        return self.catalog["point"]
 
     def by_index(self, index):
-        return tuple(cp for cp in self.critical_points if cp.index == index)
+        return tuple(self._catalog_point(i) for i, k in enumerate(
+            self.catalog["index"].tolist()) if k == index)
 
     def indices(self):
-        return sorted({cp.index for cp in self.critical_points})
+        return sorted(set(self.catalog["index"].tolist()))
 
     def field(self, x):
         """Negative-gradient flow direction."""
         return -self.manifold.tangent_project(x, self.grad(x))
+
+    def float_kernels(self, direction):
+        """(field, value) of the flow in ``direction`` (+1 descends, -1
+        ascends) on lists of floats, for the integrator."""
+        native = getattr(self.f, "float_kernels", None)
+        if native is not None:
+            return native(direction)
+        return numpy_kernels(self, direction)
 
     def hessian_matrix(self, x):
         """Covariant Hessian in the orthonormal tangent basis at x."""
         return _covariant_hessian(self.manifold, self.grad, x, self.fd_step)
 
     def _verify(self, cp):
+        """(name, index, point, eigenvalues, frame, value) of a declared
+        point, verified."""
         p = self.manifold.project(np.asarray(cp.point, dtype=float))
-        g = self.manifold.tangent_project(p, self.grad(p))
-        if np.linalg.norm(g) > self.tol.eps_crit:
+        speed = np.linalg.norm(self.field(p))
+        if speed > self.tol.eps_crit:
             raise StructuralValidationError(
                 "catalog point %s has |grad| = %.3g > %.3g"
-                % (cp.name, np.linalg.norm(g), self.tol.eps_crit))
+                % (cp.name, speed, self.tol.eps_crit))
         H, basis = self.hessian_matrix(p)
         evals, evecs = np.linalg.eigh(H)
         if np.min(np.abs(evals)) < self.tol.lambda_min:
@@ -167,13 +276,83 @@ class MorseSystem:
         frame = np.zeros((self.manifold.coord_dim, len(evals)))
         for k in range(len(evals)):
             frame[:, k] = basis @ _canonical_sign(evecs[:, k])
-        return CriticalPoint(name=cp.name, point=p, index=index,
-                             value=float(self.f(p)), eigenvalues=evals,
-                             frame=frame)
+        return cp.name, index, p, evals, frame, float(self.f(p))
 
     def __repr__(self):
         return "MorseSystem(%s, %d critical points)" % (
             self.name, len(self.critical_points))
+
+
+def numpy_kernels(system, direction):
+    """(field, value) float kernels adapted from a system's numpy ``field``
+    and ``f``, negated for direction -1."""
+    field, f = system.field, system.f
+    if direction == +1:
+        return (lambda x: field(np.array(x)).tolist(),
+                lambda x: f(np.array(x)))
+    return (lambda x: (-field(np.array(x))).tolist(),
+            lambda x: -f(np.array(x)))
+
+
+class CosineWells:
+    """f(theta) = sum_i a_i cos(theta_i - phi_i) + c cos(sum_i theta_i +
+    psi) on the flat n-torus: the function itself on numpy points, its
+    ``grad``, and the float kernels of its flow.
+
+    The float kernels repeat the numpy forms operation for operation:
+    ``math.sin`` and ``math.cos`` equal ``np.sin`` and ``np.cos`` bit for
+    bit, ``np.sum`` over a few angles adds left to right, and negating a
+    product or a sum commutes with rounding.
+    """
+
+    __slots__ = ("params", "c", "psi")
+
+    def __init__(self, amps, phis, c=0.0, psi=0.0):
+        self.params = np.array([amps, phis], dtype=float)   # rows a, phi
+        self.c, self.psi = c, psi
+
+    def __call__(self, th):
+        amps, phis = self.params
+        th = np.asarray(th, dtype=float)
+        base = float(np.sum(amps * np.cos(th - phis)))
+        if self.c:
+            base += self.c * math.cos(float(np.sum(th)) + self.psi)
+        return base
+
+    def grad(self, th):
+        amps, phis = self.params
+        th = np.asarray(th, dtype=float)
+        g = -amps * np.sin(th - phis)
+        if self.c:
+            g = g - self.c * math.sin(float(np.sum(th)) + self.psi)
+        return g
+
+    def float_kernels(self, direction):
+        """(field, value) of the flow in ``direction``: -grad f and f,
+        both negated for direction -1."""
+        (amps, phis), c, psi = self.params.tolist(), self.c, self.psi
+        sign = float(direction)
+        sin, cos = math.sin, math.cos
+        if c:
+            def field(x):
+                w = c * sin(reduce(add, x) + psi)
+                return [sign * (a * sin(t - p) + w)
+                        for a, t, p in zip(amps, x, phis)]
+        else:
+            # (-a) s is -(a s), signed zeros included
+            signed = [sign * a for a in amps]
+
+            def field(x):
+                return [a * sin(t - p) for a, t, p in zip(signed, x, phis)]
+
+        def value(x):
+            total = reduce(add, [a * cos(t - p)
+                                 for a, t, p in zip(amps, x, phis)])
+            if c:
+                total += c * cos(reduce(add, x) + psi)
+            return sign * total
+
+        return field, value
 
 
 # -- catalog constructors ------------------------------------------------------
@@ -198,6 +377,12 @@ def sphere_height(n, tol=None, name=None):
     return MorseSystem(m, f, grad, pts, name=name or ("sphere%d" % n), tol=tol)
 
 
+@lru_cache(maxsize=8)
+def _torus_model(n):
+    """The torus model of dimension n, shared: it holds only n."""
+    return TorusModel(n)
+
+
 def torus_cosine(n, amplitudes, phases=None, perturb=0.0, seed=0,
                  tol=None, name=None):
     """Sum of per-angle cosine wells on the flat n-torus.
@@ -213,23 +398,10 @@ def torus_cosine(n, amplitudes, phases=None, perturb=0.0, seed=0,
     phis = np.zeros(n) if phases is None else np.asarray(phases, dtype=float)
     if phis.shape != (n,):
         raise StructuralValidationError("need %d phases" % n)
-    m = TorusModel(n)
-    rng = np.random.default_rng(seed)
-    psi = float(rng.uniform(0, TWO_PI))
+    m = _torus_model(n)
     c = float(perturb)
-
-    def f(th):
-        base = float(np.sum(amps * np.cos(th - phis)))
-        if c:
-            base += c * math.cos(float(np.sum(th)) + psi)
-        return base
-
-    def grad(th):
-        g = -amps * np.sin(th - phis)
-        if c:
-            g = g - c * math.sin(float(np.sum(th)) + psi)
-        return g
-
+    psi = float(np.random.default_rng(seed).uniform(0, TWO_PI)) if c else 0.0
+    wells = CosineWells(amps, phis, c, psi)
     pts = []
     for bits in range(2 ** n):
         pattern = [(bits >> i) & 1 for i in range(n)]
@@ -237,12 +409,12 @@ def torus_cosine(n, amplitudes, phases=None, perturb=0.0, seed=0,
                           for i in range(n)])
         if c:
             # the coupling term moves the critical points off the lattice
-            theta = refine_critical_point(m, grad, theta)
+            theta = refine_critical_point(m, wells.grad, theta)
         index = sum(pattern)
-        label = "x" + "".join(str(b) for b in pattern)
+        label = sys.intern("x" + "".join(str(b) for b in pattern))
         pts.append(CriticalPoint(label, theta, index))
-    sys_name = name or ("torus%d" % n)
-    return MorseSystem(m, f, grad, pts, name=sys_name, tol=tol)
+    sys_name = name or sys.intern("torus%d" % n)
+    return MorseSystem(m, wells, None, pts, name=sys_name, tol=tol)
 
 
 def sphere_band(n, eps=0.15, tol=None, name=None):
@@ -384,8 +556,8 @@ def parse_system_config(text, tol=None):
     kind = kv.get("kind")
     if kind is None:
         raise ParseError("config needs a 'kind' line")
-    tol = tol or Tolerances()
-    tol.eps_conv = _value(kv, "tol-conv", float, tol.eps_conv)
+    tol = tol or DEFAULT_TOLERANCES
+    tol = replace(tol, eps_conv=_value(kv, "tol-conv", float, tol.eps_conv))
     name = kv.get("name")
     if kind == "product":
         if len(factors) != 2:

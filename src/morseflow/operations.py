@@ -48,7 +48,7 @@ from .geometry.flow import (
     orthonormalize,
     transport_frame,
 )
-from .geometry.systems import Tolerances
+from .geometry.systems import DEFAULT_TOLERANCES, numpy_kernels
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -226,8 +226,9 @@ def pushforward(emb, verify=True):
             dom.indices(), cod.by_index, dom.by_index,
             lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp, emb.image,
                                             emb.push_frame))
-    if verify:
-        _verify_chain_map("pushforward", dom, cod, out, 0)
+        if verify:
+            # the differentials read the branches the entries just flew
+            _verify_chain_map("pushforward", dom, cod, out, 0)
     return out
 
 
@@ -258,8 +259,9 @@ def umkehr(emb, verify=True):
         out = graded_matrices(
             cod.indices(), lambda d: dom.by_index(d - r), cod.by_index,
             lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp))
-    if verify:
-        _verify_chain_map("umkehr", cod, dom, out, -r)
+        if verify:
+            # the differentials read the branches the entries just flew
+            _verify_chain_map("umkehr", cod, dom, out, -r)
     return out
 
 
@@ -575,7 +577,7 @@ class AuxiliaryFunction:
     def __init__(self, systems, tol=None):
         self.manifold = systems[0].manifold
         self.systems = tuple(systems)
-        self.tol = tol or Tolerances()
+        self.tol = tol or DEFAULT_TOLERANCES
 
     def f(self, x):
         return sum(s.f(x) for s in self.systems)
@@ -588,6 +590,9 @@ class AuxiliaryFunction:
 
     def field(self, x):
         return -self.manifold.tangent_project(x, self.grad(x))
+
+    def float_kernels(self, direction):
+        return numpy_kernels(self, direction)
 
 
 class FlowGraphProblem:

@@ -1,7 +1,9 @@
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseflow.errors import (
     GeometryError,
@@ -13,6 +15,7 @@ from morseflow.geometry import (
     CONVERGED,
     FIXED_TIME,
     CriticalPoint,
+    ManifoldModel,
     MorseSystem,
     SphereModel,
     TorusModel,
@@ -32,6 +35,7 @@ from morseflow.geometry import (
     transport_frame,
     unstable_sphere_sample,
 )
+from morseflow.geometry.systems import CosineWells, numpy_kernels
 from morseflow.operations import AuxiliaryFunction
 
 FLOW = sys.modules["morseflow.geometry.flow"]
@@ -228,7 +232,7 @@ def _same_flow(a, b):
     assert a.status == b.status and a.steps == b.steps
     assert getattr(a.limit, "name", None) == getattr(b.limit, "name", None)
     for key in ("times", "points", "f_values"):
-        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+        assert bits(getattr(a, key)) == bits(getattr(b, key)), key
 
 
 class TestKernel:
@@ -244,9 +248,11 @@ class TestKernel:
                 x = system.manifold.random_point(rng)
                 k0 = field_fn(x)
                 for h in (1e-6, 1e-3, 0.05, 0.4, 2.0):
-                    x5, err = FLOW._rk_step(field_fn, x, h, k0)
+                    x5, err = FLOW._rk_step(
+                        lambda v: field_fn(np.array(v)).tolist(),
+                        x.tolist(), h, k0.tolist())
                     x5_ref, err_ref = reference_rk_step(field_fn, x, h, k0)
-                    assert np.array_equal(x5, x5_ref)
+                    assert np.array_equal(np.array(x5), x5_ref)
                     assert err == err_ref
 
     @pytest.mark.parametrize("name", ["t2", "t2-perturbed", "band2",
@@ -265,10 +271,144 @@ class TestKernel:
                     out.append(fixed_time_flow(system, x, 1.3, direction))
             return out
 
+        def reference_on_lists(field, x, h, k0):
+            x5, err = reference_rk_step(lambda v: np.array(field(v.tolist())),
+                                        np.array(x), h, np.array(k0))
+            return x5.tolist(), err
+
         plain = run()
-        monkeypatch.setattr(FLOW, "_rk_step", reference_rk_step)
+        monkeypatch.setattr(FLOW, "_rk_step", reference_on_lists)
         for a, b in zip(plain, run()):
             _same_flow(a, b)
+
+
+def bits(values):
+    """The IEEE bytes of a float or a sequence of floats: equal bits, signed
+    zeros included."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# angles well outside [0, 2 pi), where wrapping and argument reduction act
+ANGLES = st.floats(-60.0, 60.0)
+SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
+                    database=None)
+
+
+def numpy_cosine(amps, phis, c, psi):
+    """f and the descending field -grad f of cosine wells, as the numpy
+    expressions that the float kernels replace."""
+    amps, phis = np.array(amps), np.array(phis)
+
+    def f(th):
+        base = float(np.sum(amps * np.cos(th - phis)))
+        if c:
+            base += c * math.cos(float(np.sum(th)) + psi)
+        return base
+
+    def field(th):
+        g = -amps * np.sin(th - phis)
+        if c:
+            g = g - c * math.sin(float(np.sum(th)) + psi)
+        return -g
+
+    return f, field
+
+
+@st.composite
+def cosine_wells(draw):
+    """(amplitudes, phases, c, psi, theta) of n = 1, 2 or 3 wells."""
+    n = draw(st.integers(1, 3))
+    vectors = st.lists(ANGLES, min_size=n, max_size=n)
+    return (draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)),
+            draw(vectors), draw(st.sampled_from([0.0, 0.03, -0.2])),
+            draw(st.floats(0.0, 2 * np.pi)), draw(vectors))
+
+
+class TestFloatKernels:
+    """Each native kernel of the torus equals, bit for bit, the numpy
+    expression it replaces, and so every flow through them equals the flow
+    through the numpy adapters."""
+
+    @SETTINGS
+    @given(drawn=cosine_wells(), direction=st.sampled_from([1, -1]))
+    def test_cosine_field_and_value(self, drawn, direction):
+        amps, phis, c, psi, x = drawn
+        wells = CosineWells(amps, phis, c, psi)
+        f, field = numpy_cosine(amps, phis, c, psi)
+        xa = np.array(x)
+        # the numpy forms of the wells are those expressions
+        assert bits(wells(xa)) == bits(f(xa))
+        assert bits(-wells.grad(xa)) == bits(field(xa))
+        kernel_field, kernel_value = wells.float_kernels(direction)
+        assert bits(kernel_field(x)) == bits(direction * field(xa))
+        assert bits(kernel_value(x)) == bits(direction * f(xa))
+
+    @SETTINGS
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_torus_projection(self, n, data):
+        x = data.draw(st.lists(st.one_of(
+            ANGLES, st.floats(-1e9, 1e9), st.sampled_from(
+                [0.0, -0.0, -1e-300, 2 * np.pi, -2 * np.pi, 1e-17])),
+            min_size=n, max_size=n))
+        m = TorusModel(n)
+        assert bits(m.project_floats(x)) == bits(np.mod(np.array(x),
+                                                        2 * np.pi))
+
+    @SETTINGS
+    @given(n=st.integers(1, 3), k=st.integers(1, 8), data=st.data())
+    def test_torus_distance_sweep(self, n, k, data):
+        pts = np.array(data.draw(st.lists(
+            st.lists(ANGLES, min_size=n, max_size=n), min_size=k,
+            max_size=k)))
+        x = data.draw(st.lists(ANGLES, min_size=n, max_size=n))
+        m = TorusModel(n)
+        assert bits(m.distance_sweep(pts)(x)) == bits(
+            m.distances(np.array(x), pts))
+
+    @pytest.mark.parametrize("name", ["t1", "t2", "t3", "t2-perturbed"])
+    def test_flows_match_the_numpy_adapters(self, name, monkeypatch):
+        system = {
+            "t1": lambda: torus_cosine(1, [0.8], phases=[2.0]),
+            "t2": lambda: torus_cosine(2, [1.0, 0.7], phases=[0.3, 5.1]),
+            "t3": lambda: torus_cosine(3, [1.0, 0.7, 0.55]),
+            "t2-perturbed": lambda: torus_cosine(2, [1.0, 0.7],
+                                                 perturb=0.05, seed=3),
+        }[name]()
+        names = [cp.name for cp in system.critical_points]
+        rng = np.random.default_rng(21)
+        # starts off the chart, and one on a stable manifold
+        starts = [rng.uniform(-20.0, 20.0, system.manifold.dim)
+                  for _ in range(3)] + [system.point(names[-2]).point + 1e-3]
+
+        def run():
+            out = []
+            for x in starts:
+                for direction in (+1, -1):
+                    out.append(flow(system, x, direction))
+                    out.append(flow(system, x, direction, t_max=1.0,
+                                    approach_targets=names))
+                    out.append(flow(system, x, direction, loose=True,
+                                    approach_targets=names[:2]))
+                    out.append(fixed_time_flow(system, x, 1.3, direction))
+            return out
+
+        native = run()
+        monkeypatch.setattr(MorseSystem, "float_kernels", numpy_kernels)
+        monkeypatch.setattr(TorusModel, "project_floats",
+                            ManifoldModel.project_floats)
+        monkeypatch.setattr(TorusModel, "distance_sweep",
+                            ManifoldModel.distance_sweep)
+        assert system.float_kernels(1)[0].__name__ == "<lambda>"
+        adapted = run()
+        assert len(native) == len(adapted) == 8 * len(starts)
+        assert any(res.closest for res in native)
+        for a, b in zip(native, adapted):
+            _same_flow(a, b)
+            assert bits(a.x_end) == bits(b.x_end) and a.t_end == b.t_end
+            assert sorted(a.closest) == sorted(b.closest)
+            for key, (d, t, pt) in a.closest.items():
+                d2, t2, pt2 = b.closest[key]
+                assert (d, t, bits(pt)) == (d2, t2, bits(pt2))
 
 
 class TestIntegrationErrors:
