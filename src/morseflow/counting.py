@@ -11,7 +11,8 @@ strict convergence into y; only this search has a resolution, so only it
 passes the doubling gate (``gated``), which recounts at doubled resolution
 and raises on any change.  Every other pair raises ``GeometryError``.
 Index-1 chain-map entries on a surface intersect curves of recorded branch
-flows that start at their critical points (``curve_intersections``).  Their
+flows that start at their critical points and end at their limits
+(``curve_intersections``).  Their
 signs need no frame carried along a flow: a one-dimensional W^u or W^s is
 oriented at each point of a branch by ``Branch.tangent``, and a
 top-dimensional one by the orientation class of its point's eigenframe
@@ -32,8 +33,10 @@ from .errors import (
     AdmissibilityError,
     CountingIncompleteError,
     CountInstabilityError,
+    DegenerateCrossingError,
     GeometryError,
     InternalInconsistencyError,
+    UnrefinedCrossingError,
 )
 from .geometry.flow import (
     CONVERGED,
@@ -152,10 +155,13 @@ class Branch:
     """One branch of a one-dimensional W^u (direction +1) or W^s (-1) of a
     critical point: a polyline from the critical point through the nodes of
     one recorded strict flow that starts 10 eps_conv off it along side
-    (+-1) times the eigenvector, so the first segment, a chord, is within
-    O(1e-10) of the curve.  ``image`` maps the nodes into the manifold
-    where curves are intersected (an embedding, or an auxiliary flow); None
-    is the identity.
+    (+-1) times the eigenvector, and on to the flow's limit point.  The
+    first segment, a chord, is within O(1e-10) of the curve; the last, a
+    chord too, spans the flow's last gap of at most eps_conv, so a crossing
+    there is not missed.  ``points`` and ``times`` are the flow's nodes
+    from the critical point, and ``nodes`` adds the limit.  ``image`` maps
+    the nodes into the manifold where curves are intersected (an
+    embedding, or an auxiliary flow); None is the identity.
     """
 
     def __init__(self, system, points, times, limit, direction, side,
@@ -163,8 +169,9 @@ class Branch:
         self.system, self.points, self.times = system, points, times
         self.limit, self.direction, self.side = limit, direction, side
         self.image = image
-        self.x = (points if image is None
-                  else np.array([image(p) for p in points]))
+        self.nodes = np.concatenate([points, limit.point[None, :]])
+        self.x = (self.nodes if image is None
+                  else np.array([image(p) for p in self.nodes]))
 
     def mapped(self, image):
         return self if image is None else Branch(
@@ -184,15 +191,15 @@ class Branch:
     def poly(self, k, man, origin, T):
         """Coefficients in theta of segment k, lowest degree first, in the
         chart T^T displacement(origin, .) of the image's manifold ``man``
-        (None: the branch's own).  The first segment is a chord.  Others
-        are cubic Hermite interpolants of the positions and velocities of
-        the two nodes, off the curve by up to about 3e-8 on a perturbed
-        torus."""
+        (None: the branch's own).  The first and the last segment are
+        chords.  Others are cubic Hermite interpolants of the positions and
+        velocities of the two nodes, off the curve by up to about 3e-8 on a
+        perturbed torus."""
         own = man is None or self.image is None
-        nodes, m = ((self.points, self.system.manifold) if own
+        nodes, m = ((self.nodes, self.system.manifold) if own
                     else (self.x, man))
         p0, p1 = (T.T @ m.displacement(origin, p) for p in nodes[k:k + 2])
-        if k == 0:
+        if k == 0 or k == len(self.points) - 1:
             return p0, p1 - p0
         h = self.times[k + 1] - self.times[k]
         m0, m1 = (h * (T.T @ self.velocity(n, man)) for n in (k, k + 1))
@@ -269,28 +276,72 @@ def branches(system, cp, direction):
     return system.branches[key]
 
 
+# segments per block of the chord search
+_BLOCK = 8
+# a crossing closer than this to an end of a curve raises: an order below
+# the 1e-9 at which two crossings count as one point
+_END_GAP = 1e-10
+
+
+def _blocks(man, R, lengths):
+    """(anchors, reaches) of the runs of ``_BLOCK`` consecutive segments of
+    the polyline R with these lengths: a run's anchor is its first node,
+    and its reach the largest distance from the anchor to one of its
+    segment starts plus that segment's length."""
+    starts = np.arange(0, len(lengths), _BLOCK)
+    anchors = R[starts]
+    off = np.linalg.norm(man.displacement(
+        np.repeat(anchors, _BLOCK, axis=0)[:len(lengths)], R[:-1]), axis=1)
+    return anchors, np.maximum.reduceat(off + lengths, starts)
+
+
 def _chord_hits(man, P, Q):
     """(i, j, s, u) for each crossing P[i] + s (P[i+1] - P[i]) =
     Q[j] + u (Q[j+1] - Q[j]) with s, u in [0, 1), on the tangent-plane
-    chart at P[i] through ``displacement``.  Only segment pairs whose
-    starts are closer than their summed lengths are charted."""
+    chart at P[i] through ``displacement``, in (i, j) order.
+
+    Only segment pairs whose starts are closer than their summed lengths
+    are charted, and only pairs of blocks (``_blocks``) whose anchors are
+    within their summed reaches (plus 1e-9 for rounding) can hold such a
+    pair: the distance |displacement| is a metric (flat torus, sphere
+    chords, products), so the triangle inequality bounds a pair's distance
+    by its anchors'.
+    """
     da, db = (man.displacement(R[:-1], R[1:]) for R in (P, Q))
-    rel = man.displacement(P[:-1, None, :], Q[None, :-1, :])
-    near = np.linalg.norm(rel, axis=2) <= (
-        np.linalg.norm(da, axis=1)[:, None] + np.linalg.norm(db, axis=1))
+    la, lb = (np.linalg.norm(d, axis=1) for d in (da, db))
+    (A, ra), (B, rb) = _blocks(man, P, la), _blocks(man, Q, lb)
+    gap = np.linalg.norm(man.displacement(A[:, None, :], B[None, :, :]),
+                         axis=2)
+    I, J = np.nonzero(gap <= ra[:, None] + rb + 1e-9)
+    step = np.arange(_BLOCK)
+    ii, jj = np.broadcast_arrays(I[:, None, None] * _BLOCK + step[:, None],
+                                 J[:, None, None] * _BLOCK + step)
+    keep = (ii < len(la)) & (jj < len(lb))
+    ii, jj = np.divmod(np.sort(ii[keep] * len(lb) + jj[keep]), len(lb))
+    rel = man.displacement(P[ii], Q[jj])
+    near = np.linalg.norm(rel, axis=1) <= la[ii] + lb[jj]
     out = []
-    for i, j in zip(*np.nonzero(near)):
+    for i, j, r in zip(ii[near], jj[near], rel[near]):
         T = man.tangent_basis(P[i])
-        s, u = _cross_solve(T.T @ da[i], T.T @ db[j], T.T @ rel[i, j])
+        s, u = _cross_solve(T.T @ da[i], T.T @ db[j], T.T @ r)
         if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
             out.append((int(i), int(j), s, u))
     return out
+
+
+def _crossing_fields(A, B, i, j, s, u):
+    """The structured fields of an error at a crossing of branches A and B
+    (``errors.CrossingFields``)."""
+    return dict(systems=(A.system.name, B.system.name),
+                limits=(A.limit.name, B.limit.name), segments=(i, j),
+                params=(s, u))
 
 
 def _refine_hit(man, A, B, i, j, s, u, tol=1e-12):
     """Newton's method on the segment interpolants of A and B from a chord
     hit; a solution past a segment's end moves on to its neighbour.
     Returns (segment of A, theta on it, segment of B, u on it)."""
+    fields = _crossing_fields(A, B, i, j, s, u)
     for _move in range(8):
         T = man.tangent_basis(A.x[i])
         ca, cb = A.poly(i, man, A.x[i], T), B.poly(j, man, A.x[i], T)
@@ -311,9 +362,51 @@ def _refine_hit(man, A, B, i, j, s, u, tol=1e-12):
         s = 0.0 if ni > i else 1.0 if ni < i else s
         u = 0.0 if nj > j else 1.0 if nj < j else u
         i, j = ni, nj
-    raise CountingIncompleteError("a crossing of the branch flows into %s "
-                                  "and %s did not refine"
-                                  % (A.limit.name, B.limit.name))
+    raise UnrefinedCrossingError("a crossing of the branch flows into %s "
+                                 "and %s did not refine"
+                                 % (A.limit.name, B.limit.name), **fields)
+
+
+def _end_on(man, ends, starts, stops):
+    """(gap, segment, parameter) of the point nearest to each row of
+    ``ends`` on the segments from ``starts`` to ``stops``, on the chart at
+    each segment's start."""
+    d = man.displacement(starts, stops)
+    rel = man.displacement(starts[None, :, :], ends[:, None, :])
+    t = np.clip(np.sum(rel * d, axis=2)
+                / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
+    gaps = np.linalg.norm(rel - t[..., None] * d, axis=2)
+    k = np.argmin(gaps, axis=1)
+    rows = np.arange(len(ends))
+    return gaps[rows, k], k, t[rows, k]
+
+
+def _check_ends(man, curve_a, curve_b):
+    """Raise ``DegenerateCrossingError`` when an end of a branch of one
+    curve lies on a branch of the other.  An end is a critical point (or
+    its image), where the branch has no tangent, and the limit is not on
+    its curve at all: the curves do not meet transversally there, and a
+    chord hit, which takes half-open segments, would drop a crossing at a
+    limit."""
+    for ends_of, others, of_a in ((curve_a, curve_b, True),
+                                  (curve_b, curve_a, False)):
+        first = np.cumsum([0] + [len(C.x) - 1 for C in others])
+        gaps, k, t = _end_on(
+            man, np.concatenate([E.x[[0, -1]] for E in ends_of]),
+            np.concatenate([C.x[:-1] for C in others]),
+            np.concatenate([C.x[1:] for C in others]))
+        for e in np.nonzero(gaps <= _END_GAP)[0]:
+            E = ends_of[e // 2]
+            c = int(np.searchsorted(first, k[e], side="right")) - 1
+            at_end = (0, 0.0) if e % 2 == 0 else (len(E.x) - 2, 1.0)
+            on = (int(k[e] - first[c]), float(t[e]))
+            pair = ((E, *at_end), (others[c], *on))
+            (A, i, s), (B, j, u) = pair if of_a else pair[::-1]
+            raise DegenerateCrossingError(
+                "the branch curves into %s and %s meet within %.3g of an "
+                "end, a critical point or its image" % (
+                    A.limit.name, B.limit.name, gaps[e]),
+                **_crossing_fields(A, B, i, j, s, u))
 
 
 Crossing = namedtuple("Crossing", "point a k theta b l u")
@@ -324,12 +417,15 @@ def curve_intersections(man, curve_a, curve_b):
 
     Chords of the polylines are crossed wrap-aware, and each hit is refined
     on the segment interpolants (``_refine_hit``) or raises
-    ``CountingIncompleteError``, never dropped.  Returns one ``Crossing``
-    per point (branches share their critical point): the point on branch a
-    in a's own manifold, at theta on segment k of a and u on segment l of b.
+    ``CountingIncompleteError``, never dropped.  Curves that meet at an end
+    of one of them raise ``TransversalityError`` (``_check_ends``).
+    Returns one ``Crossing`` per point (branches share their critical
+    point): the point on branch a in a's own manifold, at theta on segment
+    k of a and u on segment l of b.
     """
     if man.dim != 2:
         raise GeometryError("curves are intersected on surfaces only")
+    _check_ends(man, curve_a, curve_b)
     out = []
     for A in curve_a:
         for B in curve_b:

@@ -66,6 +66,30 @@ class TransversalityError(MorseflowError):
     code = 5
 
 
+class CrossingFields:
+    """Fields of an error at a crossing of two branch curves a and b:
+    ``systems`` and ``limits`` are the names of the branches' systems and
+    of their limits, as (a, b); ``segments`` (k, l) are the segments of a
+    and b, and ``params`` (s, u) the chord parameters on them."""
+
+    def __init__(self, message, systems=None, limits=None, segments=None,
+                 params=None):
+        super().__init__(message)
+        self.systems, self.limits = systems, limits
+        self.segments, self.params = segments, params
+
+
+class UnrefinedCrossingError(CrossingFields, CountingIncompleteError):
+    """A chord hit of two branch curves did not refine to a crossing."""
+    code = 4
+
+
+class DegenerateCrossingError(CrossingFields, TransversalityError):
+    """Two branch curves meet at an end of one of them: a critical point,
+    or its image."""
+    code = 5
+
+
 class CountInstabilityError(TransversalityError):
     """A signed count changed under resolution doubling; ``first`` and
     ``second`` are the (signed count, number of lines) at k and at 2k."""

@@ -700,6 +700,23 @@ def _aux_time_map(problem, x, edge_time, direction=+1):
     return seg.x_end
 
 
+def _flows_into(system, x, cp, direction=+1):
+    """Whether the loose flow from x in ``direction`` ends at cp.  A limit
+    of another index than cp's puts x on a manifold of lower dimension
+    than cp's, so x is not a configuration in general position, and
+    "no" would be a wrong count: it raises ``TransversalityError``."""
+    name = approach(system, x, cp, direction)[0]
+    limit = system.point(name)
+    if limit.index != cp.index:
+        raise TransversalityError(
+            "the %s flow of %s from %s ends at %s of index %d, not at an "
+            "index-%d point like %s" % (
+                "forward" if direction == +1 else "backward", system.name,
+                np.round(x, 6).tolist(), name, limit.index, cp.index,
+                cp.name))
+    return name == cp.name
+
+
 def _find_configurations(problem, a1, a2, a3, R):
     """Isolated points x on both incoming unstable manifolds whose R-flow
     lands on the outgoing stable manifold, as (x, frames).  With an
@@ -716,17 +733,16 @@ def _find_configurations(problem, a1, a2, a3, R):
             "configuration counting is implemented on surfaces")
     if (i1, i2) == (2, 2):
         x = _aux_time_map(problem, a3.point, R, direction=-1)
-        if approach(E1, x, a1, -1)[0] == a1.name \
-                and approach(E2, x, a2, -1)[0] == a2.name:
+        if _flows_into(E1, x, a1, -1) and _flows_into(E2, x, a2, -1):
             return [(x, {})]
         return []
     if {i1, i2} == {2, 0}:
         x = a2.point if i2 == 0 else a1.point
         other_sys, other_cp = (E1, a1) if i2 == 0 else (E2, a2)
-        if approach(other_sys, x, other_cp, -1)[0] != other_cp.name:
+        if not _flows_into(other_sys, x, other_cp, -1):
             return []
         y = _aux_time_map(problem, x, R)
-        return [(x, {})] if approach(E3, y, a3)[0] == a3.name else []
+        return [(x, {})] if _flows_into(E3, y, a3) else []
     if (i1, i2) == (1, 1):
         # the two unstable curves do not depend on R; the outgoing
         # minimum is checked after the R-flow
@@ -734,8 +750,7 @@ def _find_configurations(problem, a1, a2, a3, R):
                                    branches(E2, a2, +1))
         return [(c.point, {E1: c.a.tangent(c.k, c.theta),
                            E2: c.b.tangent(c.l, c.u)}) for c in hits
-                if approach(E3, _aux_time_map(problem, c.point, R), a3)[0]
-                == a3.name]
+                if _flows_into(E3, _aux_time_map(problem, c.point, R), a3)]
     if {i1, i2} == {2, 1}:
         # W^s(a3) pulled back through the time-R flow node by node; its
         # tangent is read at y on W^s(a3), as two time-R flows round-trip
@@ -751,8 +766,7 @@ def _find_configurations(problem, a1, a2, a3, R):
                                    problem.pullbacks.get(key, stable))
         return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta),
                            E3: c.b.tangent(c.l, c.u)})
-                for c in hits if approach(other_sys, c.point, other_cp, -1)[0]
-                == other_cp.name]
+                for c in hits if _flows_into(other_sys, c.point, other_cp, -1)]
     raise InternalInconsistencyError(
         "unreachable index pattern (%d, %d) after the dimension gate"
         % (i1, i2))

@@ -121,3 +121,26 @@ def torus_intersection_table(eps=1):
     table[("c1", "c2")] = {"pt": eps}
     table[("c2", "c1")] = {"pt": -eps}
     return basis, deg, table
+
+
+def chord_hits_all_pairs(man, P, Q):
+    """Every chord crossing of the polylines P and Q, found by charting all
+    segment pairs whose starts are closer than their summed lengths: the
+    (i, j, s, u) of P[i] + s (P[i+1] - P[i]) = Q[j] + u (Q[j+1] - Q[j])
+    with s, u in [0, 1), in ``np.nonzero`` order of the pair matrix."""
+    da, db = (man.displacement(R[:-1], R[1:]) for R in (P, Q))
+    rel = man.displacement(P[:-1, None, :], Q[None, :-1, :])
+    near = np.linalg.norm(rel, axis=2) <= (
+        np.linalg.norm(da, axis=1)[:, None] + np.linalg.norm(db, axis=1))
+    out = []
+    for i, j in zip(*np.nonzero(near)):
+        T = man.tangent_basis(P[i])
+        a, b, r = T.T @ da[i], T.T @ db[j], T.T @ rel[i, j]
+        den = a[0] * b[1] - a[1] * b[0]
+        if den == 0.0:
+            continue
+        s = (r[0] * b[1] - r[1] * b[0]) / den
+        u = (r[0] * a[1] - r[1] * a[0]) / den
+        if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
+            out.append((int(i), int(j), s, u))
+    return out

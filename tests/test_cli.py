@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseflow.cli import main
 from morseflow.geometry import parse_system_config
@@ -144,6 +148,86 @@ class TestConfigErrors:
         code, _out, err = run(capsys, "--json", "homology", str(cfg))
         assert code == expected
         assert "Traceback" not in err
+
+
+# numbers stop at 3: counting reaches dimension three, and a torus config
+# of dimension n builds a catalog of 2^n critical points
+FUZZ_TOKENS = ["0", "1", "2", "3", "-1", "0.5", "1e-9", "nan", "inf", "-inf",
+               "x", "", "#", "=", "0:", "dim=1", "torus", "sphere",
+               "sphere-band", "product", "factor", "dim", "eps", "amplitudes",
+               "phases", "perturb", "tol-conv", "halfedges", "pair", "vertex",
+               "ghost", "cycle-role", "incoming", "outgoing"]
+
+# (checked-in input, arguments before its path, arguments after it)
+FUZZ_RUNS = [
+    ("fig8.graph", ("--json", "graph", "cycles"), ()),
+    ("fig8.graph", ("--json", "graph", "genus"), ()),
+    ("fig8.graph", ("--json", "graph", "validate"), ()),
+    ("dumbbell.graph", ("--json", "graph", "reduce"), ()),
+    ("torus.cfg", ("--json", "homology"), ()),
+    ("sphere.cfg", ("--json", "homology"), ()),
+    ("band.cfg", ("--json", "homology"), ("--relative", "band:0.25")),
+]
+
+
+def mutated(text, edits):
+    """``text`` after each edit (op, a, b, token): op 0 deletes line a, 1
+    copies line b to before line a, 2 replaces word b of line a by token,
+    3 inserts token before word b of line a, 4 deletes character a, and 5
+    swaps lines a and b (indices taken modulo the lengths)."""
+    lines = text.split("\n")
+    for op, a, b, token in edits:
+        if op == 4:
+            joined = "\n".join(lines)
+            a %= max(len(joined), 1)
+            lines = (joined[:a] + joined[a + 1:]).split("\n")
+            continue
+        if not lines:
+            lines = [""]
+        a %= len(lines)
+        words = lines[a].split(" ")
+        if op == 0:
+            del lines[a]
+        elif op == 1:
+            lines.insert(a, lines[b % len(lines)])
+        elif op == 2:
+            words[b % len(words)] = token
+            lines[a] = " ".join(words)
+        elif op == 3:
+            words.insert(b % (len(words) + 1), token)
+            lines[a] = " ".join(words)
+        else:
+            b %= len(lines)
+            lines[a], lines[b] = lines[b], lines[a]
+    return "\n".join(lines)
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=50, derandomize=True, deadline=None,
+              database=None)
+    @given(run_index=st.integers(0, len(FUZZ_RUNS) - 1),
+           edits=st.lists(st.tuples(st.integers(0, 5),
+                                    st.integers(0, 2**16),
+                                    st.integers(0, 2**16),
+                                    st.sampled_from(FUZZ_TOKENS)),
+                          min_size=1, max_size=3))
+    def test_mutated_inputs_exit_with_a_documented_status(self, run_index,
+                                                          edits):
+        # a mutated graph or config either runs or fails with a parse (2),
+        # structural (3), counting (4) or transversality (5) status; it
+        # never raises out of main and never exits 1
+        name, before, after = FUZZ_RUNS[run_index]
+        with open(os.path.join(DATA, name)) as fh:
+            text = mutated(fh.read(), edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([*before, path, *after])
+        assert code in (0, 2, 3, 4, 5), (text, err.getvalue())
 
 
 class TestGeomCommands:
@@ -340,6 +424,19 @@ class TestOpCommands:
         data = json.loads(out)
         assert code == 0
         assert data["output"] == {"x00": -1}
+
+    def test_nu_aligned_labels_exit_code(self, capsys, tmp_path, fig8_file):
+        # in2's minimum on in1's unstable curve of x10: not transverse
+        args = []
+        for i, phases in enumerate(("0.0 0.0", "0.9 0.0", "-0.7 0.55")):
+            p = tmp_path / ("label%d.cfg" % i)
+            p.write_text("kind torus\ndim 2\namplitudes 1.0 0.7\nphases %s\n"
+                         % phases)
+            args += ["--label", str(p)]
+        code, _out, err = run(capsys, "op", "nu", fig8_file, *args,
+                              "--table")
+        assert code == 5
+        assert "Traceback" not in err
 
     def test_nu_unknown_input_point(self, capsys, fig8_file, label_args):
         code, _out, err = run(capsys, "op", "nu", fig8_file, *label_args,

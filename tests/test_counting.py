@@ -29,6 +29,7 @@ from morseflow.errors import (
     CountingIncompleteError,
     GeometryError,
     StructuralValidationError,
+    UnrefinedCrossingError,
 )
 from morseflow.geometry import (
     CriticalPoint,
@@ -40,8 +41,9 @@ from morseflow.geometry import (
     torus_cosine,
 )
 from morseflow.geometry.flow import flow, orientation_sign, transport_frame
+from morseflow.geometry.manifolds import SphereModel, TorusModel
 
-from oracles import circle_complex, tensor_complex
+from oracles import chord_hits_all_pairs, circle_complex, tensor_complex
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +391,95 @@ class TestClosedFormFrames:
                                     res.points[::-1], cp.unstable_frame)
             assert orientation_sign(man.oriented_tangent_basis(z), moved) \
                 == orientation_class(man, cp)
+
+
+def chord_walk(man, rng, n, scale):
+    """A polyline of n nodes on the flat T2 or the unit S2 whose steps
+    have exponentially distributed lengths of mean ``scale`` and a slowly
+    turning heading; on the torus it crosses the wrap freely."""
+    heads = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(
+        rng.normal(0.0, 0.3, size=n - 1))
+    steps = scale * rng.exponential(size=n - 1)[:, None] * np.stack(
+        [np.cos(heads), np.sin(heads)], axis=1)
+    x = man.random_point(rng)
+    if man.dim == man.coord_dim:
+        return man.project(x + np.concatenate([[np.zeros(2)],
+                                               np.cumsum(steps, axis=0)]))
+    pts = [x]
+    for step in steps:
+        pts.append(man.project(pts[-1] + man.tangent_basis(pts[-1]) @ step))
+    return np.array(pts)
+
+
+def bits(hits):
+    return [(i, j, float(s).hex(), float(u).hex()) for i, j, s, u in hits]
+
+
+class TestChordSearch:
+    """The block-pruned chord search returns exactly the hits of charting
+    every segment pair (``oracles.chord_hits_all_pairs``)."""
+
+    MANIFOLDS = {"torus": TorusModel(2), "sphere": SphereModel(2)}
+
+    @settings(max_examples=50, derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200),
+           m=st.integers(2, 200), scale=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+           kind=st.sampled_from(["walks", "overlap", "near-parallel",
+                                 "reversed"]),
+           surface=st.sampled_from(["torus", "sphere"]))
+    def test_same_hits_as_all_pairs(self, seed, n, m, scale, kind, surface):
+        man = self.MANIFOLDS[surface]
+        rng = np.random.default_rng(seed)
+        P = chord_walk(man, rng, n, scale)
+        if kind == "walks":
+            Q = chord_walk(man, rng, m, scale)
+        elif kind == "overlap":
+            # shared nodes and collinear segments
+            start = int(rng.integers(0, n - 1))
+            Q = P[start:start + max(m, 2)]
+        elif kind == "near-parallel":
+            Q = man.project(P + rng.normal(
+                0.0, 10.0 ** -rng.integers(6, 13), size=P.shape))
+            if man.dim != man.coord_dim:
+                Q = Q / np.linalg.norm(Q, axis=1)[:, None]
+        else:
+            Q = P[::-1].copy()
+        assert bits(counting._chord_hits(man, P, Q)) == \
+            bits(chord_hits_all_pairs(man, P, Q))
+
+    def test_crossing_across_the_wrap(self):
+        # a horizontal polyline through theta1 = 0 meets a vertical one at
+        # theta1 = 0.05, past the wrap, once
+        man = TorusModel(2)
+        P = np.array([[6.0, 1.0], [6.2, 1.0], [0.1, 1.0], [0.3, 1.0]])
+        Q = np.array([[0.05, 0.5], [0.05, 0.9], [0.05, 1.3]])
+        hits = counting._chord_hits(man, P, Q)
+        assert [(i, j) for i, j, _s, _u in hits] == [(1, 1)]
+        assert bits(hits) == bits(chord_hits_all_pairs(man, P, Q))
+        _i, _j, s, u = hits[0]
+        assert s == pytest.approx((0.05 + 2.0 * np.pi - 6.2)
+                                  / (0.1 + 2.0 * np.pi - 6.2))
+        assert u == pytest.approx(0.25)
+
+    def test_unrefined_crossing_names_its_branches(self, monkeypatch):
+        # interpolants that give no Newton step leave the chord hit
+        # unrefined; the error names both branches and the chord hit
+        f = torus_cosine(2, [1.0, 0.7], name="f")
+        g = torus_cosine(2, [1.0, 0.7], phases=[0.9, 1.3], name="g")
+        monkeypatch.setattr(counting.Branch, "poly",
+                            lambda self, k, man, origin, T: (
+                                np.full(2, np.nan), np.full(2, np.nan)))
+        with pytest.raises(UnrefinedCrossingError) as err:
+            continuation(f, g)
+        e = err.value
+        assert isinstance(e, CountingIncompleteError) and e.code == 4
+        # W^u of f's saddle flows down to x00, W^s of g's saddle up to x11
+        assert (e.systems, e.limits) == (("f", "g"), ("x00", "x11"))
+        k, l = e.segments
+        s, u = e.params
+        assert isinstance(k, int) and isinstance(l, int)
+        assert 0.0 <= s < 1.0 and 0.0 <= u < 1.0
 
 
 class TestLatticeDrops:

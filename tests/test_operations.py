@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from morseflow.complexes import chain_map_defect, homology
 from morseflow.counting import boundary_operator, continuation
 from morseflow.errors import (
+    DegenerateCrossingError,
     OrientationError,
     StructuralValidationError,
     TransversalityError,
@@ -210,6 +211,26 @@ class TestUmkehr:
                 continue
             tops.append(np.abs(umkehr(emb, verify=False)[2]).tolist())
         assert tops == [[[1]]] * 8
+
+    @settings(max_examples=10, derandomize=True, deadline=None,
+              database=None)
+    @given(axis=st.integers(0, 1),
+           level=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+           phase=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+    def test_factor_circle_draws(self, t2, axis, level, phase):
+        # the fundamental class caps to the circle's class, exactly one
+        # saddle's unstable circle crosses the circle, and e_! e_* = 0 in
+        # degree one
+        try:
+            emb = torus_factor_circle(t2, fixed_axis=axis, level=level,
+                                      phase=phase)
+        except StructuralValidationError:
+            assume(False)
+        push, shriek = pushforward(emb), umkehr(emb)
+        assert np.abs(shriek[2]).tolist() == [[1]]
+        assert sorted(abs(int(v)) for v in shriek[1].flat) == [0, 1]
+        comp = shriek[1] @ push[1]
+        assert np.array_equal(comp, np.zeros_like(comp))
 
     def test_equator_top_entry(self, s2):
         # the backward shot from e(p) in the sphere's 3-D coordinates
@@ -443,6 +464,33 @@ class TestDiagramOperation:
                   rotated(-0.3, 2.3, "out")]
         problem = FlowGraphProblem(figure8_diagram(), labels[:2], labels[2:])
         assert verify_operation_chain_map(problem, operation_table(problem))
+
+    @pytest.mark.parametrize("delta", [1e-7, -1e-7, 1e-9])
+    def test_crossing_in_the_last_gap_of_a_branch(self, delta):
+        # in2's minimum sits delta off in1's unstable curve of x10, so the
+        # (x10, x01) and (x01, x10) configurations lie within delta of it:
+        # past the last node of in2's branch flows, which stop within
+        # eps_conv of their limit
+        assert_oracle_table(operation_table(phased_problem(
+            [(0.0, 0.0), (0.9, delta), (-0.7, 0.55)])))
+
+    def test_aligned_labels_raise(self):
+        # with delta = 0, in2's minimum lies on in1's unstable curve of
+        # x10, and the backward flows of in2 from the configurations of
+        # (x00, x11) and three more pairs converge into its saddle x10
+        problem = phased_problem([(0.0, 0.0), (0.9, 0.0), (-0.7, 0.55)])
+        with pytest.raises(TransversalityError,
+                           match="ends at x10 of index 1"):
+            graph_flow_count(problem, ("x00", "x11"), "x00")
+        with pytest.raises(DegenerateCrossingError) as err:
+            graph_flow_count(problem, ("x10", "x01"), "x00")
+        e = err.value
+        assert isinstance(e, TransversalityError) and e.code == 5
+        assert (e.systems, e.limits) == (("in1", "in2"), ("x00", "x00"))
+        # in2's limit, the end of its last segment, lies on in1's curve
+        assert e.params[1] == 1.0 and 0.0 <= e.params[0] <= 1.0
+        with pytest.raises(TransversalityError):
+            operation_table(problem)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_near_alignment_sweep(self, seed):
