@@ -1,7 +1,9 @@
 """Batch command line: parse inputs, dispatch computations, emit tables.
 
-Exit codes are stable: 0 success, 2 parse error, 3 structural/validation,
-4 counting incomplete, 5 transversality or count instability, 1 other.
+Exit codes are stable: 0 success, 2 parse error, 3 structural/validation
+or outside the supported counting family, 4 counting incomplete, 5
+transversality or count instability, 1 other.  Under ``--json`` a failure
+is one JSON object on stderr (``_error_payload``).
 JSON output is key-sorted and the computations are deterministic, so
 repeated runs emit identical bytes.
 """
@@ -60,6 +62,14 @@ def _emit(args, payload, text_lines):
     else:
         for line in text_lines:
             print(line)
+
+
+def _error_payload(exc):
+    """The ``--json`` form of a failure: the error's type, exit code and
+    message, and its structured fields (``IntegrationError``'s flow state,
+    ``UnsupportedPairError``'s pair, ...)."""
+    return {"error": {"type": type(exc).__name__, "code": exc.code,
+                      "message": str(exc), "fields": vars(exc)}}
 
 
 def _json_default(obj):
@@ -474,7 +484,11 @@ def main(argv=None):
     try:
         return args.func(args) or 0
     except MorseflowError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        if args.json:
+            print(json.dumps(_error_payload(exc), sort_keys=True,
+                             default=_json_default), file=sys.stderr)
+        else:
+            print("error: %s" % exc, file=sys.stderr)
         return exc.code
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -9,14 +9,13 @@ Otherwise, from index 2, the unstable circle of x is shot on a lattice,
 sign changes of an offset are bisected, and each candidate is verified by
 strict convergence into y; only this search has a resolution, so only it
 passes the doubling gate (``gated``), which recounts at doubled resolution
-and raises on any change.  Every other pair raises ``GeometryError``.
-Index-1 chain-map entries on a surface intersect curves of recorded branch
-flows that start at their critical points and end at their limits
-(``curve_intersections``).  Their
-signs need no frame carried along a flow: a one-dimensional W^u or W^s is
-oriented at each point of a branch by ``Branch.tangent``, and a
-top-dimensional one by the orientation class of its point's eigenframe
-(``orientation_class``).
+and raises on any change.  Every other pair raises ``UnsupportedPairError``
+(exit status 3).  Index-1 chain-map entries on a surface intersect curves of
+recorded branch flows that start at their critical points and end at their
+limits (``curve_intersections``).  Their signs need no frame carried along
+a flow: a one-dimensional W^u or W^s is oriented at each point of a branch
+by ``Branch.tangent``, and a top-dimensional one by the orientation class
+of its point's eigenframe (``orientation_class``).
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .errors import (
     GeometryError,
     InternalInconsistencyError,
     UnrefinedCrossingError,
+    UnsupportedPairError,
 )
 from .geometry.flow import (
     CONVERGED,
@@ -573,10 +573,11 @@ def _connection_search(system, x_cp, y_cp):
         return BRANCH
     if x_cp.index == 2:
         return LATTICE
-    raise GeometryError(
+    raise UnsupportedPairError(
         "connection search from index %d points reaches only index dim "
         "- 1 = %d, not %s of index %d" % (
-            x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index))
+            x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index),
+        names=(x_cp.name, y_cp.name), indices=(x_cp.index, y_cp.index))
 
 
 def _branch_lines(system, x_cp, y_cp):

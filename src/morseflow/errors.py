@@ -56,6 +56,17 @@ class IntegrationError(GeometryError):
         self.x0, self.x, self.t, self.h, self.steps = x0, x, t, h, steps
 
 
+class UnsupportedPairError(GeometryError):
+    """A connection x -> y of index drop one that no search reaches: valid,
+    but outside the supported counting family.  ``names`` and ``indices``
+    are the pair's point names and indices, as (x, y)."""
+    code = 3
+
+    def __init__(self, message, names=None, indices=None):
+        super().__init__(message)
+        self.names, self.indices = names, indices
+
+
 class CountingIncompleteError(MorseflowError):
     """A trajectory or search did not resolve; counts must not default to 0."""
     code = 4

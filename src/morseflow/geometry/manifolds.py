@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
+from ._unroll import names, unrolled
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,23 +155,11 @@ class TorusModel(ManifoldModel):
         return np.linalg.norm(d, axis=1)
 
     def project_floats(self, x):
-        # Python's float % is np.mod: the same wrap, bit for bit
-        return [v % TWO_PI for v in x]
+        return unrolled(_wrap_template, self.dim)(x)
 
     def distance_sweep(self, pts):
-        # norm(axis=1) squares and adds each row left to right, then takes
-        # the square root; the sweep runs the same operations column by
-        # column
-        cols = np.asarray(pts, dtype=float).T.tolist()
-        pi, sqrt = math.pi, math.sqrt
-
-        def sweep(x):
-            acc = None
-            for col, q in zip(cols, x):
-                sq = [(d := (p - q + pi) % TWO_PI - pi) * d for p in col]
-                acc = sq if acc is None else [a + b for a, b in zip(acc, sq)]
-            return [sqrt(a) for a in acc]
-        return sweep
+        return unrolled(_sweep_template, self.dim)(
+            np.asarray(pts, dtype=float).tolist())
 
     def tangent_basis(self, x):
         return np.eye(self.dim)
@@ -180,6 +169,35 @@ class TorusModel(ManifoldModel):
 
     def __repr__(self):
         return "TorusModel(dim=%d)" % self.dim
+
+
+def _wrap_template(n):
+    """Source of the torus projection on n angles: Python's float ``%`` is
+    ``np.mod``, the same wrap bit for bit."""
+    return ("def kernel(x):\n"
+            "    %s= x\n"
+            "    return [%s]\n" % (names("x", n), "".join(
+                "x%d %% %r, " % (k, TWO_PI) for k in range(n))))
+
+
+def _sweep_template(n):
+    """Source of the torus distance sweep on n angles: given the catalog
+    rows, the closure taking x to its distances to them.  Each distance
+    squares the wrapped coordinate differences and adds them left to right
+    before the square root, as ``distances`` (``norm(axis=1)``) does."""
+    wrapped = ["            d%d = (p%d - x%d + %r) %% %r - %r"
+               % (k, k, k, math.pi, TWO_PI, math.pi) for k in range(n)]
+    return "\n".join([
+        "def kernel(rows):",
+        "    def sweep(x):",
+        "        %s= x" % names("x", n),
+        "        out = []",
+        "        for %sin rows:" % names("p", n)] + wrapped + [
+        "            out.append(sqrt(%s))" % " + ".join(
+            "d%d * d%d" % (k, k) for k in range(n)),
+        "        return out",
+        "    return sweep",
+        ""])
 
 
 class ProductModel(ManifoldModel):

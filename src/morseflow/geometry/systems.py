@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import GeometryError, ParseError, StructuralValidationError
+from ._unroll import names, unrolled
 from .manifolds import ProductModel, SphereModel, TorusModel, TWO_PI
 
 
@@ -329,30 +329,58 @@ class CosineWells:
 
     def float_kernels(self, direction):
         """(field, value) of the flow in ``direction``: -grad f and f,
-        both negated for direction -1."""
+        both negated for direction -1, written out for the dimension
+        (``_wells_template``)."""
         (amps, phis), c, psi = self.params.tolist(), self.c, self.psi
-        sign = float(direction)
-        sin, cos = math.sin, math.cos
-        if c:
-            def field(x):
-                w = c * sin(reduce(add, x) + psi)
-                return [sign * (a * sin(t - p) + w)
-                        for a, t, p in zip(amps, x, phis)]
-        else:
-            # (-a) s is -(a s), signed zeros included
-            signed = [sign * a for a in amps]
+        return unrolled(_wells_template, len(amps))(
+            float(direction), *amps, *phis, c, psi)
 
-            def field(x):
-                return [a * sin(t - p) for a, t, p in zip(signed, x, phis)]
 
-        def value(x):
-            total = reduce(add, [a * cos(t - p)
-                                 for a, t, p in zip(amps, x, phis)])
-            if c:
-                total += c * cos(reduce(add, x) + psi)
-            return sign * total
+def _wells_template(n):
+    """Source of the cosine-well kernels on n angles: given the sign of
+    the direction, the amplitudes, phases, c and psi, the closures
+    (field, value).  Sums run left to right, as ``np.sum`` over a few
+    entries does.  Without coupling, the sign folds into the amplitudes
+    (s_i), since (-a) s is -(a s), signed zeros included.  With coupling,
+    the field is ``grad``'s -((-a) s - w) times the sign, (-sign) ((-a) s
+    - w), whose zeros carry numpy's signs: sign (a s + w) has the other
+    sign where a s = +0 and w = -0."""
+    unpack = "            %s= x" % names("x", n)
+    angle = " + ".join("x%d" % k for k in range(n))
+    wells = " + ".join("a%d * cos(x%d - p%d)" % (k, k, k) for k in range(n))
 
-        return field, value
+    def sines(amp, form="%s"):
+        return ", ".join(form % ("%s%d * sin(x%d - p%d)" % (amp, k, k, k))
+                         for k in range(n))
+
+    return "\n".join([
+        "def kernel(sign, %s%sc, psi):" % (names("a", n), names("p", n)),
+        "    if c:",
+        "        m = -sign",
+        "        %s= %s" % (names("n", n), "".join(
+            "-a%d, " % k for k in range(n))),
+        "",
+        "        def field(x):",
+        unpack,
+        "            w = c * sin(%s + psi)" % angle,
+        "            return [%s]" % sines("n", "m * (%s - w)"),
+        "",
+        "        def value(x):",
+        unpack,
+        "            return sign * (%s + c * cos(%s + psi))" % (wells, angle),
+        "    else:",
+        "        %s= %s" % (names("s", n), "".join(
+            "sign * a%d, " % k for k in range(n))),
+        "",
+        "        def field(x):",
+        unpack,
+        "            return [%s]" % sines("s"),
+        "",
+        "        def value(x):",
+        unpack,
+        "            return sign * (%s)" % wells,
+        "    return field, value",
+        ""])
 
 
 # -- catalog constructors ------------------------------------------------------
@@ -495,6 +523,10 @@ def _floats(s):
 
 _REQUIRED = object()
 
+# a torus of dimension n builds 2^n critical points before anything else
+# runs, so a config may not ask for more than this
+MAX_TORUS_DIM = 10
+
 
 def _value(kv, key, cast, default=_REQUIRED):
     """``cast(kv[key])``; a missing or malformed value is a ParseError."""
@@ -521,6 +553,10 @@ def _system_from_spec(kind, kv, tol=None, name=None):
         return sphere_height(_dim(kv), tol=tol, name=name)
     if kind == "torus":
         n = _dim(kv)
+        if n > MAX_TORUS_DIM:
+            raise StructuralValidationError(
+                "torus dim %d is above the ceiling %d: its catalog would "
+                "hold 2^%d critical points" % (n, MAX_TORUS_DIM, n))
         return torus_cosine(n, _value(kv, "amplitudes", _floats, [1.0] * n),
                             _value(kv, "phases", _floats, None),
                             perturb=_value(kv, "perturb", float, 0.0),
@@ -538,6 +574,8 @@ def parse_system_config(text, tol=None):
     Keys: ``kind``, ``dim``, ``amplitudes``, ``phases``, ``eps``,
     ``perturb``, ``seed``, ``name``, ``tol-conv``, ``factor`` (for
     products, one line per factor: ``factor torus dim=2 amplitudes=1,0.7``).
+    A torus ``dim`` above ``MAX_TORUS_DIM`` raises
+    ``StructuralValidationError`` before any critical point is built.
     """
     kv = {}
     factors = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseflow.cli import main
-from morseflow.geometry import parse_system_config
+from morseflow.geometry import parse_system_config, systems
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -148,6 +148,42 @@ class TestConfigErrors:
         code, _out, err = run(capsys, "--json", "homology", str(cfg))
         assert code == expected
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "kind torus\ndim 20\n",
+        "kind product\nfactor torus dim=11\nfactor sphere dim=1\n"])
+    def test_torus_above_the_ceiling_builds_nothing(self, capsys, tmp_path,
+                                                    monkeypatch, text):
+        def no_catalog(*args, **kwargs):
+            raise AssertionError("a torus catalog was built")
+
+        monkeypatch.setattr(systems, "torus_cosine", no_catalog)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "--json", "homology", str(cfg))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "StructuralValidationError"
+        assert "ceiling %d" % systems.MAX_TORUS_DIM in error["message"]
+
+    def test_torus_at_the_ceiling_is_built(self, monkeypatch):
+        monkeypatch.setattr(systems, "torus_cosine",
+                            lambda n, *args, **kwargs: n)
+        n = systems.MAX_TORUS_DIM
+        assert parse_system_config("kind torus\ndim %d\n" % n) == n
+
+    def test_unsupported_pair_exit_code(self, capsys, tmp_path):
+        # on T4 no search reaches index 3 -> index 2
+        cfg = tmp_path / "torus4.cfg"
+        cfg.write_text("kind torus\ndim 4\n")
+        code, out, err = run(capsys, "--json", "homology", str(cfg))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "UnsupportedPairError"
+        assert error["code"] == 3
+        assert error["fields"] == {"names": ["x1110", "x1100"],
+                                   "indices": [3, 2]}
+        assert "x1100" in error["message"]
 
 
 # numbers stop at 3: counting reaches dimension three, and a torus config

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morseflow.errors import (
     GeometryError,
@@ -281,6 +281,25 @@ class TestKernel:
         for a, b in zip(plain, run()):
             _same_flow(a, b)
 
+    def test_every_step_goes_through_the_module_stepper(self, monkeypatch):
+        # the test above swaps the stepper by name, so it proves something
+        # only while integrate looks _rk_step up on every step
+        system = kernel_systems()["t2"]
+        x = system.manifold.random_point(np.random.default_rng(5))
+        step, calls = FLOW._rk_step, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(FLOW, "_rk_step", counted)
+        for run in (lambda: flow(system, x, +1),
+                    lambda: flow(system, x, -1, loose=True),
+                    lambda: fixed_time_flow(system, x, 1.3)):
+            calls.clear()
+            res = run()
+            assert res.steps > 0 and len(calls) == res.steps
+
 
 def bits(values):
     """The IEEE bytes of a float or a sequence of floats: equal bits, signed
@@ -288,8 +307,10 @@ def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-# angles well outside [0, 2 pi), where wrapping and argument reduction act
-ANGLES = st.floats(-60.0, 60.0)
+# angles well outside [0, 2 pi), where wrapping and argument reduction act,
+# signed zeros and the ends of the chart
+ANGLES = st.one_of(st.floats(-60.0, 60.0), st.sampled_from(
+    [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi]))
 SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
                     database=None)
 
@@ -316,8 +337,8 @@ def numpy_cosine(amps, phis, c, psi):
 
 @st.composite
 def cosine_wells(draw):
-    """(amplitudes, phases, c, psi, theta) of n = 1, 2 or 3 wells."""
-    n = draw(st.integers(1, 3))
+    """(amplitudes, phases, c, psi, theta) of n = 1 to 4 wells."""
+    n = draw(st.integers(1, 4))
     vectors = st.lists(ANGLES, min_size=n, max_size=n)
     return (draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)),
             draw(vectors), draw(st.sampled_from([0.0, 0.03, -0.2])),
@@ -331,6 +352,11 @@ class TestFloatKernels:
 
     @SETTINGS
     @given(drawn=cosine_wells(), direction=st.sampled_from([1, -1]))
+    # a s = +0 and w = c sin(0) = -0: the coupled field's zero takes the
+    # sign of -((-a) s - w), not of a s + w
+    @example(drawn=([1.0], [0.0], -0.2, 0.0, [0.0]), direction=-1)
+    @example(drawn=([1.0, 0.5], [0.0, 2.0], -0.2, 0.0, [0.0, -0.0]),
+             direction=1)
     def test_cosine_field_and_value(self, drawn, direction):
         amps, phis, c, psi, x = drawn
         wells = CosineWells(amps, phis, c, psi)
@@ -344,7 +370,26 @@ class TestFloatKernels:
         assert bits(kernel_value(x)) == bits(direction * f(xa))
 
     @SETTINGS
-    @given(n=st.integers(1, 3), data=st.data())
+    @given(drawn=cosine_wells(), h=st.floats(1e-6, 2.0),
+           direction=st.sampled_from([1, -1]))
+    def test_stepper_matches_the_reference_step(self, drawn, h, direction):
+        # the step written out for each n, on a cosine field through numpy
+        amps, phis, c, psi, x = drawn
+        _f, field = numpy_cosine(amps, phis, c, psi)
+
+        def field_fn(v):
+            return direction * field(v)
+
+        xa = np.array(x)
+        k0 = field_fn(xa)
+        x5, err = FLOW._rk_step(lambda v: field_fn(np.array(v)).tolist(), x,
+                                h, k0.tolist())
+        x5_ref, err_ref = reference_rk_step(field_fn, xa, h, k0)
+        assert bits(x5) == bits(x5_ref)
+        assert bits(err) == bits(err_ref)
+
+    @SETTINGS
+    @given(n=st.integers(1, 4), data=st.data())
     def test_torus_projection(self, n, data):
         x = data.draw(st.lists(st.one_of(
             ANGLES, st.floats(-1e9, 1e9), st.sampled_from(
@@ -355,7 +400,7 @@ class TestFloatKernels:
                                                         2 * np.pi))
 
     @SETTINGS
-    @given(n=st.integers(1, 3), k=st.integers(1, 8), data=st.data())
+    @given(n=st.integers(1, 4), k=st.integers(1, 16), data=st.data())
     def test_torus_distance_sweep(self, n, k, data):
         pts = np.array(data.draw(st.lists(
             st.lists(ANGLES, min_size=n, max_size=n), min_size=k,
@@ -365,12 +410,15 @@ class TestFloatKernels:
         assert bits(m.distance_sweep(pts)(x)) == bits(
             m.distances(np.array(x), pts))
 
-    @pytest.mark.parametrize("name", ["t1", "t2", "t3", "t2-perturbed"])
+    @pytest.mark.parametrize("name", ["t1", "t2", "t3", "t4",
+                                      "t2-perturbed"])
     def test_flows_match_the_numpy_adapters(self, name, monkeypatch):
         system = {
             "t1": lambda: torus_cosine(1, [0.8], phases=[2.0]),
             "t2": lambda: torus_cosine(2, [1.0, 0.7], phases=[0.3, 5.1]),
             "t3": lambda: torus_cosine(3, [1.0, 0.7, 0.55]),
+            "t4": lambda: torus_cosine(4, [1.0, 0.8, 0.6, 0.45],
+                                       phases=[0.2, 1.0, 3.0, 4.4]),
             "t2-perturbed": lambda: torus_cosine(2, [1.0, 0.7],
                                                  perturb=0.05, seed=3),
         }[name]()
