@@ -10,16 +10,23 @@ sign changes of an offset are bisected, and each candidate is verified by
 strict convergence into y; only this search has a resolution, so only it
 passes the doubling gate (``gated``), which recounts at doubled resolution
 and raises on any change.  Every other pair raises ``UnsupportedPairError``
-(exit status 3).  Index-1 chain-map entries on a surface intersect curves of
-recorded branch flows that start at their critical points and end at their
-limits (``curve_intersections``).  Their signs need no frame carried along
-a flow: a one-dimensional W^u or W^s is oriented at each point of a branch
-by ``Branch.tangent``, and a top-dimensional one by the orientation class
-of its point's eigenframe (``orientation_class``).
+(exit status 3); ``boundary_operator`` asks the rule about every pair before
+its first count, so it refuses before launching a flow.  Index-1 chain-map
+entries on a surface intersect curves of recorded branch flows that start
+at their critical points and end at their limits (``curve_intersections``).
+Each branch is charted once, on its first intersection (``Branch.chart``:
+segment displacements and lengths, and blocks of segments with an anchor
+and a reach), and two curves are crossed in one pass over those charts, so
+the fixed cost of a crossing search is paid once per pair of curves, not
+once per pair of branches.  Their signs need no frame carried along a flow: a one-dimensional
+W^u or W^s is oriented at each point of a branch by ``Branch.tangent``, and
+a top-dimensional one by the orientation class of its point's eigenframe
+(``orientation_class``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import namedtuple
 from contextlib import contextmanager
@@ -172,6 +179,15 @@ class Branch:
         self.nodes = np.concatenate([points, limit.point[None, :]])
         self.x = (self.nodes if image is None
                   else np.array([image(p) for p in self.nodes]))
+        self._chart = None
+
+    def chart(self, man):
+        """The chart of ``x`` in ``man``, where the branch is intersected
+        (``_chart``): built on the branch's first intersection and kept
+        with the branch."""
+        if self._chart is None:
+            self._chart = _chart(man, self.x)
+        return self._chart
 
     def mapped(self, image):
         return self if image is None else Branch(
@@ -281,52 +297,105 @@ _BLOCK = 8
 # a crossing closer than this to an end of a curve raises: an order below
 # the 1e-9 at which two crossings count as one point
 _END_GAP = 1e-10
+# rounding allowance of the block tests
+_SLACK = 1e-9
+
+Chart = namedtuple("Chart", "d lengths anchors reaches")
 
 
-def _blocks(man, R, lengths):
-    """(anchors, reaches) of the runs of ``_BLOCK`` consecutive segments of
-    the polyline R with these lengths: a run's anchor is its first node,
-    and its reach the largest distance from the anchor to one of its
-    segment starts plus that segment's length."""
+def _chart(man, R):
+    """The chart of the polyline R in ``man``: its segment displacements
+    ``d`` and ``lengths``, and for each run of ``_BLOCK`` consecutive
+    segments an anchor (its first node) and a reach (the largest distance
+    from the anchor to one of its segment starts plus that segment's
+    length)."""
+    d = man.displacement(R[:-1], R[1:])
+    lengths = np.linalg.norm(d, axis=1)
     starts = np.arange(0, len(lengths), _BLOCK)
     anchors = R[starts]
     off = np.linalg.norm(man.displacement(
         np.repeat(anchors, _BLOCK, axis=0)[:len(lengths)], R[:-1]), axis=1)
-    return anchors, np.maximum.reduceat(off + lengths, starts)
+    return Chart(d, lengths, anchors,
+                 np.maximum.reduceat(off + lengths, starts))
+
+
+# a curve's charts laid end to end with one segment numbering: ``firsts``
+# lists each polyline's first segment and the total, ``starts`` holds the
+# segment starts, and each block has its first segment, the end of its
+# polyline's segments (``stops``) and its polyline (``owners``)
+Laid = namedtuple("Laid", "firsts starts d lengths anchors reaches blocks "
+                          "stops owners")
+
+
+def _lay(polylines):
+    """The ``Laid`` curve of (nodes, chart) pairs."""
+    firsts = [0]
+    for _R, c in polylines:
+        firsts.append(firsts[-1] + len(c.lengths))
+    blocks = [np.arange(f, e, _BLOCK) for f, e in zip(firsts, firsts[1:])]
+    sizes = [len(b) for b in blocks]
+    cat = np.concatenate
+    return Laid(firsts, cat([R[:-1] for R, _c in polylines]),
+                *(cat([c[k] for _R, c in polylines]) for k in range(4)),
+                cat(blocks), np.repeat(firsts[1:], sizes),
+                np.repeat(np.arange(len(blocks)), sizes))
+
+
+def _segments(laid, rows):
+    """The segments of the blocks ``laid.blocks[rows]`` as a (k, _BLOCK)
+    array, and the mask of those that exist."""
+    seg = laid.blocks[rows][:, None] + np.arange(_BLOCK)
+    return seg, seg < laid.stops[rows][:, None]
+
+
+def _local(laid, k):
+    """(polyline, its segment) of segment k of a laid curve."""
+    a = bisect.bisect_right(laid.firsts, k) - 1
+    return a, int(k) - laid.firsts[a]
+
+
+def _curve_hits(man, A, B):
+    """(a, b, i, j, s, u) for each crossing P[i] + s (P[i+1] - P[i]) =
+    Q[j] + u (Q[j+1] - Q[j]) with s, u in [0, 1) of polyline P = a of the
+    laid curve A and Q = b of B, on the tangent-plane chart at P[i] through
+    ``displacement``, in (a, b, i, j) order.
+
+    Only segment pairs whose starts are closer than their summed lengths
+    are charted, and only pairs of blocks whose anchors are within their
+    summed reaches (plus ``_SLACK``) can hold such a pair: the distance
+    |displacement| is a metric (flat torus, sphere chords, products), so
+    the triangle inequality bounds a pair's distance by its anchors'.  One
+    gap matrix covers every block pair of the two curves, and one near
+    test every surviving segment pair.
+    """
+    gap = np.linalg.norm(man.displacement(A.anchors[:, None, :],
+                                          B.anchors[None, :, :]), axis=2)
+    I, J = np.nonzero(gap <= A.reaches[:, None] + B.reaches + _SLACK)
+    (ii, keep_i), (jj, keep_j) = _segments(A, I), _segments(B, J)
+    k, p, q = np.nonzero(keep_i[:, :, None] & keep_j[:, None, :])
+    na, nb = len(A.lengths), len(B.lengths)
+    # polyline pair first, then (i, j): the segment numbers of a curve
+    # increase along each of its polylines
+    pair = A.owners[I] * (len(B.firsts) - 1) + B.owners[J]
+    key = np.sort((pair[k] * na + ii[k, p]) * nb + jj[k, q])
+    ii, jj = np.divmod(key % (na * nb), nb)
+    rel = man.displacement(A.starts[ii], B.starts[jj])
+    near = np.linalg.norm(rel, axis=1) <= A.lengths[ii] + B.lengths[jj]
+    out = []
+    for i, j, r in zip(ii[near], jj[near], rel[near]):
+        T = man.tangent_basis(A.starts[i])
+        s, u = _cross_solve(T.T @ A.d[i], T.T @ B.d[j], T.T @ r)
+        if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
+            (a, i), (b, j) = _local(A, i), _local(B, j)
+            out.append((a, b, i, j, s, u))
+    return out
 
 
 def _chord_hits(man, P, Q):
-    """(i, j, s, u) for each crossing P[i] + s (P[i+1] - P[i]) =
-    Q[j] + u (Q[j+1] - Q[j]) with s, u in [0, 1), on the tangent-plane
-    chart at P[i] through ``displacement``, in (i, j) order.
-
-    Only segment pairs whose starts are closer than their summed lengths
-    are charted, and only pairs of blocks (``_blocks``) whose anchors are
-    within their summed reaches (plus 1e-9 for rounding) can hold such a
-    pair: the distance |displacement| is a metric (flat torus, sphere
-    chords, products), so the triangle inequality bounds a pair's distance
-    by its anchors'.
-    """
-    da, db = (man.displacement(R[:-1], R[1:]) for R in (P, Q))
-    la, lb = (np.linalg.norm(d, axis=1) for d in (da, db))
-    (A, ra), (B, rb) = _blocks(man, P, la), _blocks(man, Q, lb)
-    gap = np.linalg.norm(man.displacement(A[:, None, :], B[None, :, :]),
-                         axis=2)
-    I, J = np.nonzero(gap <= ra[:, None] + rb + 1e-9)
-    step = np.arange(_BLOCK)
-    ii, jj = np.broadcast_arrays(I[:, None, None] * _BLOCK + step[:, None],
-                                 J[:, None, None] * _BLOCK + step)
-    keep = (ii < len(la)) & (jj < len(lb))
-    ii, jj = np.divmod(np.sort(ii[keep] * len(lb) + jj[keep]), len(lb))
-    rel = man.displacement(P[ii], Q[jj])
-    near = np.linalg.norm(rel, axis=1) <= la[ii] + lb[jj]
-    out = []
-    for i, j, r in zip(ii[near], jj[near], rel[near]):
-        T = man.tangent_basis(P[i])
-        s, u = _cross_solve(T.T @ da[i], T.T @ db[j], T.T @ r)
-        if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
-            out.append((int(i), int(j), s, u))
-    return out
+    """(i, j, s, u) for each crossing of the chords of the polylines P and
+    Q, in (i, j) order: ``_curve_hits`` of two curves of one polyline."""
+    A, B = (_lay([(R, _chart(man, R))]) for R in (P, Q))
+    return [hit[2:] for hit in _curve_hits(man, A, B)]
 
 
 def _crossing_fields(A, B, i, j, s, u):
@@ -367,46 +436,51 @@ def _refine_hit(man, A, B, i, j, s, u, tol=1e-12):
                                  % (A.limit.name, B.limit.name), **fields)
 
 
-def _end_on(man, ends, starts, stops):
-    """(gap, segment, parameter) of the point nearest to each row of
-    ``ends`` on the segments from ``starts`` to ``stops``, on the chart at
-    each segment's start."""
-    d = man.displacement(starts, stops)
-    rel = man.displacement(starts[None, :, :], ends[:, None, :])
-    t = np.clip(np.sum(rel * d, axis=2)
-                / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
-    gaps = np.linalg.norm(rel - t[..., None] * d, axis=2)
-    k = np.argmin(gaps, axis=1)
-    rows = np.arange(len(ends))
-    return gaps[rows, k], k, t[rows, k]
-
-
-def _check_ends(man, curve_a, curve_b):
+def _check_ends(man, curve_a, curve_b, laid_a, laid_b):
     """Raise ``DegenerateCrossingError`` when an end of a branch of one
     curve lies on a branch of the other.  An end is a critical point (or
     its image), where the branch has no tangent, and the limit is not on
     its curve at all: the curves do not meet transversally there, and a
     chord hit, which takes half-open segments, would drop a crossing at a
-    limit."""
-    for ends_of, others, of_a in ((curve_a, curve_b, True),
-                                  (curve_b, curve_a, False)):
-        first = np.cumsum([0] + [len(C.x) - 1 for C in others])
-        gaps, k, t = _end_on(
-            man, np.concatenate([E.x[[0, -1]] for E in ends_of]),
-            np.concatenate([C.x[:-1] for C in others]),
-            np.concatenate([C.x[1:] for C in others]))
-        for e in np.nonzero(gaps <= _END_GAP)[0]:
-            E = ends_of[e // 2]
-            c = int(np.searchsorted(first, k[e], side="right")) - 1
-            at_end = (0, 0.0) if e % 2 == 0 else (len(E.x) - 2, 1.0)
-            on = (int(k[e] - first[c]), float(t[e]))
-            pair = ((E, *at_end), (others[c], *on))
-            (A, i, s), (B, j, u) = pair if of_a else pair[::-1]
-            raise DegenerateCrossingError(
-                "the branch curves into %s and %s meet within %.3g of an "
-                "end, a critical point or its image" % (
-                    A.limit.name, B.limit.name, gaps[e]),
-                **_crossing_fields(A, B, i, j, s, u))
+    limit.
+
+    The point of a segment nearest to an end is found on the chart at the
+    segment's start.  A segment within ``_END_GAP`` of an end lies in a
+    block whose anchor is within its reach plus ``_END_GAP`` of the end
+    (the triangle inequality, as in ``_curve_hits``), so only the segments
+    of such blocks are measured.
+    """
+    for ends_of, others, laid, of_a in ((curve_a, curve_b, laid_b, True),
+                                        (curve_b, curve_a, laid_a, False)):
+        ends = np.concatenate([E.x[[0, -1]] for E in ends_of])
+        gap = np.linalg.norm(man.displacement(laid.anchors[None, :, :],
+                                              ends[:, None, :]), axis=2)
+        e, blocks = np.nonzero(gap <= laid.reaches + (_END_GAP + _SLACK))
+        seg, keep = _segments(laid, blocks)
+        n, p = np.nonzero(keep)
+        e, seg = e[n], seg[n, p]
+        d = laid.d[seg]
+        rel = man.displacement(laid.starts[seg], ends[e])
+        t = np.clip(np.sum(rel * d, axis=1)
+                    / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
+        gaps = np.linalg.norm(rel - t[:, None] * d, axis=1)
+        close = np.nonzero(gaps <= _END_GAP)[0]
+        if not len(close):
+            continue
+        # the first end with a close segment, and its nearest segment (the
+        # first of equals)
+        rows = np.nonzero(e == e[close[0]])[0]
+        r = rows[np.argmin(gaps[rows])]
+        E = ends_of[e[r] // 2]
+        at_end = (0, 0.0) if e[r] % 2 == 0 else (len(E.x) - 2, 1.0)
+        c, k = _local(laid, seg[r])
+        pair = ((E, *at_end), (others[c], k, float(t[r])))
+        (A, i, s), (B, j, u) = pair if of_a else pair[::-1]
+        raise DegenerateCrossingError(
+            "the branch curves into %s and %s meet within %.3g of an "
+            "end, a critical point or its image" % (
+                A.limit.name, B.limit.name, gaps[r]),
+            **_crossing_fields(A, B, i, j, s, u))
 
 
 Crossing = namedtuple("Crossing", "point a k theta b l u")
@@ -415,26 +489,28 @@ Crossing = namedtuple("Crossing", "point a k theta b l u")
 def curve_intersections(man, curve_a, curve_b):
     """The points where two curves of branches meet on the surface ``man``.
 
-    Chords of the polylines are crossed wrap-aware, and each hit is refined
-    on the segment interpolants (``_refine_hit``) or raises
-    ``CountingIncompleteError``, never dropped.  Curves that meet at an end
-    of one of them raise ``TransversalityError`` (``_check_ends``).
+    Chords of the polylines are crossed wrap-aware, every branch of a with
+    every branch of b in one pass over the branches' charts
+    (``_curve_hits``), and each hit is refined on the segment interpolants
+    (``_refine_hit``) or raises ``CountingIncompleteError``, never dropped.
+    Curves that meet at an end of one of them raise
+    ``TransversalityError`` (``_check_ends``).
     Returns one ``Crossing`` per point (branches share their critical
     point): the point on branch a in a's own manifold, at theta on segment
     k of a and u on segment l of b.
     """
     if man.dim != 2:
         raise GeometryError("curves are intersected on surfaces only")
-    _check_ends(man, curve_a, curve_b)
+    laid_a, laid_b = (_lay([(C.x, C.chart(man)) for C in curve])
+                      for curve in (curve_a, curve_b))
+    _check_ends(man, curve_a, curve_b, laid_a, laid_b)
     out = []
-    for A in curve_a:
-        for B in curve_b:
-            for hit in _chord_hits(man, A.x, B.x):
-                k, theta, l, u = _refine_hit(man, A, B, *hit)
-                z = A.point(k, theta)
-                if all(A.system.manifold.distance(z, c.point) > 1e-9
-                       for c in out):
-                    out.append(Crossing(z, A, k, theta, B, l, u))
+    for a, b, *hit in _curve_hits(man, laid_a, laid_b):
+        A, B = curve_a[a], curve_b[b]
+        k, theta, l, u = _refine_hit(man, A, B, *hit)
+        z = A.point(k, theta)
+        if all(A.system.manifold.distance(z, c.point) > 1e-9 for c in out):
+            out.append(Crossing(z, A, k, theta, B, l, u))
     return out
 
 
@@ -689,13 +765,20 @@ def graded_matrices(degrees, rows_of, cols_of, entry):
 
 
 def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None):
-    """Assemble the Morse complex; verifies the square-zero identity."""
+    """Assemble the Morse complex; verifies the square-zero identity.
+
+    Every pair is given to ``_connection_search`` before the first count,
+    in the order of the counts, so an unsupported pair raises before any
+    flow is launched."""
     gens = {p: tuple(cp.name for cp in system.by_index(p))
             for p in system.indices()}
+    degrees = [p for p in gens if p - 1 in gens]
+    graded_matrices(degrees, lambda p: system.by_index(p - 1),
+                    system.by_index,
+                    lambda x_cp, y_cp: _connection_search(system, x_cp, y_cp))
     with dropping(system.branches):
         maps = graded_matrices(
-            [p for p in gens if p - 1 in gens],
-            lambda p: system.by_index(p - 1), system.by_index,
+            degrees, lambda p: system.by_index(p - 1), system.by_index,
             lambda x_cp, y_cp: count_flow_lines(system, x_cp, y_cp, rho=rho,
                                                 k=k, ring=ring))
     return GradedComplex(gens, maps, ring=ring)

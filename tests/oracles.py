@@ -1,8 +1,10 @@
 """Independent reference constructions used to cross-check Morse output.
 
-Everything here is built from explicit cell structures (simplicial or
+The complexes here are built from explicit cell structures (simplicial or
 delta-complex boundary matrices, tensor products of complexes), with no use
-of the flow-counting machinery.
+of the flow-counting machinery.  The curve searches at the end measure
+every segment, where ``morseflow.counting`` skips the ones that cannot
+matter.
 """
 
 from itertools import combinations
@@ -10,6 +12,8 @@ from itertools import combinations
 import numpy as np
 
 from morseflow.complexes import GradedComplex
+from morseflow.counting import Crossing, _refine_hit
+from morseflow.errors import DegenerateCrossingError
 
 
 def simplicial_chain_complex(facets):
@@ -143,4 +147,62 @@ def chord_hits_all_pairs(man, P, Q):
         u = (r[0] * a[1] - r[1] * a[0]) / den
         if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
             out.append((int(i), int(j), s, u))
+    return out
+
+
+def _end_on(man, ends, starts, stops):
+    """(gap, segment, parameter) of the point nearest to each row of
+    ``ends`` on the segments from ``starts`` to ``stops``, on the chart at
+    each segment's start."""
+    d = man.displacement(starts, stops)
+    rel = man.displacement(starts[None, :, :], ends[:, None, :])
+    t = np.clip(np.sum(rel * d, axis=2)
+                / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
+    gaps = np.linalg.norm(rel - t[..., None] * d, axis=2)
+    k = np.argmin(gaps, axis=1)
+    rows = np.arange(len(ends))
+    return gaps[rows, k], k, t[rows, k]
+
+
+def check_ends_all_segments(man, curve_a, curve_b, end_gap=1e-10):
+    """Raise ``DegenerateCrossingError`` when an end of a branch of one
+    curve lies within ``end_gap`` of a branch of the other, measuring every
+    end against every segment; the first end found is reported, with the
+    nearest segment to it."""
+    for ends_of, others, of_a in ((curve_a, curve_b, True),
+                                  (curve_b, curve_a, False)):
+        first = np.cumsum([0] + [len(C.x) - 1 for C in others])
+        gaps, k, t = _end_on(
+            man, np.concatenate([E.x[[0, -1]] for E in ends_of]),
+            np.concatenate([C.x[:-1] for C in others]),
+            np.concatenate([C.x[1:] for C in others]))
+        for e in np.nonzero(gaps <= end_gap)[0]:
+            E = ends_of[e // 2]
+            c = int(np.searchsorted(first, k[e], side="right")) - 1
+            at_end = (0, 0.0) if e % 2 == 0 else (len(E.x) - 2, 1.0)
+            on = (int(k[e] - first[c]), float(t[e]))
+            pair = ((E, *at_end), (others[c], *on))
+            (A, i, s), (B, j, u) = pair if of_a else pair[::-1]
+            raise DegenerateCrossingError(
+                "the branch curves into %s and %s meet within %.3g of an "
+                "end, a critical point or its image" % (
+                    A.limit.name, B.limit.name, gaps[e]),
+                systems=(A.system.name, B.system.name),
+                limits=(A.limit.name, B.limit.name), segments=(i, j),
+                params=(s, u))
+
+
+def curve_intersections_per_pair(man, curve_a, curve_b):
+    """``counting.curve_intersections`` one branch pair at a time, on
+    ``check_ends_all_segments`` and ``chord_hits_all_pairs``."""
+    check_ends_all_segments(man, curve_a, curve_b)
+    out = []
+    for A in curve_a:
+        for B in curve_b:
+            for hit in chord_hits_all_pairs(man, A.x, B.x):
+                k, theta, l, u = _refine_hit(man, A, B, *hit)
+                z = A.point(k, theta)
+                if all(A.system.manifold.distance(z, c.point) > 1e-9
+                       for c in out):
+                    out.append(Crossing(z, A, k, theta, B, l, u))
     return out

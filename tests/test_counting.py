@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,14 +29,17 @@ import morseflow.counting as counting
 from morseflow.errors import (
     AdmissibilityError,
     CountingIncompleteError,
+    DegenerateCrossingError,
     GeometryError,
     StructuralValidationError,
     UnrefinedCrossingError,
+    UnsupportedPairError,
 )
 from morseflow.geometry import (
     CriticalPoint,
     MorseSystem,
     Tolerances,
+    parse_system_config,
     product_system,
     sphere_band,
     sphere_height,
@@ -43,7 +48,12 @@ from morseflow.geometry import (
 from morseflow.geometry.flow import flow, orientation_sign, transport_frame
 from morseflow.geometry.manifolds import SphereModel, TorusModel
 
-from oracles import chord_hits_all_pairs, circle_complex, tensor_complex
+from oracles import (
+    check_ends_all_segments,
+    chord_hits_all_pairs,
+    circle_complex,
+    tensor_complex,
+)
 
 
 @pytest.fixture(scope="module")
@@ -393,15 +403,16 @@ class TestClosedFormFrames:
                 == orientation_class(man, cp)
 
 
-def chord_walk(man, rng, n, scale):
-    """A polyline of n nodes on the flat T2 or the unit S2 whose steps
-    have exponentially distributed lengths of mean ``scale`` and a slowly
-    turning heading; on the torus it crosses the wrap freely."""
+def chord_walk(man, rng, n, scale, start=None):
+    """A polyline of n nodes on the flat T2 or the unit S2 from ``start``
+    (a random point if None) whose steps have exponentially distributed
+    lengths of mean ``scale`` and a slowly turning heading; on the torus
+    it crosses the wrap freely."""
     heads = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(
         rng.normal(0.0, 0.3, size=n - 1))
     steps = scale * rng.exponential(size=n - 1)[:, None] * np.stack(
         [np.cos(heads), np.sin(heads)], axis=1)
-    x = man.random_point(rng)
+    x = man.random_point(rng) if start is None else start
     if man.dim == man.coord_dim:
         return man.project(x + np.concatenate([[np.zeros(2)],
                                                np.cumsum(steps, axis=0)]))
@@ -412,7 +423,40 @@ def chord_walk(man, rng, n, scale):
 
 
 def bits(hits):
-    return [(i, j, float(s).hex(), float(u).hex()) for i, j, s, u in hits]
+    """Hits (..., s, u) with s and u as their float bits."""
+    return [(*hit[:-2], float(hit[-2]).hex(), float(hit[-1]).hex())
+            for hit in hits]
+
+
+def two_branch_curve(man, rng, n, m, scale):
+    """Two chord walks of n and m nodes that share their first node, as
+    the two branches of a critical point's curve do."""
+    x = man.random_point(rng)
+    return [chord_walk(man, rng, n, scale, x),
+            chord_walk(man, rng, m, scale, x)]
+
+
+def laid(man, curve):
+    return counting._lay([(R, counting._chart(man, R)) for R in curve])
+
+
+def as_branches(curve, system):
+    """``Branch`` objects on the polylines of a curve, named after
+    ``system`` and numbered limits, for the crossing checks."""
+    return [counting.Branch(SimpleNamespace(name=system), R[:-1], None,
+                            SimpleNamespace(name="y%d" % k, point=R[-1]),
+                            +1, 1)
+            for k, R in enumerate(curve)]
+
+
+def end_check(check, *args):
+    """(systems, limits, segments, params bits) of the
+    ``DegenerateCrossingError`` the check raises, or None."""
+    try:
+        check(*args)
+    except DegenerateCrossingError as e:
+        return e.systems, e.limits, e.segments, bits([e.params])
+    return None
 
 
 class TestChordSearch:
@@ -421,16 +465,27 @@ class TestChordSearch:
 
     MANIFOLDS = {"torus": TorusModel(2), "sphere": SphereModel(2)}
 
-    @settings(max_examples=50, derandomize=True, deadline=None,
+    @settings(max_examples=60, derandomize=True, deadline=None,
               database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200),
            m=st.integers(2, 200), scale=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
            kind=st.sampled_from(["walks", "overlap", "near-parallel",
-                                 "reversed"]),
+                                 "reversed", "branches"]),
            surface=st.sampled_from(["torus", "sphere"]))
     def test_same_hits_as_all_pairs(self, seed, n, m, scale, kind, surface):
         man = self.MANIFOLDS[surface]
         rng = np.random.default_rng(seed)
+        if kind == "branches":
+            # one pass over two curves of two branches each gives, pair
+            # by pair, the hits of charting every segment pair
+            curves = [two_branch_curve(man, rng, n, m, scale),
+                      two_branch_curve(man, rng, m, n, scale)]
+            got = counting._curve_hits(man, *(laid(man, c) for c in curves))
+            want = [(a, b, *hit) for a, P in enumerate(curves[0])
+                    for b, Q in enumerate(curves[1])
+                    for hit in chord_hits_all_pairs(man, P, Q)]
+            assert bits(got) == bits(want)
+            return
         P = chord_walk(man, rng, n, scale)
         if kind == "walks":
             Q = chord_walk(man, rng, m, scale)
@@ -462,6 +517,47 @@ class TestChordSearch:
                                   / (0.1 + 2.0 * np.pi - 6.2))
         assert u == pytest.approx(0.25)
 
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120),
+           m=st.integers(2, 120), scale=st.sampled_from([0.01, 0.1, 0.5]),
+           offset=st.sampled_from([None, 0.0, 1e-11, 1e-9]),
+           surface=st.sampled_from(["torus", "sphere"]))
+    def test_pruned_end_check_matches_all_segments(self, seed, n, m, scale,
+                                                   offset, surface):
+        # an end placed offset off a segment of the other curve raises at
+        # 0 and 1e-11 and passes at 1e-9 (beyond 1e-10), and the pruned
+        # check must report what the all-segment oracle reports
+        man = self.MANIFOLDS[surface]
+        rng = np.random.default_rng(seed)
+        curves = [two_branch_curve(man, rng, n, m, scale),
+                  two_branch_curve(man, rng, m, n, scale)]
+        if offset is not None:
+            ends, other = curves[::1 if rng.integers(2) else -1]
+            R = other[int(rng.integers(2))]
+            j = int(rng.integers(len(R) - 1))
+            d = man.displacement(R[j], R[j + 1])
+            normal = (np.array([-d[1], d[0]]) if man.dim == man.coord_dim
+                      else np.cross(d, R[j]))
+            end = R[j] + rng.uniform() * d + offset * normal / np.linalg.norm(
+                normal)
+            if man.dim == man.coord_dim:
+                end = man.project(end)
+            b = int(rng.integers(2))
+            if rng.integers(2):
+                ends[b][-1] = end
+            else:
+                # the first node is shared by both branches
+                ends[0][0] = ends[1][0] = end
+        curve_a, curve_b = as_branches(curves[0], "f"), as_branches(
+            curves[1], "g")
+        want = end_check(check_ends_all_segments, man, curve_a, curve_b)
+        got = end_check(counting._check_ends, man, curve_a, curve_b,
+                        *(laid(man, c) for c in curves))
+        assert got == want
+        if offset is not None and offset < 1e-10:
+            assert want is not None
+
     def test_unrefined_crossing_names_its_branches(self, monkeypatch):
         # interpolants that give no Newton step leave the chord hit
         # unrefined; the error names both branches and the chord hit
@@ -480,6 +576,22 @@ class TestChordSearch:
         s, u = e.params
         assert isinstance(k, int) and isinstance(l, int)
         assert 0.0 <= s < 1.0 and 0.0 <= u < 1.0
+
+
+class TestUnsupportedPairs:
+    def test_boundary_operator_refuses_before_any_flow(self, monkeypatch):
+        # on T4 no search reaches index 3 -> index 2; the refusal must
+        # come before the index-2 counts, which would fly the lattice
+        t4 = parse_system_config("kind torus\ndim 4\n")
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow was launched")
+
+        monkeypatch.setattr(counting, "flow", no_flow)
+        with pytest.raises(UnsupportedPairError) as err:
+            boundary_operator(t4)
+        assert (err.value.names, err.value.indices) == (
+            ("x1110", "x1100"), (3, 2))
 
 
 class TestLatticeDrops:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from morseflow.complexes import chain_map_defect, homology
+import morseflow.counting as counting
 from morseflow.counting import boundary_operator, continuation
 from morseflow.errors import (
     DegenerateCrossingError,
@@ -42,8 +43,9 @@ from morseflow.operations import (
     umkehr,
     verify_operation_chain_map,
 )
+import morseflow.operations as operations
 
-from oracles import torus_intersection_table
+from oracles import curve_intersections_per_pair, torus_intersection_table
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +355,22 @@ def phased_problem(phases, perturb=0.0, seeds=(0, 0, 0)):
     return FlowGraphProblem(figure8_diagram(), labels[:2], labels[2:])
 
 
+# the criterion-7 labels (in1, in2, out), and torus shifts of all three
+# by the 4 x 4 grid of quarter turns
+CRITERION7_PHASES = np.array([(0.0, 0.0), (0.9, 1.3), (-0.7, 0.55)])
+QUARTER_TURNS = [(j / 4, k / 4) for j in range(4) for k in range(4)]
+
+
+def crossing_bits(crossings, curve_a, curve_b):
+    """Each crossing's point, branches (by position in their curves),
+    segments and parameters, floats as bits."""
+    def at(curve, branch):
+        return [k for k, C in enumerate(curve) if C is branch]
+
+    return [(c.point.tobytes(), at(curve_a, c.a), c.k, float(c.theta).hex(),
+             at(curve_b, c.b), c.l, float(c.u).hex()) for c in crossings]
+
+
 def near_alignment_phases(seed, rho=0.02):
     """Uniform label phases, except that one angle of in2 sits within rho
     of in1's modulo pi: one of in2's index-1 points is then within rho of
@@ -506,6 +524,47 @@ class TestDiagramOperation:
         seeds = tuple(int(v) for v in rng.integers(0, 1000, size=3))
         assert_oracle_table(operation_table(
             phased_problem(phases, 0.05, seeds), edge_time=R))
+
+    @pytest.mark.parametrize("shift", QUARTER_TURNS)
+    def test_shifted_tables_cross_as_the_per_pair_oracle(self, shift,
+                                                         monkeypatch):
+        # every curve pair, crossed in one pass, gives the crossings of
+        # crossing it branch pair by branch pair on all segments
+        real = operations.curve_intersections
+        pairs = []
+
+        def checked(man, curve_a, curve_b):
+            got = real(man, curve_a, curve_b)
+            want = curve_intersections_per_pair(man, curve_a, curve_b)
+            assert crossing_bits(got, curve_a, curve_b) == crossing_bits(
+                want, curve_a, curve_b)
+            pairs.append(len(got))
+            return got
+
+        monkeypatch.setattr(operations, "curve_intersections", checked)
+        assert_oracle_table(operation_table(phased_problem(
+            (CRITERION7_PHASES + 2.0 * np.pi * np.array(shift))
+            % (2.0 * np.pi))))
+        assert len(pairs) == 12 and sum(pairs) > 0
+
+    def test_each_branch_is_charted_once(self, monkeypatch):
+        # a table charts the two branches of W^u of each input's saddles
+        # and of W^s of the output's saddles, once each; a complex crosses
+        # no curves and charts nothing
+        real = counting._chart
+        charted = []
+
+        def counted(man, R):
+            charted.append(R)
+            return real(man, R)
+
+        monkeypatch.setattr(counting, "_chart", counted)
+        operation_table(phased_problem(CRITERION7_PHASES))
+        assert len(charted) == 12
+        assert len({id(R) for R in charted}) == 12
+        charted.clear()
+        boundary_operator(torus_cosine(2, [1.0, 0.7]))
+        assert charted == []
 
     def test_public_calls_keep_no_branch_flows(self):
         # a kept system must not hold the branch flows of a finished call
