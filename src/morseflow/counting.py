@@ -13,14 +13,18 @@ and raises on any change.  Every other pair raises ``UnsupportedPairError``
 (exit status 3); ``boundary_operator`` asks the rule about every pair before
 its first count, so it refuses before launching a flow.  Index-1 chain-map
 entries on a surface intersect curves of recorded branch flows that start
-at their critical points and end at their limits (``curve_intersections``).
-Each branch is charted once, on its first intersection (``Branch.chart``:
-segment displacements and lengths, and blocks of segments with an anchor
-and a reach), and two curves are crossed in one pass over those charts, so
-the fixed cost of a crossing search is paid once per pair of curves, not
-once per pair of branches.  Their signs need no frame carried along a flow: a one-dimensional
-W^u or W^s is oriented at each point of a branch by ``Branch.tangent``, and
-a top-dimensional one by the orientation class of its point's eigenframe
+at their critical points and end at their limits (``curve_intersections``):
+the chords of the recorded polylines are the curves, and a chord hit is the
+crossing, since a count needs each crossing and its orientation, not the
+point to the last digit.  Each branch is charted once, on its first
+intersection (``Branch.chart``: segment displacements and lengths, and
+blocks of segments with an anchor and a reach), and two curves are crossed
+in one pass over those charts, so the fixed cost of a crossing search is
+paid once per pair of curves, not once per pair of branches.  Their signs
+need no frame carried along a flow: a one-dimensional W^u or W^s is
+oriented at each point of a branch by ``Branch.tangent``, the field there
+or, for a curve mapped into the surface, the chord of its image, and a
+top-dimensional one by the orientation class of its point's eigenframe
 (``orientation_class``).
 """
 
@@ -42,7 +46,6 @@ from .errors import (
     DegenerateCrossingError,
     GeometryError,
     InternalInconsistencyError,
-    UnrefinedCrossingError,
     UnsupportedPairError,
 )
 from .geometry.flow import (
@@ -77,6 +80,18 @@ def gated(run, k, what):
     return first[0]
 
 
+def _resolved(res, what):
+    """``res`` if its flow converged; else ``CountingIncompleteError``
+    naming the flow ``what``, with its status, end time and step count as
+    the fields ``status``, ``t_end`` and ``steps``."""
+    if res.status != CONVERGED:
+        raise CountingIncompleteError(
+            "%s unresolved (%s at t=%.6g after %d steps)" % (
+                what, res.status, res.t_end, res.steps),
+            status=res.status, t_end=res.t_end, steps=res.steps)
+    return res
+
+
 def approach(system, pt, target, direction=+1):
     """(strict limit name, closest distance, offsets w) of a loose flow.
 
@@ -87,10 +102,9 @@ def approach(system, pt, target, direction=+1):
     """
     many = isinstance(target, tuple)
     targets = target if many else (target,)
-    res = flow(system, pt, direction, record=False,
-               approach_targets=[cp.name for cp in targets], loose=True)
-    if res.status != CONVERGED:
-        raise CountingIncompleteError("classification flow unresolved")
+    res = _resolved(flow(system, pt, direction, record=False,
+                         approach_targets=[cp.name for cp in targets],
+                         loose=True), "classification flow")
     dists, ws = [], []
     for cp in targets:
         dist, _t, loc = res.closest[cp.name]
@@ -162,13 +176,14 @@ class Branch:
     """One branch of a one-dimensional W^u (direction +1) or W^s (-1) of a
     critical point: a polyline from the critical point through the nodes of
     one recorded strict flow that starts 10 eps_conv off it along side
-    (+-1) times the eigenvector, and on to the flow's limit point.  The
-    first segment, a chord, is within O(1e-10) of the curve; the last, a
-    chord too, spans the flow's last gap of at most eps_conv, so a crossing
-    there is not missed.  ``points`` and ``times`` are the flow's nodes
-    from the critical point, and ``nodes`` adds the limit.  ``image`` maps
-    the nodes into the manifold where curves are intersected (an
-    embedding, or an auxiliary flow); None is the identity.
+    (+-1) times the eigenvector, and on to the flow's limit point.  Its
+    chords are the curve, each off the flow by at most its sagitta (below
+    1e-4 at the crossings of the figure-8 sweeps); the last spans the
+    flow's last gap of at most eps_conv, so a crossing there is not
+    missed.  ``points`` and ``times`` are the flow's nodes from the
+    critical point, and ``nodes`` adds the limit.  ``image`` maps the nodes
+    into the manifold where curves are intersected (an embedding, or an
+    auxiliary flow); None is the identity.
     """
 
     def __init__(self, system, points, times, limit, direction, side,
@@ -194,58 +209,29 @@ class Branch:
             self.system, self.points, self.times, self.limit, self.direction,
             self.side, image)
 
-    def velocity(self, k, man=None):
-        """Velocity at node k >= 1 in the branch's own manifold, or of its
-        image in ``man`` by central differences 1e-6 along the flow."""
-        v = self.direction * self.system.field(self.points[k])
-        if man is None or self.image is None:
-            return v
-        e = 1e-6 / max(float(np.linalg.norm(v)), 1e-12)
-        return man.displacement(*[self.image(self.system.manifold.project(
-            self.points[k] + s * e * v)) for s in (-1.0, 1.0)]) / (2.0 * e)
-
-    def poly(self, k, man, origin, T):
-        """Coefficients in theta of segment k, lowest degree first, in the
-        chart T^T displacement(origin, .) of the image's manifold ``man``
-        (None: the branch's own).  The first and the last segment are
-        chords.  Others are cubic Hermite interpolants of the positions and
-        velocities of the two nodes, off the curve by up to about 3e-8 on a
-        perturbed torus."""
-        own = man is None or self.image is None
-        nodes, m = ((self.nodes, self.system.manifold) if own
-                    else (self.x, man))
-        p0, p1 = (T.T @ m.displacement(origin, p) for p in nodes[k:k + 2])
-        if k == 0 or k == len(self.points) - 1:
-            return p0, p1 - p0
-        h = self.times[k + 1] - self.times[k]
-        m0, m1 = (h * (T.T @ self.velocity(n, man)) for n in (k, k + 1))
-        return (p0, m0, 3.0 * (p1 - p0) - 2.0 * m0 - m1,
-                2.0 * (p0 - p1) + m0 + m1)
-
     def point(self, k, theta):
-        """The point at theta on segment k, in the branch's own manifold."""
-        base, own = self.points[k], self.system.manifold
-        c = self.poly(k, None, base, np.eye(own.coord_dim))
-        return own.project(base + _poly_at(c, theta)[0])
+        """The point at theta on the chord of segment k, in the branch's
+        own manifold."""
+        own = self.system.manifold
+        p0 = self.nodes[k]
+        return own.project(p0 + theta * own.displacement(p0,
+                                                         self.nodes[k + 1]))
 
-    def tangent(self, k, theta):
+    def tangent(self, k, theta, man=None):
         """The eigenvector, oriented, carried along the flow to the point at
         theta on segment k, as a one-column frame: side times the unit
         velocity there, since the linearised flow carries the velocity to
         itself and the branch leaves its point along side times the
-        eigenvector."""
-        v = self.direction * self.system.field(self.point(k, theta))
+        eigenvector.  A branch with an image takes it in the image's
+        manifold ``man``: side times the unit chord of the image's segment
+        k on the tangent plane there, as the image keeps the order of the
+        nodes."""
+        if self.image is None:
+            v = self.direction * self.system.field(self.point(k, theta))
+        else:
+            v = man.displacement(self.x[k], self.x[k + 1])
+            v = man.tangent_project(man.project(self.x[k] + theta * v), v)
         return (self.side / np.linalg.norm(v)) * v[:, None]
-
-
-def _poly_at(c, theta):
-    """(value, derivative) at theta of the polynomial with coefficients c,
-    lowest degree first."""
-    value = slope = 0.0 * c[0]
-    for ci in reversed(c):
-        slope = slope * theta + value
-        value = value * theta + ci
-    return value, slope
 
 
 def _cross_solve(a, b, r):
@@ -277,13 +263,10 @@ def branches(system, cp, direction):
         t_max = max(system.tol.t_max, 40.0 / abs(float(lam)))
         out = []
         for side in (1, -1):
-            res = flow(system, system.manifold.project(
+            res = _resolved(flow(system, system.manifold.project(
                 cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
-                direction, t_max=t_max, record=True)
-            if res.status != CONVERGED:
-                raise CountingIncompleteError(
-                    "branch flow of %s unresolved (%s at t=%.6g after %d "
-                    "steps)" % (cp.name, res.status, res.t_end, res.steps))
+                direction, t_max=t_max, record=True),
+                "branch flow of %s" % cp.name)
             out.append(Branch(
                 system, np.concatenate([cp.point[None, :], res.points]),
                 np.concatenate([[0.0], res.times]), res.limit, direction,
@@ -398,44 +381,6 @@ def _chord_hits(man, P, Q):
     return [hit[2:] for hit in _curve_hits(man, A, B)]
 
 
-def _crossing_fields(A, B, i, j, s, u):
-    """The structured fields of an error at a crossing of branches A and B
-    (``errors.CrossingFields``)."""
-    return dict(systems=(A.system.name, B.system.name),
-                limits=(A.limit.name, B.limit.name), segments=(i, j),
-                params=(s, u))
-
-
-def _refine_hit(man, A, B, i, j, s, u, tol=1e-12):
-    """Newton's method on the segment interpolants of A and B from a chord
-    hit; a solution past a segment's end moves on to its neighbour.
-    Returns (segment of A, theta on it, segment of B, u on it)."""
-    fields = _crossing_fields(A, B, i, j, s, u)
-    for _move in range(8):
-        T = man.tangent_basis(A.x[i])
-        ca, cb = A.poly(i, man, A.x[i], T), B.poly(j, man, A.x[i], T)
-        for _it in range(40):
-            (pa, va), (pb, vb) = _poly_at(ca, s), _poly_at(cb, u)
-            ds, du = _cross_solve(va, vb, pb - pa)
-            s, u = s + ds, u + du
-            if not abs(ds) + abs(du) > tol:
-                break
-        if not abs(ds) + abs(du) <= tol:
-            break
-        ni = i + (s > 1.0 + 1e-9) - (s < -1e-9)
-        nj = j + (u > 1.0 + 1e-9) - (u < -1e-9)
-        if (ni, nj) == (i, j):
-            return i, s, j, u
-        if not (0 <= ni < len(A.x) - 1 and 0 <= nj < len(B.x) - 1):
-            break
-        s = 0.0 if ni > i else 1.0 if ni < i else s
-        u = 0.0 if nj > j else 1.0 if nj < j else u
-        i, j = ni, nj
-    raise UnrefinedCrossingError("a crossing of the branch flows into %s "
-                                 "and %s did not refine"
-                                 % (A.limit.name, B.limit.name), **fields)
-
-
 def _check_ends(man, curve_a, curve_b, laid_a, laid_b):
     """Raise ``DegenerateCrossingError`` when an end of a branch of one
     curve lies on a branch of the other.  An end is a critical point (or
@@ -480,7 +425,9 @@ def _check_ends(man, curve_a, curve_b, laid_a, laid_b):
             "the branch curves into %s and %s meet within %.3g of an "
             "end, a critical point or its image" % (
                 A.limit.name, B.limit.name, gaps[r]),
-            **_crossing_fields(A, B, i, j, s, u))
+            systems=(A.system.name, B.system.name),
+            limits=(A.limit.name, B.limit.name), segments=(i, j),
+            params=(s, u))
 
 
 Crossing = namedtuple("Crossing", "point a k theta b l u")
@@ -489,12 +436,10 @@ Crossing = namedtuple("Crossing", "point a k theta b l u")
 def curve_intersections(man, curve_a, curve_b):
     """The points where two curves of branches meet on the surface ``man``.
 
-    Chords of the polylines are crossed wrap-aware, every branch of a with
-    every branch of b in one pass over the branches' charts
-    (``_curve_hits``), and each hit is refined on the segment interpolants
-    (``_refine_hit``) or raises ``CountingIncompleteError``, never dropped.
-    Curves that meet at an end of one of them raise
-    ``TransversalityError`` (``_check_ends``).
+    The curves are the chords of their polylines, crossed wrap-aware,
+    every branch of a with every branch of b in one pass over the
+    branches' charts (``_curve_hits``).  Curves that meet at an end of one
+    of them raise ``TransversalityError`` (``_check_ends``).
     Returns one ``Crossing`` per point (branches share their critical
     point): the point on branch a in a's own manifold, at theta on segment
     k of a and u on segment l of b.
@@ -505,12 +450,11 @@ def curve_intersections(man, curve_a, curve_b):
                       for curve in (curve_a, curve_b))
     _check_ends(man, curve_a, curve_b, laid_a, laid_b)
     out = []
-    for a, b, *hit in _curve_hits(man, laid_a, laid_b):
-        A, B = curve_a[a], curve_b[b]
-        k, theta, l, u = _refine_hit(man, A, B, *hit)
+    for a, b, k, l, theta, u in _curve_hits(man, laid_a, laid_b):
+        A = curve_a[a]
         z = A.point(k, theta)
         if all(A.system.manifold.distance(z, c.point) > 1e-9 for c in out):
-            out.append(Crossing(z, A, k, theta, B, l, u))
+            out.append(Crossing(z, A, k, theta, curve_b[b], l, u))
     return out
 
 
@@ -906,9 +850,8 @@ def _systems_identical(sys_f, sys_g, samples=8, seed=0, tol=1e-9):
 
 def point_at_time(system, res, t):
     """Point of a recorded trajectory at an intermediate time, re-integrated
-    from the preceding node.  No count calls it since branch curves are
-    refined on Hermite interpolants; ``morsebench/tracer.py`` still wraps
-    it by name."""
+    from the preceding node.  No count calls it, since branch curves are
+    their chords; ``morsebench/tracer.py`` still wraps it by name."""
     i = int(np.searchsorted(res.times, t, side="right") - 1)
     i = max(0, min(i, len(res.times) - 1))
     dt = float(t - res.times[i])
@@ -921,17 +864,15 @@ def point_at_time(system, res, t):
 def backward_limit(system, z):
     """The critical point whose unstable manifold contains z: the limit of
     the backward flow from z, which must converge."""
-    res = flow(system, z, -1, record=False)
-    if res.status != CONVERGED:
-        raise CountingIncompleteError("flow from the point did not converge")
-    return res.limit
+    return _resolved(flow(system, z, -1, record=False),
+                     "backward flow from the point").limit
 
 
 def continuation(sys_f, sys_g):
     """Chain map counting hybrid trajectories W^u(m; f) into W^s(m'; g).
 
     Returns {degree: matrix} in catalog order: the pushforward along the
-    identity (``hybrid_entry`` with its default maps).  Identical systems
+    identity (``hybrid_entry`` with its default map).  Identical systems
     short circuit to the identity: with one Morse-Smale system, an
     equal-index intersection W^u(m) with W^s(m') is empty unless m = m',
     where it is the point m itself with positive sign.
@@ -946,26 +887,24 @@ def continuation(sys_f, sys_g):
             lambda m_cp, m2_cp: hybrid_entry(sys_f, sys_g, m_cp, m2_cp))
 
 
-def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None, push=None):
+def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None):
     """Signed count of f-trajectories leaving m whose image under a map e
     flows into m2 under g, i.e. of W^u(m; f) meeting e^-1 W^s(m2; g).
 
-    ``image`` is e on points and ``push(pt, frame)`` its differential on a
-    frame at pt; None is the identity, which gives continuation.  Index 0
-    flows the image of m; index dim(codomain), reached only when e is the
-    identity, flows m2 backward under f and signs a hit on m by the
-    orientation classes of m and m2; index 1 crosses e(W^u(m; f)) with
-    W^s(m2; g) on the codomain surface and signs each crossing by the
-    tangent of m's branch, pushed through e and followed by the tangent of
-    m2's branch, against the orientation class of m2.
+    ``image`` is e on points; None is the identity, which gives
+    continuation.  Index 0 flows the image of m; index dim(codomain),
+    reached only when e is the identity, flows m2 backward under f and
+    signs a hit on m by the orientation classes of m and m2; index 1
+    crosses e(W^u(m; f)) with W^s(m2; g) on the codomain surface and signs
+    each crossing by the tangent of e(W^u(m; f)), the unit chord of its
+    image segment (``Branch.tangent``), followed by the tangent of m2's
+    branch, against the orientation class of m2.
     """
     d = m_cp.index
     if d == 0:
         start = m_cp.point if image is None else image(m_cp.point)
-        res = flow(sys_g, start, +1, record=False)
-        if res.status != CONVERGED:
-            raise CountingIncompleteError("flow from the image of %s "
-                                          "unresolved" % m_cp.name)
+        res = _resolved(flow(sys_g, start, +1, record=False),
+                        "flow from the image of %s" % m_cp.name)
         return 1 if res.limit.name == m2_cp.name else 0
     man = sys_g.manifold
     if d == man.dim:
@@ -981,12 +920,9 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None, push=None):
     for c in curve_intersections(
             man, [b.mapped(image) for b in branches(sys_f, m_cp, +1)],
             branches(sys_g, m2_cp, -1)):
-        A = c.a.tangent(c.k, c.theta)
-        if push is not None:
-            A = push(c.point, A)
-        z = c.b.point(c.l, c.u)
         total += orientation_sign(
-            man.oriented_tangent_basis(z),
-            np.hstack([A, c.b.tangent(c.l, c.u)]),
+            man.oriented_tangent_basis(c.b.point(c.l, c.u)),
+            np.hstack([c.a.tangent(c.k, c.theta, man),
+                       c.b.tangent(c.l, c.u)]),
             floor=1e-8) * orientation_class(man, m2_cp)
     return total

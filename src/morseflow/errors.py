@@ -68,8 +68,14 @@ class UnsupportedPairError(GeometryError):
 
 
 class CountingIncompleteError(MorseflowError):
-    """A trajectory or search did not resolve; counts must not default to 0."""
+    """A trajectory or search did not resolve; counts must not default to 0.
+    An unresolved flow gives its ``status``, end time ``t_end`` and step
+    count ``steps``."""
     code = 4
+
+    def __init__(self, message, status=None, t_end=None, steps=None):
+        super().__init__(message)
+        self.status, self.t_end, self.steps = status, t_end, steps
 
 
 class TransversalityError(MorseflowError):
@@ -77,28 +83,19 @@ class TransversalityError(MorseflowError):
     code = 5
 
 
-class CrossingFields:
-    """Fields of an error at a crossing of two branch curves a and b:
-    ``systems`` and ``limits`` are the names of the branches' systems and
-    of their limits, as (a, b); ``segments`` (k, l) are the segments of a
-    and b, and ``params`` (s, u) the chord parameters on them."""
+class DegenerateCrossingError(TransversalityError):
+    """Two branch curves a and b meet at an end of one of them: a critical
+    point, or its image.  ``systems`` and ``limits`` are the names of the
+    branches' systems and of their limits, as (a, b); ``segments`` (k, l)
+    are the segments of a and b, and ``params`` (s, u) the chord
+    parameters on them."""
+    code = 5
 
     def __init__(self, message, systems=None, limits=None, segments=None,
                  params=None):
         super().__init__(message)
         self.systems, self.limits = systems, limits
         self.segments, self.params = segments, params
-
-
-class UnrefinedCrossingError(CrossingFields, CountingIncompleteError):
-    """A chord hit of two branch curves did not refine to a crossing."""
-    code = 4
-
-
-class DegenerateCrossingError(CrossingFields, TransversalityError):
-    """Two branch curves meet at an end of one of them: a critical point,
-    or its image."""
-    code = 5
 
 
 class CountInstabilityError(TransversalityError):

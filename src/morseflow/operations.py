@@ -9,9 +9,10 @@ curves of branch flows (``counting.curve_intersections``), with no gate.
 Their signs carry no frame along a flow: a one-dimensional W^u or W^s is
 oriented by its branch's tangent (``Branch.tangent``), and one that spans
 the tangent space by its point's orientation class
-(``counting.orientation_class``).  Only a figure-8 configuration with an
-auxiliary flow of positive time pulls the outgoing stable tangent back
-along that flow (``transport_frame``).
+(``counting.orientation_class``).  A curve mapped into the surface, the
+image of an embedded W^u or a W^s pulled back through the auxiliary flow,
+takes its tangent from the chord of its image, since either map keeps the
+order of the nodes.
 """
 
 from __future__ import annotations
@@ -42,12 +43,7 @@ from .errors import (
     TransversalityError,
     UnsupportedDiagramError,
 )
-from .geometry.flow import (
-    fixed_time_flow,
-    orientation_sign,
-    orthonormalize,
-    transport_frame,
-)
+from .geometry.flow import fixed_time_flow, orientation_sign, orthonormalize
 from .geometry.systems import DEFAULT_TOLERANCES, numpy_kernels
 
 
@@ -224,8 +220,8 @@ def pushforward(emb, verify=True):
     with dropping(dom.branches, cod.branches):
         out = graded_matrices(
             dom.indices(), cod.by_index, dom.by_index,
-            lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp, emb.image,
-                                            emb.push_frame))
+            lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp,
+                                            emb.image))
         if verify:
             # the differentials read the branches the entries just flew
             _verify_chain_map("pushforward", dom, cod, out, 0)
@@ -687,7 +683,7 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0):
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     a1, a2, a3 = E1.point(inputs[0]), E2.point(inputs[1]), E3.point(output)
-    return sum(_configuration_sign(problem, a1, a2, a3, x, edge_time, frames)
+    return sum(_configuration_sign(problem, a1, a2, a3, x, frames)
                for x, frames in _find_configurations(problem, a1, a2, a3,
                                                      edge_time))
 
@@ -722,8 +718,8 @@ def _find_configurations(problem, a1, a2, a3, R):
     lands on the outgoing stable manifold, as (x, frames).  With an
     index-1 input, configurations are crossings of two curves of branch
     flows, and ``frames`` maps the system of each one-dimensional manifold
-    to its branch's tangent at the crossing: W^u of an index-1 input at x,
-    and in case (2,1) W^s of the output at the landing point y."""
+    to its tangent at the crossing x: W^u of an index-1 input, and in case
+    (2,1) W^s of the output pulled back through the time-R flow."""
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     i1, i2 = a1.index, a2.index
@@ -752,9 +748,9 @@ def _find_configurations(problem, a1, a2, a3, R):
                            E2: c.b.tangent(c.l, c.u)}) for c in hits
                 if _flows_into(E3, _aux_time_map(problem, c.point, R), a3)]
     if {i1, i2} == {2, 1}:
-        # W^s(a3) pulled back through the time-R flow node by node; its
-        # tangent is read at y on W^s(a3), as two time-R flows round-trip
-        # to about 1e-8
+        # W^s(a3) pulled back through the time-R flow node by node; the
+        # flow keeps the order of the nodes, so its tangent at x is the
+        # chord of the pulled-back segment
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
         stable, key = branches(E3, a3, -1), (a3.name, R)
@@ -765,14 +761,14 @@ def _find_configurations(problem, a1, a2, a3, R):
         hits = curve_intersections(man, branches(curve_sys, curve_cp, +1),
                                    problem.pullbacks.get(key, stable))
         return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta),
-                           E3: c.b.tangent(c.l, c.u)})
+                           E3: c.b.tangent(c.l, c.u, man)})
                 for c in hits if _flows_into(other_sys, c.point, other_cp, -1)]
     raise InternalInconsistencyError(
         "unreachable index pattern (%d, %d) after the dimension gate"
         % (i1, i2))
 
 
-def _configuration_sign(problem, a1, a2, a3, x, R, frames):
+def _configuration_sign(problem, a1, a2, a3, x, frames):
     """Orientation sign of one configuration.
 
     Computed in the doubled tangent space: the two incoming unstable
@@ -781,8 +777,7 @@ def _configuration_sign(problem, a1, a2, a3, x, R, frames):
     manifold orientation, which gives the orientation class of a3.  A W^u
     or W^s of dimension 0 has the empty frame, one that spans the tangent
     space the class-signed basis at x, and a one-dimensional one its
-    branch tangent in ``frames``; a one-dimensional outgoing tangent, read
-    at y, is pulled back along the auxiliary time-R flow from x.
+    tangent at x in ``frames``.
     """
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
@@ -796,11 +791,6 @@ def _configuration_sign(problem, a1, a2, a3, x, R, frames):
 
     U1, U2 = frame(E1, a1, a1.index), frame(E2, a2, a2.index)
     S3 = frame(E3, a3, n - a3.index)
-    if R > 0 and E3 in frames:
-        seg = fixed_time_flow(problem.aux, x, R, record=True)
-        S3 = transport_frame(man, lambda p: -problem.aux.field(p),
-                             (seg.times[-1] - seg.times)[::-1],
-                             seg.points[::-1], S3)
     i1, i2 = a1.index, a2.index
     if i1 + i2 + S3.shape[1] != 2 * n:
         raise InternalInconsistencyError("configuration dimensions are off")

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from morseflow.complexes import GradedComplex
-from morseflow.counting import Crossing, _refine_hit
+from morseflow.counting import Crossing
 from morseflow.errors import DegenerateCrossingError
 
 
@@ -199,8 +199,7 @@ def curve_intersections_per_pair(man, curve_a, curve_b):
     out = []
     for A in curve_a:
         for B in curve_b:
-            for hit in chord_hits_all_pairs(man, A.x, B.x):
-                k, theta, l, u = _refine_hit(man, A, B, *hit)
+            for k, l, theta, u in chord_hits_all_pairs(man, A.x, B.x):
                 z = A.point(k, theta)
                 if all(A.system.manifold.distance(z, c.point) > 1e-9
                        for c in out):

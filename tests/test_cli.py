@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseflow.cli import main
+import morseflow.counting as counting
+from morseflow.errors import CountingIncompleteError
 from morseflow.geometry import parse_system_config, systems
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -473,6 +475,38 @@ class TestOpCommands:
                               "--table")
         assert code == 5
         assert "Traceback" not in err
+
+    def test_unresolved_classification_flow_gives_its_fields(
+            self, capsys, fig8_file, label_args, monkeypatch):
+        # classification flows capped at t = 1e-3 stop unresolved; the
+        # error carries the flow's status, end time and step count, on the
+        # exception and in the --json payload
+        real = counting.flow
+
+        def capped(*args, **kwargs):
+            if kwargs.get("loose"):
+                kwargs["t_max"] = 1e-3
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "flow", capped)
+        t2 = parse_system_config(TORUS_CFG)
+        with pytest.raises(CountingIncompleteError,
+                           match="classification flow unresolved") as err:
+            counting.approach(t2, np.array([1.0, 2.0]), t2.point("x00"))
+        e = err.value
+        assert e.code == 4 and e.status == "fixed_time"
+        assert e.t_end == pytest.approx(1e-3) and e.steps >= 1
+        code, out, err = run(capsys, "--json", "op", "nu", fig8_file,
+                             *label_args, "--input", "x10,x01")
+        assert (code, out) == (4, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "CountingIncompleteError"
+        assert "classification flow unresolved" in error["message"]
+        fields = error["fields"]
+        assert sorted(fields) == ["status", "steps", "t_end"]
+        assert fields["status"] == "fixed_time"
+        assert fields["t_end"] == pytest.approx(1e-3)
+        assert isinstance(fields["steps"], int) and fields["steps"] >= 1
 
     def test_nu_unknown_input_point(self, capsys, fig8_file, label_args):
         code, _out, err = run(capsys, "op", "nu", fig8_file, *label_args,

@@ -1,3 +1,4 @@
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +33,6 @@ from morseflow.errors import (
     DegenerateCrossingError,
     GeometryError,
     StructuralValidationError,
-    UnrefinedCrossingError,
     UnsupportedPairError,
 )
 from morseflow.geometry import (
@@ -45,8 +45,15 @@ from morseflow.geometry import (
     sphere_height,
     torus_cosine,
 )
-from morseflow.geometry.flow import flow, orientation_sign, transport_frame
+import morseflow.geometry as geometry
+from morseflow.geometry.flow import (
+    fixed_time_flow,
+    flow,
+    orientation_sign,
+    transport_frame,
+)
 from morseflow.geometry.manifolds import SphereModel, TorusModel
+import morseflow.operations as operations
 
 from oracles import (
     check_ends_all_segments,
@@ -54,6 +61,7 @@ from oracles import (
     circle_complex,
     tensor_complex,
 )
+from test_operations import CRITERION7_PHASES, OUTGOING_LABELS, phased_problem
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +393,52 @@ class TestClosedFormFrames:
                                 float(moved[:, 0] @ b.tangent(k, 0.0)[:, 0]))
         assert len(cosines) > 300 and min(cosines) > 0.999
 
+    @pytest.mark.parametrize("label", ["criterion7", "115", "276"])
+    def test_pulled_back_tangent_is_the_transported_stable_tangent(
+            self, label, monkeypatch):
+        # at edge time R = 1 a (2, 1) configuration x takes the outgoing
+        # stable tangent from the chord of W^s(a3) pulled back through the
+        # auxiliary flow; the long way takes the branch tangent at the
+        # landing point y and carries it back along that flow to x
+        problem = (phased_problem(CRITERION7_PHASES) if label == "criterion7"
+                   else phased_problem(*OUTGOING_LABELS[label]))
+        man, aux = problem.manifold, problem.aux
+        crossings, configurations = [], []
+        real_cross = operations.curve_intersections
+        real_sign = operations._configuration_sign
+
+        def kept(man, curve_a, curve_b):
+            got = real_cross(man, curve_a, curve_b)
+            crossings.extend(c for c in got if c.b.image is not None)
+            return got
+
+        def signed(problem, a1, a2, a3, x, frames):
+            configurations.append(x)
+            return real_sign(problem, a1, a2, a3, x, frames)
+
+        def no_transport(*args, **kwargs):
+            raise AssertionError("a frame was transported")
+
+        monkeypatch.setattr(operations, "curve_intersections", kept)
+        monkeypatch.setattr(operations, "_configuration_sign", signed)
+        for module in (importlib.import_module("morseflow.geometry.flow"),
+                       geometry, counting):
+            monkeypatch.setattr(module, "transport_frame", no_transport)
+        operations.operation_table(problem, edge_time=1.0)
+        cosines = []
+        for c in crossings:
+            if not any(c.point is x for x in configurations):
+                continue
+            seg = fixed_time_flow(aux, c.point, 1.0)
+            v = c.b.direction * c.b.system.field(seg.x_end)
+            moved = transport_frame(
+                man, lambda p: -aux.field(p),
+                (seg.times[-1] - seg.times)[::-1], seg.points[::-1],
+                (c.b.side / np.linalg.norm(v)) * v[:, None])
+            cosines.append(float(moved[:, 0]
+                                 @ c.b.tangent(c.l, c.u, man)[:, 0]))
+        assert len(cosines) >= 4 and min(cosines) > 0.99
+
     @pytest.mark.parametrize("make", SYSTEMS, ids=IDS)
     def test_top_frame_keeps_its_orientation_class(self, make):
         system = make()
@@ -557,25 +611,6 @@ class TestChordSearch:
         assert got == want
         if offset is not None and offset < 1e-10:
             assert want is not None
-
-    def test_unrefined_crossing_names_its_branches(self, monkeypatch):
-        # interpolants that give no Newton step leave the chord hit
-        # unrefined; the error names both branches and the chord hit
-        f = torus_cosine(2, [1.0, 0.7], name="f")
-        g = torus_cosine(2, [1.0, 0.7], phases=[0.9, 1.3], name="g")
-        monkeypatch.setattr(counting.Branch, "poly",
-                            lambda self, k, man, origin, T: (
-                                np.full(2, np.nan), np.full(2, np.nan)))
-        with pytest.raises(UnrefinedCrossingError) as err:
-            continuation(f, g)
-        e = err.value
-        assert isinstance(e, CountingIncompleteError) and e.code == 4
-        # W^u of f's saddle flows down to x00, W^s of g's saddle up to x11
-        assert (e.systems, e.limits) == (("f", "g"), ("x00", "x11"))
-        k, l = e.segments
-        s, u = e.params
-        assert isinstance(k, int) and isinstance(l, int)
-        assert 0.0 <= s < 1.0 and 0.0 <= u < 1.0
 
 
 class TestUnsupportedPairs:

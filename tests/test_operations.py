@@ -27,6 +27,7 @@ from morseflow.geometry.bundles import (
     unorientable_stub,
     whitney_sum_with_trivial,
 )
+from morseflow.geometry.flow import fixed_time_flow
 from morseflow.operations import (
     FlowGraphProblem,
     diagram_flow_operation,
@@ -361,6 +362,18 @@ CRITERION7_PHASES = np.array([(0.0, 0.0), (0.9, 1.3), (-0.7, 0.55)])
 QUARTER_TURNS = [(j / 4, k / 4) for j in range(4) for k in range(4)]
 
 
+# perturbed labels (phases, perturb, seeds) whose outgoing stable curve a
+# forward flow from a crossing missed
+OUTGOING_LABELS = {
+    "945": ([(0.8488, 3.7706), (2.6327, 2.0351), (1.0697, 4.9033)], 0.05,
+            (945, 650, 914)),
+    "115": ([(5.6317, 5.3918), (0.0178, 3.4021), (0.6714, 1.6208)], 0.05,
+            (115, 351, 416)),
+    "276": ([(4.9849, 2.949), (6.2568, 0.6178), (1.8502, 5.5373)], 0.05,
+            (276, 714, 435)),
+}
+
+
 def crossing_bits(crossings, curve_a, curve_b):
     """Each crossing's point, branches (by position in their curves),
     segments and parameters, floats as bits."""
@@ -369,6 +382,16 @@ def crossing_bits(crossings, curve_a, curve_b):
 
     return [(c.point.tobytes(), at(curve_a, c.a), c.k, float(c.theta).hex(),
              at(curve_b, c.b), c.l, float(c.u).hex()) for c in crossings]
+
+
+def segment_gaps(man, polyline, z):
+    """The distance from z to each segment of the polyline, on the chart
+    at the segment's start."""
+    d = man.displacement(polyline[:-1], polyline[1:])
+    rel = man.displacement(polyline[:-1], z)
+    t = np.clip(np.sum(rel * d, axis=1)
+                / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
+    return np.linalg.norm(rel - t[:, None] * d, axis=1)
 
 
 def near_alignment_phases(seed, rho=0.02):
@@ -446,19 +469,14 @@ class TestDiagramOperation:
         assert_oracle_table(operation_table(
             phased_problem(phases, perturb, seeds), edge_time=R))
 
-    @pytest.mark.parametrize("phases, seeds, R", [
-        ([(0.8488, 3.7706), (2.6327, 2.0351), (1.0697, 4.9033)],
-         (945, 650, 914), 0.0),
-        ([(5.6317, 5.3918), (0.0178, 3.4021), (0.6714, 1.6208)],
-         (115, 351, 416), 1.0),
-        ([(4.9849, 2.949), (6.2568, 0.6178), (1.8502, 5.5373)],
-         (276, 714, 435), 1.0),
-    ], ids=["945", "115-R1", "276-R1"])
-    def test_outgoing_frames_from_the_branch(self, phases, seeds, R):
+    @pytest.mark.parametrize("label, R", [("945", 0.0), ("115", 1.0),
+                                          ("276", 1.0)],
+                             ids=["945", "115-R1", "276-R1"])
+    def test_outgoing_frames_from_the_branch(self, label, R):
         # a forward flow from the crossing on W^s(x10) to x10 missed it by
         # 0.0011-0.0084; the stable tangent is read off the branch instead
         assert_oracle_table(operation_table(
-            phased_problem(phases, 0.05, seeds), edge_time=R))
+            phased_problem(*OUTGOING_LABELS[label]), edge_time=R))
 
     def test_rotated_sphere_band_labels(self):
         # backward flows from the (pole-, rim_hi) -> rim_hi and (rim_hi,
@@ -546,6 +564,56 @@ class TestDiagramOperation:
             (CRITERION7_PHASES + 2.0 * np.pi * np.array(shift))
             % (2.0 * np.pi))))
         assert len(pairs) == 12 and sum(pairs) > 0
+
+    @pytest.mark.parametrize("R", [0.0, 1.0])
+    def test_chord_crossings_lie_on_the_flow(self, R, monkeypatch):
+        # a crossing is a point on the chords of the curves, off the flow
+        # by up to the chord's sagitta: it must lie within 2e-3 of the
+        # flow of its segment of c.a, re-integrated in 32 short pieces,
+        # and classify as the nearest point of that flow does
+        real = operations.curve_intersections
+        crossings = []
+
+        def kept(man, curve_a, curve_b):
+            got = real(man, curve_a, curve_b)
+            crossings.extend(got)
+            return got
+
+        monkeypatch.setattr(operations, "curve_intersections", kept)
+        problem = phased_problem(CRITERION7_PHASES)
+        assert_oracle_table(operation_table(problem, edge_time=R))
+        E1, E2 = problem.incoming
+        E3 = problem.outgoing[0]
+        man = problem.manifold
+
+        def classify(c, z):
+            if c.b.system is E3:
+                # case (2, 1): z must lie on W^u of the other input's
+                # maximum
+                other = E2 if c.a.system is E1 else E1
+                return operations._flows_into(other, z, other.by_index(2)[0],
+                                              -1)
+            # case (1, 1): z's R-flow must land on W^s of the minimum
+            return operations._flows_into(
+                E3, operations._aux_time_map(problem, z, R),
+                E3.by_index(0)[0])
+
+        assert len(crossings) == 6
+        for c in crossings:
+            A, k = c.a, c.k
+            fine = [A.nodes[k]]
+            if 0 < k < len(A.times) - 1:
+                dt = (A.times[k + 1] - A.times[k]) / 32
+                for _ in range(32):
+                    fine.extend(fixed_time_flow(A.system, fine[-1], dt,
+                                                A.direction).points[1:])
+            fine.append(A.nodes[k + 1])
+            fine = np.array(fine)
+            gaps = [np.linalg.norm(man.displacement(p, c.point))
+                    for p in fine]
+            assert min(segment_gaps(man, fine, c.point)) < 2e-3
+            assert classify(c, c.point) == classify(
+                c, fine[int(np.argmin(gaps))])
 
     def test_each_branch_is_charted_once(self, monkeypatch):
         # a table charts the two branches of W^u of each input's saddles
