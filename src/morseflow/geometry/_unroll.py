@@ -8,7 +8,8 @@ a loop over the coordinates would.  ``unrolled`` compiles a template once
 per (template, n).  Its cache holds code for each dimension in use and
 never a system: kernels that need a system's numbers take them as
 arguments and return a closure, which lives only as long as its caller
-keeps it.
+keeps it.  ``square_sum`` writes lines that templates share: a square sum
+rounded as BLAS's dot product rounds it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,18 @@ from functools import lru_cache
 import numpy as np
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
-              "array": np.array}
+              "fsum": math.fsum, "inf": math.inf, "array": np.array}
+
+# Veltkamp's constant 2^27 + 1: c = _SPLIT * v, hi = c - (c - v) leaves hi
+# and lo = v - hi with 26 significant bits each, so hi * hi, 2 * hi * lo
+# and lo * lo are exact and add up to v * v
+_SPLIT = 134217729.0
+# hi * hi below this: a nonzero v under about 2^-484, which takes in every
+# v under 2^-485, where lo * lo may fall below the smallest subnormal
+_TINY = 2.0 ** -968
+# OpenBLAS's x86-64 ddot runs a blocked kernel with several accumulators
+# from this many entries on, and a scalar loop below it
+_BLOCK = 16
 
 
 @lru_cache(maxsize=64)
@@ -36,3 +48,33 @@ def names(prefix, n):
     """``"x0, x1, "`` for ``names("x", 2)``: an unpacking target that also
     fits a one-coordinate state."""
     return "".join("%s%d, " % (prefix, i) for i in range(n))
+
+
+def square_sum(prefix, n):
+    """Lines that set ``ss`` to the dot product of ``prefix0, ...,
+    prefix{n-1}`` with itself, bit for bit as ``ndarray.dot`` gives it.
+
+    Below 16 entries OpenBLAS's ddot is the contracted chain
+    ``ss = fma(v_i, v_i, ss)`` from ``ss = v_0 * v_0``.  The lines do each
+    fused multiply-add exactly: ``fsum`` rounds ``hi*hi + 2*hi*lo + lo*lo
+    + ss`` once, and the three products are exact (``_SPLIT``).  Where they
+    may not be (a nonzero coordinate past ``_TINY``, or a sum outside
+    (1e-280, 1e280), which takes in overflow, inf and nan), and from 16
+    entries on, the lines call ``ndarray.dot``."""
+    dot = ["    sv = array((%s))" % names(prefix, n), "    ss = sv.dot(sv)"]
+    if n >= _BLOCK:
+        return dot
+    v = ["%s%d" % (prefix, i) for i in range(n)]
+    lines = ["    try:", "        ss = %s * %s" % (v[0], v[0])]
+    for i in range(1, n):
+        lines += ["        c = %r * %s" % (_SPLIT, v[i]),
+                  "        hi = c - (c - %s)" % v[i],
+                  "        lo = %s - hi" % v[i],
+                  "        sq%d = hi * hi" % i,
+                  "        ss = fsum((sq%d, 2.0 * hi * lo, lo * lo, ss))" % i]
+    # fsum raises on inf - inf and on a finite sum that overflows
+    lines += ["    except (OverflowError, ValueError):", "        ss = inf"]
+    tiny = "".join(" or sq%d < %r and %s" % (i, _TINY, v[i])
+                   for i in range(1, n))
+    lines.append("    if not 1e-280 < ss < 1e280%s:" % tiny)
+    return lines + ["    " + line for line in dot]

@@ -25,12 +25,19 @@ these rules, checked in ``tests/test_geometry.py``:
   ``sum``, which compensates from Python 3.12 on);
 - negation commutes with rounding, so a kernel may fold a sign into a
   product;
-- the error norm, the speed and the tolerance scale stay ``ndarray.dot``:
-  BLAS contracts a short dot product with fused multiply-adds, which a
-  Python sum of squares does not reproduce.
+- the error norm, the speed and the tolerance scale are square sums
+  rounded as ``ndarray.dot`` rounds them (``_unroll.square_sum``).  Below
+  16 entries OpenBLAS's ddot is the chain ``s = fma(v_i, v_i, s)``, which
+  a left-to-right sum of squares misses in about a quarter of random
+  draws; the kernel does each fused multiply-add exactly, with Veltkamp's
+  split and ``math.fsum``.  It calls ``ndarray.dot`` only where the split
+  may lose bits (a nonzero coordinate below about 2^-485, a sum outside
+  (1e-280, 1e280) or not finite) and from 16 entries on, so elsewhere a
+  trajectory does not depend on which dot kernel the machine's BLAS picks.
 
-Spheres and products keep the adapters for the last reason: their numpy
-projection and tangent projection go through BLAS ``dot`` and ``norm``.
+Spheres and products still take the adapters: their numpy projection and
+tangent projection go through BLAS ``dot`` and ``norm``, which no native
+kernel reproduces yet.
 
 The step and the native torus kernels are generated per state dimension n
 (``_unroll.unrolled``): straight-line Python with the coordinates unpacked
@@ -40,20 +47,21 @@ than their arithmetic.  A kernel is compiled on first use and cached by
 (template, n), never by system: a system's numbers reach a kernel as
 arguments of a closure that lives as long as its flow, so a system retains
 nothing new.  A T2 step (``_rk_step`` with the torus field) costs about
-3.5 us this way, against 11 us with the comprehensions and 30 us when
-every kernel went through numpy; a step on numpy adapters (the sphere
-band) about 20 us, most of it in the five field calls.
+3.5 us this way, against 4.4 us with the error norm on ``ndarray.dot``,
+11 us with the comprehensions and 30 us when every kernel went through
+numpy; a step on numpy adapters (the sphere band) about 23 us, most of it
+in the five field calls.  A norm of two coordinates costs 0.36 us, against
+0.9 us through ``ndarray.dot``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import GeometryError, IntegrationError, OrientationError
-from ._unroll import names, unrolled
+from ._unroll import names, square_sum, unrolled
 
 # Cash-Karp tableau
 _CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -86,16 +94,12 @@ class FlowResult:
     steps: int
 
 
-def _norm(v):
-    a = np.array(v)
-    return math.sqrt(a.dot(a))
-
-
 def _step_template(n):
     """Source of the Cash-Karp step on n coordinates (``_rk_step``): the
     stage coefficients h a, then each stage x + (h a_0) k_0 + (h a_1) k_1
     + ..., summed left to right over the nonzero tableau entries, then the
-    fifth-order point and its difference from the fourth-order one."""
+    fifth-order point and its difference d from the fourth-order one, and
+    the square sum of d."""
     rows = [("a%d" % s, row) for s, row in enumerate(_CK_A)]
     rows += [("b", _CK_B5), ("e", _CK_B4)]
 
@@ -112,18 +116,27 @@ def _step_template(n):
         stage = ", ".join(combo("a%d" % s, _CK_A[s], i) for i in range(n))
         lines.append("    %s= field([%s])" % (names("k%d_" % s, n), stage))
     lines += ["    y%d = %s" % (i, combo("b", _CK_B5, i)) for i in range(n)]
-    diff = "".join("y%d - (%s), " % (i, combo("e", _CK_B4, i))
-                   for i in range(n))
-    lines += ["    d = array((%s))" % diff,
-              "    return [%s], sqrt(d.dot(d))" % names("y", n)]
+    lines += ["    d%d = y%d - (%s)" % (i, i, combo("e", _CK_B4, i))
+              for i in range(n)]
+    lines += square_sum("d", n)
+    lines.append("    return [%s], sqrt(ss)" % names("y", n))
+    return "\n".join(lines) + "\n"
+
+
+def _norm_template(n):
+    """Source of the Euclidean norm of n coordinates, ``sqrt`` of the
+    square sum that ``ndarray.dot`` gives (``_unroll.square_sum``)."""
+    lines = ["def kernel(v):", "    %s= v" % names("v", n)]
+    lines += square_sum("v", n)
+    lines.append("    return sqrt(ss)")
     return "\n".join(lines) + "\n"
 
 
 def _rk_step(field, x, h, k0):
     """One Cash-Karp step on lists of floats; ``k0`` is the field at x
     (stage 0).  It runs the step written out for len(x) coordinates
-    (``_step_template``); the error is the norm of x5 - x4, by
-    ``ndarray.dot``."""
+    (``_step_template``); the error is the norm of x5 - x4, with its square
+    sum rounded as ``ndarray.dot`` rounds it (``_unroll.square_sum``)."""
     return unrolled(_step_template, len(x))(field, x, h, k0)
 
 
@@ -141,6 +154,7 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
     passes and the step cap.
     """
     x = project(np.asarray(x0, dtype=float).tolist())
+    norm = unrolled(_norm_template, len(x))
     t = 0.0
     h = tol.h_init
     h_min, atol, rtol = tol.h_min, tol.atol, tol.rtol
@@ -188,8 +202,8 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
         h = min(h, t_max - t)
         if v0 is None:
             v0 = field(x)
-            speed = _norm(v0)
-            scale = atol + rtol * max(1.0, _norm(x))
+            speed = norm(v0)
+            scale = atol + rtol * max(1.0, norm(x))
         if speed > 1e-14 and dmin is not None:
             cap = max(0.45 * strict_radius, min(0.25, 0.5 * dmin))
             h = min(h, cap / speed)
@@ -235,6 +249,14 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
     return result()
 
 
+def _float_kernels(system, direction):
+    """The system's field and value kernels for ``direction`` +1 (descend)
+    or -1 (ascend); any other direction raises ``GeometryError``."""
+    if direction not in (+1, -1):
+        raise GeometryError("direction must be +1 or -1")
+    return system.float_kernels(direction)
+
+
 def flow(system, x0, direction=+1, t_max=None, record=True,
          approach_targets=None, loose=False):
     """Flow of the (anti)gradient field with catalog events.
@@ -245,9 +267,7 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
     ``loose`` switches to coarse step control for classification flows
     whose exact path does not matter.
     """
-    if direction not in (+1, -1):
-        raise GeometryError("direction must be +1 or -1")
-    field, value = system.float_kernels(direction)
+    field, value = _float_kernels(system, direction)
     tol = system.tol.loosened() if loose else system.tol
     names = system.catalog["name"].tolist()
     idx_targets = None
@@ -265,8 +285,9 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
 
 
 def fixed_time_flow(system, x0, duration, direction=+1, record=True):
-    """Integrate for exactly ``duration`` time units, no event stopping."""
-    field, value = system.float_kernels(+1 if direction == +1 else -1)
+    """Integrate for exactly ``duration`` time units, no event stopping;
+    ``direction`` as in ``flow``."""
+    field, value = _float_kernels(system, direction)
     project = system.manifold.project_floats
     if duration == 0.0:
         x = project(np.asarray(x0, dtype=float).tolist())

@@ -426,8 +426,14 @@ def torus_cosine(n, amplitudes, phases=None, perturb=0.0, seed=0,
     phis = np.zeros(n) if phases is None else np.asarray(phases, dtype=float)
     if phis.shape != (n,):
         raise StructuralValidationError("need %d phases" % n)
-    m = _torus_model(n)
     c = float(perturb)
+    for key, values in (("amplitudes", amps), ("phases", phis),
+                        ("perturb", c)):
+        if not np.all(np.isfinite(values)):
+            raise StructuralValidationError(
+                "%s must be finite, got %s"
+                % (key, np.atleast_1d(values).tolist()))
+    m = _torus_model(n)
     psi = float(np.random.default_rng(seed).uniform(0, TWO_PI)) if c else 0.0
     wells = CosineWells(amps, phis, c, psi)
     pts = []
@@ -574,8 +580,10 @@ def parse_system_config(text, tol=None):
     Keys: ``kind``, ``dim``, ``amplitudes``, ``phases``, ``eps``,
     ``perturb``, ``seed``, ``name``, ``tol-conv``, ``factor`` (for
     products, one line per factor: ``factor torus dim=2 amplitudes=1,0.7``).
-    A torus ``dim`` above ``MAX_TORUS_DIM`` raises
-    ``StructuralValidationError`` before any critical point is built.
+    A torus ``dim`` above ``MAX_TORUS_DIM``, a ``tol-conv`` that is not
+    positive and finite, and a nan or infinite torus ``amplitudes``,
+    ``phases`` or ``perturb`` raise ``StructuralValidationError`` before any
+    critical point is built.
     """
     kv = {}
     factors = []
@@ -595,7 +603,11 @@ def parse_system_config(text, tol=None):
     if kind is None:
         raise ParseError("config needs a 'kind' line")
     tol = tol or DEFAULT_TOLERANCES
-    tol = replace(tol, eps_conv=_value(kv, "tol-conv", float, tol.eps_conv))
+    eps_conv = _value(kv, "tol-conv", float, tol.eps_conv)
+    if not 0.0 < eps_conv < math.inf:
+        raise StructuralValidationError(
+            "tol-conv must be positive and finite, got %r" % eps_conv)
+    tol = replace(tol, eps_conv=eps_conv)
     name = kv.get("name")
     if kind == "product":
         if len(factors) != 2:

@@ -168,6 +168,29 @@ class TestConfigErrors:
         assert error["type"] == "StructuralValidationError"
         assert "ceiling %d" % systems.MAX_TORUS_DIM in error["message"]
 
+    @pytest.mark.parametrize("text, key", [
+        ("kind torus\ndim 2\namplitudes 1 nan\n", "amplitudes"),
+        ("kind torus\ndim 2\namplitudes 1 inf\n", "amplitudes"),
+        ("kind torus\ndim 2\nphases 0 nan\n", "phases"),
+        ("kind torus\ndim 2\nphases -inf 0\n", "phases"),
+        ("kind torus\ndim 2\nperturb nan\n", "perturb"),
+        ("kind torus\ndim 2\nperturb inf\n", "perturb"),
+        ("kind product\nfactor torus dim=1 amplitudes=nan\n"
+         "factor sphere dim=1\n", "amplitudes"),
+        ("kind torus\ndim 2\ntol-conv 0\n", "tol-conv"),
+        ("kind torus\ndim 2\ntol-conv -1e-3\n", "tol-conv"),
+        ("kind torus\ndim 2\ntol-conv nan\n", "tol-conv"),
+        ("kind torus\ndim 2\ntol-conv inf\n", "tol-conv")])
+    def test_values_outside_their_range_are_named(self, capsys, tmp_path,
+                                                   text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "--json", "homology", str(cfg))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "StructuralValidationError"
+        assert error["message"].startswith(key + " must be")
+
     def test_torus_at_the_ceiling_is_built(self, monkeypatch):
         monkeypatch.setattr(systems, "torus_cosine",
                             lambda n, *args, **kwargs: n)

@@ -35,6 +35,7 @@ from morseflow.geometry import (
     transport_frame,
     unstable_sphere_sample,
 )
+from morseflow.geometry._unroll import names, square_sum, unrolled
 from morseflow.geometry.systems import CosineWells, numpy_kernels
 from morseflow.operations import AuxiliaryFunction
 
@@ -175,6 +176,14 @@ class TestFlow:
         assert res.status == FIXED_TIME
         assert abs(res.t_end - 0.7) < 1e-9
 
+    @pytest.mark.parametrize("direction", [0, 2, -2, 0.5])
+    def test_direction_other_than_one_raises(self, t2, direction):
+        x = np.array([0.4, 1.1])
+        with pytest.raises(GeometryError, match="direction"):
+            flow(t2, x, direction)
+        with pytest.raises(GeometryError, match="direction"):
+            fixed_time_flow(t2, x, 0.7, direction)
+
     def test_membership(self, t2):
         sad = t2.point("x10")
         ok, _ = membership_stable(t2, sad, np.array([0.0, 2.0]))
@@ -299,6 +308,85 @@ class TestKernel:
             calls.clear()
             res = run()
             assert res.steps > 0 and len(calls) == res.steps
+
+
+def square_sum_template(n):
+    """A kernel that returns the square sum of its n coordinates."""
+    lines = ["def kernel(v):", "    %s= v" % names("v", n)]
+    return "\n".join(lines + square_sum("v", n) + ["    return ss"]) + "\n"
+
+
+# the split's exact range ends near 2^-485: below it lo * lo may underflow
+SPLIT_EDGE = 2.0 ** -485
+SPECIAL_COORDS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1022, 1e-300,
+     math.nextafter(SPLIT_EDGE, 0.0), SPLIT_EDGE,
+     math.nextafter(SPLIT_EDGE, 1.0), -SPLIT_EDGE, 1.5 * SPLIT_EDGE,
+     0.75 * SPLIT_EDGE, 1e154, 1.3e154, 1e160, 1e300, 1.7e308,
+     math.inf, -math.inf, math.nan])
+
+
+# lo * lo of the middle coordinate, 2^-1076, underflows to zero; it decides
+# a tie at the second step, and that last bit a tie at the third, in a sum
+# well inside the kernel's window: only the guard on coordinates below
+# 2^-485 keeps this one on BLAS's bits
+UNDERFLOW_TIE = [float.fromhex(h) for h in (
+    "0x1.000000000000ep-485", "0x1.0000000000001p-486",
+    "0x1.019ce4c605a80p-465")]
+
+
+@st.composite
+def dot_vectors(draw):
+    """1 to 10 coordinates: uniform at a scale from 1e-160 to 1e150, mixed
+    with the special values, integers and powers of two."""
+    n = draw(st.integers(1, 10))
+    scale = 10.0 ** draw(st.floats(-160.0, 150.0))
+    coords = st.one_of(st.floats(-1.0, 1.0).map(lambda u: u * scale),
+                       SPECIAL_COORDS,
+                       st.integers(-2 ** 40, 2 ** 40).map(float),
+                       st.integers(-1074, 1023).map(
+                           lambda e: math.ldexp(1.0, e)))
+    return draw(st.lists(coords, min_size=n, max_size=n))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestSquareSum:
+    """The square sum of the step's error and the norm of the speed and of
+    the state equal BLAS's ``ndarray.dot`` bit for bit, where the
+    fused multiply-adds are emulated and where the kernel hands over to
+    BLAS."""
+
+    # fsum meets inf - inf, and a finite sum that overflows
+    @example([1.0, 1e160])
+    @example([1.3e154, 1.3e154])
+    @example(UNDERFLOW_TIE)
+    @example([1.0, 0.75 * SPLIT_EDGE])
+    @example([0.0, -0.0])
+    @settings(max_examples=600, derandomize=True, deadline=None,
+              database=None)
+    @given(dot_vectors())
+    def test_square_sum_is_the_blas_dot(self, v):
+        a = np.array(v)
+        assert bits(unrolled(square_sum_template, len(v))(v)) == \
+            bits(a.dot(a))
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              database=None)
+    @given(dot_vectors())
+    def test_norm_is_sqrt_of_the_blas_dot(self, v):
+        a = np.array(v)
+        assert bits(unrolled(FLOW._norm_template, len(v))(v)) == \
+            bits(math.sqrt(a.dot(a)))
+
+    @pytest.mark.parametrize("n", [15, 16, 20])
+    def test_long_vectors(self, n):
+        # 15 entries is the longest emulated chain; from 16 on the kernel is
+        # the BLAS dot itself
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 3)
+            assert bits(unrolled(square_sum_template, n)(a.tolist())) == \
+                bits(a.dot(a))
 
 
 def bits(values):
