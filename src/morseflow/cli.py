@@ -1,9 +1,10 @@
 """Batch command line: parse inputs, dispatch computations, emit tables.
 
-Exit codes are stable: 0 success, 2 parse error, 3 structural/validation
-or outside the supported counting family, 4 counting incomplete, 5
-transversality or count instability, 1 other.  Under ``--json`` a failure
-is one JSON object on stderr (``_error_payload``).
+Exit codes are stable: 0 success, 2 parse error (a malformed file or
+command-line spec), 3 structural/validation or outside the supported
+counting family, 4 counting incomplete, 5 transversality or count
+instability, 1 other.  Under ``--json`` a failure is one JSON object on
+stderr (``_error_payload``).
 JSON output is key-sorted and the computations are deterministic, so
 repeated runs emit identical bytes.
 """
@@ -64,11 +65,11 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _error_payload(exc):
+def _error_payload(exc, code):
     """The ``--json`` form of a failure: the error's type, exit code and
     message, and its structured fields (``IntegrationError``'s flow state,
     ``UnsupportedPairError``'s pair, ...)."""
-    return {"error": {"type": type(exc).__name__, "code": exc.code,
+    return {"error": {"type": type(exc).__name__, "code": code,
                       "message": str(exc), "fields": vars(exc)}}
 
 
@@ -206,14 +207,23 @@ def cmd_geom_connections(args):
 
 # -- homology ---------------------------------------------------------------------------
 
+def _spec_value(spec, cast, text):
+    """``cast(text)`` for a field of the command-line spec ``spec``; a
+    malformed field is a ParseError that names the spec."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ParseError("malformed spec %r" % spec) from None
+
+
 def _region_from_spec(spec):
     if spec in (None, "", "empty"):
         return empty_region()
     kind, _, value = spec.partition(":")
     if kind == "cap":
-        return cap_region(float(value))
+        return cap_region(_spec_value(spec, float, value))
     if kind == "band":
-        return band_region(float(value))
+        return band_region(_spec_value(spec, float, value))
     raise ParseError("unknown region spec %r (use empty|cap:C|band:C)" % spec)
 
 
@@ -276,9 +286,9 @@ def _embedding_from_spec(system, spec):
     kind, _, rest = spec.partition(":")
     if kind == "factor":
         parts = rest.split(":") if rest else []
-        axis = int(parts[0]) if parts else 1
-        level = float(parts[1]) if len(parts) > 1 else 2.0
-        phase = float(parts[2]) if len(parts) > 2 else 0.3
+        axis = _spec_value(spec, int, parts[0]) if parts else 1
+        level = _spec_value(spec, float, parts[1]) if len(parts) > 1 else 2.0
+        phase = _spec_value(spec, float, parts[2]) if len(parts) > 2 else 0.3
         return torus_factor_circle(system, fixed_axis=axis, level=level,
                                    phase=phase)
     if kind == "equator":
@@ -296,7 +306,8 @@ def _bundle_from_spec(system, spec):
             return torus_tangent_bundle(man)
         return sphere_tangent_bundle(man)
     if spec.startswith("trivial:"):
-        return trivial_bundle(system.manifold, int(spec.split(":")[1]))
+        return trivial_bundle(system.manifold,
+                              _spec_value(spec, int, spec.split(":")[1]))
     if spec == "tangent+trivial":
         return whitney_sum_with_trivial(_bundle_from_spec(system, "tangent"))
     raise ParseError("unknown bundle spec %r" % spec)
@@ -390,8 +401,10 @@ def _parse_chain(spec):
     chain = []
     for term in spec.split(";"):
         names, _, coeff = term.partition("=")
-        a, b = [s.strip() for s in names.split(",")]
-        chain.append(((a, b), int(coeff) if coeff else 1))
+        pair = tuple(s.strip() for s in names.split(","))
+        if len(pair) != 2:
+            raise ParseError("malformed input term %r in %r" % (term, spec))
+        chain.append((pair, _spec_value(spec, int, coeff) if coeff else 1))
     return chain
 
 
@@ -483,16 +496,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args) or 0
-    except MorseflowError as exc:
+    except (MorseflowError, ValueError) as exc:
+        code = exc.code if isinstance(exc, MorseflowError) else 1
         if args.json:
-            print(json.dumps(_error_payload(exc), sort_keys=True,
+            print(json.dumps(_error_payload(exc, code), sort_keys=True,
                              default=_json_default), file=sys.stderr)
         else:
             print("error: %s" % exc, file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ the next half-edge in the cyclic order there, i.e. the successor map is
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -55,6 +56,30 @@ def _perm_cycles(perm, domain):
         cycles.append(tuple(cyc))
     cycles.sort(key=lambda c: c[0])
     return cycles
+
+
+def _parts(n, links):
+    """Connected parts of the graph on nodes 0..n-1 with edges ``links``
+    (node pairs; loops and repeated pairs allowed), by union-find.  Returns
+    (part, cyclic): ``part[v]`` is the least node of v's part, and
+    ``cyclic`` holds the parts in which some link closed a cycle."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    closing = []
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            closing.append(ra)
+        else:
+            parent[max(ra, rb)] = min(ra, rb)
+    part = [find(v) for v in range(n)]
+    return part, {part[r] for r in closing}
 
 
 class FatGraph:
@@ -178,23 +203,13 @@ class FatGraph:
         return self.num_vertices - self.num_edges
 
     def component_labels(self):
-        """Connected-component label per vertex (half-edge adjacency)."""
-        labels = [-1] * self.num_vertices
-        comp = 0
-        for start in range(self.num_vertices):
-            if labels[start] >= 0:
-                continue
-            stack = [start]
-            labels[start] = comp
-            while stack:
-                v = stack.pop()
-                for h in self.vertices[v]:
-                    w = self.vertex_of[self.involution[h]]
-                    if labels[w] < 0:
-                        labels[w] = comp
-                        stack.append(w)
-            comp += 1
-        return labels
+        """Connected-component label per vertex, numbered by least vertex."""
+        vo = self.vertex_of
+        part, _ = _parts(self.num_vertices,
+                         ((vo[a], vo[b]) for a, b in self.edges))
+        # a part's least vertex is the first of its vertices in this order
+        labels = {}
+        return [labels.setdefault(p, len(labels)) for p in part]
 
     def is_connected(self):
         return self.num_vertices <= 1 or max(self.component_labels()) == 0
@@ -494,36 +509,16 @@ def validate_chord_diagram(d):
             report.append("circle %d is not an incoming boundary cycle" % ci)
     if len(incoming) != len(d.circles):
         report.append("incoming cycles and circles do not match")
-    # ghost subgraph is a forest
-    ghost_adj = {}
-    for e in sorted(d.ghost_edges):
-        a, b = g.edges[e]
-        va, vb = g.vertex_of[a], g.vertex_of[b]
-        ghost_adj.setdefault(va, []).append((vb, e))
-        ghost_adj.setdefault(vb, []).append((va, e))
-    seen = set()
-    for root in sorted(ghost_adj):
-        if root in seen:
-            continue
-        # BFS checking |edges| = |vertices| - 1 per component
-        comp_v, comp_e = set(), set()
-        stack = [root]
-        comp_v.add(root)
-        while stack:
-            v = stack.pop()
-            for w, e in ghost_adj.get(v, ()):
-                comp_e.add(e)
-                if w not in comp_v:
-                    comp_v.add(w)
-                    stack.append(w)
-        seen |= comp_v
-        if len(comp_e) != len(comp_v) - 1:
-            report.append("ghost component at vertex %d contains a cycle"
-                          % root)
-    # ghost tree leaves must sit on circles
+    # the ghost subgraph is a forest whose leaves sit on circles
+    ends = [(g.vertex_of[a], g.vertex_of[b])
+            for a, b in (g.edges[e] for e in sorted(d.ghost_edges))]
+    _, cyclic = _parts(g.num_vertices, ends)
+    for v in sorted(cyclic):
+        report.append("ghost component at vertex %d contains a cycle" % v)
+    degree = Counter(v for end in ends for v in end)
     circ_verts = set(d.circular_vertices())
-    for v, nbrs in sorted(ghost_adj.items()):
-        if len(nbrs) == 1 and v not in circ_verts:
+    for v in sorted(degree):
+        if degree[v] == 1 and v not in circ_verts:
             report.append("ghost tree endpoint at vertex %d is not on a "
                           "circle" % v)
     return report
@@ -531,48 +526,16 @@ def validate_chord_diagram(d):
 
 def circular_vertex_classes(d):
     """Partition circular vertices: equivalent iff some ghost tree contains
-    both.  Returned as sorted tuples, singletons included."""
+    both.  Returned as sorted tuples, singletons included, ordered by least
+    member."""
     g = d.graph
-    parent = {v: v for v in d.circular_vertices()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    # vertices of one ghost component live in one class (ghost-only interior
-    # vertices are conduits, not class members)
-    adj = {}
-    for e in sorted(d.ghost_edges):
-        a, b = g.edges[e]
-        adj.setdefault(g.vertex_of[a], []).append(g.vertex_of[b])
-        adj.setdefault(g.vertex_of[b], []).append(g.vertex_of[a])
-    seen = set()
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        members = sorted(v for v in comp if v in parent)
-        for v in members[1:]:
-            union(members[0], v)
+    part, _ = _parts(g.num_vertices,
+                     ((g.vertex_of[a], g.vertex_of[b])
+                      for a, b in (g.edges[e] for e in d.ghost_edges)))
     classes = {}
-    for v in parent:
-        classes.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(c)) for _, c in sorted(classes.items()))
+    for v in d.circular_vertices():   # sorted
+        classes.setdefault(part[v], []).append(v)
+    return tuple(tuple(c) for c in classes.values())
 
 
 # -- contraction / reduction -------------------------------------------------

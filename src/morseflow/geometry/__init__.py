@@ -17,14 +17,11 @@ from .flow import (
     direction_point,
     fixed_time_flow,
     flow,
-    membership_stable,
     orientation_sign,
     orthonormalize,
     parallel_frame,
     probe_limits,
-    sphere_directions,
     transport_frame,
-    unstable_sphere_sample,
 )
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "CriticalPoint", "MorseSystem", "Tolerances", "parse_system_config",
     "product_system", "sphere_band", "sphere_height", "torus_cosine",
     "CONVERGED", "FIXED_TIME", "MAX_TIME", "FlowResult",
-    "direction_point", "fixed_time_flow", "flow", "membership_stable",
-    "orientation_sign", "orthonormalize", "parallel_frame", "probe_limits",
-    "sphere_directions", "transport_frame", "unstable_sphere_sample",
+    "direction_point", "fixed_time_flow", "flow", "orientation_sign",
+    "orthonormalize", "parallel_frame", "probe_limits", "transport_frame",
 ]

@@ -3,13 +3,14 @@
 A template is a module-level function of the dimension n that returns the
 source of one function named ``kernel``: straight-line Python with the n
 coordinates unpacked into locals (``x0, x1, = x``) and every sum written
-out left to right, so it does the same IEEE operations in the same order as
-a loop over the coordinates would.  ``unrolled`` compiles a template once
+out in the order of the loop or numpy reduction it replaces, so it does the
+same IEEE operations in the same order.  ``unrolled`` compiles a template once
 per (template, n).  Its cache holds code for each dimension in use and
 never a system: kernels that need a system's numbers take them as
 arguments and return a closure, which lives only as long as its caller
-keeps it.  ``square_sum`` writes lines that templates share: a square sum
-rounded as BLAS's dot product rounds it.
+keeps it.  Templates share two writers: ``numpy_sum``, a sum in numpy's
+order, and ``square_sum``, a square sum rounded as BLAS's dot product
+rounds it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,22 @@ def names(prefix, n):
     """``"x0, x1, "`` for ``names("x", 2)``: an unpacking target that also
     fits a one-coordinate state."""
     return "".join("%s%d, " % (prefix, i) for i in range(n))
+
+
+def numpy_sum(terms):
+    """The sum of the source expressions ``terms``, parenthesised in the
+    order ``np.sum`` and ``add.reduce`` add them: left to right below 8
+    entries; from 8 on eight running sums r_j of the entries j, j + 8, ...
+    (below the multiple of 8), added as ((r0 + r1) + (r2 + r3)) + ((r4 +
+    r5) + (r6 + r7)), then the rest left to right.  That holds up to 128
+    entries, where numpy starts to halve the sum; no kernel adds more than
+    the ten angles of the largest torus."""
+    n = len(terms)
+    if n < 8:
+        return "(%s)" % " + ".join(terms)
+    r = ["(%s)" % " + ".join(terms[j:n - n % 8:8]) for j in range(8)]
+    return "(((%s + %s) + (%s + %s)) + ((%s + %s) + (%s + %s))%s)" % (
+        *r, "".join(" + " + t for t in terms[n - n % 8:]))
 
 
 def square_sum(prefix, n):

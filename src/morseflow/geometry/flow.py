@@ -20,9 +20,12 @@ these rules, checked in ``tests/test_geometry.py``:
 
 - ``math.sin`` and ``math.cos`` equal ``np.sin`` and ``np.cos``, and
   Python's float ``%`` equals ``np.mod``;
-- ``np.sum`` and ``add.reduce(axis=1)`` over two to four entries add left
-  to right, ``(a0 + a1) + a2``, and so must the kernel (never Python's
-  ``sum``, which compensates from Python 3.12 on);
+- ``np.sum`` and ``add.reduce(axis=1)`` add fewer than 8 entries left to
+  right, ``(a0 + a1) + a2``; from 8 on they keep eight running sums r_j of
+  the entries j, j + 8, ..., add them as ((r0 + r1) + (r2 + r3)) + ((r4 +
+  r5) + (r6 + r7)) and then the rest left to right.  A kernel writes its
+  sums in that order (``_unroll.numpy_sum``), never with Python's ``sum``,
+  which compensates from Python 3.12 on;
 - negation commutes with rounding, so a kernel may fold a sign into a
   product;
 - the error norm, the speed and the tolerance scale are square sums
@@ -244,8 +247,6 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
         if steps >= tol.max_steps:
             raise failure("step budget exhausted")
         status = FIXED_TIME if abs(t - t_max) < 1e-12 else MAX_TIME
-    if abs(t - t_max) < 1e-12 and status == MAX_TIME:
-        status = FIXED_TIME
     return result()
 
 
@@ -295,13 +296,6 @@ def fixed_time_flow(system, x0, duration, direction=+1, record=True):
                           np.array([x]), np.array([value(x)]), {}, 0)
     return integrate(field, value, project, None, x0, t_max=duration,
                      tol=system.tol, record=record)
-
-
-def membership_stable(system, cp, x, t_max=None):
-    """Does x flow forward into cp?  Returns (bool, convergence time)."""
-    res = flow(system, x, +1, t_max=t_max, record=False)
-    return (res.status == CONVERGED and res.limit.name == cp.name,
-            res.t_end)
 
 
 # -- frames -------------------------------------------------------------------
@@ -372,7 +366,7 @@ def transport_frame(manifold, field_fn, times, points, frame0, fd_eps=1e-6):
     return frame
 
 
-# -- unstable sphere sampling ---------------------------------------------------
+# -- the unstable circle lattice ------------------------------------------------
 
 _ANGLE_OFFSET = 0.5377156339  # irrational-ish: avoids symmetric exact hits
 
@@ -381,39 +375,6 @@ def circle_angles(k):
     """The k lattice angles on the circle.  The k lattice is bit-for-bit
     the even half of the 2k lattice (scaling by two is exact)."""
     return _ANGLE_OFFSET + 2.0 * np.pi * np.arange(k) / k
-
-
-def sphere_directions(d, k, seed=0):
-    """Deterministic directions on S^{d-1}: both points of S^0, the k
-    circle lattice angles, seeded Gaussian directions beyond."""
-    if d == 0:
-        return np.zeros((0, 0))
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        ang = circle_angles(k)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rng = np.random.default_rng(seed + 1234)
-    v = rng.standard_normal((k, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def unstable_sphere_sample(system, cp, rho, k, seed=0):
-    """Points on the radius-rho unstable sphere of a critical point.
-
-    Returns (directions, points): directions are unit vectors in the
-    ordered unstable-eigenframe coordinates; points lie on the manifold.
-    An index-0 point has the empty sphere: both arrays are empty.
-    """
-    d = cp.index
-    dirs = sphere_directions(d, k, seed)
-    man = system.manifold
-    pts = []
-    for u in dirs:
-        ambient = cp.point + rho * (cp.unstable_frame @ u)
-        pts.append(man.project(ambient))
-    pts = np.array(pts) if pts else np.zeros((0, man.coord_dim))
-    return dirs, pts
 
 
 def direction_point(system, cp, rho, u):

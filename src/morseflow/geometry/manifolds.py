@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from ._unroll import names, unrolled
+from ._unroll import names, numpy_sum, unrolled
 
 TWO_PI = 2.0 * np.pi
 
@@ -183,8 +183,9 @@ def _wrap_template(n):
 def _sweep_template(n):
     """Source of the torus distance sweep on n angles: given the catalog
     rows, the closure taking x to its distances to them.  Each distance
-    squares the wrapped coordinate differences and adds them left to right
-    before the square root, as ``distances`` (``norm(axis=1)``) does."""
+    squares the wrapped coordinate differences and adds them in numpy's
+    order (``numpy_sum``) before the square root, as ``distances``
+    (``norm(axis=1)``) does."""
     wrapped = ["            d%d = (p%d - x%d + %r) %% %r - %r"
                % (k, k, k, math.pi, TWO_PI, math.pi) for k in range(n)]
     return "\n".join([
@@ -193,8 +194,8 @@ def _sweep_template(n):
         "        %s= x" % names("x", n),
         "        out = []",
         "        for %sin rows:" % names("p", n)] + wrapped + [
-        "            out.append(sqrt(%s))" % " + ".join(
-            "d%d * d%d" % (k, k) for k in range(n)),
+        "            out.append(sqrt(%s))" % numpy_sum(
+            ["d%d * d%d" % (k, k) for k in range(n)]),
         "        return out",
         "    return sweep",
         ""])

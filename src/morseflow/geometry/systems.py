@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import GeometryError, ParseError, StructuralValidationError
-from ._unroll import names, unrolled
+from ._unroll import names, numpy_sum, unrolled
 from .manifolds import ProductModel, SphereModel, TorusModel, TWO_PI
 
 
@@ -301,8 +301,8 @@ class CosineWells:
 
     The float kernels repeat the numpy forms operation for operation:
     ``math.sin`` and ``math.cos`` equal ``np.sin`` and ``np.cos`` bit for
-    bit, ``np.sum`` over a few angles adds left to right, and negating a
-    product or a sum commutes with rounding.
+    bit, the kernels add in ``np.sum``'s order (``_unroll.numpy_sum``),
+    and negating a product or a sum commutes with rounding.
     """
 
     __slots__ = ("params", "c", "psi")
@@ -339,15 +339,14 @@ class CosineWells:
 def _wells_template(n):
     """Source of the cosine-well kernels on n angles: given the sign of
     the direction, the amplitudes, phases, c and psi, the closures
-    (field, value).  Sums run left to right, as ``np.sum`` over a few
-    entries does.  Without coupling, the sign folds into the amplitudes
+    (field, value).  Sums run in ``np.sum``'s order (``numpy_sum``).  Without coupling, the sign folds into the amplitudes
     (s_i), since (-a) s is -(a s), signed zeros included.  With coupling,
     the field is ``grad``'s -((-a) s - w) times the sign, (-sign) ((-a) s
     - w), whose zeros carry numpy's signs: sign (a s + w) has the other
     sign where a s = +0 and w = -0."""
     unpack = "            %s= x" % names("x", n)
-    angle = " + ".join("x%d" % k for k in range(n))
-    wells = " + ".join("a%d * cos(x%d - p%d)" % (k, k, k) for k in range(n))
+    angle = numpy_sum(["x%d" % k for k in range(n)])
+    wells = numpy_sum(["a%d * cos(x%d - p%d)" % (k, k, k) for k in range(n)])
 
     def sines(amp, form="%s"):
         return ", ".join(form % ("%s%d * sin(x%d - p%d)" % (amp, k, k, k))

@@ -345,20 +345,6 @@ def thom_complex(bundle, system, n_checks=10, seed=0):
     rng = np.random.default_rng(seed)
     samples = [man.random_point(rng) for _ in range(n_checks)]
     bundle.check_invariants(samples)
-    # outward condition on the sphere bundle: the driving function falls
-    # off radially, so its gradient points out of the complement region
-    for x in samples:
-        P = bundle.projector(x)
-        v = _unit_fiber_vector(P, bundle.fiber_ambient_dim, rng)
-        if v is None:
-            continue
-        eps = 1e-6
-        q_plus = float(np.dot((1 + eps) * v, (1 + eps) * v))
-        q_minus = float(np.dot((1 - eps) * v, (1 - eps) * v))
-        radial = -(q_plus - q_minus) / (2 * eps)
-        if radial >= 0:
-            raise InternalInconsistencyError(
-                "fiber gradient fails to point inward on the sphere bundle")
     gens = {p + r: base.labels(p) for p in base.degrees()}
     maps = {p + r: base.map_from(p) for p in base.degrees()
             if base.map_from(p).size}
@@ -367,25 +353,11 @@ def thom_complex(bundle, system, n_checks=10, seed=0):
                     relative=rel, rank=r)
 
 
-def _unit_fiber_vector(P, N, rng):
-    for _ in range(8):
-        raw = P @ rng.standard_normal(N)
-        nrm = np.linalg.norm(raw)
-        if nrm > 1e-6:
-            return raw / nrm
-    return None
-
-
 @dataclass
 class ThomClassData:
     thom: ThomData
     unit_cochain: dict          # relative degree-r dual: name -> coefficient
     fiber_pairing: int
-
-    def pair(self, degree, cochain, chain):
-        """<T^* phi, c> with both sides in generator coordinates."""
-        return int(np.dot(np.asarray(cochain, dtype=object),
-                          np.asarray(chain, dtype=object)))
 
 
 def thom_class(bundle, system, thom=None, seed=0):
@@ -409,19 +381,6 @@ def thom_class(bundle, system, thom=None, seed=0):
     unit = {name: 1 for name in mins}
     x0 = system.point(mins[0])
     bundle.frame_at(x0.point)  # validates the orientation at the minimum
-    # duality <T^* phi, c> = <phi, T_* c> on random pairs, exact
-    rng = np.random.default_rng(seed + 1)
-    for p in thom.base_complex.degrees():
-        n = thom.base_complex.dim(p)
-        if n == 0:
-            continue
-        phi = rng.integers(-5, 6, size=n)
-        c = rng.integers(-5, 6, size=n)
-        T = thom.identification(p)
-        lhs = int(np.dot(T @ np.asarray(phi, dtype=object), c))
-        rhs = int(np.dot(phi, T.T @ np.asarray(c, dtype=object)))
-        if lhs != rhs:
-            raise InternalInconsistencyError("Thom duality check failed")
     return ThomClassData(thom=thom, unit_cochain=unit, fiber_pairing=1)
 
 

@@ -383,6 +383,15 @@ class TestGeomCommands:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_connections_index_drop_two_json(self, capsys, torus_cfg):
+        # a failure outside the error taxonomy is one JSON object too
+        code, out, err = run(capsys, "--json", "geom", "connections",
+                             torus_cfg, "--source", "x11", "--target", "x00")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == ("ValueError", 1)
+        assert "index" in error["message"]
+
 
 class TestHomologyCommand:
     def test_torus_betti(self, capsys, torus_cfg):
@@ -537,6 +546,26 @@ class TestOpCommands:
         assert code == 3
         assert "x99" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, path, option, spec", [
+        (("homology",), "band.cfg", "--relative", "band:abc"),
+        (("homology",), "band.cfg", "--relative", "cap:"),
+        (("op", "push"), "torus.cfg", "--embedding", "factor:x"),
+        (("op", "thom"), "sphere.cfg", "--bundle", "trivial:q"),
+        (("op", "nu"), "fig8.graph", "--input", "x10")])
+    def test_malformed_spec_is_a_parse_error(self, capsys, label_args,
+                                             command, path, option, spec):
+        argv = [*command, os.path.join(DATA, path), option, spec]
+        if "nu" in command:
+            argv += label_args
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and repr(spec) in err
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == ("ParseError", 2)
+        assert repr(spec) in error["message"]
 
 
 GOLDEN_CASES = [

@@ -140,6 +140,19 @@ class TestEulerGenus:
             g.genus()
         assert g.genus_by_component() == [(0, 3), (0, 3)]
 
+    def test_component_labels_follow_the_least_vertex(self):
+        # a planar theta on vertices 0 and 2, a dumbbell on 1 and 4 and a
+        # figure-8 on 3: vertices are numbered by least half-edge
+        g = FatGraph.from_vertex_cycles(
+            pairs=[(0, 2), (5, 6), (7, 8), (1, 9), (10, 4), (11, 12), (3, 13),
+                   (14, 15)],
+            vertex_cycles=[(0, 5, 7), (2, 8, 6), (1, 9, 10), (4, 11, 12),
+                           (3, 14, 13, 15)])
+        assert g.vertices[1] == (1, 9, 10)
+        assert g.component_labels() == [0, 1, 0, 2, 1]
+        assert not g.is_connected()
+        assert g.genus_by_component() == [(0, 3), (0, 3), (1, 1)]
+
 
 def random_fat_graph(rng, max_edges=12):
     """Random rotation system: random pairing split into vertices of
@@ -237,6 +250,39 @@ class TestChordDiagram:
                          validate=False)
         report = validate_chord_diagram(d)
         assert any("cycle" in r for r in report)
+
+    def test_ghost_loop_report(self):
+        # dumbbell: loop A at vertex 0 and the bridge are ghosts, loop B at
+        # vertex 1 is the circle
+        g = dumbbell()
+        d = ChordDiagram(g, ghost_edges=[g.edge_of(0), g.edge_of(4)],
+                         circles=[(3,)], validate=False)
+        assert validate_chord_diagram(d) == [
+            "ghost component at vertex 0 contains a cycle"]
+
+    def test_ghost_multi_edge_report(self):
+        # two circles joined by two parallel ghost edges
+        g = FatGraph.from_vertex_cycles(
+            pairs=[(0, 1), (2, 3), (4, 5), (6, 7)],
+            vertex_cycles=[(0, 1, 4, 6), (2, 3, 7, 5)])
+        d = ChordDiagram(g, ghost_edges=[g.edge_of(4), g.edge_of(6)],
+                         circles=[(1,), (3,)], validate=False)
+        assert validate_chord_diagram(d) == [
+            "ghost component at vertex 0 contains a cycle"]
+        assert circular_vertex_classes(d) == ((0, 1),)
+
+    def test_dangling_ghost_leaf_report(self):
+        # the dumbbell's ghost bridge plus a ghost hair to vertex 2, which
+        # lies on no circle
+        g = FatGraph.from_vertex_cycles(
+            pairs=[(0, 1), (2, 3), (4, 5), (6, 7)],
+            vertex_cycles=[(0, 1, 4, 6), (2, 3, 5), (7,)],
+            allow_low_valence=True)
+        d = ChordDiagram(g, ghost_edges=[g.edge_of(4), g.edge_of(6)],
+                         circles=[(1,), (3,)], validate=False)
+        assert validate_chord_diagram(d) == [
+            "ghost tree endpoint at vertex 2 is not on a circle"]
+        assert circular_vertex_classes(d) == ((0, 1),)
 
     def test_vertex_classes_no_ghosts(self):
         d = ChordDiagram(fig8())

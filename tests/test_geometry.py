@@ -22,21 +22,22 @@ from morseflow.geometry import (
     Tolerances,
     fixed_time_flow,
     flow,
-    membership_stable,
     orientation_sign,
     parallel_frame,
     parse_system_config,
     probe_limits,
     product_system,
     sphere_band,
-    sphere_directions,
     sphere_height,
     torus_cosine,
     transport_frame,
-    unstable_sphere_sample,
 )
 from morseflow.geometry._unroll import names, square_sum, unrolled
-from morseflow.geometry.systems import CosineWells, numpy_kernels
+from morseflow.geometry.systems import (
+    MAX_TORUS_DIM,
+    CosineWells,
+    numpy_kernels,
+)
 from morseflow.operations import AuxiliaryFunction
 
 FLOW = sys.modules["morseflow.geometry.flow"]
@@ -183,15 +184,6 @@ class TestFlow:
             flow(t2, x, direction)
         with pytest.raises(GeometryError, match="direction"):
             fixed_time_flow(t2, x, 0.7, direction)
-
-    def test_membership(self, t2):
-        sad = t2.point("x10")
-        ok, _ = membership_stable(t2, sad, np.array([0.0, 2.0]))
-        assert ok
-        ok2, _ = membership_stable(t2, sad, np.array([1.0, 2.0]))
-        assert not ok2
-        ok3, _ = membership_stable(t2, sad, t2.point("x00").point)
-        assert not ok3
 
     def test_limit_partition(self, t2):
         stats = probe_limits(t2, 40, seed=5)
@@ -425,8 +417,9 @@ def numpy_cosine(amps, phis, c, psi):
 
 @st.composite
 def cosine_wells(draw):
-    """(amplitudes, phases, c, psi, theta) of n = 1 to 4 wells."""
-    n = draw(st.integers(1, 4))
+    """(amplitudes, phases, c, psi, theta) of n = 1 to MAX_TORUS_DIM wells:
+    from 8 on, numpy's sums pair their terms."""
+    n = draw(st.integers(1, MAX_TORUS_DIM))
     vectors = st.lists(ANGLES, min_size=n, max_size=n)
     return (draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)),
             draw(vectors), draw(st.sampled_from([0.0, 0.03, -0.2])),
@@ -488,7 +481,8 @@ class TestFloatKernels:
                                                         2 * np.pi))
 
     @SETTINGS
-    @given(n=st.integers(1, 4), k=st.integers(1, 16), data=st.data())
+    @given(n=st.integers(1, MAX_TORUS_DIM), k=st.integers(1, 16),
+           data=st.data())
     def test_torus_distance_sweep(self, n, k, data):
         pts = np.array(data.draw(st.lists(
             st.lists(ANGLES, min_size=n, max_size=n), min_size=k,
@@ -499,7 +493,7 @@ class TestFloatKernels:
             m.distances(np.array(x), pts))
 
     @pytest.mark.parametrize("name", ["t1", "t2", "t3", "t4",
-                                      "t2-perturbed"])
+                                      "t2-perturbed", "t8-perturbed"])
     def test_flows_match_the_numpy_adapters(self, name, monkeypatch):
         system = {
             "t1": lambda: torus_cosine(1, [0.8], phases=[2.0]),
@@ -509,6 +503,10 @@ class TestFloatKernels:
                                        phases=[0.2, 1.0, 3.0, 4.4]),
             "t2-perturbed": lambda: torus_cosine(2, [1.0, 0.7],
                                                  perturb=0.05, seed=3),
+            # from 8 angles on, numpy's sums pair their terms
+            "t8-perturbed": lambda: torus_cosine(
+                8, [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.45, 0.4], perturb=0.05,
+                seed=3),
         }[name]()
         names = [cp.name for cp in system.critical_points]
         rng = np.random.default_rng(21)
@@ -558,31 +556,6 @@ class TestIntegrationErrors:
         assert err.steps == 5 and err.t > 0.0 and err.h > 0.0
         assert np.array_equal(err.x0, x0)
         assert err.x.shape == (2,) and not np.array_equal(err.x, x0)
-
-
-class TestSphereSampling:
-    def test_index1_two_points(self, t2):
-        sad = t2.point("x10")
-        dirs, pts = unstable_sphere_sample(t2, sad, 0.02, 16)
-        assert dirs.shape == (2, 1)
-        assert pts.shape == (2, 2)
-
-    def test_index2_circle(self, t2):
-        top = t2.point("x11")
-        dirs, pts = unstable_sphere_sample(t2, top, 0.02, 64)
-        assert dirs.shape == (64, 2)
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
-
-    def test_minimum_empty(self, t2):
-        mn = t2.point("x00")
-        dirs, pts = unstable_sphere_sample(t2, mn, 0.02, 16)
-        assert dirs.shape[0] == 0
-
-    def test_directions_deterministic(self):
-        a = sphere_directions(3, 50)
-        b = sphere_directions(3, 50)
-        assert np.array_equal(a, b)
-        assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
 
 
 class TestFrames:
