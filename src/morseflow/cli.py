@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -207,23 +208,28 @@ def cmd_geom_connections(args):
 
 # -- homology ---------------------------------------------------------------------------
 
-def _spec_value(spec, cast, text):
+def _spec_value(spec, cast, text, valid=None, need=""):
     """``cast(text)`` for a field of the command-line spec ``spec``; a
-    malformed field is a ParseError that names the spec."""
+    malformed field, or a value that ``valid`` rejects (``need`` says
+    why), is a ParseError that names the spec."""
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
         raise ParseError("malformed spec %r" % spec) from None
+    if valid is not None and not valid(value):
+        raise ParseError("malformed spec %r: %s" % (spec, need))
+    return value
 
 
 def _region_from_spec(spec):
     if spec in (None, "", "empty"):
         return empty_region()
     kind, _, value = spec.partition(":")
-    if kind == "cap":
-        return cap_region(_spec_value(spec, float, value))
-    if kind == "band":
-        return band_region(_spec_value(spec, float, value))
+    if kind in ("cap", "band"):
+        # a nan level holds no point and an infinite one every point
+        level = _spec_value(spec, float, value, math.isfinite,
+                            "the level must be finite")
+        return (cap_region if kind == "cap" else band_region)(level)
     raise ParseError("unknown region spec %r (use empty|cap:C|band:C)" % spec)
 
 
@@ -306,8 +312,9 @@ def _bundle_from_spec(system, spec):
             return torus_tangent_bundle(man)
         return sphere_tangent_bundle(man)
     if spec.startswith("trivial:"):
-        return trivial_bundle(system.manifold,
-                              _spec_value(spec, int, spec.split(":")[1]))
+        return trivial_bundle(system.manifold, _spec_value(
+            spec, int, spec.split(":")[1], lambda rank: rank >= 0,
+            "the rank must not be negative"))
     if spec == "tangent+trivial":
         return whitney_sum_with_trivial(_bundle_from_spec(system, "tangent"))
     raise ParseError("unknown bundle spec %r" % spec)

@@ -1,16 +1,23 @@
 """Float kernels written out for one state dimension.
 
-A template is a module-level function of the dimension n that returns the
-source of one function named ``kernel``: straight-line Python with the n
-coordinates unpacked into locals (``x0, x1, = x``) and every sum written
-out in the order of the loop or numpy reduction it replaces, so it does the
-same IEEE operations in the same order.  ``unrolled`` compiles a template once
-per (template, n).  Its cache holds code for each dimension in use and
-never a system: kernels that need a system's numbers take them as
-arguments and return a closure, which lives only as long as its caller
-keeps it.  Templates share two writers: ``numpy_sum``, a sum in numpy's
-order, and ``square_sum``, a square sum rounded as BLAS's dot product
-rounds it.
+A template is a module-level function of the dimension n (and, for some,
+a family) that returns the source of one function named ``kernel``:
+straight-line Python with the n coordinates unpacked into locals (``x0,
+x1, = x``) and every sum written out in the order of the loop or numpy
+reduction it replaces, so it does the same IEEE operations in the same
+order.  ``unrolled`` compiles a template once per (template, n, family).
+Its cache holds code for each dimension in use and never a system: a
+system's numbers reach a kernel as arguments.
+
+A kernel family (``Family``) writes the lines of one kind of float kernel
+(a field, a driving function, a projection, a distance sweep) at a point
+held in locals.  The same lines make the family's kernel on its own
+(``standalone``, run by calling a ``Kernel``) and are written into the
+flow loop (``flow._loop_template``), so the two cannot drift apart.  A
+plain callable on lists of floats is a kernel of an adapter family
+(``adapted``), which the loop calls.  Templates share two writers:
+``numpy_sum``, a sum in numpy's order, and ``square_sum``, a square sum
+rounded as BLAS's dot product rounds it.
 """
 
 from __future__ import annotations
@@ -35,14 +42,82 @@ _TINY = 2.0 ** -968
 _BLOCK = 16
 
 
-@lru_cache(maxsize=64)
-def unrolled(template, n):
-    """The function ``kernel`` defined by ``template(n)``; tracebacks and
-    profiles name it after the template and n."""
+@lru_cache(maxsize=128)
+def unrolled(template, n, family=None):
+    """The function ``kernel`` defined by ``template(n)``, or by
+    ``template(n, family)`` when a family is given; tracebacks and profiles
+    name it after the template, n and the family."""
     namespace = dict(_NAMESPACE)
-    where = "<%s n=%d>" % (template.__name__, n)
-    exec(compile(template(n), where, "exec"), namespace)
+    where = "<%s n=%d%s>" % (template.__name__, n,
+                             "" if family is None else " %s" % (family,))
+    source = template(n) if family is None else template(n, family)
+    exec(compile(source, where, "exec"), namespace)
     return namespace["kernel"]
+
+
+class Family:
+    """The lines of one kind of float kernel on n coordinates.
+
+    ``params(n)`` names the numbers the kernel takes.  ``write(n, x, out,
+    p)`` gives lines that evaluate it at the point held in the locals
+    ``x0, x1, ...`` into ``out``: the locals ``out0, out1, ...`` when
+    ``vector``, else the one local ``out``.  Parameters and temporaries
+    carry the prefix ``p``, so kernels of several families share one
+    function body.  A family is code, compared by identity."""
+
+    __slots__ = ("name", "vector", "params", "write")
+
+    def __init__(self, name, vector, params, write):
+        self.name, self.vector = name, vector
+        self.params, self.write = params, write
+
+    def __repr__(self):
+        return self.name
+
+
+def adapted(name, vector):
+    """The family of a plain callable on lists of floats, which the lines
+    call: its one parameter ``fn`` is the callable."""
+    def write(n, x, out, p):
+        target = names(out, n) if vector else out + " "
+        return ["%s= %sfn([%s])" % (target, p, names(x, n))]
+    return Family(name, vector, lambda n: ["fn"], write)
+
+
+class Kernel:
+    """A float kernel of ``family`` with the numbers ``args``.  Called on a
+    point (a list of floats), it runs the family's lines as a function of
+    their own (``standalone``); the flow loop writes the same lines into
+    its body instead and passes ``args``."""
+
+    __slots__ = ("family", "args")
+
+    def __init__(self, family, *args):
+        self.family, self.args = family, args
+
+    def __call__(self, x):
+        return unrolled(standalone, len(x), self.family)(*self.args)(x)
+
+
+def standalone(n, family):
+    """Source of ``family``'s kernel on its own: given the parameters, the
+    function of one point."""
+    result = "[%s]" % names("r", n) if family.vector else "r"
+    return "\n".join(
+        ["def kernel(%s):" % "".join(a + ", " for a in family.params(n)),
+         "    def run(x):",
+         "        %s= x" % names("x", n)]
+        + ["        " + line for line in family.write(n, "x", "r", "")]
+        + ["        return " + result, "    return run", ""])
+
+
+def norm_template(n):
+    """Source of the Euclidean norm of n coordinates, ``sqrt`` of the
+    square sum that ``ndarray.dot`` gives (``square_sum``)."""
+    lines = ["def kernel(v):", "    %s= v" % names("v", n)]
+    lines += square_sum("v", n)
+    lines.append("    return sqrt(ss)")
+    return "\n".join(lines) + "\n"
 
 
 def names(prefix, n):

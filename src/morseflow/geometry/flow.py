@@ -8,15 +8,30 @@ the same order, not a matrix product): counts on the 3-manifold circle
 lattice depend on the last bits of the trajectories, so a reordered sum
 changes them.
 
-``integrate`` is the one integration loop.  Between steps it keeps the
-state as a list of Python floats, and it reads the system through four
-list-in/list-out kernels: the field and the driving function
-(``float_kernels`` of the system), the projection (``project_floats`` of the
-manifold) and the distance sweep to the catalog (``distance_sweep``).  Tori
-with cosine wells supply all four natively; every other system adapts its
-numpy forms, which give the same bits by construction.  A native kernel
-must equal the numpy expression it replaces bit for bit, so it follows
-these rules, checked in ``tests/test_geometry.py``:
+``integrate`` runs the one integration loop, which one writer
+(``_loop_template``) generates per state dimension n and per combination
+of kernel families: straight-line Python with the state unpacked into
+locals, the Cash-Karp stages, the three square sums (error, speed and
+tolerance scale), step control, event tracking and recording in one
+function body.  It reads the system through four float kernels: the field
+and the driving function (``float_kernels`` of the system), the projection
+(``project_floats`` of the manifold) and the distance sweep to the catalog
+(``distance_sweep``).  Each kernel decides how the loop takes it:
+
+- a ``_unroll.Kernel`` brings a family whose lines the loop writes in.
+  Tori with cosine wells give kernels of the cosine-well, wrap and sweep
+  families, the lines that also make their standalone kernels, so the two
+  cannot drift apart, and a T2 step calls no function written in Python;
+- a plain callable on lists of floats is called through an adapter family.
+  Spheres, bands, products, hand-built systems and the figure-8
+  ``AuxiliaryFunction`` adapt their numpy methods this way (a sphere
+  projects in Python), which give the same bits by construction.
+
+So a system whose hooks return the numpy adapters runs the adapter loop.
+The loop is cached by (template, n, families), which is code only: a
+system's numbers reach it as arguments, and it retains nothing.  A kernel
+written in must equal the numpy expression it replaces bit for bit, so it
+follows these rules, checked in ``tests/test_geometry.py``:
 
 - ``math.sin`` and ``math.cos`` equal ``np.sin`` and ``np.cos``, and
   Python's float ``%`` equals ``np.mod``;
@@ -38,23 +53,12 @@ these rules, checked in ``tests/test_geometry.py``:
   (1e-280, 1e280) or not finite) and from 16 entries on, so elsewhere a
   trajectory does not depend on which dot kernel the machine's BLAS picks.
 
-Spheres and products still take the adapters: their numpy projection and
-tangent projection go through BLAS ``dot`` and ``norm``, which no native
-kernel reproduces yet.
-
-The step and the native torus kernels are generated per state dimension n
-(``_unroll.unrolled``): straight-line Python with the coordinates unpacked
-into locals, the same operations in the same order as a loop over them, so
-no bit moves, without the list comprehensions over ``zip`` that cost more
-than their arithmetic.  A kernel is compiled on first use and cached by
-(template, n), never by system: a system's numbers reach a kernel as
-arguments of a closure that lives as long as its flow, so a system retains
-nothing new.  A T2 step (``_rk_step`` with the torus field) costs about
-3.5 us this way, against 4.4 us with the error norm on ``ndarray.dot``,
-11 us with the comprehensions and 30 us when every kernel went through
-numpy; a step on numpy adapters (the sphere band) about 23 us, most of it
-in the five field calls.  A norm of two coordinates costs 0.36 us, against
-0.9 us through ``ndarray.dot``.
+A strict T2 flow from a saddle (113 steps) costs 5.6-6.0 us per step in
+the generated loop, against 8.6-9.0 us when the loop was Python calling a
+generated step, a field closure per stage and a kernel for each norm,
+projection and sweep (the fastest of 25 batches, four alternating runs, 2
+CPUs, Python 3.11).  A step on numpy adapters (a strict sphere-band flow)
+costs 39-47 us either way, most of it in the six field calls.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GeometryError, IntegrationError, OrientationError
-from ._unroll import names, square_sum, unrolled
+from ._unroll import Kernel, adapted, names, square_sum, unrolled
 
 # Cash-Karp tableau
 _CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -97,12 +101,21 @@ class FlowResult:
     steps: int
 
 
-def _step_template(n):
-    """Source of the Cash-Karp step on n coordinates (``_rk_step``): the
-    stage coefficients h a, then each stage x + (h a_0) k_0 + (h a_1) k_1
-    + ..., summed left to right over the nonzero tableau entries, then the
-    fifth-order point and its difference d from the fourth-order one, and
-    the square sum of d."""
+ADAPTED_FIELD = adapted("adapted field", True)
+ADAPTED_VALUE = adapted("adapted value", False)
+ADAPTED_PROJECT = adapted("adapted projection", True)
+ADAPTED_SWEEP = adapted("adapted sweep", False)
+
+
+def _step_lines(n, field):
+    """Lines of one Cash-Karp step from the point ``x0, ...`` with the
+    field ``k0_0, ...`` there (stage 0), the field written by the family
+    ``field``: the stage coefficients h a, then each stage point z = x + (h
+    a_0) k_0 + (h a_1) k_1 + ..., summed left to right over the nonzero
+    tableau entries, and its field k_s; then the fifth-order point y, its
+    difference d from the fourth-order one, and ``err``, the norm of d,
+    with its square sum rounded as ``ndarray.dot`` rounds it
+    (``square_sum``)."""
     rows = [("a%d" % s, row) for s, row in enumerate(_CK_A)]
     rows += [("b", _CK_B5), ("e", _CK_B4)]
 
@@ -110,144 +123,192 @@ def _step_template(n):
         return "x%d" % i + "".join(" + %s%d * k%d_%d" % (name, j, j, i)
                                    for j, a in enumerate(row) if a)
 
-    lines = ["def kernel(field, x, h, k0):",
-             "    %s= x" % names("x", n),
-             "    %s= k0" % names("k0_", n)]
-    lines += ["    %s%d = h * %r" % (name, j, a)
-              for name, row in rows for j, a in enumerate(row) if a]
+    lines = ["%s%d = h * %r" % (name, j, a)
+             for name, row in rows for j, a in enumerate(row) if a]
     for s in range(1, 6):
-        stage = ", ".join(combo("a%d" % s, _CK_A[s], i) for i in range(n))
-        lines.append("    %s= field([%s])" % (names("k%d_" % s, n), stage))
-    lines += ["    y%d = %s" % (i, combo("b", _CK_B5, i)) for i in range(n)]
-    lines += ["    d%d = y%d - (%s)" % (i, i, combo("e", _CK_B4, i))
+        lines += ["z%d = %s" % (i, combo("a%d" % s, _CK_A[s], i))
+                  for i in range(n)]
+        lines += field.write(n, "z", "k%d_" % s, "F")
+    lines += ["y%d = %s" % (i, combo("b", _CK_B5, i)) for i in range(n)]
+    lines += ["d%d = y%d - (%s)" % (i, i, combo("e", _CK_B4, i))
               for i in range(n)]
-    lines += square_sum("d", n)
-    lines.append("    return [%s], sqrt(ss)" % names("y", n))
+    return lines + [line[4:] for line in square_sum("d", n)] + [
+        "err = sqrt(ss)"]
+
+
+def _loop_template(n, families):
+    """Source of ``integrate``'s loop on n coordinates, with the field,
+    value, projection and sweep written by the four ``families`` (the
+    sweep None: no events).
+
+    The loop keeps the state in the locals ``x0, ...`` and takes each
+    family's parameters as one tuple (F, V, P, S).  It returns (status,
+    limit name, t, x, times, path, f values, closest passes, steps), and
+    raises ``fail(message, x, t, h, steps)`` on a failure.  Comparisons
+    stand in for ``min`` and ``max``: ``min(a, b)`` is ``b if b < a else
+    a`` and ``max(a, b)`` is ``b if b > a else a``, signed zeros and nan
+    included."""
+    field, value, project, sweep = families
+    x = "[%s]" % names("x", n)
+
+    def block(depth, lines):
+        return ["    " * depth + line for line in lines]
+
+    def track(depth, exit):
+        # the distances to the catalog, the closest passes to the targets,
+        # and the limit if x is in a strict ball
+        return block(depth, sweep.write(n, "x", "dists", "S") + [
+            "for i in targets:",
+            "    dist = dists[i]",
+            "    name = names[i]",
+            "    if name not in closest or dist < closest[name][0]:",
+            "        closest[name] = (dist, t, %s)" % x,
+            "dmin = min(dists)",
+            "if dmin < eps:",
+            "    limit = names[dists.index(dmin)]",
+            "    " + exit])
+
+    lines = ["def kernel(F, V, P, S, x, t_max, h, h_min, atol, rtol, eps, "
+             "max_steps, record, names, targets, fail):"]
+    for prefix, family in zip("FVPS", families):
+        params = family.params(n) if family is not None else []
+        if params:
+            lines.append("    %s= %s" % ("".join(
+                prefix + name + ", " for name in params), prefix))
+    lines += ["    %s= x" % names("x", n)]
+    lines += block(1, project.write(n, "x", "x", "P"))
+    lines += block(1, value.write(n, "x", "fv", "V"))
+    lines += ["    t = 0.0",
+              "    times = [t]",
+              "    path = [%s]" % x,
+              "    fvals = [fv]",
+              "    closest = {}",
+              "    limit = None",
+              "    steps = 0",
+              "    slack = 1e-9 + 50.0 * rtol",
+              "    floor = 0.45 * eps",
+              "    fresh = True"]
+    converged = "return %r, limit, t, %s, times, path, fvals, closest, " \
+                "steps" % (CONVERGED, x)
+    if sweep is not None:
+        lines += track(1, converged)
+    lines += ["    while t < t_max and steps < max_steps:",
+              "        rest = t_max - t",
+              "        if rest < h:",
+              "            h = rest",
+              "        if fresh:"]
+    lines += block(3, field.write(n, "x", "k0_", "F"))
+    lines += block(2, square_sum("k0_", n))
+    lines += ["            speed = sqrt(ss)"]
+    lines += block(2, square_sum("x", n))
+    lines += ["            size = sqrt(ss)",
+              "            scale = atol + rtol * (size if size > 1.0 else 1.0)",
+              "            fresh = False",
+              "        if speed > 1e-14:"]
+    if sweep is not None:
+        # the step never jumps a strict ball: h speed stays below half the
+        # distance to the catalog, between 0.45 eps and 0.25
+        lines += ["            cap = 0.5 * dmin",
+                  "            if not cap < 0.25:",
+                  "                cap = 0.25",
+                  "            if not cap > floor:",
+                  "                cap = floor",
+                  "            cap = cap / speed"]
+    else:
+        lines += ["            cap = 0.25 / speed"]
+    lines += ["            if cap < h:",
+              "                h = cap"]
+    lines += block(2, _step_lines(n, field))
+    lines += ["        if err > scale and h > h_min:",
+              "            h = 0.5 * h * (scale / (err + 1e-300)) ** 0.2",
+              "            if not h > h_min:",
+              "                h = h_min",
+              "            steps += 1",
+              "            continue",
+              "        if h <= h_min and err > 10 * scale:",
+              "            raise fail('step size underflow at t=%%.6g' %% t, "
+              "%s, t, h, steps)" % x]
+    lines += block(2, project.write(n, "y", "u", "P"))
+    lines += ["        tn = t + h"]
+    lines += block(2, value.write(n, "u", "fn", "V"))
+    lines += ["        if fn > fv + slack * (1.0 + abs(fv)):",
+              "            raise fail('monotonicity violated at t=%%.6g: "
+              "%%.12g -> %%.12g' %% (t, fv, fn), %s, t, h, steps)" % x,
+              "        fv = fn"]
+    lines += ["        x%d = u%d" % (i, i) for i in range(n)]
+    lines += ["        t = tn",
+              "        fresh = True",
+              "        steps += 1",
+              "        if record:",
+              "            times.append(t)",
+              "            path.append(%s)" % x,
+              "            fvals.append(fv)"]
+    if sweep is not None:
+        lines += track(2, "break")
+    lines += ["        if err > 0:",
+              "            grow = 5.0 * h",
+              "            h = 0.9 * h * (scale / (err + 1e-300)) ** 0.2",
+              "            if not h < grow:",
+              "                h = grow",
+              "        else:",
+              "            h = 5.0 * h",
+              "    else:",
+              "        if steps >= max_steps:",
+              "            raise fail('step budget exhausted', %s, t, h, "
+              "steps)" % x,
+              "        status = %r if abs(t - t_max) < 1e-12 else %r"
+              % (FIXED_TIME, MAX_TIME),
+              "        return status, limit, t, %s, times, path, fvals, "
+              "closest, steps" % x]
+    if sweep is not None:
+        lines += ["    " + converged]
     return "\n".join(lines) + "\n"
 
 
-def _norm_template(n):
-    """Source of the Euclidean norm of n coordinates, ``sqrt`` of the
-    square sum that ``ndarray.dot`` gives (``_unroll.square_sum``)."""
-    lines = ["def kernel(v):", "    %s= v" % names("v", n)]
-    lines += square_sum("v", n)
-    lines.append("    return sqrt(ss)")
-    return "\n".join(lines) + "\n"
-
-
-def _rk_step(field, x, h, k0):
-    """One Cash-Karp step on lists of floats; ``k0`` is the field at x
-    (stage 0).  It runs the step written out for len(x) coordinates
-    (``_step_template``); the error is the norm of x5 - x4, with its square
-    sum rounded as ``ndarray.dot`` rounds it (``_unroll.square_sum``)."""
-    return unrolled(_step_template, len(x))(field, x, h, k0)
+def _family(kernel, adapter):
+    """(family, args) of a kernel: a ``Kernel``'s own, the adapter family
+    around a plain callable, or (None, ()) for no kernel."""
+    if kernel is None:
+        return None, ()
+    if isinstance(kernel, Kernel):
+        return kernel.family, kernel.args
+    return adapter, (kernel,)
 
 
 def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
               record=True, approach_targets=None):
     """Adaptive negative-flow integration with event tracking.
 
-    ``field``, ``value``, ``project`` and ``sweep`` are the list-in/list-out
-    kernels of the module docstring; ``value`` must not increase along the
-    flow.  ``sweep`` (None: no events) gives the distances to the catalog
-    points named by ``names``; entering the ``tol.eps_conv`` ball of any of
-    them ends the run as CONVERGED.  ``approach_targets`` (indices into
-    ``names``) get closest-approach tracking.  Each accepted point is swept
-    for distances once; the sweep serves the convergence test, the closest
-    passes and the step cap.
+    ``field``, ``value``, ``project`` and ``sweep`` are the float kernels
+    of the module docstring, each a ``Kernel`` or a plain callable on lists
+    of floats; ``value`` must not increase along the flow.  ``sweep``
+    (None: no events) gives the distances to the catalog points named by
+    ``names``; entering the ``tol.eps_conv`` ball of any of them ends the
+    run as CONVERGED.  ``approach_targets`` (indices into ``names``) get
+    closest-approach tracking.  Each accepted point is swept for distances
+    once; the sweep serves the convergence test, the closest passes and the
+    step cap.  The loop itself is ``_loop_template``'s, compiled for the
+    dimension and the kernels' families.
     """
-    x = project(np.asarray(x0, dtype=float).tolist())
-    norm = unrolled(_norm_template, len(x))
-    t = 0.0
-    h = tol.h_init
-    h_min, atol, rtol = tol.h_min, tol.atol, tol.rtol
-    strict_radius = tol.eps_conv
-    targets = list(approach_targets or ()) if sweep is not None else []
-    f_prev = value(x)
-    times = [0.0]
-    path = [x]
-    fvals = [f_prev]
-    closest = {}
-    limit_name = None
-    status = MAX_TIME
-    steps = 0
+    x = np.asarray(x0, dtype=float).tolist()
+    families, args = zip(*(_family(kernel, adapter) for kernel, adapter in (
+        (field, ADAPTED_FIELD), (value, ADAPTED_VALUE),
+        (project, ADAPTED_PROJECT), (sweep, ADAPTED_SWEEP))))
+    loop = unrolled(_loop_template, len(x), families)
 
-    def track(xn, tn):
-        nonlocal limit_name
-        dists = sweep(xn)
-        for i in targets:
-            d, name = dists[i], names[i]
-            if name not in closest or d < closest[name][0]:
-                closest[name] = (d, tn, xn)
-        dmin = min(dists)
-        if dmin < strict_radius:
-            limit_name = names[dists.index(dmin)]
-        return dmin
-
-    def failure(message):
+    def fail(message, x, t, h, steps):
         return IntegrationError(message, x0=x0, x=np.array(x), t=t, h=h,
                                 steps=steps)
 
-    def result():
-        return FlowResult(status, limit_name, t, np.array(x),
-                          np.array(times), np.array(path), np.array(fvals),
-                          {name: (d, tn, np.array(xn))
-                           for name, (d, tn, xn) in closest.items()},
-                          steps)
-
-    dmin = track(x, 0.0) if sweep is not None else None
-    if limit_name is not None:
-        status = CONVERGED
-        return result()
-
-    v0 = None
-    while t < t_max and steps < tol.max_steps:
-        h = min(h, t_max - t)
-        if v0 is None:
-            v0 = field(x)
-            speed = norm(v0)
-            scale = atol + rtol * max(1.0, norm(x))
-        if speed > 1e-14 and dmin is not None:
-            cap = max(0.45 * strict_radius, min(0.25, 0.5 * dmin))
-            h = min(h, cap / speed)
-        elif speed > 1e-14:
-            h = min(h, 0.25 / speed)
-        x5, err = _rk_step(field, x, h, v0)
-        if err > scale and h > h_min:
-            h = max(h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
-            steps += 1
-            continue
-        if h <= h_min and err > 10 * scale:
-            raise failure("step size underflow at t=%.6g" % t)
-        xn = project(x5)
-        tn = t + h
-        f_new = value(xn)
-        slack = (1e-9 + 50.0 * rtol) * (1.0 + abs(f_prev))
-        if f_new > f_prev + slack:
-            raise failure("monotonicity violated at t=%.6g: %.12g -> %.12g"
-                          % (t, f_prev, f_new))
-        f_prev = f_new
-        x, t = xn, tn
-        v0 = None
-        steps += 1
-        if record:
-            times.append(t)
-            path.append(x)
-            fvals.append(f_prev)
-        if sweep is not None:
-            dmin = track(x, t)
-            if limit_name is not None:
-                status = CONVERGED
-                break
-        if err > 0:
-            h = min(5.0 * h, 0.9 * h * (scale / (err + 1e-300)) ** 0.2)
-        else:
-            h = 5.0 * h
-    else:
-        if steps >= tol.max_steps:
-            raise failure("step budget exhausted")
-        status = FIXED_TIME if abs(t - t_max) < 1e-12 else MAX_TIME
-    return result()
+    targets = list(approach_targets or ()) if sweep is not None else []
+    status, limit, t, x, times, path, fvals, closest, steps = loop(
+        *args, x, t_max, tol.h_init, tol.h_min, tol.atol, tol.rtol,
+        tol.eps_conv, tol.max_steps, record, names, targets, fail)
+    return FlowResult(status, limit, t, np.array(x), np.array(times),
+                      np.array(path), np.array(fvals),
+                      {name: (d, tn, np.array(xn))
+                       for name, (d, tn, xn) in closest.items()},
+                      steps)
 
 
 def _float_kernels(system, direction):

@@ -5,8 +5,11 @@ Points are numpy arrays of length ``coord_dim``; every model supplies a
 projection (nearest point or wrap), tangent projection, and a distance used
 for convergence and event detection.  The integrator reads the projection
 and the distance sweep on lists of Python floats (``project_floats``,
-``distance_sweep``): tori compute them natively, bit for bit the numpy
-forms, and every other model adapts its numpy methods.
+``distance_sweep``).  Tori give kernels of the wrap and sweep families
+(``_unroll.Kernel``), which the flow loop writes in, bit for bit the numpy
+forms; spheres project in Python (the norm kernel, then one division per
+coordinate); every other projection and sweep adapts the numpy methods, as
+plain callables that the loop calls.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 from ..errors import GeometryError
-from ._unroll import names, numpy_sum, unrolled
+from ._unroll import Family, Kernel, norm_template, numpy_sum, unrolled
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,6 +82,15 @@ class SphereModel(ManifoldModel):
         if nrm < 1e-12:
             raise GeometryError("cannot project the origin to the sphere")
         return x / nrm
+
+    def project_floats(self, x):
+        """``project`` on a list of floats: the norm kernel gives
+        ``np.linalg.norm``'s sqrt of the BLAS dot bit for bit, and numpy
+        divides each coordinate by it as Python does."""
+        nrm = unrolled(norm_template, len(x))(x)
+        if nrm < 1e-12:
+            raise GeometryError("cannot project the origin to the sphere")
+        return [v / nrm for v in x]
 
     def tangent_project(self, x, v):
         return v - np.dot(v, x) * x
@@ -154,12 +166,13 @@ class TorusModel(ManifoldModel):
         d = (np.asarray(pts) - np.asarray(x) + np.pi) % TWO_PI - np.pi
         return np.linalg.norm(d, axis=1)
 
-    def project_floats(self, x):
-        return unrolled(_wrap_template, self.dim)(x)
+    @property
+    def project_floats(self):
+        """The projection on lists of floats: a kernel of the wrap family."""
+        return _WRAP
 
     def distance_sweep(self, pts):
-        return unrolled(_sweep_template, self.dim)(
-            np.asarray(pts, dtype=float).tolist())
+        return Kernel(TORUS_SWEEP, np.asarray(pts, dtype=float).tolist())
 
     def tangent_basis(self, x):
         return np.eye(self.dim)
@@ -171,34 +184,32 @@ class TorusModel(ManifoldModel):
         return "TorusModel(dim=%d)" % self.dim
 
 
-def _wrap_template(n):
-    """Source of the torus projection on n angles: Python's float ``%`` is
-    ``np.mod``, the same wrap bit for bit."""
-    return ("def kernel(x):\n"
-            "    %s= x\n"
-            "    return [%s]\n" % (names("x", n), "".join(
-                "x%d %% %r, " % (k, TWO_PI) for k in range(n))))
+def _wrap_lines(n, x, out, p):
+    """The torus projection on n angles: Python's float ``%`` is ``np.mod``,
+    the same wrap bit for bit."""
+    return ["%s%d = %s%d %% %r" % (out, k, x, k, TWO_PI) for k in range(n)]
 
 
-def _sweep_template(n):
-    """Source of the torus distance sweep on n angles: given the catalog
-    rows, the closure taking x to its distances to them.  Each distance
-    squares the wrapped coordinate differences and adds them in numpy's
-    order (``numpy_sum``) before the square root, as ``distances``
+def _sweep_lines(n, x, out, p):
+    """The torus distance sweep on n angles: the distances from x to the
+    catalog rows (the parameter ``rows``).  Each distance squares the
+    wrapped coordinate differences and adds them in numpy's order
+    (``numpy_sum``) before the square root, as ``distances``
     (``norm(axis=1)``) does."""
-    wrapped = ["            d%d = (p%d - x%d + %r) %% %r - %r"
-               % (k, k, k, math.pi, TWO_PI, math.pi) for k in range(n)]
-    return "\n".join([
-        "def kernel(rows):",
-        "    def sweep(x):",
-        "        %s= x" % names("x", n),
-        "        out = []",
-        "        for %sin rows:" % names("p", n)] + wrapped + [
-        "            out.append(sqrt(%s))" % numpy_sum(
-            ["d%d * d%d" % (k, k) for k in range(n)]),
-        "        return out",
-        "    return sweep",
-        ""])
+    q = ["%sq%d" % (p, k) for k in range(n)]
+    d = ["%sd%d" % (p, k) for k in range(n)]
+    return (["%s = []" % out,
+             "for %sin %srows:" % ("".join(v + ", " for v in q), p)]
+            + ["    %s = (%s - %s%d + %r) %% %r - %r"
+               % (d[k], q[k], x, k, math.pi, TWO_PI, math.pi)
+               for k in range(n)]
+            + ["    %s.append(sqrt(%s))"
+               % (out, numpy_sum(["%s * %s" % (v, v) for v in d]))])
+
+
+TORUS_WRAP = Family("torus wrap", True, lambda n: [], _wrap_lines)
+TORUS_SWEEP = Family("torus sweep", False, lambda n: ["rows"], _sweep_lines)
+_WRAP = Kernel(TORUS_WRAP)
 
 
 class ProductModel(ManifoldModel):

@@ -6,8 +6,9 @@ point, checks nondegeneracy and the declared index, and stores the ordered
 eigenbasis that fixes the unstable-manifold orientations.  The catalog is
 one structured array per system, one record per point.  A system hands
 the integrator its field and function on lists of Python floats
-(``float_kernels``): native for torus cosine wells, numpy adapters for
-everything else.
+(``float_kernels``): for torus cosine wells, kernels of the cosine-well
+families, which the flow loop writes in; for everything else, numpy
+adapters, which it calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import GeometryError, ParseError, StructuralValidationError
-from ._unroll import names, numpy_sum, unrolled
+from ._unroll import Family, Kernel, numpy_sum
 from .manifolds import ProductModel, SphereModel, TorusModel, TWO_PI
 
 
@@ -164,7 +165,7 @@ class MorseSystem:
     None when ``f`` has a ``grad`` method.  When ``f`` also has a
     ``float_kernels(direction)`` method, as ``CosineWells`` does, the
     integrator reads the flow through those kernels, and otherwise through
-    numpy adapters (``numpy_kernels``).
+    numpy adapters (``numpy_kernels``), plain callables.
     """
 
     __slots__ = ("manifold", "f", "_grad", "name", "tol", "fd_step",
@@ -329,57 +330,67 @@ class CosineWells:
 
     def float_kernels(self, direction):
         """(field, value) of the flow in ``direction``: -grad f and f,
-        both negated for direction -1, written out for the dimension
-        (``_wells_template``)."""
+        both negated for direction -1, as kernels of the cosine-well
+        families.  Without coupling the sign folds into the amplitudes
+        (s_i = sign a_i), since (-a) s is -(a s), signed zeros included.
+        With coupling the field is ``grad``'s -((-a) s - w) times the sign,
+        m ((-a) s - w) with m = -sign, whose zeros carry numpy's signs: sign
+        (a s + w) has the other sign where a s = +0 and w = -0."""
+        sign = float(direction)
         (amps, phis), c, psi = self.params.tolist(), self.c, self.psi
-        return unrolled(_wells_template, len(amps))(
-            float(direction), *amps, *phis, c, psi)
+        if c:
+            return (Kernel(COUPLED_WELLS_FIELD, -sign, *[-a for a in amps],
+                           *phis, c, psi),
+                    Kernel(COUPLED_WELLS_VALUE, sign, *amps, *phis, c, psi))
+        return (Kernel(WELLS_FIELD, *[sign * a for a in amps], *phis),
+                Kernel(WELLS_VALUE, sign, *amps, *phis))
 
 
-def _wells_template(n):
-    """Source of the cosine-well kernels on n angles: given the sign of
-    the direction, the amplitudes, phases, c and psi, the closures
-    (field, value).  Sums run in ``np.sum``'s order (``numpy_sum``).  Without coupling, the sign folds into the amplitudes
-    (s_i), since (-a) s is -(a s), signed zeros included.  With coupling,
-    the field is ``grad``'s -((-a) s - w) times the sign, (-sign) ((-a) s
-    - w), whose zeros carry numpy's signs: sign (a s + w) has the other
-    sign where a s = +0 and w = -0."""
-    unpack = "            %s= x" % names("x", n)
-    angle = numpy_sum(["x%d" % k for k in range(n)])
-    wells = numpy_sum(["a%d * cos(x%d - p%d)" % (k, k, k) for k in range(n)])
+def _wells(coupled, field):
+    """The cosine-well family of the field or of the value, with or
+    without coupling, on n angles.  Sums run in ``np.sum``'s order
+    (``numpy_sum``)."""
 
-    def sines(amp, form="%s"):
-        return ", ".join(form % ("%s%d * sin(x%d - p%d)" % (amp, k, k, k))
-                         for k in range(n))
+    def params(n):
+        if field:
+            head = ["m"] + _seq("n", n) if coupled else _seq("s", n)
+        else:
+            head = ["sign"] + _seq("a", n)
+        return head + _seq("p", n) + (["c", "psi"] if coupled else [])
 
-    return "\n".join([
-        "def kernel(sign, %s%sc, psi):" % (names("a", n), names("p", n)),
-        "    if c:",
-        "        m = -sign",
-        "        %s= %s" % (names("n", n), "".join(
-            "-a%d, " % k for k in range(n))),
-        "",
-        "        def field(x):",
-        unpack,
-        "            w = c * sin(%s + psi)" % angle,
-        "            return [%s]" % sines("n", "m * (%s - w)"),
-        "",
-        "        def value(x):",
-        unpack,
-        "            return sign * (%s + c * cos(%s + psi))" % (wells, angle),
-        "    else:",
-        "        %s= %s" % (names("s", n), "".join(
-            "sign * a%d, " % k for k in range(n))),
-        "",
-        "        def field(x):",
-        unpack,
-        "            return [%s]" % sines("s"),
-        "",
-        "        def value(x):",
-        unpack,
-        "            return sign * (%s)" % wells,
-        "    return field, value",
-        ""])
+    def write(n, x, out, p):
+        def well(amp, trig, k):
+            return "%s%s%d * %s(%s%d - %sp%d)" % (p, amp, k, trig, x, k, p, k)
+
+        def coupling(trig):
+            angle = numpy_sum(["%s%d" % (x, k) for k in range(n)])
+            return "%sc * %s(%s + %spsi)" % (p, trig, angle, p)
+
+        if not field:
+            wells = numpy_sum([well("a", "cos", k) for k in range(n)])
+            if coupled:
+                wells += " + " + coupling("cos")
+            return ["%s = %ssign * (%s)" % (out, p, wells)]
+        if not coupled:
+            return ["%s%d = %s" % (out, k, well("s", "sin", k))
+                    for k in range(n)]
+        return ["%sw = %s" % (p, coupling("sin"))] + [
+            "%s%d = %sm * (%s - %sw)" % (out, k, p, well("n", "sin", k), p)
+            for k in range(n)]
+
+    return Family("%swells %s" % ("coupled " if coupled else "",
+                                  "field" if field else "value"),
+                  field, params, write)
+
+
+def _seq(prefix, n):
+    return ["%s%d" % (prefix, k) for k in range(n)]
+
+
+WELLS_FIELD = _wells(False, True)
+WELLS_VALUE = _wells(False, False)
+COUPLED_WELLS_FIELD = _wells(True, True)
+COUPLED_WELLS_VALUE = _wells(True, False)
 
 
 # -- catalog constructors ------------------------------------------------------

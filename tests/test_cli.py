@@ -550,8 +550,12 @@ class TestOpCommands:
     @pytest.mark.parametrize("command, path, option, spec", [
         (("homology",), "band.cfg", "--relative", "band:abc"),
         (("homology",), "band.cfg", "--relative", "cap:"),
+        # a nan level holds no point, an infinite one every point
+        (("homology",), "band.cfg", "--relative", "band:nan"),
+        (("homology",), "band.cfg", "--relative", "cap:inf"),
         (("op", "push"), "torus.cfg", "--embedding", "factor:x"),
         (("op", "thom"), "sphere.cfg", "--bundle", "trivial:q"),
+        (("op", "thom"), "sphere.cfg", "--bundle", "trivial:-1"),
         (("op", "nu"), "fig8.graph", "--input", "x10")])
     def test_malformed_spec_is_a_parse_error(self, capsys, label_args,
                                              command, path, option, spec):

@@ -32,9 +32,20 @@ from morseflow.geometry import (
     torus_cosine,
     transport_frame,
 )
-from morseflow.geometry._unroll import names, square_sum, unrolled
+from morseflow.geometry._unroll import (
+    names,
+    norm_template,
+    square_sum,
+    unrolled,
+)
+from morseflow.geometry.flow import MAX_TIME, FlowResult
+from morseflow.geometry.manifolds import TORUS_SWEEP, TORUS_WRAP
 from morseflow.geometry.systems import (
+    COUPLED_WELLS_FIELD,
+    COUPLED_WELLS_VALUE,
     MAX_TORUS_DIM,
+    WELLS_FIELD,
+    WELLS_VALUE,
     CosineWells,
     numpy_kernels,
 )
@@ -215,6 +226,126 @@ def reference_rk_step(field_fn, x, h, k0):
     return x5, float(np.linalg.norm(x5 - x4))
 
 
+def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
+                        names=(), record=True, approach_targets=None):
+    """The integration loop as plain Python on numpy points, stepping with
+    ``reference_rk_step``: ``field``, ``value``, ``project`` and ``sweep``
+    act on arrays, and every norm is ``np.linalg.norm``.  The generated
+    loop of ``integrate`` must give the same flow bit for bit."""
+    x = project(np.asarray(x0, dtype=float))
+    t = 0.0
+    h = tol.h_init
+    targets = list(approach_targets or ()) if sweep is not None else []
+    f_prev = value(x)
+    times, path, fvals = [0.0], [x], [f_prev]
+    closest = {}
+    limit = None
+    steps = 0
+
+    def track(xn, tn):
+        nonlocal limit
+        dists = sweep(xn)
+        for i in targets:
+            d, name = float(dists[i]), names[i]
+            if name not in closest or d < closest[name][0]:
+                closest[name] = (d, tn, xn)
+        dmin = float(dists.min())
+        if dmin < tol.eps_conv:
+            limit = names[int(np.argmin(dists))]
+        return dmin
+
+    def result(status):
+        return FlowResult(status, limit, t, x, np.array(times),
+                          np.array(path), np.array(fvals), closest, steps)
+
+    def failure(message):
+        return IntegrationError(message, x0=x0, x=x, t=t, h=h, steps=steps)
+
+    dmin = track(x, 0.0) if sweep is not None else None
+    if limit is not None:
+        return result(CONVERGED)
+    v0 = None
+    while t < t_max and steps < tol.max_steps:
+        h = min(h, t_max - t)
+        if v0 is None:
+            v0 = field(x)
+            speed = float(np.linalg.norm(v0))
+            scale = tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(x)))
+        if speed > 1e-14 and dmin is not None:
+            cap = max(0.45 * tol.eps_conv, min(0.25, 0.5 * dmin))
+            h = min(h, cap / speed)
+        elif speed > 1e-14:
+            h = min(h, 0.25 / speed)
+        x5, err = reference_rk_step(field, x, h, v0)
+        if err > scale and h > tol.h_min:
+            h = max(tol.h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
+            steps += 1
+            continue
+        if h <= tol.h_min and err > 10 * scale:
+            raise failure("step size underflow at t=%.6g" % t)
+        xn = project(x5)
+        tn = t + h
+        f_new = value(xn)
+        slack = (1e-9 + 50.0 * tol.rtol) * (1.0 + abs(f_prev))
+        if f_new > f_prev + slack:
+            raise failure("monotonicity violated at t=%.6g: %.12g -> %.12g"
+                          % (t, f_prev, f_new))
+        f_prev = f_new
+        x, t = xn, tn
+        v0 = None
+        steps += 1
+        if record:
+            times.append(t)
+            path.append(x)
+            fvals.append(f_prev)
+        if sweep is not None:
+            dmin = track(x, t)
+            if limit is not None:
+                return result(CONVERGED)
+        if err > 0:
+            h = min(5.0 * h, 0.9 * h * (scale / (err + 1e-300)) ** 0.2)
+        else:
+            h = 5.0 * h
+    if steps >= tol.max_steps:
+        raise failure("step budget exhausted")
+    return result(FIXED_TIME if abs(t - t_max) < 1e-12 else MAX_TIME)
+
+
+def step_template(n):
+    """The flow loop's Cash-Karp step on its own (``_step_lines``): a
+    kernel of (field, x, h, k0) on lists of floats that returns the
+    fifth-order point and the error norm."""
+    lines = ["def kernel(Ffn, x, h, k0):", "    %s= x" % names("x", n),
+             "    %s= k0" % names("k0_", n)]
+    lines += ["    " + line
+              for line in FLOW._step_lines(n, FLOW.ADAPTED_FIELD)]
+    return "\n".join(lines + ["    return [%s], err" % names("y", n)]) + "\n"
+
+
+def rk_step(field, x, h, k0):
+    return unrolled(step_template, len(x))(field, x, h, k0)
+
+
+ADAPTED = {FLOW.ADAPTED_FIELD, FLOW.ADAPTED_VALUE, FLOW.ADAPTED_PROJECT,
+           FLOW.ADAPTED_SWEEP, None}
+TORUS = {WELLS_FIELD, WELLS_VALUE, COUPLED_WELLS_FIELD, COUPLED_WELLS_VALUE,
+         TORUS_WRAP, TORUS_SWEEP, None}
+
+
+def record_loops(monkeypatch):
+    """The family tuples of the flow loops that run from here on, one per
+    ``integrate`` call."""
+    seen = []
+
+    def spy(template, n, family=None):
+        if template is FLOW._loop_template:
+            seen.append(family)
+        return unrolled(template, n, family)
+
+    monkeypatch.setattr(FLOW, "unrolled", spy)
+    return seen
+
+
 def kernel_systems():
     """Flat and perturbed tori, the sphere's 3-D coordinates, a product,
     and the figure-8 auxiliary field."""
@@ -231,9 +362,15 @@ def kernel_systems():
 
 def _same_flow(a, b):
     assert a.status == b.status and a.steps == b.steps
-    assert getattr(a.limit, "name", None) == getattr(b.limit, "name", None)
+    assert getattr(a.limit, "name", a.limit) == getattr(b.limit, "name",
+                                                        b.limit)
     for key in ("times", "points", "f_values"):
         assert bits(getattr(a, key)) == bits(getattr(b, key)), key
+    assert bits(a.x_end) == bits(b.x_end) and a.t_end == b.t_end
+    assert sorted(a.closest) == sorted(b.closest)
+    for key, (d, t, pt) in a.closest.items():
+        d2, t2, pt2 = b.closest[key]
+        assert (d, t, bits(pt)) == (d2, t2, bits(pt2))
 
 
 class TestKernel:
@@ -249,7 +386,7 @@ class TestKernel:
                 x = system.manifold.random_point(rng)
                 k0 = field_fn(x)
                 for h in (1e-6, 1e-3, 0.05, 0.4, 2.0):
-                    x5, err = FLOW._rk_step(
+                    x5, err = rk_step(
                         lambda v: field_fn(np.array(v)).tolist(),
                         x.tolist(), h, k0.tolist())
                     x5_ref, err_ref = reference_rk_step(field_fn, x, h, k0)
@@ -257,49 +394,59 @@ class TestKernel:
                     assert err == err_ref
 
     @pytest.mark.parametrize("name", ["t2", "t2-perturbed", "band2",
-                                      "s1xs2-band"])
-    def test_flows_match_the_reference_step(self, name, monkeypatch):
+                                      "s1xs2-band", "fig8-aux"])
+    def test_flows_match_the_reference_loop(self, name, monkeypatch):
+        # strict, loose and fixed-time flows, events and closest passes
+        # included; the figure-8 auxiliary field has no catalog, so its
+        # flows track its labels' critical points
         system = kernel_systems()[name]
-        starts = [system.manifold.random_point(np.random.default_rng(seed))
+        parts = getattr(system, "systems", (system,))
+        points = np.concatenate([s.points for s in parts])
+        names = ["%d:%s" % (i, nm) for i, s in enumerate(parts)
+                 for nm in s.catalog["name"].tolist()]
+        man = system.manifold
+        starts = [man.random_point(np.random.default_rng(seed))
                   for seed in range(3)]
-
-        def run():
-            out = []
-            for x in starts:
-                for direction in (+1, -1):
-                    out.append(flow(system, x, direction))
-                    out.append(flow(system, x, direction, loose=True))
-                    out.append(fixed_time_flow(system, x, 1.3, direction))
-            return out
-
-        def reference_on_lists(field, x, h, k0):
-            x5, err = reference_rk_step(lambda v: np.array(field(v.tolist())),
-                                        np.array(x), h, np.array(k0))
-            return x5.tolist(), err
-
-        plain = run()
-        monkeypatch.setattr(FLOW, "_rk_step", reference_on_lists)
-        for a, b in zip(plain, run()):
-            _same_flow(a, b)
-
-    def test_every_step_goes_through_the_module_stepper(self, monkeypatch):
-        # the test above swaps the stepper by name, so it proves something
-        # only while integrate looks _rk_step up on every step
-        system = kernel_systems()["t2"]
-        x = system.manifold.random_point(np.random.default_rng(5))
-        step, calls = FLOW._rk_step, []
-
-        def counted(*args):
-            calls.append(args[2])
-            return step(*args)
-
-        monkeypatch.setattr(FLOW, "_rk_step", counted)
-        for run in (lambda: flow(system, x, +1),
-                    lambda: flow(system, x, -1, loose=True),
-                    lambda: fixed_time_flow(system, x, 1.3)):
-            calls.clear()
-            res = run()
-            assert res.steps > 0 and len(calls) == res.steps
+        loops = record_loops(monkeypatch)
+        count = passes = 0
+        statuses = set()
+        for x in starts:
+            for direction in (+1, -1):
+                kernels = FLOW._float_kernels(system, direction)
+                numpy_field, numpy_value = (
+                    lambda v: direction * system.field(v),
+                    lambda v: direction * system.f(v))
+                for tol, targets in ((system.tol, [0, len(names) - 1]),
+                                     (system.tol.loosened(), None)):
+                    a = FLOW.integrate(
+                        *kernels, man.project_floats,
+                        man.distance_sweep(points), x, t_max=tol.t_max,
+                        tol=tol, names=names, approach_targets=targets)
+                    b = reference_integrate(
+                        numpy_field, numpy_value, man.project,
+                        lambda v: man.distances(v, points), x,
+                        t_max=tol.t_max, tol=tol, names=names,
+                        approach_targets=targets)
+                    _same_flow(a, b)
+                    count += 1
+                    statuses.add(a.status)
+                    passes += len(a.closest)
+                a = fixed_time_flow(system, x, 1.3, direction)
+                b = reference_integrate(numpy_field, numpy_value,
+                                        man.project, None, x, t_max=1.3,
+                                        tol=system.tol)
+                _same_flow(a, b)
+                count += 1
+        assert count == len(loops) == 18 and passes > 0
+        # flows of a Morse system end in strict balls of its catalog; the
+        # auxiliary sum's flows never reach its labels' critical points
+        assert (CONVERGED in statuses) == isinstance(system, MorseSystem)
+        # torus wells and charts are written into the loop, the rest
+        # adapted: the figure-8 sum adapts its field on the torus chart
+        wells = TORUS if name.startswith("t2") else ADAPTED
+        chart = TORUS if isinstance(man, TorusModel) else ADAPTED
+        assert all(set(f[:2]) <= wells and set(f[2:]) <= chart
+                   for f in loops)
 
 
 def square_sum_template(n):
@@ -367,7 +514,7 @@ class TestSquareSum:
     @given(dot_vectors())
     def test_norm_is_sqrt_of_the_blas_dot(self, v):
         a = np.array(v)
-        assert bits(unrolled(FLOW._norm_template, len(v))(v)) == \
+        assert bits(unrolled(norm_template, len(v))(v)) == \
             bits(math.sqrt(a.dot(a)))
 
     @pytest.mark.parametrize("n", [15, 16, 20])
@@ -426,6 +573,19 @@ def cosine_wells(draw):
             draw(st.floats(0.0, 2 * np.pi)), draw(vectors))
 
 
+@st.composite
+def sphere_points(draw):
+    """2 to 5 coordinates at a scale from 1e-3 to 1e3, mixed with signed
+    zeros and coordinates inside and outside the split's window."""
+    n = draw(st.integers(2, 5))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return draw(st.lists(st.one_of(
+        st.floats(-1.0, 1.0).map(lambda u: u * scale),
+        st.sampled_from([0.0, -0.0, 1e-160, -1e-160, 5e-324,
+                         math.nextafter(SPLIT_EDGE, 0.0), 1e150, -1e150])),
+        min_size=n, max_size=n))
+
+
 class TestFloatKernels:
     """Each native kernel of the torus equals, bit for bit, the numpy
     expression it replaces, and so every flow through them equals the flow
@@ -463,8 +623,8 @@ class TestFloatKernels:
 
         xa = np.array(x)
         k0 = field_fn(xa)
-        x5, err = FLOW._rk_step(lambda v: field_fn(np.array(v)).tolist(), x,
-                                h, k0.tolist())
+        x5, err = rk_step(lambda v: field_fn(np.array(v)).tolist(), x, h,
+                          k0.tolist())
         x5_ref, err_ref = reference_rk_step(field_fn, xa, h, k0)
         assert bits(x5) == bits(x5_ref)
         assert bits(err) == bits(err_ref)
@@ -526,36 +686,127 @@ class TestFloatKernels:
                     out.append(fixed_time_flow(system, x, 1.3, direction))
             return out
 
+        loops = record_loops(monkeypatch)
         native = run()
+        native_loops = loops[:]
         monkeypatch.setattr(MorseSystem, "float_kernels", numpy_kernels)
         monkeypatch.setattr(TorusModel, "project_floats",
                             ManifoldModel.project_floats)
         monkeypatch.setattr(TorusModel, "distance_sweep",
                             ManifoldModel.distance_sweep)
-        assert system.float_kernels(1)[0].__name__ == "<lambda>"
+        del loops[:]
         adapted = run()
         assert len(native) == len(adapted) == 8 * len(starts)
+        # every native flow ran the torus loop and every adapted one the
+        # adapter loop, so the two runs compare different code
+        assert len(native_loops) == len(loops) == len(native)
+        assert all(set(f) <= TORUS for f in native_loops)
+        assert all(set(f) <= ADAPTED for f in loops)
         assert any(res.closest for res in native)
         for a, b in zip(native, adapted):
             _same_flow(a, b)
-            assert bits(a.x_end) == bits(b.x_end) and a.t_end == b.t_end
-            assert sorted(a.closest) == sorted(b.closest)
-            for key, (d, t, pt) in a.closest.items():
-                d2, t2, pt2 = b.closest[key]
-                assert (d, t, bits(pt)) == (d2, t2, bits(pt2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @SETTINGS
+    @given(x=sphere_points())
+    # the split's window: a coordinate below 2^-485, and a square sum past
+    # 1e280, hand over to the BLAS dot; a norm below 1e-12 raises
+    @example(x=[1.0, 1e-160, -0.5])
+    @example(x=[1e150, -2e150, 0.0])
+    @example(x=[-0.0, 1e200])
+    @example(x=[0.0, -0.0, -1e-3])
+    @example(x=[1e-300, -1e-300])
+    def test_sphere_projection(self, x):
+        m = SphereModel(len(x) - 1)
+        try:
+            expected = m.project(np.array(x))
+        except GeometryError:
+            with pytest.raises(GeometryError, match="origin"):
+                m.project_floats(x)
+            return
+        assert bits(m.project_floats(x)) == bits(expected)
+
+
+def uphill_sphere():
+    """The height on the 2-sphere with the gradient of its negative: the
+    flow climbs while the driving function must fall."""
+    m = SphereModel(2)
+
+    def grad(x):
+        return np.array([0.0, 0.0, -1.0])
+
+    return MorseSystem(m, lambda x: float(x[-1]), grad,
+                       [CriticalPoint("south", [0, 0, -1.0], 2),
+                        CriticalPoint("north", [0, 0, 1.0], 0)],
+                       name="uphill")
+
+
+class UphillWells(CosineWells):
+    """Cosine wells whose value kernel is the other direction's: on the
+    torus kernels, the flow climbs the driving function."""
+
+    __slots__ = ()
+
+    def float_kernels(self, direction):
+        return (super().float_kernels(direction)[0],
+                super().float_kernels(-direction)[1])
+
+
+def uphill_torus():
+    amps, phis = [1.0, 0.7], [0.0, 0.0]
+    wells = UphillWells(amps, phis)
+    return MorseSystem(TorusModel(2), wells, None,
+                       [CriticalPoint("x%d%d" % (i, j),
+                                      [np.pi * (1 - i), np.pi * (1 - j)],
+                                      i + j)
+                        for i in (0, 1) for j in (0, 1)], name="uphill-t2")
 
 
 class TestIntegrationErrors:
-    def test_step_budget_names_the_flow(self):
-        system = torus_cosine(2, [1.0, 0.7], tol=Tolerances(max_steps=5))
-        x0 = np.array([0.4, 1.1])
+    """Each raise of the loop carries the start, the last accepted point,
+    its time, the step and the step count, on both loop families."""
+
+    @pytest.mark.parametrize("make, family", [
+        (lambda tol: torus_cosine(2, [1.0, 0.7], tol=tol), TORUS),
+        (lambda tol: sphere_band(2, tol=tol), ADAPTED)],
+        ids=["torus", "adapter"])
+    def test_step_budget_names_the_flow(self, make, family, monkeypatch):
+        system = make(Tolerances(max_steps=5))
+        x0 = system.manifold.project(np.array([0.4, 1.1, 0.3][
+            :system.manifold.coord_dim]))
+        loops = record_loops(monkeypatch)
         with pytest.raises(IntegrationError,
                            match="^step budget exhausted$") as info:
             flow(system, x0, +1)
+        assert set(loops[0]) <= family
         err = info.value
         assert err.steps == 5 and err.t > 0.0 and err.h > 0.0
         assert np.array_equal(err.x0, x0)
-        assert err.x.shape == (2,) and not np.array_equal(err.x, x0)
+        assert err.x.shape == x0.shape and not np.array_equal(err.x, x0)
+
+    @pytest.mark.parametrize("make, family, x0", [
+        (uphill_torus, TORUS, [0.4, 1.1]),
+        (uphill_sphere, ADAPTED, [0.6, 0.0, 0.8])],
+        ids=["torus", "adapter"])
+    def test_monotonicity_violation_names_the_flow(self, make, family, x0,
+                                                   monkeypatch):
+        system = make()
+        x0 = np.array(x0)
+        value = FLOW._float_kernels(system, +1)[1]
+        loops = record_loops(monkeypatch)
+        with pytest.raises(IntegrationError,
+                           match="^monotonicity violated at t=0: ") as info:
+            flow(system, x0, +1)
+        assert set(loops[0]) <= family
+        err = info.value
+        # the first step climbs: nothing was accepted
+        assert err.steps == 0 and err.t == 0.0 and err.h > 0.0
+        assert np.array_equal(err.x0, x0)
+        assert bits(err.x) == bits(system.manifold.project(x0))
+        f0, f1 = (float(v) for v in
+                  str(err).split(": ")[1].split(" -> "))
+        assert f0 == pytest.approx(value(err.x.tolist()), rel=1e-11)
+        assert f1 > f0
 
 
 class TestFrames:
