@@ -151,6 +151,8 @@ def cmd_graph(args):
 # -- geometry commands ---------------------------------------------------------------
 
 def cmd_geom_probe(args):
+    if args.seeds < 0:
+        raise ParseError("--seeds must not be negative, not %d" % args.seeds)
     system = parse_system_config(_read(args.config))
     stats = probe_limits(system, args.seeds, seed=args.seed)
     payload = {"system": system.name, "seeds": args.seeds,
@@ -373,6 +375,10 @@ def cmd_op(args):
         _emit(args, payload, lines)
         return 0
     if args.op_cmd == "nu":
+        # a flow cannot run backwards or forever
+        if not 0.0 <= args.edge_time < math.inf:
+            raise ParseError("--edge-time must be finite and not negative, "
+                             "not %g" % args.edge_time)
         data = fg.parse_graph_file(_read(args.graph))
         diagram = data.diagram()
         labels = [parse_system_config(_read(p)) for p in args.label]
@@ -437,8 +443,9 @@ def build_parser():
                     help="machine-readable output")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--deterministic", action="store_true",
-                    help="pin seeds and worker counts (outputs are "
-                         "byte-stable)")
+                    help="accepted for interface stability: computations "
+                         "are single-threaded and seeded already, so "
+                         "outputs are byte-stable without it")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("graph", help="fat graph and chord diagram tools")

@@ -61,15 +61,18 @@ class Family:
     ``params(n)`` names the numbers the kernel takes.  ``write(n, x, out,
     p)`` gives lines that evaluate it at the point held in the locals
     ``x0, x1, ...`` into ``out``: the locals ``out0, out1, ...`` when
-    ``vector``, else the one local ``out``.  Parameters and temporaries
-    carry the prefix ``p``, so kernels of several families share one
-    function body.  A family is code, compared by identity."""
+    ``vector``, else the one local ``out``.  A distance sweep with
+    ``rows`` writes one distance per catalog row into ``out0, ...,
+    out{rows-1}``; any other sweep writes their list into ``out``.
+    Parameters and temporaries carry the prefix ``p``, so kernels of
+    several families share one function body.  A family is code, compared
+    by identity."""
 
-    __slots__ = ("name", "vector", "params", "write")
+    __slots__ = ("name", "vector", "params", "write", "rows")
 
-    def __init__(self, name, vector, params, write):
+    def __init__(self, name, vector, params, write, rows=None):
         self.name, self.vector = name, vector
-        self.params, self.write = params, write
+        self.params, self.write, self.rows = params, write, rows
 
     def __repr__(self):
         return self.name
@@ -102,7 +105,10 @@ class Kernel:
 def standalone(n, family):
     """Source of ``family``'s kernel on its own: given the parameters, the
     function of one point."""
-    result = "[%s]" % names("r", n) if family.vector else "r"
+    if family.rows:
+        result = "[%s]" % names("r", family.rows)
+    else:
+        result = "[%s]" % names("r", n) if family.vector else "r"
     return "\n".join(
         ["def kernel(%s):" % "".join(a + ", " for a in family.params(n)),
          "    def run(x):",

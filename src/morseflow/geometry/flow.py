@@ -53,16 +53,40 @@ follows these rules, checked in ``tests/test_geometry.py``:
   (1e-280, 1e280) or not finite) and from 16 entries on, so elsewhere a
   trajectory does not depend on which dot kernel the machine's BLAS picks.
 
-A strict T2 flow from a saddle (113 steps) costs 5.6-6.0 us per step in
-the generated loop, against 8.6-9.0 us when the loop was Python calling a
-generated step, a field closure per stage and a kernel for each norm,
-projection and sweep (the fastest of 25 batches, four alternating runs, 2
-CPUs, Python 3.11).  A step on numpy adapters (a strict sphere-band flow)
-costs 39-47 us either way, most of it in the six field calls.
+Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
+
+- a torus catalog of up to ``manifolds._UNROLL_ROWS`` rows is swept row
+  by row into locals, and the list of its distances is built only for
+  flows that track approach targets (or to name the limit);
+- the step cap h <= base / speed, with base half the distance to the
+  catalog clamped to [0.45 eps, 0.25] (0.25 without a sweep), takes the
+  exact speed only where a rough one, the square root of a plain square
+  sum, says that it may bind.  Inside (1e-100, 1e100) the rough speed r
+  and the exact one s are both within (n + 2) 2^-53 of the true norm,
+  since no square overflows and the squares that underflow add less than
+  n 2^-1074 to a sum above 1e-200.  So base / r > h (1 + 1e-6), with each
+  rounding of that test far inside the margin, gives base / s > h: the
+  exact code leaves h as it is, or does not cap at all where s <= 1e-14,
+  and the loop skips it.  base >= 0.45 eps keeps base / r a normal float
+  while eps > 1e-200; smaller balls take the exact speed at every point.
+  Where the test fails, the exact speed is computed once per point and
+  kept across rejected retries;
+- the path is one flat list, which ``integrate`` reshapes once.
+
+A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
+costs 4.0-4.1 us per step, against 4.8-5.1 us when every point took the
+exact speed, swept the catalog in a loop and recorded a list per point;
+a loose one (61 steps) costs 4.4-4.5 us against 4.9-5.2 us (7.7 in a
+run under load), since its coarse steps meet the cap at most points (the
+fastest of 7 batches of the 408 branch flows of 51 T2 amplitudes, three
+alternating runs, 2 CPUs, Python 3.11).  A step on numpy adapters (a
+strict sphere-band flow) costs about 32 us either way, most of it in the
+six field calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +106,14 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+
+# The lazy speed (module docstring): the rough speed is trusted inside
+# (_ROUGH_FLOOR, _ROUGH_TOP), for balls wider than _BASE_FLOOR, and the test
+# that skips the exact speed holds a relative _MARGIN in hand
+_ROUGH_FLOOR = 1e-100
+_ROUGH_TOP = 1e100
+_BASE_FLOOR = 1e-200
+_MARGIN = 1e-6
 
 CONVERGED = "converged"
 MAX_TIME = "max_time"
@@ -105,6 +137,7 @@ ADAPTED_FIELD = adapted("adapted field", True)
 ADAPTED_VALUE = adapted("adapted value", False)
 ADAPTED_PROJECT = adapted("adapted projection", True)
 ADAPTED_SWEEP = adapted("adapted sweep", False)
+_ADAPTERS = (ADAPTED_FIELD, ADAPTED_VALUE, ADAPTED_PROJECT, ADAPTED_SWEEP)
 
 
 def _step_lines(n, field):
@@ -143,11 +176,13 @@ def _loop_template(n, families):
 
     The loop keeps the state in the locals ``x0, ...`` and takes each
     family's parameters as one tuple (F, V, P, S).  It returns (status,
-    limit name, t, x, times, path, f values, closest passes, steps), and
-    raises ``fail(message, x, t, h, steps)`` on a failure.  Comparisons
-    stand in for ``min`` and ``max``: ``min(a, b)`` is ``b if b < a else
-    a`` and ``max(a, b)`` is ``b if b > a else a``, signed zeros and nan
-    included."""
+    limit name, t, x, times, path, f values, closest passes, steps), the
+    path flat, one point's coordinates after the other, and raises
+    ``fail(message, x, t, h, steps)`` on a failure.  Comparisons stand in
+    for ``min`` and ``max``: ``min(a, b)`` is ``b if b < a else a`` and
+    ``max(a, b)`` is ``b if b > a else a``, signed zeros and nan included;
+    over a catalog swept row by row, ``min`` is a chain of strict ``<``
+    tests, which keeps the first of equal distances as ``min`` does."""
     field, value, project, sweep = families
     x = "[%s]" % names("x", n)
 
@@ -155,18 +190,34 @@ def _loop_template(n, families):
         return ["    " * depth + line for line in lines]
 
     def track(depth, exit):
-        # the distances to the catalog, the closest passes to the targets,
-        # and the limit if x is in a strict ball
-        return block(depth, sweep.write(n, "x", "dists", "S") + [
-            "for i in targets:",
-            "    dist = dists[i]",
-            "    name = names[i]",
-            "    if name not in closest or dist < closest[name][0]:",
-            "        closest[name] = (dist, t, %s)" % x,
-            "dmin = min(dists)",
+        # the distances to the catalog and their first minimum dmin, the
+        # closest passes to the targets, the limit if x is in a strict
+        # ball, and the numerator of the step cap: half the distance to
+        # the catalog, between 0.45 eps and 0.25
+        if sweep.rows:
+            row = "[%s]" % names("dist", sweep.rows)
+            lines = sweep.write(n, "x", "dist", "S") + ["dmin = dist0"]
+            for j in range(1, sweep.rows):
+                lines += ["if dist%d < dmin:" % j, "    dmin = dist%d" % j]
+            lines += ["if targets:", "    dists = " + row]
+        else:
+            row = "dists"
+            lines = sweep.write(n, "x", "dists", "S") + [
+                "dmin = min(dists)", "if targets:"]
+        return block(depth, lines + [
+            "    for i in targets:",
+            "        dist = dists[i]",
+            "        name = names[i]",
+            "        if name not in closest or dist < closest[name][0]:",
+            "            closest[name] = (dist, t, %s)" % x,
             "if dmin < eps:",
-            "    limit = names[dists.index(dmin)]",
-            "    " + exit])
+            "    limit = names[%s.index(dmin)]" % row,
+            "    " + exit,
+            "base = 0.5 * dmin",
+            "if not base < 0.25:",
+            "    base = 0.25",
+            "if not base > floor:",
+            "    base = floor"])
 
     lines = ["def kernel(F, V, P, S, x, t_max, h, h_min, atol, rtol, eps, "
              "max_steps, record, names, targets, fail):"]
@@ -180,14 +231,19 @@ def _loop_template(n, families):
     lines += block(1, value.write(n, "x", "fv", "V"))
     lines += ["    t = 0.0",
               "    times = [t]",
-              "    path = [%s]" % x,
+              "    path = [%s]" % names("x", n),
               "    fvals = [fv]",
               "    closest = {}",
               "    limit = None",
               "    steps = 0",
               "    slack = 1e-9 + 50.0 * rtol",
-              "    floor = 0.45 * eps",
               "    fresh = True"]
+    if sweep is not None:
+        lines += ["    floor = 0.45 * eps",
+                  "    top = %r if floor > %r else 0.0" % (_ROUGH_TOP,
+                                                         _BASE_FLOOR)]
+    else:
+        lines += ["    base = 0.25", "    top = %r" % _ROUGH_TOP]
     converged = "return %r, limit, t, %s, times, path, fvals, closest, " \
                 "steps" % (CONVERGED, x)
     if sweep is not None:
@@ -198,26 +254,24 @@ def _loop_template(n, families):
               "            h = rest",
               "        if fresh:"]
     lines += block(3, field.write(n, "x", "k0_", "F"))
-    lines += block(2, square_sum("k0_", n))
-    lines += ["            speed = sqrt(ss)"]
+    lines += ["            rough = sqrt(%s)" % " + ".join(
+        "k0_%d * k0_%d" % (i, i) for i in range(n)),
+              "            speed = None"]
     lines += block(2, square_sum("x", n))
     lines += ["            size = sqrt(ss)",
               "            scale = atol + rtol * (size if size > 1.0 else 1.0)",
               "            fresh = False",
-              "        if speed > 1e-14:"]
-    if sweep is not None:
-        # the step never jumps a strict ball: h speed stays below half the
-        # distance to the catalog, between 0.45 eps and 0.25
-        lines += ["            cap = 0.5 * dmin",
-                  "            if not cap < 0.25:",
-                  "                cap = 0.25",
-                  "            if not cap > floor:",
-                  "                cap = floor",
-                  "            cap = cap / speed"]
-    else:
-        lines += ["            cap = 0.25 / speed"]
-    lines += ["            if cap < h:",
-              "                h = cap"]
+              # the step never jumps a strict ball: h speed stays below
+              # base; the exact speed is needed only where the cap may bind
+              "        if not (%r < rough < top and base / rough > h * %r):"
+              % (_ROUGH_FLOOR, 1.0 + _MARGIN),
+              "            if speed is None:"]
+    lines += block(3, square_sum("k0_", n))
+    lines += ["                speed = sqrt(ss)",
+              "            if speed > 1e-14:",
+              "                cap = base / speed",
+              "                if cap < h:",
+              "                    h = cap"]
     lines += block(2, _step_lines(n, field))
     lines += ["        if err > scale and h > h_min:",
               "            h = 0.5 * h * (scale / (err + 1e-300)) ** 0.2",
@@ -241,8 +295,10 @@ def _loop_template(n, families):
               "        steps += 1",
               "        if record:",
               "            times.append(t)",
-              "            path.append(%s)" % x,
               "            fvals.append(fv)"]
+    # the path is flat, one coordinate after the other: appending each is
+    # cheaper than extending by a tuple
+    lines += ["            path.append(x%d)" % i for i in range(n)]
     if sweep is not None:
         lines += track(2, "break")
     lines += ["        if err > 0:",
@@ -291,10 +347,10 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
     dimension and the kernels' families.
     """
     x = np.asarray(x0, dtype=float).tolist()
-    families, args = zip(*(_family(kernel, adapter) for kernel, adapter in (
-        (field, ADAPTED_FIELD), (value, ADAPTED_VALUE),
-        (project, ADAPTED_PROJECT), (sweep, ADAPTED_SWEEP))))
-    loop = unrolled(_loop_template, len(x), families)
+    n = len(x)
+    families, args = zip(*map(_family, (field, value, project, sweep),
+                              _ADAPTERS))
+    loop = unrolled(_loop_template, n, families)
 
     def fail(message, x, t, h, steps):
         return IntegrationError(message, x0=x0, x=np.array(x), t=t, h=h,
@@ -304,11 +360,16 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
     status, limit, t, x, times, path, fvals, closest, steps = loop(
         *args, x, t_max, tol.h_init, tol.h_min, tol.atol, tol.rtol,
         tol.eps_conv, tol.max_steps, record, names, targets, fail)
-    return FlowResult(status, limit, t, np.array(x), np.array(times),
-                      np.array(path), np.array(fvals),
+    return FlowResult(status, limit, t, np.array(x), _floats(times),
+                      _floats(path).reshape(-1, n), _floats(fvals),
                       {name: (d, tn, np.array(xn))
                        for name, (d, tn, xn) in closest.items()},
                       steps)
+
+
+def _floats(values):
+    """The array of a list of floats, without numpy's type discovery."""
+    return np.fromiter(values, float, len(values))
 
 
 def _float_kernels(system, direction):
@@ -348,7 +409,11 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
 
 def fixed_time_flow(system, x0, duration, direction=+1, record=True):
     """Integrate for exactly ``duration`` time units, no event stopping;
-    ``direction`` as in ``flow``."""
+    ``direction`` as in ``flow``.  A duration that is negative or not
+    finite raises ``GeometryError``."""
+    if not 0.0 <= duration < math.inf:
+        raise GeometryError("duration must be finite and not negative, "
+                            "not %g" % duration)
     field, value = _float_kernels(system, direction)
     project = system.manifold.project_floats
     if duration == 0.0:

@@ -172,7 +172,13 @@ class TorusModel(ManifoldModel):
         return _WRAP
 
     def distance_sweep(self, pts):
-        return Kernel(TORUS_SWEEP, np.asarray(pts, dtype=float).tolist())
+        """The sweep to the rows of ``pts``: a kernel of the sweep family
+        of their count, row by row, or of the row loop above
+        ``_UNROLL_ROWS`` rows."""
+        pts = np.asarray(pts, dtype=float)
+        if 0 < len(pts) <= _UNROLL_ROWS:
+            return Kernel(TORUS_SWEEPS[len(pts)], *pts.ravel().tolist())
+        return Kernel(TORUS_SWEEP, pts.tolist())
 
     def tangent_basis(self, x):
         return np.eye(self.dim)
@@ -190,25 +196,54 @@ def _wrap_lines(n, x, out, p):
     return ["%s%d = %s%d %% %r" % (out, k, x, k, TWO_PI) for k in range(n)]
 
 
-def _sweep_lines(n, x, out, p):
-    """The torus distance sweep on n angles: the distances from x to the
-    catalog rows (the parameter ``rows``).  Each distance squares the
-    wrapped coordinate differences and adds them in numpy's order
-    (``numpy_sum``) before the square root, as ``distances``
-    (``norm(axis=1)``) does."""
-    q = ["%sq%d" % (p, k) for k in range(n)]
+def _distance_lines(n, x, q, out, p):
+    """Lines that set ``out`` to the torus distance from x to the row held
+    in the locals ``q``: the wrapped coordinate differences, squared and
+    added in numpy's order (``numpy_sum``) before the square root, as
+    ``distances`` (``norm(axis=1)``) does."""
     d = ["%sd%d" % (p, k) for k in range(n)]
+    return (["%s = (%s - %s%d + %r) %% %r - %r"
+             % (d[k], q[k], x, k, math.pi, TWO_PI, math.pi)
+             for k in range(n)]
+            + ["%s = sqrt(%s)" % (out, numpy_sum(["%s * %s" % (v, v)
+                                                  for v in d]))])
+
+
+def _sweep_lines(n, x, out, p):
+    """The torus distance sweep on n angles as a loop over the catalog
+    rows (the parameter ``rows``), into the list ``out``."""
+    q = ["%sq%d" % (p, k) for k in range(n)]
     return (["%s = []" % out,
              "for %sin %srows:" % ("".join(v + ", " for v in q), p)]
-            + ["    %s = (%s - %s%d + %r) %% %r - %r"
-               % (d[k], q[k], x, k, math.pi, TWO_PI, math.pi)
-               for k in range(n)]
-            + ["    %s.append(sqrt(%s))"
-               % (out, numpy_sum(["%s * %s" % (v, v) for v in d]))])
+            + ["    " + line
+               for line in _distance_lines(n, x, q, p + "dist", p)]
+            + ["    %s.append(%sdist)" % (out, p)])
 
+
+def _rows_sweep(rows):
+    """The torus sweep family of a catalog of ``rows`` rows, written out
+    row by row: row j is the parameters ``q{j}_0, ...`` and its distance
+    the local ``out{j}``."""
+    def params(n):
+        return ["q%d_%d" % (j, k) for j in range(rows) for k in range(n)]
+
+    def write(n, x, out, p):
+        return [line for j in range(rows) for line in _distance_lines(
+            n, x, ["%sq%d_%d" % (p, j, k) for k in range(n)],
+            "%s%d" % (out, j), p)]
+
+    return Family("torus sweep of %d rows" % rows, False, params, write,
+                  rows)
+
+
+# catalogs up to this many rows, every surface and T2-T4, are swept row by
+# row; larger ones loop over their rows
+_UNROLL_ROWS = 16
 
 TORUS_WRAP = Family("torus wrap", True, lambda n: [], _wrap_lines)
 TORUS_SWEEP = Family("torus sweep", False, lambda n: ["rows"], _sweep_lines)
+TORUS_SWEEPS = (None,) + tuple(_rows_sweep(m)
+                               for m in range(1, _UNROLL_ROWS + 1))
 _WRAP = Kernel(TORUS_WRAP)
 
 

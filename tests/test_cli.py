@@ -327,6 +327,18 @@ class TestGeomCommands:
         lines = csv.read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("trajectory")
 
+    def test_negative_seed_count_is_a_parse_error(self, capsys, torus_cfg):
+        code, out, err = run(capsys, "geom", "probe", torus_cfg,
+                             "--seeds", "-3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--seeds" in err
+        code, out, err = run(capsys, "--json", "geom", "probe", torus_cfg,
+                             "--seeds", "-3")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == ("ParseError", 2)
+        assert "--seeds" in error["message"]
+
     def test_connections_csv(self, capsys, tmp_path, torus_cfg):
         csv = tmp_path / "conn.csv"
         code, out, _ = run(capsys, "--json", "geom", "connections", torus_cfg,
@@ -539,6 +551,24 @@ class TestOpCommands:
         assert fields["status"] == "fixed_time"
         assert fields["t_end"] == pytest.approx(1e-3)
         assert isinstance(fields["steps"], int) and fields["steps"] >= 1
+
+    @pytest.mark.parametrize("edge_time", ["-1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", [["--table"], ["--input", "x10,x01"]],
+                             ids=["table", "input"])
+    def test_bad_edge_time_is_a_parse_error(self, capsys, fig8_file,
+                                            label_args, edge_time, mode):
+        # a flow cannot run backwards or forever: before, -1 and nan gave
+        # the table of edge time 0 under the bad label
+        argv = ["op", "nu", fig8_file, *label_args, *mode,
+                "--edge-time=" + edge_time]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--edge-time" in err
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == ("ParseError", 2)
+        assert "--edge-time" in error["message"]
 
     def test_nu_unknown_input_point(self, capsys, fig8_file, label_args):
         code, _out, err = run(capsys, "op", "nu", fig8_file, *label_args,

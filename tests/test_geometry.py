@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,12 @@ from morseflow.geometry._unroll import (
     unrolled,
 )
 from morseflow.geometry.flow import MAX_TIME, FlowResult
-from morseflow.geometry.manifolds import TORUS_SWEEP, TORUS_WRAP
+from morseflow.geometry.manifolds import (
+    _UNROLL_ROWS,
+    TORUS_SWEEP,
+    TORUS_SWEEPS,
+    TORUS_WRAP,
+)
 from morseflow.geometry.systems import (
     COUPLED_WELLS_FIELD,
     COUPLED_WELLS_VALUE,
@@ -135,6 +141,20 @@ class TestCatalogs:
 
 
 class TestFlow:
+    @pytest.mark.parametrize("duration", [-1.0, -1e-300, np.nan, np.inf,
+                                          -np.inf])
+    def test_bad_duration_raises(self, t2, duration):
+        # before, a negative or nan duration returned the start unmoved
+        # as max_time, and inf ran the step budget out
+        with pytest.raises(GeometryError, match="^duration must be finite"):
+            fixed_time_flow(t2, np.array([1.1, 2.0]), duration)
+
+    def test_zero_duration_stays(self, t2):
+        for duration in (0.0, -0.0):
+            res = fixed_time_flow(t2, np.array([1.1, 2.0]), duration)
+            assert (res.status, res.steps) == (FIXED_TIME, 0)
+            assert bits(res.x_end) == bits([1.1, 2.0])
+
     def test_sphere_descends_to_south(self, s2):
         x0 = s2.manifold.project([0.1, 0.05, 0.99])
         res = flow(s2, x0, +1)
@@ -227,11 +247,14 @@ def reference_rk_step(field_fn, x, h, k0):
 
 
 def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
-                        names=(), record=True, approach_targets=None):
+                        names=(), record=True, approach_targets=None,
+                        binds=None):
     """The integration loop as plain Python on numpy points, stepping with
     ``reference_rk_step``: ``field``, ``value``, ``project`` and ``sweep``
-    act on arrays, and every norm is ``np.linalg.norm``.  The generated
-    loop of ``integrate`` must give the same flow bit for bit."""
+    act on arrays, and every norm is ``np.linalg.norm``, the speed's at
+    every point.  The generated loop of ``integrate`` must give the same
+    flow bit for bit.  ``binds``, a list, gets the step count of each
+    attempt whose step the speed cap shortens."""
     x = project(np.asarray(x0, dtype=float))
     t = 0.0
     h = tol.h_init
@@ -271,11 +294,12 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
             v0 = field(x)
             speed = float(np.linalg.norm(v0))
             scale = tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(x)))
-        if speed > 1e-14 and dmin is not None:
-            cap = max(0.45 * tol.eps_conv, min(0.25, 0.5 * dmin))
+        if speed > 1e-14:
+            cap = 0.25 if dmin is None else max(0.45 * tol.eps_conv,
+                                                min(0.25, 0.5 * dmin))
+            if binds is not None and cap / speed < h:
+                binds.append(steps)
             h = min(h, cap / speed)
-        elif speed > 1e-14:
-            h = min(h, 0.25 / speed)
         x5, err = reference_rk_step(field, x, h, v0)
         if err > scale and h > tol.h_min:
             h = max(tol.h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
@@ -328,8 +352,19 @@ def rk_step(field, x, h, k0):
 
 ADAPTED = {FLOW.ADAPTED_FIELD, FLOW.ADAPTED_VALUE, FLOW.ADAPTED_PROJECT,
            FLOW.ADAPTED_SWEEP, None}
-TORUS = {WELLS_FIELD, WELLS_VALUE, COUPLED_WELLS_FIELD, COUPLED_WELLS_VALUE,
-         TORUS_WRAP, TORUS_SWEEP, None}
+WELLS = {WELLS_FIELD, WELLS_VALUE, COUPLED_WELLS_FIELD, COUPLED_WELLS_VALUE}
+
+
+def sweep_family(rows):
+    """The sweep family of a torus catalog of ``rows`` rows: written out
+    row by row up to ``_UNROLL_ROWS`` rows, the row loop above."""
+    return TORUS_SWEEPS[rows] if rows <= _UNROLL_ROWS else TORUS_SWEEP
+
+
+def torus(rows):
+    """The families of a flow on a torus with cosine wells and a catalog
+    of ``rows`` rows."""
+    return WELLS | {TORUS_WRAP, sweep_family(rows), None}
 
 
 def record_loops(monkeypatch):
@@ -443,8 +478,8 @@ class TestKernel:
         assert (CONVERGED in statuses) == isinstance(system, MorseSystem)
         # torus wells and charts are written into the loop, the rest
         # adapted: the figure-8 sum adapts its field on the torus chart
-        wells = TORUS if name.startswith("t2") else ADAPTED
-        chart = TORUS if isinstance(man, TorusModel) else ADAPTED
+        wells = torus(len(points)) if name.startswith("t2") else ADAPTED
+        chart = torus(len(points)) if isinstance(man, TorusModel) else ADAPTED
         assert all(set(f[:2]) <= wells and set(f[2:]) <= chart
                    for f in loops)
 
@@ -641,16 +676,18 @@ class TestFloatKernels:
                                                         2 * np.pi))
 
     @SETTINGS
-    @given(n=st.integers(1, MAX_TORUS_DIM), k=st.integers(1, 16),
-           data=st.data())
+    @given(n=st.integers(1, MAX_TORUS_DIM),
+           k=st.integers(1, _UNROLL_ROWS + 4), data=st.data())
     def test_torus_distance_sweep(self, n, k, data):
+        # catalogs on both sides of the unroll bound
         pts = np.array(data.draw(st.lists(
             st.lists(ANGLES, min_size=n, max_size=n), min_size=k,
             max_size=k)))
         x = data.draw(st.lists(ANGLES, min_size=n, max_size=n))
         m = TorusModel(n)
-        assert bits(m.distance_sweep(pts)(x)) == bits(
-            m.distances(np.array(x), pts))
+        sweep = m.distance_sweep(pts)
+        assert sweep.family is sweep_family(k)
+        assert bits(sweep(x)) == bits(m.distances(np.array(x), pts))
 
     @pytest.mark.parametrize("name", ["t1", "t2", "t3", "t4",
                                       "t2-perturbed", "t8-perturbed"])
@@ -700,7 +737,7 @@ class TestFloatKernels:
         # every native flow ran the torus loop and every adapted one the
         # adapter loop, so the two runs compare different code
         assert len(native_loops) == len(loops) == len(native)
-        assert all(set(f) <= TORUS for f in native_loops)
+        assert all(set(f) <= torus(len(names)) for f in native_loops)
         assert all(set(f) <= ADAPTED for f in loops)
         assert any(res.closest for res in native)
         for a, b in zip(native, adapted):
@@ -725,6 +762,211 @@ class TestFloatKernels:
                 m.project_floats(x)
             return
         assert bits(m.project_floats(x)) == bits(expected)
+
+
+FLOW_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
+                         database=None)
+
+
+@st.composite
+def catalogs(draw):
+    """(x, rows, targets) on n = 1 to 4 angles: 1 to
+    ``_UNROLL_ROWS`` + 4 rows, on both sides of the unroll bound; the row
+    nearest to x sometimes repeated at another place, an exact tie for the
+    minimum; and targets None or a subset of the rows."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, _UNROLL_ROWS + 4))
+    point = st.lists(ANGLES, min_size=n, max_size=n)
+    x = draw(point)
+    rows = np.array(draw(st.lists(point, min_size=k, max_size=k)))
+    if k > 1 and draw(st.booleans()):
+        near = int(np.argmin(TorusModel(n).distances(
+            np.mod(np.array(x), 2 * np.pi), rows)))
+        rows[draw(st.sampled_from([j for j in range(k) if j != near]))] = \
+            rows[near]
+    targets = draw(st.none() | st.lists(st.integers(0, k - 1), unique=True))
+    return x, rows, targets
+
+
+class TestLoopSweep:
+    """The flow loop sweeps a torus catalog row by row up to
+    ``_UNROLL_ROWS`` rows and in a row loop above: the first minimum of
+    ``TorusModel.distances`` (numpy's ``argmin``, the first of ties) names
+    the limit, and every target's pass is its distance."""
+
+    @SETTINGS
+    @given(drawn=catalogs())
+    def test_first_minimum_and_passes(self, drawn):
+        x, rows, targets = drawn
+        n, k = len(x), len(rows)
+        m = TorusModel(n)
+        sweep = m.distance_sweep(rows)
+        assert sweep.family is sweep_family(k)
+        start = m.project(np.array(x))
+        dists = m.distances(start, rows)
+        first = int(np.argmin(dists))
+        dmin = float(dists[first])
+        names = ["r%d" % i for i in range(k)]
+        field, value = CosineWells([1.0] * n, [0.0] * n).float_kernels(1)
+        # the strict ball is open: a radius of dmin leaves x outside, the
+        # next float takes it in
+        for eps, limit in ((dmin, None),
+                           (float(np.nextafter(dmin, np.inf)), names[first])):
+            res = FLOW.integrate(field, value, m.project_floats, sweep, x,
+                                 t_max=0.0, tol=Tolerances(eps_conv=eps),
+                                 names=names, approach_targets=targets)
+            assert res.limit == limit and res.steps == 0
+            assert res.status == (FIXED_TIME if limit is None else CONVERGED)
+            assert sorted(res.closest) == sorted(names[i]
+                                                 for i in targets or ())
+            for i in targets or ():
+                d, t, pt = res.closest[names[i]]
+                assert (bits(d), t, bits(pt)) == (bits(dists[i]), 0.0,
+                                                  bits(start))
+
+    @FLOW_SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), loose=st.booleans(),
+           direction=st.sampled_from([1, -1]))
+    def test_flows_match_the_reference_loop(self, seed, loose, direction):
+        # points uniform on the torus, so that most flows take steps
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 4)), int(rng.integers(1, _UNROLL_ROWS + 5))
+        x = rng.uniform(0.0, 2 * np.pi, n)
+        rows = rng.uniform(0.0, 2 * np.pi, (k, n))
+        if k > 1 and rng.integers(2):
+            near = int(np.argmin(TorusModel(n).distances(x, rows)))
+            rows[rng.choice([j for j in range(k) if j != near])] = rows[near]
+        targets = (rng.permutation(k)[:rng.integers(1, k + 1)].tolist()
+                   if rng.integers(3) else None)
+        amps, phis = [1.0, 0.7, 0.55][:n], [0.3, 1.9, 4.0][:n]
+        f, field = numpy_cosine(amps, phis, 0.0, 0.0)
+        m = TorusModel(n)
+        tol = Tolerances().loosened() if loose else Tolerances()
+        names = ["r%d" % i for i in range(len(rows))]
+        a = FLOW.integrate(
+            *CosineWells(amps, phis).float_kernels(direction),
+            m.project_floats, m.distance_sweep(rows), x, t_max=20.0,
+            tol=tol, names=names, approach_targets=targets)
+        b = reference_integrate(
+            lambda v: direction * field(v), lambda v: direction * f(v),
+            m.project, lambda v: m.distances(v, rows), x, t_max=20.0,
+            tol=tol, names=names, approach_targets=targets)
+        _same_flow(a, b)
+
+
+def branch_starts(system):
+    """(start, direction) of every branch flow: 10 eps_conv off each
+    critical point along its one-dimensional unstable (direction +1) or
+    stable (-1) manifold, on both sides."""
+    out = []
+    for cp in system.critical_points:
+        for direction, frame in ((+1, cp.unstable_frame),
+                                 (-1, cp.stable_frame)):
+            if frame.shape[1] == 1:
+                out += [(system.manifold.project(
+                    cp.point + side * 10.0 * system.tol.eps_conv
+                    * frame[:, 0]), direction) for side in (1, -1)]
+    return out
+
+
+class TestLazySpeed:
+    """The loop takes the exact speed only where a rough square sum says
+    the step cap may bind; the reference loop takes it at every point, and
+    every flow must equal it bit for bit."""
+
+    @staticmethod
+    def pair(system, x, direction, sweep_rows, **kw):
+        man = system.manifold
+        kernels = FLOW._float_kernels(system, direction)
+        names = ["r%d" % i for i in range(len(sweep_rows))] \
+            if sweep_rows is not None else ()
+        a = FLOW.integrate(
+            *kernels, man.project_floats,
+            None if sweep_rows is None else man.distance_sweep(sweep_rows),
+            x, names=names, **kw)
+        binds = []
+        b = reference_integrate(
+            lambda v: direction * system.field(v),
+            lambda v: direction * system.f(v), man.project,
+            None if sweep_rows is None
+            else lambda v: man.distances(v, sweep_rows),
+            x, names=names, binds=binds, **kw)
+        _same_flow(a, b)
+        return a, binds
+
+    @pytest.mark.parametrize("name", ["t2", "t3", "band2"])
+    def test_flows_where_the_cap_binds(self, name, monkeypatch):
+        system = {"t2": lambda: torus_cosine(2, [1.0, 0.7]),
+                  "t3": lambda: torus_cosine(3, [1.0, 0.7, 0.55]),
+                  "band2": lambda: sphere_band(2)}[name]()
+        loops = record_loops(monkeypatch)
+        strict = loose = 0
+        for x, direction in branch_starts(system):
+            for tol in (system.tol, system.tol.loosened()):
+                res, binds = self.pair(system, x, direction, system.points,
+                                       t_max=tol.t_max, tol=tol)
+                assert res.status == CONVERGED
+                if tol is system.tol:
+                    strict += len(binds) > 0
+                else:
+                    # coarse steps: the cap binds on most of them
+                    loose += len(binds) > res.steps / 2
+        assert strict == loose == len(loops) // 2 > 0
+        families = torus(len(system.points)) if name != "band2" else ADAPTED
+        assert all(set(f) <= families for f in loops)
+
+    @pytest.mark.parametrize("name", ["t2", "band2"])
+    def test_flows_from_a_critical_point(self, name):
+        # the field vanishes, or nearly, at the start: the rough speed is
+        # below the window or the exact one below 1e-14, and nothing caps
+        system = {"t2": lambda: torus_cosine(2, [1.0, 0.7]),
+                  "band2": lambda: sphere_band(2)}[name]()
+        zero = 0
+        for k, cp in enumerate(system.critical_points):
+            zero += not np.any(system.field(cp.point))
+            others = np.delete(system.points, k, axis=0)
+            for direction in (+1, -1):
+                # fixed-time flows, no sweep
+                res, _ = self.pair(system, cp.point, direction, None,
+                                   t_max=1.3, tol=system.tol)
+                assert res.status == FIXED_TIME
+                self.pair(system, cp.point, direction, others, t_max=5.0,
+                          tol=system.tol)
+        assert zero > 0 or name == "band2"
+
+    @pytest.mark.parametrize("scale", [1e-120, 1e120])
+    def test_speeds_outside_the_rough_window(self, scale):
+        # rough speeds below 1e-100 or above 1e100 take the exact speed;
+        # wells this flat or steep fail a catalog's checks, so the flows
+        # sweep their critical points by hand
+        amps, phis = [scale, 0.7 * scale], [0.0, 0.0]
+        f, field = numpy_cosine(amps, phis, 0.0, 0.0)
+        system = SimpleNamespace(
+            manifold=TorusModel(2), f=f, field=field,
+            float_kernels=CosineWells(amps, phis).float_kernels)
+        rows = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi],
+                         [np.pi, np.pi]])
+        # steps far below the default h_min of 1e-13 on the steep wells
+        tol = Tolerances(h_min=1e-300)
+        t_max = 20.0 / scale if scale > 1.0 else 1.3
+        for x in ([1.1, 2.0], [4.0, 0.3]):
+            for direction in (+1, -1):
+                for rows_or_none in (None, rows):
+                    res, _ = self.pair(system, np.array(x), direction,
+                                       rows_or_none, t_max=t_max, tol=tol,
+                                       approach_targets=[0, 3])
+                    assert res.steps > 3
+
+    def test_balls_below_the_floor(self):
+        # a ball radius below 1e-200 may make base / rough subnormal: every
+        # point takes the exact speed
+        system = torus_cosine(2, [1.0, 0.7],
+                              tol=Tolerances(eps_conv=1e-250))
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            x = system.manifold.random_point(rng)
+            for tol in (system.tol, system.tol.loosened()):
+                self.pair(system, x, +1, system.points, t_max=5.0, tol=tol)
 
 
 def uphill_sphere():
@@ -767,7 +1009,7 @@ class TestIntegrationErrors:
     its time, the step and the step count, on both loop families."""
 
     @pytest.mark.parametrize("make, family", [
-        (lambda tol: torus_cosine(2, [1.0, 0.7], tol=tol), TORUS),
+        (lambda tol: torus_cosine(2, [1.0, 0.7], tol=tol), torus(4)),
         (lambda tol: sphere_band(2, tol=tol), ADAPTED)],
         ids=["torus", "adapter"])
     def test_step_budget_names_the_flow(self, make, family, monkeypatch):
@@ -785,7 +1027,7 @@ class TestIntegrationErrors:
         assert err.x.shape == x0.shape and not np.array_equal(err.x, x0)
 
     @pytest.mark.parametrize("make, family, x0", [
-        (uphill_torus, TORUS, [0.4, 1.1]),
+        (uphill_torus, torus(4), [0.4, 1.1]),
         (uphill_sphere, ADAPTED, [0.6, 0.0, 0.8])],
         ids=["torus", "adapter"])
     def test_monotonicity_violation_names_the_flow(self, make, family, x0,

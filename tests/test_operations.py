@@ -7,6 +7,7 @@ import morseflow.counting as counting
 from morseflow.counting import boundary_operator, continuation
 from morseflow.errors import (
     DegenerateCrossingError,
+    GeometryError,
     OrientationError,
     StructuralValidationError,
     TransversalityError,
@@ -416,6 +417,13 @@ class TestDiagramOperation:
     def test_gate_rejects_nonzero_dimension(self, nu_problem):
         with pytest.raises(ValueError):
             graph_flow_count(nu_problem, ("x10", "x01"), "x10")
+
+    @pytest.mark.parametrize("edge_time", [-1.0, np.nan, np.inf])
+    def test_bad_edge_time_raises(self, nu_problem, edge_time):
+        # before, -1 and nan gave the table of edge time 0, and inf ran
+        # the step budget out
+        with pytest.raises(GeometryError, match="^duration must be finite"):
+            operation_table(nu_problem, edge_time=edge_time)
 
     def test_same_label_rejected(self):
         E = torus_cosine(2, [1.0, 0.7])
