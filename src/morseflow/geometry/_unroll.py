@@ -105,7 +105,7 @@ class Kernel:
 def standalone(n, family):
     """Source of ``family``'s kernel on its own: given the parameters, the
     function of one point."""
-    if family.rows:
+    if family.rows is not None:
         result = "[%s]" % names("r", family.rows)
     else:
         result = "[%s]" % names("r", n) if family.vector else "r"

@@ -55,9 +55,9 @@ follows these rules, checked in ``tests/test_geometry.py``:
 
 Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
 
-- a torus catalog of up to ``manifolds._UNROLL_ROWS`` rows is swept row
-  by row into locals, and the list of its distances is built only for
-  flows that track approach targets (or to name the limit);
+- a torus catalog is swept row by row into locals, and the list of its
+  distances is built only for flows that track approach targets (or to
+  name the limit);
 - the step cap h <= base / speed, with base half the distance to the
   catalog clamped to [0.45 eps, 0.25] (0.25 without a sweep), takes the
   exact speed only where a rough one, the square root of a plain square

@@ -15,6 +15,7 @@ plain callables that the loop calls.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,12 +174,9 @@ class TorusModel(ManifoldModel):
 
     def distance_sweep(self, pts):
         """The sweep to the rows of ``pts``: a kernel of the sweep family
-        of their count, row by row, or of the row loop above
-        ``_UNROLL_ROWS`` rows."""
+        of their count, which writes the catalog out row by row."""
         pts = np.asarray(pts, dtype=float)
-        if 0 < len(pts) <= _UNROLL_ROWS:
-            return Kernel(TORUS_SWEEPS[len(pts)], *pts.ravel().tolist())
-        return Kernel(TORUS_SWEEP, pts.tolist())
+        return Kernel(_rows_sweep(len(pts)), *pts.ravel().tolist())
 
     def tangent_basis(self, x):
         return np.eye(self.dim)
@@ -209,21 +207,12 @@ def _distance_lines(n, x, q, out, p):
                                                   for v in d]))])
 
 
-def _sweep_lines(n, x, out, p):
-    """The torus distance sweep on n angles as a loop over the catalog
-    rows (the parameter ``rows``), into the list ``out``."""
-    q = ["%sq%d" % (p, k) for k in range(n)]
-    return (["%s = []" % out,
-             "for %sin %srows:" % ("".join(v + ", " for v in q), p)]
-            + ["    " + line
-               for line in _distance_lines(n, x, q, p + "dist", p)]
-            + ["    %s.append(%sdist)" % (out, p)])
-
-
+@lru_cache(maxsize=64)
 def _rows_sweep(rows):
     """The torus sweep family of a catalog of ``rows`` rows, written out
     row by row: row j is the parameters ``q{j}_0, ...`` and its distance
-    the local ``out{j}``."""
+    the local ``out{j}``.  Cached, so each row count has one family and
+    the flow loop of a catalog size is compiled once."""
     def params(n):
         return ["q%d_%d" % (j, k) for j in range(rows) for k in range(n)]
 
@@ -236,14 +225,7 @@ def _rows_sweep(rows):
                   rows)
 
 
-# catalogs up to this many rows, every surface and T2-T4, are swept row by
-# row; larger ones loop over their rows
-_UNROLL_ROWS = 16
-
 TORUS_WRAP = Family("torus wrap", True, lambda n: [], _wrap_lines)
-TORUS_SWEEP = Family("torus sweep", False, lambda n: ["rows"], _sweep_lines)
-TORUS_SWEEPS = (None,) + tuple(_rows_sweep(m)
-                               for m in range(1, _UNROLL_ROWS + 1))
 _WRAP = Kernel(TORUS_WRAP)
 
 

@@ -40,12 +40,7 @@ from morseflow.geometry._unroll import (
     unrolled,
 )
 from morseflow.geometry.flow import MAX_TIME, FlowResult
-from morseflow.geometry.manifolds import (
-    _UNROLL_ROWS,
-    TORUS_SWEEP,
-    TORUS_SWEEPS,
-    TORUS_WRAP,
-)
+from morseflow.geometry.manifolds import TORUS_WRAP, _rows_sweep
 from morseflow.geometry.systems import (
     COUPLED_WELLS_FIELD,
     COUPLED_WELLS_VALUE,
@@ -355,16 +350,10 @@ ADAPTED = {FLOW.ADAPTED_FIELD, FLOW.ADAPTED_VALUE, FLOW.ADAPTED_PROJECT,
 WELLS = {WELLS_FIELD, WELLS_VALUE, COUPLED_WELLS_FIELD, COUPLED_WELLS_VALUE}
 
 
-def sweep_family(rows):
-    """The sweep family of a torus catalog of ``rows`` rows: written out
-    row by row up to ``_UNROLL_ROWS`` rows, the row loop above."""
-    return TORUS_SWEEPS[rows] if rows <= _UNROLL_ROWS else TORUS_SWEEP
-
-
 def torus(rows):
     """The families of a flow on a torus with cosine wells and a catalog
     of ``rows`` rows."""
-    return WELLS | {TORUS_WRAP, sweep_family(rows), None}
+    return WELLS | {TORUS_WRAP, _rows_sweep(rows), None}
 
 
 def record_loops(monkeypatch):
@@ -677,16 +666,15 @@ class TestFloatKernels:
 
     @SETTINGS
     @given(n=st.integers(1, MAX_TORUS_DIM),
-           k=st.integers(1, _UNROLL_ROWS + 4), data=st.data())
+           k=st.integers(1, 20), data=st.data())
     def test_torus_distance_sweep(self, n, k, data):
-        # catalogs on both sides of the unroll bound
         pts = np.array(data.draw(st.lists(
             st.lists(ANGLES, min_size=n, max_size=n), min_size=k,
             max_size=k)))
         x = data.draw(st.lists(ANGLES, min_size=n, max_size=n))
         m = TorusModel(n)
         sweep = m.distance_sweep(pts)
-        assert sweep.family is sweep_family(k)
+        assert sweep.family is _rows_sweep(k)
         assert bits(sweep(x)) == bits(m.distances(np.array(x), pts))
 
     @pytest.mark.parametrize("name", ["t1", "t2", "t3", "t4",
@@ -770,12 +758,11 @@ FLOW_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
 
 @st.composite
 def catalogs(draw):
-    """(x, rows, targets) on n = 1 to 4 angles: 1 to
-    ``_UNROLL_ROWS`` + 4 rows, on both sides of the unroll bound; the row
+    """(x, rows, targets) on n = 1 to 4 angles: 1 to 20 rows; the row
     nearest to x sometimes repeated at another place, an exact tie for the
     minimum; and targets None or a subset of the rows."""
     n = draw(st.integers(1, 4))
-    k = draw(st.integers(1, _UNROLL_ROWS + 4))
+    k = draw(st.integers(1, 20))
     point = st.lists(ANGLES, min_size=n, max_size=n)
     x = draw(point)
     rows = np.array(draw(st.lists(point, min_size=k, max_size=k)))
@@ -789,8 +776,7 @@ def catalogs(draw):
 
 
 class TestLoopSweep:
-    """The flow loop sweeps a torus catalog row by row up to
-    ``_UNROLL_ROWS`` rows and in a row loop above: the first minimum of
+    """The flow loop sweeps a torus catalog row by row: the first minimum of
     ``TorusModel.distances`` (numpy's ``argmin``, the first of ties) names
     the limit, and every target's pass is its distance."""
 
@@ -801,7 +787,7 @@ class TestLoopSweep:
         n, k = len(x), len(rows)
         m = TorusModel(n)
         sweep = m.distance_sweep(rows)
-        assert sweep.family is sweep_family(k)
+        assert sweep.family is _rows_sweep(k)
         start = m.project(np.array(x))
         dists = m.distances(start, rows)
         first = int(np.argmin(dists))
@@ -830,7 +816,7 @@ class TestLoopSweep:
     def test_flows_match_the_reference_loop(self, seed, loose, direction):
         # points uniform on the torus, so that most flows take steps
         rng = np.random.default_rng(seed)
-        n, k = int(rng.integers(1, 4)), int(rng.integers(1, _UNROLL_ROWS + 5))
+        n, k = int(rng.integers(1, 4)), int(rng.integers(1, 21))
         x = rng.uniform(0.0, 2 * np.pi, n)
         rows = rng.uniform(0.0, 2 * np.pi, (k, n))
         if k > 1 and rng.integers(2):
