@@ -153,6 +153,8 @@ def cmd_graph(args):
 def cmd_geom_probe(args):
     if args.seeds < 0:
         raise ParseError("--seeds must not be negative, not %d" % args.seeds)
+    if args.seed < 0:
+        raise ParseError("--seed must not be negative, not %d" % args.seed)
     system = parse_system_config(_read(args.config))
     stats = probe_limits(system, args.seeds, seed=args.seed)
     payload = {"system": system.name, "seeds": args.seeds,
@@ -294,8 +296,11 @@ def _embedding_from_spec(system, spec):
     kind, _, rest = spec.partition(":")
     if kind == "factor":
         parts = rest.split(":") if rest else []
-        axis = _spec_value(spec, int, parts[0]) if parts else 1
-        level = _spec_value(spec, float, parts[1]) if len(parts) > 1 else 2.0
+        axis = _spec_value(spec, int, parts[0], lambda a: a in (0, 1),
+                           "the axis must be 0 or 1") if parts else 1
+        level = (_spec_value(spec, float, parts[1], math.isfinite,
+                             "the level must be finite")
+                 if len(parts) > 1 else 2.0)
         phase = _spec_value(spec, float, parts[2]) if len(parts) > 2 else 0.3
         return torus_factor_circle(system, fixed_axis=axis, level=level,
                                    phase=phase)

@@ -3,8 +3,15 @@ continuation maps.
 
 ``_connection_search`` picks the search for a pair x -> y with index drop
 one.  When x has index 1 or y has index dim - 1, W^u(x) or W^s(y) is one
-curve with two branches (``branches``), and the lines are the branches
-that end at the other point, signed in closed form (``_branch_lines``).
+curve with two branches, and the lines are the branches that end at the
+other point, signed in closed form (``_branch_lines``).  A branch is read
+in one of two ways.  Limit readers (``find_connections`` and the counts)
+need only its side, its limit and its end point (``branch_ends``), so its
+flow records no nodes; curve readers (the chord search of chain-map and
+umkehr entries, and ``connection_lines`` for the command line) need its
+nodes (``branches``), so its flow records them.  Both are kept on the
+system for the public call that flew them (``dropping``), and a limit
+read after a curve read reads the curve: no call flies a branch twice.
 Otherwise, from index 2, the unstable circle of x is shot on a lattice,
 sign changes of an offset are bisected, and each candidate is verified by
 strict convergence into y; only this search has a resolution, so only it
@@ -191,6 +198,7 @@ class Branch:
         self.system, self.points, self.times = system, points, times
         self.limit, self.direction, self.side = limit, direction, side
         self.image = image
+        self.x_end = points[-1]
         self.nodes = np.concatenate([points, limit.point[None, :]])
         self.x = (self.nodes if image is None
                   else np.array([image(p) for p in self.nodes]))
@@ -243,35 +251,57 @@ def _cross_solve(a, b, r):
             (r[0] * a[1] - r[1] * a[0]) / den)
 
 
-def branches(system, cp, direction):
-    """The two branches of W^u(cp) (direction +1, one unstable direction)
-    or W^s(cp) (direction -1, one stable direction), flown once per
-    system and kept on it.
+def _branch_flows(system, cp, direction, record):
+    """(side, flow) of each branch of W^u(cp) (direction +1) or W^s(cp)
+    (direction -1), which must be one-dimensional, flown with ``record``.
 
     A branch leaves cp at the rate |lambda| of its eigenvalue: from 10
     eps_conv off cp to unit distance takes about ln(1e5) / |lambda| = 11.5
     / |lambda|.  So a branch flies for max(t_max, 40 / |lambda|), which
     leaves room for the approach to its limit; a slow eigenvalue, such as
     rim_hi's -eps on the sphere band, gets the time it needs."""
+    frame = cp.unstable_frame if direction == +1 else cp.stable_frame
+    if frame.shape[1] != 1:
+        raise GeometryError("%s has no one-dimensional manifold in "
+                            "direction %d" % (cp.name, direction))
+    lam = cp.eigenvalues[0 if direction == +1 else cp.index]
+    t_max = max(system.tol.t_max, 40.0 / abs(float(lam)))
+    return [(side, _resolved(flow(system, system.manifold.project(
+        cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
+        direction, t_max=t_max, record=record),
+        "branch flow of %s" % cp.name)) for side in (1, -1)]
+
+
+def branches(system, cp, direction):
+    """The two branches of W^u(cp) (direction +1, one unstable direction)
+    or W^s(cp) (direction -1, one stable direction) as curves, flown once
+    per system and kept on it (``_branch_flows``)."""
     key = (cp.name, direction)
     if key not in system.branches:
-        frame = cp.unstable_frame if direction == +1 else cp.stable_frame
-        if frame.shape[1] != 1:
-            raise GeometryError("%s has no one-dimensional manifold in "
-                                "direction %d" % (cp.name, direction))
-        lam = cp.eigenvalues[0 if direction == +1 else cp.index]
-        t_max = max(system.tol.t_max, 40.0 / abs(float(lam)))
-        out = []
-        for side in (1, -1):
-            res = _resolved(flow(system, system.manifold.project(
-                cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
-                direction, t_max=t_max, record=True),
-                "branch flow of %s" % cp.name)
-            out.append(Branch(
-                system, np.concatenate([cp.point[None, :], res.points]),
-                np.concatenate([[0.0], res.times]), res.limit, direction,
-                side))
-        system.branches[key] = out
+        system.branches[key] = [
+            Branch(system, np.concatenate([cp.point[None, :], res.points]),
+                   np.concatenate([[0.0], res.times]), res.limit, direction,
+                   side)
+            for side, res in _branch_flows(system, cp, direction, True)]
+    return system.branches[key]
+
+
+BranchEnd = namedtuple("BranchEnd", "side limit x_end")
+
+
+def branch_ends(system, cp, direction):
+    """(side, limit, x_end) of the two branches of ``branches``, for readers
+    of limits alone: the curves when the system keeps them, else flows
+    that record no nodes, flown once per system and kept on it beside the
+    curves.  A branch's ``x_end`` is its last node, the same float."""
+    curves = system.branches.get((cp.name, direction))
+    if curves is not None:
+        return curves
+    key = (cp.name, direction, "ends")
+    if key not in system.branches:
+        system.branches[key] = [
+            BranchEnd(side, res.limit, res.x_end)
+            for side, res in _branch_flows(system, cp, direction, False)]
     return system.branches[key]
 
 
@@ -600,50 +630,55 @@ def _connection_search(system, x_cp, y_cp):
         names=(x_cp.name, y_cp.name), indices=(x_cp.index, y_cp.index))
 
 
-def _branch_lines(system, x_cp, y_cp):
-    """(direction, sign, times, points) of each line from x to y: each
-    branch of W^u(x) if x has index 1, else of W^s(y), whose limit is the
-    other point, with its nodes ordered from x to y.
+def _branch_lines(system, x_cp, y_cp, read=branch_ends):
+    """(direction, sign, branch) of each line from x to y: each branch of
+    W^u(x) if x has index 1, else of W^s(y), whose limit is the other
+    point, as ``read`` gives it: ``branch_ends`` for the limits alone, or
+    ``branches`` for the curves.
 
     From x of index 1, direction and sign are the branch's side: the
     linearised flow carries the velocity to itself, and the minimum y adds
     only the flow direction.  Into y of index dim - 1, x has top index, so
     its carried frame keeps the orientation class of x, and near y the flow
     runs along -side S_y: the sign is -side times the classes of x and y.
-    The direction is where the last node lies from x, in x's unstable
+    The direction is where the branch's end lies from x, in x's unstable
     frame.
     """
     if x_cp.index == 1:
-        return [(np.array([float(b.side)]), b.side, b.times, b.points)
-                for b in branches(system, x_cp, +1)
+        return [(np.array([float(b.side)]), b.side, b)
+                for b in read(system, x_cp, +1)
                 if b.limit.name == y_cp.name]
     man = system.manifold
     eps = orientation_class(man, x_cp) * orientation_class(man, y_cp)
     out = []
-    for b in branches(system, y_cp, -1):
+    for b in read(system, y_cp, -1):
         if b.limit.name == x_cp.name:
-            u = x_cp.unstable_frame.T @ man.displacement(x_cp.point,
-                                                         b.points[-1])
-            out.append((u / np.linalg.norm(u), -b.side * eps,
-                        b.times[-1] - b.times[::-1], b.points[::-1]))
+            u = x_cp.unstable_frame.T @ man.displacement(x_cp.point, b.x_end)
+            out.append((u / np.linalg.norm(u), -b.side * eps, b))
     return out
 
 
 def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """(direction, times, points) of each line from x to y found by the
-    search ``_connection_search`` picks: a branch's nodes
-    (``_branch_lines``) or a lattice shot's verified strict flow."""
+    search ``_connection_search`` picks: a branch curve's nodes ordered
+    from x to y (``_branch_lines``) or a lattice shot's verified strict
+    flow."""
     if _connection_search(system, x_cp, y_cp) == BRANCH:
-        return [(u, times, pts) for u, _sign, times, pts in _branch_lines(
-            system, x_cp, y_cp)]
+        return [(u, b.times, b.points) if b.direction == +1 else
+                (u, b.times[-1] - b.times[::-1], b.points[::-1])
+                for u, _sign, b in _branch_lines(system, x_cp, y_cp,
+                                                 branches)]
     return [(u, res.times, res.points) for u, res in _find_connections_d2(
         system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
 
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
-    """Directions on the unstable sphere of x whose flow lines reach y."""
-    return [u for u, _times, _pts in connection_lines(system, x_cp, y_cp,
-                                                       rho, k)]
+    """Directions on the unstable sphere of x whose flow lines reach y.
+    Branch lines are read off their limits (``branch_ends``)."""
+    if _connection_search(system, x_cp, y_cp) == BRANCH:
+        return [u for u, _sign, _b in _branch_lines(system, x_cp, y_cp)]
+    return [u for u, _res in _find_connections_d2(
+        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
 
 
 def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
@@ -666,9 +701,10 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         if ring == RING_Z2:
             return len(dirs) % 2, len(dirs)
         if search == BRANCH:
-            # the branches are kept on the system: this read flies nothing
-            signs = [sign for _u, sign, _t, _p in _branch_lines(system, x_cp,
-                                                                y_cp)]
+            # the branch ends are kept on the system: this read flies
+            # nothing
+            signs = [sign for _u, sign, _b in _branch_lines(system, x_cp,
+                                                            y_cp)]
         else:
             signs = [connection_sign(system, x_cp, y_cp, u, rho)
                      for u in dirs]

@@ -62,8 +62,9 @@ class Family:
     p)`` gives lines that evaluate it at the point held in the locals
     ``x0, x1, ...`` into ``out``: the locals ``out0, out1, ...`` when
     ``vector``, else the one local ``out``.  A distance sweep with
-    ``rows`` writes one distance per catalog row into ``out0, ...,
-    out{rows-1}``; any other sweep writes their list into ``out``.
+    ``rows`` writes the square of each catalog row's distance into ``out0,
+    ..., out{rows-1}``, so that a reader takes only the roots it needs;
+    any other sweep writes the list of distances into ``out``.
     Parameters and temporaries carry the prefix ``p``, so kernels of
     several families share one function body.  A family is code, compared
     by identity."""
@@ -104,9 +105,11 @@ class Kernel:
 
 def standalone(n, family):
     """Source of ``family``'s kernel on its own: given the parameters, the
-    function of one point."""
+    function of one point.  A sweep by rows returns the list of distances,
+    the roots of the squares its lines write."""
     if family.rows is not None:
-        result = "[%s]" % names("r", family.rows)
+        result = "[%s]" % ", ".join("sqrt(r%d)" % j
+                                    for j in range(family.rows))
     else:
         result = "[%s]" % names("r", n) if family.vector else "r"
     return "\n".join(

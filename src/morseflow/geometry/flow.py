@@ -55,9 +55,14 @@ follows these rules, checked in ``tests/test_geometry.py``:
 
 Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
 
-- a torus catalog is swept row by row into locals, and the list of its
-  distances is built only for flows that track approach targets (or to
-  name the limit);
+- a torus catalog is swept row by row into locals as squared distances
+  s_j; the loop keeps their first minimum by strict ``<`` tests and takes
+  one square root per point, dmin = sqrt(min s_j).  IEEE ``sqrt`` is
+  correctly rounded and monotone, so sqrt(min s_j) = min sqrt(s_j), nan
+  and inf pass the same comparisons, and the first row whose root is dmin
+  is the row that the distances' first minimum names.  The roots of every
+  row are taken only for flows that track approach targets, and to name
+  the limit;
 - the step cap h <= base / speed, with base half the distance to the
   catalog clamped to [0.45 eps, 0.25] (0.25 without a sweep), takes the
   exact speed only where a rough one, the square root of a plain square
@@ -74,14 +79,14 @@ Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
 - the path is one flat list, which ``integrate`` reshapes once.
 
 A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
-costs 4.0-4.1 us per step, against 4.8-5.1 us when every point took the
-exact speed, swept the catalog in a loop and recorded a list per point;
-a loose one (61 steps) costs 4.4-4.5 us against 4.9-5.2 us (7.7 in a
-run under load), since its coarse steps meet the cap at most points (the
-fastest of 7 batches of the 408 branch flows of 51 T2 amplitudes, three
-alternating runs, 2 CPUs, Python 3.11).  A step on numpy adapters (a
-strict sphere-band flow) costs about 32 us either way, most of it in the
-six field calls.
+costs 4.1-4.5 us per step unrecorded, as counts fly it, and 4.3-4.8 us
+recorded; a loose one (61 steps) costs 4.3-4.8 us.  One square root per
+point in place of one per catalog row saves 0.08-0.09 us of a recorded
+step, less than the spread between runs (the fastest of 15 batches of
+the 408 branch flows of 51 T2 amplitudes, interleaved with the loop that
+took a root per row in one process, two runs on a shared 2-CPU machine,
+Python 3.11).  A step on numpy adapters (a strict sphere-band flow)
+costs about 32 us, most of it in the six field calls.
 """
 
 from __future__ import annotations
@@ -182,7 +187,8 @@ def _loop_template(n, families):
     for ``min`` and ``max``: ``min(a, b)`` is ``b if b < a else a`` and
     ``max(a, b)`` is ``b if b > a else a``, signed zeros and nan included;
     over a catalog swept row by row, ``min`` is a chain of strict ``<``
-    tests, which keeps the first of equal distances as ``min`` does."""
+    tests on the squares, which keeps the first of equal squares, and its
+    root is the least distance (module docstring)."""
     field, value, project, sweep = families
     x = "[%s]" % names("x", n)
 
@@ -193,13 +199,17 @@ def _loop_template(n, families):
         # the distances to the catalog and their first minimum dmin, the
         # closest passes to the targets, the limit if x is in a strict
         # ball, and the numerator of the step cap: half the distance to
-        # the catalog, between 0.45 eps and 0.25
+        # the catalog, between 0.45 eps and 0.25.  A sweep by rows gives
+        # squares: dmin is the root of their first minimum, and the roots
+        # of all rows are taken only for targets and to name the limit
         if sweep.rows:
-            row = "[%s]" % names("dist", sweep.rows)
-            lines = sweep.write(n, "x", "dist", "S") + ["dmin = dist0"]
+            row = "[%s]" % ", ".join("sqrt(dsq%d)" % j
+                                     for j in range(sweep.rows))
+            lines = sweep.write(n, "x", "dsq", "S") + ["smin = dsq0"]
             for j in range(1, sweep.rows):
-                lines += ["if dist%d < dmin:" % j, "    dmin = dist%d" % j]
-            lines += ["if targets:", "    dists = " + row]
+                lines += ["if dsq%d < smin:" % j, "    smin = dsq%d" % j]
+            lines += ["dmin = sqrt(smin)", "if targets:",
+                      "    dists = " + row]
         else:
             row = "dists"
             lines = sweep.write(n, "x", "dists", "S") + [

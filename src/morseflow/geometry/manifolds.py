@@ -194,30 +194,30 @@ def _wrap_lines(n, x, out, p):
     return ["%s%d = %s%d %% %r" % (out, k, x, k, TWO_PI) for k in range(n)]
 
 
-def _distance_lines(n, x, q, out, p):
-    """Lines that set ``out`` to the torus distance from x to the row held
-    in the locals ``q``: the wrapped coordinate differences, squared and
-    added in numpy's order (``numpy_sum``) before the square root, as
-    ``distances`` (``norm(axis=1)``) does."""
+def _square_lines(n, x, q, out, p):
+    """Lines that set ``out`` to the square of the torus distance from x to
+    the row held in the locals ``q``: the wrapped coordinate differences,
+    squared and added in numpy's order (``numpy_sum``).  Its square root is
+    the distance bit for bit, as ``distances`` (``norm(axis=1)``) takes
+    it."""
     d = ["%sd%d" % (p, k) for k in range(n)]
     return (["%s = (%s - %s%d + %r) %% %r - %r"
              % (d[k], q[k], x, k, math.pi, TWO_PI, math.pi)
              for k in range(n)]
-            + ["%s = sqrt(%s)" % (out, numpy_sum(["%s * %s" % (v, v)
-                                                  for v in d]))])
+            + ["%s = %s" % (out, numpy_sum(["%s * %s" % (v, v) for v in d]))])
 
 
 @lru_cache(maxsize=64)
 def _rows_sweep(rows):
     """The torus sweep family of a catalog of ``rows`` rows, written out
-    row by row: row j is the parameters ``q{j}_0, ...`` and its distance
-    the local ``out{j}``.  Cached, so each row count has one family and
-    the flow loop of a catalog size is compiled once."""
+    row by row: row j is the parameters ``q{j}_0, ...`` and the square of
+    its distance the local ``out{j}``.  Cached, so each row count has one
+    family and the flow loop of a catalog size is compiled once."""
     def params(n):
         return ["q%d_%d" % (j, k) for j in range(rows) for k in range(n)]
 
     def write(n, x, out, p):
-        return [line for j in range(rows) for line in _distance_lines(
+        return [line for j in range(rows) for line in _square_lines(
             n, x, ["%sq%d_%d" % (p, j, k) for k in range(n)],
             "%s%d" % (out, j), p)]
 

@@ -189,8 +189,9 @@ class MorseSystem:
             self.catalog[i] = row
         # derived data, filled by counting (the catalog itself never
         # changes): branch flows of one-dimensional stable and unstable
-        # manifolds (branches), and loose circle-lattice shots of the
-        # index-2 connection search (lattice_shots), made on first use
+        # manifolds, as curves or as their ends alone (branches), and
+        # loose circle-lattice shots of the index-2 connection search
+        # (lattice_shots), made on first use
         self.branches, self._lattice_shots = {}, None
 
     # -- catalog ------------------------------------------------------------

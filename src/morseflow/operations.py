@@ -155,12 +155,19 @@ def identity_embedding(system):
 def torus_factor_circle(codomain, fixed_axis, level, amplitude=1.0,
                         phase=0.0):
     """The circle {theta_axis = level} in a torus system, with its own
-    one-angle cosine function."""
+    one-angle cosine function.  An axis other than 0 or 1, or a level that
+    is not finite, raises ``GeometryError``."""
     from .geometry.systems import torus_cosine
 
     n = codomain.manifold.dim
     if n != 2:
         raise GeometryError("factor circles are built for two-dimensional tori")
+    if fixed_axis not in (0, 1):
+        raise GeometryError("the fixed axis of a factor circle must be 0 or "
+                            "1, not %r" % (fixed_axis,))
+    if not math.isfinite(level):
+        raise GeometryError("the level of a factor circle must be finite, "
+                            "not %r" % (level,))
     free_axis = 1 - fixed_axis
     domain = torus_cosine(1, [amplitude], [phase],
                           name="factor%d" % free_axis)

@@ -339,6 +339,19 @@ class TestGeomCommands:
         assert (error["type"], error["code"]) == ("ParseError", 2)
         assert "--seeds" in error["message"]
 
+    def test_negative_seed_is_a_parse_error(self, capsys, torus_cfg):
+        # before, numpy's "expected non-negative integer" exited 1
+        code, out, err = run(capsys, "--seed", "-1", "geom", "probe",
+                             torus_cfg, "--seeds", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--seed " in err and "-1" in err
+        code, out, err = run(capsys, "--json", "--seed", "-1", "geom",
+                             "probe", torus_cfg, "--seeds", "2")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == ("ParseError", 2)
+        assert "--seed " in error["message"]
+
     def test_connections_csv(self, capsys, tmp_path, torus_cfg):
         csv = tmp_path / "conn.csv"
         code, out, _ = run(capsys, "--json", "geom", "connections", torus_cfg,
@@ -584,6 +597,11 @@ class TestOpCommands:
         (("homology",), "band.cfg", "--relative", "band:nan"),
         (("homology",), "band.cfg", "--relative", "cap:inf"),
         (("op", "push"), "torus.cfg", "--embedding", "factor:x"),
+        # the circle's axis is 0 or 1 and its level finite
+        (("op", "push"), "torus.cfg", "--embedding", "factor:9:1:1"),
+        (("op", "umkehr"), "torus.cfg", "--embedding", "factor:-1:1:1"),
+        (("op", "push"), "torus.cfg", "--embedding", "factor:0:nan"),
+        (("op", "umkehr"), "torus.cfg", "--embedding", "factor:0:inf:0"),
         (("op", "thom"), "sphere.cfg", "--bundle", "trivial:q"),
         (("op", "thom"), "sphere.cfg", "--bundle", "trivial:-1"),
         (("op", "nu"), "fig8.graph", "--input", "x10")])

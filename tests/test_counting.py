@@ -267,6 +267,99 @@ class TestSurfacesFromTheTarget:
         boundary_operator(make())
 
 
+def one_dimensional_sides(system):
+    """(cp, direction) of each one-dimensional W^u (direction +1) or W^s
+    (-1) of the system's critical points."""
+    return [(cp, direction) for cp in system.critical_points
+            for direction, frame in ((+1, cp.unstable_frame),
+                                     (-1, cp.stable_frame))
+            if frame.shape[1] == 1]
+
+
+# the catalogs whose branches tier 1 counts
+BRANCH_CATALOGS = {
+    "t2-amplitudes": lambda: [torus_cosine(2, [1.0, round(0.6 + 0.005 * k,
+                                                          3)])
+                              for k in range(51)],
+    "t2-phased": lambda: [
+        torus_cosine(2, **LATTICE_DEFECTS[name])
+        for name in ("a0.494-phased", "a0.55-phased")],
+    "t2-perturbed": lambda: [
+        torus_cosine(2, [1.0, 0.7], perturb=perturb, seed=seed)
+        for perturb, seed in ((0.02, 3), (0.05, 7))],
+    "s2-band": lambda: [sphere_band(2)],
+    "s1xs2-band": lambda: [product_system(torus_cosine(1, [1.0]),
+                                          sphere_band(2))],
+    "t3": lambda: [torus_cosine(3, [1.0, 0.7, 0.55])],
+}
+
+
+class TestLimitReads:
+    """Counts read a branch's side, limit and end alone, off a flow that
+    records no nodes (``branch_ends``); curve readers fly recorded ones
+    (``branches``), and a limit read reuses a curve already flown."""
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CATALOGS))
+    def test_unrecorded_flights_equal_recorded(self, name):
+        for system in BRANCH_CATALOGS[name]():
+            for cp, direction in one_dimensional_sides(system):
+                recorded = counting._branch_flows(system, cp, direction, True)
+                bare = counting._branch_flows(system, cp, direction, False)
+                assert [side for side, _res in recorded] == [1, -1]
+                assert [side for side, _res in bare] == [1, -1]
+                for (_side, a), (_same, b) in zip(recorded, bare):
+                    assert (a.status, a.limit.name, a.steps, a.t_end) == (
+                        b.status, b.limit.name, b.steps, b.t_end)
+                    assert b.x_end.tobytes() == a.points[-1].tobytes() \
+                        == a.x_end.tobytes()
+                    assert len(b.points) == len(b.times) == 1
+
+    def test_boundary_operator_flies_each_branch_once_unrecorded(
+            self, monkeypatch):
+        system = torus_cosine(2, [1.0, 0.7])
+        flights, records = [], []
+        real_flights, real_flow = counting._branch_flows, counting.flow
+
+        def spy_flights(system, cp, direction, record):
+            flights.append((cp.name, direction, record))
+            return real_flights(system, cp, direction, record)
+
+        def spy_flow(*args, **kwargs):
+            records.append(kwargs["record"])
+            return real_flow(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_branch_flows", spy_flights)
+        monkeypatch.setattr(counting, "flow", spy_flow)
+        cx = boundary_operator(system)
+        assert not any(cx.map_from(p).any() for p in (1, 2))
+        # W^s of the saddles for the maximum, W^u of the saddles for the
+        # minimum: each once, both sides, and no node recorded
+        assert sorted(flights) == [("x01", -1, False), ("x01", 1, False),
+                                   ("x10", -1, False), ("x10", 1, False)]
+        assert records == [False] * 8
+        assert system.branches == {}
+
+    def test_limit_read_after_curve_read_flies_nothing(self, monkeypatch):
+        system = torus_cosine(2, [1.0, 0.7])
+        x11, x10 = system.point("x11"), system.point("x10")
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow was launched")
+
+        with counting.dropping(system.branches):
+            # the curves of W^s(x10) and W^u(x10)
+            lines = counting.connection_lines(system, x11, x10)
+            curves = branches(system, x10, +1)
+            monkeypatch.setattr(counting, "flow", no_flow)
+            assert counting.branch_ends(system, x10, +1) is curves
+            dirs = find_connections(system, x11, x10)
+            assert [u.tobytes() for u in dirs] == [u.tobytes()
+                                                   for u, _t, _p in lines]
+            assert count_flow_lines(system, x11, x10) == 0
+            assert count_flow_lines(system, x10, "x00") == 0
+        assert system.branches == {}
+
+
 class TestComplexSweeps:
     """Seeded sweeps of the ``complexes`` family: amplitudes, phases and
     perturbations of T2, the band's eps, and the Z/2 reduction."""

@@ -775,13 +775,63 @@ def catalogs(draw):
     return x, rows, targets
 
 
+# two rows whose squared distances from x differ in the last place while
+# their roots are equal, the larger square first: the first minimum of
+# the squares is row 1, and the first least distance row 0.  Random draws
+# almost never meet such a tie, which is why it is written out
+ROOT_TIE = ([4.71, 1.76], np.array([[4.699999999999961, 2.05],
+                                    [4.699999999999962, 2.05]]))
+
+
+def squares_template(n, family):
+    """A kernel of a sweep family by rows that returns the squares its
+    lines write, before any root."""
+    lines = ["def kernel(%s):" % "".join(a + ", " for a in family.params(n)),
+             "    def run(x):", "        %s= x" % names("x", n)]
+    lines += ["        " + line for line in family.write(n, "x", "r", "")]
+    return "\n".join(lines + ["        return [%s]" % names("r", family.rows),
+                              "    return run", ""])
+
+
 class TestLoopSweep:
-    """The flow loop sweeps a torus catalog row by row: the first minimum of
-    ``TorusModel.distances`` (numpy's ``argmin``, the first of ties) names
-    the limit, and every target's pass is its distance."""
+    """The flow loop sweeps a torus catalog row by row into squares: the
+    root of their first minimum is the least of ``TorusModel.distances``,
+    the first least distance (numpy's ``argmin``, the first of ties)
+    names the limit, and every target's pass is its distance."""
 
     @SETTINGS
     @given(drawn=catalogs())
+    @example(drawn=(*ROOT_TIE, None))
+    def test_squares_are_the_distances_squared(self, drawn):
+        x, rows, _targets = drawn
+        n, k = len(x), len(rows)
+        m = TorusModel(n)
+        start = m.project(np.array(x)).tolist()
+        squares = unrolled(squares_template, n, _rows_sweep(k))(
+            *rows.ravel().tolist())(start)
+        dists = m.distances(np.array(start), rows)
+        roots = [math.sqrt(v) for v in squares]
+        assert bits(roots) == bits(dists)
+        # the loop's chain of strict < over the squares, then one root
+        least = squares[0]
+        for v in squares[1:]:
+            if v < least:
+                least = v
+        dmin = math.sqrt(least)
+        assert bits([dmin]) == bits([dists.min()])
+        assert roots.index(dmin) == int(np.argmin(dists))
+
+    def test_root_tie_takes_the_first_row(self):
+        x, rows = ROOT_TIE
+        squares = unrolled(squares_template, 2, _rows_sweep(2))(
+            *rows.ravel().tolist())(x)
+        assert squares[0] > squares[1]
+        assert math.sqrt(squares[0]) == math.sqrt(squares[1])
+
+    @SETTINGS
+    @given(drawn=catalogs())
+    @example(drawn=(*ROOT_TIE, None))
+    @example(drawn=(*ROOT_TIE, [1, 0]))
     def test_first_minimum_and_passes(self, drawn):
         x, rows, targets = drawn
         n, k = len(x), len(rows)

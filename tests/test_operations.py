@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -127,6 +129,16 @@ class TestEmbeddings:
         with pytest.raises(StructuralValidationError):
             torus_factor_circle(t2, fixed_axis=1, level=float(
                 t2.point("x00").point[1]), phase=0.3)
+
+    @pytest.mark.parametrize("axis, level, what", [
+        (2, 2.0, "axis"), (-1, 2.0, "axis"), (9, 1.0, "axis"),
+        (0, math.nan, "level"), (0, math.inf, "level"),
+        (1, -math.inf, "level")])
+    def test_bad_factor_circle_raises(self, t2, axis, level, what):
+        # before, an axis outside {0, 1} indexed past the point (IndexError)
+        # and a non-finite level failed in an SVD (LinAlgError)
+        with pytest.raises(GeometryError, match=what):
+            torus_factor_circle(t2, fixed_axis=axis, level=level, phase=0.3)
 
     def test_identity_pushforward_and_umkehr(self, t2):
         emb = identity_embedding(t2)
