@@ -6,12 +6,16 @@ one.  When x has index 1 or y has index dim - 1, W^u(x) or W^s(y) is one
 curve with two branches, and the lines are the branches that end at the
 other point, signed in closed form (``_branch_lines``).  A branch is read
 in one of two ways.  Limit readers (``find_connections`` and the counts)
-need only its side, its limit and its end point (``branch_ends``), so its
-flow records no nodes; curve readers (the chord search of chain-map and
-umkehr entries, and ``connection_lines`` for the command line) need its
-nodes (``branches``), so its flow records them.  Both are kept on the
-system for the public call that flew them (``dropping``), and a limit
-read after a curve read reads the curve: no call flies a branch twice.
+need only its side and its limit, and into a top-index point its end
+point (``branch_ends``), so its flow records no nodes, and a descending
+one on uncoupled cosine wells stops where a convexity certificate proves
+its limit (``geometry.systems.convexity_trap``), short of the limit's
+ball; curve readers (the chord search of chain-map and umkehr entries, and
+``connection_lines`` for the command line) need its nodes
+(``branches``), so its flow records them up to the ball.  Both are kept
+on the system for the outermost public call that flew them
+(``dropping``), and a limit read after a curve read reads the curve: no
+call flies a branch twice.
 Otherwise, from index 2, the unstable circle of x is shot on a lattice,
 sign changes of an offset are bisected, and each candidate is verified by
 strict convergence into y; only this search has a resolution, so only it
@@ -66,6 +70,7 @@ from .geometry.flow import (
     parallel_frame,
     transport_frame,
 )
+from .geometry.systems import convexity_trap
 
 DEFAULT_RHO = 0.02
 DEFAULT_K_CIRCLE = 48
@@ -259,16 +264,20 @@ def _branch_flows(system, cp, direction, record):
     eps_conv off cp to unit distance takes about ln(1e5) / |lambda| = 11.5
     / |lambda|.  So a branch flies for max(t_max, 40 / |lambda|), which
     leaves room for the approach to its limit; a slow eigenvalue, such as
-    rim_hi's -eps on the sphere band, gets the time it needs."""
+    rim_hi's -eps on the sphere band, gets the time it needs.  A flow that
+    records no nodes is read for its limit alone, so a descending one ends
+    where the system's convexity trap proves that limit
+    (``convexity_trap``)."""
     frame = cp.unstable_frame if direction == +1 else cp.stable_frame
     if frame.shape[1] != 1:
         raise GeometryError("%s has no one-dimensional manifold in "
                             "direction %d" % (cp.name, direction))
     lam = cp.eigenvalues[0 if direction == +1 else cp.index]
     t_max = max(system.tol.t_max, 40.0 / abs(float(lam)))
+    trap = None if record or direction != +1 else convexity_trap(system)
     return [(side, _resolved(flow(system, system.manifold.project(
         cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
-        direction, t_max=t_max, record=record),
+        direction, t_max=t_max, record=record, trap=trap),
         "branch flow of %s" % cp.name)) for side in (1, -1)]
 
 
@@ -293,7 +302,10 @@ def branch_ends(system, cp, direction):
     """(side, limit, x_end) of the two branches of ``branches``, for readers
     of limits alone: the curves when the system keeps them, else flows
     that record no nodes, flown once per system and kept on it beside the
-    curves.  A branch's ``x_end`` is its last node, the same float."""
+    curves.  An ascending branch's ``x_end`` is its curve's last node, the
+    same float; a descending one on uncoupled cosine wells ends where the
+    convexity trap proves its limit, within the trap's radius of it
+    (``_branch_flows``), and no reader takes its ``x_end``."""
     curves = system.branches.get((cp.name, direction))
     if curves is not None:
         return curves
@@ -674,11 +686,13 @@ def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """Directions on the unstable sphere of x whose flow lines reach y.
-    Branch lines are read off their limits (``branch_ends``)."""
-    if _connection_search(system, x_cp, y_cp) == BRANCH:
-        return [u for u, _sign, _b in _branch_lines(system, x_cp, y_cp)]
-    return [u for u, _res in _find_connections_d2(
-        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
+    Branch lines are read off their limits (``branch_ends``), kept for the
+    outermost public call (``dropping``)."""
+    with dropping(system.branches):
+        if _connection_search(system, x_cp, y_cp) == BRANCH:
+            return [u for u, _sign, _b in _branch_lines(system, x_cp, y_cp)]
+        return [u for u, _res in _find_connections_d2(
+            system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
 
 
 def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
@@ -710,21 +724,34 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
                      for u in dirs]
         return sum(signs), len(dirs)
 
-    if search == LATTICE:
-        return gated(run, k or DEFAULT_K_CIRCLE,
-                     "count %s->%s" % (x_cp.name, y_cp.name))
-    return run(k)[0]
+    with dropping(system.branches):
+        if search == LATTICE:
+            return gated(run, k or DEFAULT_K_CIRCLE,
+                         "count %s->%s" % (x_cp.name, y_cp.name))
+        return run(k)[0]
+
+
+# how many open ``dropping`` blocks hold each cache, by id; every block
+# gives back what it took, however it ends
+_HELD = {}
 
 
 @contextmanager
 def dropping(*caches):
-    """Clear each dict in ``caches`` when the block ends, however it ends:
-    a public call keeps the branch flows it flies only until it returns."""
+    """Clear each dict in ``caches`` when the outermost block over it ends,
+    however it ends: a public call keeps the branch flows it flies only
+    until it returns, and a public call inside another keeps them for the
+    outer one."""
+    for cache in caches:
+        _HELD[id(cache)] = _HELD.get(id(cache), 0) + 1
     try:
         yield
     finally:
         for cache in caches:
-            cache.clear()
+            _HELD[id(cache)] -= 1
+            if not _HELD[id(cache)]:
+                del _HELD[id(cache)]
+                cache.clear()
 
 
 def graded_matrices(degrees, rows_of, cols_of, entry):

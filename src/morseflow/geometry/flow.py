@@ -78,6 +78,29 @@ Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
   kept across rejected retries;
 - the path is one flat list, which ``integrate`` reshapes once.
 
+A descending flow may also carry a convexity trap (``trap_family``, its
+numbers from ``systems.convexity_trap``), which ends it once its limit is
+proven, short of the strict ball.  For uncoupled cosine wells f = sum a_i
+cos(theta_i - phi_i), every a_i > 0, the one minimum is m = phi + pi, and
+on the ball |x - m| <= R the Hessian diag(a_i cos(x_i - m_i)) is at least
+mu = min a_i cos R.  For R < pi / 2 that is positive, and the ball lies in
+one chart.  So f >= f(m) + mu R^2 / 2 on the ball's boundary, and a point
+inside it below that level lies in a sublevel set that the descending
+flow cannot leave, on which f is strongly convex with m its only critical
+point: the flow converges to m.  After each sweep the loop tests the
+catalog row q of m: the sweep's square |x - q|^2 below r^2 and the
+driving value below the level.  ``convexity_trap`` takes r = 1, widens it
+to R by the distance from q to m and by rounding, and lowers the level
+by a margin that covers the rounding of the loop's value.  A trapped flow
+ends CONVERGED at its first accepted point in the trap, with ``x_end``
+within r of the limit, not within eps.  Only minima of uncoupled wells
+are trapped, since only there is the bound closed-form: a coupling term
+moves the Hessian, and other systems give none.  Only limit reads take
+the trap (``counting._branch_flows``), and only descending ones: an
+ascending read into a top-index point reads its direction off ``x_end``,
+and a curve read needs its path up to the ball.  A flow without a trap
+keeps every bit.
+
 A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
 costs 4.1-4.5 us per step unrecorded, as counts fly it, and 4.3-4.8 us
 recorded; a loose one (61 steps) costs 4.3-4.8 us.  One square root per
@@ -86,18 +109,23 @@ step, less than the spread between runs (the fastest of 15 batches of
 the 408 branch flows of 51 T2 amplitudes, interleaved with the loop that
 took a root per row in one process, two runs on a shared 2-CPU machine,
 Python 3.11).  A step on numpy adapters (a strict sphere-band flow)
-costs about 32 us, most of it in the six field calls.
+costs about 32 us, most of it in the six field calls.  The trap test
+costs less than the spread between runs; a trapped descending T2 branch
+flight flies 63 steps on average against 113, in 0.25-0.27 ms against
+0.43-0.46 ms (the fastest of 15 batches of the 204 descending branch
+flights of the 51 amplitudes, three runs, same machine).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import GeometryError, IntegrationError, OrientationError
-from ._unroll import Kernel, adapted, names, square_sum, unrolled
+from ._unroll import Family, Kernel, adapted, names, square_sum, unrolled
 
 # Cash-Karp tableau
 _CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -142,7 +170,23 @@ ADAPTED_FIELD = adapted("adapted field", True)
 ADAPTED_VALUE = adapted("adapted value", False)
 ADAPTED_PROJECT = adapted("adapted projection", True)
 ADAPTED_SWEEP = adapted("adapted sweep", False)
-_ADAPTERS = (ADAPTED_FIELD, ADAPTED_VALUE, ADAPTED_PROJECT, ADAPTED_SWEEP)
+_ADAPTERS = (ADAPTED_FIELD, ADAPTED_VALUE, ADAPTED_PROJECT, ADAPTED_SWEEP,
+             None)
+
+
+@lru_cache(maxsize=64)
+def trap_family(row):
+    """The family of the convexity trap around catalog row ``row`` (module
+    docstring), with the parameters r2 and level.  Written after a torus
+    sweep by rows, its lines name the row the limit and run the statement
+    ``out`` where the point's square ``{x}{row}`` lies below r2 and the
+    loop's driving value ``fv`` below the level.  Cached, so each row has
+    one family."""
+    def write(n, x, out, p):
+        return ["if %s%d < %sr2 and fv < %slevel:" % (x, row, p, p),
+                "    limit = names[%d]" % row, "    " + out]
+    return Family("convexity trap of row %d" % row, False,
+                  lambda n: ["r2", "level"], write)
 
 
 def _step_lines(n, field):
@@ -176,11 +220,12 @@ def _step_lines(n, field):
 
 def _loop_template(n, families):
     """Source of ``integrate``'s loop on n coordinates, with the field,
-    value, projection and sweep written by the four ``families`` (the
-    sweep None: no events).
+    value, projection, sweep and trap written by the five ``families`` (the
+    sweep None: no events; the trap None: none, or a ``trap_family`` after
+    a sweep by rows).
 
     The loop keeps the state in the locals ``x0, ...`` and takes each
-    family's parameters as one tuple (F, V, P, S).  It returns (status,
+    family's parameters as one tuple (F, V, P, S, T).  It returns (status,
     limit name, t, x, times, path, f values, closest passes, steps), the
     path flat, one point's coordinates after the other, and raises
     ``fail(message, x, t, h, steps)`` on a failure.  Comparisons stand in
@@ -189,7 +234,7 @@ def _loop_template(n, families):
     over a catalog swept row by row, ``min`` is a chain of strict ``<``
     tests on the squares, which keeps the first of equal squares, and its
     root is the least distance (module docstring)."""
-    field, value, project, sweep = families
+    field, value, project, sweep, trap = families
     x = "[%s]" % names("x", n)
 
     def block(depth, lines):
@@ -214,7 +259,7 @@ def _loop_template(n, families):
             row = "dists"
             lines = sweep.write(n, "x", "dists", "S") + [
                 "dmin = min(dists)", "if targets:"]
-        return block(depth, lines + [
+        lines += [
             "    for i in targets:",
             "        dist = dists[i]",
             "        name = names[i]",
@@ -222,16 +267,19 @@ def _loop_template(n, families):
             "            closest[name] = (dist, t, %s)" % x,
             "if dmin < eps:",
             "    limit = names[%s.index(dmin)]" % row,
-            "    " + exit,
+            "    " + exit]
+        if trap is not None:
+            lines += trap.write(n, "dsq", exit, "T")
+        return block(depth, lines + [
             "base = 0.5 * dmin",
             "if not base < 0.25:",
             "    base = 0.25",
             "if not base > floor:",
             "    base = floor"])
 
-    lines = ["def kernel(F, V, P, S, x, t_max, h, h_min, atol, rtol, eps, "
+    lines = ["def kernel(F, V, P, S, T, x, t_max, h, h_min, atol, rtol, eps, "
              "max_steps, record, names, targets, fail):"]
-    for prefix, family in zip("FVPS", families):
+    for prefix, family in zip("FVPST", families):
         params = family.params(n) if family is not None else []
         if params:
             lines.append("    %s= %s" % ("".join(
@@ -342,7 +390,7 @@ def _family(kernel, adapter):
 
 
 def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
-              record=True, approach_targets=None):
+              record=True, approach_targets=None, trap=None):
     """Adaptive negative-flow integration with event tracking.
 
     ``field``, ``value``, ``project`` and ``sweep`` are the float kernels
@@ -350,15 +398,17 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
     of floats; ``value`` must not increase along the flow.  ``sweep``
     (None: no events) gives the distances to the catalog points named by
     ``names``; entering the ``tol.eps_conv`` ball of any of them ends the
-    run as CONVERGED.  ``approach_targets`` (indices into ``names``) get
-    closest-approach tracking.  Each accepted point is swept for distances
-    once; the sweep serves the convergence test, the closest passes and the
-    step cap.  The loop itself is ``_loop_template``'s, compiled for the
-    dimension and the kernels' families.
+    run as CONVERGED, and so does passing ``trap``, a ``Kernel`` of a
+    ``trap_family`` (None: no trap).  ``approach_targets`` (indices into
+    ``names``) get closest-approach tracking.  Each accepted point is swept
+    for distances once; the sweep serves the convergence test, the trap,
+    the closest passes and the step cap.  The loop itself is
+    ``_loop_template``'s, compiled for the dimension and the kernels'
+    families.
     """
     x = np.asarray(x0, dtype=float).tolist()
     n = len(x)
-    families, args = zip(*map(_family, (field, value, project, sweep),
+    families, args = zip(*map(_family, (field, value, project, sweep, trap),
                               _ADAPTERS))
     loop = unrolled(_loop_template, n, families)
 
@@ -391,14 +441,15 @@ def _float_kernels(system, direction):
 
 
 def flow(system, x0, direction=+1, t_max=None, record=True,
-         approach_targets=None, loose=False):
+         approach_targets=None, loose=False, trap=None):
     """Flow of the (anti)gradient field with catalog events.
 
     ``direction=+1`` descends (integrates the negative gradient), ``-1``
     ascends.  The limit is the catalog point whose strict ball the
-    trajectory enters; the driving function is asserted monotone.
-    ``loose`` switches to coarse step control for classification flows
-    whose exact path does not matter.
+    trajectory enters, or whose convexity ``trap`` (a descending flow's
+    ``systems.convexity_trap``; None: none) it passes; the driving
+    function is asserted monotone.  ``loose`` switches to coarse step
+    control for classification flows whose exact path does not matter.
     """
     field, value = _float_kernels(system, direction)
     tol = system.tol.loosened() if loose else system.tol
@@ -411,7 +462,7 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
                     man.distance_sweep(system.points), x0,
                     t_max=t_max if t_max is not None else tol.t_max,
                     tol=tol, names=names, record=record,
-                    approach_targets=idx_targets)
+                    approach_targets=idx_targets, trap=trap)
     if res.limit is not None:
         res.limit = system.point(res.limit)
     return res

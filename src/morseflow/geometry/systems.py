@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import GeometryError, ParseError, StructuralValidationError
 from ._unroll import Family, Kernel, numpy_sum
+from .flow import trap_family
 from .manifolds import ProductModel, SphereModel, TorusModel, TWO_PI
 
 
@@ -180,6 +181,9 @@ class MorseSystem:
         self.tol = tol or DEFAULT_TOLERANCES
         self.fd_step = fd_step
         rows = [self._verify(cp) for cp in critical_points]
+        if not rows:
+            raise StructuralValidationError(
+                "system %s: the critical-point catalog is empty" % name)
         names = [row[0] for row in rows]
         if len(set(names)) != len(names):
             raise StructuralValidationError("critical point names collide")
@@ -392,6 +396,48 @@ WELLS_FIELD = _wells(False, True)
 WELLS_VALUE = _wells(False, False)
 COUPLED_WELLS_FIELD = _wells(True, True)
 COUPLED_WELLS_VALUE = _wells(True, False)
+
+# the radius r of the convexity trap: r^2 cos r, which scales its level,
+# is largest near r = 1.08
+TRAP_RADIUS = 1.0
+
+
+def convexity_trap(system):
+    """The convexity trap (``flow`` module docstring) of the minimum m of
+    uncoupled cosine wells with positive amplitudes on a torus, for
+    descending flows: a ``Kernel`` of ``flow.trap_family`` on the first
+    catalog row of index 0, with r^2 and the level, or None for any other
+    system.  Made on each call; the system keeps nothing.
+
+    The row's point q lies within ``offset`` of the true minimum phi + pi,
+    and the sweep's square of a point x within rounding of |x - q|^2, so
+    the ball of radius R = r + offset + 1e-9 (1 + max |phi_i|) around m
+    holds every point whose square is below r^2.  On it the Hessian is at
+    least mu = min a_i cos R, so f >= f(m) + mu R^2 / 2 on its boundary:
+    the level f(m) + mu r^2 / 2 = -sum a_i + mu r^2 / 2 lies below, less a
+    margin 2^-50 sum a_i (n + 8 + |phi_i|) for the rounding of the loop's
+    value (its cosines, their arguments and its sum) and of the level."""
+    wells, man = system.f, system.manifold
+    # the loop's driving value must be f itself, which a subclass's
+    # kernels need not give
+    if not (type(wells) is CosineWells and not wells.c
+            and isinstance(man, TorusModel)):
+        return None
+    indices = system.catalog["index"].tolist()
+    amps, phis = wells.params.tolist()
+    if 0 not in indices or min(amps) <= 0.0:
+        return None
+    row = indices.index(0)
+    offset = math.sqrt(sum(((p - q) % TWO_PI - math.pi) ** 2 for p, q in zip(
+        phis, system.points[row].tolist())))
+    big = TRAP_RADIUS + offset + 1e-9 * (1.0 + max(map(abs, phis)))
+    if not big < 0.5 * math.pi:
+        return None
+    mu = min(amps) * math.cos(big)
+    margin = 2.0 ** -50 * sum(a * (len(amps) + 8 + abs(p))
+                              for a, p in zip(amps, phis))
+    return Kernel(trap_family(row), TRAP_RADIUS ** 2,
+                  -sum(amps) + 0.5 * mu * TRAP_RADIUS ** 2 - margin)
 
 
 # -- catalog constructors ------------------------------------------------------

@@ -53,6 +53,7 @@ from morseflow.geometry.flow import (
     transport_frame,
 )
 from morseflow.geometry.manifolds import SphereModel, TorusModel
+from morseflow.geometry.systems import TRAP_RADIUS, convexity_trap
 import morseflow.operations as operations
 
 from oracles import (
@@ -61,6 +62,7 @@ from oracles import (
     circle_complex,
     tensor_complex,
 )
+from test_geometry import trap_limit
 from test_operations import CRITERION7_PHASES, OUTGOING_LABELS, phased_problem
 
 
@@ -294,25 +296,102 @@ BRANCH_CATALOGS = {
 }
 
 
+def phased_t2_draws():
+    """16 phased T2 catalogs: a second amplitude from U(0.4, 0.9) and two
+    phases from U(0, 2 pi) each, from ``default_rng(21)``."""
+    rng = np.random.default_rng(21)
+    return [torus_cosine(2, [1.0, float(rng.uniform(0.4, 0.9))],
+                         phases=rng.uniform(0.0, 2 * np.pi, 2).tolist())
+            for _ in range(16)]
+
+
+TRAP_CATALOGS = {
+    "t2-amplitudes": BRANCH_CATALOGS["t2-amplitudes"],
+    "t2-phased": phased_t2_draws,
+    "t3": BRANCH_CATALOGS["t3"],
+    "t4": lambda: [torus_cosine(4, [1.0, 0.8, 0.65, 0.5])],
+}
+
+
 class TestLimitReads:
     """Counts read a branch's side, limit and end alone, off a flow that
     records no nodes (``branch_ends``); curve readers fly recorded ones
-    (``branches``), and a limit read reuses a curve already flown."""
+    (``branches``), and a limit read reuses a curve already flown.  A
+    descending limit read on uncoupled cosine wells ends at the convexity
+    trap of its minimum (``convexity_trap``)."""
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CATALOGS))
     def test_unrecorded_flights_equal_recorded(self, name):
+        # every unrecorded flight is the recorded one, bit for bit, except
+        # a trapped one: it keeps status, side and limit, and ends in fewer
+        # steps within the trap radius of the limit, where the trap takes
+        # it
         for system in BRANCH_CATALOGS[name]():
+            trapped = convexity_trap(system) is not None
+            assert trapped == (name in ("t2-amplitudes", "t2-phased", "t3"))
             for cp, direction in one_dimensional_sides(system):
                 recorded = counting._branch_flows(system, cp, direction, True)
                 bare = counting._branch_flows(system, cp, direction, False)
                 assert [side for side, _res in recorded] == [1, -1]
                 assert [side for side, _res in bare] == [1, -1]
                 for (_side, a), (_same, b) in zip(recorded, bare):
-                    assert (a.status, a.limit.name, a.steps, a.t_end) == (
-                        b.status, b.limit.name, b.steps, b.t_end)
+                    assert len(b.points) == len(b.times) == 1
+                    assert (a.status, a.limit.name) == (b.status,
+                                                        b.limit.name)
+                    if trapped and direction == +1:
+                        assert b.steps < a.steps
+                        assert system.manifold.distance(
+                            b.x_end, b.limit.point) < TRAP_RADIUS
+                        assert trap_limit(system, b.x_end) == b.limit.name
+                        continue
+                    assert (a.steps, a.t_end) == (b.steps, b.t_end)
                     assert b.x_end.tobytes() == a.points[-1].tobytes() \
                         == a.x_end.tobytes()
-                    assert len(b.points) == len(b.times) == 1
+
+    @pytest.mark.parametrize("name", sorted(TRAP_CATALOGS))
+    def test_trapped_reads_keep_sides_limits_and_matrices(self, name,
+                                                          monkeypatch):
+        def untrapped(system):
+            return None
+
+        for system in TRAP_CATALOGS[name]():
+            for cp in system.by_index(1):
+                trapped = counting._branch_flows(system, cp, +1, False)
+                with monkeypatch.context() as patch:
+                    patch.setattr(counting, "convexity_trap", untrapped)
+                    full = counting._branch_flows(system, cp, +1, False)
+                for (side, a), (same, b) in zip(full, trapped):
+                    assert (side, a.status, a.limit.name) == (
+                        same, b.status, b.limit.name)
+                    assert b.steps < a.steps
+            # T3's complex, lattice included, is criterion 3's, and T4
+            # has pairs no search supports
+            if system.manifold.dim == 2:
+                cx = boundary_operator(system)
+                with monkeypatch.context() as patch:
+                    patch.setattr(counting, "convexity_trap", untrapped)
+                    full = boundary_operator(system)
+                for p in (1, 2):
+                    assert cx.map_from(p).tolist() == \
+                        full.map_from(p).tolist()
+
+    def test_standalone_calls_keep_no_branch_flows(self, monkeypatch):
+        system = torus_cosine(2, [1.0, 0.7])
+        flights, real_flights = [], counting._branch_flows
+
+        def spy_flights(system, cp, direction, record):
+            flights.append((cp.name, direction, record))
+            return real_flights(system, cp, direction, record)
+
+        monkeypatch.setattr(counting, "_branch_flows", spy_flights)
+        # the count reads W^u(x10) twice, for the lines and their signs,
+        # and flies it once
+        assert count_flow_lines(system, "x10", "x00") == 0
+        assert system.branches == {}
+        assert len(find_connections(system, system.point("x11"),
+                                    system.point("x10"))) == 2
+        assert system.branches == {}
+        assert flights == [("x10", 1, False), ("x10", -1, False)]
 
     def test_boundary_operator_flies_each_branch_once_unrecorded(
             self, monkeypatch):

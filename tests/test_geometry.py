@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 from types import SimpleNamespace
@@ -34,6 +35,7 @@ from morseflow.geometry import (
     transport_frame,
 )
 from morseflow.geometry._unroll import (
+    Kernel,
     names,
     norm_template,
     square_sum,
@@ -45,11 +47,14 @@ from morseflow.geometry.systems import (
     COUPLED_WELLS_FIELD,
     COUPLED_WELLS_VALUE,
     MAX_TORUS_DIM,
+    TRAP_RADIUS,
     WELLS_FIELD,
     WELLS_VALUE,
     CosineWells,
+    convexity_trap,
     numpy_kernels,
 )
+import morseflow.counting as counting
 from morseflow.operations import AuxiliaryFunction
 
 FLOW = sys.modules["morseflow.geometry.flow"]
@@ -133,6 +138,13 @@ class TestCatalogs:
         # vanishing amplitude makes the Hessian singular
         with pytest.raises(StructuralValidationError):
             torus_cosine(2, [1.0, 1e-9])
+
+    def test_empty_catalog_rejected(self, t2):
+        # a flow on an empty catalog failed inside the loop, which swept
+        # no rows and had no distances
+        with pytest.raises(StructuralValidationError,
+                           match="catalog is empty"):
+            MorseSystem(t2.manifold, t2.f, t2.grad, [])
 
 
 class TestFlow:
@@ -1003,6 +1015,135 @@ class TestLazySpeed:
             x = system.manifold.random_point(rng)
             for tol in (system.tol, system.tol.loosened()):
                 self.pair(system, x, +1, system.points, t_max=5.0, tol=tol)
+
+
+def trap_limit(system, x):
+    """The name of the catalog point whose convexity trap takes x, by the
+    loop's own test (a flow of no time), or None."""
+    res = flow(system, x, +1, t_max=0.0, record=False,
+               trap=convexity_trap(system))
+    return res.limit.name if res.status == CONVERGED else None
+
+
+@st.composite
+def trapped_points(draw):
+    """(system, point): a phased, uncoupled T2 or T3 catalog and a point
+    that its trap takes, on a ray from the minimum m at a random angle:
+    the ray's point at a random fraction of the trap radius, pulled towards
+    m until the trap takes it."""
+    n = draw(st.sampled_from([2, 3]))
+    amps = draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n,
+                           max_size=n))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                               max_size=n)))
+    u = u / np.linalg.norm(u) if np.linalg.norm(u) > 1e-3 else np.eye(n)[0]
+    delta = draw(st.floats(0.0, 0.999)) * TRAP_RADIUS * u
+    system = torus_cosine(n, amps, phases)
+    m = system.by_index(0)[0]
+    while True:
+        x = system.manifold.project(m.point + delta)
+        if trap_limit(system, x) is not None:
+            return system, x
+        delta = 0.9 * delta
+
+
+class TestConvexityTrap:
+    """A descending flow on uncoupled cosine wells may end where the
+    convexity trap of the minimum m takes it: within the trap radius of m
+    and below its level.  The trap proves the limit; flows without it keep
+    every bit."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              database=None)
+    @given(drawn=trapped_points())
+    def test_a_full_flow_from_a_trapped_point_converges_to_m(self, drawn):
+        system, x = drawn
+        m = system.by_index(0)[0]
+        assert trap_limit(system, x) == m.name
+        assert system.manifold.distance(x, m.point) < TRAP_RADIUS
+        res = flow(system, x, +1, record=False)
+        assert res.status == CONVERGED and res.limit.name == m.name
+
+    def test_the_loop_tests_the_radius_and_the_level(self):
+        system = torus_cosine(2, [1.0, 0.7])
+        m = system.point("x00").point
+        x = system.manifold.project(m + np.array([0.2, -0.1]))
+        d2, fx = system.manifold.distance(x, m) ** 2, system.f(x)
+
+        def limit(r2, level):
+            res = flow(system, x, +1, t_max=0.0, record=False,
+                       trap=Kernel(FLOW.trap_family(0), r2, level))
+            return res.limit.name if res.status == CONVERGED else None
+
+        # both tests are strict, and the loop's value is f bit for bit
+        above = float(np.nextafter(fx, np.inf))
+        assert limit(1.001 * d2, above) == "x00"
+        assert limit(0.999 * d2, np.inf) is None
+        assert limit(np.inf, fx) is None
+
+    def test_points_above_the_level_escape(self):
+        system = torus_cosine(2, [1.0, 0.7])
+        m = system.point("x00").point
+        r2, level = convexity_trap(system).args
+        assert r2 == TRAP_RADIUS ** 2
+        # inside the radius along the weak axis, above the level
+        above = m + np.array([0.0, 0.999 * TRAP_RADIUS])
+        assert system.f(above) > level
+        assert trap_limit(system, above) is None
+        assert trap_limit(system, m + 1e-3) == "x00"
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=3),
+        lambda: sphere_band(2),
+        lambda: product_system(torus_cosine(1, [1.0]), sphere_band(2)),
+        lambda: uphill_torus()], ids=["perturbed", "band", "s1xs2-band",
+                                      "subclass"])
+    def test_only_uncoupled_wells_have_a_trap(self, make):
+        assert convexity_trap(make()) is None
+
+    @pytest.mark.parametrize("phases", [None, [0.3, 1.9]])
+    def test_untrapped_reads_match_the_reference_loop(self, phases,
+                                                      monkeypatch):
+        # curve reads, ascending limit reads and approach flows take no
+        # trap, and every bit of theirs equals the reference loop's, as the
+        # parent's did
+        system = torus_cosine(2, [1.0, 0.7], phases=phases)
+        man, names = system.manifold, system.catalog["name"].tolist()
+        calls, real = [], counting.flow
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append((inspect.signature(real).bind(*args, **kwargs),
+                          res))
+            return res
+
+        monkeypatch.setattr(counting, "flow", spy)
+        with counting.dropping(system.branches):
+            for cp in system.by_index(1):
+                counting.branches(system, cp, +1)
+                counting.branches(system, cp, -1)
+            system.branches.clear()
+            for cp in system.by_index(1):
+                counting.branch_ends(system, cp, -1)
+        counting.approach(system, man.project(np.array([0.4, 2.9])),
+                          system.point("x10"))
+        assert len(calls) == 13
+        for bound, res in calls:
+            bound.apply_defaults()
+            a = SimpleNamespace(**bound.arguments)
+            assert a.trap is None
+            tol = system.tol.loosened() if a.loose else system.tol
+            b = reference_integrate(
+                lambda v: a.direction * system.field(v),
+                lambda v: a.direction * system.f(v), man.project,
+                lambda v: man.distances(v, system.points), a.x0,
+                t_max=a.t_max if a.t_max is not None else tol.t_max,
+                tol=tol, names=names, record=a.record,
+                approach_targets=(None if a.approach_targets is None else
+                                  [names.index(nm)
+                                   for nm in a.approach_targets]))
+            _same_flow(res, b)
 
 
 def uphill_sphere():
