@@ -8,9 +8,10 @@ other point, signed in closed form (``_branch_lines``).  A branch is read
 in one of two ways.  Limit readers (``find_connections`` and the counts)
 need only its side and its limit, and into a top-index point its end
 point (``branch_ends``), so its flow records no nodes, and a descending
-one on uncoupled cosine wells stops where a convexity certificate proves
-its limit (``geometry.systems.convexity_trap``), short of the limit's
-ball; curve readers (the chord search of chain-map and umkehr entries, and
+one on uncoupled cosine wells stops once it falls below the second-lowest
+critical value, which proves its limit the minimum
+(``geometry.systems.level_trap``), short of the limit's ball; curve
+readers (the chord search of chain-map and umkehr entries, and
 ``connection_lines`` for the command line) need its nodes
 (``branches``), so its flow records them up to the ball.  Both are kept
 on the system for the outermost public call that flew them
@@ -70,7 +71,7 @@ from .geometry.flow import (
     parallel_frame,
     transport_frame,
 )
-from .geometry.systems import convexity_trap
+from .geometry.systems import level_trap
 
 DEFAULT_RHO = 0.02
 DEFAULT_K_CIRCLE = 48
@@ -266,15 +267,14 @@ def _branch_flows(system, cp, direction, record):
     leaves room for the approach to its limit; a slow eigenvalue, such as
     rim_hi's -eps on the sphere band, gets the time it needs.  A flow that
     records no nodes is read for its limit alone, so a descending one ends
-    where the system's convexity trap proves that limit
-    (``convexity_trap``)."""
+    where the system's level trap proves that limit (``level_trap``)."""
     frame = cp.unstable_frame if direction == +1 else cp.stable_frame
     if frame.shape[1] != 1:
         raise GeometryError("%s has no one-dimensional manifold in "
                             "direction %d" % (cp.name, direction))
     lam = cp.eigenvalues[0 if direction == +1 else cp.index]
     t_max = max(system.tol.t_max, 40.0 / abs(float(lam)))
-    trap = None if record or direction != +1 else convexity_trap(system)
+    trap = None if record or direction != +1 else level_trap(system)
     return [(side, _resolved(flow(system, system.manifold.project(
         cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
         direction, t_max=t_max, record=record, trap=trap),
@@ -304,8 +304,9 @@ def branch_ends(system, cp, direction):
     that record no nodes, flown once per system and kept on it beside the
     curves.  An ascending branch's ``x_end`` is its curve's last node, the
     same float; a descending one on uncoupled cosine wells ends where the
-    convexity trap proves its limit, within the trap's radius of it
-    (``_branch_flows``), and no reader takes its ``x_end``."""
+    level trap proves its limit, anywhere below the second-lowest critical
+    value, possibly at its start (``_branch_flows``), and no reader takes
+    its ``x_end``."""
     curves = system.branches.get((cp.name, direction))
     if curves is not None:
         return curves
@@ -501,12 +502,11 @@ def curve_intersections(man, curve_a, curve_b):
 
 
 def _verify_connection(system, x_cp, y_cp, u, rho):
-    """Strict test: the trajectory in direction u must converge into y."""
+    """(verified, res): the strict trajectory res in direction u, and
+    whether it converges into y."""
     start = direction_point(system, x_cp, rho, u)
     res = flow(system, start, +1, record=True)
-    if res.status == CONVERGED and res.limit.name == y_cp.name:
-        return res
-    return None
+    return res.status == CONVERGED and res.limit.name == y_cp.name, res
 
 
 def connection_sign(system, x_cp, y_cp, u, rho):
@@ -516,8 +516,8 @@ def connection_sign(system, x_cp, y_cp, u, rho):
     first point q near y, and signs it there against the unstable frame of
     y followed by the flow direction.
     """
-    flow_result = _verify_connection(system, x_cp, y_cp, u, rho)
-    if flow_result is None:
+    verified, flow_result = _verify_connection(system, x_cp, y_cp, u, rho)
+    if not verified:
         raise InternalInconsistencyError("sign requested for a non-connection")
     man = system.manifold
     pts = flow_result.points
@@ -592,7 +592,9 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
 
     A candidate that fails verification is dropped when its loose flow
     passes y farther than half the detection radius (a wrap of the offset,
-    not a line); a closer pass is a line the strict flow lost, and raises.
+    not a line); a closer pass is a line the strict flow lost, and raises
+    with the pair's names, the direction, the pass distance and the strict
+    flow's status, end time, limit and step count as fields.
     """
     out = []
     for u in candidates:
@@ -600,8 +602,8 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
         u = u / np.linalg.norm(u)
         if any(np.linalg.norm(u - v) < min_angle for v, _res in out):
             continue
-        res = _verify_connection(system, x_cp, y_cp, u, rho)
-        if res is not None:
+        verified, res = _verify_connection(system, x_cp, y_cp, u, rho)
+        if verified:
             out.append((u, res))
             continue
         _limit, dist, _w = approach(
@@ -610,7 +612,11 @@ def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
             raise CountingIncompleteError(
                 "%s -> %s: direction %s passes within %.3g of %s but fails "
                 "strict verification" % (x_cp.name, y_cp.name, u.tolist(),
-                                         dist, y_cp.name))
+                                         dist, y_cp.name),
+                status=res.status, t_end=res.t_end, steps=res.steps,
+                names=(x_cp.name, y_cp.name), direction=u.tolist(),
+                distance=float(dist),
+                limit=None if res.limit is None else res.limit.name)
     return out
 
 
@@ -674,14 +680,16 @@ def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """(direction, times, points) of each line from x to y found by the
     search ``_connection_search`` picks: a branch curve's nodes ordered
     from x to y (``_branch_lines``) or a lattice shot's verified strict
-    flow."""
-    if _connection_search(system, x_cp, y_cp) == BRANCH:
-        return [(u, b.times, b.points) if b.direction == +1 else
-                (u, b.times[-1] - b.times[::-1], b.points[::-1])
-                for u, _sign, b in _branch_lines(system, x_cp, y_cp,
-                                                 branches)]
-    return [(u, res.times, res.points) for u, res in _find_connections_d2(
-        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
+    flow.  The curves are kept for the outermost public call
+    (``dropping``)."""
+    with dropping(system.branches):
+        if _connection_search(system, x_cp, y_cp) == BRANCH:
+            return [(u, b.times, b.points) if b.direction == +1 else
+                    (u, b.times[-1] - b.times[::-1], b.points[::-1])
+                    for u, _sign, b in _branch_lines(system, x_cp, y_cp,
+                                                     branches)]
+        return [(u, res.times, res.points) for u, res in _find_connections_d2(
+            system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
 
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):

@@ -70,12 +70,18 @@ class UnsupportedPairError(GeometryError):
 class CountingIncompleteError(MorseflowError):
     """A trajectory or search did not resolve; counts must not default to 0.
     An unresolved flow gives its ``status``, end time ``t_end`` and step
-    count ``steps``."""
+    count ``steps``.  A lattice line that fails strict verification gives
+    those of its strict flow, and in ``more`` the pair's point ``names`` as
+    (x, y), the unit ``direction`` on x's unstable circle, the
+    ``distance`` at which its loose flow passes y, and the strict flow's
+    ``limit`` name (None: none)."""
     code = 4
 
-    def __init__(self, message, status=None, t_end=None, steps=None):
+    def __init__(self, message, status=None, t_end=None, steps=None,
+                 **more):
         super().__init__(message)
         self.status, self.t_end, self.steps = status, t_end, steps
+        vars(self).update(more)
 
 
 class TransversalityError(MorseflowError):

@@ -65,11 +65,11 @@ class Family:
     ``rows`` writes the square of each catalog row's distance into ``out0,
     ..., out{rows-1}``, so that a reader takes only the roots it needs;
     any other sweep writes the list of distances into ``out``.  A trap
-    (``flow.trap_family``) writes a test instead, after a sweep by rows:
-    ``x`` is the prefix of the sweep's squares and ``out`` the statement
-    that ends the flow.  Parameters and temporaries carry the prefix
-    ``p``, so kernels of several families share one function body.  A
-    family is code, compared by identity."""
+    (``flow.trap_family``) writes a test of the loop's driving value
+    instead, after the sweep: ``out`` is the statement that ends the flow.
+    Parameters and temporaries carry the prefix ``p``, so kernels of
+    several families share one function body.  A family is code, compared
+    by identity."""
 
     __slots__ = ("name", "vector", "params", "write", "rows")
 

@@ -78,28 +78,28 @@ Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
   kept across rejected retries;
 - the path is one flat list, which ``integrate`` reshapes once.
 
-A descending flow may also carry a convexity trap (``trap_family``, its
-numbers from ``systems.convexity_trap``), which ends it once its limit is
-proven, short of the strict ball.  For uncoupled cosine wells f = sum a_i
-cos(theta_i - phi_i), every a_i > 0, the one minimum is m = phi + pi, and
-on the ball |x - m| <= R the Hessian diag(a_i cos(x_i - m_i)) is at least
-mu = min a_i cos R.  For R < pi / 2 that is positive, and the ball lies in
-one chart.  So f >= f(m) + mu R^2 / 2 on the ball's boundary, and a point
-inside it below that level lies in a sublevel set that the descending
-flow cannot leave, on which f is strongly convex with m its only critical
-point: the flow converges to m.  After each sweep the loop tests the
-catalog row q of m: the sweep's square |x - q|^2 below r^2 and the
-driving value below the level.  ``convexity_trap`` takes r = 1, widens it
-to R by the distance from q to m and by rounding, and lowers the level
-by a margin that covers the rounding of the loop's value.  A trapped flow
-ends CONVERGED at its first accepted point in the trap, with ``x_end``
-within r of the limit, not within eps.  Only minima of uncoupled wells
-are trapped, since only there is the bound closed-form: a coupling term
-moves the Hessian, and other systems give none.  Only limit reads take
-the trap (``counting._branch_flows``), and only descending ones: an
-ascending read into a top-index point reads its direction off ``x_end``,
-and a curve read needs its path up to the ball.  A flow without a trap
-keeps every bit.
+A descending flow may also carry a level trap (``trap_family``, its
+level from ``systems.level_trap``), which ends it once its limit is
+proven, short of the strict ball.  A descending flow line ends at a
+critical point whose value is at or below its own, so once it lies below
+the second-lowest critical value c_2, its limit is the one critical
+point below c_2, the minimum (Milnor, Morse Theory, section 3).  For
+uncoupled cosine wells f = sum a_i cos(theta_i - phi_i), every a_i > 0,
+the critical points are the 2^n points theta_i - phi_i in {0, pi}, with
+the values -sum a_i + 2 sum of the a_i at 0: the one minimum m = phi +
+pi has -sum a_i, and c_2 = -sum a_i + 2 min a_i.  After each sweep the
+loop tests the driving value alone against the level, c_2 less a margin
+that covers the rounding of the loop's value at any point of the torus,
+and names the catalog row of index 0 the limit.  A trapped flow ends
+CONVERGED at its first accepted point below the level, which may be its
+start, with ``x_end`` anywhere in that sublevel set, not within eps of
+the limit.  Only minima of uncoupled wells are trapped, since only there
+are the critical values closed-form: a coupling term moves them, and
+other systems give none.  Only limit reads take the trap
+(``counting._branch_flows``), and only descending ones: an ascending
+read into a top-index point reads its direction off ``x_end``, and a
+curve read needs its path up to the ball.  A flow without a trap keeps
+every bit.
 
 A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
 costs 4.1-4.5 us per step unrecorded, as counts fly it, and 4.3-4.8 us
@@ -110,10 +110,12 @@ the 408 branch flows of 51 T2 amplitudes, interleaved with the loop that
 took a root per row in one process, two runs on a shared 2-CPU machine,
 Python 3.11).  A step on numpy adapters (a strict sphere-band flow)
 costs about 32 us, most of it in the six field calls.  The trap test
-costs less than the spread between runs; a trapped descending T2 branch
-flight flies 63 steps on average against 113, in 0.25-0.27 ms against
-0.43-0.46 ms (the fastest of 15 batches of the 204 descending branch
-flights of the 51 amplitudes, three runs, same machine).
+costs less than the spread between runs (a trap that never fires: 3.77-
+3.80 us per step against 3.76-3.84 us without).  A trapped descending T2
+branch flight flies 25 steps on average against 113, in 0.11-0.12 ms
+against 0.42-0.48 ms untrapped (the fastest of 15 batches of the 204
+descending branch flights of the 51 amplitudes, three runs, same
+machine).
 """
 
 from __future__ import annotations
@@ -176,17 +178,16 @@ _ADAPTERS = (ADAPTED_FIELD, ADAPTED_VALUE, ADAPTED_PROJECT, ADAPTED_SWEEP,
 
 @lru_cache(maxsize=64)
 def trap_family(row):
-    """The family of the convexity trap around catalog row ``row`` (module
-    docstring), with the parameters r2 and level.  Written after a torus
-    sweep by rows, its lines name the row the limit and run the statement
-    ``out`` where the point's square ``{x}{row}`` lies below r2 and the
-    loop's driving value ``fv`` below the level.  Cached, so each row has
-    one family."""
+    """The family of the level trap of catalog row ``row`` (module
+    docstring), with the one parameter level.  Written after the sweep,
+    its lines name the row the limit and run the statement ``out`` where
+    the loop's driving value ``fv`` lies below the level.  Cached, so each
+    row has one family."""
     def write(n, x, out, p):
-        return ["if %s%d < %sr2 and fv < %slevel:" % (x, row, p, p),
+        return ["if fv < %slevel:" % p,
                 "    limit = names[%d]" % row, "    " + out]
-    return Family("convexity trap of row %d" % row, False,
-                  lambda n: ["r2", "level"], write)
+    return Family("level trap of row %d" % row, False,
+                  lambda n: ["level"], write)
 
 
 def _step_lines(n, field):
@@ -221,8 +222,8 @@ def _step_lines(n, field):
 def _loop_template(n, families):
     """Source of ``integrate``'s loop on n coordinates, with the field,
     value, projection, sweep and trap written by the five ``families`` (the
-    sweep None: no events; the trap None: none, or a ``trap_family`` after
-    a sweep by rows).
+    sweep None: no events; the trap None: none, or a ``trap_family``,
+    tested after the sweep).
 
     The loop keeps the state in the locals ``x0, ...`` and takes each
     family's parameters as one tuple (F, V, P, S, T).  It returns (status,
@@ -269,7 +270,7 @@ def _loop_template(n, families):
             "    limit = names[%s.index(dmin)]" % row,
             "    " + exit]
         if trap is not None:
-            lines += trap.write(n, "dsq", exit, "T")
+            lines += trap.write(n, "x", exit, "T")
         return block(depth, lines + [
             "base = 0.5 * dmin",
             "if not base < 0.25:",
@@ -446,8 +447,8 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
 
     ``direction=+1`` descends (integrates the negative gradient), ``-1``
     ascends.  The limit is the catalog point whose strict ball the
-    trajectory enters, or whose convexity ``trap`` (a descending flow's
-    ``systems.convexity_trap``; None: none) it passes; the driving
+    trajectory enters, or whose level ``trap`` (a descending flow's
+    ``systems.level_trap``; None: none) it passes; the driving
     function is asserted monotone.  ``loose`` switches to coarse step
     control for classification flows whose exact path does not matter.
     """

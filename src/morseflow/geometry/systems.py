@@ -397,26 +397,27 @@ WELLS_VALUE = _wells(False, False)
 COUPLED_WELLS_FIELD = _wells(True, True)
 COUPLED_WELLS_VALUE = _wells(True, False)
 
-# the radius r of the convexity trap: r^2 cos r, which scales its level,
-# is largest near r = 1.08
-TRAP_RADIUS = 1.0
-
-
-def convexity_trap(system):
-    """The convexity trap (``flow`` module docstring) of the minimum m of
+def level_trap(system):
+    """The level trap (``flow`` module docstring) of the minimum m of
     uncoupled cosine wells with positive amplitudes on a torus, for
     descending flows: a ``Kernel`` of ``flow.trap_family`` on the first
-    catalog row of index 0, with r^2 and the level, or None for any other
-    system.  Made on each call; the system keeps nothing.
+    catalog row of index 0, with the level, or None for any other system.
+    Made on each call; the system keeps nothing.
 
-    The row's point q lies within ``offset`` of the true minimum phi + pi,
-    and the sweep's square of a point x within rounding of |x - q|^2, so
-    the ball of radius R = r + offset + 1e-9 (1 + max |phi_i|) around m
-    holds every point whose square is below r^2.  On it the Hessian is at
-    least mu = min a_i cos R, so f >= f(m) + mu R^2 / 2 on its boundary:
-    the level f(m) + mu r^2 / 2 = -sum a_i + mu r^2 / 2 lies below, less a
-    margin 2^-50 sum a_i (n + 8 + |phi_i|) for the rounding of the loop's
-    value (its cosines, their arguments and its sum) and of the level."""
+    The wells' critical values are closed-form, the second-lowest c_2 =
+    -sum a_i + 2 min a_i, and the descending flow from every point whose
+    value lies below c_2 ends at m, the row's point.  The test compares
+    rounded numbers, so the level lies below c_2 by a margin that covers
+    them, at any point of the torus (|theta_i| <= 2 pi after the loop's
+    wrap), not only near m.  The loop's value rounds each difference
+    theta_i - phi_i by at most 2^-53 (2 pi + |phi_i|), which moves its
+    cosine by no more; the cosine itself rounds by at most 2^-52, the
+    product with a_i by 2^-53 a_i, and the sum of the n terms by (n - 1)
+    2^-53 sum a_i.  So the value is within 2^-53 sum a_i (n + 10 + |phi_i|)
+    of f.  The level, computed as -sum a_i + 2 min a_i less the margin,
+    rounds by at most (n + 1) 2^-53 sum a_i.  The margin 2^-50 sum a_i (n
+    + 8 + |phi_i|) = 2^-53 sum a_i (8n + 64 + 8 |phi_i|) exceeds both
+    together, so a point whose value passes the level has f below c_2."""
     wells, man = system.f, system.manifold
     # the loop's driving value must be f itself, which a subclass's
     # kernels need not give
@@ -427,17 +428,10 @@ def convexity_trap(system):
     amps, phis = wells.params.tolist()
     if 0 not in indices or min(amps) <= 0.0:
         return None
-    row = indices.index(0)
-    offset = math.sqrt(sum(((p - q) % TWO_PI - math.pi) ** 2 for p, q in zip(
-        phis, system.points[row].tolist())))
-    big = TRAP_RADIUS + offset + 1e-9 * (1.0 + max(map(abs, phis)))
-    if not big < 0.5 * math.pi:
-        return None
-    mu = min(amps) * math.cos(big)
     margin = 2.0 ** -50 * sum(a * (len(amps) + 8 + abs(p))
                               for a, p in zip(amps, phis))
-    return Kernel(trap_family(row), TRAP_RADIUS ** 2,
-                  -sum(amps) + 0.5 * mu * TRAP_RADIUS ** 2 - margin)
+    return Kernel(trap_family(indices.index(0)),
+                  -sum(amps) + 2.0 * min(amps) - margin)
 
 
 # -- catalog constructors ------------------------------------------------------

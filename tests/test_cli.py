@@ -210,6 +210,26 @@ class TestConfigErrors:
                                    "indices": [3, 2]}
         assert "x1100" in error["message"]
 
+    def test_unverified_lattice_line_gives_its_fields(self, capsys,
+                                                      tmp_path):
+        # on this T3 a refined x101 -> x100 direction passes x100 at
+        # 1.9e-4, and its strict flow ends at the minimum
+        cfg = tmp_path / "torus3.cfg"
+        cfg.write_text("kind torus\ndim 3\namplitudes 1 0.7 0.5\n")
+        code, out, err = run(capsys, "--json", "homology", str(cfg))
+        assert (code, out) == (4, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "CountingIncompleteError"
+        assert "fails strict verification" in error["message"]
+        fields = error["fields"]
+        assert sorted(fields) == ["direction", "distance", "limit", "names",
+                                  "status", "steps", "t_end"]
+        assert fields["names"] == ["x101", "x100"]
+        assert fields["direction"] == pytest.approx([0.0, -1.0])
+        assert fields["distance"] == pytest.approx(1.911e-4, rel=1e-3)
+        assert (fields["status"], fields["limit"]) == ("converged", "x000")
+        assert isinstance(fields["steps"], int) and fields["steps"] > 0
+
 
 # numbers stop at 3: counting reaches dimension three, and a torus config
 # of dimension n builds a catalog of 2^n critical points

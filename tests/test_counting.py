@@ -1,4 +1,5 @@
 import importlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,7 +54,7 @@ from morseflow.geometry.flow import (
     transport_frame,
 )
 from morseflow.geometry.manifolds import SphereModel, TorusModel
-from morseflow.geometry.systems import TRAP_RADIUS, convexity_trap
+from morseflow.geometry.systems import level_trap
 import morseflow.operations as operations
 
 from oracles import (
@@ -312,22 +313,28 @@ TRAP_CATALOGS = {
     "t4": lambda: [torus_cosine(4, [1.0, 0.8, 0.65, 0.5])],
 }
 
+# the steps that the trapped descending branch reads of each catalog fly
+# in all, at most: a change that loses the trap, or part of it, flies more
+# (the 51 amplitudes fly 23,154 untrapped)
+TRAPPED_STEP_BUDGETS = {"t2-amplitudes": 5039, "t2-phased": 1656,
+                        "t3": 195, "t4": 290}
+
 
 class TestLimitReads:
     """Counts read a branch's side, limit and end alone, off a flow that
     records no nodes (``branch_ends``); curve readers fly recorded ones
     (``branches``), and a limit read reuses a curve already flown.  A
-    descending limit read on uncoupled cosine wells ends at the convexity
-    trap of its minimum (``convexity_trap``)."""
+    descending limit read on uncoupled cosine wells ends at the level trap
+    of its minimum (``level_trap``)."""
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CATALOGS))
     def test_unrecorded_flights_equal_recorded(self, name):
         # every unrecorded flight is the recorded one, bit for bit, except
         # a trapped one: it keeps status, side and limit, and ends in fewer
-        # steps within the trap radius of the limit, where the trap takes
-        # it
+        # steps below the trap's level, where the trap takes it
         for system in BRANCH_CATALOGS[name]():
-            trapped = convexity_trap(system) is not None
+            trap = level_trap(system)
+            trapped = trap is not None
             assert trapped == (name in ("t2-amplitudes", "t2-phased", "t3"))
             for cp, direction in one_dimensional_sides(system):
                 recorded = counting._branch_flows(system, cp, direction, True)
@@ -340,8 +347,7 @@ class TestLimitReads:
                                                         b.limit.name)
                     if trapped and direction == +1:
                         assert b.steps < a.steps
-                        assert system.manifold.distance(
-                            b.x_end, b.limit.point) < TRAP_RADIUS
+                        assert system.f(b.x_end) < trap.args[0]
                         assert trap_limit(system, b.x_end) == b.limit.name
                         continue
                     assert (a.steps, a.t_end) == (b.steps, b.t_end)
@@ -354,26 +360,30 @@ class TestLimitReads:
         def untrapped(system):
             return None
 
+        steps = 0
         for system in TRAP_CATALOGS[name]():
             for cp in system.by_index(1):
                 trapped = counting._branch_flows(system, cp, +1, False)
                 with monkeypatch.context() as patch:
-                    patch.setattr(counting, "convexity_trap", untrapped)
+                    patch.setattr(counting, "level_trap", untrapped)
                     full = counting._branch_flows(system, cp, +1, False)
                 for (side, a), (same, b) in zip(full, trapped):
                     assert (side, a.status, a.limit.name) == (
                         same, b.status, b.limit.name)
                     assert b.steps < a.steps
+                    steps += b.steps
             # T3's complex, lattice included, is criterion 3's, and T4
             # has pairs no search supports
             if system.manifold.dim == 2:
                 cx = boundary_operator(system)
                 with monkeypatch.context() as patch:
-                    patch.setattr(counting, "convexity_trap", untrapped)
+                    patch.setattr(counting, "level_trap", untrapped)
                     full = boundary_operator(system)
                 for p in (1, 2):
                     assert cx.map_from(p).tolist() == \
                         full.map_from(p).tolist()
+        # the count is exact: the trapped loop is deterministic
+        assert steps <= TRAPPED_STEP_BUDGETS[name]
 
     def test_standalone_calls_keep_no_branch_flows(self, monkeypatch):
         system = torus_cosine(2, [1.0, 0.7])
@@ -391,7 +401,11 @@ class TestLimitReads:
         assert len(find_connections(system, system.point("x11"),
                                     system.point("x10"))) == 2
         assert system.branches == {}
-        assert flights == [("x10", 1, False), ("x10", -1, False)]
+        assert len(counting.connection_lines(system, system.point("x11"),
+                                             system.point("x10"))) == 2
+        assert system.branches == {}
+        assert flights == [("x10", 1, False), ("x10", -1, False),
+                           ("x10", -1, True)]
 
     def test_boundary_operator_flies_each_branch_once_unrecorded(
             self, monkeypatch):
@@ -805,11 +819,22 @@ class TestLatticeDrops:
     def test_candidate_failing_verification_near_y_raises(self, t3,
                                                           monkeypatch):
         # both lines pass within the detection radius of x100, so losing
-        # them in the strict flow must raise instead of returning []
-        monkeypatch.setattr(counting, "_verify_connection",
-                            lambda *args, **kwargs: None)
-        with pytest.raises(CountingIncompleteError, match="x110 -> x100"):
+        # them in the strict flow must raise instead of returning []; the
+        # error names the pair and gives the strict flow's state
+        real = counting._verify_connection
+
+        def lost(*args, **kwargs):
+            return False, real(*args, **kwargs)[1]
+
+        monkeypatch.setattr(counting, "_verify_connection", lost)
+        with pytest.raises(CountingIncompleteError,
+                           match="x110 -> x100") as err:
             find_connections(t3, t3.point("x110"), t3.point("x100"))
+        fields = json.loads(json.dumps(vars(err.value)))
+        assert fields["names"] == ["x110", "x100"]
+        assert (fields["status"], fields["limit"]) == ("converged", "x100")
+        assert fields["distance"] <= 0.5 * t3.tol.detect_radius
+        assert len(fields["direction"]) == 2 and fields["steps"] > 0
 
 
 class TestRelative:

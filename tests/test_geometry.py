@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from morseflow.errors import (
     GeometryError,
@@ -47,11 +47,10 @@ from morseflow.geometry.systems import (
     COUPLED_WELLS_FIELD,
     COUPLED_WELLS_VALUE,
     MAX_TORUS_DIM,
-    TRAP_RADIUS,
     WELLS_FIELD,
     WELLS_VALUE,
     CosineWells,
-    convexity_trap,
+    level_trap,
     numpy_kernels,
 )
 import morseflow.counting as counting
@@ -1018,80 +1017,95 @@ class TestLazySpeed:
 
 
 def trap_limit(system, x):
-    """The name of the catalog point whose convexity trap takes x, by the
+    """The name of the catalog point whose level trap takes x, by the
     loop's own test (a flow of no time), or None."""
     res = flow(system, x, +1, t_max=0.0, record=False,
-               trap=convexity_trap(system))
+               trap=level_trap(system))
     return res.limit.name if res.status == CONVERGED else None
 
 
 @st.composite
 def trapped_points(draw):
-    """(system, point): a phased, uncoupled T2 or T3 catalog and a point
-    that its trap takes, on a ray from the minimum m at a random angle:
-    the ray's point at a random fraction of the trap radius, pulled towards
-    m until the trap takes it."""
+    """(system, point): a phased, uncoupled T2 or T3 catalog, its
+    amplitudes often tied, and a point that its level trap takes.  The
+    point is drawn anywhere on the torus; where the trap does not take it,
+    the last point that the trap takes on the segment from the minimum m
+    towards it, to 2^-40 of its length, which lies at the level."""
     n = draw(st.sampled_from([2, 3]))
-    amps = draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n))
+    pool = draw(st.lists(st.floats(0.3, 1.0), min_size=1, max_size=n))
+    amps = [draw(st.sampled_from(pool)) for _ in range(n)]
     phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n,
                            max_size=n))
-    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+    x = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n,
                                max_size=n)))
-    u = u / np.linalg.norm(u) if np.linalg.norm(u) > 1e-3 else np.eye(n)[0]
-    delta = draw(st.floats(0.0, 0.999)) * TRAP_RADIUS * u
     system = torus_cosine(n, amps, phases)
-    m = system.by_index(0)[0]
-    while True:
-        x = system.manifold.project(m.point + delta)
-        if trap_limit(system, x) is not None:
-            return system, x
-        delta = 0.9 * delta
+    if trap_limit(system, x) is None:
+        m = system.by_index(0)[0].point
+        d = system.manifold.displacement(m, x)
+        inside, outside = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (inside + outside)
+            if trap_limit(system, system.manifold.project(m + mid * d)):
+                inside = mid
+            else:
+                outside = mid
+        x = system.manifold.project(m + inside * d)
+    return system, x
 
 
-class TestConvexityTrap:
-    """A descending flow on uncoupled cosine wells may end where the
-    convexity trap of the minimum m takes it: within the trap radius of m
-    and below its level.  The trap proves the limit; flows without it keep
-    every bit."""
+class TestLevelTrap:
+    """A descending flow on uncoupled cosine wells may end where the level
+    trap of the minimum m takes it: below the second-lowest critical value
+    c_2, less a rounding margin, anywhere on the torus.  The trap proves
+    the limit; flows without it keep every bit."""
 
     @settings(max_examples=80, derandomize=True, deadline=None,
               database=None)
     @given(drawn=trapped_points())
+    @example(drawn=(torus_cosine(2, [0.7, 0.7]), np.array([3.0, 1.6])))
     def test_a_full_flow_from_a_trapped_point_converges_to_m(self, drawn):
         system, x = drawn
         m = system.by_index(0)[0]
-        assert trap_limit(system, x) == m.name
-        assert system.manifold.distance(x, m.point) < TRAP_RADIUS
-        res = flow(system, x, +1, record=False)
+        limit = trap_limit(system, x)
+        # a point within eps of a saddle is that saddle's, by the strict
+        # ball, which the loop tests first
+        assume(limit == m.name)
+        assert system.f(x) < level_trap(system).args[0]
+        res = flow(system, x, +1, t_max=1e3, record=False)
         assert res.status == CONVERGED and res.limit.name == m.name
 
-    def test_the_loop_tests_the_radius_and_the_level(self):
+    def test_the_level_test_is_strict(self):
         system = torus_cosine(2, [1.0, 0.7])
-        m = system.point("x00").point
-        x = system.manifold.project(m + np.array([0.2, -0.1]))
-        d2, fx = system.manifold.distance(x, m) ** 2, system.f(x)
+        x = system.manifold.project(system.point("x00").point
+                                    + np.array([1.2, -2.1]))
+        fx = system.f(x)
 
-        def limit(r2, level):
+        def limit(level):
             res = flow(system, x, +1, t_max=0.0, record=False,
-                       trap=Kernel(FLOW.trap_family(0), r2, level))
+                       trap=Kernel(FLOW.trap_family(0), level))
             return res.limit.name if res.status == CONVERGED else None
 
-        # both tests are strict, and the loop's value is f bit for bit
-        above = float(np.nextafter(fx, np.inf))
-        assert limit(1.001 * d2, above) == "x00"
-        assert limit(0.999 * d2, np.inf) is None
-        assert limit(np.inf, fx) is None
+        # the loop's value is f bit for bit: a point with f at the level
+        # is not taken, one with f an ulp below it is
+        assert limit(fx) is None
+        assert limit(float(np.nextafter(fx, np.inf))) == "x00"
 
-    def test_points_above_the_level_escape(self):
-        system = torus_cosine(2, [1.0, 0.7])
-        m = system.point("x00").point
-        r2, level = convexity_trap(system).args
-        assert r2 == TRAP_RADIUS ** 2
-        # inside the radius along the weak axis, above the level
-        above = m + np.array([0.0, 0.999 * TRAP_RADIUS])
-        assert system.f(above) > level
-        assert trap_limit(system, above) is None
-        assert trap_limit(system, m + 1e-3) == "x00"
+    @pytest.mark.parametrize("amps", [[1.0, 0.7], [0.7, 1.0], [0.7, 0.7],
+                                      [1.0, 0.7, 0.55]])
+    def test_points_above_the_level_escape(self, amps):
+        system = torus_cosine(len(amps), amps, phases=[0.4] * len(amps))
+        values = sorted(set(system.catalog["value"].tolist()))
+        (level,) = level_trap(system).args
+        assert values[0] < level < values[1]
+        assert values[1] - level < 1e-13
+        # the saddle at c_2: down its unstable direction the trap takes a
+        # point, up its stable direction it does not
+        s = next(cp for cp in system.by_index(1)
+                 if cp.value == values[1])
+        down = s.point + 1e-3 * s.unstable_frame[:, 0]
+        up = s.point + 1e-3 * s.stable_frame[:, 0]
+        assert trap_limit(system, down) == system.by_index(0)[0].name
+        assert trap_limit(system, up) is None
 
     @pytest.mark.parametrize("make", [
         lambda: torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=3),
@@ -1100,7 +1114,7 @@ class TestConvexityTrap:
         lambda: uphill_torus()], ids=["perturbed", "band", "s1xs2-band",
                                       "subclass"])
     def test_only_uncoupled_wells_have_a_trap(self, make):
-        assert convexity_trap(make()) is None
+        assert level_trap(make()) is None
 
     @pytest.mark.parametrize("phases", [None, [0.3, 1.9]])
     def test_untrapped_reads_match_the_reference_loop(self, phases,
