@@ -14,9 +14,9 @@ critical value, which proves its limit the minimum
 readers (the chord search of chain-map and umkehr entries, and
 ``connection_lines`` for the command line) need its nodes
 (``branches``), so its flow records them up to the ball.  Both are kept
-on the system for the outermost public call that flew them
-(``dropping``), and a limit read after a curve read reads the curve: no
-call flies a branch twice.
+in the store of the outermost public call that flew them (``keeping``),
+and a limit read after a curve read reads the curve: no call flies a
+branch twice.
 Otherwise, from index 2, the unstable circle of x is shot on a lattice,
 sign changes of an offset are bisected, and each candidate is verified by
 strict convergence into y; only this search has a resolution, so only it
@@ -46,6 +46,7 @@ import bisect
 import math
 from collections import namedtuple
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,15 +285,15 @@ def _branch_flows(system, cp, direction, record):
 def branches(system, cp, direction):
     """The two branches of W^u(cp) (direction +1, one unstable direction)
     or W^s(cp) (direction -1, one stable direction) as curves, flown once
-    per system and kept on it (``_branch_flows``)."""
-    key = (cp.name, direction)
-    if key not in system.branches:
-        system.branches[key] = [
+    per call and kept in its store (``_branch_flows``, ``keeping``)."""
+    store, key = _kept(), (system, cp.name, direction)
+    if key not in store:
+        store[key] = [
             Branch(system, np.concatenate([cp.point[None, :], res.points]),
                    np.concatenate([[0.0], res.times]), res.limit, direction,
                    side)
             for side, res in _branch_flows(system, cp, direction, True)]
-    return system.branches[key]
+    return store[key]
 
 
 BranchEnd = namedtuple("BranchEnd", "side limit x_end")
@@ -300,22 +301,23 @@ BranchEnd = namedtuple("BranchEnd", "side limit x_end")
 
 def branch_ends(system, cp, direction):
     """(side, limit, x_end) of the two branches of ``branches``, for readers
-    of limits alone: the curves when the system keeps them, else flows
-    that record no nodes, flown once per system and kept on it beside the
-    curves.  An ascending branch's ``x_end`` is its curve's last node, the
-    same float; a descending one on uncoupled cosine wells ends where the
-    level trap proves its limit, anywhere below the second-lowest critical
-    value, possibly at its start (``_branch_flows``), and no reader takes
-    its ``x_end``."""
-    curves = system.branches.get((cp.name, direction))
+    of limits alone: the curves when the call's store keeps them, else
+    flows that record no nodes, flown once per call and kept in its store
+    beside the curves.  An ascending branch's ``x_end`` is its curve's
+    last node, the same float; a descending one on uncoupled cosine wells
+    ends where the level trap proves its limit, anywhere below the
+    second-lowest critical value, possibly at its start
+    (``_branch_flows``), and no reader takes its ``x_end``."""
+    store = _kept()
+    curves = store.get((system, cp.name, direction))
     if curves is not None:
         return curves
-    key = (cp.name, direction, "ends")
-    if key not in system.branches:
-        system.branches[key] = [
+    key = (system, cp.name, direction, "ends")
+    if key not in store:
+        store[key] = [
             BranchEnd(side, res.limit, res.x_end)
             for side, res in _branch_flows(system, cp, direction, False)]
-    return system.branches[key]
+    return store[key]
 
 
 # segments per block of the chord search
@@ -503,9 +505,15 @@ def curve_intersections(man, curve_a, curve_b):
 
 def _verify_connection(system, x_cp, y_cp, u, rho):
     """(verified, res): the strict trajectory res in direction u, and
-    whether it converges into y."""
+    whether it converges into y.  The call's store keeps the flow by its
+    start point, so ``connection_sign`` signs the flow
+    ``_dedupe_verified`` verified, and directions that round to one start
+    (the gate's two resolutions, or two targets) share one flow."""
     start = direction_point(system, x_cp, rho, u)
-    res = flow(system, start, +1, record=True)
+    store, key = _kept(), (system, start.tobytes())
+    if key not in store:
+        store[key] = flow(system, start, +1, record=True)
+    res = store[key]
     return res.status == CONVERGED and res.limit.name == y_cp.name, res
 
 
@@ -548,18 +556,19 @@ def connection_sign(system, x_cp, y_cp, u, rho):
 def _lattice_shot(system, x_cp, y_cp, rho, u):
     """``approach`` of y from x's unstable sphere at lattice direction u.
 
-    The shot tracks every critical point of y's index, and the system
-    keeps it: each lattice point of a source is flown once per system,
+    The shot tracks every critical point of y's index, and the call's
+    store keeps it: each lattice point of a source is flown once per call,
     shared by every target and by each gate resolution that contains it.
     Refinement evaluations are not kept.
     """
-    key = (x_cp.name, y_cp.index, rho, tuple(u))
-    shot = system.lattice_shots.get(key)
+    store = _kept()
+    key = (system, "shot", x_cp.name, y_cp.index, rho, tuple(u))
+    shot = store.get(key)
     if shot is None:
         lower = system.by_index(y_cp.index)
         limit, dists, ws = approach(
             system, direction_point(system, x_cp, rho, u), lower)
-        shot = system.lattice_shots[key] = (
+        shot = store[key] = (
             limit, {cp.name: (d, w) for cp, d, w in zip(lower, dists, ws)})
     limit, passes = shot
     return (limit, *passes[y_cp.name])
@@ -680,27 +689,25 @@ def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """(direction, times, points) of each line from x to y found by the
     search ``_connection_search`` picks: a branch curve's nodes ordered
     from x to y (``_branch_lines``) or a lattice shot's verified strict
-    flow.  The curves are kept for the outermost public call
-    (``dropping``)."""
-    with dropping(system.branches):
-        if _connection_search(system, x_cp, y_cp) == BRANCH:
-            return [(u, b.times, b.points) if b.direction == +1 else
-                    (u, b.times[-1] - b.times[::-1], b.points[::-1])
-                    for u, _sign, b in _branch_lines(system, x_cp, y_cp,
-                                                     branches)]
-        return [(u, res.times, res.points) for u, res in _find_connections_d2(
-            system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
+    flow.  It reads each curve once, so it keeps one only inside an open
+    ``keeping`` block."""
+    if _connection_search(system, x_cp, y_cp) == BRANCH:
+        return [(u, b.times, b.points) if b.direction == +1 else
+                (u, b.times[-1] - b.times[::-1], b.points[::-1])
+                for u, _sign, b in _branch_lines(system, x_cp, y_cp,
+                                                 branches)]
+    return [(u, res.times, res.points) for u, res in _find_connections_d2(
+        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
 
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """Directions on the unstable sphere of x whose flow lines reach y.
-    Branch lines are read off their limits (``branch_ends``), kept for the
-    outermost public call (``dropping``)."""
-    with dropping(system.branches):
-        if _connection_search(system, x_cp, y_cp) == BRANCH:
-            return [u for u, _sign, _b in _branch_lines(system, x_cp, y_cp)]
-        return [u for u, _res in _find_connections_d2(
-            system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
+    Branch lines are read off their limits (``branch_ends``), once, so
+    they are kept only inside an open ``keeping`` block."""
+    if _connection_search(system, x_cp, y_cp) == BRANCH:
+        return [u for u, _sign, _b in _branch_lines(system, x_cp, y_cp)]
+    return [u for u, _res in _find_connections_d2(
+        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
 
 
 def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
@@ -723,8 +730,8 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         if ring == RING_Z2:
             return len(dirs) % 2, len(dirs)
         if search == BRANCH:
-            # the branch ends are kept on the system: this read flies
-            # nothing
+            # the branch ends are kept in the call's store: this read
+            # flies nothing
             signs = [sign for _u, sign, _b in _branch_lines(system, x_cp,
                                                             y_cp)]
         else:
@@ -732,34 +739,37 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
                      for u in dirs]
         return sum(signs), len(dirs)
 
-    with dropping(system.branches):
+    with keeping():
         if search == LATTICE:
             return gated(run, k or DEFAULT_K_CIRCLE,
                          "count %s->%s" % (x_cp.name, y_cp.name))
         return run(k)[0]
 
 
-# how many open ``dropping`` blocks hold each cache, by id; every block
-# gives back what it took, however it ends
-_HELD = {}
+# the store of the open ``keeping`` block: kept flows by keys that name
+# their owner (a system or a figure-8 problem) itself
+_KEPT = ContextVar("kept", default=None)
 
 
 @contextmanager
-def dropping(*caches):
-    """Clear each dict in ``caches`` when the outermost block over it ends,
-    however it ends: a public call keeps the branch flows it flies only
-    until it returns, and a public call inside another keeps them for the
-    outer one."""
-    for cache in caches:
-        _HELD[id(cache)] = _HELD.get(id(cache), 0) + 1
+def keeping():
+    """Keep the flows a public call flies until the outermost block ends,
+    however it ends; an inner block joins the outer one's store."""
+    if _KEPT.get() is not None:
+        yield
+        return
+    token = _KEPT.set({})
     try:
         yield
     finally:
-        for cache in caches:
-            _HELD[id(cache)] -= 1
-            if not _HELD[id(cache)]:
-                del _HELD[id(cache)]
-                cache.clear()
+        _KEPT.reset(token)
+
+
+def _kept():
+    """The open ``keeping`` block's store, or outside any block a
+    throwaway dict, so that nothing is kept."""
+    store = _KEPT.get()
+    return {} if store is None else store
 
 
 def graded_matrices(degrees, rows_of, cols_of, entry):
@@ -791,7 +801,7 @@ def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None):
     graded_matrices(degrees, lambda p: system.by_index(p - 1),
                     system.by_index,
                     lambda x_cp, y_cp: _connection_search(system, x_cp, y_cp))
-    with dropping(system.branches):
+    with keeping():
         maps = graded_matrices(
             degrees, lambda p: system.by_index(p - 1), system.by_index,
             lambda x_cp, y_cp: count_flow_lines(system, x_cp, y_cp, rho=rho,
@@ -952,7 +962,7 @@ def continuation(sys_f, sys_g):
         return {p: np.array(np.eye(len(sys_f.by_index(p)), dtype=int),
                             dtype=object)
                 for p in sys_f.indices()}
-    with dropping(sys_f.branches, sys_g.branches):
+    with keeping():
         return graded_matrices(
             sys_f.indices(), sys_g.by_index, sys_f.by_index,
             lambda m_cp, m2_cp: hybrid_entry(sys_f, sys_g, m_cp, m2_cp))

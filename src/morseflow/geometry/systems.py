@@ -166,11 +166,13 @@ class MorseSystem:
     None when ``f`` has a ``grad`` method.  When ``f`` also has a
     ``float_kernels(direction)`` method, as ``CosineWells`` does, the
     integrator reads the flow through those kernels, and otherwise through
-    numpy adapters (``numpy_kernels``), plain callables.
+    numpy adapters (``numpy_kernels``), plain callables.  A system holds
+    its construction data alone: the flows a count reads are kept by the
+    count's call (``counting.keeping``), never on the system.
     """
 
     __slots__ = ("manifold", "f", "_grad", "name", "tol", "fd_step",
-                 "catalog", "_lattice_shots", "branches")
+                 "catalog")
 
     def __init__(self, manifold, f, grad, critical_points, name="system",
                  tol=None, fd_step=1e-6):
@@ -191,12 +193,6 @@ class MorseSystem:
                                                          manifold.dim))
         for i, row in enumerate(rows):
             self.catalog[i] = row
-        # derived data, filled by counting (the catalog itself never
-        # changes): branch flows of one-dimensional stable and unstable
-        # manifolds, as curves or as their ends alone (branches), and
-        # loose circle-lattice shots of the index-2 connection search
-        # (lattice_shots), made on first use
-        self.branches, self._lattice_shots = {}, None
 
     # -- catalog ------------------------------------------------------------
 
@@ -222,14 +218,6 @@ class MorseSystem:
             raise StructuralValidationError(
                 "system %s has no critical point named %r" % (self.name, name))
         return self._catalog_point(names.index(name))
-
-    @property
-    def lattice_shots(self):
-        """Kept shots of the circle lattice (``counting._lattice_shot``),
-        which only manifolds of dimension three and up reach."""
-        if self._lattice_shots is None:
-            self._lattice_shots = {}
-        return self._lattice_shots
 
     @property
     def points(self):

@@ -30,10 +30,11 @@ from .counting import (
     branches,
     continuation,
     curve_intersections,
-    dropping,
     graded_matrices,
     hybrid_entry,
+    keeping,
     orientation_class,
+    _kept,
 )
 from .errors import (
     GeometryError,
@@ -224,7 +225,7 @@ def pushforward(emb, verify=True):
     if emb.codim == 0:
         return continuation(emb.domain, emb.codomain)
     dom, cod = emb.domain, emb.codomain
-    with dropping(dom.branches, cod.branches):
+    with keeping():
         out = graded_matrices(
             dom.indices(), cod.by_index, dom.by_index,
             lambda p_cp, x_cp: hybrid_entry(dom, cod, p_cp, x_cp,
@@ -258,7 +259,7 @@ def umkehr(emb, verify=True):
         return continuation(emb.codomain, emb.domain)
     dom, cod = emb.domain, emb.codomain
     r = emb.codim
-    with dropping(dom.branches, cod.branches):
+    with keeping():
         out = graded_matrices(
             cod.indices(), lambda d: dom.by_index(d - r), cod.by_index,
             lambda m_cp, p_cp: _umkehr_entry(emb, m_cp, p_cp))
@@ -598,9 +599,6 @@ class FlowGraphProblem:
         self._check_label_separation()
         self.aux = AuxiliaryFunction(self.incoming,
                                      tol=self.incoming[0].tol)
-        # outgoing stable curves pulled back through the auxiliary flow,
-        # filled by _find_configurations
-        self.pullbacks = {}
 
     def _check_label_separation(self, margin=1e-3):
         systems = self.incoming + self.outgoing
@@ -716,16 +714,17 @@ def _find_configurations(problem, a1, a2, a3, R):
     if {i1, i2} == {2, 1}:
         # W^s(a3) pulled back through the time-R flow node by node; the
         # flow keeps the order of the nodes, so its tangent at x is the
-        # chord of the pulled-back segment
+        # chord of the pulled-back segment, kept in the call's store
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
-        stable, key = branches(E3, a3, -1), (a3.name, R)
-        if R and key not in problem.pullbacks:
-            problem.pullbacks[key] = [b.mapped(
+        store, key = _kept(), (problem, a3.name, R)
+        stable = branches(E3, a3, -1)
+        if R and key not in store:
+            store[key] = [b.mapped(
                 lambda y: _aux_time_map(problem, y, R, direction=-1))
                 for b in stable]
         hits = curve_intersections(man, branches(curve_sys, curve_cp, +1),
-                                   problem.pullbacks.get(key, stable))
+                                   store.get(key, stable))
         return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta),
                            E3: c.b.tangent(c.l, c.u, man)})
                 for c in hits if _flows_into(other_sys, c.point, other_cp, -1)]
@@ -781,29 +780,29 @@ def diagram_flow_operation(problem, input_chain, edge_time=0.0):
     """
     E3 = problem.outgoing[0]
     out = {}
-    for (n1, n2), coeff in input_chain:
-        if coeff == 0:
-            continue
-        for cp3 in E3.critical_points:
-            if expected_dimension(problem, (n1, n2), [cp3.name]) != 0:
+    with keeping():
+        for (n1, n2), coeff in input_chain:
+            if coeff == 0:
                 continue
-            cnt = graph_flow_count(problem, (n1, n2), cp3.name,
-                                   edge_time=edge_time)
-            if cnt:
-                out[cp3.name] = out.get(cp3.name, 0) + coeff * cnt
+            for cp3 in E3.critical_points:
+                if expected_dimension(problem, (n1, n2), [cp3.name]) != 0:
+                    continue
+                cnt = graph_flow_count(problem, (n1, n2), cp3.name,
+                                       edge_time=edge_time)
+                if cnt:
+                    out[cp3.name] = out.get(cp3.name, 0) + coeff * cnt
     return {name: val for name, val in out.items() if val != 0}
 
 
 def operation_table(problem, edge_time=0.0):
     """Counts for every basis pair of the incoming systems.
 
-    The products share the labels' branch flows; the table drops them when
-    done, so that a problem kept afterwards holds none of them.
+    The products share the labels' branch flows and pulled-back curves,
+    kept for the table's call alone (``keeping``).
     """
     E1, E2 = problem.incoming
     table = {}
-    with dropping(problem.pullbacks, *(system.branches for system in
-                                       problem.incoming + problem.outgoing)):
+    with keeping():
         for c1 in E1.critical_points:
             for c2 in E2.critical_points:
                 table[(c1.name, c2.name)] = diagram_flow_operation(

@@ -387,25 +387,47 @@ class TestLimitReads:
 
     def test_standalone_calls_keep_no_branch_flows(self, monkeypatch):
         system = torus_cosine(2, [1.0, 0.7])
+        shifted = torus_cosine(2, [1.0, 0.7], phases=[0.9, 1.3],
+                               name="shifted")
+        x11, x10 = system.point("x11"), system.point("x10")
         flights, real_flights = [], counting._branch_flows
 
         def spy_flights(system, cp, direction, record):
-            flights.append((cp.name, direction, record))
+            flights.append((system.name, cp.name, direction, record))
             return real_flights(system, cp, direction, record)
 
+        def calls():
+            # the count reads W^u(x10) twice, for the lines and their
+            # signs, and flies it once
+            assert count_flow_lines(system, "x10", "x00") == 0
+            assert len(find_connections(system, x11, x10)) == 2
+            assert len(counting.connection_lines(system, x11, x10)) == 2
+            assert counting.hybrid_entry(system, shifted, x10,
+                                         shifted.point("x10")) == 1
+
         monkeypatch.setattr(counting, "_branch_flows", spy_flights)
-        # the count reads W^u(x10) twice, for the lines and their signs,
-        # and flies it once
-        assert count_flow_lines(system, "x10", "x00") == 0
-        assert system.branches == {}
-        assert len(find_connections(system, system.point("x11"),
-                                    system.point("x10"))) == 2
-        assert system.branches == {}
-        assert len(counting.connection_lines(system, system.point("x11"),
-                                             system.point("x10"))) == 2
-        assert system.branches == {}
-        assert flights == [("x10", 1, False), ("x10", -1, False),
-                           ("x10", -1, True)]
+        calls()
+        once = [("torus2", "x10", 1, False), ("torus2", "x10", -1, False),
+                ("torus2", "x10", -1, True), ("torus2", "x10", 1, True),
+                ("shifted", "x10", -1, True)]
+        assert flights == once
+        # nothing outlives its call, so a second call flies it all again
+        calls()
+        assert flights == once + once
+        # inside one block each branch flies once
+        flights.clear()
+        with counting.keeping():
+            calls()
+            calls()
+        assert flights == once
+        # a block that raises drops its store too
+        flights.clear()
+        with pytest.raises(ZeroDivisionError):
+            with counting.keeping():
+                calls()
+                1 / 0
+        calls()
+        assert flights == once + once
 
     def test_boundary_operator_flies_each_branch_once_unrecorded(
             self, monkeypatch):
@@ -430,7 +452,9 @@ class TestLimitReads:
         assert sorted(flights) == [("x01", -1, False), ("x01", 1, False),
                                    ("x10", -1, False), ("x10", 1, False)]
         assert records == [False] * 8
-        assert system.branches == {}
+        # the next complex flies them again
+        boundary_operator(system)
+        assert flights[4:] == flights[:4] and records == [False] * 16
 
     def test_limit_read_after_curve_read_flies_nothing(self, monkeypatch):
         system = torus_cosine(2, [1.0, 0.7])
@@ -439,7 +463,7 @@ class TestLimitReads:
         def no_flow(*args, **kwargs):
             raise AssertionError("a flow was launched")
 
-        with counting.dropping(system.branches):
+        with counting.keeping():
             # the curves of W^s(x10) and W^u(x10)
             lines = counting.connection_lines(system, x11, x10)
             curves = branches(system, x10, +1)
@@ -450,7 +474,9 @@ class TestLimitReads:
                                                    for u, _t, _p in lines]
             assert count_flow_lines(system, x11, x10) == 0
             assert count_flow_lines(system, x10, "x00") == 0
-        assert system.branches == {}
+        # the block's end drops every curve
+        with pytest.raises(AssertionError, match="a flow was launched"):
+            counting.branch_ends(system, x10, +1)
 
 
 class TestComplexSweeps:

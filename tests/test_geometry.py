@@ -1133,11 +1133,11 @@ class TestLevelTrap:
             return res
 
         monkeypatch.setattr(counting, "flow", spy)
-        with counting.dropping(system.branches):
+        with counting.keeping():
             for cp in system.by_index(1):
                 counting.branches(system, cp, +1)
                 counting.branches(system, cp, -1)
-            system.branches.clear()
+        with counting.keeping():
             for cp in system.by_index(1):
                 counting.branch_ends(system, cp, -1)
         counting.approach(system, man.project(np.array([0.4, 2.9])),

@@ -654,21 +654,54 @@ class TestDiagramOperation:
         boundary_operator(torus_cosine(2, [1.0, 0.7]))
         assert charted == []
 
-    def test_public_calls_keep_no_branch_flows(self):
-        # a kept system must not hold the branch flows of a finished call
-        problem = phased_problem([(0.0, 0.0), (0.9, 1.3), (-0.7, 0.55)])
+    def test_public_calls_keep_no_branch_flows(self, monkeypatch):
+        # a kept system or problem holds no flow of a finished call: a
+        # second call flies every branch and pullback again, and calls
+        # inside one ``keeping`` block fly each once
+        problem = phased_problem(CRITERION7_PHASES)
         labels = problem.incoming + problem.outgoing
+        flights, pulled = [], []
+        real_flights, real_time = counting._branch_flows, fixed_time_flow
 
-        def kept():
-            return [system.name for system in labels if system.branches]
+        def spy_flights(system, cp, direction, record):
+            flights.append((system.name, cp.name, direction, record))
+            return real_flights(system, cp, direction, record)
 
-        for system in labels:
-            boundary_operator(system)
-        assert kept() == []
-        continuation(*problem.incoming)
-        assert kept() == []
-        operation_table(problem, edge_time=1.0)
-        assert kept() == [] and problem.pullbacks == {}
+        def spy_time(*args, **kwargs):
+            pulled.append(kwargs.get("direction", +1))
+            return real_time(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_branch_flows", spy_flights)
+        monkeypatch.setattr(operations, "fixed_time_flow", spy_time)
+        calls = [
+            lambda: [boundary_operator(system) for system in labels],
+            lambda: continuation(*problem.incoming),
+            lambda: graph_flow_count(problem, ("x10", "x01"), "x00",
+                                     edge_time=1.0),
+            # (2, 1) inputs count both saddle outputs over one curve
+            lambda: diagram_flow_operation(problem, [(("x11", "x10"), 1)]),
+            lambda: operation_table(problem, edge_time=1.0)]
+        for call in calls:
+            flights.clear()
+            pulled.clear()
+            call()
+            first, backward = list(flights), pulled.count(-1)
+            call()
+            assert first and flights == first + first
+            # nor are the curves pulled back by backward auxiliary flows
+            assert pulled.count(-1) == 2 * backward
+        # the table, last, pulls the outgoing stable curves back
+        assert backward > 0
+        flights.clear()
+        pulled.clear()
+        with counting.keeping():
+            for call in calls:
+                call()
+            once, pullbacks = list(flights), pulled.count(-1)
+            for call in calls:
+                call()
+        assert len(set(once)) == len(once) and flights == once
+        assert pulled.count(-1) < 2 * pullbacks
 
     def test_unit_is_fundamental_class(self, nu_table):
         for x in ("x00", "x10", "x01", "x11"):
