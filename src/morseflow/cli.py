@@ -28,8 +28,14 @@ from .counting import (
     empty_region,
     relative_complex,
 )
-from .errors import MorseflowError, ParseError
-from .geometry import flow, parse_system_config, probe_limits
+from .errors import MorseflowError, ParseError, StructuralValidationError
+from .geometry import (
+    SphereModel,
+    TorusModel,
+    flow,
+    parse_system_config,
+    probe_limits,
+)
 from .geometry.bundles import (
     sphere_tangent_bundle,
     torus_tangent_bundle,
@@ -56,6 +62,16 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+
+
+def _write(path, lines):
+    """Write ``lines`` to ``path``, one to a line; a path that cannot be
+    written is a ParseError that names it."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise ParseError("cannot write %s: %s" % (path, exc))
 
 
 def _emit(args, payload, text_lines):
@@ -182,14 +198,11 @@ def _write_trajectories_csv(path, system, paths):
     """One row per node of each (times, points) path."""
     cols = ["trajectory", "t"] + \
         ["x%d" % i for i in range(system.manifold.coord_dim)] + ["f"]
-    rows = []
-    for k, (times, points) in enumerate(paths):
-        for t, pt in zip(times, points):
-            rows.append([k, t] + list(pt) + [system.f(pt)])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join("%.12g" % v for v in row) + "\n")
+    rows = [[k, t] + list(pt) + [system.f(pt)]
+            for k, (times, points) in enumerate(paths)
+            for t, pt in zip(times, points)]
+    _write(path, [",".join(cols)]
+           + [",".join("%.12g" % v for v in row) for row in rows])
 
 
 def cmd_geom_connections(args):
@@ -268,25 +281,25 @@ def cmd_homology(args):
                          % (p, h.betti(p), tor, " ".join(cx.labels(p))))
     _emit(args, payload, lines)
     if args.matrices_out:
-        with open(args.matrices_out, "w") as fh:
-            for label, cx in sorted(blocks.items()):
-                for p in cx.degrees():
-                    mat = cx.map_from(p)
-                    if not mat.size:
-                        continue
-                    fh.write("# %s degree %d -> %d\n" % (label, p, p - 1))
-                    for i in range(mat.shape[0]):
-                        fh.write(" ".join(str(int(v)) for v in mat[i]) + "\n")
+        lines = []
+        for label, cx in sorted(blocks.items()):
+            for p in cx.degrees():
+                mat = cx.map_from(p)
+                if not mat.size:
+                    continue
+                lines.append("# %s degree %d -> %d" % (label, p, p - 1))
+                lines += [" ".join(str(int(v)) for v in row) for row in mat]
+        _write(args.matrices_out, lines)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("block,degree,betti,torsion,generators\n")
-            for label, cx in sorted(blocks.items()):
-                h = homologies[label]
-                for p in cx.degrees():
-                    fh.write("%s,%d,%d,%s,%s\n" % (
-                        label, p, h.betti(p),
-                        ";".join(str(t) for t in h.torsion(p)),
-                        ";".join(cx.labels(p))))
+        lines = ["block,degree,betti,torsion,generators"]
+        for label, cx in sorted(blocks.items()):
+            h = homologies[label]
+            for p in cx.degrees():
+                lines.append("%s,%d,%d,%s,%s" % (
+                    label, p, h.betti(p),
+                    ";".join(str(t) for t in h.torsion(p)),
+                    ";".join(cx.labels(p))))
+        _write(args.csv, lines)
     return 0
 
 
@@ -315,12 +328,16 @@ def _embedding_from_spec(system, spec):
 def _bundle_from_spec(system, spec):
     if spec == "tangent":
         man = system.manifold
-        if man.coord_dim == man.dim:
+        if isinstance(man, TorusModel):
             return torus_tangent_bundle(man)
-        return sphere_tangent_bundle(man)
+        if isinstance(man, SphereModel):
+            return sphere_tangent_bundle(man)
+        raise StructuralValidationError(
+            "--bundle tangent needs a torus or a sphere, not %r" % (man,))
     if spec.startswith("trivial:"):
+        # one field: the rank
         return trivial_bundle(system.manifold, _spec_value(
-            spec, int, spec.split(":")[1], lambda rank: rank >= 0,
+            spec, int, spec.partition(":")[2], lambda rank: rank >= 0,
             "the rank must not be negative"))
     if spec == "tangent+trivial":
         return whitney_sum_with_trivial(_bundle_from_spec(system, "tangent"))
@@ -384,6 +401,9 @@ def cmd_op(args):
         if not 0.0 <= args.edge_time < math.inf:
             raise ParseError("--edge-time must be finite and not negative, "
                              "not %g" % args.edge_time)
+        # only a table is written as CSV
+        if args.csv and not args.table:
+            raise ParseError("--csv needs --table")
         data = fg.parse_graph_file(_read(args.graph))
         diagram = data.diagram()
         labels = [parse_system_config(_read(p)) for p in args.label]
@@ -428,13 +448,10 @@ def _parse_chain(spec):
 
 def _write_table_csv(path, problem, table):
     out_names = [cp.name for cp in problem.outgoing[0].critical_points]
-    with open(path, "w") as fh:
-        fh.write("in1,in2," + ",".join(out_names) + "\n")
-        for (a, b) in sorted(table):
-            row = table[(a, b)]
-            fh.write("%s,%s," % (a, b)
-                     + ",".join(str(row.get(nm, 0)) for nm in out_names)
-                     + "\n")
+    _write(path, ["in1,in2," + ",".join(out_names)] + [
+        "%s,%s," % (a, b) + ",".join(str(table[(a, b)].get(nm, 0))
+                                     for nm in out_names)
+        for (a, b) in sorted(table)])
 
 
 # -- entry point ------------------------------------------------------------------------

@@ -16,8 +16,8 @@ held in locals.  The same lines make the family's kernel on its own
 flow loop (``flow._loop_template``), so the two cannot drift apart.  A
 plain callable on lists of floats is a kernel of an adapter family
 (``adapted``), which the loop calls.  Templates share two writers:
-``numpy_sum``, a sum in numpy's order, and ``square_sum``, a square sum
-rounded as BLAS's dot product rounds it.
+``numpy_sum``, a sum in numpy's order, and ``square_sum``, the sum of
+squares that ``np.sum(v * v)`` gives.
 """
 
 from __future__ import annotations
@@ -25,21 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
-_NAMESPACE = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
-              "fsum": math.fsum, "inf": math.inf, "array": np.array}
-
-# Veltkamp's constant 2^27 + 1: c = _SPLIT * v, hi = c - (c - v) leaves hi
-# and lo = v - hi with 26 significant bits each, so hi * hi, 2 * hi * lo
-# and lo * lo are exact and add up to v * v
-_SPLIT = 134217729.0
-# hi * hi below this: a nonzero v under about 2^-484, which takes in every
-# v under 2^-485, where lo * lo may fall below the smallest subnormal
-_TINY = 2.0 ** -968
-# OpenBLAS's x86-64 ddot runs a blocked kernel with several accumulators
-# from this many entries on, and a scalar loop below it
-_BLOCK = 16
+_NAMESPACE = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
 
 @lru_cache(maxsize=128)
@@ -123,12 +109,10 @@ def standalone(n, family):
 
 
 def norm_template(n):
-    """Source of the Euclidean norm of n coordinates, ``sqrt`` of the
-    square sum that ``ndarray.dot`` gives (``square_sum``)."""
-    lines = ["def kernel(v):", "    %s= v" % names("v", n)]
-    lines += square_sum("v", n)
-    lines.append("    return sqrt(ss)")
-    return "\n".join(lines) + "\n"
+    """Source of the Euclidean norm of n coordinates, ``sqrt`` of their
+    square sum (``square_sum``)."""
+    return "def kernel(v):\n    %s= v\n    return sqrt(%s)\n" % (
+        names("v", n), square_sum("v", n))
 
 
 def names(prefix, n):
@@ -154,30 +138,8 @@ def numpy_sum(terms):
 
 
 def square_sum(prefix, n):
-    """Lines that set ``ss`` to the dot product of ``prefix0, ...,
-    prefix{n-1}`` with itself, bit for bit as ``ndarray.dot`` gives it.
-
-    Below 16 entries OpenBLAS's ddot is the contracted chain
-    ``ss = fma(v_i, v_i, ss)`` from ``ss = v_0 * v_0``.  The lines do each
-    fused multiply-add exactly: ``fsum`` rounds ``hi*hi + 2*hi*lo + lo*lo
-    + ss`` once, and the three products are exact (``_SPLIT``).  Where they
-    may not be (a nonzero coordinate past ``_TINY``, or a sum outside
-    (1e-280, 1e280), which takes in overflow, inf and nan), and from 16
-    entries on, the lines call ``ndarray.dot``."""
-    dot = ["    sv = array((%s))" % names(prefix, n), "    ss = sv.dot(sv)"]
-    if n >= _BLOCK:
-        return dot
-    v = ["%s%d" % (prefix, i) for i in range(n)]
-    lines = ["    try:", "        ss = %s * %s" % (v[0], v[0])]
-    for i in range(1, n):
-        lines += ["        c = %r * %s" % (_SPLIT, v[i]),
-                  "        hi = c - (c - %s)" % v[i],
-                  "        lo = %s - hi" % v[i],
-                  "        sq%d = hi * hi" % i,
-                  "        ss = fsum((sq%d, 2.0 * hi * lo, lo * lo, ss))" % i]
-    # fsum raises on inf - inf and on a finite sum that overflows
-    lines += ["    except (OverflowError, ValueError):", "        ss = inf"]
-    tiny = "".join(" or sq%d < %r and %s" % (i, _TINY, v[i])
-                   for i in range(1, n))
-    lines.append("    if not 1e-280 < ss < 1e280%s:" % tiny)
-    return lines + ["    " + line for line in dot]
+    """The source expression of the sum of the squares of ``prefix0, ...,
+    prefix{n-1}``, added in numpy's order (``numpy_sum``): ``np.sum(v *
+    v)`` bit for bit."""
+    return numpy_sum(["%s%d * %s%d" % (prefix, i, prefix, i)
+                      for i in range(n)])

@@ -43,15 +43,10 @@ follows these rules, checked in ``tests/test_geometry.py``:
   which compensates from Python 3.12 on;
 - negation commutes with rounding, so a kernel may fold a sign into a
   product;
-- the error norm, the speed and the tolerance scale are square sums
-  rounded as ``ndarray.dot`` rounds them (``_unroll.square_sum``).  Below
-  16 entries OpenBLAS's ddot is the chain ``s = fma(v_i, v_i, s)``, which
-  a left-to-right sum of squares misses in about a quarter of random
-  draws; the kernel does each fused multiply-add exactly, with Veltkamp's
-  split and ``math.fsum``.  It calls ``ndarray.dot`` only where the split
-  may lose bits (a nonzero coordinate below about 2^-485, a sum outside
-  (1e-280, 1e280) or not finite) and from 16 entries on, so elsewhere a
-  trajectory does not depend on which dot kernel the machine's BLAS picks.
+- every norm on a flow's path (the error norm, the speed and the
+  tolerance scale) is the square root of the sum of the squares in
+  numpy's order (``_unroll.square_sum``), ``sqrt(np.sum(v * v))`` bit for
+  bit, so no trajectory depends on the machine's BLAS.
 
 Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
 
@@ -64,18 +59,9 @@ Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
   row are taken only for flows that track approach targets, and to name
   the limit;
 - the step cap h <= base / speed, with base half the distance to the
-  catalog clamped to [0.45 eps, 0.25] (0.25 without a sweep), takes the
-  exact speed only where a rough one, the square root of a plain square
-  sum, says that it may bind.  Inside (1e-100, 1e100) the rough speed r
-  and the exact one s are both within (n + 2) 2^-53 of the true norm,
-  since no square overflows and the squares that underflow add less than
-  n 2^-1074 to a sum above 1e-200.  So base / r > h (1 + 1e-6), with each
-  rounding of that test far inside the margin, gives base / s > h: the
-  exact code leaves h as it is, or does not cap at all where s <= 1e-14,
-  and the loop skips it.  base >= 0.45 eps keeps base / r a normal float
-  while eps > 1e-200; smaller balls take the exact speed at every point.
-  Where the test fails, the exact speed is computed once per point and
-  kept across rejected retries;
+  catalog clamped to [0.45 eps, 0.25] (0.25 without a sweep), keeps a
+  step from jumping a strict ball.  The speed is taken once per accepted
+  point, beside the size, and kept across rejected retries;
 - the path is one flat list, which ``integrate`` reshapes once.
 
 A descending flow may also carry a level trap (``trap_family``, its
@@ -102,20 +88,14 @@ curve read needs its path up to the ball.  A flow without a trap keeps
 every bit.
 
 A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
-costs 4.1-4.5 us per step unrecorded, as counts fly it, and 4.3-4.8 us
-recorded; a loose one (61 steps) costs 4.3-4.8 us.  One square root per
-point in place of one per catalog row saves 0.08-0.09 us of a recorded
-step, less than the spread between runs (the fastest of 15 batches of
-the 408 branch flows of 51 T2 amplitudes, interleaved with the loop that
-took a root per row in one process, two runs on a shared 2-CPU machine,
-Python 3.11).  A step on numpy adapters (a strict sphere-band flow)
-costs about 32 us, most of it in the six field calls.  The trap test
-costs less than the spread between runs (a trap that never fires: 3.77-
-3.80 us per step against 3.76-3.84 us without).  A trapped descending T2
-branch flight flies 25 steps on average against 113, in 0.11-0.12 ms
-against 0.42-0.48 ms untrapped (the fastest of 15 batches of the 204
-descending branch flights of the 51 amplitudes, three runs, same
-machine).
+costs 3.1 us per step unrecorded, as counts fly it, and 3.3-3.4 us
+recorded; a loose one (61 steps) costs 3.5 us (the fastest of 15 batches
+of the 408 branch flows of 51 T2 amplitudes, three processes, a shared
+2-CPU machine, Python 3.11).  A step on numpy adapters (a strict
+sphere-band flow) costs about 32 us, most of it in the six field calls.
+The trap test costs less than the spread between runs, and a trapped
+descending T2 branch flight flies 25 steps on average against 113 (the
+204 descending branch flights of the 51 amplitudes).
 """
 
 from __future__ import annotations
@@ -141,14 +121,6 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-# The lazy speed (module docstring): the rough speed is trusted inside
-# (_ROUGH_FLOOR, _ROUGH_TOP), for balls wider than _BASE_FLOOR, and the test
-# that skips the exact speed holds a relative _MARGIN in hand
-_ROUGH_FLOOR = 1e-100
-_ROUGH_TOP = 1e100
-_BASE_FLOOR = 1e-200
-_MARGIN = 1e-6
 
 CONVERGED = "converged"
 MAX_TIME = "max_time"
@@ -196,8 +168,7 @@ def _step_lines(n, field):
     ``field``: the stage coefficients h a, then each stage point z = x + (h
     a_0) k_0 + (h a_1) k_1 + ..., summed left to right over the nonzero
     tableau entries, and its field k_s; then the fifth-order point y, its
-    difference d from the fourth-order one, and ``err``, the norm of d,
-    with its square sum rounded as ``ndarray.dot`` rounds it
+    difference d from the fourth-order one, and ``err``, the norm of d
     (``square_sum``)."""
     rows = [("a%d" % s, row) for s, row in enumerate(_CK_A)]
     rows += [("b", _CK_B5), ("e", _CK_B4)]
@@ -215,8 +186,7 @@ def _step_lines(n, field):
     lines += ["y%d = %s" % (i, combo("b", _CK_B5, i)) for i in range(n)]
     lines += ["d%d = y%d - (%s)" % (i, i, combo("e", _CK_B4, i))
               for i in range(n)]
-    return lines + [line[4:] for line in square_sum("d", n)] + [
-        "err = sqrt(ss)"]
+    return lines + ["err = sqrt(%s)" % square_sum("d", n)]
 
 
 def _loop_template(n, families):
@@ -297,12 +267,8 @@ def _loop_template(n, families):
               "    steps = 0",
               "    slack = 1e-9 + 50.0 * rtol",
               "    fresh = True"]
-    if sweep is not None:
-        lines += ["    floor = 0.45 * eps",
-                  "    top = %r if floor > %r else 0.0" % (_ROUGH_TOP,
-                                                         _BASE_FLOOR)]
-    else:
-        lines += ["    base = 0.25", "    top = %r" % _ROUGH_TOP]
+    lines += ["    floor = 0.45 * eps" if sweep is not None
+              else "    base = 0.25"]
     converged = "return %r, limit, t, %s, times, path, fvals, closest, " \
                 "steps" % (CONVERGED, x)
     if sweep is not None:
@@ -313,24 +279,15 @@ def _loop_template(n, families):
               "            h = rest",
               "        if fresh:"]
     lines += block(3, field.write(n, "x", "k0_", "F"))
-    lines += ["            rough = sqrt(%s)" % " + ".join(
-        "k0_%d * k0_%d" % (i, i) for i in range(n)),
-              "            speed = None"]
-    lines += block(2, square_sum("x", n))
-    lines += ["            size = sqrt(ss)",
+    lines += ["            speed = sqrt(%s)" % square_sum("k0_", n),
+              "            size = sqrt(%s)" % square_sum("x", n),
               "            scale = atol + rtol * (size if size > 1.0 else 1.0)",
               "            fresh = False",
-              # the step never jumps a strict ball: h speed stays below
-              # base; the exact speed is needed only where the cap may bind
-              "        if not (%r < rough < top and base / rough > h * %r):"
-              % (_ROUGH_FLOOR, 1.0 + _MARGIN),
-              "            if speed is None:"]
-    lines += block(3, square_sum("k0_", n))
-    lines += ["                speed = sqrt(ss)",
-              "            if speed > 1e-14:",
-              "                cap = base / speed",
-              "                if cap < h:",
-              "                    h = cap"]
+              # the step never jumps a strict ball: h speed stays below base
+              "        if speed > 1e-14:",
+              "            cap = base / speed",
+              "            if cap < h:",
+              "                h = cap"]
     lines += block(2, _step_lines(n, field))
     lines += ["        if err > scale and h > h_min:",
               "            h = 0.5 * h * (scale / (err + 1e-300)) ** 0.2",

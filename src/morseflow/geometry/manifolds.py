@@ -79,15 +79,15 @@ class SphereModel(ManifoldModel):
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        nrm = np.linalg.norm(x)
+        nrm = math.sqrt(float(np.sum(x * x)))
         if nrm < 1e-12:
             raise GeometryError("cannot project the origin to the sphere")
         return x / nrm
 
     def project_floats(self, x):
-        """``project`` on a list of floats: the norm kernel gives
-        ``np.linalg.norm``'s sqrt of the BLAS dot bit for bit, and numpy
-        divides each coordinate by it as Python does."""
+        """``project`` on a list of floats: the norm kernel gives the sqrt
+        of ``np.sum(x * x)`` bit for bit, and numpy divides each coordinate
+        by it as Python does."""
         nrm = unrolled(norm_template, len(x))(x)
         if nrm < 1e-12:
             raise GeometryError("cannot project the origin to the sphere")

@@ -624,6 +624,8 @@ class TestOpCommands:
         (("op", "umkehr"), "torus.cfg", "--embedding", "factor:0:inf:0"),
         (("op", "thom"), "sphere.cfg", "--bundle", "trivial:q"),
         (("op", "thom"), "sphere.cfg", "--bundle", "trivial:-1"),
+        # the rank is the one field: before, this ran as rank 1
+        (("op", "thom"), "sphere.cfg", "--bundle", "trivial:1:2"),
         (("op", "nu"), "fig8.graph", "--input", "x10")])
     def test_malformed_spec_is_a_parse_error(self, capsys, label_args,
                                              command, path, option, spec):
@@ -638,6 +640,81 @@ class TestOpCommands:
         error = json.loads(err)["error"]
         assert (error["type"], error["code"]) == ("ParseError", 2)
         assert repr(spec) in error["message"]
+
+    @pytest.mark.parametrize("command", ["thom", "euler"])
+    def test_tangent_bundle_of_a_product_is_refused(self, capsys, tmp_path,
+                                                    command):
+        # before, a product was taken for a sphere: thom exited 3 on a
+        # projector that is not idempotent, euler 5 on orientation
+        cfg = tmp_path / "product.cfg"
+        cfg.write_text("kind product\nfactor torus dim=1\n"
+                       "factor sphere-band dim=2\n")
+        argv = ["op", command, str(cfg), "--bundle", "tangent"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "ProductModel" in err
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == (
+            "StructuralValidationError", 3)
+        assert "--bundle tangent" in error["message"]
+
+    def test_csv_without_table_is_a_parse_error(self, capsys, tmp_path,
+                                                fig8_file, label_args):
+        # before, --csv with --input wrote nothing and exited 0
+        csv = tmp_path / "out.csv"
+        argv = ["op", "nu", fig8_file, *label_args, "--input", "x10,x01",
+                "--csv", str(csv)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--table" in err
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ParseError"
+        assert not csv.exists()
+
+
+class TestUnwritableOutputs:
+    """An output path in a missing directory is a parse error (exit 2)
+    that names the path, plain and under ``--json``; before, each of
+    these ended in a FileNotFoundError traceback."""
+
+    @pytest.fixture
+    def cases(self, tmp_path, fig8_file):
+        band = os.path.join(DATA, "band.cfg")
+        torus = os.path.join(DATA, "torus.cfg")
+        labels = []
+        for i, phases in enumerate(("0.0 0.0", "0.9 1.3", "-0.7 0.55")):
+            p = tmp_path / ("label%d.cfg" % i)
+            p.write_text("kind torus\ndim 2\namplitudes 1.0 0.7\n"
+                         "phases %s\n" % phases)
+            labels += ["--label", str(p)]
+        return {
+            "probe": ["geom", "probe", torus, "--seeds", "2",
+                      "--trajectories-csv"],
+            "connections": ["geom", "connections", torus, "--source", "x10",
+                            "--target", "x00", "--csv"],
+            "matrices": ["homology", band, "--matrices-out"],
+            "summary": ["homology", torus, "--csv"],
+            "table": ["op", "nu", fig8_file, *labels, "--table", "--csv"],
+        }
+
+    @pytest.mark.parametrize("name", ["probe", "connections", "matrices",
+                                      "summary", "table"])
+    def test_missing_directory_is_a_parse_error(self, capsys, tmp_path,
+                                                cases, name):
+        path = str(tmp_path / "no" / "such" / "dir" / "out.txt")
+        argv = cases[name] + [path]
+        code, _out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: cannot write %s" % path)
+        assert "Traceback" not in err
+        code, _out, err = run(capsys, "--json", *argv)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == ("ParseError", 2)
+        assert path in error["message"]
 
 
 GOLDEN_CASES = [

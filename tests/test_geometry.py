@@ -232,6 +232,12 @@ class TestFlow:
             assert t2.point(name).index > 0
 
 
+def norm(v):
+    """The Euclidean norm of an array as the flow loop takes it: the root of
+    ``np.sum(v * v)``."""
+    return math.sqrt(float(np.sum(v * v)))
+
+
 def reference_rk_step(field_fn, x, h, k0):
     """The Cash-Karp step written as numpy vector updates, one stage term
     at a time; the module's kernel must reproduce it bit for bit."""
@@ -249,7 +255,7 @@ def reference_rk_step(field_fn, x, h, k0):
             x5 = x5 + (h * FLOW._CK_B5[j]) * k[j]
         if FLOW._CK_B4[j]:
             x4 = x4 + (h * FLOW._CK_B4[j]) * k[j]
-    return x5, float(np.linalg.norm(x5 - x4))
+    return x5, norm(x5 - x4)
 
 
 def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
@@ -257,8 +263,8 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
                         binds=None):
     """The integration loop as plain Python on numpy points, stepping with
     ``reference_rk_step``: ``field``, ``value``, ``project`` and ``sweep``
-    act on arrays, and every norm is ``np.linalg.norm``, the speed's at
-    every point.  The generated loop of ``integrate`` must give the same
+    act on arrays, and every norm is ``norm``, the speed's at every
+    point.  The generated loop of ``integrate`` must give the same
     flow bit for bit.  ``binds``, a list, gets the step count of each
     attempt whose step the speed cap shortens."""
     x = project(np.asarray(x0, dtype=float))
@@ -298,8 +304,8 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
         h = min(h, t_max - t)
         if v0 is None:
             v0 = field(x)
-            speed = float(np.linalg.norm(v0))
-            scale = tol.atol + tol.rtol * max(1.0, float(np.linalg.norm(x)))
+            speed = norm(v0)
+            scale = tol.atol + tol.rtol * max(1.0, norm(x))
         if speed > 1e-14:
             cap = 0.25 if dmin is None else max(0.45 * tol.eps_conv,
                                                 min(0.25, 0.5 * dmin))
@@ -486,31 +492,30 @@ class TestKernel:
 
 def square_sum_template(n):
     """A kernel that returns the square sum of its n coordinates."""
-    lines = ["def kernel(v):", "    %s= v" % names("v", n)]
-    return "\n".join(lines + square_sum("v", n) + ["    return ss"]) + "\n"
+    return "def kernel(v):\n    %s= v\n    return %s\n" % (
+        names("v", n), square_sum("v", n))
 
 
-# the split's exact range ends near 2^-485: below it lo * lo may underflow
-SPLIT_EDGE = 2.0 ** -485
+# a coordinate whose square, 2^-970, lies near the bottom of the normal
+# range, which ends at 2^-1022
+TINY = 2.0 ** -485
 SPECIAL_COORDS = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1022, 1e-300,
-     math.nextafter(SPLIT_EDGE, 0.0), SPLIT_EDGE,
-     math.nextafter(SPLIT_EDGE, 1.0), -SPLIT_EDGE, 1.5 * SPLIT_EDGE,
-     0.75 * SPLIT_EDGE, 1e154, 1.3e154, 1e160, 1e300, 1.7e308,
+     math.nextafter(TINY, 0.0), TINY,
+     math.nextafter(TINY, 1.0), -TINY, 1.5 * TINY,
+     0.75 * TINY, 1e154, 1.3e154, 1e160, 1e300, 1.7e308,
      math.inf, -math.inf, math.nan])
 
 
-# lo * lo of the middle coordinate, 2^-1076, underflows to zero; it decides
-# a tie at the second step, and that last bit a tie at the third, in a sum
-# well inside the kernel's window: only the guard on coordinates below
-# 2^-485 keeps this one on BLAS's bits
-UNDERFLOW_TIE = [float.fromhex(h) for h in (
+# three tiny coordinates whose sum of squares a fused multiply-add chain
+# rounds one bit higher than np.sum(v * v), which rounds each square first
+FUSED_TIE = [float.fromhex(h) for h in (
     "0x1.000000000000ep-485", "0x1.0000000000001p-486",
     "0x1.019ce4c605a80p-465")]
 
 
 @st.composite
-def dot_vectors(draw):
+def square_sum_vectors(draw):
     """1 to 10 coordinates: uniform at a scale from 1e-160 to 1e150, mixed
     with the special values, integers and powers of two."""
     n = draw(st.integers(1, 10))
@@ -525,42 +530,40 @@ def dot_vectors(draw):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestSquareSum:
-    """The square sum of the step's error and the norm of the speed and of
-    the state equal BLAS's ``ndarray.dot`` bit for bit, where the
-    fused multiply-adds are emulated and where the kernel hands over to
-    BLAS."""
+    """The square sum of the step's error, of the speed and of the state,
+    and the norm kernel, equal ``np.sum(v * v)`` and its root bit for bit,
+    overflow, inf, nan and signed zeros included."""
 
-    # fsum meets inf - inf, and a finite sum that overflows
+    # a square that overflows, and a finite sum that does
     @example([1.0, 1e160])
     @example([1.3e154, 1.3e154])
-    @example(UNDERFLOW_TIE)
-    @example([1.0, 0.75 * SPLIT_EDGE])
+    @example(FUSED_TIE)
+    @example([1.0, 0.75 * TINY])
     @example([0.0, -0.0])
     @settings(max_examples=600, derandomize=True, deadline=None,
               database=None)
-    @given(dot_vectors())
-    def test_square_sum_is_the_blas_dot(self, v):
+    @given(square_sum_vectors())
+    def test_square_sum_is_numpys(self, v):
         a = np.array(v)
         assert bits(unrolled(square_sum_template, len(v))(v)) == \
-            bits(a.dot(a))
+            bits(np.sum(a * a))
 
     @settings(max_examples=300, derandomize=True, deadline=None,
               database=None)
-    @given(dot_vectors())
-    def test_norm_is_sqrt_of_the_blas_dot(self, v):
-        a = np.array(v)
+    @given(square_sum_vectors())
+    def test_norm_is_sqrt_of_numpys_sum(self, v):
         assert bits(unrolled(norm_template, len(v))(v)) == \
-            bits(math.sqrt(a.dot(a)))
+            bits(norm(np.array(v)))
 
     @pytest.mark.parametrize("n", [15, 16, 20])
     def test_long_vectors(self, n):
-        # 15 entries is the longest emulated chain; from 16 on the kernel is
-        # the BLAS dot itself
+        # from 8 entries on numpy keeps eight running sums and adds the
+        # entries past the last multiple of 8 after them
         rng = np.random.default_rng(n)
         for _ in range(200):
             a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 3)
             assert bits(unrolled(square_sum_template, n)(a.tolist())) == \
-                bits(a.dot(a))
+                bits(np.sum(a * a))
 
 
 def bits(values):
@@ -611,13 +614,14 @@ def cosine_wells(draw):
 @st.composite
 def sphere_points(draw):
     """2 to 5 coordinates at a scale from 1e-3 to 1e3, mixed with signed
-    zeros and coordinates inside and outside the split's window."""
+    zeros and with coordinates whose squares underflow or lie far from
+    1."""
     n = draw(st.integers(2, 5))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     return draw(st.lists(st.one_of(
         st.floats(-1.0, 1.0).map(lambda u: u * scale),
         st.sampled_from([0.0, -0.0, 1e-160, -1e-160, 5e-324,
-                         math.nextafter(SPLIT_EDGE, 0.0), 1e150, -1e150])),
+                         math.nextafter(TINY, 0.0), 1e150, -1e150])),
         min_size=n, max_size=n))
 
 
@@ -745,8 +749,8 @@ class TestFloatKernels:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @SETTINGS
     @given(x=sphere_points())
-    # the split's window: a coordinate below 2^-485, and a square sum past
-    # 1e280, hand over to the BLAS dot; a norm below 1e-12 raises
+    # a square that underflows, square sums near and past overflow, and
+    # norms below 1e-12, which raise
     @example(x=[1.0, 1e-160, -0.5])
     @example(x=[1e150, -2e150, 0.0])
     @example(x=[-0.0, 1e200])
@@ -916,10 +920,10 @@ def branch_starts(system):
     return out
 
 
-class TestLazySpeed:
-    """The loop takes the exact speed only where a rough square sum says
-    the step cap may bind; the reference loop takes it at every point, and
-    every flow must equal it bit for bit."""
+class TestSpeedCap:
+    """The step cap, base / speed, shortens steps on steep, flat and
+    tiny-ball flows; each flow must equal the reference loop's bit for
+    bit."""
 
     @staticmethod
     def pair(system, x, direction, sweep_rows, **kw):
@@ -964,8 +968,8 @@ class TestLazySpeed:
 
     @pytest.mark.parametrize("name", ["t2", "band2"])
     def test_flows_from_a_critical_point(self, name):
-        # the field vanishes, or nearly, at the start: the rough speed is
-        # below the window or the exact one below 1e-14, and nothing caps
+        # the field vanishes, or nearly, at the start: the speed is at or
+        # below 1e-14, and nothing caps
         system = {"t2": lambda: torus_cosine(2, [1.0, 0.7]),
                   "band2": lambda: sphere_band(2)}[name]()
         zero = 0
@@ -982,10 +986,10 @@ class TestLazySpeed:
         assert zero > 0 or name == "band2"
 
     @pytest.mark.parametrize("scale", [1e-120, 1e120])
-    def test_speeds_outside_the_rough_window(self, scale):
-        # rough speeds below 1e-100 or above 1e100 take the exact speed;
-        # wells this flat or steep fail a catalog's checks, so the flows
-        # sweep their critical points by hand
+    def test_flat_and_steep_wells(self, scale):
+        # speeds near 1e-120 and 1e120, whose squares underflow or
+        # overflow; wells this flat or steep fail a catalog's checks, so
+        # the flows sweep their critical points by hand
         amps, phis = [scale, 0.7 * scale], [0.0, 0.0]
         f, field = numpy_cosine(amps, phis, 0.0, 0.0)
         system = SimpleNamespace(
@@ -1004,9 +1008,8 @@ class TestLazySpeed:
                                        approach_targets=[0, 3])
                     assert res.steps > 3
 
-    def test_balls_below_the_floor(self):
-        # a ball radius below 1e-200 may make base / rough subnormal: every
-        # point takes the exact speed
+    def test_tiny_balls(self):
+        # a ball radius of 1e-250 makes base, and so the cap, tiny
         system = torus_cosine(2, [1.0, 0.7],
                               tol=Tolerances(eps_conv=1e-250))
         rng = np.random.default_rng(4)
