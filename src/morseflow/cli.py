@@ -5,6 +5,9 @@ command-line spec), 3 structural/validation or outside the supported
 counting family, 4 counting incomplete, 5 transversality or count
 instability, 1 other.  Under ``--json`` a failure is one JSON object on
 stderr (``_error_payload``).
+Output files (``--trajectories-csv``, ``--csv``, ``--matrices-out``) are
+written before the result is printed, so a path that cannot be written
+exits 2 with nothing on standard output.
 JSON output is key-sorted and the computations are deterministic, so
 repeated runs emit identical bytes.
 """
@@ -173,6 +176,12 @@ def cmd_geom_probe(args):
         raise ParseError("--seed must not be negative, not %d" % args.seed)
     system = parse_system_config(_read(args.config))
     stats = probe_limits(system, args.seeds, seed=args.seed)
+    if args.trajectories_csv:
+        rng = np.random.default_rng(args.seed)
+        flows = [flow(system, system.manifold.random_point(rng), +1)
+                 for _ in range(min(args.seeds, 8))]
+        _write_trajectories_csv(args.trajectories_csv, system,
+                                ((r.times, r.points) for r in flows))
     payload = {"system": system.name, "seeds": args.seeds,
                "forward": stats["forward"], "backward": stats["backward"],
                "unresolved": stats["unresolved"]}
@@ -185,12 +194,6 @@ def cmd_geom_probe(args):
         lines.append("  %s: %d" % (name, stats["backward"][name]))
     lines.append("unresolved: %d" % stats["unresolved"])
     _emit(args, payload, lines)
-    if args.trajectories_csv:
-        rng = np.random.default_rng(args.seed)
-        flows = [flow(system, system.manifold.random_point(rng), +1)
-                 for _ in range(min(args.seeds, 8))]
-        _write_trajectories_csv(args.trajectories_csv, system,
-                                ((r.times, r.points) for r in flows))
     return 0
 
 
@@ -210,6 +213,9 @@ def cmd_geom_connections(args):
     x = system.point(args.source)
     y = system.point(args.target)
     found = connection_lines(system, x, y)
+    if args.csv:
+        _write_trajectories_csv(
+            args.csv, system, ((times, pts) for _u, times, pts in found))
     dirs = [u for u, _times, _pts in found]
     payload = {"source": args.source, "target": args.target,
                "count": len(dirs),
@@ -217,9 +223,6 @@ def cmd_geom_connections(args):
     lines = ["%d flow line(s) from %s to %s"
              % (len(dirs), args.source, args.target)]
     _emit(args, payload, lines)
-    if args.csv:
-        _write_trajectories_csv(
-            args.csv, system, ((times, pts) for _u, times, pts in found))
     return 0
 
 
@@ -260,26 +263,7 @@ def cmd_homology(args):
                   "total": pair.total}
     else:
         blocks = {"total": boundary_operator(system, ring=ring)}
-    payload = {"system": system.name, "ring": ring, "blocks": {}}
-    lines = ["%s (ring %s)" % (system.name, ring)]
     homologies = {label: homology(cx) for label, cx in blocks.items()}
-    for label, cx in sorted(blocks.items()):
-        h = homologies[label]
-        degrees = cx.degrees()
-        entry = {
-            "generators": {str(p): list(cx.labels(p)) for p in degrees},
-            "betti": {str(p): h.betti(p) for p in degrees},
-            "torsion": {str(p): list(h.torsion(p)) for p in degrees},
-            "differentials": {str(p): cx.map_from(p).astype(int).tolist()
-                              for p in degrees if cx.map_from(p).size},
-        }
-        payload["blocks"][label] = entry
-        lines.append("%s:" % label)
-        for p in degrees:
-            tor = ("  torsion %s" % (h.torsion(p),)) if h.torsion(p) else ""
-            lines.append("  H_%d: rank %d%s  (generators: %s)"
-                         % (p, h.betti(p), tor, " ".join(cx.labels(p))))
-    _emit(args, payload, lines)
     if args.matrices_out:
         lines = []
         for label, cx in sorted(blocks.items()):
@@ -300,6 +284,25 @@ def cmd_homology(args):
                     ";".join(str(t) for t in h.torsion(p)),
                     ";".join(cx.labels(p))))
         _write(args.csv, lines)
+    payload = {"system": system.name, "ring": ring, "blocks": {}}
+    lines = ["%s (ring %s)" % (system.name, ring)]
+    for label, cx in sorted(blocks.items()):
+        h = homologies[label]
+        degrees = cx.degrees()
+        entry = {
+            "generators": {str(p): list(cx.labels(p)) for p in degrees},
+            "betti": {str(p): h.betti(p) for p in degrees},
+            "torsion": {str(p): list(h.torsion(p)) for p in degrees},
+            "differentials": {str(p): cx.map_from(p).astype(int).tolist()
+                              for p in degrees if cx.map_from(p).size},
+        }
+        payload["blocks"][label] = entry
+        lines.append("%s:" % label)
+        for p in degrees:
+            tor = ("  torsion %s" % (h.torsion(p),)) if h.torsion(p) else ""
+            lines.append("  H_%d: rank %d%s  (generators: %s)"
+                         % (p, h.betti(p), tor, " ".join(cx.labels(p))))
+    _emit(args, payload, lines)
     return 0
 
 
@@ -411,6 +414,8 @@ def cmd_op(args):
         problem = FlowGraphProblem(diagram, labels[:p], labels[p:])
         if args.table:
             table = operation_table(problem, edge_time=args.edge_time)
+            if args.csv:
+                _write_table_csv(args.csv, problem, table)
             payload = {"edge_time": args.edge_time,
                        "table": {"%s,%s" % k: v for k, v in sorted(table.items())}}
             lines = ["operation table (edge time %g):" % args.edge_time]
@@ -419,8 +424,6 @@ def cmd_op(args):
                     lines.append("  %s * %s -> %s" % (k[0], k[1],
                                                       dict(sorted(table[k].items()))))
             _emit(args, payload, lines)
-            if args.csv:
-                _write_table_csv(args.csv, problem, table)
         else:
             chain = _parse_chain(args.input)
             out = diagram_flow_operation(problem, chain,

@@ -10,7 +10,8 @@ need only its side and its limit, and into a top-index point its end
 point (``branch_ends``), so its flow records no nodes, and a descending
 one on uncoupled cosine wells stops once it falls below the second-lowest
 critical value, which proves its limit the minimum
-(``geometry.systems.level_trap``), short of the limit's ball; curve
+(``geometry.systems.level_trap``), short of the limit's ball; an
+ascending one flies into the ball, since its end point is read; curve
 readers (the chord search of chain-map and umkehr entries, and
 ``connection_lines`` for the command line) need its nodes
 (``branches``), so its flow records them up to the ball.  Both are kept
@@ -38,6 +39,13 @@ oriented at each point of a branch by ``Branch.tangent``, the field there
 or, for a curve mapped into the surface, the chord of its image, and a
 top-dimensional one by the orientation class of its point's eigenframe
 (``orientation_class``).
+
+Every other read of a limit alone (the classification flows of the
+figure-8 configurations, ``backward_limit`` and the index-0 entries of
+``hybrid_entry``) goes through ``flow_limit``, which takes the level trap
+in either direction: a descending flow ends once it proves the minimum
+its limit, an ascending one the maximum.  The trapped reads look
+``level_trap`` up in this module, so one patch of it reaches them all.
 """
 
 from __future__ import annotations
@@ -104,6 +112,16 @@ def _resolved(res, what):
                 what, res.status, res.t_end, res.steps),
             status=res.status, t_end=res.t_end, steps=res.steps)
     return res
+
+
+def flow_limit(system, x, direction=+1, loose=False, what="flow"):
+    """The limit of the flow from x in ``direction``, which must converge
+    (``_resolved`` names it ``what``), for readers of the limit alone: the
+    flow records no nodes, tracks no closest passes, and ends where the
+    system's level trap for its direction proves its limit
+    (``level_trap``), short of the limit's ball."""
+    return _resolved(flow(system, x, direction, record=False, loose=loose,
+                          trap=level_trap(system, direction)), what).limit
 
 
 def approach(system, pt, target, direction=+1):
@@ -267,8 +285,11 @@ def _branch_flows(system, cp, direction, record):
     / |lambda|.  So a branch flies for max(t_max, 40 / |lambda|), which
     leaves room for the approach to its limit; a slow eigenvalue, such as
     rim_hi's -eps on the sphere band, gets the time it needs.  A flow that
-    records no nodes is read for its limit alone, so a descending one ends
-    where the system's level trap proves that limit (``level_trap``)."""
+    records no nodes is read for its limit, so a descending one ends where
+    the system's level trap proves that limit (``level_trap``).  An
+    ascending one takes no trap: into a top-index point, ``_branch_lines``
+    reads the line's direction off its ``x_end``, which must lie in the
+    limit's ball."""
     frame = cp.unstable_frame if direction == +1 else cp.stable_frame
     if frame.shape[1] != 1:
         raise GeometryError("%s has no one-dimensional manifold in "
@@ -945,8 +966,7 @@ def point_at_time(system, res, t):
 def backward_limit(system, z):
     """The critical point whose unstable manifold contains z: the limit of
     the backward flow from z, which must converge."""
-    return _resolved(flow(system, z, -1, record=False),
-                     "backward flow from the point").limit
+    return flow_limit(system, z, -1, what="backward flow from the point")
 
 
 def continuation(sys_f, sys_g):
@@ -984,9 +1004,9 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None):
     d = m_cp.index
     if d == 0:
         start = m_cp.point if image is None else image(m_cp.point)
-        res = _resolved(flow(sys_g, start, +1, record=False),
-                        "flow from the image of %s" % m_cp.name)
-        return 1 if res.limit.name == m2_cp.name else 0
+        limit = flow_limit(sys_g, start, +1,
+                           what="flow from the image of %s" % m_cp.name)
+        return 1 if limit.name == m2_cp.name else 0
     man = sys_g.manifold
     if d == man.dim:
         if backward_limit(sys_f, m2_cp.point).name != m_cp.name:

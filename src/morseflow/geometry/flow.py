@@ -64,27 +64,33 @@ Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
   point, beside the size, and kept across rejected retries;
 - the path is one flat list, which ``integrate`` reshapes once.
 
-A descending flow may also carry a level trap (``trap_family``, its
-level from ``systems.level_trap``), which ends it once its limit is
-proven, short of the strict ball.  A descending flow line ends at a
-critical point whose value is at or below its own, so once it lies below
-the second-lowest critical value c_2, its limit is the one critical
-point below c_2, the minimum (Milnor, Morse Theory, section 3).  For
-uncoupled cosine wells f = sum a_i cos(theta_i - phi_i), every a_i > 0,
-the critical points are the 2^n points theta_i - phi_i in {0, pi}, with
-the values -sum a_i + 2 sum of the a_i at 0: the one minimum m = phi +
-pi has -sum a_i, and c_2 = -sum a_i + 2 min a_i.  After each sweep the
-loop tests the driving value alone against the level, c_2 less a margin
-that covers the rounding of the loop's value at any point of the torus,
-and names the catalog row of index 0 the limit.  A trapped flow ends
-CONVERGED at its first accepted point below the level, which may be its
-start, with ``x_end`` anywhere in that sublevel set, not within eps of
-the limit.  Only minima of uncoupled wells are trapped, since only there
-are the critical values closed-form: a coupling term moves them, and
-other systems give none.  Only limit reads take the trap
-(``counting._branch_flows``), and only descending ones: an ascending
-read into a top-index point reads its direction off ``x_end``, and a
-curve read needs its path up to the ball.  A flow without a trap keeps
+A flow may also carry a level trap (``trap_family``, its level from
+``systems.level_trap``), which ends it once its limit is proven, short
+of the strict ball.  A flow line ends at a critical point whose driving
+value is at or below its own, so once it lies below the second-lowest
+critical value c_2 of its driving function, its limit is the one
+critical point below c_2, that function's minimum (Milnor, Morse Theory,
+section 3).  For uncoupled cosine wells f = sum a_i cos(theta_i -
+phi_i), every a_i > 0, the critical points are the 2^n points theta_i -
+phi_i in {0, pi}, with the values -sum a_i + 2 sum of the a_i at 0: the
+one minimum m = phi + pi has -sum a_i, and c_2 = -sum a_i + 2 min a_i.
+An ascending flow drives -f, whose values are f's negated: its minimum
+is f's maximum M = phi, and its c_2 is -(sum a_i - 2 min a_i), the same
+number.  After each sweep the loop tests the driving value alone against
+the level, c_2 less a margin that covers the rounding of the loop's
+value at any point of the torus, and names the trap's catalog row, of
+index 0 descending and of index n ascending, the limit.  A trapped flow
+ends CONVERGED at its first accepted point below the level, which may be
+its start, with ``x_end`` anywhere in that sublevel set, not within eps
+of the limit.  Only extrema of uncoupled wells are trapped, since only
+there are the critical values closed-form: a coupling term moves them,
+and other systems give none.  Only reads of a limit alone take the trap
+(``counting.flow_limit`` and the descending ``counting._branch_flows``):
+an ascending branch read into a top-index point gives
+``find_connections`` its direction off ``x_end``, a curve read needs its
+path up to the ball, ``counting.approach`` needs its closest passes, and
+``probe_limits`` reports the flows that are unresolved at their time
+limit, which a trap would resolve early.  A flow without a trap keeps
 every bit.
 
 A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
@@ -404,8 +410,8 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
 
     ``direction=+1`` descends (integrates the negative gradient), ``-1``
     ascends.  The limit is the catalog point whose strict ball the
-    trajectory enters, or whose level ``trap`` (a descending flow's
-    ``systems.level_trap``; None: none) it passes; the driving
+    trajectory enters, or whose level ``trap`` (``systems.level_trap`` of
+    the system and the same direction; None: none) it passes; the driving
     function is asserted monotone.  ``loose`` switches to coarse step
     control for classification flows whose exact path does not matter.
     """
@@ -528,7 +534,9 @@ def direction_point(system, cp, rho, u):
 
 
 def probe_limits(system, n_seeds, seed=0, t_max=None):
-    """Forward/backward limit statistics over random seed points."""
+    """Forward/backward limit statistics over random seed points.  Its
+    flows take no level trap: it reports the flows that are unresolved at
+    ``t_max``, and a trap would resolve some of them early."""
     rng = np.random.default_rng(seed)
     out = {"forward": {}, "backward": {}, "unresolved": 0}
     for _ in range(n_seeds):

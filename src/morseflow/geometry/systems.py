@@ -385,27 +385,34 @@ WELLS_VALUE = _wells(False, False)
 COUPLED_WELLS_FIELD = _wells(True, True)
 COUPLED_WELLS_VALUE = _wells(True, False)
 
-def level_trap(system):
-    """The level trap (``flow`` module docstring) of the minimum m of
-    uncoupled cosine wells with positive amplitudes on a torus, for
-    descending flows: a ``Kernel`` of ``flow.trap_family`` on the first
-    catalog row of index 0, with the level, or None for any other system.
-    Made on each call; the system keeps nothing.
+def level_trap(system, direction=+1):
+    """The level trap (``flow`` module docstring) of uncoupled cosine wells
+    with positive amplitudes on a torus, for flows in ``direction``: a
+    ``Kernel`` of ``flow.trap_family`` on the first catalog row of index 0,
+    the minimum m, for descending flows (+1), or of index n, the maximum M,
+    for ascending ones (-1), with the level; None where that row is
+    missing, and for any other system.  Made on each call; the system
+    keeps nothing.
 
     The wells' critical values are closed-form, the second-lowest c_2 =
     -sum a_i + 2 min a_i, and the descending flow from every point whose
-    value lies below c_2 ends at m, the row's point.  The test compares
-    rounded numbers, so the level lies below c_2 by a margin that covers
-    them, at any point of the torus (|theta_i| <= 2 pi after the loop's
-    wrap), not only near m.  The loop's value rounds each difference
-    theta_i - phi_i by at most 2^-53 (2 pi + |phi_i|), which moves its
-    cosine by no more; the cosine itself rounds by at most 2^-52, the
-    product with a_i by 2^-53 a_i, and the sum of the n terms by (n - 1)
-    2^-53 sum a_i.  So the value is within 2^-53 sum a_i (n + 10 + |phi_i|)
-    of f.  The level, computed as -sum a_i + 2 min a_i less the margin,
-    rounds by at most (n + 1) 2^-53 sum a_i.  The margin 2^-50 sum a_i (n
-    + 8 + |phi_i|) = 2^-53 sum a_i (8n + 64 + 8 |phi_i|) exceeds both
-    together, so a point whose value passes the level has f below c_2."""
+    value lies below c_2 ends at m.  An ascending flow drives -f, whose
+    critical values are those of f negated: its second-lowest is -(sum a_i
+    - 2 min a_i), the same c_2, and its flow from every point whose -f lies
+    below c_2 ends at M.  The loop's -f is its f negated, bit for bit
+    (negation commutes with rounding), so one level and one margin serve
+    both directions.  The test compares rounded numbers, so the level lies
+    below c_2 by a margin that covers them, at any point of the torus
+    (|theta_i| <= 2 pi after the loop's wrap), not only near m.  The
+    loop's value rounds each difference theta_i - phi_i by at most 2^-53
+    (2 pi + |phi_i|), which moves its cosine by no more; the cosine itself
+    rounds by at most 2^-52, the product with a_i by 2^-53 a_i, and the
+    sum of the n terms by (n - 1) 2^-53 sum a_i.  So the value is within
+    2^-53 sum a_i (n + 10 + |phi_i|) of f.  The level, computed as -sum
+    a_i + 2 min a_i less the margin, rounds by at most (n + 1) 2^-53 sum
+    a_i.  The margin 2^-50 sum a_i (n + 8 + |phi_i|) = 2^-53 sum a_i (8n +
+    64 + 8 |phi_i|) exceeds both together, so a point whose value passes
+    the level has f below c_2 (or -f, ascending)."""
     wells, man = system.f, system.manifold
     # the loop's driving value must be f itself, which a subclass's
     # kernels need not give
@@ -414,11 +421,12 @@ def level_trap(system):
         return None
     indices = system.catalog["index"].tolist()
     amps, phis = wells.params.tolist()
-    if 0 not in indices or min(amps) <= 0.0:
+    index = 0 if direction == +1 else len(amps)
+    if index not in indices or min(amps) <= 0.0:
         return None
     margin = 2.0 ** -50 * sum(a * (len(amps) + 8 + abs(p))
                               for a, p in zip(amps, phis))
-    return Kernel(trap_family(indices.index(0)),
+    return Kernel(trap_family(indices.index(index)),
                   -sum(amps) + 2.0 * min(amps) - margin)
 
 

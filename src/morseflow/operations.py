@@ -24,12 +24,12 @@ import numpy as np
 
 from .complexes import GradedComplex, chain_map_defect, homology
 from .counting import (
-    approach,
     backward_limit,
     boundary_operator,
     branches,
     continuation,
     curve_intersections,
+    flow_limit,
     graded_matrices,
     hybrid_entry,
     keeping,
@@ -661,12 +661,14 @@ def _aux_time_map(problem, x, edge_time, direction=+1):
 
 
 def _flows_into(system, x, cp, direction=+1):
-    """Whether the loose flow from x in ``direction`` ends at cp.  A limit
-    of another index than cp's puts x on a manifold of lower dimension
-    than cp's, so x is not a configuration in general position, and
-    "no" would be a wrong count: it raises ``TransversalityError``."""
-    name = approach(system, x, cp, direction)[0]
-    limit = system.point(name)
+    """Whether the loose flow from x in ``direction`` ends at cp, read by
+    ``counting.flow_limit`` under the level trap.  A limit of another
+    index than cp's puts x on a manifold of lower dimension than cp's, so
+    x is not a configuration in general position, and "no" would be a
+    wrong count: it raises ``TransversalityError``."""
+    limit = flow_limit(system, x, direction, loose=True,
+                       what="classification flow")
+    name = limit.name
     if limit.index != cp.index:
         raise TransversalityError(
             "the %s flow of %s from %s ends at %s of index %d, not at an "

@@ -557,12 +557,14 @@ class TestOpCommands:
             self, capsys, fig8_file, label_args, monkeypatch):
         # classification flows capped at t = 1e-3 stop unresolved; the
         # error carries the flow's status, end time and step count, on the
-        # exception and in the --json payload
+        # exception and in the --json payload.  The cap also takes their
+        # level trap, which proves some limits at a flow's first points
         real = counting.flow
 
         def capped(*args, **kwargs):
             if kwargs.get("loose"):
                 kwargs["t_max"] = 1e-3
+                kwargs["trap"] = None
             return real(*args, **kwargs)
 
         monkeypatch.setattr(counting, "flow", capped)
@@ -715,6 +717,19 @@ class TestUnwritableOutputs:
         error = json.loads(err)["error"]
         assert (error["type"], error["code"]) == ("ParseError", 2)
         assert path in error["message"]
+
+    @pytest.mark.parametrize("name", ["probe", "connections", "matrices",
+                                      "summary", "table"])
+    def test_a_failed_write_prints_nothing(self, capsys, tmp_path, cases,
+                                           name):
+        # the file is written before the result is printed; before, the
+        # whole result reached stdout, and under --json stdout held a
+        # success object while stderr held the error object
+        path = str(tmp_path / "missing" / "out.txt")
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *flags, *cases[name], path)
+            assert (code, out) == (2, "")
+            assert path in err
 
 
 GOLDEN_CASES = [

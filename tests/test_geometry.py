@@ -1019,21 +1019,29 @@ class TestSpeedCap:
                 self.pair(system, x, +1, system.points, t_max=5.0, tol=tol)
 
 
-def trap_limit(system, x):
-    """The name of the catalog point whose level trap takes x, by the
-    loop's own test (a flow of no time), or None."""
-    res = flow(system, x, +1, t_max=0.0, record=False,
-               trap=level_trap(system))
+def trap_limit(system, x, direction=+1):
+    """The name of the catalog point whose level trap for ``direction``
+    takes x, by the loop's own test (a flow of no time), or None."""
+    res = flow(system, x, direction, t_max=0.0, record=False,
+               trap=level_trap(system, direction))
     return res.limit.name if res.status == CONVERGED else None
 
 
+def extremum(system, direction):
+    """The point of a torus catalog that its level trap for ``direction``
+    names: the minimum descending, the maximum ascending."""
+    top = system.manifold.dim
+    return system.by_index(0 if direction == +1 else top)[0]
+
+
 @st.composite
-def trapped_points(draw):
+def trapped_points(draw, direction=+1):
     """(system, point): a phased, uncoupled T2 or T3 catalog, its
-    amplitudes often tied, and a point that its level trap takes.  The
-    point is drawn anywhere on the torus; where the trap does not take it,
-    the last point that the trap takes on the segment from the minimum m
-    towards it, to 2^-40 of its length, which lies at the level."""
+    amplitudes often tied, and a point that its level trap for
+    ``direction`` takes.  The point is drawn anywhere on the torus; where
+    the trap does not take it, the last point that the trap takes on the
+    segment from the trap's extremum (``extremum``) towards it, to 2^-40
+    of its length, which lies at the level."""
     n = draw(st.sampled_from([2, 3]))
     pool = draw(st.lists(st.floats(0.3, 1.0), min_size=1, max_size=n))
     amps = [draw(st.sampled_from(pool)) for _ in range(n)]
@@ -1042,13 +1050,14 @@ def trapped_points(draw):
     x = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n,
                                max_size=n)))
     system = torus_cosine(n, amps, phases)
-    if trap_limit(system, x) is None:
-        m = system.by_index(0)[0].point
+    if trap_limit(system, x, direction) is None:
+        m = extremum(system, direction).point
         d = system.manifold.displacement(m, x)
         inside, outside = 0.0, 1.0
         for _ in range(40):
             mid = 0.5 * (inside + outside)
-            if trap_limit(system, system.manifold.project(m + mid * d)):
+            if trap_limit(system, system.manifold.project(m + mid * d),
+                          direction):
                 inside = mid
             else:
                 outside = mid
@@ -1059,8 +1068,9 @@ def trapped_points(draw):
 class TestLevelTrap:
     """A descending flow on uncoupled cosine wells may end where the level
     trap of the minimum m takes it: below the second-lowest critical value
-    c_2, less a rounding margin, anywhere on the torus.  The trap proves
-    the limit; flows without it keep every bit."""
+    c_2, less a rounding margin, anywhere on the torus.  An ascending one
+    may end where the trap of the maximum M takes it: -f below the same
+    level.  The trap proves the limit; flows without it keep every bit."""
 
     @settings(max_examples=80, derandomize=True, deadline=None,
               database=None)
@@ -1110,6 +1120,55 @@ class TestLevelTrap:
         assert trap_limit(system, down) == system.by_index(0)[0].name
         assert trap_limit(system, up) is None
 
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              database=None)
+    @given(drawn=trapped_points(-1))
+    @example(drawn=(torus_cosine(2, [0.7, 0.7]),
+                    np.array([3.0, 1.6]) - np.pi))
+    def test_a_full_ascending_flow_from_a_trapped_point_converges_to_M(
+            self, drawn):
+        system, x = drawn
+        top = extremum(system, -1)
+        limit = trap_limit(system, x, -1)
+        # a point within eps of a saddle is that saddle's, by the strict
+        # ball, which the loop tests first
+        assume(limit == top.name)
+        assert -system.f(x) < level_trap(system, -1).args[0]
+        res = flow(system, x, -1, t_max=1e3, record=False)
+        assert res.status == CONVERGED and res.limit.name == top.name
+
+    @pytest.mark.parametrize("amps", [[1.0, 0.7], [0.7, 1.0], [0.7, 0.7],
+                                      [1.0, 0.7, 0.55]])
+    def test_points_below_the_level_escape(self, amps):
+        n = len(amps)
+        system = torus_cosine(n, amps, phases=[0.4] * n)
+        values = sorted(set(system.catalog["value"].tolist()))
+        # -f's level is f's descending one: -(sum a_i - 2 min a_i)
+        (level,) = level_trap(system, -1).args
+        assert level == level_trap(system).args[0]
+        assert -values[-1] < level < -values[-2]
+        assert -values[-2] - level < 1e-13
+        # the top saddle, at the second-highest value: up its stable
+        # direction the ascending trap takes a point, down its unstable
+        # directions it does not
+        s = next(cp for cp in system.by_index(n - 1)
+                 if cp.value == values[-2])
+        up = s.point + 1e-3 * s.stable_frame[:, 0]
+        assert trap_limit(system, up, -1) == system.by_index(n)[0].name
+        for j in range(n - 1):
+            down = s.point + 1e-3 * s.unstable_frame[:, j]
+            assert trap_limit(system, down, -1) is None
+
+    def test_a_catalog_without_the_extremum_has_no_trap(self):
+        # the trap names a catalog row; a hand-built catalog that lists
+        # no maximum gives the ascending flows none
+        full = torus_cosine(2, [1.0, 0.7])
+        system = MorseSystem(full.manifold, full.f, full.grad, [
+            CriticalPoint(cp.name, cp.point, cp.index)
+            for cp in full.critical_points if cp.index < 2])
+        assert level_trap(system) is not None
+        assert level_trap(system, -1) is None
+
     @pytest.mark.parametrize("make", [
         lambda: torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=3),
         lambda: sphere_band(2),
@@ -1117,7 +1176,9 @@ class TestLevelTrap:
         lambda: uphill_torus()], ids=["perturbed", "band", "s1xs2-band",
                                       "subclass"])
     def test_only_uncoupled_wells_have_a_trap(self, make):
-        assert level_trap(make()) is None
+        system = make()
+        assert level_trap(system) is None
+        assert level_trap(system, -1) is None
 
     @pytest.mark.parametrize("phases", [None, [0.3, 1.9]])
     def test_untrapped_reads_match_the_reference_loop(self, phases,

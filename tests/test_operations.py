@@ -778,3 +778,103 @@ class TestOrientationConvention:
         # magnitudes and the square-zero identity are convention-free
         assert [abs(int(v)) for v in d_flip.flat] == \
             [abs(int(v)) for v in d_base.flat]
+
+
+def embedding_draws(count, seed):
+    """``count`` seeded draws as the ``embedding-maps`` benchmark workload
+    makes them: a factor circle of a phased T2 of amplitudes (1.0, 0.7),
+    with a seeded axis, level and phase, and a second phased T2 to
+    continue to, as (embedding, target)."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        u = 2.0 * np.pi * rng.uniform(size=7)
+        t2 = torus_cosine(2, [1.0, 0.7], phases=u[0:2])
+        try:
+            emb = torus_factor_circle(t2, fixed_axis=int(u[2] > np.pi),
+                                      level=u[3], phase=u[4])
+        except StructuralValidationError:
+            continue
+        draws.append((emb, torus_cosine(2, [1.0, 0.7], phases=u[5:7])))
+    return draws
+
+
+def matrices(mats):
+    return {p: m.astype(int).tolist() for p, m in mats.items()}
+
+
+class TestTrappedLimitReads:
+    """Classification flows, backward limits and index-0 chain-map entries
+    read a limit alone (``counting.flow_limit``), under the level trap of
+    their direction; every integer they give equals the untrapped
+    reads'."""
+
+    @staticmethod
+    def untrapped(monkeypatch):
+        monkeypatch.setattr(counting, "level_trap",
+                            lambda system, direction=+1: None)
+
+    @staticmethod
+    def trapped_flows(monkeypatch):
+        """A list that gets each flow launched with a level trap."""
+        real, trapped = counting.flow, []
+
+        def spy(*args, **kwargs):
+            if kwargs.get("trap") is not None:
+                trapped.append(args[2] if len(args) > 2
+                               else kwargs.get("direction", +1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "flow", spy)
+        return trapped
+
+    def test_tables_equal_the_untrapped_ones(self, monkeypatch):
+        # the 16 quarter-turn shifts of the criterion-7 labels at R = 0,
+        # and the unshifted labels at R = 1
+        runs = [(phased_problem((CRITERION7_PHASES
+                                 + 2.0 * np.pi * np.array(shift))
+                                % (2.0 * np.pi)), 0.0)
+                for shift in QUARTER_TURNS]
+        runs.append((phased_problem(CRITERION7_PHASES), 1.0))
+        trapped = self.trapped_flows(monkeypatch)
+        tables = [operation_table(problem, edge_time=R)
+                  for problem, R in runs]
+        # both directions of the configuration reads take the trap
+        assert {+1, -1} <= set(trapped)
+        self.untrapped(monkeypatch)
+        trapped.clear()
+        assert [operation_table(problem, edge_time=R)
+                for problem, R in runs] == tables
+        assert trapped == []
+        for table in tables:
+            assert_oracle_table(table)
+
+    def test_embedding_maps_equal_the_untrapped_ones(self, monkeypatch):
+        draws = embedding_draws(3, seed=25)
+
+        def maps():
+            return [(matrices(pushforward(emb)), matrices(umkehr(emb)),
+                     matrices(continuation(emb.codomain, target)))
+                    for emb, target in draws]
+
+        trapped = self.trapped_flows(monkeypatch)
+        got = maps()
+        assert trapped
+        self.untrapped(monkeypatch)
+        assert maps() == got
+
+    def test_configuration_reads_track_no_closest_passes(self, monkeypatch):
+        # a configuration asks for a limit alone: no flow of the table
+        # tracks approach targets, and each loose one carries a trap
+        real, loose = counting.flow, []
+
+        def spy(*args, **kwargs):
+            assert kwargs.get("approach_targets") is None
+            if kwargs.get("loose"):
+                loose.append(kwargs.get("trap"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "flow", spy)
+        monkeypatch.setattr(counting, "approach", None)
+        operation_table(phased_problem(CRITERION7_PHASES), edge_time=1.0)
+        assert loose and None not in loose
