@@ -18,13 +18,20 @@ readers (the chord search of chain-map and umkehr entries, and
 in the store of the outermost public call that flew them (``keeping``),
 and a limit read after a curve read reads the curve: no call flies a
 branch twice.
-Otherwise, from index 2, the unstable circle of x is shot on a lattice,
-sign changes of an offset are bisected, and each candidate is verified by
-strict convergence into y; only this search has a resolution, so only it
-passes the doubling gate (``gated``), which recounts at doubled resolution
-and raises on any change.  Every other pair raises ``UnsupportedPairError``
-(exit status 3); ``boundary_operator`` asks the rule about every pair before
-its first count, so it refuses before launching a flow.  Index-1 chain-map
+Otherwise, on a 3-manifold, x has index 2 and y index 1, and a line
+crosses each level f = c between f(y) and f(x) once: the lines are the
+crossings of the curves P = W^u(x) and Q = W^s(y) on such a level
+(``_level_lines``).  P is flown down from x's unstable circle and Q up
+from y's stable circle, each flight stopped past c and landed on it
+(``_level_curve``), and their chords are crossed as curves on a surface
+are, on the level's tangent planes, and signed in closed form
+(``connection_sign``).  Only this search has a resolution, the k angles of
+each circle and a chord bound that shrinks with 1/k, so only it passes the
+doubling gate (``gated``), which recounts at doubled resolution and raises
+on any change.  Every other pair, such as index 2 -> 1 and 3 -> 2 on a
+4-manifold, raises ``UnsupportedPairError`` (exit status 3);
+``boundary_operator`` asks the rule about every pair before its first
+count, so it refuses before launching a flow.  Index-1 chain-map
 entries on a surface intersect curves of recorded branch flows that start
 at their critical points and end at their limits (``curve_intersections``):
 the chords of the recorded polylines are the curves, and a chord hit is the
@@ -56,6 +63,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,19 +74,16 @@ from .errors import (
     CountInstabilityError,
     DegenerateCrossingError,
     GeometryError,
-    InternalInconsistencyError,
     UnsupportedPairError,
 )
+from .geometry._unroll import Kernel
 from .geometry.flow import (
     CONVERGED,
-    circle_angles,
-    direction_point,
+    circle_angle,
     fixed_time_flow,
     flow,
     orientation_sign,
-    orthonormalize,
-    parallel_frame,
-    transport_frame,
+    trap_family,
 )
 from .geometry.systems import level_trap
 
@@ -117,89 +122,11 @@ def _resolved(res, what):
 def flow_limit(system, x, direction=+1, loose=False, what="flow"):
     """The limit of the flow from x in ``direction``, which must converge
     (``_resolved`` names it ``what``), for readers of the limit alone: the
-    flow records no nodes, tracks no closest passes, and ends where the
-    system's level trap for its direction proves its limit
-    (``level_trap``), short of the limit's ball."""
+    flow records no nodes, and ends where the system's level trap for its
+    direction proves its limit (``level_trap``), short of the limit's
+    ball."""
     return _resolved(flow(system, x, direction, record=False, loose=loose,
                           trap=level_trap(system, direction)), what).limit
-
-
-def approach(system, pt, target, direction=+1):
-    """(strict limit name, closest distance, offsets w) of a loose flow.
-
-    w is the displacement at the closest pass of ``target``, on its
-    unstable frame for forward flows and its stable frame for backward ones.
-    ``target`` may be a tuple of critical points, all tracked by the one
-    flow; distance and w are then tuples with one entry per target.
-    """
-    many = isinstance(target, tuple)
-    targets = target if many else (target,)
-    res = _resolved(flow(system, pt, direction, record=False,
-                         approach_targets=[cp.name for cp in targets],
-                         loose=True), "classification flow")
-    dists, ws = [], []
-    for cp in targets:
-        dist, _t, loc = res.closest[cp.name]
-        frame = cp.unstable_frame if direction == +1 else cp.stable_frame
-        dists.append(float(dist))
-        ws.append(frame.T @ system.manifold.displacement(cp.point, loc))
-    if many:
-        return res.limit.name, tuple(dists), tuple(ws)
-    return res.limit.name, dists[0], ws[0]
-
-
-def _illinois_root(fn, lo, hi, w_lo, w_hi, tol_x, max_iter=90):
-    """Safeguarded regula falsi on a bracketed sign change.
-
-    ``fn(x)`` returns (w, payload); a non-None payload short-circuits (the
-    evaluation hit the target exactly).  Returns (root, payload or None).
-    """
-    flo, fhi = w_lo, w_hi
-    side = 0
-    for _ in range(max_iter):
-        if hi - lo <= tol_x:
-            break
-        if fhi != flo:
-            mid = hi - fhi * (hi - lo) / (fhi - flo)
-            pad = 0.02 * (hi - lo)
-            if not (lo + pad <= mid <= hi - pad):
-                mid = 0.5 * (lo + hi)
-        else:
-            mid = 0.5 * (lo + hi)
-        fm, payload = fn(mid)
-        if payload is not None:
-            return mid, payload
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-        else:
-            hi, fhi = mid, fm
-            if side == +1:
-                flo *= 0.5
-            side = +1
-    return 0.5 * (lo + hi), None
-
-
-def circle_lattice_roots(k, sample, tol):
-    """Zeros of an offset sampled on a circle of ``k`` lattice angles.
-
-    ``sample(angle)`` returns (w, payload), with a payload for an exact
-    hit.  Returns (angle, payload) for each lattice hit and each refined
-    sign change between neighbours (the last angle wraps to the first).
-    """
-    angles = circle_angles(k)
-    vals = [sample(a) for a in angles]
-    out = []
-    for j in range(k):
-        (w0, hit), (w1, _) = vals[j], vals[(j + 1) % k]
-        if hit is not None:
-            out.append((angles[j], hit))
-        elif w0 * w1 < 0:
-            a1 = angles[j + 1] if j + 1 < k else angles[0] + 2.0 * np.pi
-            out.append(_illinois_root(sample, angles[j], a1, w0, w1, tol))
-    return out
 
 
 # -- curves of branch flows ------------------------------------------------------
@@ -524,132 +451,6 @@ def curve_intersections(man, curve_a, curve_b):
     return out
 
 
-def _verify_connection(system, x_cp, y_cp, u, rho):
-    """(verified, res): the strict trajectory res in direction u, and
-    whether it converges into y.  The call's store keeps the flow by its
-    start point, so ``connection_sign`` signs the flow
-    ``_dedupe_verified`` verified, and directions that round to one start
-    (the gate's two resolutions, or two targets) share one flow."""
-    start = direction_point(system, x_cp, rho, u)
-    store, key = _kept(), (system, start.tobytes())
-    if key not in store:
-        store[key] = flow(system, start, +1, record=True)
-    res = store[key]
-    return res.status == CONVERGED and res.limit.name == y_cp.name, res
-
-
-def connection_sign(system, x_cp, y_cp, u, rho):
-    """Sign of one isolated flow line from x to y, leaving x along u.
-
-    Transports the ordered unstable frame of x along the trajectory to the
-    first point q near y, and signs it there against the unstable frame of
-    y followed by the flow direction.
-    """
-    verified, flow_result = _verify_connection(system, x_cp, y_cp, u, rho)
-    if not verified:
-        raise InternalInconsistencyError("sign requested for a non-connection")
-    man = system.manifold
-    pts = flow_result.points
-    times = flow_result.times
-    # truncate the path at the first point near y where frames are compared
-    frame_radius = max(100.0 * system.tol.eps_conv, 1e-4)
-    cut = len(pts) - 1
-    for i in range(len(pts)):
-        if man.distance(pts[i], y_cp.point) <= frame_radius:
-            cut = i
-            break
-    moved = transport_frame(man, system.field, times[:cut + 1],
-                            pts[:cut + 1], x_cp.unstable_frame)
-    q = pts[cut]
-    v = system.field(q)
-    speed = np.linalg.norm(v)
-    if speed < 1e-14:
-        raise GeometryError("flow direction vanished before reaching y")
-    # lattice targets have index 1 or more
-    ref_cols = list(parallel_frame(man, q, y_cp.unstable_frame).T)
-    ref_cols.append(v / speed)
-    ref = orthonormalize(np.stack(ref_cols, axis=1))
-    return orientation_sign(moved, ref)
-
-
-# -- connection finding ----------------------------------------------------------
-
-def _lattice_shot(system, x_cp, y_cp, rho, u):
-    """``approach`` of y from x's unstable sphere at lattice direction u.
-
-    The shot tracks every critical point of y's index, and the call's
-    store keeps it: each lattice point of a source is flown once per call,
-    shared by every target and by each gate resolution that contains it.
-    Refinement evaluations are not kept.
-    """
-    store = _kept()
-    key = (system, "shot", x_cp.name, y_cp.index, rho, tuple(u))
-    shot = store.get(key)
-    if shot is None:
-        lower = system.by_index(y_cp.index)
-        limit, dists, ws = approach(
-            system, direction_point(system, x_cp, rho, u), lower)
-        shot = store[key] = (
-            limit, {cp.name: (d, w) for cp, d, w in zip(lower, dists, ws)})
-    limit, passes = shot
-    return (limit, *passes[y_cp.name])
-
-
-def _find_connections_d2(system, x_cp, y_cp, rho, k):
-    # lattice angles go through the shared table; the Illinois iterates
-    # between them almost never repeat, so they are flown directly
-    lattice = set(circle_angles(k))
-
-    def udir(a):
-        return np.array([math.cos(a), math.sin(a)])
-
-    def sample(a):
-        if a in lattice:
-            limit, _dist, w = _lattice_shot(system, x_cp, y_cp, rho, udir(a))
-        else:
-            start = direction_point(system, x_cp, rho, udir(a))
-            limit, _dist, w = approach(system, start, y_cp)
-        return float(w[0]), (udir(a) if limit == y_cp.name else None)
-
-    candidates = [u if u is not None else udir(a)
-                  for a, u in circle_lattice_roots(k, sample, 1e-13)]
-    return _dedupe_verified(system, x_cp, y_cp, rho, candidates)
-
-
-def _dedupe_verified(system, x_cp, y_cp, rho, candidates, min_angle=1e-5):
-    """(direction, strict flow) of the distinct unit candidates whose strict
-    flow converges into y.
-
-    A candidate that fails verification is dropped when its loose flow
-    passes y farther than half the detection radius (a wrap of the offset,
-    not a line); a closer pass is a line the strict flow lost, and raises
-    with the pair's names, the direction, the pass distance and the strict
-    flow's status, end time, limit and step count as fields.
-    """
-    out = []
-    for u in candidates:
-        u = np.asarray(u, dtype=float)
-        u = u / np.linalg.norm(u)
-        if any(np.linalg.norm(u - v) < min_angle for v, _res in out):
-            continue
-        verified, res = _verify_connection(system, x_cp, y_cp, u, rho)
-        if verified:
-            out.append((u, res))
-            continue
-        _limit, dist, _w = approach(
-            system, direction_point(system, x_cp, rho, u), y_cp)
-        if dist <= 0.5 * system.tol.detect_radius:
-            raise CountingIncompleteError(
-                "%s -> %s: direction %s passes within %.3g of %s but fails "
-                "strict verification" % (x_cp.name, y_cp.name, u.tolist(),
-                                         dist, y_cp.name),
-                status=res.status, t_end=res.t_end, steps=res.steps,
-                names=(x_cp.name, y_cp.name), direction=u.tolist(),
-                distance=float(dist),
-                limit=None if res.limit is None else res.limit.name)
-    return out
-
-
 def orientation_class(man, cp):
     """Sign of cp's ordered eigenframe (U | S) in the manifold's
     orientation.  A frame that spans the tangent space keeps this class
@@ -658,7 +459,7 @@ def orientation_class(man, cp):
     return orientation_sign(man.oriented_tangent_basis(cp.point), cp.frame)
 
 
-BRANCH, LATTICE = "branch", "lattice"
+BRANCH, LEVEL = "branch", "level"
 
 
 def _connection_search(system, x_cp, y_cp):
@@ -667,14 +468,14 @@ def _connection_search(system, x_cp, y_cp):
     if x_cp.index - y_cp.index != 1:
         raise ValueError("connections require index difference one, got "
                          "%d - %d" % (x_cp.index, y_cp.index))
-    if x_cp.index == 1 or y_cp.index == system.manifold.dim - 1:
+    dim = system.manifold.dim
+    if x_cp.index == 1 or y_cp.index == dim - 1:
         return BRANCH
-    if x_cp.index == 2:
-        return LATTICE
+    if dim == 3:
+        return LEVEL
     raise UnsupportedPairError(
-        "connection search from index %d points reaches only index dim "
-        "- 1 = %d, not %s of index %d" % (
-            x_cp.index, system.manifold.dim - 1, y_cp.name, y_cp.index),
+        "no connection search reaches %s of index %d -> %s of index %d in "
+        "dimension %d" % (x_cp.name, x_cp.index, y_cp.name, y_cp.index, dim),
         names=(x_cp.name, y_cp.name), indices=(x_cp.index, y_cp.index))
 
 
@@ -706,39 +507,246 @@ def _branch_lines(system, x_cp, y_cp, read=branch_ends):
     return out
 
 
+# -- the level search --------------------------------------------------------------
+
+# the chord bound of a level curve at DEFAULT_K_CIRCLE angles; k angles
+# take it times DEFAULT_K_CIRCLE / k, so the gate's doubled run halves it
+_LEVEL_CHORD = 0.1
+# a chord still above its bound across fewer radians than this is a split
+_SPLIT_ANGLE = 1e-9
+# a flight has landed on its level once |f - c| is below this
+_LANDED = 1e-14
+
+
+def _level(system, x_cp, y_cp):
+    """c: the midpoint of the widest gap of (f(y), f(x)) that holds no
+    critical value of the catalog."""
+    lo, hi = y_cp.value, x_cp.value
+    cuts = sorted({lo, hi, *(v for v in system.catalog["value"].tolist()
+                             if lo < v < hi)})
+    a, b = max(zip(cuts, cuts[1:]), key=lambda gap: gap[1] - gap[0])
+    return 0.5 * (a + b)
+
+
+def _land(system, p, c):
+    """(z, dt): the point z where the trajectory through p crosses f = c,
+    and the time dt from p to z along the descending flow.  p is flown
+    on or back along the flow for |f - c| / |grad f|^2 until |f - c| <
+    ``_LANDED``: flowing keeps it on its trajectory."""
+    dt = 0.0
+    for _ in range(8):
+        gap = float(system.f(p)) - c
+        if abs(gap) < _LANDED:
+            return p, dt
+        v = system.field(p)
+        duration = abs(gap) / float(v @ v)
+        p = fixed_time_flow(system, p, duration, 1 if gap > 0 else -1,
+                            record=False).x_end
+        dt += math.copysign(duration, gap)
+    raise CountingIncompleteError(
+        "landing on the level f = %.17g unresolved (f - c = %.3g)"
+        % (c, gap), level=c, residual=gap)
+
+
+def _level_flight(system, cp, direction, c, rho, angle, record=False):
+    """The flight from cp's unstable circle (direction +1, descending) or
+    stable circle (-1, ascending) of radius rho at ``angle``, which stops
+    at its first point past f = c (``flow.trap_family`` of no row), and
+    must converge: past the level with limit None, or into a ball."""
+    frame = cp.unstable_frame if direction == +1 else cp.stable_frame
+    start = system.manifold.project(
+        cp.point + rho * (frame @ [math.cos(angle), math.sin(angle)]))
+    return _resolved(flow(system, start, direction, record=record,
+                          trap=Kernel(trap_family(), direction * c)),
+                     "level flight of %s" % cp.name)
+
+
+def _level_point(system, cp, direction, c, rho, t):
+    """The landed point of the flight at ``circle_angle(t)``
+    (``_level_flight``), or None for a flight that enters a ball before
+    the level.  Kept in the call's store by the exact fraction t, so the
+    gate's doubled run reads the points of its first run."""
+    store = _kept()
+    key = (system, "level", cp.name, direction, c, rho, t)
+    if key not in store:
+        res = _level_flight(system, cp, direction, c, rho, circle_angle(t))
+        store[key] = (None if res.limit is not None
+                      else _land(system, res.x_end, c)[0])
+    return store[key]
+
+
+LevelCurve = namedtuple("LevelCurve", "t points whole")
+
+
+def _level_curve(system, cp, direction, c, rho, k):
+    """W^u(cp) (direction +1) or W^s(cp) (-1) on the level f = c, as a
+    ``LevelCurve``: a closed polyline of the landed points, its last node
+    its first, their t (a fraction of the turn of cp's circle, the last
+    one plus 1), and whether each chord is whole.  The k points j / k are
+    refined by bisecting each chord longer than ``_LEVEL_CHORD``
+    DEFAULT_K_CIRCLE / k; a chord still that long across fewer than
+    ``_SPLIT_ANGLE`` radians is a split, not whole, and so is a chord over
+    a point whose flight enters a ball (``_level_point``)."""
+    bound = _LEVEL_CHORD * DEFAULT_K_CIRCLE / k
+    displacement = system.manifold.displacement
+
+    def nodes(t0, t1):
+        # (t, point, whole) of the nodes on [t0, t1)
+        p0, p1 = (_level_point(system, cp, direction, c, rho, t % 1)
+                  for t in (t0, t1))
+        if (p0 is not None and p1 is not None
+                and np.linalg.norm(displacement(p0, p1)) <= bound):
+            return [(t0, p0, True)]
+        if 2.0 * math.pi * (t1 - t0) < _SPLIT_ANGLE:
+            return [] if p0 is None else [(t0, p0, False)]
+        mid = (t0 + t1) / 2
+        return nodes(t0, mid) + nodes(mid, t1)
+
+    t, points, whole = zip(*(node for j in range(k) for node in nodes(
+        Fraction(j, k), Fraction(j + 1, k))))
+    return LevelCurve(t + (t[0] + 1,), np.array(points + points[:1]), whole)
+
+
+LevelChart = namedtuple("LevelChart", "displacement tangent_basis")
+
+
+def _level_chart(system):
+    """The chart of a level of f for ``_chord_hits``: the manifold's own
+    displacement, and at p the part of its tangent basis orthogonal to
+    grad f."""
+    man = system.manifold
+
+    def tangent_basis(p):
+        T = man.tangent_basis(p)
+        g = T.T @ system.field(p)
+        return T @ np.linalg.qr(np.column_stack([g, np.eye(len(g))]))[0][
+            :, 1:]
+
+    return LevelChart(man.displacement, tangent_basis)
+
+
+def connection_sign(system, y_cp, z, d_p, d_q):
+    """Sign of the line of a 3-manifold through z on a level of f, where
+    the chord d_p of W^u(x) and the chord d_q of W^s(y) cross, each taken
+    in increasing angle of x's unstable and y's stable frame: the
+    orientation of (d_p, d_q, grad f(z)), times the orientation class of
+    y."""
+    man = system.manifold
+    cols = [man.tangent_project(z, d) for d in (d_p, d_q)]
+    cols.append(-system.field(z))
+    frame = np.stack([v / np.linalg.norm(v) for v in cols], axis=1)
+    return orientation_sign(man.oriented_tangent_basis(z), frame,
+                            floor=1e-8) * orientation_class(man, y_cp)
+
+
+LevelLine = namedtuple("LevelLine", "u v sign")
+
+
+def _level_lines(system, x_cp, y_cp, rho, k):
+    """The ``LevelLine`` of each line from x (index 2) to y (index 1) on a
+    3-manifold: where P = W^u(x) and Q = W^s(y) cross on the level f = c
+    (``_level``), as chord hits of their curves (``_level_curve``) on the
+    level's chart (``_level_chart``).  u and v are the line's directions
+    in x's unstable and y's stable frame, at the hit's interpolated
+    angles.  A pair with f(x) <= f(y) has
+    no line and flies nothing.  A hit on a chord that is not whole is no
+    crossing, and a hit beside one raises ``CountingIncompleteError`` with
+    the pair's ``names``, the split's ``gap`` of angles, and the ``hit``.
+    Kept in the call's store."""
+    store = _kept()
+    key = (system, "lines", x_cp.name, y_cp.name, rho, k)
+    if key in store:
+        return store[key]
+    if x_cp.value <= y_cp.value:
+        store[key] = []
+        return []
+    c = _level(system, x_cp, y_cp)
+    chart = _level_chart(system)
+    with keeping():
+        P, Q = (_level_curve(system, cp, direction, c, rho, k)
+                for cp, direction in ((x_cp, +1), (y_cp, -1)))
+    man = system.manifold
+    out = []
+    for i, j, s, u in _chord_hits(chart, P.points, Q.points):
+        if not (P.whole[i] and Q.whole[j]):
+            continue
+        z = man.project(P.points[i] + s * man.displacement(
+            P.points[i], P.points[i + 1]))
+        for curve, m, name in ((P, i, "W^u(x)"), (Q, j, "W^s(y)")):
+            for e in (m - 1, m + 1):
+                e %= len(curve.whole)
+                if not curve.whole[e]:
+                    raise CountingIncompleteError(
+                        "%s -> %s: a crossing lies beside a split of %s "
+                        "on the level f = %.6g" % (x_cp.name, y_cp.name,
+                                                   name, c),
+                        names=(x_cp.name, y_cp.name),
+                        gap=tuple(map(circle_angle, curve.t[e:e + 2])),
+                        hit=z.tolist())
+        a, b = (circle_angle(t0) + w * (circle_angle(t1) - circle_angle(t0))
+                for (t0, t1), w in ((P.t[i:i + 2], s), (Q.t[j:j + 2], u)))
+        out.append(LevelLine(
+            np.array([math.cos(a), math.sin(a)]),
+            np.array([math.cos(b), math.sin(b)]),
+            connection_sign(system, y_cp, z, *(
+                man.displacement(*R[m:m + 2])
+                for R, m in ((P.points, i), (Q.points, j))))))
+    store[key] = out
+    return out
+
+
+def _joined_line(system, x_cp, y_cp, line, rho):
+    """(times, points) of a level line: the recorded flight from x at u
+    down to the level, then the recorded flight from y at v reversed,
+    joined at the level where x's flight lands."""
+    c = _level(system, x_cp, y_cp)
+    halves = []
+    for cp, direction, w in ((x_cp, +1, line.u), (y_cp, -1, line.v)):
+        res = _level_flight(system, cp, direction, c, rho,
+                            math.atan2(w[1], w[0]), record=True)
+        z, dt = _land(system, res.x_end, c)
+        halves.append((res.times[:-1], res.points[:-1], res.t_end
+                       + direction * dt, z))
+    (tx, px, t_c, z), (ty, py, t_y, _z) = halves
+    return (np.concatenate([tx, [t_c], t_c + t_y - ty[::-1]]),
+            np.concatenate([px, z[None, :], py[::-1]]))
+
+
 def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """(direction, times, points) of each line from x to y found by the
     search ``_connection_search`` picks: a branch curve's nodes ordered
-    from x to y (``_branch_lines``) or a lattice shot's verified strict
-    flow.  It reads each curve once, so it keeps one only inside an open
-    ``keeping`` block."""
+    from x to y (``_branch_lines``), or a level line's two recorded
+    half-flights (``_joined_line``).  It reads each curve once, so it
+    keeps one only inside an open ``keeping`` block."""
     if _connection_search(system, x_cp, y_cp) == BRANCH:
         return [(u, b.times, b.points) if b.direction == +1 else
                 (u, b.times[-1] - b.times[::-1], b.points[::-1])
                 for u, _sign, b in _branch_lines(system, x_cp, y_cp,
                                                  branches)]
-    return [(u, res.times, res.points) for u, res in _find_connections_d2(
-        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
+    return [(line.u, *_joined_line(system, x_cp, y_cp, line, rho))
+            for line in _level_lines(system, x_cp, y_cp, rho,
+                                     k or DEFAULT_K_CIRCLE)]
 
 
 def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
     """Directions on the unstable sphere of x whose flow lines reach y.
-    Branch lines are read off their limits (``branch_ends``), once, so
-    they are kept only inside an open ``keeping`` block."""
+    Branch lines are read off their limits (``branch_ends``), and level
+    lines off their crossings (``_level_lines``), once, so they are kept
+    only inside an open ``keeping`` block."""
     if _connection_search(system, x_cp, y_cp) == BRANCH:
         return [u for u, _sign, _b in _branch_lines(system, x_cp, y_cp)]
-    return [u for u, _res in _find_connections_d2(
-        system, x_cp, y_cp, rho, k or DEFAULT_K_CIRCLE)]
+    return [line.u for line in _level_lines(system, x_cp, y_cp, rho,
+                                            k or DEFAULT_K_CIRCLE)]
 
 
 def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
                      ring=RING_Z):
     """Signed (or mod-2) number of flow lines between index-adjacent points.
 
-    Branch lines take their signs in closed form (``_branch_lines``) and
-    have no resolution to double; lattice lines are signed by frame
-    transport (``connection_sign``), and lattice counts pass the doubling
-    gate.
+    Every line takes its sign in closed form, from the call's store:
+    branch lines from their branch's side (``_branch_lines``), which have
+    no resolution to double, and level lines from their crossing
+    (``connection_sign``), whose counts pass the doubling gate.
     """
     if isinstance(x_cp, str):
         x_cp = system.point(x_cp)
@@ -750,18 +758,17 @@ def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
         dirs = find_connections(system, x_cp, y_cp, rho=rho, k=kk)
         if ring == RING_Z2:
             return len(dirs) % 2, len(dirs)
+        # the lines are kept in the call's store: this read flies nothing
         if search == BRANCH:
-            # the branch ends are kept in the call's store: this read
-            # flies nothing
             signs = [sign for _u, sign, _b in _branch_lines(system, x_cp,
                                                             y_cp)]
         else:
-            signs = [connection_sign(system, x_cp, y_cp, u, rho)
-                     for u in dirs]
+            signs = [line.sign for line in _level_lines(system, x_cp, y_cp,
+                                                        rho, kk)]
         return sum(signs), len(dirs)
 
     with keeping():
-        if search == LATTICE:
+        if search == LEVEL:
             return gated(run, k or DEFAULT_K_CIRCLE,
                          "count %s->%s" % (x_cp.name, y_cp.name))
         return run(k)[0]

@@ -70,11 +70,11 @@ class UnsupportedPairError(GeometryError):
 class CountingIncompleteError(MorseflowError):
     """A trajectory or search did not resolve; counts must not default to 0.
     An unresolved flow gives its ``status``, end time ``t_end`` and step
-    count ``steps``.  A lattice line that fails strict verification gives
-    those of its strict flow, and in ``more`` the pair's point ``names`` as
-    (x, y), the unit ``direction`` on x's unstable circle, the
-    ``distance`` at which its loose flow passes y, and the strict flow's
-    ``limit`` name (None: none)."""
+    count ``steps``.  A crossing of level curves beside a split gives in
+    ``more`` the pair's point ``names`` as (x, y), the split's ``gap`` as
+    two angles of its circle, and the ``hit`` point; a flight that does
+    not land on its level gives the ``level`` and the ``residual`` f -
+    level."""
     code = 4
 
     def __init__(self, message, status=None, t_end=None, steps=None,

@@ -4,9 +4,10 @@ The stepper is an embedded Cash-Karp 4(5) pair with per-step reprojection
 to the manifold, a step-length cap that guarantees event balls are never
 jumped over, and a strict monotonicity assertion on the driving function.
 It runs float-exact to the written-out tableau (the same IEEE operations in
-the same order, not a matrix product): counts on the 3-manifold circle
-lattice depend on the last bits of the trajectories, so a reordered sum
-changes them.
+the same order, not a matrix product), so that every trajectory equals the
+numpy reference loop of the tests bit for bit.  No count needs those last
+bits any more: the 3-manifold counts cross curves on a level, and read
+each crossing off chords, not off a flow's entry into a ball.
 
 ``integrate`` runs the one integration loop, which one writer
 (``_loop_template``) generates per state dimension n and per combination
@@ -56,8 +57,7 @@ Beside the arithmetic, the loop keeps only the bookkeeping a flow needs:
   correctly rounded and monotone, so sqrt(min s_j) = min sqrt(s_j), nan
   and inf pass the same comparisons, and the first row whose root is dmin
   is the row that the distances' first minimum names.  The roots of every
-  row are taken only for flows that track approach targets, and to name
-  the limit;
+  row are taken only to name the limit;
 - the step cap h <= base / speed, with base half the distance to the
   catalog clamped to [0.45 eps, 0.25] (0.25 without a sweep), keeps a
   step from jumping a strict ball.  The speed is taken once per accepted
@@ -88,10 +88,12 @@ and other systems give none.  Only reads of a limit alone take the trap
 (``counting.flow_limit`` and the descending ``counting._branch_flows``):
 an ascending branch read into a top-index point gives
 ``find_connections`` its direction off ``x_end``, a curve read needs its
-path up to the ball, ``counting.approach`` needs its closest passes, and
-``probe_limits`` reports the flows that are unresolved at their time
-limit, which a trap would resolve early.  A flow without a trap keeps
-every bit.
+path up to the ball, and ``probe_limits`` reports the flows that are
+unresolved at their time limit, which a trap would resolve early.  A flow
+without a trap keeps every bit.  The level search of ``counting`` takes
+the trap's other form, of no row (``trap_family(None)``): it stops a
+flight at its first point past a level between two critical values,
+proves no limit, and leaves the limit None.
 
 A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
 costs 3.1 us per step unrecorded, as counts fly it, and 3.3-3.4 us
@@ -142,7 +144,6 @@ class FlowResult:
     times: np.ndarray
     points: np.ndarray
     f_values: np.ndarray
-    closest: dict                  # name -> (dist, t, point)
     steps: int
 
 
@@ -155,17 +156,19 @@ _ADAPTERS = (ADAPTED_FIELD, ADAPTED_VALUE, ADAPTED_PROJECT, ADAPTED_SWEEP,
 
 
 @lru_cache(maxsize=64)
-def trap_family(row):
+def trap_family(row=None):
     """The family of the level trap of catalog row ``row`` (module
     docstring), with the one parameter level.  Written after the sweep,
     its lines name the row the limit and run the statement ``out`` where
-    the loop's driving value ``fv`` lies below the level.  Cached, so each
+    the loop's driving value ``fv`` lies below the level.  Row None names
+    no limit: the flow stops at its first point past the level, with limit
+    None, as the level search of ``counting`` flies it.  Cached, so each
     row has one family."""
     def write(n, x, out, p):
-        return ["if fv < %slevel:" % p,
-                "    limit = names[%d]" % row, "    " + out]
-    return Family("level trap of row %d" % row, False,
-                  lambda n: ["level"], write)
+        named = [] if row is None else ["    limit = names[%d]" % row]
+        return ["if fv < %slevel:" % p] + named + ["    " + out]
+    return Family("level stop" if row is None else "level trap of row %d"
+                  % row, False, lambda n: ["level"], write)
 
 
 def _step_lines(n, field):
@@ -203,8 +206,8 @@ def _loop_template(n, families):
 
     The loop keeps the state in the locals ``x0, ...`` and takes each
     family's parameters as one tuple (F, V, P, S, T).  It returns (status,
-    limit name, t, x, times, path, f values, closest passes, steps), the
-    path flat, one point's coordinates after the other, and raises
+    limit name, t, x, times, path, f values, steps), the path flat, one
+    point's coordinates after the other, and raises
     ``fail(message, x, t, h, steps)`` on a failure.  Comparisons stand in
     for ``min`` and ``max``: ``min(a, b)`` is ``b if b < a else a`` and
     ``max(a, b)`` is ``b if b > a else a``, signed zeros and nan included;
@@ -219,29 +222,22 @@ def _loop_template(n, families):
 
     def track(depth, exit):
         # the distances to the catalog and their first minimum dmin, the
-        # closest passes to the targets, the limit if x is in a strict
-        # ball, and the numerator of the step cap: half the distance to
-        # the catalog, between 0.45 eps and 0.25.  A sweep by rows gives
-        # squares: dmin is the root of their first minimum, and the roots
-        # of all rows are taken only for targets and to name the limit
+        # limit if x is in a strict ball, and the numerator of the step
+        # cap: half the distance to the catalog, between 0.45 eps and
+        # 0.25.  A sweep by rows gives squares: dmin is the root of their
+        # first minimum, and the roots of all rows are taken only to name
+        # the limit
         if sweep.rows:
             row = "[%s]" % ", ".join("sqrt(dsq%d)" % j
                                      for j in range(sweep.rows))
             lines = sweep.write(n, "x", "dsq", "S") + ["smin = dsq0"]
             for j in range(1, sweep.rows):
                 lines += ["if dsq%d < smin:" % j, "    smin = dsq%d" % j]
-            lines += ["dmin = sqrt(smin)", "if targets:",
-                      "    dists = " + row]
+            lines += ["dmin = sqrt(smin)"]
         else:
             row = "dists"
-            lines = sweep.write(n, "x", "dists", "S") + [
-                "dmin = min(dists)", "if targets:"]
+            lines = sweep.write(n, "x", "dists", "S") + ["dmin = min(dists)"]
         lines += [
-            "    for i in targets:",
-            "        dist = dists[i]",
-            "        name = names[i]",
-            "        if name not in closest or dist < closest[name][0]:",
-            "            closest[name] = (dist, t, %s)" % x,
             "if dmin < eps:",
             "    limit = names[%s.index(dmin)]" % row,
             "    " + exit]
@@ -255,7 +251,7 @@ def _loop_template(n, families):
             "    base = floor"])
 
     lines = ["def kernel(F, V, P, S, T, x, t_max, h, h_min, atol, rtol, eps, "
-             "max_steps, record, names, targets, fail):"]
+             "max_steps, record, names, fail):"]
     for prefix, family in zip("FVPST", families):
         params = family.params(n) if family is not None else []
         if params:
@@ -268,15 +264,14 @@ def _loop_template(n, families):
               "    times = [t]",
               "    path = [%s]" % names("x", n),
               "    fvals = [fv]",
-              "    closest = {}",
               "    limit = None",
               "    steps = 0",
               "    slack = 1e-9 + 50.0 * rtol",
               "    fresh = True"]
     lines += ["    floor = 0.45 * eps" if sweep is not None
               else "    base = 0.25"]
-    converged = "return %r, limit, t, %s, times, path, fvals, closest, " \
-                "steps" % (CONVERGED, x)
+    converged = "return %r, limit, t, %s, times, path, fvals, steps" % (
+        CONVERGED, x)
     if sweep is not None:
         lines += track(1, converged)
     lines += ["    while t < t_max and steps < max_steps:",
@@ -337,7 +332,7 @@ def _loop_template(n, families):
               "        status = %r if abs(t - t_max) < 1e-12 else %r"
               % (FIXED_TIME, MAX_TIME),
               "        return status, limit, t, %s, times, path, fvals, "
-              "closest, steps" % x]
+              "steps" % x]
     if sweep is not None:
         lines += ["    " + converged]
     return "\n".join(lines) + "\n"
@@ -354,7 +349,7 @@ def _family(kernel, adapter):
 
 
 def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
-              record=True, approach_targets=None, trap=None):
+              record=True, trap=None):
     """Adaptive negative-flow integration with event tracking.
 
     ``field``, ``value``, ``project`` and ``sweep`` are the float kernels
@@ -363,10 +358,9 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
     (None: no events) gives the distances to the catalog points named by
     ``names``; entering the ``tol.eps_conv`` ball of any of them ends the
     run as CONVERGED, and so does passing ``trap``, a ``Kernel`` of a
-    ``trap_family`` (None: no trap).  ``approach_targets`` (indices into
-    ``names``) get closest-approach tracking.  Each accepted point is swept
-    for distances once; the sweep serves the convergence test, the trap,
-    the closest passes and the step cap.  The loop itself is
+    ``trap_family`` (None: no trap).  Each accepted point is swept for
+    distances once; the sweep serves the convergence test, the trap and
+    the step cap.  The loop itself is
     ``_loop_template``'s, compiled for the dimension and the kernels'
     families.
     """
@@ -380,15 +374,11 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
         return IntegrationError(message, x0=x0, x=np.array(x), t=t, h=h,
                                 steps=steps)
 
-    targets = list(approach_targets or ()) if sweep is not None else []
-    status, limit, t, x, times, path, fvals, closest, steps = loop(
+    status, limit, t, x, times, path, fvals, steps = loop(
         *args, x, t_max, tol.h_init, tol.h_min, tol.atol, tol.rtol,
-        tol.eps_conv, tol.max_steps, record, names, targets, fail)
+        tol.eps_conv, tol.max_steps, record, names, fail)
     return FlowResult(status, limit, t, np.array(x), _floats(times),
-                      _floats(path).reshape(-1, n), _floats(fvals),
-                      {name: (d, tn, np.array(xn))
-                       for name, (d, tn, xn) in closest.items()},
-                      steps)
+                      _floats(path).reshape(-1, n), _floats(fvals), steps)
 
 
 def _floats(values):
@@ -404,8 +394,8 @@ def _float_kernels(system, direction):
     return system.float_kernels(direction)
 
 
-def flow(system, x0, direction=+1, t_max=None, record=True,
-         approach_targets=None, loose=False, trap=None):
+def flow(system, x0, direction=+1, t_max=None, record=True, loose=False,
+         trap=None):
     """Flow of the (anti)gradient field with catalog events.
 
     ``direction=+1`` descends (integrates the negative gradient), ``-1``
@@ -418,15 +408,11 @@ def flow(system, x0, direction=+1, t_max=None, record=True,
     field, value = _float_kernels(system, direction)
     tol = system.tol.loosened() if loose else system.tol
     names = system.catalog["name"].tolist()
-    idx_targets = None
-    if approach_targets is not None:
-        idx_targets = [names.index(nm) for nm in approach_targets]
     man = system.manifold
     res = integrate(field, value, man.project_floats,
                     man.distance_sweep(system.points), x0,
                     t_max=t_max if t_max is not None else tol.t_max,
-                    tol=tol, names=names, record=record,
-                    approach_targets=idx_targets, trap=trap)
+                    tol=tol, names=names, record=record, trap=trap)
     if res.limit is not None:
         res.limit = system.point(res.limit)
     return res
@@ -444,7 +430,7 @@ def fixed_time_flow(system, x0, duration, direction=+1, record=True):
     if duration == 0.0:
         x = project(np.asarray(x0, dtype=float).tolist())
         return FlowResult(FIXED_TIME, None, 0.0, np.array(x), np.array([0.0]),
-                          np.array([x]), np.array([value(x)]), {}, 0)
+                          np.array([x]), np.array([value(x)]), 0)
     return integrate(field, value, project, None, x0, t_max=duration,
                      tol=system.tol, record=record)
 
@@ -517,15 +503,16 @@ def transport_frame(manifold, field_fn, times, points, frame0, fd_eps=1e-6):
     return frame
 
 
-# -- the unstable circle lattice ------------------------------------------------
+# -- the circles of a critical point -------------------------------------------
 
 _ANGLE_OFFSET = 0.5377156339  # irrational-ish: avoids symmetric exact hits
 
 
-def circle_angles(k):
-    """The k lattice angles on the circle.  The k lattice is bit-for-bit
-    the even half of the 2k lattice (scaling by two is exact)."""
-    return _ANGLE_OFFSET + 2.0 * np.pi * np.arange(k) / k
+def circle_angle(t):
+    """The angle at t, a ``Fraction`` of the turn.  A fraction is kept in
+    lowest terms, so equal positions give equal floats however they were
+    reached: the k angles j / k are among the 2k angles j / 2k."""
+    return _ANGLE_OFFSET + 2.0 * math.pi * t.numerator / t.denominator
 
 
 def direction_point(system, cp, rho, u):

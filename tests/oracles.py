@@ -2,11 +2,13 @@
 
 The complexes here are built from explicit cell structures (simplicial or
 delta-complex boundary matrices, tensor products of complexes), with no use
-of the flow-counting machinery.  The curve searches at the end measure
-every segment, where ``morseflow.counting`` skips the ones that cannot
-matter.
+of the flow-counting machinery.  The curve searches measure every
+segment, where ``morseflow.counting`` skips the ones that cannot matter.
+The sign of a flow line at the end is the long way round: a frame carried
+along a strict flow that enters the target's ball.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +16,15 @@ import numpy as np
 from morseflow.complexes import GradedComplex
 from morseflow.counting import Crossing
 from morseflow.errors import DegenerateCrossingError
+from morseflow.geometry.flow import (
+    CONVERGED,
+    direction_point,
+    flow,
+    orientation_sign,
+    orthonormalize,
+    parallel_frame,
+    transport_frame,
+)
 
 
 def simplicial_chain_complex(facets):
@@ -205,3 +216,70 @@ def curve_intersections_per_pair(man, curve_a, curve_b):
                        for c in out):
                     out.append(Crossing(z, A, k, theta, B, l, u))
     return out
+
+
+def _strict_flight(system, x_cp, a, rho):
+    """The recorded strict flow from x's unstable circle of radius rho at
+    angle a."""
+    return flow(system, direction_point(
+        system, x_cp, rho, np.array([math.cos(a), math.sin(a)])), +1)
+
+
+def _enters(res, y_cp):
+    return res.status == CONVERGED and res.limit.name == y_cp.name
+
+
+def refined_angle(system, x_cp, y_cp, u, rho, spread=1e-3, tol=1e-14):
+    """The angle near direction u on x's unstable circle whose strict flow
+    enters y's ball, or None.  The angles u +- spread must pass y on
+    opposite sides of W^s(y), read off the sign of the offset along y's
+    unstable direction at the node nearest y; the bracket is bisected on
+    that sign down to ``tol``, and the last angle is returned whether its
+    flow enters the ball or not."""
+    man = system.manifold
+
+    def side(a):
+        res = _strict_flight(system, x_cp, a, rho)
+        if _enters(res, y_cp):
+            return 0.0
+        near = res.points[np.argmin(man.distances(y_cp.point, res.points))]
+        return np.sign(y_cp.unstable_frame[:, 0]
+                       @ man.displacement(y_cp.point, near))
+
+    a = math.atan2(u[1], u[0])
+    lo, hi = a - spread, a + spread
+    s_lo = side(lo)
+    if s_lo * side(hi) >= 0.0:
+        return None
+    while hi - lo > tol:
+        a = 0.5 * (lo + hi)
+        s = side(a)
+        if s == 0.0:
+            return a
+        if s == s_lo:
+            lo = a
+        else:
+            hi = a
+    return 0.5 * (lo + hi)
+
+
+def transported_sign(system, x_cp, y_cp, a, rho):
+    """The sign of the line from x of index 2 leaving at angle a of x's
+    unstable circle, or None when its strict flow misses y's ball: x's
+    ordered unstable frame carried along the flow (``transport_frame``)
+    to the first node within max(100 eps_conv, 1e-4) of y, against y's
+    unstable frame followed by the flow direction there."""
+    res = _strict_flight(system, x_cp, a, rho)
+    if not _enters(res, y_cp):
+        return None
+    man, pts = system.manifold, res.points
+    radius = max(100.0 * system.tol.eps_conv, 1e-4)
+    cut = next((i for i, p in enumerate(pts)
+                if man.distance(p, y_cp.point) <= radius), len(pts) - 1)
+    moved = transport_frame(man, system.field, res.times[:cut + 1],
+                            pts[:cut + 1], x_cp.unstable_frame)
+    v = system.field(pts[cut])
+    ref = orthonormalize(np.column_stack([
+        parallel_frame(man, pts[cut], y_cp.unstable_frame),
+        v / np.linalg.norm(v)]))
+    return orientation_sign(moved, ref)

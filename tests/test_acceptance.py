@@ -259,8 +259,8 @@ class TestCriteria789:
         report(8, "continuation round trip induces the identity on H_*(T2)")
 
     def test_criterion9_stability_gate(self, monkeypatch):
-        # the doubling gate guards the circle lattice, which counts
-        # index-2 -> index-1 pairs only in dimension three and up
+        # the doubling gate guards the level search, which counts
+        # index-2 -> index-1 pairs only on 3-manifolds
         t3 = torus_cosine(3, [1.0, 0.7, 0.55])
         # the gate passes on honest counts
         assert count_flow_lines(t3, "x110", "x100") == 0

@@ -13,6 +13,8 @@ import morseflow.counting as counting
 from morseflow.errors import CountingIncompleteError
 from morseflow.geometry import parse_system_config, systems
 
+from test_counting import open_beside_a_crossing
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 FIG8 = """\
@@ -198,7 +200,8 @@ class TestConfigErrors:
         assert parse_system_config("kind torus\ndim %d\n" % n) == n
 
     def test_unsupported_pair_exit_code(self, capsys, tmp_path):
-        # on T4 no search reaches index 3 -> index 2
+        # on T4 no search reaches index 2 -> index 1, the first pair of
+        # its complex
         cfg = tmp_path / "torus4.cfg"
         cfg.write_text("kind torus\ndim 4\n")
         code, out, err = run(capsys, "--json", "homology", str(cfg))
@@ -206,29 +209,34 @@ class TestConfigErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "UnsupportedPairError"
         assert error["code"] == 3
-        assert error["fields"] == {"names": ["x1110", "x1100"],
-                                   "indices": [3, 2]}
+        assert error["fields"] == {"names": ["x1100", "x1000"],
+                                   "indices": [2, 1]}
         assert "x1100" in error["message"]
 
-    def test_unverified_lattice_line_gives_its_fields(self, capsys,
-                                                      tmp_path):
-        # on this T3 a refined x101 -> x100 direction passes x100 at
-        # 1.9e-4, and its strict flow ends at the minimum
+    def test_t3_answers_where_the_lattice_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "torus3.cfg"
+        cfg.write_text("kind torus\ndim 3\namplitudes 1 0.7 0.5\n")
+        code, out, _err = run(capsys, "--json", "homology", str(cfg))
+        assert code == 0
+        betti = json.loads(out)["blocks"]["total"]["betti"]
+        assert [betti[p] for p in "0123"] == [1, 3, 3, 1]
+
+    def test_crossing_beside_a_split_gives_its_fields(self, capsys,
+                                                      tmp_path, monkeypatch):
+        open_beside_a_crossing(monkeypatch)
         cfg = tmp_path / "torus3.cfg"
         cfg.write_text("kind torus\ndim 3\namplitudes 1 0.7 0.5\n")
         code, out, err = run(capsys, "--json", "homology", str(cfg))
         assert (code, out) == (4, "")
         error = json.loads(err)["error"]
         assert error["type"] == "CountingIncompleteError"
-        assert "fails strict verification" in error["message"]
+        assert "a crossing lies beside a split" in error["message"]
         fields = error["fields"]
-        assert sorted(fields) == ["direction", "distance", "limit", "names",
-                                  "status", "steps", "t_end"]
-        assert fields["names"] == ["x101", "x100"]
-        assert fields["direction"] == pytest.approx([0.0, -1.0])
-        assert fields["distance"] == pytest.approx(1.911e-4, rel=1e-3)
-        assert (fields["status"], fields["limit"]) == ("converged", "x000")
-        assert isinstance(fields["steps"], int) and fields["steps"] > 0
+        assert sorted(fields) == ["gap", "hit", "names", "status", "steps",
+                                  "t_end"]
+        assert len(fields["names"]) == 2 and len(fields["hit"]) == 3
+        lo, hi = fields["gap"]
+        assert lo < hi <= lo + 2.0 * np.pi
 
 
 # numbers stop at 3: counting reaches dimension three, and a torus config
@@ -571,7 +579,8 @@ class TestOpCommands:
         t2 = parse_system_config(TORUS_CFG)
         with pytest.raises(CountingIncompleteError,
                            match="classification flow unresolved") as err:
-            counting.approach(t2, np.array([1.0, 2.0]), t2.point("x00"))
+            counting.flow_limit(t2, np.array([1.0, 2.0]), loose=True,
+                                what="classification flow")
         e = err.value
         assert e.code == 4 and e.status == "fixed_time"
         assert e.t_end == pytest.approx(1e-3) and e.steps >= 1

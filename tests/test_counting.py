@@ -61,7 +61,9 @@ from oracles import (
     check_ends_all_segments,
     chord_hits_all_pairs,
     circle_complex,
+    refined_angle,
     tensor_complex,
+    transported_sign,
 )
 from test_geometry import trap_limit
 from test_operations import CRITERION7_PHASES, OUTGOING_LABELS, phased_problem
@@ -127,8 +129,9 @@ class TestCounts:
                                       cx.map_from(p).astype(object) % 2)
 
     def test_rho_independence(self, t3):
-        # rho is the radius of the circle lattice, which T3 x110 -> x100
-        # reaches; surface pairs are branch curves and never read it
+        # rho is the radius of the circles of the level search, which T3
+        # x110 -> x100 reaches; surface pairs are branch curves and never
+        # read it
         assert count_flow_lines(t3, "x110", "x100", rho=0.01) == 0
         assert count_flow_lines(t3, "x110", "x100", rho=0.04) == 0
 
@@ -214,6 +217,141 @@ class TestIntoCodimensionOne:
             find_connections(t4, t4.point("x1110"), t4.point("x1100"))
 
 
+def t3_draw(rng):
+    """(amplitudes, phases) of a T3 draw: [1, U(0.5, 0.9), U(0.3, 0.5)],
+    then three phases from U(0, 2 pi)."""
+    amps = [1.0, rng.uniform(0.5, 0.9), rng.uniform(0.3, 0.5)]
+    return amps, rng.uniform(0.0, 2.0 * np.pi, 3)
+
+
+def t3_inputs():
+    """The twelve T3 inputs of the level search's regression tests: four
+    unphased amplitude vectors, and 8 phased draws of default_rng(7)."""
+    out = {"unphased %s" % a: (a, None) for a in (
+        [1.0, 0.7, 0.5], [1.0, 0.8, 0.6], [1.0, 0.6, 0.45],
+        [1.0, 0.7, 0.55])}
+    rng = np.random.default_rng(7)
+    for i in range(1, 9):
+        out["phased draw %d" % i] = t3_draw(rng)
+    return out
+
+
+T3_INPUTS = t3_inputs()
+
+
+def t3_system(name):
+    amps, phases = T3_INPUTS[name]
+    return torus_cosine(3, amps, phases=phases)
+
+
+def perturbed_t3_draw(i):
+    """Perturbed draw i (0 to 19) of default_rng(11): 20 phased draws,
+    then the amplitudes of 20 more with perturb 0.05 and seed 100 + i."""
+    rng = np.random.default_rng(11)
+    for _ in range(20 + i):
+        t3_draw(rng)
+    amps = [1.0, rng.uniform(0.5, 0.9), rng.uniform(0.3, 0.5)]
+    return torus_cosine(3, amps, perturb=0.05, seed=100 + i)
+
+
+def assert_kunneth_t3(system, ring=RING_Z):
+    """The T3 complex is the tensor cube of the circle's: Betti (1, 3, 3,
+    1) and every matrix zero.  Returns it."""
+    cx = boundary_operator(system, ring=ring)
+    assert homology(cx).betti_vector([0, 1, 2, 3]) == (1, 3, 3, 1)
+    for p in (1, 2, 3):
+        assert not cx.map_from(p).any(), (p, cx.map_from(p))
+    return cx
+
+
+def open_beside_a_crossing(monkeypatch):
+    """Split every W^s(y) on a level at the chord before the chord of its
+    first crossing with W^u(x), so that crossing lies beside a split."""
+    real = counting._level_curve
+    seen = {}
+
+    def opened(system, cp, direction, c, rho, k):
+        curve = real(system, cp, direction, c, rho, k)
+        if direction == +1:
+            seen["P"] = curve
+            return curve
+        hits = counting._chord_hits(counting._level_chart(system),
+                                    seen["P"].points, curve.points)
+        if not hits:
+            return curve
+        whole = list(curve.whole)
+        whole[hits[0][1] - 1] = False
+        return curve._replace(whole=tuple(whole))
+
+    monkeypatch.setattr(counting, "_level_curve", opened)
+
+
+class TestLevelSearch:
+    """Index-2 -> index-1 lines on 3-manifolds, as crossings of W^u(x) and
+    W^s(y) on a level between them (``counting._level_lines``)."""
+
+    @pytest.mark.parametrize("name", sorted(T3_INPUTS))
+    def test_t3_inputs_give_kunneth(self, name):
+        assert_kunneth_t3(t3_system(name))
+
+    @pytest.mark.parametrize("name", ["unphased [1.0, 0.7, 0.5]",
+                                      "phased draw 3"])
+    def test_mod2_matches_reduction(self, name):
+        system = t3_system(name)
+        cx = assert_kunneth_t3(system)
+        cx2 = boundary_operator(system, ring=RING_Z2)
+        for p in cx.maps:
+            assert np.array_equal(cx2.map_from(p) % 2,
+                                  cx.map_from(p).astype(object) % 2)
+
+    @pytest.mark.parametrize("i", [2, 15])
+    def test_perturbed_draws_give_kunneth(self, i):
+        # a chord bound that does not shrink with k returned Betti (1, 2,
+        # 2, 1) on these two draws at both resolutions
+        assert_kunneth_t3(perturbed_t3_draw(i))
+
+    @pytest.mark.parametrize("name", [
+        "unphased [1.0, 0.7, 0.55]", "phased draw 1", "phased draw 2",
+        "phased draw 4", "phased draw 6", "s1xs2-band"])
+    def test_sign_is_the_transported_sign(self, name):
+        # each line's closed-form sign equals the sign of x's unstable
+        # frame carried along the strict flow into y, the long way
+        # (``oracles.transported_sign``), at the line's direction refined
+        # until that flow enters y's ball
+        system = (product_system(torus_cosine(1, [1.0]), sphere_band(2))
+                  if name == "s1xs2-band" else t3_system(name))
+        rho = counting.DEFAULT_RHO
+        checked = total = 0
+        with counting.keeping():
+            for x in system.by_index(2):
+                for y in system.by_index(1):
+                    for line in counting._level_lines(
+                            system, x, y, rho, counting.DEFAULT_K_CIRCLE):
+                        total += 1
+                        a = refined_angle(system, x, y, line.u, rho)
+                        sign = (None if a is None else
+                                transported_sign(system, x, y, a, rho))
+                        if sign is not None:
+                            assert line.sign == sign, (x.name, y.name)
+                            checked += 1
+        assert checked == total >= 4
+
+    def test_pair_with_higher_target_flies_nothing(self, monkeypatch):
+        # on this draw f(x011) = -0.023 < f(x100) = 0.023: no line runs
+        # uphill, and no level lies between them
+        system = t3_system("phased draw 3")
+        x, y = system.point("x011"), system.point("x100")
+        assert x.value < y.value
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow was launched")
+
+        monkeypatch.setattr(counting, "flow", no_flow)
+        monkeypatch.setattr(counting, "fixed_time_flow", no_flow)
+        assert count_flow_lines(system, x, y) == 0
+        assert find_connections(system, x, y) == []
+
+
 def assert_kunneth_t2(system, ring):
     """The T2 complex is the tensor square of the circle's: all zero."""
     want = tensor_complex(circle_complex(), circle_complex())
@@ -262,11 +400,11 @@ class TestSurfacesFromTheTarget:
         lambda: torus_cosine(2, [1.0, 0.7], perturb=0.02, seed=3),
         lambda: sphere_band(2),
     ], ids=["t2", "t2-perturbed", "s2-band"])
-    def test_surfaces_never_reach_the_lattice(self, make, monkeypatch):
-        def no_lattice(*args, **kwargs):
-            raise AssertionError("the circle lattice was searched")
+    def test_surfaces_never_reach_the_level_search(self, make, monkeypatch):
+        def no_level(*args, **kwargs):
+            raise AssertionError("the level search was run")
 
-        monkeypatch.setattr(counting, "_find_connections_d2", no_lattice)
+        monkeypatch.setattr(counting, "_level_lines", no_level)
         boundary_operator(make())
 
 
@@ -372,7 +510,7 @@ class TestLimitReads:
                         same, b.status, b.limit.name)
                     assert b.steps < a.steps
                     steps += b.steps
-            # T3's complex, lattice included, is criterion 3's, and T4
+            # T3's complex, level search included, is criterion 3's, and T4
             # has pairs no search supports
             if system.manifold.dim == 2:
                 cx = boundary_operator(system)
@@ -634,7 +772,7 @@ class TestClosedFormFrames:
         monkeypatch.setattr(operations, "curve_intersections", kept)
         monkeypatch.setattr(operations, "_configuration_sign", signed)
         for module in (importlib.import_module("morseflow.geometry.flow"),
-                       geometry, counting):
+                       geometry):
             monkeypatch.setattr(module, "transport_frame", no_transport)
         operations.operation_table(problem, edge_time=1.0)
         cosines = []
@@ -827,8 +965,9 @@ class TestChordSearch:
 
 class TestUnsupportedPairs:
     def test_boundary_operator_refuses_before_any_flow(self, monkeypatch):
-        # on T4 no search reaches index 3 -> index 2; the refusal must
-        # come before the index-2 counts, which would fly the lattice
+        # on T4 no search reaches index 2 -> index 1 or index 3 -> index
+        # 2; the refusal names the first such pair, before the index-1
+        # counts fly their branches
         t4 = parse_system_config("kind torus\ndim 4\n")
 
         def no_flow(*args, **kwargs):
@@ -838,29 +977,40 @@ class TestUnsupportedPairs:
         with pytest.raises(UnsupportedPairError) as err:
             boundary_operator(t4)
         assert (err.value.names, err.value.indices) == (
-            ("x1110", "x1100"), (3, 2))
+            ("x1100", "x1000"), (2, 1))
+
+    def test_index_two_pair_raises_before_flowing(self, monkeypatch):
+        t4 = torus_cosine(4, [1.0, 0.8, 0.65, 0.5])
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow was launched")
+
+        monkeypatch.setattr(counting, "flow", no_flow)
+        for call in (count_flow_lines, find_connections):
+            with pytest.raises(UnsupportedPairError) as err:
+                call(t4, t4.point("x1100"), t4.point("x1000"))
+            assert err.value.indices == (2, 1)
 
 
-class TestLatticeDrops:
-    def test_candidate_failing_verification_near_y_raises(self, t3,
-                                                          monkeypatch):
-        # both lines pass within the detection radius of x100, so losing
-        # them in the strict flow must raise instead of returning []; the
-        # error names the pair and gives the strict flow's state
-        real = counting._verify_connection
-
-        def lost(*args, **kwargs):
-            return False, real(*args, **kwargs)[1]
-
-        monkeypatch.setattr(counting, "_verify_connection", lost)
+class TestSplitRefusals:
+    def test_crossing_beside_a_split_raises_with_its_fields(
+            self, t3, monkeypatch):
+        # W^s(x100) on the level, opened next to its crossing with W^u(x110)
+        # (``open_beside_a_crossing``): the crossing must raise instead of
+        # being counted, with the pair, the split's angles and the hit
+        open_beside_a_crossing(monkeypatch)
+        x, y = t3.point("x110"), t3.point("x100")
         with pytest.raises(CountingIncompleteError,
-                           match="x110 -> x100") as err:
-            find_connections(t3, t3.point("x110"), t3.point("x100"))
+                           match="x110 -> x100: a crossing lies beside a "
+                                 "split") as err:
+            find_connections(t3, x, y)
         fields = json.loads(json.dumps(vars(err.value)))
         assert fields["names"] == ["x110", "x100"]
-        assert (fields["status"], fields["limit"]) == ("converged", "x100")
-        assert fields["distance"] <= 0.5 * t3.tol.detect_radius
-        assert len(fields["direction"]) == 2 and fields["steps"] > 0
+        lo, hi = fields["gap"]
+        assert lo < hi <= lo + 2.0 * np.pi
+        # the hit is on a chord of W^u(x), off the level by its sagitta
+        assert t3.f(np.array(fields["hit"])) == pytest.approx(
+            counting._level(t3, x, y), abs=1e-2)
 
 
 class TestRelative:

