@@ -309,9 +309,17 @@ def cmd_homology(args):
 # -- operations -----------------------------------------------------------------------
 
 def _embedding_from_spec(system, spec):
-    kind, _, rest = spec.partition(":")
+    kind, colon, rest = spec.partition(":")
+    parts = rest.split(":") if colon else []
+    if len(parts) > (3 if kind == "factor" else 0):
+        raise ParseError("malformed spec %r: too many fields" % spec)
+    man = system.manifold
+    model = {"factor": TorusModel, "equator": SphereModel}.get(kind)
+    if model and not (isinstance(man, model) and man.dim == 2):
+        raise StructuralValidationError(
+            "--embedding %s needs a 2-dimensional %s, not %r"
+            % (kind, model.__name__, man))
     if kind == "factor":
-        parts = rest.split(":") if rest else []
         axis = _spec_value(spec, int, parts[0], lambda a: a in (0, 1),
                            "the axis must be 0 or 1") if parts else 1
         level = (_spec_value(spec, float, parts[1], math.isfinite,
@@ -438,14 +446,15 @@ def cmd_op(args):
 
 def _parse_chain(spec):
     if not spec:
-        raise ParseError("op nu needs --input 'a,b[:coeff];...' or --table")
+        raise ParseError("op nu needs --input 'a,b[=coeff];...' or --table")
     chain = []
     for term in spec.split(";"):
-        names, _, coeff = term.partition("=")
+        names, eq, coeff = term.partition("=")
         pair = tuple(s.strip() for s in names.split(","))
         if len(pair) != 2:
             raise ParseError("malformed input term %r in %r" % (term, spec))
-        chain.append((pair, _spec_value(spec, int, coeff) if coeff else 1))
+        # an "=" with no coefficient after it is malformed, not 1
+        chain.append((pair, _spec_value(spec, int, coeff) if eq else 1))
     return chain
 
 

@@ -22,9 +22,9 @@ Otherwise, on a 3-manifold, x has index 2 and y index 1, and a line
 crosses each level f = c between f(y) and f(x) once: the lines are the
 crossings of the curves P = W^u(x) and Q = W^s(y) on such a level
 (``_level_lines``).  P is flown down from x's unstable circle and Q up
-from y's stable circle, each flight stopped past c and landed on it
-(``_level_curve``), and their chords are crossed as curves on a surface
-are, on the level's tangent planes, and signed in closed form
+from y's stable circle, each flight stopped past c and its crossing read
+off its last chord (``_level_curve``); their chords are crossed as curves
+on a surface are, on the level's tangent planes, and signed in closed form
 (``connection_sign``).  Only this search has a resolution, the k angles of
 each circle and a chord bound that shrinks with 1/k, so only it passes the
 doubling gate (``gated``), which recounts at doubled resolution and raises
@@ -514,8 +514,6 @@ def _branch_lines(system, x_cp, y_cp, read=branch_ends):
 _LEVEL_CHORD = 0.1
 # a chord still above its bound across fewer radians than this is a split
 _SPLIT_ANGLE = 1e-9
-# a flight has landed on its level once |f - c| is below this
-_LANDED = 1e-14
 
 
 def _level(system, x_cp, y_cp):
@@ -528,50 +526,48 @@ def _level(system, x_cp, y_cp):
     return 0.5 * (a + b)
 
 
-def _land(system, p, c):
-    """(z, dt): the point z where the trajectory through p crosses f = c,
-    and the time dt from p to z along the descending flow.  p is flown
-    on or back along the flow for |f - c| / |grad f|^2 until |f - c| <
-    ``_LANDED``: flowing keeps it on its trajectory."""
-    dt = 0.0
-    for _ in range(8):
-        gap = float(system.f(p)) - c
-        if abs(gap) < _LANDED:
-            return p, dt
-        v = system.field(p)
-        duration = abs(gap) / float(v @ v)
-        p = fixed_time_flow(system, p, duration, 1 if gap > 0 else -1,
-                            record=False).x_end
-        dt += math.copysign(duration, gap)
-    raise CountingIncompleteError(
-        "landing on the level f = %.17g unresolved (f - c = %.3g)"
-        % (c, gap), level=c, residual=gap)
-
-
-def _level_flight(system, cp, direction, c, rho, angle, record=False):
-    """The flight from cp's unstable circle (direction +1, descending) or
-    stable circle (-1, ascending) of radius rho at ``angle``, which stops
-    at its first point past f = c (``flow.trap_family`` of no row), and
-    must converge: past the level with limit None, or into a ball."""
+def _level_flight(system, cp, direction, c, rho, angle):
+    """The recorded flight from cp's unstable circle (direction +1) or
+    stable circle (-1) of radius rho at ``angle``, which stops at its
+    first point past f = c (``flow.trap_family`` of no row), and must
+    converge: past the level with limit None, or into a ball."""
     frame = cp.unstable_frame if direction == +1 else cp.stable_frame
     start = system.manifold.project(
         cp.point + rho * (frame @ [math.cos(angle), math.sin(angle)]))
-    return _resolved(flow(system, start, direction, record=record,
+    return _resolved(flow(system, start, direction,
                           trap=Kernel(trap_family(), direction * c)),
                      "level flight of %s" % cp.name)
 
 
+def _level_read(system, res, direction, c, name):
+    """(z, t): where the level flight ``res`` of ``name`` crosses f = c,
+    and when, read off its last chord p0 -> p1 by linear interpolation in
+    the driving values f0 >= direction c > f1: a count needs each crossing
+    and its sign, not the point to the last digit.  A flight with no such
+    chord (one node, or into a ball) raises ``CountingIncompleteError``
+    naming it, with the fields of ``_resolved``."""
+    if res.limit is not None or len(res.times) < 2:
+        raise CountingIncompleteError(
+            "level flight of %s has no chord across f = %.6g" % (name, c),
+            status=res.status, t_end=res.t_end, steps=res.steps)
+    (f0, f1), (t0, t1), (p0, p1) = (res.f_values[-2:], res.times[-2:],
+                                    res.points[-2:])
+    w = (f0 - direction * c) / (f0 - f1)
+    man = system.manifold
+    return man.project(p0 + w * man.displacement(p0, p1)), t0 + w * (t1 - t0)
+
+
 def _level_point(system, cp, direction, c, rho, t):
-    """The landed point of the flight at ``circle_angle(t)``
-    (``_level_flight``), or None for a flight that enters a ball before
-    the level.  Kept in the call's store by the exact fraction t, so the
+    """The level point of the flight at ``circle_angle(t)``
+    (``_level_read``), or None for a flight that enters a ball before the
+    level.  Kept in the call's store by the exact fraction t, so the
     gate's doubled run reads the points of its first run."""
     store = _kept()
     key = (system, "level", cp.name, direction, c, rho, t)
     if key not in store:
         res = _level_flight(system, cp, direction, c, rho, circle_angle(t))
-        store[key] = (None if res.limit is not None
-                      else _land(system, res.x_end, c)[0])
+        store[key] = (None if res.limit is not None else
+                      _level_read(system, res, direction, c, cp.name)[0])
     return store[key]
 
 
@@ -580,7 +576,7 @@ LevelCurve = namedtuple("LevelCurve", "t points whole")
 
 def _level_curve(system, cp, direction, c, rho, k):
     """W^u(cp) (direction +1) or W^s(cp) (-1) on the level f = c, as a
-    ``LevelCurve``: a closed polyline of the landed points, its last node
+    ``LevelCurve``: a closed polyline of the level points, its last node
     its first, their t (a fraction of the turn of cp's circle, the last
     one plus 1), and whether each chord is whole.  The k points j / k are
     refined by bisecting each chord longer than ``_LEVEL_CHORD``
@@ -698,16 +694,15 @@ def _level_lines(system, x_cp, y_cp, rho, k):
 def _joined_line(system, x_cp, y_cp, line, rho):
     """(times, points) of a level line: the recorded flight from x at u
     down to the level, then the recorded flight from y at v reversed,
-    joined at the level where x's flight lands."""
+    joined where x's flight crosses the level (``_level_read``)."""
     c = _level(system, x_cp, y_cp)
     halves = []
     for cp, direction, w in ((x_cp, +1, line.u), (y_cp, -1, line.v)):
         res = _level_flight(system, cp, direction, c, rho,
-                            math.atan2(w[1], w[0]), record=True)
-        z, dt = _land(system, res.x_end, c)
-        halves.append((res.times[:-1], res.points[:-1], res.t_end
-                       + direction * dt, z))
-    (tx, px, t_c, z), (ty, py, t_y, _z) = halves
+                            math.atan2(w[1], w[0]))
+        halves.append((res.times[:-1], res.points[:-1],
+                       *_level_read(system, res, direction, c, cp.name)))
+    (tx, px, z, t_c), (ty, py, _z, t_y) = halves
     return (np.concatenate([tx, [t_c], t_c + t_y - ty[::-1]]),
             np.concatenate([px, z[None, :], py[::-1]]))
 
@@ -885,23 +880,22 @@ def _aux_gradient(region, x, eps=1e-6):
     return g
 
 
-def check_region_admissible(system, region, n_probes=40, seed=0,
-                            margin=1e-3, trans_tol=1e-6):
+def check_region_admissible(system, region):
     """Verify the outward-gradient condition on the region boundary.
 
-    Flows from random seeds; every crossing of {aux = level} must be
+    Flows from 40 random seeds; every crossing of {aux = level} must be
     transverse and entering (descending flows may only move into the
     region).  Critical points must stay clear of the boundary.
     """
     man = system.manifold
     for cp in system.critical_points:
-        if abs(region.signed_coordinate(cp.point)) < margin:
+        if abs(region.signed_coordinate(cp.point)) < 1e-3:
             raise AdmissibilityError(
-                "critical point %s lies within %g of the region boundary"
-                % (cp.name, margin))
-    rng = np.random.default_rng(seed)
+                "critical point %s lies within 0.001 of the region boundary"
+                % cp.name)
+    rng = np.random.default_rng(0)
     crossings = 0
-    for _ in range(n_probes):
+    for _ in range(40):
         x = man.random_point(rng)
         res = flow(system, x, +1, record=True)
         vals = [region.signed_coordinate(p) for p in res.points]
@@ -917,7 +911,7 @@ def check_region_admissible(system, region, n_probes=40, seed=0,
                 mid = man.project(0.5 * (res.points[i] + res.points[i + 1]))
                 g = man.tangent_project(mid, system.grad(mid))
                 a = man.tangent_project(mid, _aux_gradient(region, mid))
-                if float(np.dot(g, a)) < trans_tol:
+                if float(np.dot(g, a)) < 1e-6:
                     raise AdmissibilityError(
                         "gradient not outward-transverse on the boundary "
                         "of %s" % region.name)

@@ -72,9 +72,7 @@ class CountingIncompleteError(MorseflowError):
     An unresolved flow gives its ``status``, end time ``t_end`` and step
     count ``steps``.  A crossing of level curves beside a split gives in
     ``more`` the pair's point ``names`` as (x, y), the split's ``gap`` as
-    two angles of its circle, and the ``hit`` point; a flight that does
-    not land on its level gives the ``level`` and the ``residual`` f -
-    level."""
+    two angles of its circle, and the ``hit`` point."""
     code = 4
 
     def __init__(self, message, status=None, t_end=None, steps=None,

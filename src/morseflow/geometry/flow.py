@@ -520,16 +520,16 @@ def direction_point(system, cp, rho, u):
     return system.manifold.project(cp.point + rho * (cp.unstable_frame @ u))
 
 
-def probe_limits(system, n_seeds, seed=0, t_max=None):
+def probe_limits(system, n_seeds, seed=0):
     """Forward/backward limit statistics over random seed points.  Its
-    flows take no level trap: it reports the flows that are unresolved at
-    ``t_max``, and a trap would resolve some of them early."""
+    flows take no level trap: it reports the flows unresolved at the
+    system's ``t_max``, and a trap would resolve some of them early."""
     rng = np.random.default_rng(seed)
     out = {"forward": {}, "backward": {}, "unresolved": 0}
     for _ in range(n_seeds):
         x = system.manifold.random_point(rng)
         for key, direction in (("forward", +1), ("backward", -1)):
-            res = flow(system, x, direction, t_max=t_max, record=False)
+            res = flow(system, x, direction, record=False)
             if res.status == CONVERGED:
                 name = res.limit.name
                 out[key][name] = out[key].get(name, 0) + 1

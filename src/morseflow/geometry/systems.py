@@ -29,7 +29,6 @@ from .manifolds import ProductModel, SphereModel, TorusModel, TWO_PI
 @dataclass(frozen=True)
 class Tolerances:
     eps_conv: float = 1e-6        # strict convergence ball radius
-    detect_radius: float = 2e-3   # coarse event-ball radius
     lambda_min: float = 1e-4      # Hessian eigenvalue floor
     eps_crit: float = 1e-7        # |grad| bound at catalog points
     rtol: float = 1e-9
@@ -40,10 +39,10 @@ class Tolerances:
     max_steps: int = 400_000
 
     @lru_cache(maxsize=16)
-    def loosened(self, factor=1e3):
+    def loosened(self):
         """Search-phase copy: classification flows tolerate coarser steps."""
-        return replace(self, rtol=self.rtol * factor,
-                       atol=self.atol * factor, h_init=1e-2)
+        return replace(self, rtol=self.rtol * 1e3, atol=self.atol * 1e3,
+                       h_init=1e-2)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -58,8 +58,7 @@ class EmbeddingModel:
     """
 
     def __init__(self, domain, codomain, embed, normal_coordinate,
-                 normal_frame, codim, name="embedding", check=True,
-                 n_samples=24):
+                 normal_frame, codim, name="embedding", check=True):
         self.domain = domain
         self.codomain = codomain
         self.embed = embed
@@ -71,7 +70,7 @@ class EmbeddingModel:
             raise StructuralValidationError(
                 "declared codimension does not match the dimensions")
         if check and self.codim > 0:
-            self._check(n_samples)
+            self._check()
 
     def image(self, p_point):
         """e(p), on the codomain manifold."""
@@ -102,10 +101,10 @@ class EmbeddingModel:
             return np.zeros((xman.coord_dim, 0))
         return orthonormalize(np.stack(cols, axis=1))
 
-    def _check(self, n_samples):
+    def _check(self):
         dman = self.domain.manifold
         rng = np.random.default_rng(4)
-        pts = [dman.random_point(rng) for _ in range(n_samples)]
+        pts = [dman.random_point(rng) for _ in range(24)]
         images = [self.codomain.manifold.project(self.embed(p)) for p in pts]
         # injectivity on samples
         for i in range(len(pts)):
@@ -345,13 +344,14 @@ class ThomData:
         return np.array(np.eye(n, dtype=int), dtype=object)
 
 
-def thom_complex(bundle, system, n_checks=10, seed=0):
-    """Relative Morse complex of (disk bundle, sphere bundle)."""
+def thom_complex(bundle, system):
+    """Relative Morse complex of (disk bundle, sphere bundle), once the
+    bundle passes its checks at 10 random points of the base."""
     base = boundary_operator(system)
     r = bundle.rank
     man = system.manifold
-    rng = np.random.default_rng(seed)
-    samples = [man.random_point(rng) for _ in range(n_checks)]
+    rng = np.random.default_rng(0)
+    samples = [man.random_point(rng) for _ in range(10)]
     bundle.check_invariants(samples)
     gens = {p + r: base.labels(p) for p in base.degrees()}
     maps = {p + r: base.map_from(p) for p in base.degrees()
@@ -368,7 +368,7 @@ class ThomClassData:
     fiber_pairing: int
 
 
-def thom_class(bundle, system, thom=None, seed=0):
+def thom_class(bundle, system, thom=None):
     """The relative degree-r class restricting to the fiber generator.
 
     The identification of generators makes T^*/T_* identity matrices; the
@@ -382,7 +382,7 @@ def thom_class(bundle, system, thom=None, seed=0):
             "bundle %s is not orientable; no Thom class over the integers"
             % bundle.name)
     if thom is None:
-        thom = thom_complex(bundle, system, seed=seed)
+        thom = thom_complex(bundle, system)
     mins = [cp.name for cp in system.critical_points if cp.index == 0]
     if not mins:
         raise InternalInconsistencyError("catalog has no minimum")
@@ -563,12 +563,11 @@ class FlowGraphProblem:
 
     Supported family: the one-vertex two-loop diagram (two incoming
     circles, one outgoing cycle), whose point-configuration counting
-    specializes to intersection products.  Other valid diagrams construct
-    but raise on counting.
+    specializes to intersection products.  Any other valid diagram raises
+    ``UnsupportedDiagramError`` at construction.
     """
 
-    def __init__(self, diagram, incoming_labels, outgoing_labels,
-                 require_supported=True):
+    def __init__(self, diagram, incoming_labels, outgoing_labels):
         self.diagram = diagram
         self.incoming = tuple(incoming_labels)
         self.outgoing = tuple(outgoing_labels)
@@ -588,11 +587,10 @@ class FlowGraphProblem:
                 raise StructuralValidationError(
                     "labels live on different manifolds")
         self.manifold = man
-        self.supported = (
-            diagram.incoming_count() == 2 and diagram.outgoing_count() == 1
-            and diagram.graph.num_vertices == 1
-            and diagram.graph.num_edges == 2)
-        if require_supported and not self.supported:
+        if not (diagram.incoming_count() == 2
+                and diagram.outgoing_count() == 1
+                and diagram.graph.num_vertices == 1
+                and diagram.graph.num_edges == 2):
             raise UnsupportedDiagramError(
                 "unsupported diagram family: counting is implemented for "
                 "the one-vertex two-loop diagram")
@@ -642,8 +640,6 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0):
     """
     if expected_dimension(problem, inputs, [output]) != 0:
         raise ValueError("counting requires expected dimension zero")
-    if not problem.supported:
-        raise UnsupportedDiagramError("unsupported diagram family")
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     a1, a2, a3 = E1.point(inputs[0]), E2.point(inputs[1]), E3.point(output)

@@ -5,7 +5,8 @@ delta-complex boundary matrices, tensor products of complexes), with no use
 of the flow-counting machinery.  The curve searches measure every
 segment, where ``morseflow.counting`` skips the ones that cannot matter.
 The sign of a flow line at the end is the long way round: a frame carried
-along a strict flow that enters the target's ball.
+along a strict flow that enters the target's ball.  A point of a level is
+landed on it by flowing, where the level search reads it off a chord.
 """
 
 import math
@@ -19,6 +20,7 @@ from morseflow.errors import DegenerateCrossingError
 from morseflow.geometry.flow import (
     CONVERGED,
     direction_point,
+    fixed_time_flow,
     flow,
     orientation_sign,
     orthonormalize,
@@ -216,6 +218,24 @@ def curve_intersections_per_pair(man, curve_a, curve_b):
                        for c in out):
                     out.append(Crossing(z, A, k, theta, B, l, u))
     return out
+
+
+def landed_point(system, p, c):
+    """(z, dt): the point z where the trajectory through p crosses f = c,
+    and the time dt from p to z along the descending flow.  p is flown on
+    or back along the flow for |f - c| / |grad f|^2 until |f - c| <
+    1e-14, at most 8 times: flowing keeps it on its trajectory."""
+    dt = 0.0
+    for _ in range(8):
+        gap = float(system.f(p)) - c
+        if abs(gap) < 1e-14:
+            return p, dt
+        v = system.field(p)
+        duration = abs(gap) / float(v @ v)
+        p = fixed_time_flow(system, p, duration, 1 if gap > 0 else -1,
+                            record=False).x_end
+        dt += math.copysign(duration, gap)
+    raise AssertionError("no landing on f = %r (f - c = %.3g)" % (c, gap))
 
 
 def _strict_flight(system, x_cp, a, rho):

@@ -410,8 +410,7 @@ class TestGeomCommands:
             last[vals[0]] = np.array([float(v) for v in vals[2:4]])
         assert sorted(last) == ["0", "1"]
         for pt in last.values():
-            assert system.manifold.distance(pt, target) \
-                <= system.tol.detect_radius
+            assert system.manifold.distance(pt, target) <= 2e-3
 
     def test_connections_from_index_three(self, capsys, tmp_path):
         cfg = tmp_path / "torus3.cfg"
@@ -637,7 +636,14 @@ class TestOpCommands:
         (("op", "thom"), "sphere.cfg", "--bundle", "trivial:-1"),
         # the rank is the one field: before, this ran as rank 1
         (("op", "thom"), "sphere.cfg", "--bundle", "trivial:1:2"),
-        (("op", "nu"), "fig8.graph", "--input", "x10")])
+        # extra fields: before, they were ignored
+        (("op", "push"), "torus.cfg", "--embedding", "factor:0:2.0:0.3:junk"),
+        (("op", "umkehr"), "torus.cfg", "--embedding", "identity:x"),
+        (("op", "push"), "sphere.cfg", "--embedding", "equator:1"),
+        (("op", "push"), "sphere.cfg", "--embedding", "equator:"),
+        (("op", "nu"), "fig8.graph", "--input", "x10"),
+        # an empty coefficient: before, it ran as 1
+        (("op", "nu"), "fig8.graph", "--input", "x10,x01=")])
     def test_malformed_spec_is_a_parse_error(self, capsys, label_args,
                                              command, path, option, spec):
         argv = [*command, os.path.join(DATA, path), option, spec]
@@ -651,6 +657,32 @@ class TestOpCommands:
         error = json.loads(err)["error"]
         assert (error["type"], error["code"]) == ("ParseError", 2)
         assert repr(spec) in error["message"]
+
+    def test_missing_input_names_the_syntax(self, capsys, fig8_file,
+                                            label_args):
+        code, out, err = run(capsys, "op", "nu", fig8_file, *label_args)
+        assert (code, out) == (2, "")
+        assert "--input 'a,b[=coeff];...'" in err
+
+    @pytest.mark.parametrize("config, spec, manifold", [
+        (SPHERE_CFG, "factor", "SphereModel"),
+        ("kind torus\ndim 3\n", "factor:0", "TorusModel(dim=3)"),
+        (TORUS_CFG, "equator", "TorusModel(dim=2)")])
+    def test_embedding_on_the_wrong_manifold_is_refused(
+            self, capsys, tmp_path, config, spec, manifold):
+        # before, factor on the sphere exited 3 on normal coordinates that
+        # do not vanish, and the other two exited 1 in the library
+        cfg = tmp_path / "system.cfg"
+        cfg.write_text(config)
+        argv = ["op", "push", str(cfg), "--embedding", spec]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and manifold in err
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["code"]) == (
+            "StructuralValidationError", 3)
 
     @pytest.mark.parametrize("command", ["thom", "euler"])
     def test_tangent_bundle_of_a_product_is_refused(self, capsys, tmp_path,

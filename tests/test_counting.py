@@ -28,6 +28,7 @@ from morseflow.counting import (
     relative_complex,
 )
 import morseflow.counting as counting
+from morseflow.cli import main
 from morseflow.errors import (
     AdmissibilityError,
     CountingIncompleteError,
@@ -61,6 +62,7 @@ from oracles import (
     check_ends_all_segments,
     chord_hits_all_pairs,
     circle_complex,
+    landed_point,
     refined_angle,
     tensor_complex,
     transported_sign,
@@ -335,6 +337,72 @@ class TestLevelSearch:
                             assert line.sign == sign, (x.name, y.name)
                             checked += 1
         assert checked == total >= 4
+
+    def test_counts_land_no_flight(self, t3, monkeypatch):
+        # each level point is read off the chord of its flight's last step
+        # (``counting._level_read``); before, each was landed on the level
+        # by 3.5 fixed-time flows on average
+        def no_landing(*args, **kwargs):
+            raise AssertionError("a fixed-time flow was launched")
+
+        monkeypatch.setattr(counting, "fixed_time_flow", no_landing)
+        assert count_flow_lines(t3, "x110", "x100") == 0
+
+    def test_level_points_lie_beside_the_landed_points(self, t3,
+                                                       monkeypatch):
+        # every read lies within 2e-3 of the point that flowing on to the
+        # level reaches (``oracles.landed_point``), 4 % of the 0.05 chord
+        # bound of the gate's doubled run
+        reads = []
+        real = counting._level_read
+
+        def kept(system, res, direction, c, name):
+            z, t = real(system, res, direction, c, name)
+            reads.append((res.x_end, c, z))
+            return z, t
+
+        monkeypatch.setattr(counting, "_level_read", kept)
+        assert count_flow_lines(t3, "x110", "x100") == 0
+        assert len(reads) >= 4 * counting.DEFAULT_K_CIRCLE
+        for p, c, z in reads:
+            landed, _dt = landed_point(t3, p, c)
+            assert t3.manifold.distance(z, landed) < 2e-3
+            assert abs(t3.f(z) - c) < 1e-3
+
+    def test_flight_that_starts_past_the_level_is_refused(self, t3):
+        # one node and no chord to read: a refusal, never a guess
+        x = t3.point("x110")
+        c = x.value + 1.0
+        res = counting._level_flight(t3, x, +1, c, counting.DEFAULT_RHO, 0.0)
+        assert len(res.times) == 1
+        with pytest.raises(CountingIncompleteError,
+                           match="level flight of x110") as err:
+            counting._level_read(t3, res, +1, c, x.name)
+        assert (err.value.status, err.value.steps) == ("converged", 0)
+
+    def test_connections_csv_joins_the_half_flights(self, tmp_path, capsys):
+        # each line x110 -> x100 is x's flight down to the level, then y's
+        # flight reversed, joined where x's flight crosses the level
+        # (``counting._joined_line``)
+        text = "kind torus\ndim 3\namplitudes 1.0 0.7 0.55\n"
+        cfg, csv = tmp_path / "t3.cfg", tmp_path / "lines.csv"
+        cfg.write_text(text)
+        assert main(["geom", "connections", str(cfg), "--source", "x110",
+                     "--target", "x100", "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        system = parse_system_config(text)
+        x, y = system.point("x110"), system.point("x100")
+        c, rho = counting._level(system, x, y), counting.DEFAULT_RHO
+        rows = np.array([[float(v) for v in row.split(",")]
+                         for row in csv.read_text().splitlines()[1:]])
+        assert sorted(set(rows[:, 0])) == [0, 1]
+        for k in (0, 1):
+            t, points, f = (rows[rows[:, 0] == k][:, cols]
+                            for cols in (1, slice(2, 5), 5))
+            assert system.manifold.distance(points[0], x.point) < rho + 1e-9
+            assert system.manifold.distance(points[-1], y.point) < rho + 1e-9
+            assert np.all(np.diff(t) >= 0) and np.all(np.diff(f) < 1e-3)
+            assert np.min(np.abs(f - c)) < 1e-3
 
     def test_pair_with_higher_target_flies_nothing(self, monkeypatch):
         # on this draw f(x011) = -0.023 < f(x100) = 0.023: no line runs
