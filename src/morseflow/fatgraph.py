@@ -16,6 +16,7 @@ the next half-edge in the cyclic order there, i.e. the successor map is
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -146,8 +147,9 @@ class FatGraph:
                 raise StructuralValidationError(
                     "expected %d edge lengths, got %d"
                     % (len(self.edges), len(lengths)))
-            if any(x <= 0 for x in lengths):
-                raise StructuralValidationError("edge lengths must be > 0")
+            if not all(0.0 < x < math.inf for x in lengths):
+                raise StructuralValidationError(
+                    "edge lengths must be positive and finite")
             self.edge_lengths = lengths
         else:
             self.edge_lengths = None
@@ -848,7 +850,9 @@ def parse_graph_file(text):
                 role = parts[2].lower()
                 if role not in (INCOMING, OUTGOING):
                     raise ParseError("bad role %r" % role, lineno)
-                roles[int(parts[1])] = role
+                if roles.setdefault(int(parts[1]), role) != role:
+                    raise ParseError("cycle-role %s conflicts with an "
+                                     "earlier role" % parts[1], lineno)
             elif kw == "ghost":
                 ghosts.update(int(x) for x in parts[1:])
             else:
@@ -877,6 +881,9 @@ def parse_graph_file(text):
     for e in ghosts:
         if not (0 <= e < graph.num_edges):
             raise ParseError("ghost for unknown edge %d" % e)
+    for k in roles:
+        if not (0 <= k < len(graph.boundary_cycles().cycles)):
+            raise ParseError("cycle-role for unknown cycle %d" % k)
     return GraphFileData(graph=graph, roles=roles,
                          ghost_edges=frozenset(ghosts))
 

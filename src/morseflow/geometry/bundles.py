@@ -47,10 +47,10 @@ class VectorBundleModel:
                 "orientation frame of %s is degenerate" % self.name)
         return fr
 
-    def check_invariants(self, points, substeps=24):
+    def check_invariants(self, points):
         """Constant rank at samples; orientation continuity along the
-        piecewise path through them (fine steps, so frame comparisons stay
-        meaningful even across chart switches)."""
+        piecewise path through them (24 steps a piece, so frame comparisons
+        stay meaningful even across chart switches)."""
         for x in points:
             P = self.projector(x)
             evals = np.linalg.eigvalsh(P)
@@ -65,7 +65,7 @@ class VectorBundleModel:
         man = self.base
         for a, b in zip(points, points[1:]):
             prev = self.frame_at(a)
-            for s in np.linspace(0.0, 1.0, substeps + 1)[1:]:
+            for s in np.linspace(0.0, 1.0, 25)[1:]:
                 x = man.project((1.0 - s) * np.asarray(a) + s * np.asarray(b))
                 fr = self.frame_at(x)
                 det = np.linalg.det(prev.T @ fr)
@@ -146,27 +146,23 @@ def torus_tangent_bundle(base):
                              name="TT%d" % n, trivial_section=section)
 
 
-def whitney_sum_with_trivial(bundle, extra=1):
-    """E + R^extra: block projector, block frame, explicit unit section."""
-    N = bundle.fiber_ambient_dim + extra
-    r = bundle.rank + extra
+def whitney_sum_with_trivial(bundle):
+    """E + R: block projector, block frame, explicit unit section."""
+    N = bundle.fiber_ambient_dim + 1
+    r = bundle.rank + 1
 
     def projector(x):
         P = np.zeros((N, N))
-        P[:bundle.fiber_ambient_dim, :bundle.fiber_ambient_dim] = \
-            bundle.projector(x)
-        for i in range(extra):
-            P[bundle.fiber_ambient_dim + i, bundle.fiber_ambient_dim + i] = 1.0
+        P[:-1, :-1] = bundle.projector(x)
+        P[-1, -1] = 1.0
         return P
 
     frame = None
     if bundle.orientable:
         def frame(x):
             F = np.zeros((N, r))
-            F[:bundle.fiber_ambient_dim, :bundle.rank] = \
-                bundle.oriented_frame(x)
-            for i in range(extra):
-                F[bundle.fiber_ambient_dim + i, bundle.rank + i] = 1.0
+            F[:-1, :-1] = bundle.oriented_frame(x)
+            F[-1, -1] = 1.0
             return F
 
     def section(x):
@@ -175,12 +171,12 @@ def whitney_sum_with_trivial(bundle, extra=1):
         return v
 
     return VectorBundleModel(bundle.base, r, N, projector, frame,
-                             name=bundle.name + "+triv%d" % extra,
+                             name=bundle.name + "+triv1",
                              trivial_section=section)
 
 
-def unorientable_stub(base, rank=1):
+def unorientable_stub(base):
     """Rank-1 bundle flagged unorientable (orientation data withheld)."""
-    eye = np.eye(rank)
-    return VectorBundleModel(base, rank, rank, lambda x: eye, None,
-                             name="unorientable%d" % rank)
+    eye = np.eye(1)
+    return VectorBundleModel(base, 1, 1, lambda x: eye, None,
+                             name="unorientable1")

@@ -470,36 +470,23 @@ def orientation_sign(frame_a, frame_b, floor=0.05):
     return 1 if det > 0 else -1
 
 
-def transport_frame(manifold, field_fn, times, points, frame0, fd_eps=1e-6):
+def transport_frame(manifold, field_fn, times, points, frame0):
     """Push a tangent frame along a recorded trajectory.
 
-    Integrates the flow linearization with midpoint steps (directional
-    finite differences of the field), re-orthonormalizing at every node so
-    the span tracks the invariant subspace and the orientation never flips
-    spuriously.
+    Integrates the flow linearization with midpoint steps (central
+    differences of the field) and transfers the frame to every node
+    (``parallel_frame``), so the span tracks the invariant subspace and the
+    orientation never flips spuriously.
     """
-
-    def dfield(x, v):
-        return (field_fn(manifold.project(x + fd_eps * v))
-                - field_fn(manifold.project(x - fd_eps * v))) / (2 * fd_eps)
-
     frame = parallel_frame(manifold, points[0], frame0)
     for k in range(len(times) - 1):
         h = float(times[k + 1] - times[k])
         if h == 0.0:
             continue
-        xk = points[k]
-        xm = manifold.project(0.5 * (xk + points[k + 1]))
-        cols = []
-        for j in range(frame.shape[1]):
-            v = frame[:, j]
-            k1 = dfield(xk, v)
-            k2 = dfield(xm, v + 0.5 * h * k1)
-            cols.append(v + h * k2)
-        nxt = np.stack(cols, axis=1)
-        cols = [manifold.tangent_project(points[k + 1], nxt[:, j])
-                for j in range(nxt.shape[1])]
-        frame = orthonormalize(np.stack(cols, axis=1))
+        xm = manifold.project(0.5 * (points[k] + points[k + 1]))
+        k1 = manifold.central_differences(field_fn, points[k], frame)
+        frame = parallel_frame(manifold, points[k + 1], frame + h * (
+            manifold.central_differences(field_fn, xm, frame + 0.5 * h * k1)))
     return frame
 
 

@@ -2,14 +2,15 @@
 and products by concatenation.
 
 Points are numpy arrays of length ``coord_dim``; every model supplies a
-projection (nearest point or wrap), tangent projection, and a distance used
-for convergence and event detection.  The integrator reads the projection
-and the distance sweep on lists of Python floats (``project_floats``,
-``distance_sweep``).  Tori give kernels of the wrap and sweep families
-(``_unroll.Kernel``), which the flow loop writes in, bit for bit the numpy
-forms; spheres project in Python (the norm kernel, then one division per
-coordinate); every other projection and sweep adapts the numpy methods, as
-plain callables that the loop calls.
+projection (nearest point or wrap), tangent projection and ``displacement``.
+Every distance is the norm of the displacement, and every derivative on a
+manifold one projected central difference (``central_differences``).  The
+integrator reads the projection and the distance sweep on lists of Python
+floats (``project_floats``, ``distance_sweep``).  Tori give kernels of the
+wrap and sweep families (``_unroll.Kernel``), which the flow loop writes in,
+bit for bit the numpy forms; spheres project in Python (the norm kernel,
+then one division per coordinate); every other projection and sweep adapts
+the numpy methods, as plain callables that the loop calls.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ from ..errors import GeometryError
 from ._unroll import Family, Kernel, norm_template, numpy_sum, unrolled
 
 TWO_PI = 2.0 * np.pi
+FD_STEP = 1e-6
 
 
 class ManifoldModel:
+    """A manifold in coordinates: its distance and its derivative are
+    made from the model's ``displacement`` and ``project``."""
+
     __slots__ = ()
     dim: int
     coord_dim: int
@@ -37,7 +42,7 @@ class ManifoldModel:
         raise NotImplementedError
 
     def distance(self, x, y):
-        raise NotImplementedError
+        return float(np.linalg.norm(self.displacement(x, y)))
 
     def displacement(self, x, y):
         """Coordinate difference y - x respecting periodicity."""
@@ -56,7 +61,16 @@ class ManifoldModel:
 
     def distances(self, x, pts):
         """Distances from x to each row of pts."""
-        return np.array([self.distance(x, p) for p in pts])
+        return np.linalg.norm(self.displacement(x, pts), axis=1)
+
+    def central_differences(self, fn, x, frame):
+        """The derivative of ``fn`` at x along the columns v_j of
+        ``frame``: column j is (fn(project(x + h v_j)) - fn(project(x - h
+        v_j))) / 2h, with h = ``FD_STEP``.  A scalar ``fn`` gives a one-row
+        matrix."""
+        diffs = [np.subtract(fn(self.project(x + s)), fn(self.project(x - s)))
+                 for s in FD_STEP * np.asarray(frame, dtype=float).T]
+        return np.atleast_2d(np.array(diffs, dtype=float).T) / (2 * FD_STEP)
 
     def project_floats(self, x):
         """``project`` on a list of floats, returned as a list."""
@@ -96,18 +110,12 @@ class SphereModel(ManifoldModel):
     def tangent_project(self, x, v):
         return v - np.dot(v, x) * x
 
-    def distance(self, x, y):
-        return float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
-
     def displacement(self, x, y):
         return np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
 
     def random_point(self, rng):
         v = rng.standard_normal(self.coord_dim)
         return self.project(v)
-
-    def distances(self, x, pts):
-        return np.linalg.norm(np.asarray(pts) - np.asarray(x), axis=1)
 
     def tangent_basis(self, x):
         # orthonormal completion of x: columns 2.. of a Householder frame
@@ -157,15 +165,8 @@ class TorusModel(ManifoldModel):
         d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
         return (d + np.pi) % TWO_PI - np.pi
 
-    def distance(self, x, y):
-        return float(np.linalg.norm(self.displacement(x, y)))
-
     def random_point(self, rng):
         return rng.uniform(0.0, TWO_PI, size=self.dim)
-
-    def distances(self, x, pts):
-        d = (np.asarray(pts) - np.asarray(x) + np.pi) % TWO_PI - np.pi
-        return np.linalg.norm(d, axis=1)
 
     @property
     def project_floats(self):
@@ -263,18 +264,14 @@ class ProductModel(ManifoldModel):
         return self.join(self.factors[0].displacement(xa, ya),
                          self.factors[1].displacement(xb, yb))
 
-    def distance(self, x, y):
-        return float(np.linalg.norm(self.displacement(x, y)))
-
     def random_point(self, rng):
         return self.join(self.factors[0].random_point(rng),
                          self.factors[1].random_point(rng))
 
     def distances(self, x, pts):
-        pts = np.asarray(pts)
-        xa, xb = self.parts(x)
-        da = self.factors[0].distances(xa, pts[:, :self._split])
-        db = self.factors[1].distances(xb, pts[:, self._split:])
+        (xa, xb), (pa, pb) = self.parts(x), self.parts(pts)
+        da = self.factors[0].distances(xa, pa)
+        db = self.factors[1].distances(xb, pb)
         return np.sqrt(da ** 2 + db ** 2)
 
     def tangent_basis(self, x):

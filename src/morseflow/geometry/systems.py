@@ -3,12 +3,13 @@ verified catalog of nondegenerate critical points.
 
 Construction recomputes the covariant Hessian at every declared critical
 point, checks nondegeneracy and the declared index, and stores the ordered
-eigenbasis that fixes the unstable-manifold orientations.  The catalog is
-one structured array per system, one record per point.  A system hands
-the integrator its field and function on lists of Python floats
-(``float_kernels``): for torus cosine wells, kernels of the cosine-well
-families, which the flow loop writes in; for everything else, numpy
-adapters, which it calls.
+eigenbasis that fixes the unstable-manifold orientations; it refuses a
+convergence radius that reaches half the way between two catalog points.
+The catalog is one structured array per system, one record per point.
+A system hands the integrator its field and function on lists of Python
+floats (``float_kernels``): for torus cosine wells, kernels of the
+cosine-well families, which the flow loop writes in; for everything else,
+numpy adapters, which it calls.
 """
 
 from __future__ import annotations
@@ -126,30 +127,24 @@ def _canonical_sign(vec):
     return vec if vec[k] > 0 or (vec[k] == 0) else -vec
 
 
-def _covariant_hessian(manifold, grad, x, fd_step=1e-6):
-    """Covariant Hessian in an orthonormal tangent basis (exact at
-    critical points, where the connection term drops)."""
+def _covariant_hessian(manifold, grad, x):
+    """Covariant Hessian in an orthonormal tangent basis B, B^T times the
+    central differences of the tangential gradient along B, symmetrized
+    (exact at critical points, where the connection term drops)."""
     basis = manifold.tangent_basis(x)
-    n = basis.shape[1]
-    H = np.zeros((n, n))
-    for j in range(n):
-        xp = manifold.project(x + fd_step * basis[:, j])
-        xm = manifold.project(x - fd_step * basis[:, j])
-        gp = manifold.tangent_project(xp, grad(xp))
-        gm = manifold.tangent_project(xm, grad(xm))
-        H[:, j] = basis.T @ (gp - gm) / (2 * fd_step)
+    H = basis.T @ manifold.central_differences(
+        lambda p: manifold.tangent_project(p, grad(p)), x, basis)
     return 0.5 * (H + H.T), basis
 
 
-def refine_critical_point(manifold, grad, x0, steps=40, target=1e-12,
-                          fd_step=1e-6):
+def refine_critical_point(manifold, grad, x0):
     """Newton iteration on the tangential gradient from a seed point."""
     x = manifold.project(np.asarray(x0, dtype=float))
-    for _ in range(steps):
+    for _ in range(40):
         g = manifold.tangent_project(x, grad(x))
-        if np.linalg.norm(g) < target:
+        if np.linalg.norm(g) < 1e-12:
             return x
-        H, basis = _covariant_hessian(manifold, grad, x, fd_step)
+        H, basis = _covariant_hessian(manifold, grad, x)
         try:
             step = np.linalg.solve(H, basis.T @ g)
         except np.linalg.LinAlgError as exc:
@@ -170,17 +165,15 @@ class MorseSystem:
     count's call (``counting.keeping``), never on the system.
     """
 
-    __slots__ = ("manifold", "f", "_grad", "name", "tol", "fd_step",
-                 "catalog")
+    __slots__ = ("manifold", "f", "_grad", "name", "tol", "catalog")
 
     def __init__(self, manifold, f, grad, critical_points, name="system",
-                 tol=None, fd_step=1e-6):
+                 tol=None):
         self.manifold = manifold
         self.f = f
         self._grad = grad
         self.name = name
         self.tol = tol or DEFAULT_TOLERANCES
-        self.fd_step = fd_step
         rows = [self._verify(cp) for cp in critical_points]
         if not rows:
             raise StructuralValidationError(
@@ -192,6 +185,19 @@ class MorseSystem:
                                                          manifold.dim))
         for i, row in enumerate(rows):
             self.catalog[i] = row
+        # a branch flow starts 10 eps_conv off its point; a start at half
+        # the way to another point may be read as that point's, a wrong count
+        reach, names = 10.0 * self.tol.eps_conv, self.catalog["name"]
+        for i, p in enumerate(self.points[:-1]):
+            gaps = np.linalg.norm(manifold.displacement(
+                p, self.points[i + 1:]), axis=1)
+            j = int(np.argmin(gaps))
+            if reach >= 0.5 * gaps[j]:
+                raise StructuralValidationError(
+                    "catalog points %s and %s lie %.6g apart: tol-conv %g "
+                    "starts branch flows %g off a point, not below half that"
+                    % (names[i], names[i + 1 + j], gaps[j],
+                       self.tol.eps_conv, reach))
 
     # -- catalog ------------------------------------------------------------
 
@@ -244,7 +250,7 @@ class MorseSystem:
 
     def hessian_matrix(self, x):
         """Covariant Hessian in the orthonormal tangent basis at x."""
-        return _covariant_hessian(self.manifold, self.grad, x, self.fd_step)
+        return _covariant_hessian(self.manifold, self.grad, x)
 
     def _verify(self, cp):
         """(name, index, point, eigenvalues, frame, value) of a declared

@@ -76,30 +76,20 @@ class EmbeddingModel:
         """e(p), on the codomain manifold."""
         return self.codomain.manifold.project(self.embed(p_point))
 
-    def differential(self, p_point, eps=1e-6):
-        """Columns: the pushforward of the domain tangent basis at p."""
+    def differential(self, p_point):
+        """Columns: the pushforward of the domain tangent basis at p, the
+        central differences of ``embed`` tangent-projected at e(p)."""
         dman, xman = self.domain.manifold, self.codomain.manifold
-        basis = dman.tangent_basis(p_point)
+        D = dman.central_differences(self.embed, p_point,
+                                     dman.tangent_basis(p_point))
         x = xman.project(self.embed(p_point))
-        cols = []
-        for j in range(basis.shape[1]):
-            pp = dman.project(p_point + eps * basis[:, j])
-            pm = dman.project(p_point - eps * basis[:, j])
-            v = (np.asarray(self.embed(pp), dtype=float)
-                 - np.asarray(self.embed(pm), dtype=float)) / (2 * eps)
-            cols.append(xman.tangent_project(x, v))
-        return np.stack(cols, axis=1)
+        return np.stack([xman.tangent_project(x, v) for v in D.T], axis=1)
 
     def push_frame(self, p_point, frame_in_P):
         """Push a domain tangent frame through the differential."""
-        dman, xman = self.domain.manifold, self.codomain.manifold
-        basis = dman.tangent_basis(p_point)
-        De = self.differential(p_point)
-        cols = [De @ (basis.T @ frame_in_P[:, j])
-                for j in range(frame_in_P.shape[1])]
-        if not cols:
-            return np.zeros((xman.coord_dim, 0))
-        return orthonormalize(np.stack(cols, axis=1))
+        basis = self.domain.manifold.tangent_basis(p_point)
+        return orthonormalize(self.differential(p_point)
+                              @ (basis.T @ frame_in_P))
 
     def _check(self):
         dman = self.domain.manifold
@@ -152,8 +142,7 @@ def identity_embedding(system):
                           codim=0, name="identity", check=False)
 
 
-def torus_factor_circle(codomain, fixed_axis, level, amplitude=1.0,
-                        phase=0.0):
+def torus_factor_circle(codomain, fixed_axis, level, phase=0.0):
     """The circle {theta_axis = level} in a torus system, with its own
     one-angle cosine function.  An axis other than 0 or 1, or a level that
     is not finite, raises ``GeometryError``."""
@@ -169,7 +158,7 @@ def torus_factor_circle(codomain, fixed_axis, level, amplitude=1.0,
         raise GeometryError("the level of a factor circle must be finite, "
                             "not %r" % (level,))
     free_axis = 1 - fixed_axis
-    domain = torus_cosine(1, [amplitude], [phase],
+    domain = torus_cosine(1, [1.0], [phase],
                           name="factor%d" % free_axis)
 
     def embed(t):
@@ -179,8 +168,8 @@ def torus_factor_circle(codomain, fixed_axis, level, amplitude=1.0,
         return out
 
     def normal_coordinate(x):
-        d = (x[fixed_axis] - level + np.pi) % (2 * np.pi) - np.pi
-        return np.array([d])
+        return np.atleast_1d(codomain.manifold.displacement(level,
+                                                            x[fixed_axis]))
 
     e_fix = np.zeros((n, 1))
     e_fix[fixed_axis, 0] = 1.0
@@ -190,13 +179,13 @@ def torus_factor_circle(codomain, fixed_axis, level, amplitude=1.0,
                           name="factor-circle[axis=%d]" % fixed_axis)
 
 
-def sphere_equator(codomain, phase=np.pi / 2):
+def sphere_equator(codomain):
     """The equator of the embedded 2-sphere with a height-like function."""
     from .geometry.systems import torus_cosine
 
     if codomain.manifold.coord_dim != 3:
         raise GeometryError("equator embedding expects the 2-sphere model")
-    domain = torus_cosine(1, [1.0], [phase], name="equator")
+    domain = torus_cosine(1, [1.0], [np.pi / 2], name="equator")
 
     def embed(t):
         return np.array([math.cos(t[0]), math.sin(t[0]), 0.0])
@@ -399,12 +388,14 @@ class EulerClassData:
     fundamental_pairing: object  # int when rank == dim and betti_top == 1
 
 
-def euler_class(bundle, system, section=None, n_starts=200, seed=0):
+def euler_class(bundle, system, section=None):
     """Euler class as a cochain on the index-r generators.
 
     Realized as the collapse of the relative unit class: a generic section
     is counted, with orientation signs, at its zeros inside each index-r
-    unstable manifold.  A bundle carrying an explicit nowhere-zero section
+    unstable manifold, found by Newton's method from 200 seeded starts and
+    signed by the central differences of the section in the fiber frame.
+    A bundle carrying an explicit nowhere-zero section
     short-circuits to zero.
     """
     if not bundle.orientable:
@@ -425,8 +416,7 @@ def euler_class(bundle, system, section=None, n_starts=200, seed=0):
         raise GeometryError(
             "honest zero counting is implemented for rank == dim; declare a "
             "trivial summand for bundles with a nowhere-zero section")
-    zeros = _find_section_zeros(bundle, system.manifold, section, n_starts,
-                                seed)
+    zeros = _find_section_zeros(system.manifold, section)
     coeffs = {}
     out_zeros = []
     for z in zeros:
@@ -445,12 +435,12 @@ def _reference_vector(N):
     return v / np.linalg.norm(v)
 
 
-def _find_section_zeros(bundle, man, section, n_starts, seed, tol=1e-10):
-    rng = np.random.default_rng(seed)
+def _find_section_zeros(man, section):
+    rng = np.random.default_rng(0)
     found = []
-    for _ in range(n_starts):
+    for _ in range(200):
         x = man.random_point(rng)
-        z = _newton_zero(bundle, man, section, x, tol)
+        z = _newton_zero(man, section, x)
         if z is None:
             continue
         if any(man.distance(z, w) < 1e-5 for w in found):
@@ -459,20 +449,14 @@ def _find_section_zeros(bundle, man, section, n_starts, seed, tol=1e-10):
     return found
 
 
-def _newton_zero(bundle, man, section, x0, tol, max_iter=60):
+def _newton_zero(man, section, x0):
     x = man.project(np.asarray(x0, dtype=float))
-    for _ in range(max_iter):
+    for _ in range(60):
         s = np.asarray(section(x), dtype=float)
-        if np.linalg.norm(s) < tol:
+        if np.linalg.norm(s) < 1e-10:
             return x
         basis = man.tangent_basis(x)
-        eps = 1e-6
-        J = np.zeros((len(s), basis.shape[1]))
-        for j in range(basis.shape[1]):
-            xp = man.project(x + eps * basis[:, j])
-            xm = man.project(x - eps * basis[:, j])
-            J[:, j] = (np.asarray(section(xp)) - np.asarray(section(xm))) \
-                / (2 * eps)
+        J = man.central_differences(section, x, basis)
         step, *_ = np.linalg.lstsq(J, -s, rcond=None)
         if np.linalg.norm(step) > 0.5:
             step *= 0.5 / np.linalg.norm(step)
@@ -505,14 +489,8 @@ def _class_frame(man, cp, z):
 
 
 def _zero_sign(bundle, man, section, z, tangent_frame):
-    fiber = bundle.frame_at(z)
-    eps = 1e-6
-    M = np.zeros((bundle.rank, tangent_frame.shape[1]))
-    for j in range(tangent_frame.shape[1]):
-        xp = man.project(z + eps * tangent_frame[:, j])
-        xm = man.project(z - eps * tangent_frame[:, j])
-        M[:, j] = fiber.T @ (np.asarray(section(xp))
-                             - np.asarray(section(xm))) / (2 * eps)
+    M = bundle.frame_at(z).T @ man.central_differences(section, z,
+                                                       tangent_frame)
     det = float(np.linalg.det(M))
     if abs(det) < 1e-8:
         raise TransversalityError("degenerate section zero; re-seed")
@@ -598,7 +576,7 @@ class FlowGraphProblem:
         self.aux = AuxiliaryFunction(self.incoming,
                                      tol=self.incoming[0].tol)
 
-    def _check_label_separation(self, margin=1e-3):
+    def _check_label_separation(self):
         systems = self.incoming + self.outgoing
         for i in range(len(systems)):
             for j in range(i + 1, len(systems)):
@@ -610,7 +588,7 @@ class FlowGraphProblem:
                         % (i, j))
                 for ca in a.critical_points:
                     for cb in b.critical_points:
-                        if self.manifold.distance(ca.point, cb.point) < margin:
+                        if self.manifold.distance(ca.point, cb.point) < 1e-3:
                             raise TransversalityError(
                                 "critical points %s/%s of labels %d/%d "
                                 "collide; shift the phases" % (

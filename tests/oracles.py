@@ -6,7 +6,9 @@ of the flow-counting machinery.  The curve searches measure every
 segment, where ``morseflow.counting`` skips the ones that cannot matter.
 The sign of a flow line at the end is the long way round: a frame carried
 along a strict flow that enters the target's ball.  A point of a level is
-landed on it by flowing, where the level search reads it off a chord.
+landed on it by flowing, where the level search reads it off a chord.  A
+catalog's Hessian is differenced one column at a time, where the package
+takes every derivative through ``ManifoldModel.central_differences``.
 """
 
 import math
@@ -303,3 +305,20 @@ def transported_sign(system, x_cp, y_cp, a, rho):
         parallel_frame(man, pts[cut], y_cp.unstable_frame),
         v / np.linalg.norm(v)]))
     return orientation_sign(moved, ref)
+
+
+def loop_covariant_hessian(manifold, grad, x):
+    """The covariant Hessian in the tangent basis B at x, and B: column j
+    is B^T (g(x_j+) - g(x_j-)) / 2h, for g the tangential gradient and x_j+-
+    the projections of x +- h b_j, h = 1e-6, symmetrized."""
+    h = 1e-6
+    basis = manifold.tangent_basis(x)
+    n = basis.shape[1]
+    H = np.zeros((n, n))
+    for j in range(n):
+        xp = manifold.project(x + h * basis[:, j])
+        xm = manifold.project(x - h * basis[:, j])
+        gp = manifold.tangent_project(xp, grad(xp))
+        gm = manifold.tangent_project(xm, grad(xm))
+        H[:, j] = basis.T @ (gp - gm) / (2 * h)
+    return 0.5 * (H + H.T), basis

@@ -108,6 +108,31 @@ class TestGraphCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("line, code, key", [
+        ("cycle-role 7 incoming", 2, "cycle-role for unknown cycle 7"),
+        ("cycle-role -1 incoming", 2, "cycle-role for unknown cycle -1"),
+        ("cycle-role 0 outgoing", 2, "cycle-role 0 conflicts"),
+        ("length 0 nan", 3, "positive and finite"),
+        ("length 1 inf", 3, "positive and finite")])
+    def test_directives_it_would_drop_are_refused(self, capsys, tmp_path,
+                                                   line, code, key):
+        # each line was accepted: the role dropped, or the length written
+        # back by graph reduce
+        p = tmp_path / "bad.graph"
+        p.write_text(FIG8 + line + "\n")
+        for cmd in ("cycles", "reduce"):
+            got, out, err = run(capsys, "--json", "graph", cmd, str(p))
+            assert (got, out) == (code, "")
+            assert key in json.loads(err)["error"]["message"]
+
+    def test_a_repeated_role_is_accepted(self, capsys, tmp_path):
+        p = tmp_path / "again.graph"
+        p.write_text(FIG8 + "cycle-role 0 incoming\n")
+        code, out, _ = run(capsys, "--json", "graph", "cycles", str(p))
+        assert code == 0
+        assert json.loads(out)["roles"] == ["incoming", "outgoing",
+                                            "incoming"]
+
     def test_deterministic_byte_identical(self, capsys, fig8_file):
         _, out1, _ = run(capsys, "--json", "--deterministic", "graph",
                          "cycles", fig8_file)
@@ -411,6 +436,30 @@ class TestGeomCommands:
         assert sorted(last) == ["0", "1"]
         for pt in last.values():
             assert system.manifold.distance(pt, target) <= 2e-3
+
+    @pytest.mark.parametrize("radius", ["1.2", "2"])
+    def test_radius_past_half_the_gap_is_refused(self, capsys, tmp_path,
+                                                 radius):
+        # branch flows start 10 tol-conv off their point: at these radii,
+        # past half the way to the next point, x11 -> x10 read 0 lines
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TORUS_CFG + "tol-conv %s\n" % radius)
+        code, out, err = run(capsys, "--json", "geom", "connections",
+                             str(cfg), "--source", "x11", "--target", "x10")
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "StructuralValidationError"
+        assert "x00 and x10" in error["message"]
+        assert "tol-conv %s " % radius in error["message"]
+
+    def test_radius_below_the_bound_counts_both_lines(self, capsys,
+                                                      tmp_path):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(TORUS_CFG + "tol-conv 0.1\n")
+        code, out, _ = run(capsys, "--json", "geom", "connections", str(cfg),
+                           "--source", "x11", "--target", "x10")
+        assert code == 0
+        assert json.loads(out)["count"] == 2
 
     def test_connections_from_index_three(self, capsys, tmp_path):
         cfg = tmp_path / "torus3.cfg"

@@ -54,7 +54,10 @@ from morseflow.geometry.systems import (
     numpy_kernels,
 )
 import morseflow.counting as counting
+import morseflow.geometry.systems as systems
 from morseflow.operations import AuxiliaryFunction
+
+from oracles import loop_covariant_hessian
 
 FLOW = sys.modules["morseflow.geometry.flow"]
 
@@ -89,6 +92,64 @@ class TestManifolds:
         b = m.tangent_basis(x)
         assert np.allclose(b.T @ b, np.eye(2), atol=1e-12)
         assert np.allclose(b.T @ x, 0, atol=1e-12)
+
+
+class TestCentralDifferences:
+    """``ManifoldModel.central_differences`` against closed forms."""
+
+    def test_torus_wells_hessian(self):
+        amps, phis = np.array([1.0, 0.7]), np.array([0.4, 2.1])
+        t2 = torus_cosine(2, amps, phases=phis)
+        x = t2.manifold.random_point(np.random.default_rng(5))
+        D = t2.manifold.central_differences(t2.grad, x, np.eye(2))
+        assert np.allclose(D, np.diag(-amps * np.cos(x - phis)), atol=1e-8)
+
+    def test_sphere_height_along_the_basis_is_its_last_row(self):
+        m = SphereModel(2)
+        x = m.project(np.random.default_rng(6).standard_normal(3))
+        B = m.tangent_basis(x)
+        D = m.central_differences(lambda p: float(p[2]), x, B)
+        assert D.shape == (1, 2)
+        assert np.allclose(D[0], B[2], atol=1e-8)
+
+    def test_product_derivative_is_block_diagonal(self):
+        eps = 0.15
+        s = product_system(torus_cosine(1, [1.0]), sphere_band(2, eps))
+        m = s.manifold
+        rng = np.random.default_rng(7)
+        x = m.random_point(rng)
+        theta, y = x[0], x[1:]
+        B = m.tangent_basis(x)
+        D = m.central_differences(
+            lambda p: m.tangent_project(p, s.grad(p)), x, B)
+        # circle: g = -sin(theta), so g' = -cos(theta); band on S^2: g(y)
+        # = df - (df . y) y with df = (eps, 0, 2 y_3), whose derivative
+        # along a tangent v is Hv - (Hv . y + df . v) y - (df . y) v for H
+        # = diag(0, 0, 2)
+        df = np.array([eps, 0.0, 2.0 * y[2]])
+        want = np.zeros((4, 3))
+        want[0, 0] = -math.cos(theta)
+        for j in (1, 2):
+            v = B[1:, j]
+            Hv = np.array([0.0, 0.0, 2.0 * v[2]])
+            want[1:, j] = Hv - (Hv @ y + df @ v) * y - (df @ y) * v
+        assert np.allclose(D, want, atol=1e-8)
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus_cosine(2, [1.0, 0.7]),
+        lambda: torus_cosine(2, [1.0, 0.7], phases=[0.4, 1.3]),
+        lambda: torus_cosine(2, [1.0, 0.7], perturb=0.05, seed=3),
+        lambda: torus_cosine(3, [1.0, 0.7, 0.55]),
+    ], ids=["t2", "t2-phased", "t2-perturbed", "t3"])
+    def test_catalogs_equal_the_column_loop(self, monkeypatch, make):
+        # on a torus B = I, so B^T D rounds as the column loop does: the
+        # catalog keeps every bit
+        helper = make().catalog
+        monkeypatch.setattr(systems, "_covariant_hessian",
+                            loop_covariant_hessian)
+        loop = make().catalog
+        for key in ("point", "eigenvalues", "frame", "value"):
+            assert helper[key].tobytes() == loop[key].tobytes()
 
 
 class TestCatalogs:
