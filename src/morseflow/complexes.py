@@ -39,13 +39,12 @@ def _eye(n):
 
 @dataclass
 class SmithForm:
-    """U @ A @ V == D with U, V unimodular; U_inv, V_inv their inverses."""
+    """U @ A @ V == D with U, V unimodular; U_inv the inverse of U."""
 
     D: np.ndarray
     U: np.ndarray
     V: np.ndarray
     U_inv: np.ndarray
-    V_inv: np.ndarray
 
     @property
     def diagonal(self):
@@ -62,7 +61,7 @@ def smith_normal_form(A):
     A = _as_int_matrix(A)
     m, n = A.shape
     U, U_inv = _eye(m), _eye(m)
-    V, V_inv = _eye(n), _eye(n)
+    V = _eye(n)
 
     def row_swap(i, j):
         A[[i, j], :] = A[[j, i], :]
@@ -72,7 +71,6 @@ def smith_normal_form(A):
     def col_swap(i, j):
         A[:, [i, j]] = A[:, [j, i]]
         V[:, [i, j]] = V[:, [j, i]]
-        V_inv[[i, j], :] = V_inv[[j, i], :]
 
     def row_add(src, dst, q):  # row_dst += q * row_src
         A[dst, :] += q * A[src, :]
@@ -82,7 +80,6 @@ def smith_normal_form(A):
     def col_add(src, dst, q):
         A[:, dst] += q * A[:, src]
         V[:, dst] += q * V[:, src]
-        V_inv[src, :] -= q * V_inv[dst, :]
 
     def row_negate(i):
         A[i, :] *= -1
@@ -137,7 +134,7 @@ def smith_normal_form(A):
         if A[t, t] < 0:
             row_negate(t)
         t += 1
-    return SmithForm(D=A, U=U, V=V, U_inv=U_inv, V_inv=V_inv)
+    return SmithForm(D=A, U=U, V=V, U_inv=U_inv)
 
 
 def kernel_basis(A):

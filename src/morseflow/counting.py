@@ -79,6 +79,7 @@ from .errors import (
 from .geometry._unroll import Kernel
 from .geometry.flow import (
     CONVERGED,
+    T_MAX,
     circle_angle,
     fixed_time_flow,
     flow,
@@ -119,13 +120,13 @@ def _resolved(res, what):
     return res
 
 
-def flow_limit(system, x, direction=+1, loose=False, what="flow"):
+def flow_limit(system, x, direction=+1, what="flow"):
     """The limit of the flow from x in ``direction``, which must converge
     (``_resolved`` names it ``what``), for readers of the limit alone: the
     flow records no nodes, and ends where the system's level trap for its
     direction proves its limit (``level_trap``), short of the limit's
     ball."""
-    return _resolved(flow(system, x, direction, record=False, loose=loose,
+    return _resolved(flow(system, x, direction, record=False,
                           trap=level_trap(system, direction)), what).limit
 
 
@@ -222,10 +223,10 @@ def _branch_flows(system, cp, direction, record):
         raise GeometryError("%s has no one-dimensional manifold in "
                             "direction %d" % (cp.name, direction))
     lam = cp.eigenvalues[0 if direction == +1 else cp.index]
-    t_max = max(system.tol.t_max, 40.0 / abs(float(lam)))
+    t_max = max(T_MAX, 40.0 / abs(float(lam)))
     trap = None if record or direction != +1 else level_trap(system)
     return [(side, _resolved(flow(system, system.manifold.project(
-        cp.point + side * 10.0 * system.tol.eps_conv * frame[:, 0]),
+        cp.point + side * 10.0 * system.eps_conv * frame[:, 0]),
         direction, t_max=t_max, record=record, trap=trap),
         "branch flow of %s" % cp.name)) for side in (1, -1)]
 
@@ -909,9 +910,9 @@ def check_region_admissible(system, region):
     return crossings
 
 
-def relative_complex(system, region, ring=RING_Z, check=True, **kw):
+def relative_complex(system, region, ring=RING_Z, **kw):
     """Split the Morse complex along the region; returns a RelativePair."""
-    if check and region.name != "empty":
+    if region.name != "empty":
         check_region_admissible(system, region)
     total = boundary_operator(system, ring=ring, **kw)
     members = {cp.name: region.contains(cp.point)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from .errors import (
     DisconnectedGraphError,
     InternalInconsistencyError,
+    ParseError,
     StructuralValidationError,
 )
 
@@ -87,7 +88,8 @@ class FatGraph:
     """Immutable fat graph on half-edges 0..n-1.
 
     Vertices are the cycles of ``rotation``; unoriented edges are the orbits
-    of ``involution``, indexed by their smaller half-edge, sorted.
+    of ``involution``, indexed by their smaller half-edge, sorted.  A graph
+    has at least one half-edge.
     """
 
     __slots__ = (
@@ -107,6 +109,8 @@ class FatGraph:
         inv = tuple(involution)
         rot = tuple(rotation)
         n = len(inv)
+        if n == 0:
+            raise StructuralValidationError("a fat graph needs half-edges")
         if len(rot) != n:
             raise StructuralValidationError(
                 "involution and rotation act on different sets")
@@ -813,11 +817,13 @@ class GraphFileData:
 def parse_graph_file(text):
     """Parse the line-oriented graph format.
 
-    Directives: ``halfedges N``, ``pair i j``, ``vertex v: h1 h2 ...``,
-    ``length e x``, ``cycle-role k incoming|outgoing``, ``ghost e [e2 ...]``.
+    Directives: ``halfedges N`` (once, N at least 1), ``pair i j``,
+    ``vertex v: h1 h2 ...``, ``length e x``, ``cycle-role k
+    incoming|outgoing``, ``ghost e [e2 ...]``.  Every directive but
+    ``vertex`` and ``ghost`` takes exactly the fields shown; a line with
+    more is a ``ParseError``.
     """
-    from .errors import ParseError
-
+    fields = {"halfedges": 2, "pair": 3, "length": 3, "cycle-role": 3}
     n = None
     pairs = []
     vertex_lines = {}
@@ -830,9 +836,17 @@ def parse_graph_file(text):
             continue
         parts = line.split()
         kw = parts[0].lower()
+        if len(parts) > fields.get(kw, len(parts)):
+            raise ParseError("extra fields on a %s line: %s" % (
+                kw, " ".join(parts[fields[kw]:])), lineno)
         try:
             if kw == "halfedges":
+                if n is not None:
+                    raise ParseError("halfedges declared twice", lineno)
                 n = int(parts[1])
+                if n < 1:
+                    raise ParseError("halfedges must be at least 1, got %d"
+                                     % n, lineno)
             elif kw == "pair":
                 pairs.append((int(parts[1]), int(parts[2])))
             elif kw == "vertex":
@@ -866,10 +880,7 @@ def parse_graph_file(text):
     flat = [h for c in cycles for h in c]
     if sorted(flat) != list(range(n)):
         raise ParseError("vertex lines do not partition 0..%d" % (n - 1))
-    try:
-        graph = FatGraph.from_vertex_cycles(pairs, cycles)
-    except StructuralValidationError:
-        raise
+    graph = FatGraph.from_vertex_cycles(pairs, cycles)
     edge_lengths = None
     if lengths:
         edge_lengths = [1.0] * graph.num_edges
@@ -888,6 +899,12 @@ def parse_graph_file(text):
                          ghost_edges=frozenset(ghosts))
 
 
+def _length_text(x):
+    """``%.12g`` of x where that reads back as x, else ``repr(x)``."""
+    short = "%.12g" % x
+    return short if float(short) == x else repr(x)
+
+
 def format_graph_file(graph, roles=None, ghost_edges=()):
     lines = ["halfedges %d" % graph.n]
     for a, b in graph.edges:
@@ -896,7 +913,7 @@ def format_graph_file(graph, roles=None, ghost_edges=()):
         lines.append("vertex %d: %s" % (v, " ".join(str(h) for h in cyc)))
     if graph.edge_lengths is not None:
         for e, x in enumerate(graph.edge_lengths):
-            lines.append("length %d %.12g" % (e, x))
+            lines.append("length %d %s" % (e, _length_text(x)))
     if roles:
         for k in sorted(roles):
             if roles[k] in (INCOMING, OUTGOING):

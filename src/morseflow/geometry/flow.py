@@ -95,12 +95,13 @@ the trap's other form, of no row (``trap_family(None)``): it stops a
 flight at its first point past a level between two critical values,
 proves no limit, and leaves the limit None.
 
-A strict T2 branch flow from 10 eps_conv off a saddle (about 119 steps)
-costs 3.1 us per step unrecorded, as counts fly it, and 3.3-3.4 us
-recorded; a loose one (61 steps) costs 3.5 us (the fastest of 15 batches
-of the 408 branch flows of 51 T2 amplitudes, three processes, a shared
-2-CPU machine, Python 3.11).  A step on numpy adapters (a strict
-sphere-band flow) costs about 32 us, most of it in the six field calls.
+Every flow runs one step control, the constants below.  A T2 branch
+flow from 10 eps_conv off a saddle (about 119 steps) costs 3.1 us per
+step unrecorded, as counts fly it, and 3.3-3.4 us recorded (the fastest
+of 15 batches of the 408 branch flows of 51 T2 amplitudes, three
+processes, a shared 2-CPU machine, Python 3.11).  A step on numpy
+adapters (a sphere-band flow) costs about 32 us, most of it in the six
+field calls.
 The trap test costs less than the spread between runs, and a trapped
 descending T2 branch flight flies 25 steps on average against 113 (the
 204 descending branch flights of the 51 amplitudes).
@@ -129,6 +130,11 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+
+# the step control of every flow: relative and absolute error per step,
+# first and least step; step budget and default time limit
+RTOL, ATOL, H_INIT, H_MIN = 1e-9, 1e-11, 1e-3, 1e-13
+MAX_STEPS, T_MAX = 400_000, 400.0
 
 CONVERGED = "converged"
 MAX_TIME = "max_time"
@@ -348,21 +354,21 @@ def _family(kernel, adapter):
     return adapter, (kernel,)
 
 
-def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
-              record=True, trap=None):
+def integrate(field, value, project, sweep, x0, *, t_max, eps_conv=None,
+              names=(), record=True, trap=None):
     """Adaptive negative-flow integration with event tracking.
 
     ``field``, ``value``, ``project`` and ``sweep`` are the float kernels
     of the module docstring, each a ``Kernel`` or a plain callable on lists
     of floats; ``value`` must not increase along the flow.  ``sweep``
     (None: no events) gives the distances to the catalog points named by
-    ``names``; entering the ``tol.eps_conv`` ball of any of them ends the
+    ``names``; entering the ``eps_conv`` ball of any of them ends the
     run as CONVERGED, and so does passing ``trap``, a ``Kernel`` of a
     ``trap_family`` (None: no trap).  Each accepted point is swept for
     distances once; the sweep serves the convergence test, the trap and
-    the step cap.  The loop itself is
-    ``_loop_template``'s, compiled for the dimension and the kernels'
-    families.
+    the step cap.  Without a sweep ``eps_conv`` is not read.  The loop
+    itself is ``_loop_template``'s, compiled for the dimension and the
+    kernels' families, and steps under the module's constants.
     """
     x = np.asarray(x0, dtype=float).tolist()
     n = len(x)
@@ -375,8 +381,8 @@ def integrate(field, value, project, sweep, x0, *, t_max, tol, names=(),
                                 steps=steps)
 
     status, limit, t, x, times, path, fvals, steps = loop(
-        *args, x, t_max, tol.h_init, tol.h_min, tol.atol, tol.rtol,
-        tol.eps_conv, tol.max_steps, record, names, fail)
+        *args, x, t_max, H_INIT, H_MIN, ATOL, RTOL, eps_conv, MAX_STEPS,
+        record, names, fail)
     return FlowResult(status, limit, t, np.array(x), _floats(times),
                       _floats(path).reshape(-1, n), _floats(fvals), steps)
 
@@ -394,25 +400,22 @@ def _float_kernels(system, direction):
     return system.float_kernels(direction)
 
 
-def flow(system, x0, direction=+1, t_max=None, record=True, loose=False,
-         trap=None):
+def flow(system, x0, direction=+1, t_max=T_MAX, record=True, trap=None):
     """Flow of the (anti)gradient field with catalog events.
 
     ``direction=+1`` descends (integrates the negative gradient), ``-1``
     ascends.  The limit is the catalog point whose strict ball the
     trajectory enters, or whose level ``trap`` (``systems.level_trap`` of
     the system and the same direction; None: none) it passes; the driving
-    function is asserted monotone.  ``loose`` switches to coarse step
-    control for classification flows whose exact path does not matter.
+    function is asserted monotone.
     """
     field, value = _float_kernels(system, direction)
-    tol = system.tol.loosened() if loose else system.tol
     names = system.catalog["name"].tolist()
     man = system.manifold
     res = integrate(field, value, man.project_floats,
-                    man.distance_sweep(system.points), x0,
-                    t_max=t_max if t_max is not None else tol.t_max,
-                    tol=tol, names=names, record=record, trap=trap)
+                    man.distance_sweep(system.points), x0, t_max=t_max,
+                    eps_conv=system.eps_conv, names=names, record=record,
+                    trap=trap)
     if res.limit is not None:
         res.limit = system.point(res.limit)
     return res
@@ -432,7 +435,7 @@ def fixed_time_flow(system, x0, duration, direction=+1, record=True):
         return FlowResult(FIXED_TIME, None, 0.0, np.array(x), np.array([0.0]),
                           np.array([x]), np.array([value(x)]), 0)
     return integrate(field, value, project, None, x0, t_max=duration,
-                     tol=system.tol, record=record)
+                     record=record)
 
 
 # -- frames -------------------------------------------------------------------
@@ -509,8 +512,8 @@ def direction_point(system, cp, rho, u):
 
 def probe_limits(system, n_seeds, seed=0):
     """Forward/backward limit statistics over random seed points.  Its
-    flows take no level trap: it reports the flows unresolved at the
-    system's ``t_max``, and a trap would resolve some of them early."""
+    flows take no level trap: it reports the flows unresolved at
+    ``T_MAX``, and a trap would resolve some of them early."""
     rng = np.random.default_rng(seed)
     out = {"forward": {}, "backward": {}, "unresolved": 0}
     for _ in range(n_seeds):

@@ -274,23 +274,21 @@ class ProductModel(ManifoldModel):
         db = self.factors[1].distances(xb, pb)
         return np.sqrt(da ** 2 + db ** 2)
 
-    def tangent_basis(self, x):
+    def _block_basis(self, x, method):
+        """The block-diagonal matrix of the factors' bases ``method`` at
+        their parts of x."""
         a, b = self.parts(x)
-        ba = self.factors[0].tangent_basis(a)
-        bb = self.factors[1].tangent_basis(b)
+        first, second = self.factors
         out = np.zeros((self.coord_dim, self.dim))
-        out[:self._split, :self.factors[0].dim] = ba
-        out[self._split:, self.factors[0].dim:] = bb
+        out[:self._split, :first.dim] = getattr(first, method)(a)
+        out[self._split:, first.dim:] = getattr(second, method)(b)
         return out
 
+    def tangent_basis(self, x):
+        return self._block_basis(x, "tangent_basis")
+
     def oriented_tangent_basis(self, x):
-        a, b = self.parts(x)
-        ba = self.factors[0].oriented_tangent_basis(a)
-        bb = self.factors[1].oriented_tangent_basis(b)
-        out = np.zeros((self.coord_dim, self.dim))
-        out[:self._split, :self.factors[0].dim] = ba
-        out[self._split:, self.factors[0].dim:] = bb
-        return out
+        return self._block_basis(x, "oriented_tangent_basis")
 
     def __repr__(self):
         return "ProductModel(%r, %r)" % self.factors

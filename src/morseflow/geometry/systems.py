@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,26 +26,9 @@ from .flow import trap_family
 from .manifolds import ProductModel, SphereModel, TorusModel, TWO_PI
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    eps_conv: float = 1e-6        # strict convergence ball radius
-    lambda_min: float = 1e-4      # Hessian eigenvalue floor
-    eps_crit: float = 1e-7        # |grad| bound at catalog points
-    rtol: float = 1e-9
-    atol: float = 1e-11
-    t_max: float = 400.0
-    h_init: float = 1e-3
-    h_min: float = 1e-13
-    max_steps: int = 400_000
-
-    @lru_cache(maxsize=16)
-    def loosened(self):
-        """Search-phase copy: classification flows tolerate coarser steps."""
-        return replace(self, rtol=self.rtol * 1e3, atol=self.atol * 1e3,
-                       h_init=1e-2)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+EPS_CONV = 1e-6       # default radius of the strict convergence balls
+EPS_CRIT = 1e-7       # |grad| bound at catalog points
+LAMBDA_MIN = 1e-4     # Hessian eigenvalue floor
 
 
 @lru_cache(maxsize=32)
@@ -66,21 +48,17 @@ class CriticalPoint:
     catalog array.  ``point``, ``eigenvalues`` (ascending), ``frame``
     (coord_dim x dim, columns in the order of the eigenvalues) and
     ``value`` are read from that record; the arrays are views into it.  A
-    declared point, before a system verifies it, has a record of its own
-    holding the fields it was given; the others read as None.
+    declared point, before a system verifies it, has a record of its point
+    alone.
     """
 
     __slots__ = ("name", "index", "_catalog", "_row")
 
-    def __init__(self, name, point, index, value=0.0, eigenvalues=None,
-                 frame=None):
-        given = [(key, np.asarray(a, dtype=float)) for key, a in (
-            ("point", point), ("eigenvalues", eigenvalues), ("frame", frame),
-            ("value", value)) if a is not None]
-        record = np.zeros(1, [(key, float, a.shape) for key, a in given])
-        record[0] = tuple(a for _key, a in given)
+    def __init__(self, name, point, index):
+        point = np.asarray(point, dtype=float)
         self.name, self.index = name, int(index)
-        self._catalog, self._row = record, 0
+        self._catalog = np.array([(point,)], [("point", float, point.shape)])
+        self._row = 0
 
     @classmethod
     def _record(cls, name, index, catalog, row):
@@ -88,23 +66,17 @@ class CriticalPoint:
         cp.name, cp.index, cp._catalog, cp._row = name, index, catalog, row
         return cp
 
-    def _field(self, key):
-        catalog = self._catalog
-        if key not in catalog.dtype.names:
-            return None
-        return catalog[key][self._row]
-
     @property
     def point(self):
         return self._catalog["point"][self._row]
 
     @property
     def eigenvalues(self):
-        return self._field("eigenvalues")
+        return self._catalog["eigenvalues"][self._row]
 
     @property
     def frame(self):
-        return self._field("frame")
+        return self._catalog["frame"][self._row]
 
     @property
     def value(self):
@@ -162,18 +134,20 @@ class MorseSystem:
     integrator reads the flow through those kernels, and otherwise through
     numpy adapters (``numpy_kernels``), plain callables.  A system holds
     its construction data alone: the flows a count reads are kept by the
-    count's call (``counting.keeping``), never on the system.
+    count's call (``counting.keeping``), never on the system.  Its one
+    setting is ``eps_conv``, the radius of the strict ball of every
+    catalog point, which a config's ``tol-conv`` sets.
     """
 
-    __slots__ = ("manifold", "f", "_grad", "name", "tol", "catalog")
+    __slots__ = ("manifold", "f", "_grad", "name", "eps_conv", "catalog")
 
     def __init__(self, manifold, f, grad, critical_points, name="system",
-                 tol=None):
+                 eps_conv=EPS_CONV):
         self.manifold = manifold
         self.f = f
         self._grad = grad
         self.name = name
-        self.tol = tol or DEFAULT_TOLERANCES
+        self.eps_conv = eps_conv
         rows = [self._verify(cp) for cp in critical_points]
         if not rows:
             raise StructuralValidationError(
@@ -187,7 +161,7 @@ class MorseSystem:
             self.catalog[i] = row
         # a branch flow starts 10 eps_conv off its point; a start at half
         # the way to another point may be read as that point's, a wrong count
-        reach, names = 10.0 * self.tol.eps_conv, self.catalog["name"]
+        reach, names = 10.0 * eps_conv, self.catalog["name"]
         for i, p in enumerate(self.points[:-1]):
             gaps = np.linalg.norm(manifold.displacement(
                 p, self.points[i + 1:]), axis=1)
@@ -197,7 +171,7 @@ class MorseSystem:
                     "catalog points %s and %s lie %.6g apart: tol-conv %g "
                     "starts branch flows %g off a point, not below half that"
                     % (names[i], names[i + 1 + j], gaps[j],
-                       self.tol.eps_conv, reach))
+                       eps_conv, reach))
 
     # -- catalog ------------------------------------------------------------
 
@@ -257,13 +231,13 @@ class MorseSystem:
         point, verified."""
         p = self.manifold.project(np.asarray(cp.point, dtype=float))
         speed = np.linalg.norm(self.field(p))
-        if speed > self.tol.eps_crit:
+        if speed > EPS_CRIT:
             raise StructuralValidationError(
                 "catalog point %s has |grad| = %.3g > %.3g"
-                % (cp.name, speed, self.tol.eps_crit))
+                % (cp.name, speed, EPS_CRIT))
         H, basis = self.hessian_matrix(p)
         evals, evecs = np.linalg.eigh(H)
-        if np.min(np.abs(evals)) < self.tol.lambda_min:
+        if np.min(np.abs(evals)) < LAMBDA_MIN:
             raise StructuralValidationError(
                 "catalog point %s is numerically degenerate (|lambda|min=%.3g)"
                 % (cp.name, float(np.min(np.abs(evals)))))
@@ -437,7 +411,7 @@ def level_trap(system, direction=+1):
 
 # -- catalog constructors ------------------------------------------------------
 
-def sphere_height(n, tol=None, name=None):
+def sphere_height(n, eps_conv=EPS_CONV, name=None):
     """Height function on the unit n-sphere: one minimum, one maximum."""
     m = SphereModel(n)
 
@@ -454,7 +428,8 @@ def sphere_height(n, tol=None, name=None):
     north = -south
     pts = [CriticalPoint("south", south, 0),
            CriticalPoint("north", north, n)]
-    return MorseSystem(m, f, grad, pts, name=name or ("sphere%d" % n), tol=tol)
+    return MorseSystem(m, f, grad, pts, name=name or ("sphere%d" % n),
+                       eps_conv=eps_conv)
 
 
 @lru_cache(maxsize=8)
@@ -464,7 +439,7 @@ def _torus_model(n):
 
 
 def torus_cosine(n, amplitudes, phases=None, perturb=0.0, seed=0,
-                 tol=None, name=None):
+                 eps_conv=EPS_CONV, name=None):
     """Sum of per-angle cosine wells on the flat n-torus.
 
     f(theta) = sum_i a_i cos(theta_i - phi_i) (+ optional seeded coupling
@@ -500,10 +475,10 @@ def torus_cosine(n, amplitudes, phases=None, perturb=0.0, seed=0,
         label = sys.intern("x" + "".join(str(b) for b in pattern))
         pts.append(CriticalPoint(label, theta, index))
     sys_name = name or sys.intern("torus%d" % n)
-    return MorseSystem(m, wells, None, pts, name=sys_name, tol=tol)
+    return MorseSystem(m, wells, None, pts, name=sys_name, eps_conv=eps_conv)
 
 
-def sphere_band(n, eps=0.15, tol=None, name=None):
+def sphere_band(n, eps=0.15, eps_conv=EPS_CONV, name=None):
     """Squared height plus a small linear pull on the n-sphere.
 
     f(x) = x_{n+1}^2 + eps * x_1.  Two index-n maxima near the poles and a
@@ -538,10 +513,10 @@ def sphere_band(n, eps=0.15, tol=None, name=None):
            CriticalPoint("rim_hi", rim_hi, n - 1),
            CriticalPoint("rim_lo", rim_lo, 0)]
     return MorseSystem(m, f, grad, pts, name=name or ("sphere%d_band" % n),
-                       tol=tol)
+                       eps_conv=eps_conv)
 
 
-def product_system(s1, s2, tol=None, name=None):
+def product_system(s1, s2, eps_conv=EPS_CONV, name=None):
     """Product manifold with the sum function; catalog = pairs, index adds."""
     m = ProductModel(s1.manifold, s2.manifold)
 
@@ -560,17 +535,20 @@ def product_system(s1, s2, tol=None, name=None):
                                      m.join(ca.point, cb.point),
                                      ca.index + cb.index))
     return MorseSystem(m, f, grad, pts,
-                       name=name or ("%s*%s" % (s1.name, s2.name)), tol=tol)
+                       name=name or ("%s*%s" % (s1.name, s2.name)),
+                       eps_conv=eps_conv)
 
 
 # -- config files --------------------------------------------------------------
 
-def _parse_kv(parts):
+def _parse_kv(parts, lineno):
     out = {}
     for p in parts:
         if "=" not in p:
-            raise ParseError("expected key=value, got %r" % p)
+            raise ParseError("expected key=value, got %r" % p, line=lineno)
         k, v = p.split("=", 1)
+        if k in out:
+            raise ParseError("key %r given twice" % k, line=lineno)
         out[k] = v
     return out
 
@@ -605,10 +583,19 @@ def _dim(kv):
     return n
 
 
-def _system_from_spec(kind, kv, tol=None, name=None):
+# the keys each kind reads beside kind, name and tol-conv; a product reads
+# two factor lines instead, each with its own kind's keys
+_KIND_KEYS = {"sphere": ("dim",),
+              "torus": ("dim", "amplitudes", "phases", "perturb", "seed"),
+              "sphere-band": ("dim", "eps"),
+              "product": ()}
+_CONFIG_KEYS = ("kind", "name", "tol-conv")
+
+
+def _system_from_spec(kind, kv, eps_conv=EPS_CONV, name=None):
     """One catalog system (sphere, torus or sphere-band) from its keys."""
     if kind == "sphere":
-        return sphere_height(_dim(kv), tol=tol, name=name)
+        return sphere_height(_dim(kv), eps_conv=eps_conv, name=name)
     if kind == "torus":
         n = _dim(kv)
         if n > MAX_TORUS_DIM:
@@ -618,27 +605,28 @@ def _system_from_spec(kind, kv, tol=None, name=None):
         return torus_cosine(n, _value(kv, "amplitudes", _floats, [1.0] * n),
                             _value(kv, "phases", _floats, None),
                             perturb=_value(kv, "perturb", float, 0.0),
-                            seed=_value(kv, "seed", int, 0), tol=tol,
-                            name=name)
-    if kind == "sphere-band":
-        return sphere_band(_dim(kv), _value(kv, "eps", float, 0.15), tol=tol,
-                           name=name)
-    raise ParseError("unknown system kind %r" % kind)
+                            seed=_value(kv, "seed", int, 0),
+                            eps_conv=eps_conv, name=name)
+    return sphere_band(_dim(kv), _value(kv, "eps", float, 0.15),
+                       eps_conv=eps_conv, name=name)
 
 
-def parse_system_config(text, tol=None):
+def parse_system_config(text):
     """Parse the line-oriented manifold/function config.
 
-    Keys: ``kind``, ``dim``, ``amplitudes``, ``phases``, ``eps``,
-    ``perturb``, ``seed``, ``name``, ``tol-conv``, ``factor`` (for
-    products, one line per factor: ``factor torus dim=2 amplitudes=1,0.7``).
-    A torus ``dim`` above ``MAX_TORUS_DIM``, a ``tol-conv`` that is not
-    positive and finite, and a nan or infinite torus ``amplitudes``,
-    ``phases`` or ``perturb`` raise ``StructuralValidationError`` before any
-    critical point is built.
+    Every config takes ``kind``, ``name`` and ``tol-conv`` (the radius
+    ``eps_conv`` of the system's strict balls).  A sphere takes ``dim``; a
+    torus ``dim``, ``amplitudes``, ``phases``, ``perturb`` and ``seed``; a
+    sphere-band ``dim`` and ``eps``; a product two ``factor`` lines, each
+    with its own kind's keys (``factor torus dim=2 amplitudes=1,0.7``).  A
+    key that the kind does not read, a key given twice and a ``factor``
+    line outside a product raise ``ParseError`` naming the key and its
+    line.  A torus ``dim`` above ``MAX_TORUS_DIM``, a ``tol-conv`` that is
+    not positive and finite, and a nan or infinite torus ``amplitudes``,
+    ``phases`` or ``perturb`` raise ``StructuralValidationError`` before
+    any critical point is built.
     """
-    kv = {}
-    factors = []
+    kv, lines, factors = {}, {}, []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -648,23 +636,41 @@ def parse_system_config(text, tol=None):
         if key == "factor":
             if len(parts) < 2:
                 raise ParseError("factor line needs a kind", line=lineno)
-            factors.append((parts[1].lower(), _parse_kv(parts[2:])))
+            factors.append((parts[1].lower(), _parse_kv(parts[2:], lineno),
+                            lineno))
+        elif key in kv:
+            raise ParseError("key %r given twice, first on line %d"
+                             % (key, lines[key]), line=lineno)
         else:
-            kv[key] = " ".join(parts[1:])
+            kv[key], lines[key] = " ".join(parts[1:]), lineno
     kind = kv.get("kind")
     if kind is None:
         raise ParseError("config needs a 'kind' line")
-    tol = tol or DEFAULT_TOLERANCES
-    eps_conv = _value(kv, "tol-conv", float, tol.eps_conv)
+    if kind not in _KIND_KEYS:
+        raise ParseError("unknown system kind %r" % kind, line=lines["kind"])
+    for key in kv:
+        if key not in _CONFIG_KEYS + _KIND_KEYS[kind]:
+            raise ParseError("kind %s takes no %r key" % (kind, key),
+                             line=lines[key])
+    if kind != "product" and factors:
+        raise ParseError("kind %s takes no factor lines" % kind,
+                         line=factors[0][2])
+    for factor, fkv, lineno in factors:
+        if factor not in _KIND_KEYS or factor == "product":
+            raise ParseError("unknown system kind %r" % factor, line=lineno)
+        for key in fkv:
+            if key not in _KIND_KEYS[factor]:
+                raise ParseError("factor %s takes no %r key" % (factor, key),
+                                 line=lineno)
+    eps_conv = _value(kv, "tol-conv", float, EPS_CONV)
     if not 0.0 < eps_conv < math.inf:
         raise StructuralValidationError(
             "tol-conv must be positive and finite, got %r" % eps_conv)
-    tol = replace(tol, eps_conv=eps_conv)
     name = kv.get("name")
     if kind == "product":
         if len(factors) != 2:
             raise ParseError("product config needs exactly two factor lines")
-        s1 = _system_from_spec(*factors[0])
-        s2 = _system_from_spec(*factors[1])
-        return product_system(s1, s2, tol=tol, name=name)
-    return _system_from_spec(kind, kv, tol=tol, name=name)
+        s1 = _system_from_spec(*factors[0][:2])
+        s2 = _system_from_spec(*factors[1][:2])
+        return product_system(s1, s2, eps_conv=eps_conv, name=name)
+    return _system_from_spec(kind, kv, eps_conv=eps_conv, name=name)

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedDiagramError,
 )
 from .geometry.flow import fixed_time_flow, orientation_sign, orthonormalize
-from .geometry.systems import DEFAULT_TOLERANCES, numpy_kernels
+from .geometry.systems import numpy_kernels
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -58,7 +58,7 @@ class EmbeddingModel:
     """
 
     def __init__(self, domain, codomain, embed, normal_coordinate,
-                 normal_frame, codim, name="embedding", check=True):
+                 normal_frame, codim, name="embedding"):
         self.domain = domain
         self.codomain = codomain
         self.embed = embed
@@ -69,7 +69,7 @@ class EmbeddingModel:
         if self.codim != codomain.manifold.dim - domain.manifold.dim:
             raise StructuralValidationError(
                 "declared codimension does not match the dimensions")
-        if check and self.codim > 0:
+        if self.codim > 0:
             self._check()
 
     def image(self, p_point):
@@ -139,7 +139,7 @@ def identity_embedding(system):
     return EmbeddingModel(system, system, eye,
                           lambda x: np.zeros(0),
                           lambda p: np.zeros((man.coord_dim, 0)),
-                          codim=0, name="identity", check=False)
+                          codim=0, name="identity")
 
 
 def torus_factor_circle(codomain, fixed_axis, level, phase=0.0):
@@ -515,10 +515,9 @@ def _pair_with_fundamental(system, base_complex, coeffs, r):
 class AuxiliaryFunction:
     """Sum of the incoming labels, flowed on the configuration manifold."""
 
-    def __init__(self, systems, tol=None):
+    def __init__(self, systems):
         self.manifold = systems[0].manifold
         self.systems = tuple(systems)
-        self.tol = tol or DEFAULT_TOLERANCES
 
     def f(self, x):
         return sum(s.f(x) for s in self.systems)
@@ -573,8 +572,7 @@ class FlowGraphProblem:
                 "unsupported diagram family: counting is implemented for "
                 "the one-vertex two-loop diagram")
         self._check_label_separation()
-        self.aux = AuxiliaryFunction(self.incoming,
-                                     tol=self.incoming[0].tol)
+        self.aux = AuxiliaryFunction(self.incoming)
 
     def _check_label_separation(self):
         systems = self.incoming + self.outgoing
@@ -635,13 +633,12 @@ def _aux_time_map(problem, x, edge_time, direction=+1):
 
 
 def _flows_into(system, x, cp, direction=+1):
-    """Whether the loose flow from x in ``direction`` ends at cp, read by
-    ``counting.flow_limit`` under the level trap.  A limit of another
-    index than cp's puts x on a manifold of lower dimension than cp's, so
-    x is not a configuration in general position, and "no" would be a
-    wrong count: it raises ``TransversalityError``."""
-    limit = flow_limit(system, x, direction, loose=True,
-                       what="classification flow")
+    """Whether the flow from x in ``direction`` ends at cp, read for its
+    limit alone by ``counting.flow_limit``, under the level trap.  A limit
+    of another index than cp's puts x on a manifold of lower dimension
+    than cp's, so x is not a configuration in general position, and "no"
+    would be a wrong count: it raises ``TransversalityError``."""
+    limit = flow_limit(system, x, direction, what="classification flow")
     name = limit.name
     if limit.index != cp.index:
         raise TransversalityError(

@@ -295,7 +295,7 @@ def transported_sign(system, x_cp, y_cp, a, rho):
     if not _enters(res, y_cp):
         return None
     man, pts = system.manifold, res.points
-    radius = max(100.0 * system.tol.eps_conv, 1e-4)
+    radius = max(100.0 * system.eps_conv, 1e-4)
     cut = next((i for i, p in enumerate(pts)
                 if man.distance(p, y_cp.point) <= radius), len(pts) - 1)
     moved = transport_frame(man, system.field, res.times[:cut + 1],

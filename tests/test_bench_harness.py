@@ -2,8 +2,9 @@
 
 ``morsebench/tracer.py`` wraps ``integrate``, ``flow``, ``fixed_time_flow``,
 ``transport_frame``, ``find_connections``, ``count_flow_lines``,
-``point_at_time`` and the operations entry points by name, classifies flows
-by their ``loose=`` keyword, and fails when ``integrate`` is called from
+``point_at_time`` and the operations entry points by name, counts a flow as
+loose only when it is called with ``loose=``, which no flow takes, so every
+``flow`` counts as strict, and fails when ``integrate`` is called from
 anywhere but ``flow``/``fixed_time_flow``.  Its self-test exercises all of
 that on tiny inputs in about a second.
 """

@@ -113,17 +113,51 @@ class TestGraphCommands:
         ("cycle-role -1 incoming", 2, "cycle-role for unknown cycle -1"),
         ("cycle-role 0 outgoing", 2, "cycle-role 0 conflicts"),
         ("length 0 nan", 3, "positive and finite"),
-        ("length 1 inf", 3, "positive and finite")])
+        ("length 1 inf", 3, "positive and finite"),
+        ("halfedges 4", 2, "line 8: halfedges declared twice"),
+        ("halfedges 4 9", 2, "line 8: extra fields on a halfedges line: 9"),
+        ("pair 0 1 7", 2, "line 8: extra fields on a pair line: 7"),
+        ("length 0 2 extra", 2,
+         "line 8: extra fields on a length line: extra"),
+        ("cycle-role 0 incoming extra", 2,
+         "line 8: extra fields on a cycle-role line: extra")])
     def test_directives_it_would_drop_are_refused(self, capsys, tmp_path,
                                                    line, code, key):
-        # each line was accepted: the role dropped, or the length written
-        # back by graph reduce
+        # each line was accepted: the role or the extra fields dropped, a
+        # second halfedges line in place of the first, or the length
+        # written back by graph reduce
         p = tmp_path / "bad.graph"
         p.write_text(FIG8 + line + "\n")
         for cmd in ("cycles", "reduce"):
             got, out, err = run(capsys, "--json", "graph", cmd, str(p))
             assert (got, out) == (code, "")
             assert key in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_a_graph_without_half_edges_is_refused(self, capsys, tmp_path,
+                                                   count):
+        # it read as genus 1 with no boundary cycles
+        p = tmp_path / "empty.graph"
+        p.write_text("halfedges %s\n" % count)
+        for cmd in ("cycles", "reduce"):
+            got, out, err = run(capsys, "--json", "graph", cmd, str(p))
+            assert (got, out) == (2, "")
+            assert json.loads(err)["error"]["message"] == (
+                "line 1: halfedges must be at least 1, got %s" % count)
+
+    def test_reduce_keeps_the_lengths_it_parsed(self, capsys, tmp_path):
+        # a length that 12 significant digits would round is written in full
+        length = 0.12345678901234567
+        p = tmp_path / "dumbbell.graph"
+        p.write_text("halfedges 6\npair 0 1\npair 2 3\npair 4 5\n"
+                     "vertex 0: 0 1 4\nvertex 1: 2 3 5\nghost 2\n"
+                     "length 0 %r\nlength 1 0.5\n" % length)
+        code, out, _ = run(capsys, "--json", "graph", "reduce", str(p))
+        assert code == 0
+        from morseflow.fatgraph import parse_graph_file
+        again = parse_graph_file(json.loads(out)["graph_file"])
+        assert sorted(again.graph.edge_lengths) == [length, 0.5]
+        assert "length 1 0.5\n" in json.loads(out)["graph_file"]
 
     def test_a_repeated_role_is_accepted(self, capsys, tmp_path):
         p = tmp_path / "again.graph"
@@ -160,6 +194,25 @@ class TestGraphCommands:
 
 
 class TestConfigErrors:
+    # keys a config would drop: (text, the key named, its line)
+    UNREAD = {
+        "misspelt-amplitudes": ("kind torus\ndim 2\namplitude 1.0 0.7\n",
+                                "'amplitude'", 3),
+        "amplitudes-on-a-sphere": ("kind sphere\ndim 2\n"
+                                   "amplitudes 1.0 0.7 0.3\n",
+                                   "'amplitudes'", 3),
+        "factor-on-a-torus": ("kind torus\ndim 1\nfactor torus dim=1\n",
+                              "factor lines", 3),
+        "unread-factor-keys": ("kind product\n"
+                               "factor sphere dim=1 eps=0.3 junk=1\n"
+                               "factor sphere dim=1\n", "'eps'", 2),
+        "dim-on-a-product": ("kind product\ndim 3\nfactor sphere dim=1\n"
+                             "factor sphere dim=1\n", "'dim'", 2),
+        "second-kind": ("kind torus\nkind sphere\ndim 2\n", "'kind'", 2),
+        "second-dim": ("kind sphere\ndim 2\ndim 3\n", "'dim'", 3),
+        "repeated-factor-key": ("kind product\nfactor sphere dim=1 dim=2\n"
+                                "factor sphere dim=1\n", "'dim'", 2),
+    }
     # each malformed system config must map to a documented exit status
     CASES = {
         "malformed-dim": ("kind torus\ndim x\n", 2),
@@ -167,7 +220,19 @@ class TestConfigErrors:
                                "factor torus dim=1\n", 2),
         "malformed-tol-conv": ("kind torus\ndim 2\ntol-conv abc\n", 2),
         "zero-dim-sphere": ("kind sphere\ndim 0\n", 3),
+        **{case: (text, 2) for case, (text, _key, _line) in UNREAD.items()},
     }
+
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    def test_unread_keys_are_named(self, capsys, tmp_path, case):
+        text, key, line = self.UNREAD[case]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "--json", "homology", str(cfg))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["message"].startswith("line %d: " % line)
+        assert key in error["message"]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_code_without_traceback(self, capsys, tmp_path, case):
@@ -614,11 +679,12 @@ class TestOpCommands:
         # classification flows capped at t = 1e-3 stop unresolved; the
         # error carries the flow's status, end time and step count, on the
         # exception and in the --json payload.  The cap also takes their
-        # level trap, which proves some limits at a flow's first points
+        # level trap, which proves some limits at a flow's first points.  A
+        # classification flow is unrecorded and takes the default time limit
         real = counting.flow
 
         def capped(*args, **kwargs):
-            if kwargs.get("loose"):
+            if kwargs.get("record") is False and "t_max" not in kwargs:
                 kwargs["t_max"] = 1e-3
                 kwargs["trap"] = None
             return real(*args, **kwargs)
@@ -627,7 +693,7 @@ class TestOpCommands:
         t2 = parse_system_config(TORUS_CFG)
         with pytest.raises(CountingIncompleteError,
                            match="classification flow unresolved") as err:
-            counting.flow_limit(t2, np.array([1.0, 2.0]), loose=True,
+            counting.flow_limit(t2, np.array([1.0, 2.0]),
                                 what="classification flow")
         e = err.value
         assert e.code == 4 and e.status == "fixed_time"

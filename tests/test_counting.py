@@ -40,7 +40,6 @@ from morseflow.errors import (
 from morseflow.geometry import (
     CriticalPoint,
     MorseSystem,
-    Tolerances,
     parse_system_config,
     product_system,
     sphere_band,
@@ -55,7 +54,7 @@ from morseflow.geometry.flow import (
     transport_frame,
 )
 from morseflow.geometry.manifolds import SphereModel, TorusModel
-from morseflow.geometry.systems import level_trap
+from morseflow.geometry.systems import LAMBDA_MIN, level_trap
 import morseflow.operations as operations
 
 from oracles import (
@@ -712,7 +711,7 @@ class TestComplexSweeps:
         except StructuralValidationError:
             # rim_hi's Hessian eigenvalue is eps, under the catalog's
             # nondegeneracy floor
-            assert eps < 2 * Tolerances().lambda_min
+            assert eps < 2 * LAMBDA_MIN
             return
         # above the floor every band is the sphere: rim_hi's slow branches
         # fly for as long as their eigenvalue needs

@@ -108,6 +108,11 @@ class TestBoundaryCycles:
         with pytest.raises(StructuralValidationError):
             FatGraph.from_vertex_cycles(pairs=[(0, 1)], vertex_cycles=[(0, 1)])
 
+    def test_empty_graph_rejected(self):
+        # it read as genus 1 with no boundary cycles
+        with pytest.raises(StructuralValidationError, match="half-edges"):
+            FatGraph([], [])
+
     def test_fixed_point_involution_rejected(self):
         with pytest.raises(StructuralValidationError):
             FatGraph([0, 1, 3, 2], [1, 2, 3, 0])

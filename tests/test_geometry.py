@@ -21,7 +21,6 @@ from morseflow.geometry import (
     MorseSystem,
     SphereModel,
     TorusModel,
-    Tolerances,
     fixed_time_flow,
     flow,
     orientation_sign,
@@ -46,6 +45,7 @@ from morseflow.geometry.manifolds import TORUS_WRAP, _rows_sweep
 from morseflow.geometry.systems import (
     COUPLED_WELLS_FIELD,
     COUPLED_WELLS_VALUE,
+    EPS_CONV,
     MAX_TORUS_DIM,
     WELLS_FIELD,
     WELLS_VALUE,
@@ -319,17 +319,18 @@ def reference_rk_step(field_fn, x, h, k0):
     return x5, norm(x5 - x4)
 
 
-def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
-                        names=(), record=True, binds=None):
+def reference_integrate(field, value, project, sweep, x0, *, t_max,
+                        eps_conv=None, names=(), record=True, binds=None):
     """The integration loop as plain Python on numpy points, stepping with
-    ``reference_rk_step``: ``field``, ``value``, ``project`` and ``sweep``
-    act on arrays, and every norm is ``norm``, the speed's at every
-    point.  The generated loop of ``integrate`` must give the same
-    flow bit for bit.  ``binds``, a list, gets the step count of each
-    attempt whose step the speed cap shortens."""
+    ``reference_rk_step`` under the step control constants of the flow
+    module: ``field``, ``value``, ``project`` and ``sweep`` act on arrays,
+    and every norm is ``norm``, the speed's at every point.  The generated
+    loop of ``integrate`` must give the same flow bit for bit.  ``binds``,
+    a list, gets the step count of each attempt whose step the speed cap
+    shortens."""
     x = project(np.asarray(x0, dtype=float))
     t = 0.0
-    h = tol.h_init
+    h = FLOW.H_INIT
     f_prev = value(x)
     times, path, fvals = [0.0], [x], [f_prev]
     limit = None
@@ -339,7 +340,7 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
         nonlocal limit
         dists = sweep(xn)
         dmin = float(dists.min())
-        if dmin < tol.eps_conv:
+        if dmin < eps_conv:
             limit = names[int(np.argmin(dists))]
         return dmin
 
@@ -354,29 +355,29 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
     if limit is not None:
         return result(CONVERGED)
     v0 = None
-    while t < t_max and steps < tol.max_steps:
+    while t < t_max and steps < FLOW.MAX_STEPS:
         h = min(h, t_max - t)
         if v0 is None:
             v0 = field(x)
             speed = norm(v0)
-            scale = tol.atol + tol.rtol * max(1.0, norm(x))
+            scale = FLOW.ATOL + FLOW.RTOL * max(1.0, norm(x))
         if speed > 1e-14:
-            cap = 0.25 if dmin is None else max(0.45 * tol.eps_conv,
+            cap = 0.25 if dmin is None else max(0.45 * eps_conv,
                                                 min(0.25, 0.5 * dmin))
             if binds is not None and cap / speed < h:
                 binds.append(steps)
             h = min(h, cap / speed)
         x5, err = reference_rk_step(field, x, h, v0)
-        if err > scale and h > tol.h_min:
-            h = max(tol.h_min, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
+        if err > scale and h > FLOW.H_MIN:
+            h = max(FLOW.H_MIN, 0.5 * h * (scale / (err + 1e-300)) ** 0.2)
             steps += 1
             continue
-        if h <= tol.h_min and err > 10 * scale:
+        if h <= FLOW.H_MIN and err > 10 * scale:
             raise failure("step size underflow at t=%.6g" % t)
         xn = project(x5)
         tn = t + h
         f_new = value(xn)
-        slack = (1e-9 + 50.0 * tol.rtol) * (1.0 + abs(f_prev))
+        slack = (1e-9 + 50.0 * FLOW.RTOL) * (1.0 + abs(f_prev))
         if f_new > f_prev + slack:
             raise failure("monotonicity violated at t=%.6g: %.12g -> %.12g"
                           % (t, f_prev, f_new))
@@ -396,7 +397,7 @@ def reference_integrate(field, value, project, sweep, x0, *, t_max, tol,
             h = min(5.0 * h, 0.9 * h * (scale / (err + 1e-300)) ** 0.2)
         else:
             h = 5.0 * h
-    if steps >= tol.max_steps:
+    if steps >= FLOW.MAX_STEPS:
         raise failure("step budget exhausted")
     return result(FIXED_TIME if abs(t - t_max) < 1e-12 else MAX_TIME)
 
@@ -487,14 +488,15 @@ class TestKernel:
     @pytest.mark.parametrize("name", ["t2", "t2-perturbed", "band2",
                                       "s1xs2-band", "fig8-aux"])
     def test_flows_match_the_reference_loop(self, name, monkeypatch):
-        # strict, loose and fixed-time flows, events included; the
-        # figure-8 auxiliary field has no catalog, so its flows sweep its
-        # labels' critical points
+        # flows with events and fixed-time flows; the figure-8 auxiliary
+        # field has no catalog, so its flows sweep its labels' critical
+        # points, with its first label's ball radius
         system = kernel_systems()[name]
         parts = getattr(system, "systems", (system,))
         points = np.concatenate([s.points for s in parts])
         names = ["%d:%s" % (i, nm) for i, s in enumerate(parts)
                  for nm in s.catalog["name"].tolist()]
+        eps_conv = parts[0].eps_conv
         man = system.manifold
         starts = [man.random_point(np.random.default_rng(seed))
                   for seed in range(3)]
@@ -507,25 +509,23 @@ class TestKernel:
                 numpy_field, numpy_value = (
                     lambda v: direction * system.field(v),
                     lambda v: direction * system.f(v))
-                for tol in (system.tol, system.tol.loosened()):
-                    a = FLOW.integrate(
-                        *kernels, man.project_floats,
-                        man.distance_sweep(points), x, t_max=tol.t_max,
-                        tol=tol, names=names)
-                    b = reference_integrate(
-                        numpy_field, numpy_value, man.project,
-                        lambda v: man.distances(v, points), x,
-                        t_max=tol.t_max, tol=tol, names=names)
-                    _same_flow(a, b)
-                    count += 1
-                    statuses.add(a.status)
-                a = fixed_time_flow(system, x, 1.3, direction)
-                b = reference_integrate(numpy_field, numpy_value,
-                                        man.project, None, x, t_max=1.3,
-                                        tol=system.tol)
+                a = FLOW.integrate(
+                    *kernels, man.project_floats,
+                    man.distance_sweep(points), x, t_max=FLOW.T_MAX,
+                    eps_conv=eps_conv, names=names)
+                b = reference_integrate(
+                    numpy_field, numpy_value, man.project,
+                    lambda v: man.distances(v, points), x,
+                    t_max=FLOW.T_MAX, eps_conv=eps_conv, names=names)
                 _same_flow(a, b)
                 count += 1
-        assert count == len(loops) == 18
+                statuses.add(a.status)
+                a = fixed_time_flow(system, x, 1.3, direction)
+                b = reference_integrate(numpy_field, numpy_value,
+                                        man.project, None, x, t_max=1.3)
+                _same_flow(a, b)
+                count += 1
+        assert count == len(loops) == 12
         # flows of a Morse system end in strict balls of its catalog; the
         # auxiliary sum's flows never reach its labels' critical points
         assert (CONVERGED in statuses) == isinstance(system, MorseSystem)
@@ -767,7 +767,6 @@ class TestFloatKernels:
                 for direction in (+1, -1):
                     out.append(flow(system, x, direction))
                     out.append(flow(system, x, direction, t_max=1.0))
-                    out.append(flow(system, x, direction, loose=True))
                     out.append(fixed_time_flow(system, x, 1.3, direction))
             return out
 
@@ -781,7 +780,7 @@ class TestFloatKernels:
                             ManifoldModel.distance_sweep)
         del loops[:]
         adapted = run()
-        assert len(native) == len(adapted) == 8 * len(starts)
+        assert len(native) == len(adapted) == 6 * len(starts)
         # every native flow ran the torus loop and every adapted one the
         # adapter loop, so the two runs compare different code
         assert len(native_loops) == len(loops) == len(native)
@@ -905,15 +904,14 @@ class TestLoopSweep:
         for eps, limit in ((dmin, None),
                            (float(np.nextafter(dmin, np.inf)), names[first])):
             res = FLOW.integrate(field, value, m.project_floats, sweep, x,
-                                 t_max=0.0, tol=Tolerances(eps_conv=eps),
-                                 names=names)
+                                 t_max=0.0, eps_conv=eps, names=names)
             assert res.limit == limit and res.steps == 0
             assert res.status == (FIXED_TIME if limit is None else CONVERGED)
 
     @FLOW_SETTINGS
-    @given(seed=st.integers(0, 2 ** 32 - 1), loose=st.booleans(),
+    @given(seed=st.integers(0, 2 ** 32 - 1),
            direction=st.sampled_from([1, -1]))
-    def test_flows_match_the_reference_loop(self, seed, loose, direction):
+    def test_flows_match_the_reference_loop(self, seed, direction):
         # points uniform on the torus, so that most flows take steps
         rng = np.random.default_rng(seed)
         n, k = int(rng.integers(1, 4)), int(rng.integers(1, 21))
@@ -925,16 +923,15 @@ class TestLoopSweep:
         amps, phis = [1.0, 0.7, 0.55][:n], [0.3, 1.9, 4.0][:n]
         f, field = numpy_cosine(amps, phis, 0.0, 0.0)
         m = TorusModel(n)
-        tol = Tolerances().loosened() if loose else Tolerances()
         names = ["r%d" % i for i in range(len(rows))]
         a = FLOW.integrate(
             *CosineWells(amps, phis).float_kernels(direction),
             m.project_floats, m.distance_sweep(rows), x, t_max=20.0,
-            tol=tol, names=names)
+            eps_conv=EPS_CONV, names=names)
         b = reference_integrate(
             lambda v: direction * field(v), lambda v: direction * f(v),
             m.project, lambda v: m.distances(v, rows), x, t_max=20.0,
-            tol=tol, names=names)
+            eps_conv=EPS_CONV, names=names)
         _same_flow(a, b)
 
 
@@ -948,7 +945,7 @@ def branch_starts(system):
                                  (-1, cp.stable_frame)):
             if frame.shape[1] == 1:
                 out += [(system.manifold.project(
-                    cp.point + side * 10.0 * system.tol.eps_conv
+                    cp.point + side * 10.0 * system.eps_conv
                     * frame[:, 0]), direction) for side in (1, -1)]
     return out
 
@@ -984,18 +981,14 @@ class TestSpeedCap:
                   "t3": lambda: torus_cosine(3, [1.0, 0.7, 0.55]),
                   "band2": lambda: sphere_band(2)}[name]()
         loops = record_loops(monkeypatch)
-        strict = loose = 0
+        binding = 0
         for x, direction in branch_starts(system):
-            for tol in (system.tol, system.tol.loosened()):
-                res, binds = self.pair(system, x, direction, system.points,
-                                       t_max=tol.t_max, tol=tol)
-                assert res.status == CONVERGED
-                if tol is system.tol:
-                    strict += len(binds) > 0
-                else:
-                    # coarse steps: the cap binds on most of them
-                    loose += len(binds) > res.steps / 2
-        assert strict == loose == len(loops) // 2 > 0
+            res, binds = self.pair(system, x, direction, system.points,
+                                   t_max=FLOW.T_MAX,
+                                   eps_conv=system.eps_conv)
+            assert res.status == CONVERGED
+            binding += len(binds) > 0
+        assert binding == len(loops) > 0
         families = torus(len(system.points)) if name != "band2" else ADAPTED
         assert all(set(f) <= families for f in loops)
 
@@ -1012,14 +1005,14 @@ class TestSpeedCap:
             for direction in (+1, -1):
                 # fixed-time flows, no sweep
                 res, _ = self.pair(system, cp.point, direction, None,
-                                   t_max=1.3, tol=system.tol)
+                                   t_max=1.3)
                 assert res.status == FIXED_TIME
                 self.pair(system, cp.point, direction, others, t_max=5.0,
-                          tol=system.tol)
+                          eps_conv=system.eps_conv)
         assert zero > 0 or name == "band2"
 
     @pytest.mark.parametrize("scale", [1e-120, 1e120])
-    def test_flat_and_steep_wells(self, scale):
+    def test_flat_and_steep_wells(self, scale, monkeypatch):
         # speeds near 1e-120 and 1e120, whose squares underflow or
         # overflow; wells this flat or steep fail a catalog's checks, so
         # the flows sweep their critical points by hand
@@ -1030,25 +1023,25 @@ class TestSpeedCap:
             float_kernels=CosineWells(amps, phis).float_kernels)
         rows = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi],
                          [np.pi, np.pi]])
-        # steps far below the default h_min of 1e-13 on the steep wells
-        tol = Tolerances(h_min=1e-300)
+        # steps far below the least step of 1e-13 on the steep wells
+        monkeypatch.setattr(FLOW, "H_MIN", 1e-300)
         t_max = 20.0 / scale if scale > 1.0 else 1.3
         for x in ([1.1, 2.0], [4.0, 0.3]):
             for direction in (+1, -1):
                 for rows_or_none in (None, rows):
                     res, _ = self.pair(system, np.array(x), direction,
-                                       rows_or_none, t_max=t_max, tol=tol)
+                                       rows_or_none, t_max=t_max,
+                                       eps_conv=EPS_CONV)
                     assert res.steps > 3
 
     def test_tiny_balls(self):
         # a ball radius of 1e-250 makes base, and so the cap, tiny
-        system = torus_cosine(2, [1.0, 0.7],
-                              tol=Tolerances(eps_conv=1e-250))
+        system = torus_cosine(2, [1.0, 0.7], eps_conv=1e-250)
         rng = np.random.default_rng(4)
         for _ in range(3):
             x = system.manifold.random_point(rng)
-            for tol in (system.tol, system.tol.loosened()):
-                self.pair(system, x, +1, system.points, t_max=5.0, tol=tol)
+            self.pair(system, x, +1, system.points, t_max=5.0,
+                      eps_conv=system.eps_conv)
 
 
 def trap_limit(system, x, direction=+1):
@@ -1240,13 +1233,12 @@ class TestLevelTrap:
             bound.apply_defaults()
             a = SimpleNamespace(**bound.arguments)
             assert a.trap is None
-            tol = system.tol.loosened() if a.loose else system.tol
             b = reference_integrate(
                 lambda v: a.direction * system.field(v),
                 lambda v: a.direction * system.f(v), man.project,
                 lambda v: man.distances(v, system.points), a.x0,
-                t_max=a.t_max if a.t_max is not None else tol.t_max,
-                tol=tol, names=names, record=a.record)
+                t_max=a.t_max, eps_conv=system.eps_conv, names=names,
+                record=a.record)
             _same_flow(res, b)
 
 
@@ -1290,11 +1282,12 @@ class TestIntegrationErrors:
     its time, the step and the step count, on both loop families."""
 
     @pytest.mark.parametrize("make, family", [
-        (lambda tol: torus_cosine(2, [1.0, 0.7], tol=tol), torus(4)),
-        (lambda tol: sphere_band(2, tol=tol), ADAPTED)],
+        (lambda: torus_cosine(2, [1.0, 0.7]), torus(4)),
+        (lambda: sphere_band(2), ADAPTED)],
         ids=["torus", "adapter"])
     def test_step_budget_names_the_flow(self, make, family, monkeypatch):
-        system = make(Tolerances(max_steps=5))
+        system = make()
+        monkeypatch.setattr(FLOW, "MAX_STEPS", 5)
         x0 = system.manifold.project(np.array([0.4, 1.1, 0.3][
             :system.manifold.coord_dim]))
         loops = record_loops(monkeypatch)
@@ -1363,7 +1356,7 @@ class TestConfig:
     def test_parse_band_and_tolerance(self):
         sys = parse_system_config(
             "kind sphere-band\ndim 2\neps 0.2\ntol-conv 1e-7\n")
-        assert sys.tol.eps_conv == 1e-7
+        assert sys.eps_conv == 1e-7
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

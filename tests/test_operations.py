@@ -865,14 +865,15 @@ class TestTrappedLimitReads:
 
     def test_configuration_reads_track_no_closest_passes(self, monkeypatch):
         # a configuration asks for a limit alone: flows track no closest
-        # passes at all, and each loose one of the table carries a trap
-        real, loose = counting.flow, []
+        # passes at all, and each classification flow of the table, an
+        # unrecorded flow at the default time limit, carries a trap
+        real, classifying = counting.flow, []
 
         def spy(*args, **kwargs):
-            if kwargs.get("loose"):
-                loose.append(kwargs.get("trap"))
+            if kwargs.get("record") is False and "t_max" not in kwargs:
+                classifying.append(kwargs.get("trap"))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(counting, "flow", spy)
         operation_table(phased_problem(CRITERION7_PHASES), edge_time=1.0)
-        assert loose and None not in loose
+        assert classifying and None not in classifying
