@@ -418,13 +418,10 @@ class RelativePair:
     sub_indices: dict       # degree -> tuple of generator positions in total
     quotient_indices: dict
 
-    def connecting_map(self, p, sub_homology=None, quotient_homology=None):
+    def connecting_map(self, p):
         """Snake-lemma map H_p(quotient) -> H_{p-1}(sub) on free parts."""
-        if quotient_homology is None:
-            quotient_homology = homology(self.quotient)
-        if sub_homology is None:
-            sub_homology = homology(self.sub)
-        reps = quotient_homology.representatives(p)
+        sub_homology = homology(self.sub)
+        reps = homology(self.quotient).representatives(p)
         cols = []
         for jcol in range(reps.shape[1]):
             lift = np.zeros((self.total.dim(p), 1), dtype=object)

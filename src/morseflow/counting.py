@@ -1,51 +1,51 @@
 """Morse complexes by counting flow lines, plus relative complexes and
 continuation maps.
 
-``_connection_search`` picks the search for a pair x -> y with index drop
-one.  When x has index 1 or y has index dim - 1, W^u(x) or W^s(y) is one
-curve with two branches, and the lines are the branches that end at the
-other point, signed in closed form (``_branch_lines``).  A branch is read
-in one of two ways.  Limit readers (``find_connections`` and the counts)
-need only its side and its limit, and into a top-index point its end
-point (``branch_ends``), so its flow records no nodes, and a descending
-one on uncoupled cosine wells stops once it falls below the second-lowest
-critical value, which proves its limit the minimum
+``_lines``, the one dispatch that ``find_connections``,
+``count_flow_lines`` and ``connection_lines`` read, gives each line of a
+pair x -> y with index drop one as a ``Line`` (direction, sign, path), by
+the search ``_connection_search`` picks.  When x has index 1 or y has
+index dim - 1, W^u(x) or W^s(y) is one curve with two branches, and the
+lines are the branches that end at the other point, signed in closed form
+(``_branch_lines``).  A branch is read in one of two ways.  Limit readers
+(the counts) need only its side and its limit, and into a top-index point
+its end point (``branch_ends``), so its flow records no nodes, and a
+descending one on uncoupled cosine wells stops once it falls below the
+second-lowest critical value, which proves its limit the minimum
 (``geometry.systems.level_trap``), short of the limit's ball; an
 ascending one flies into the ball, since its end point is read; curve
 readers (the chord search of chain-map and umkehr entries, and
 ``connection_lines`` for the command line) need its nodes
 (``branches``), so its flow records them up to the ball.  Both are kept
-in the store of the outermost public call that flew them (``keeping``),
-and a limit read after a curve read reads the curve: no call flies a
-branch twice.
+in the store of the outermost public call that flew them (``keeping``,
+``_keep``), and a limit read after a curve read reads the curve: no call
+flies a branch twice.
 Otherwise, on a 3-manifold, x has index 2 and y index 1, and a line
 crosses each level f = c between f(y) and f(x) once: the lines are the
 crossings of the curves P = W^u(x) and Q = W^s(y) on such a level
 (``_level_lines``).  P is flown down from x's unstable circle and Q up
-from y's stable circle, each flight stopped past c and its crossing read
-off its last chord (``_level_curve``); their chords are crossed as curves
-on a surface are, on the level's tangent planes, and signed in closed form
-(``connection_sign``).  Only this search has a resolution, the k angles of
-each circle and a chord bound that shrinks with 1/k, so only it passes the
-doubling gate (``gated``), which recounts at doubled resolution and raises
-on any change.  Every other pair, such as index 2 -> 1 and 3 -> 2 on a
-4-manifold, raises ``UnsupportedPairError`` (exit status 3);
-``boundary_operator`` asks the rule about every pair before its first
-count, so it refuses before launching a flow.  Index-1 chain-map
-entries on a surface intersect curves of recorded branch flows that start
-at their critical points and end at their limits (``curve_intersections``):
-the chords of the recorded polylines are the curves, and a chord hit is the
-crossing, since a count needs each crossing and its orientation, not the
-point to the last digit.  Each branch is charted once, on its first
-intersection (``Branch.chart``: segment displacements and lengths, and
-blocks of segments with an anchor and a reach), and two curves are crossed
-in one pass over those charts, so the fixed cost of a crossing search is
-paid once per pair of curves, not once per pair of branches.  Their signs
-need no frame carried along a flow: a one-dimensional W^u or W^s is
-oriented at each point of a branch by ``Branch.tangent``, the field there
-or, for a curve mapped into the surface, the chord of its image, and a
-top-dimensional one by the orientation class of its point's eigenframe
-(``orientation_class``).
+from y's stable circle, both of the constant radius ``RHO``, each flight
+stopped past c and its crossing read off its last chord
+(``_level_curve``); their chords are crossed as curves on a surface are,
+on the level's tangent planes, and signed in closed form
+(``connection_sign``).  Only this search has a resolution, the k angles
+of each circle (``DEFAULT_K_CIRCLE`` in every count) and a chord bound
+that shrinks with 1/k, so only it passes the doubling gate (``gated``),
+which recounts at doubled resolution and raises on any change.  Every
+other pair, such as index 2 -> 1 and 3 -> 2 on a 4-manifold, raises
+``UnsupportedPairError`` (exit status 3); ``boundary_operator`` asks the
+rule about every pair before its first count, so it refuses before
+launching a flow.  Index-1 chain-map entries on a surface intersect
+curves of recorded branch flows that start at their critical points and
+end at their limits (``curve_intersections``): the chords of the recorded
+polylines are the curves, and a chord hit is the crossing, since a count
+needs each crossing and its orientation, not the point to the last digit;
+two curves are crossed in one pass over their branches' charts
+(``Branch.chart``).  Their signs need no frame carried along a flow: a
+one-dimensional W^u or W^s is oriented at each point of a branch by
+``Branch.tangent``, the field there or, for a curve mapped into the
+surface, the chord of its image, and a top-dimensional one by the
+orientation class of its point's eigenframe (``orientation_class``).
 
 Every other read of a limit alone (the classification flows of the
 figure-8 configurations, ``backward_limit`` and the index-0 entries of
@@ -64,6 +64,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -88,8 +89,8 @@ from .geometry.flow import (
 )
 from .geometry.systems import level_trap
 
-DEFAULT_RHO = 0.02
-DEFAULT_K_CIRCLE = 48
+RHO = 0.02              # radius of the level search's circles
+DEFAULT_K_CIRCLE = 48   # angles per circle at the gate's first run
 
 
 # -- the doubling gate and the shared searches ---------------------------------
@@ -165,6 +166,13 @@ class Branch:
             self._chart = _chart(man, self.x)
         return self._chart
 
+    def path(self):
+        """(times, points) of the nodes from the upper end down: a W^s
+        branch's reversed."""
+        if self.direction == +1:
+            return self.times, self.points
+        return self.times[-1] - self.times[::-1], self.points[::-1]
+
     def mapped(self, image):
         return self if image is None else Branch(
             self.system, self.points, self.times, self.limit, self.direction,
@@ -234,18 +242,15 @@ def _branch_flows(system, cp, direction, record):
 def branches(system, cp, direction):
     """The two branches of W^u(cp) (direction +1, one unstable direction)
     or W^s(cp) (direction -1, one stable direction) as curves, flown once
-    per call and kept in its store (``_branch_flows``, ``keeping``)."""
-    store, key = _kept(), (system, cp.name, direction)
-    if key not in store:
-        store[key] = [
-            Branch(system, np.concatenate([cp.point[None, :], res.points]),
-                   np.concatenate([[0.0], res.times]), res.limit, direction,
-                   side)
-            for side, res in _branch_flows(system, cp, direction, True)]
-    return store[key]
+    per call and kept in its store (``_branch_flows``, ``_keep``)."""
+    return _keep((system, cp.name, direction), lambda: [
+        Branch(system, np.concatenate([cp.point[None, :], res.points]),
+               np.concatenate([[0.0], res.times]), res.limit, direction, side)
+        for side, res in _branch_flows(system, cp, direction, True)])
 
 
-BranchEnd = namedtuple("BranchEnd", "side limit x_end")
+class BranchEnd(namedtuple("BranchEnd", "side limit x_end")):
+    path = None     # its flow recorded no nodes
 
 
 def branch_ends(system, cp, direction):
@@ -257,16 +262,12 @@ def branch_ends(system, cp, direction):
     ends where the level trap proves its limit, anywhere below the
     second-lowest critical value, possibly at its start
     (``_branch_flows``), and no reader takes its ``x_end``."""
-    store = _kept()
-    curves = store.get((system, cp.name, direction))
+    curves = (_KEPT.get() or {}).get((system, cp.name, direction))
     if curves is not None:
         return curves
-    key = (system, cp.name, direction, "ends")
-    if key not in store:
-        store[key] = [
-            BranchEnd(side, res.limit, res.x_end)
-            for side, res in _branch_flows(system, cp, direction, False)]
-    return store[key]
+    return _keep((system, cp.name, direction, "ends"), lambda: [
+        BranchEnd(side, res.limit, res.x_end)
+        for side, res in _branch_flows(system, cp, direction, False)])
 
 
 # segments per block of the chord search
@@ -480,11 +481,27 @@ def _connection_search(system, x_cp, y_cp):
         names=(x_cp.name, y_cp.name), indices=(x_cp.index, y_cp.index))
 
 
-def _branch_lines(system, x_cp, y_cp, read=branch_ends):
-    """(direction, sign, branch) of each line from x to y: each branch of
-    W^u(x) if x has index 1, else of W^s(y), whose limit is the other
-    point, as ``read`` gives it: ``branch_ends`` for the limits alone, or
-    ``branches`` for the curves.
+# one line from x to y: its direction in x's unstable frame, its sign,
+# and ``path``, a callable giving its (times, points) from x to y, or None
+# for a branch read by its ends alone
+Line = namedtuple("Line", "u sign path")
+
+
+def _lines(system, x_cp, y_cp, k, read=branch_ends):
+    """The ``Line`` of each line from x to y, by the search
+    ``_connection_search`` picks: each branch that ends at the other point,
+    as ``read`` gives it (``_branch_lines``), or each crossing on a level
+    at resolution k (``_level_lines``)."""
+    if _connection_search(system, x_cp, y_cp) == BRANCH:
+        return _branch_lines(system, x_cp, y_cp, read)
+    return _level_lines(system, x_cp, y_cp, k)
+
+
+def _branch_lines(system, x_cp, y_cp, read):
+    """The ``Line`` of each line from x to y: each branch of W^u(x) if x
+    has index 1, else of W^s(y), whose limit is the other point, as
+    ``read`` gives it: ``branch_ends`` for the limits alone, or
+    ``branches`` for the curves, whose nodes are the path.
 
     From x of index 1, direction and sign are the branch's side: the
     linearised flow carries the velocity to itself, and the minimum y adds
@@ -495,7 +512,7 @@ def _branch_lines(system, x_cp, y_cp, read=branch_ends):
     frame.
     """
     if x_cp.index == 1:
-        return [(np.array([float(b.side)]), b.side, b)
+        return [Line(np.array([float(b.side)]), b.side, b.path)
                 for b in read(system, x_cp, +1)
                 if b.limit.name == y_cp.name]
     man = system.manifold
@@ -504,7 +521,7 @@ def _branch_lines(system, x_cp, y_cp, read=branch_ends):
     for b in read(system, y_cp, -1):
         if b.limit.name == x_cp.name:
             u = x_cp.unstable_frame.T @ man.displacement(x_cp.point, b.x_end)
-            out.append((u / np.linalg.norm(u), -b.side * eps, b))
+            out.append(Line(u / np.linalg.norm(u), -b.side * eps, b.path))
     return out
 
 
@@ -527,14 +544,14 @@ def _level(system, x_cp, y_cp):
     return 0.5 * (a + b)
 
 
-def _level_flight(system, cp, direction, c, rho, angle):
+def _level_flight(system, cp, direction, c, angle):
     """The recorded flight from cp's unstable circle (direction +1) or
-    stable circle (-1) of radius rho at ``angle``, which stops at its
+    stable circle (-1) of radius ``RHO`` at ``angle``, which stops at its
     first point past f = c (``flow.trap_family`` of no row), and must
     converge: past the level with limit None, or into a ball."""
     frame = cp.unstable_frame if direction == +1 else cp.stable_frame
     start = system.manifold.project(
-        cp.point + rho * (frame @ [math.cos(angle), math.sin(angle)]))
+        cp.point + RHO * (frame @ [math.cos(angle), math.sin(angle)]))
     return _resolved(flow(system, start, direction,
                           trap=Kernel(trap_family(), direction * c)),
                      "level flight of %s" % cp.name)
@@ -558,24 +575,23 @@ def _level_read(system, res, direction, c, name):
     return man.project(p0 + w * man.displacement(p0, p1)), t0 + w * (t1 - t0)
 
 
-def _level_point(system, cp, direction, c, rho, t):
+def _level_point(system, cp, direction, c, t):
     """The level point of the flight at ``circle_angle(t)``
     (``_level_read``), or None for a flight that enters a ball before the
     level.  Kept in the call's store by the exact fraction t, so the
     gate's doubled run reads the points of its first run."""
-    store = _kept()
-    key = (system, "level", cp.name, direction, c, rho, t)
-    if key not in store:
-        res = _level_flight(system, cp, direction, c, rho, circle_angle(t))
-        store[key] = (None if res.limit is not None else
-                      _level_read(system, res, direction, c, cp.name)[0])
-    return store[key]
+    def read():
+        res = _level_flight(system, cp, direction, c, circle_angle(t))
+        return (None if res.limit is not None else
+                _level_read(system, res, direction, c, cp.name)[0])
+
+    return _keep((system, "level", cp.name, direction, c, t), read)
 
 
 LevelCurve = namedtuple("LevelCurve", "t points whole")
 
 
-def _level_curve(system, cp, direction, c, rho, k):
+def _level_curve(system, cp, direction, c, k):
     """W^u(cp) (direction +1) or W^s(cp) (-1) on the level f = c, as a
     ``LevelCurve``: a closed polyline of the level points, its last node
     its first, their t (a fraction of the turn of cp's circle, the last
@@ -589,7 +605,7 @@ def _level_curve(system, cp, direction, c, rho, k):
 
     def nodes(t0, t1):
         # (t, point, whole) of the nodes on [t0, t1)
-        p0, p1 = (_level_point(system, cp, direction, c, rho, t % 1)
+        p0, p1 = (_level_point(system, cp, direction, c, t % 1)
                   for t in (t0, t1))
         if (p0 is not None and p1 is not None
                 and np.linalg.norm(displacement(p0, p1)) <= bound):
@@ -636,71 +652,65 @@ def connection_sign(system, y_cp, z, d_p, d_q):
                             floor=1e-8) * orientation_class(man, y_cp)
 
 
-LevelLine = namedtuple("LevelLine", "u v sign")
-
-
-def _level_lines(system, x_cp, y_cp, rho, k):
-    """The ``LevelLine`` of each line from x (index 2) to y (index 1) on a
+def _level_lines(system, x_cp, y_cp, k):
+    """The ``Line`` of each line from x (index 2) to y (index 1) on a
     3-manifold: where P = W^u(x) and Q = W^s(y) cross on the level f = c
     (``_level``), as chord hits of their curves (``_level_curve``) on the
-    level's chart (``_level_chart``).  u and v are the line's directions
-    in x's unstable and y's stable frame, at the hit's interpolated
-    angles.  A pair with f(x) <= f(y) has
-    no line and flies nothing.  A hit on a chord that is not whole is no
-    crossing, and a hit beside one raises ``CountingIncompleteError`` with
-    the pair's ``names``, the split's ``gap`` of angles, and the ``hit``.
-    Kept in the call's store."""
-    store = _kept()
-    key = (system, "lines", x_cp.name, y_cp.name, rho, k)
-    if key in store:
-        return store[key]
-    if x_cp.value <= y_cp.value:
-        store[key] = []
-        return []
-    c = _level(system, x_cp, y_cp)
-    chart = _level_chart(system)
-    with keeping():
-        P, Q = (_level_curve(system, cp, direction, c, rho, k)
-                for cp, direction in ((x_cp, +1), (y_cp, -1)))
-    man = system.manifold
-    out = []
-    for i, j, s, u in _chord_hits(chart, P.points, Q.points):
-        if not (P.whole[i] and Q.whole[j]):
-            continue
-        z = man.project(P.points[i] + s * man.displacement(
-            P.points[i], P.points[i + 1]))
-        for curve, m, name in ((P, i, "W^u(x)"), (Q, j, "W^s(y)")):
-            for e in (m - 1, m + 1):
-                e %= len(curve.whole)
-                if not curve.whole[e]:
-                    raise CountingIncompleteError(
-                        "%s -> %s: a crossing lies beside a split of %s "
-                        "on the level f = %.6g" % (x_cp.name, y_cp.name,
-                                                   name, c),
-                        names=(x_cp.name, y_cp.name),
-                        gap=tuple(map(circle_angle, curve.t[e:e + 2])),
-                        hit=z.tolist())
-        a, b = (circle_angle(t0) + w * (circle_angle(t1) - circle_angle(t0))
-                for (t0, t1), w in ((P.t[i:i + 2], s), (Q.t[j:j + 2], u)))
-        out.append(LevelLine(
-            np.array([math.cos(a), math.sin(a)]),
-            np.array([math.cos(b), math.sin(b)]),
-            connection_sign(system, y_cp, z, *(
+    level's chart (``_level_chart``).  Its direction is u in x's unstable
+    frame at the hit's interpolated angle, and its path the two
+    half-flights at u and at v in y's stable frame (``_joined_line``).  A
+    pair with f(x) <= f(y) has no line and flies nothing.  A hit on a
+    chord that is not whole is no crossing, and a hit beside one raises
+    ``CountingIncompleteError`` with the pair's ``names``, the split's
+    ``gap`` of angles, and the ``hit``.  Kept in the call's store."""
+    def lines():
+        if x_cp.value <= y_cp.value:
+            return []
+        c = _level(system, x_cp, y_cp)
+        chart = _level_chart(system)
+        with keeping():
+            P, Q = (_level_curve(system, cp, direction, c, k)
+                    for cp, direction in ((x_cp, +1), (y_cp, -1)))
+        man = system.manifold
+        out = []
+        for i, j, s, u in _chord_hits(chart, P.points, Q.points):
+            if not (P.whole[i] and Q.whole[j]):
+                continue
+            z = man.project(P.points[i] + s * man.displacement(
+                P.points[i], P.points[i + 1]))
+            for curve, m, name in ((P, i, "W^u(x)"), (Q, j, "W^s(y)")):
+                for e in (m - 1, m + 1):
+                    e %= len(curve.whole)
+                    if not curve.whole[e]:
+                        raise CountingIncompleteError(
+                            "%s -> %s: a crossing lies beside a split of %s "
+                            "on the level f = %.6g" % (x_cp.name, y_cp.name,
+                                                       name, c),
+                            names=(x_cp.name, y_cp.name),
+                            gap=tuple(map(circle_angle, curve.t[e:e + 2])),
+                            hit=z.tolist())
+            dir_x, dir_y = (np.array([math.cos(a), math.sin(a)]) for a in (
+                circle_angle(t0) + w * (circle_angle(t1) - circle_angle(t0))
+                for (t0, t1), w in ((P.t[i:i + 2], s), (Q.t[j:j + 2], u))))
+            sign = connection_sign(system, y_cp, z, *(
                 man.displacement(*R[m:m + 2])
-                for R, m in ((P.points, i), (Q.points, j))))))
-    store[key] = out
-    return out
+                for R, m in ((P.points, i), (Q.points, j))))
+            out.append(Line(dir_x, sign, partial(_joined_line, system, x_cp,
+                                                 y_cp, dir_x, dir_y)))
+        return out
+
+    return _keep((system, "lines", x_cp.name, y_cp.name, k), lines)
 
 
-def _joined_line(system, x_cp, y_cp, line, rho):
-    """(times, points) of a level line: the recorded flight from x at u
-    down to the level, then the recorded flight from y at v reversed,
-    joined where x's flight crosses the level (``_level_read``)."""
+def _joined_line(system, x_cp, y_cp, u, v):
+    """(times, points) of the level line at u in x's unstable frame and v
+    in y's stable frame: the recorded flight from x at u down to the
+    level, then the recorded flight from y at v reversed, joined where x's
+    flight crosses the level (``_level_read``)."""
     c = _level(system, x_cp, y_cp)
     halves = []
-    for cp, direction, w in ((x_cp, +1, line.u), (y_cp, -1, line.v)):
-        res = _level_flight(system, cp, direction, c, rho,
-                            math.atan2(w[1], w[0]))
+    for cp, direction, w in ((x_cp, +1, u), (y_cp, -1, v)):
+        res = _level_flight(system, cp, direction, c, math.atan2(w[1], w[0]))
         halves.append((res.times[:-1], res.points[:-1],
                        *_level_read(system, res, direction, c, cp.name)))
     (tx, px, z, t_c), (ty, py, _z, t_y) = halves
@@ -708,66 +718,50 @@ def _joined_line(system, x_cp, y_cp, line, rho):
             np.concatenate([px, z[None, :], py[::-1]]))
 
 
-def connection_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
-    """(direction, times, points) of each line from x to y found by the
-    search ``_connection_search`` picks: a branch curve's nodes ordered
-    from x to y (``_branch_lines``), or a level line's two recorded
-    half-flights (``_joined_line``).  It reads each curve once, so it
-    keeps one only inside an open ``keeping`` block."""
-    if _connection_search(system, x_cp, y_cp) == BRANCH:
-        return [(u, b.times, b.points) if b.direction == +1 else
-                (u, b.times[-1] - b.times[::-1], b.points[::-1])
-                for u, _sign, b in _branch_lines(system, x_cp, y_cp,
-                                                 branches)]
-    return [(line.u, *_joined_line(system, x_cp, y_cp, line, rho))
-            for line in _level_lines(system, x_cp, y_cp, rho,
-                                     k or DEFAULT_K_CIRCLE)]
+def connection_lines(system, x_cp, y_cp):
+    """(direction, times, points) of each line from x to y (``_lines``),
+    its path read off the branch curve's nodes or the level line's two
+    recorded half-flights.  It reads each curve once, so it keeps one only
+    inside an open ``keeping`` block."""
+    return [(line.u, *line.path())
+            for line in _lines(system, x_cp, y_cp, DEFAULT_K_CIRCLE,
+                               branches)]
 
 
-def find_connections(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None):
-    """Directions on the unstable sphere of x whose flow lines reach y.
-    Branch lines are read off their limits (``branch_ends``), and level
-    lines off their crossings (``_level_lines``), once, so they are kept
-    only inside an open ``keeping`` block."""
-    if _connection_search(system, x_cp, y_cp) == BRANCH:
-        return [u for u, _sign, _b in _branch_lines(system, x_cp, y_cp)]
-    return [line.u for line in _level_lines(system, x_cp, y_cp, rho,
-                                            k or DEFAULT_K_CIRCLE)]
+def find_connections(system, x_cp, y_cp, k=DEFAULT_K_CIRCLE):
+    """Directions on the unstable sphere of x whose flow lines reach y
+    (``_lines``), at resolution k for the level search.  Branch lines are
+    read off their limits, once, so they are kept only inside an open
+    ``keeping`` block."""
+    return [line.u for line in _lines(system, x_cp, y_cp, k)]
 
 
-def count_flow_lines(system, x_cp, y_cp, rho=DEFAULT_RHO, k=None,
-                     ring=RING_Z):
+def count_flow_lines(system, x_cp, y_cp, ring=RING_Z):
     """Signed (or mod-2) number of flow lines between index-adjacent points.
 
-    Every line takes its sign in closed form, from the call's store:
-    branch lines from their branch's side (``_branch_lines``), which have
-    no resolution to double, and level lines from their crossing
-    (``connection_sign``), whose counts pass the doubling gate.
+    Every line takes its sign in closed form (``_lines``): branch lines
+    from their branch's side, which have no resolution to double, and
+    level lines from their crossing (``connection_sign``), whose counts
+    pass the doubling gate, one ``find_connections`` per resolution.
     """
     if isinstance(x_cp, str):
         x_cp = system.point(x_cp)
     if isinstance(y_cp, str):
         y_cp = system.point(y_cp)
-    search = _connection_search(system, x_cp, y_cp)
 
-    def run(kk):
-        dirs = find_connections(system, x_cp, y_cp, rho=rho, k=kk)
+    def run(k):
+        dirs = find_connections(system, x_cp, y_cp, k=k)
         if ring == RING_Z2:
             return len(dirs) % 2, len(dirs)
         # the lines are kept in the call's store: this read flies nothing
-        if search == BRANCH:
-            signs = [sign for _u, sign, _b in _branch_lines(system, x_cp,
-                                                            y_cp)]
-        else:
-            signs = [line.sign for line in _level_lines(system, x_cp, y_cp,
-                                                        rho, kk)]
-        return sum(signs), len(dirs)
+        return (sum(line.sign for line in _lines(system, x_cp, y_cp, k)),
+                len(dirs))
 
     with keeping():
-        if search == LEVEL:
-            return gated(run, k or DEFAULT_K_CIRCLE,
+        if _connection_search(system, x_cp, y_cp) == LEVEL:
+            return gated(run, DEFAULT_K_CIRCLE,
                          "count %s->%s" % (x_cp.name, y_cp.name))
-        return run(k)[0]
+        return run(DEFAULT_K_CIRCLE)[0]
 
 
 # the store of the open ``keeping`` block: kept flows by keys that name
@@ -789,11 +783,15 @@ def keeping():
         _KEPT.reset(token)
 
 
-def _kept():
-    """The open ``keeping`` block's store, or outside any block a
-    throwaway dict, so that nothing is kept."""
+def _keep(key, make):
+    """``make()``, kept in the open ``keeping`` block's store by ``key``
+    and made once per block; outside any block, made on every call."""
     store = _KEPT.get()
-    return {} if store is None else store
+    if store is None:
+        return make()
+    if key not in store:
+        store[key] = make()
+    return store[key]
 
 
 def graded_matrices(degrees, rows_of, cols_of, entry):
@@ -813,7 +811,7 @@ def graded_matrices(degrees, rows_of, cols_of, entry):
     return out
 
 
-def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None):
+def boundary_operator(system, ring=RING_Z):
     """Assemble the Morse complex; verifies the square-zero identity.
 
     Every pair is given to ``_connection_search`` before the first count,
@@ -828,13 +826,13 @@ def boundary_operator(system, ring=RING_Z, rho=DEFAULT_RHO, k=None):
     with keeping():
         maps = graded_matrices(
             degrees, lambda p: system.by_index(p - 1), system.by_index,
-            lambda x_cp, y_cp: count_flow_lines(system, x_cp, y_cp, rho=rho,
-                                                k=k, ring=ring))
+            lambda x_cp, y_cp: count_flow_lines(system, x_cp, y_cp,
+                                                ring=ring))
     return GradedComplex(gens, maps, ring=ring)
 
 
-def morse_homology(system, ring=RING_Z, **kw):
-    return homology(boundary_operator(system, ring=ring, **kw))
+def morse_homology(system, ring=RING_Z):
+    return homology(boundary_operator(system, ring=ring))
 
 
 # -- relative complexes -----------------------------------------------------------
@@ -910,11 +908,11 @@ def check_region_admissible(system, region):
     return crossings
 
 
-def relative_complex(system, region, ring=RING_Z, **kw):
+def relative_complex(system, region, ring=RING_Z):
     """Split the Morse complex along the region; returns a RelativePair."""
     if region.name != "empty":
         check_region_admissible(system, region)
-    total = boundary_operator(system, ring=ring, **kw)
+    total = boundary_operator(system, ring=ring)
     members = {cp.name: region.contains(cp.point)
                for cp in system.critical_points}
     return split_complex(total, lambda p, name: members[name])

@@ -13,7 +13,6 @@ from .flow import (
     FIXED_TIME,
     MAX_TIME,
     FlowResult,
-    direction_point,
     fixed_time_flow,
     flow,
     orientation_sign,
@@ -28,6 +27,6 @@ __all__ = [
     "CriticalPoint", "MorseSystem", "parse_system_config",
     "product_system", "sphere_band", "sphere_height", "torus_cosine",
     "CONVERGED", "FIXED_TIME", "MAX_TIME", "FlowResult",
-    "direction_point", "fixed_time_flow", "flow", "orientation_sign",
-    "orthonormalize", "parallel_frame", "probe_limits", "transport_frame",
+    "fixed_time_flow", "flow", "orientation_sign", "orthonormalize",
+    "parallel_frame", "probe_limits", "transport_frame",
 ]

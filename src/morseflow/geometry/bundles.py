@@ -99,8 +99,9 @@ def trivial_bundle(base, rank):
 
 
 def sphere_tangent_bundle(base):
-    """TS^n inside the trivial R^{n+1} bundle; oriented for even spheres
-    via a reference-axis frame completed by the ambient cross product."""
+    """TS^n inside the trivial R^{n+1} bundle, oriented on every sphere by
+    the base's oriented tangent basis: followed by the outward normal, it
+    is positively oriented in R^{n+1}."""
     n = base.dim
     N = base.coord_dim
 
@@ -108,23 +109,8 @@ def sphere_tangent_bundle(base):
         x = np.asarray(x, dtype=float)
         return np.eye(N) - np.outer(x, x)
 
-    if n != 2:
-        return VectorBundleModel(base, n, N, projector, None,
-                                 name="TS%d" % n)
-
-    a_ref = np.array([0.32, -0.54, 0.78])
-    b_ref = np.array([0.91, 0.2, -0.35])
-
-    def frame(x):
-        x = np.asarray(x, dtype=float)
-        u = a_ref - np.dot(a_ref, x) * x
-        if np.linalg.norm(u) < 0.2:
-            u = b_ref - np.dot(b_ref, x) * x
-        u = u / np.linalg.norm(u)
-        v = np.cross(x, u)
-        return np.stack([u, v], axis=1)
-
-    return VectorBundleModel(base, 2, 3, projector, frame, name="TS2")
+    return VectorBundleModel(base, n, N, projector,
+                             base.oriented_tangent_basis, name="TS%d" % n)
 
 
 def torus_tangent_bundle(base):

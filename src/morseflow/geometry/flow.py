@@ -505,11 +505,6 @@ def circle_angle(t):
     return _ANGLE_OFFSET + 2.0 * math.pi * t.numerator / t.denominator
 
 
-def direction_point(system, cp, rho, u):
-    """Manifold point at unstable-frame direction u and radius rho."""
-    return system.manifold.project(cp.point + rho * (cp.unstable_frame @ u))
-
-
 def probe_limits(system, n_seeds, seed=0):
     """Forward/backward limit statistics over random seed points.  Its
     flows take no level trap: it reports the flows unresolved at

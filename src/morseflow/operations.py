@@ -34,7 +34,7 @@ from .counting import (
     hybrid_entry,
     keeping,
     orientation_class,
-    _kept,
+    _keep,
 )
 from .errors import (
     GeometryError,
@@ -690,14 +690,12 @@ def _find_configurations(problem, a1, a2, a3, R):
         # chord of the pulled-back segment, kept in the call's store
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
-        store, key = _kept(), (problem, a3.name, R)
         stable = branches(E3, a3, -1)
-        if R and key not in store:
-            store[key] = [b.mapped(
-                lambda y: _aux_time_map(problem, y, R, direction=-1))
-                for b in stable]
+        pulled = stable if not R else _keep((problem, a3.name, R), lambda: [
+            b.mapped(lambda y: _aux_time_map(problem, y, R, direction=-1))
+            for b in stable])
         hits = curve_intersections(man, branches(curve_sys, curve_cp, +1),
-                                   store.get(key, stable))
+                                   pulled)
         return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta),
                            E3: c.b.tangent(c.l, c.u, man)})
                 for c in hits if _flows_into(other_sys, c.point, other_cp, -1)]

@@ -21,7 +21,6 @@ from morseflow.counting import Crossing
 from morseflow.errors import DegenerateCrossingError
 from morseflow.geometry.flow import (
     CONVERGED,
-    direction_point,
     fixed_time_flow,
     flow,
     orientation_sign,
@@ -238,6 +237,11 @@ def landed_point(system, p, c):
                             record=False).x_end
         dt += math.copysign(duration, gap)
     raise AssertionError("no landing on f = %r (f - c = %.3g)" % (c, gap))
+
+
+def direction_point(system, cp, rho, u):
+    """Manifold point at unstable-frame direction u and radius rho."""
+    return system.manifold.project(cp.point + rho * (cp.unstable_frame @ u))
 
 
 def _strict_flight(system, x_cp, a, rho):

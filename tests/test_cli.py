@@ -69,6 +69,11 @@ class TestGraphCommands:
         data = json.loads(out)
         assert (data["genus"], data["boundary_cycles"]) == (0, 3)
 
+    def test_genus_components_text(self, capsys):
+        code, out, _ = run(capsys, "graph", "genus", "--components",
+                           os.path.join(DATA, "fig8.graph"))
+        assert (code, out) == (0, "component 0: genus 0, 3 boundary cycles\n")
+
     def test_admissible(self, capsys, fig8_file):
         code, out, _ = run(capsys, "--json", "graph", "admissible", fig8_file)
         assert json.loads(out)["admissible"] is True
@@ -599,6 +604,17 @@ class TestHomologyCommand:
         sub = data["blocks"]["subcomplex"]["betti"]
         assert (sub["0"], sub["1"]) == (1, 1)
 
+    def test_relative_empty(self, capsys, torus_cfg):
+        # the empty region takes no admissibility check: the quotient is
+        # the whole complex and the subcomplex has no generator
+        code, out, _ = run(capsys, "homology", torus_cfg, "--relative",
+                           "empty")
+        whole = ("  H_0: rank 1  (generators: x00)\n"
+                 "  H_1: rank 2  (generators: x10 x01)\n"
+                 "  H_2: rank 1  (generators: x11)\n")
+        assert (code, out) == (0, "torus2 (ring Z)\nquotient:\n" + whole
+                               + "subcomplex:\ntotal:\n" + whole)
+
     def test_matrices_export(self, capsys, tmp_path):
         cfg = tmp_path / "band.cfg"
         cfg.write_text(BAND_CFG)
@@ -644,6 +660,80 @@ class TestOpCommands:
         data = json.loads(out)
         assert abs(data["pairing_with_fundamental_class"]) == 2
 
+    def test_push_and_umkehr_of_the_equator(self, capsys, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SPHERE_CFG)
+        code, out, _ = run(capsys, "op", "push", str(cfg), "--embedding",
+                           "equator")
+        assert (code, out) == (0, "push matrices for equator:\n"
+                                  "  degree 0: [[1]]\n  degree 1: []\n")
+        code, out, _ = run(capsys, "--json", "op", "umkehr", str(cfg),
+                           "--embedding", "equator")
+        assert code == 0
+        assert json.loads(out) == {"embedding": "equator",
+                                   "matrices": {"0": [], "2": [[1]]}}
+
+    @pytest.mark.parametrize("command", ["push", "umkehr"])
+    def test_identity_embedding_of_the_torus(self, capsys, torus_cfg,
+                                             command):
+        code, out, _ = run(capsys, "--json", "op", command, torus_cfg,
+                           "--embedding", "identity")
+        assert code == 0
+        assert json.loads(out)["matrices"] == {
+            "0": [[1]], "1": [[1, 0], [0, 1]], "2": [[1]]}
+
+    def test_thom_of_the_torus_tangent_bundle(self, capsys, torus_cfg):
+        code, out, _ = run(capsys, "op", "thom", torus_cfg, "--bundle",
+                           "tangent")
+        assert (code, out) == (0, "Thom data for TT2 (rank 2):\n"
+                                  "  relative H_2 rank 1\n"
+                                  "  relative H_3 rank 2\n"
+                                  "  relative H_4 rank 1\n"
+                                  "  class = dual of x00\n"
+                                  "  fiber pairing +1\n")
+
+    def test_euler_of_tangent_plus_trivial(self, capsys, tmp_path):
+        # the trivial summand's section vanishes nowhere: no zeros
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SPHERE_CFG)
+        argv = ["op", "euler", str(cfg), "--bundle", "tangent+trivial"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "Euler class of TS2+triv1:\n"
+                                  "  cochain: 0\n"
+                                  "  pairing with fundamental class: None\n")
+        code, out, _ = run(capsys, "--json", *argv)
+        assert json.loads(out) == {
+            "bundle": "TS2+triv1", "coefficients": {},
+            "pairing_with_fundamental_class": None, "zeros": []}
+
+    @pytest.mark.parametrize("dim,betti", [(1, {"1": 1, "2": 1}),
+                                           (3, {"3": 1, "6": 1})])
+    def test_odd_sphere_tangent_bundles_are_oriented(self, capsys, tmp_path,
+                                                     dim, betti):
+        # TS^n is oriented on every sphere; before, only TS2 carried a
+        # frame, and these exited 5 as not orientable.  The Euler class of
+        # an odd sphere pairs to chi = 0
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("kind sphere\ndim %d\n" % dim)
+        code, out, _ = run(capsys, "--json", "op", "thom", str(cfg),
+                           "--bundle", "tangent")
+        data = json.loads(out)
+        assert code == 0
+        assert (data["bundle"], data["rank"]) == ("TS%d" % dim, dim)
+        assert data["relative_betti"] == betti
+        assert data["fiber_pairing"] == 1
+        code, out, _ = run(capsys, "--json", "op", "euler", str(cfg),
+                           "--bundle", "tangent")
+        data = json.loads(out)
+        assert code == 0
+        assert data["coefficients"] == {"north": 0}
+        assert data["pairing_with_fundamental_class"] == 0
+        assert sorted(z["sign"] for z in data["zeros"]) == [-1, 1]
+        code, out, _ = run(capsys, "--json", "op", "euler", str(cfg),
+                           "--bundle", "tangent+trivial")
+        assert code == 0
+        assert json.loads(out)["zeros"] == []
+
     @pytest.fixture
     def label_args(self, tmp_path):
         args = []
@@ -653,6 +743,20 @@ class TestOpCommands:
                          % phases)
             args += ["--label", str(p)]
         return args
+
+    def test_nu_table_text(self, capsys, fig8_file, label_args):
+        code, out, _ = run(capsys, "op", "nu", fig8_file, *label_args,
+                           "--table")
+        assert (code, out) == (0, "operation table (edge time 0):\n"
+                                  "  x00 * x11 -> {'x00': 1}\n"
+                                  "  x01 * x10 -> {'x00': 1}\n"
+                                  "  x01 * x11 -> {'x01': 1}\n"
+                                  "  x10 * x01 -> {'x00': -1}\n"
+                                  "  x10 * x11 -> {'x10': 1}\n"
+                                  "  x11 * x00 -> {'x00': 1}\n"
+                                  "  x11 * x01 -> {'x01': 1}\n"
+                                  "  x11 * x10 -> {'x10': 1}\n"
+                                  "  x11 * x11 -> {'x11': 1}\n")
 
     def test_nu_single_input_golden_args(self, capsys, fig8_file, label_args):
         code, out, _ = run(capsys, "--json", "op", "nu", fig8_file,

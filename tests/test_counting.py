@@ -129,12 +129,13 @@ class TestCounts:
                 assert np.array_equal(cx2.map_from(p) % 2,
                                       cx.map_from(p).astype(object) % 2)
 
-    def test_rho_independence(self, t3):
-        # rho is the radius of the circles of the level search, which T3
+    def test_rho_independence(self, t3, monkeypatch):
+        # RHO is the radius of the circles of the level search, which T3
         # x110 -> x100 reaches; surface pairs are branch curves and never
         # read it
-        assert count_flow_lines(t3, "x110", "x100", rho=0.01) == 0
-        assert count_flow_lines(t3, "x110", "x100", rho=0.04) == 0
+        for rho in (0.01, 0.04):
+            monkeypatch.setattr(counting, "RHO", rho)
+            assert count_flow_lines(t3, "x110", "x100") == 0
 
     def test_perturbed_torus_counts_still_cancel(self):
         # seeded coupling term breaks the product symmetry; the catalog is
@@ -271,8 +272,8 @@ def open_beside_a_crossing(monkeypatch):
     real = counting._level_curve
     seen = {}
 
-    def opened(system, cp, direction, c, rho, k):
-        curve = real(system, cp, direction, c, rho, k)
+    def opened(system, cp, direction, c, k):
+        curve = real(system, cp, direction, c, k)
         if direction == +1:
             seen["P"] = curve
             return curve
@@ -321,13 +322,13 @@ class TestLevelSearch:
         # until that flow enters y's ball
         system = (product_system(torus_cosine(1, [1.0]), sphere_band(2))
                   if name == "s1xs2-band" else t3_system(name))
-        rho = counting.DEFAULT_RHO
+        rho = counting.RHO
         checked = total = 0
         with counting.keeping():
             for x in system.by_index(2):
                 for y in system.by_index(1):
                     for line in counting._level_lines(
-                            system, x, y, rho, counting.DEFAULT_K_CIRCLE):
+                            system, x, y, counting.DEFAULT_K_CIRCLE):
                         total += 1
                         a = refined_angle(system, x, y, line.u, rho)
                         sign = (None if a is None else
@@ -372,7 +373,7 @@ class TestLevelSearch:
         # one node and no chord to read: a refusal, never a guess
         x = t3.point("x110")
         c = x.value + 1.0
-        res = counting._level_flight(t3, x, +1, c, counting.DEFAULT_RHO, 0.0)
+        res = counting._level_flight(t3, x, +1, c, 0.0)
         assert len(res.times) == 1
         with pytest.raises(CountingIncompleteError,
                            match="level flight of x110") as err:
@@ -391,7 +392,7 @@ class TestLevelSearch:
         capsys.readouterr()
         system = parse_system_config(text)
         x, y = system.point("x110"), system.point("x100")
-        c, rho = counting._level(system, x, y), counting.DEFAULT_RHO
+        c, rho = counting._level(system, x, y), counting.RHO
         rows = np.array([[float(v) for v in row.split(",")]
                          for row in csv.read_text().splitlines()[1:]])
         assert sorted(set(rows[:, 0])) == [0, 1]

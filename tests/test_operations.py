@@ -280,6 +280,16 @@ class TestThom:
         assert tc.unit_cochain == {"south": 1}
         assert tc.fiber_pairing == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_sphere_tangent_bundle_is_oriented(self, n):
+        # its frame is the base's oriented tangent basis, whose class
+        # stays put along paths through the sphere, odd spheres included
+        man = sphere_height(n).manifold
+        bundle = sphere_tangent_bundle(man)
+        assert bundle.orientable
+        rng = np.random.default_rng(0)
+        bundle.check_invariants([man.random_point(rng) for _ in range(6)])
+
     def test_unorientable_rejected(self, s2):
         with pytest.raises(OrientationError):
             thom_class(unorientable_stub(s2.manifold), s2)
