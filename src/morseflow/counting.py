@@ -39,13 +39,18 @@ launching a flow.  Index-1 chain-map entries on a surface intersect
 curves of recorded branch flows that start at their critical points and
 end at their limits (``curve_intersections``): the chords of the recorded
 polylines are the curves, and a chord hit is the crossing, since a count
-needs each crossing and its orientation, not the point to the last digit;
-two curves are crossed in one pass over their branches' charts
-(``Branch.chart``).  Their signs need no frame carried along a flow: a
-one-dimensional W^u or W^s is oriented at each point of a branch by
-``Branch.tangent``, the field there or, for a curve mapped into the
-surface, the chord of its image, and a top-dimensional one by the
-orientation class of its point's eigenframe (``orientation_class``).
+needs each crossing and its orientation, not the point to the last digit.
+Two families of curves are crossed in one pass over their branches'
+charts (``Branch.chart``), every curve of one with every curve of the
+other, and the crossings are kept per curve pair (``Crossings``).  A pair
+whose curves meet at an end raises its own ``DegenerateCrossingError``
+only when it is read.  A figure-8 table crosses its three family pairs
+once; a single count or a chain passes one-curve families.  Their signs
+need no frame carried along a flow: a one-dimensional W^u or W^s is
+oriented at each point of a branch by ``Branch.tangent``, the field there
+or, for a curve mapped into the surface, the chord of its image, and a
+top-dimensional one by the orientation class of its point's eigenframe
+(``orientation_class``).
 
 Every other read of a limit alone (the classification flows of the
 figure-8 configurations, ``backward_limit`` and the index-0 entries of
@@ -262,7 +267,7 @@ def branch_ends(system, cp, direction):
     ends where the level trap proves its limit, anywhere below the
     second-lowest critical value, possibly at its start
     (``_branch_flows``), and no reader takes its ``x_end``."""
-    curves = (_KEPT.get() or {}).get((system, cp.name, direction))
+    curves = _kept((system, cp.name, direction))
     if curves is not None:
         return curves
     return _keep((system, cp.name, direction, "ends"), lambda: [
@@ -344,21 +349,22 @@ def _curve_hits(man, A, B):
     |displacement| is a metric (flat torus, sphere chords, products), so
     the triangle inequality bounds a pair's distance by its anchors'.  One
     gap matrix covers every block pair of the two curves, and one near
-    test every surviving segment pair.
+    test every surviving segment pair; only the near pairs are sorted.
     """
     gap = np.linalg.norm(man.displacement(A.anchors[:, None, :],
                                           B.anchors[None, :, :]), axis=2)
     I, J = np.nonzero(gap <= A.reaches[:, None] + B.reaches + _SLACK)
     (ii, keep_i), (jj, keep_j) = _segments(A, I), _segments(B, J)
     k, p, q = np.nonzero(keep_i[:, :, None] & keep_j[:, None, :])
-    na, nb = len(A.lengths), len(B.lengths)
+    ii, jj = ii[k, p], jj[k, q]
+    rel = man.displacement(A.starts[ii], B.starts[jj])
+    near = np.nonzero(np.linalg.norm(rel, axis=1)
+                      <= A.lengths[ii] + B.lengths[jj])[0]
     # polyline pair first, then (i, j): the segment numbers of a curve
     # increase along each of its polylines
-    pair = A.owners[I] * (len(B.firsts) - 1) + B.owners[J]
-    key = np.sort((pair[k] * na + ii[k, p]) * nb + jj[k, q])
-    ii, jj = np.divmod(key % (na * nb), nb)
-    rel = man.displacement(A.starts[ii], B.starts[jj])
-    near = np.linalg.norm(rel, axis=1) <= A.lengths[ii] + B.lengths[jj]
+    pair = (A.owners[I] * (len(B.firsts) - 1) + B.owners[J])[k[near]]
+    near = near[np.argsort((pair * len(A.lengths) + ii[near])
+                           * len(B.lengths) + jj[near])]
     out = []
     for i, j, r in zip(ii[near], jj[near], rel[near]):
         T = man.tangent_basis(A.starts[i])
@@ -376,39 +382,55 @@ def _chord_hits(man, P, Q):
     return [hit[2:] for hit in _curve_hits(man, A, B)]
 
 
+def _laid_branches(man, branches):
+    """The ``Laid`` curve of ``branches`` on their charts in ``man``
+    (``Branch.chart``)."""
+    return _lay([(C.x, C.chart(man)) for C in branches])
+
+
+def _end_gaps(man, branches, laid):
+    """(e, seg, t, gap) for each end e of ``branches`` (2 k for the first
+    node of branch k, 2 k + 1 for its last) and each segment seg of the
+    laid curve that may lie within ``_END_GAP`` of it: the parameter t of
+    the segment's point nearest to the end, found on the chart at the
+    segment's start, and their distance.
+
+    A segment within ``_END_GAP`` of an end lies in a block whose anchor
+    is within its reach plus ``_END_GAP`` of the end (the triangle
+    inequality, as in ``_curve_hits``), so only the segments of such
+    blocks are measured.  Each row's floats depend on that row's end and
+    segment alone.
+    """
+    ends = np.concatenate([C.x[[0, -1]] for C in branches])
+    gap = np.linalg.norm(man.displacement(laid.anchors[None, :, :],
+                                          ends[:, None, :]), axis=2)
+    e, blocks = np.nonzero(gap <= laid.reaches + (_END_GAP + _SLACK))
+    seg, keep = _segments(laid, blocks)
+    n, p = np.nonzero(keep)
+    e, seg = e[n], seg[n, p]
+    d = laid.d[seg]
+    rel = man.displacement(laid.starts[seg], ends[e])
+    t = np.clip(np.sum(rel * d, axis=1)
+                / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
+    return e, seg, t, np.linalg.norm(rel - t[:, None] * d, axis=1)
+
+
 def _check_ends(man, curve_a, curve_b, laid_a, laid_b):
     """Raise ``DegenerateCrossingError`` when an end of a branch of one
-    curve lies on a branch of the other.  An end is a critical point (or
-    its image), where the branch has no tangent, and the limit is not on
-    its curve at all: the curves do not meet transversally there, and a
-    chord hit, which takes half-open segments, would drop a crossing at a
-    limit.
-
-    The point of a segment nearest to an end is found on the chart at the
-    segment's start.  A segment within ``_END_GAP`` of an end lies in a
-    block whose anchor is within its reach plus ``_END_GAP`` of the end
-    (the triangle inequality, as in ``_curve_hits``), so only the segments
-    of such blocks are measured.
+    curve lies on a branch of the other (``_end_gaps``).  An end is a
+    critical point (or its image), where the branch has no tangent, and
+    the limit is not on its curve at all: the curves do not meet
+    transversally there, and a chord hit, which takes half-open segments,
+    would drop a crossing at a limit.  The ends of a are checked first;
+    the error names the first end with a close segment and its nearest
+    segment (the first of equals).
     """
     for ends_of, others, laid, of_a in ((curve_a, curve_b, laid_b, True),
                                         (curve_b, curve_a, laid_a, False)):
-        ends = np.concatenate([E.x[[0, -1]] for E in ends_of])
-        gap = np.linalg.norm(man.displacement(laid.anchors[None, :, :],
-                                              ends[:, None, :]), axis=2)
-        e, blocks = np.nonzero(gap <= laid.reaches + (_END_GAP + _SLACK))
-        seg, keep = _segments(laid, blocks)
-        n, p = np.nonzero(keep)
-        e, seg = e[n], seg[n, p]
-        d = laid.d[seg]
-        rel = man.displacement(laid.starts[seg], ends[e])
-        t = np.clip(np.sum(rel * d, axis=1)
-                    / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
-        gaps = np.linalg.norm(rel - t[:, None] * d, axis=1)
+        e, seg, t, gaps = _end_gaps(man, ends_of, laid)
         close = np.nonzero(gaps <= _END_GAP)[0]
         if not len(close):
             continue
-        # the first end with a close segment, and its nearest segment (the
-        # first of equals)
         rows = np.nonzero(e == e[close[0]])[0]
         r = rows[np.argmin(gaps[rows])]
         E = ends_of[e[r] // 2]
@@ -425,32 +447,86 @@ def _check_ends(man, curve_a, curve_b, laid_a, laid_b):
             params=(s, u))
 
 
+# a family of curves laid as one: its branches curve by curve, the curve
+# of each branch, and the ``Laid`` curve of the branches
+Family = namedtuple("Family", "branches curve laid")
+
+
+def _family(man, curves):
+    branches = [C for curve in curves for C in curve]
+    return Family(branches, np.array([i for i, curve in enumerate(curves)
+                                      for _C in curve], dtype=int),
+                  _laid_branches(man, branches))
+
+
+def _end_pairs(man, fam_a, fam_b):
+    """The (i, j) of each pair of curve i of ``fam_a`` and curve j of
+    ``fam_b`` that ``_check_ends`` raises on: an end of a branch of one
+    curve within ``_END_GAP`` of a segment of the other, each end and
+    segment measured as the pair alone measures them (``_end_gaps``)."""
+    flagged = set()
+    for ends_of, other, of_a in ((fam_a, fam_b, True), (fam_b, fam_a, False)):
+        e, seg, _t, gaps = _end_gaps(man, ends_of.branches, other.laid)
+        close = gaps <= _END_GAP
+        polyline = np.searchsorted(other.laid.firsts, seg[close],
+                                   side="right") - 1
+        for mine, theirs in zip(ends_of.curve[e[close] // 2].tolist(),
+                                other.curve[polyline].tolist()):
+            flagged.add((mine, theirs) if of_a else (theirs, mine))
+    return flagged
+
+
 Crossing = namedtuple("Crossing", "point a k theta b l u")
 
 
-def curve_intersections(man, curve_a, curve_b):
-    """The points where two curves of branches meet on the surface ``man``.
+class Crossings:
+    """The crossings of two families of curves, read pair by pair:
+    ``crossings[i, j]`` is the list of ``Crossing`` of curve i of family a
+    with curve j of family b.  A pair whose curves meet at an end raises
+    its ``DegenerateCrossingError`` when it is read, and only then: its
+    end check runs again on that pair alone (``_check_ends``), so the
+    error is the pair's own whatever the rest of the families hold."""
 
-    The curves are the chords of their polylines, crossed wrap-aware,
-    every branch of a with every branch of b in one pass over the
-    branches' charts (``_curve_hits``).  Curves that meet at an end of one
-    of them raise ``TransversalityError`` (``_check_ends``).
-    Returns one ``Crossing`` per point (branches share their critical
-    point): the point on branch a in a's own manifold, at theta on segment
-    k of a and u on segment l of b.
+    def __init__(self, man, curves_a, curves_b, pairs, flagged):
+        self.man, self.curves_a, self.curves_b = man, curves_a, curves_b
+        self._pairs, self._flagged = pairs, flagged
+
+    def __getitem__(self, ij):
+        if ij in self._flagged:
+            a, b = self.curves_a[ij[0]], self.curves_b[ij[1]]
+            _check_ends(self.man, a, b, _laid_branches(self.man, a),
+                        _laid_branches(self.man, b))
+        return self._pairs.get(ij, [])
+
+
+def curve_intersections(man, curves_a, curves_b):
+    """The points where each curve of branches of the family ``curves_a``
+    meets each of ``curves_b`` on the surface ``man``, as ``Crossings``.
+
+    The curves are the chords of their polylines, crossed wrap-aware:
+    each family is laid once on its branches' charts, and one pass
+    crosses every branch of a with every branch of b (``_curve_hits``),
+    polyline pair first.  One end check covers every pair of the
+    families (``_end_pairs``); a pair that meets at an end of one of its
+    curves raises ``TransversalityError`` when it is read.  Each pair
+    has one ``Crossing`` per point (branches share their critical point):
+    the point on branch a in a's own manifold, at theta on segment k of a
+    and u on segment l of b.  A single pair is a pair of one-curve
+    families.
     """
     if man.dim != 2:
         raise GeometryError("curves are intersected on surfaces only")
-    laid_a, laid_b = (_lay([(C.x, C.chart(man)) for C in curve])
-                      for curve in (curve_a, curve_b))
-    _check_ends(man, curve_a, curve_b, laid_a, laid_b)
-    out = []
-    for a, b, k, l, theta, u in _curve_hits(man, laid_a, laid_b):
-        A = curve_a[a]
+    fam_a, fam_b = (_family(man, f) for f in (curves_a, curves_b))
+    pairs = {}
+    for a, b, k, l, theta, u in _curve_hits(man, fam_a.laid, fam_b.laid):
+        A = fam_a.branches[a]
         z = A.point(k, theta)
+        out = pairs.setdefault((int(fam_a.curve[a]), int(fam_b.curve[b])),
+                               [])
         if all(A.system.manifold.distance(z, c.point) > 1e-9 for c in out):
-            out.append(Crossing(z, A, k, theta, curve_b[b], l, u))
-    return out
+            out.append(Crossing(z, A, k, theta, fam_b.branches[b], l, u))
+    return Crossings(man, curves_a, curves_b, pairs,
+                     _end_pairs(man, fam_a, fam_b))
 
 
 def orientation_class(man, cp):
@@ -783,6 +859,12 @@ def keeping():
         _KEPT.reset(token)
 
 
+def _kept(key):
+    """What the open ``keeping`` block's store keeps by ``key``, or None:
+    a read that makes nothing."""
+    return (_KEPT.get() or {}).get(key)
+
+
 def _keep(key, make):
     """``make()``, kept in the open ``keeping`` block's store by ``key``
     and made once per block; outside any block, made on every call."""
@@ -1010,8 +1092,8 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None):
             "not implemented" % d)
     total = 0
     for c in curve_intersections(
-            man, [b.mapped(image) for b in branches(sys_f, m_cp, +1)],
-            branches(sys_g, m2_cp, -1)):
+            man, [[b.mapped(image) for b in branches(sys_f, m_cp, +1)]],
+            [branches(sys_g, m2_cp, -1)])[0, 0]:
         total += orientation_sign(
             man.oriented_tangent_basis(c.b.point(c.l, c.u)),
             np.hstack([c.a.tangent(c.k, c.theta, man),

@@ -35,6 +35,7 @@ from .counting import (
     keeping,
     orientation_class,
     _keep,
+    _kept,
 )
 from .errors import (
     GeometryError,
@@ -296,8 +297,8 @@ def _umkehr_crossings_d1(emb, m_cp, p_cp):
     arcs = [b.mapped(emb.image) for q in dom.by_index(1)
             for b in branches(dom, q, +1) if b.limit.name == p_cp.name]
     total = 0
-    for c in curve_intersections(cod.manifold, branches(cod, m_cp, +1),
-                                 arcs):
+    for c in curve_intersections(cod.manifold, [branches(cod, m_cp, +1)],
+                                 [arcs])[0, 0]:
         zeta = c.b.point(c.l, c.u)
         # W^s(p; k) is all of the image because p is a minimum: both frames
         # are followed by its tangent, so the sign compares their
@@ -650,6 +651,42 @@ def _flows_into(system, x, cp, direction=+1):
     return name == cp.name
 
 
+def _curve(problem, system, cp, R):
+    """The curve of cp that the configurations of R cross: W^u(cp) of an
+    incoming label, or W^s(cp) of the outgoing one pulled back through the
+    time-R auxiliary flow node by node, kept in the call's store."""
+    if system is not problem.outgoing[0]:
+        return branches(system, cp, +1)
+    stable = branches(system, cp, -1)
+    return stable if not R else _keep((problem, cp.name, R), lambda: [
+        b.mapped(lambda y: _aux_time_map(problem, y, R, direction=-1))
+        for b in stable])
+
+
+def _crossings(problem, R, a, b):
+    """The crossings of the curves (``_curve``) of a = (system, cp) and
+    b.  Inside a table, whose store holds a dict of family crossings
+    (``operation_table``), the first read of a family pair crosses the
+    curves of every index-1 point of a's system with those of b's, W^u
+    of in1 with W^u of in2 or either with W^s of out, once, and every
+    read takes its pair off them; elsewhere a and b are crossed as
+    one-curve families."""
+    families = _kept((problem, "families", R))
+    if families is None:
+        return curve_intersections(problem.manifold, [_curve(problem, *a, R)],
+                                   [_curve(problem, *b, R)])[0, 0]
+    systems = (a[0], b[0])
+    if systems not in families:
+        families[systems] = curve_intersections(problem.manifold, *(
+            [_curve(problem, system, cp, R) for cp in system.by_index(1)]
+            for system in systems))
+
+    def position(system, cp):
+        return [c.name for c in system.by_index(1)].index(cp.name)
+
+    return families[systems][position(*a), position(*b)]
+
+
 def _find_configurations(problem, a1, a2, a3, R):
     """Isolated points x on both incoming unstable manifolds whose R-flow
     lands on the outgoing stable manifold, as (x, frames).  With an
@@ -679,26 +716,21 @@ def _find_configurations(problem, a1, a2, a3, R):
     if (i1, i2) == (1, 1):
         # the two unstable curves do not depend on R; the outgoing
         # minimum is checked after the R-flow
-        hits = curve_intersections(man, branches(E1, a1, +1),
-                                   branches(E2, a2, +1))
         return [(c.point, {E1: c.a.tangent(c.k, c.theta),
-                           E2: c.b.tangent(c.l, c.u)}) for c in hits
+                           E2: c.b.tangent(c.l, c.u)})
+                for c in _crossings(problem, R, (E1, a1), (E2, a2))
                 if _flows_into(E3, _aux_time_map(problem, c.point, R), a3)]
     if {i1, i2} == {2, 1}:
-        # W^s(a3) pulled back through the time-R flow node by node; the
+        # W^s(a3) pulled back through the time-R flow (``_curve``); the
         # flow keeps the order of the nodes, so its tangent at x is the
-        # chord of the pulled-back segment, kept in the call's store
+        # chord of the pulled-back segment
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
-        stable = branches(E3, a3, -1)
-        pulled = stable if not R else _keep((problem, a3.name, R), lambda: [
-            b.mapped(lambda y: _aux_time_map(problem, y, R, direction=-1))
-            for b in stable])
-        hits = curve_intersections(man, branches(curve_sys, curve_cp, +1),
-                                   pulled)
         return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta),
                            E3: c.b.tangent(c.l, c.u, man)})
-                for c in hits if _flows_into(other_sys, c.point, other_cp, -1)]
+                for c in _crossings(problem, R, (curve_sys, curve_cp),
+                                    (E3, a3))
+                if _flows_into(other_sys, c.point, other_cp, -1)]
     raise InternalInconsistencyError(
         "unreachable index pattern (%d, %d) after the dimension gate"
         % (i1, i2))
@@ -745,19 +777,21 @@ def diagram_flow_operation(problem, input_chain, edge_time=0.0):
     """Apply the diagram operation to a chain in the incoming tensor basis.
 
     ``input_chain``: iterable of ((name_in_1, name_in_2), coefficient).
-    Returns the output chain as {output name: coefficient}; only output
-    generators passing the zero-dimension gate are ever counted, so the
-    degree shift is exactly chi(graph) * dim.
+    Returns the output chain as {output name: coefficient}; an input pair
+    counts only the output generators of its degree i1 + i2 + chi(graph)
+    * dim, those of expected dimension zero, so the degree shift is
+    exactly chi(graph) * dim.
     """
+    E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     out = {}
     with keeping():
         for (n1, n2), coeff in input_chain:
             if coeff == 0:
                 continue
-            for cp3 in E3.critical_points:
-                if expected_dimension(problem, (n1, n2), [cp3.name]) != 0:
-                    continue
+            degree = (E1.point(n1).index + E2.point(n2).index
+                      + problem.chi_times_dim())
+            for cp3 in E3.by_index(degree):
                 cnt = graph_flow_count(problem, (n1, n2), cp3.name,
                                        edge_time=edge_time)
                 if cnt:
@@ -769,11 +803,14 @@ def operation_table(problem, edge_time=0.0):
     """Counts for every basis pair of the incoming systems.
 
     The products share the labels' branch flows and pulled-back curves,
-    kept for the table's call alone (``keeping``).
+    and read their crossings off the three family pairs, each crossed
+    once (``_crossings``), all kept for the table's call alone
+    (``keeping``).
     """
     E1, E2 = problem.incoming
     table = {}
     with keeping():
+        _keep((problem, "families", edge_time), dict)
         for c1 in E1.critical_points:
             for c2 in E2.critical_points:
                 table[(c1.name, c2.name)] = diagram_flow_operation(

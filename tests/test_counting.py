@@ -61,13 +61,20 @@ from oracles import (
     check_ends_all_segments,
     chord_hits_all_pairs,
     circle_complex,
+    curve_intersections_per_pair,
     landed_point,
     refined_angle,
     tensor_complex,
     transported_sign,
 )
 from test_geometry import trap_limit
-from test_operations import CRITERION7_PHASES, OUTGOING_LABELS, phased_problem
+from test_operations import (
+    CRITERION7_PHASES,
+    OUTGOING_LABELS,
+    family_crossings,
+    phased_problem,
+    read_pair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -740,6 +747,50 @@ class TestComplexSweeps:
             branches(partial, partial.point("x10"), +1)
 
 
+def assert_single_axis_lines(system, k):
+    """The line set of uncoupled cosine wells: a line x -> y, with index
+    drop one, exists only when the names differ in one coordinate, which
+    drops from max to min there, and such a pair has exactly 2 lines, along
+    + and - that axis in x's unstable frame (``find_connections`` at
+    resolution k).  Returns the number of pairs with lines."""
+    n = system.manifold.dim
+    paired = 0
+    for x in system.critical_points:
+        for y in system.by_index(x.index - 1):
+            dirs = find_connections(system, x, y, k=k)
+            axes = [i for i in range(n) if x.name[1 + i] != y.name[1 + i]]
+            if len(axes) != 1:
+                assert dirs == [], (x.name, y.name)
+                continue
+            (axis,) = axes
+            assert (x.name[1 + axis], y.name[1 + axis]) == ("1", "0")
+            assert len(dirs) == 2, (x.name, y.name, dirs)
+            # a level line's direction is interpolated between two angles
+            # of x's circle: within 1e-4 radians of the axis
+            along = sorted(float((x.unstable_frame @ u)[axis]) for u in dirs)
+            assert along == pytest.approx([-1.0, 1.0], abs=5e-9), (
+                x.name, y.name, dirs)
+            paired += 1
+    return paired
+
+
+class TestLineSet:
+    """Every line of uncoupled wells, pair by pair, against the line set
+    their separable gradient gives (``assert_single_axis_lines``)."""
+
+    def test_complexes_amplitudes(self):
+        # the 51 amplitudes of the complexes workload, on the branch search
+        for system in BRANCH_CATALOGS["t2-amplitudes"]():
+            assert assert_single_axis_lines(system,
+                                            counting.DEFAULT_K_CIRCLE) == 4
+
+    @pytest.mark.parametrize("k", [48, 96])
+    def test_criterion3_t3(self, t3, k):
+        # 3 + 6 + 3 one-axis pairs; 3 of the 9 index 2 -> 1 pairs differ
+        # in all three coordinates and have no line
+        assert assert_single_axis_lines(t3, k) == 12
+
+
 def assert_band_is_the_sphere(system):
     cx = boundary_operator(system)
     cx2 = boundary_operator(system, ring=RING_Z2)
@@ -825,9 +876,10 @@ class TestClosedFormFrames:
         real_cross = operations.curve_intersections
         real_sign = operations._configuration_sign
 
-        def kept(man, curve_a, curve_b):
-            got = real_cross(man, curve_a, curve_b)
-            crossings.extend(c for c in got if c.b.image is not None)
+        def kept(man, curves_a, curves_b):
+            got = real_cross(man, curves_a, curves_b)
+            crossings.extend(c for c in family_crossings(got)
+                             if c.b.image is not None)
             return got
 
         def signed(problem, a1, a2, a3, x, frames):
@@ -912,13 +964,33 @@ def laid(man, curve):
     return counting._lay([(R, counting._chart(man, R)) for R in curve])
 
 
-def as_branches(curve, system):
-    """``Branch`` objects on the polylines of a curve, named after
-    ``system`` and numbered limits, for the crossing checks."""
-    return [counting.Branch(SimpleNamespace(name=system), R[:-1], None,
+def as_branches(man, curve, system):
+    """``Branch`` objects on the polylines of a curve in ``man``, named
+    after ``system`` and numbered limits, for the crossing checks."""
+    return [counting.Branch(SimpleNamespace(name=system, manifold=man),
+                            R[:-1], None,
                             SimpleNamespace(name="y%d" % k, point=R[-1]),
                             +1, 1)
             for k, R in enumerate(curve)]
+
+
+def place_end(man, rng, ends, other, offset):
+    """Move an end of the curve ``ends`` to ``offset`` off a random point
+    of a random segment of the curve ``other``: the last node of one
+    branch, or the first node, which both branches share."""
+    R = other[int(rng.integers(len(other)))]
+    j = int(rng.integers(len(R) - 1))
+    d = man.displacement(R[j], R[j + 1])
+    normal = (np.array([-d[1], d[0]]) if man.dim == man.coord_dim
+              else np.cross(d, R[j]))
+    end = R[j] + rng.uniform() * d + offset * normal / np.linalg.norm(normal)
+    if man.dim == man.coord_dim:
+        end = man.project(end)
+    b = int(rng.integers(2))
+    if rng.integers(2):
+        ends[b][-1] = end
+    else:
+        ends[0][0] = ends[1][0] = end
 
 
 def end_check(check, *args):
@@ -1005,30 +1077,47 @@ class TestChordSearch:
         curves = [two_branch_curve(man, rng, n, m, scale),
                   two_branch_curve(man, rng, m, n, scale)]
         if offset is not None:
-            ends, other = curves[::1 if rng.integers(2) else -1]
-            R = other[int(rng.integers(2))]
-            j = int(rng.integers(len(R) - 1))
-            d = man.displacement(R[j], R[j + 1])
-            normal = (np.array([-d[1], d[0]]) if man.dim == man.coord_dim
-                      else np.cross(d, R[j]))
-            end = R[j] + rng.uniform() * d + offset * normal / np.linalg.norm(
-                normal)
-            if man.dim == man.coord_dim:
-                end = man.project(end)
-            b = int(rng.integers(2))
-            if rng.integers(2):
-                ends[b][-1] = end
-            else:
-                # the first node is shared by both branches
-                ends[0][0] = ends[1][0] = end
-        curve_a, curve_b = as_branches(curves[0], "f"), as_branches(
-            curves[1], "g")
+            place_end(man, rng, *curves[::1 if rng.integers(2) else -1],
+                      offset)
+        curve_a, curve_b = as_branches(man, curves[0], "f"), as_branches(
+            man, curves[1], "g")
         want = end_check(check_ends_all_segments, man, curve_a, curve_b)
         got = end_check(counting._check_ends, man, curve_a, curve_b,
                         *(laid(man, c) for c in curves))
         assert got == want
         if offset is not None and offset < 1e-10:
             assert want is not None
+
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(
+               st.integers(1, 3), st.integers(1, 3)),
+           n=st.integers(2, 80), scale=st.sampled_from([0.1, 0.5, 1.0]),
+           ends_on=st.integers(0, 2),
+           surface=st.sampled_from(["torus", "sphere"]))
+    def test_families_read_as_their_pairs(self, seed, sizes, n, scale,
+                                          ends_on, surface):
+        # each curve pair of two families crossed in one pass reads as
+        # that pair alone, crossings and errors alike, while up to two
+        # other pairs have an end of one curve on the other
+        man = self.MANIFOLDS[surface]
+        rng = np.random.default_rng(seed)
+        families = [[two_branch_curve(man, rng, n, int(rng.integers(2, 80)),
+                                      scale) for _ in range(size)]
+                    for size in sizes]
+        for _ in range(ends_on):
+            curves = [fam[int(rng.integers(len(fam)))] for fam in families]
+            place_end(man, rng, *curves[::1 if rng.integers(2) else -1],
+                      0.0)
+        curves_a, curves_b = ([as_branches(man, c, name) for c in fam]
+                              for fam, name in zip(families, "fg"))
+        got = counting.curve_intersections(man, curves_a, curves_b)
+        for i, curve_a in enumerate(curves_a):
+            for j, curve_b in enumerate(curves_b):
+                assert read_pair(lambda: got[i, j], curve_a, curve_b) == \
+                    read_pair(lambda: curve_intersections_per_pair(
+                        man, curve_a, curve_b), curve_a, curve_b)
 
 
 class TestUnsupportedPairs:

@@ -397,6 +397,62 @@ OUTGOING_LABELS = {
 }
 
 
+# the zero-dimension entries (in1, in2, out) of the aligned labels
+# [(0, 0), (0.9, 0), (-0.7, 0.55)] at R = 0: a count, the fields of a
+# DegenerateCrossingError (systems, limits, segments, params as bits), or
+# the message of another TransversalityError
+_X00 = (("in1", "in2"), ("x00", "x00"))
+ALIGNED_ENTRIES = {
+    ("x00", "x11", "x00"): "the backward flow of in2 from [3.141593, "
+    "3.141593] ends at x10 of index 1, not at an index-2 point like x11",
+    ("x10", "x10", "x00"): (*_X00, (0, 49),
+                            ["0x0.0p+0", "0x1.805ccf454a088p-2"]),
+    ("x10", "x01", "x00"): (*_X00, (56, 114),
+                            ["0x1.0f047e1e56823p-1", "0x1.0000000000000p+0"]),
+    ("x10", "x11", "x10"): "the backward flow of in2 from [5.583185, "
+    "3.141593] ends at x10 of index 1, not at an index-2 point like x11",
+    ("x10", "x11", "x01"): 0,
+    ("x01", "x10", "x00"): (*_X00, (117, 62),
+                            ["0x1.0000000000000p+0", "0x1.3db55f1f5a03cp-1"]),
+    ("x01", "x01", "x00"): 0,
+    ("x01", "x11", "x10"): 0,
+    ("x01", "x11", "x01"): 1,
+    ("x11", "x00", "x00"): "the backward flow of in1 from [4.041593, "
+    "3.141593] ends at x10 of index 1, not at an index-2 point like x11",
+    ("x11", "x10", "x10"): "the backward flow of in1 from [5.583185, "
+    "3.141593] ends at x10 of index 1, not at an index-2 point like x11",
+    ("x11", "x10", "x01"): 0,
+    ("x11", "x01", "x10"): 0,
+    ("x11", "x01", "x01"): 1,
+    ("x11", "x11", "x11"): 1,
+}
+
+
+def degenerate_fields(e):
+    """The fields of a ``DegenerateCrossingError``, floats as bits."""
+    return e.systems, e.limits, e.segments, [float(v).hex() for v in e.params]
+
+
+def aligned_entries(problem):
+    """Each zero-dimension entry of the problem at R = 0 as
+    ``ALIGNED_ENTRIES`` gives it."""
+    E1, E2 = problem.incoming
+    out = {}
+    for a in E1.critical_points:
+        for b in E2.critical_points:
+            for c in problem.outgoing[0].critical_points:
+                names = (a.name, b.name, c.name)
+                if expected_dimension(problem, names[:2], names[2:]) != 0:
+                    continue
+                try:
+                    out[names] = graph_flow_count(problem, names[:2], c.name)
+                except DegenerateCrossingError as e:
+                    out[names] = degenerate_fields(e)
+                except TransversalityError as e:
+                    out[names] = str(e)
+    return out
+
+
 def crossing_bits(crossings, curve_a, curve_b):
     """Each crossing's point, branches (by position in their curves),
     segments and parameters, floats as bits."""
@@ -405,6 +461,23 @@ def crossing_bits(crossings, curve_a, curve_b):
 
     return [(c.point.tobytes(), at(curve_a, c.a), c.k, float(c.theta).hex(),
              at(curve_b, c.b), c.l, float(c.u).hex()) for c in crossings]
+
+
+def read_pair(read, curve_a, curve_b):
+    """What reading one curve pair gives: its crossings as bits
+    (``crossing_bits``), or the fields of the ``DegenerateCrossingError``
+    the read raises, floats as bits."""
+    try:
+        got = read()
+    except DegenerateCrossingError as e:
+        return degenerate_fields(e)
+    return crossing_bits(got, curve_a, curve_b)
+
+
+def family_crossings(crossings):
+    """Every ``Crossing`` of every curve pair of a ``Crossings``."""
+    return [c for i in range(len(crossings.curves_a))
+            for j in range(len(crossings.curves_b)) for c in crossings[i, j]]
 
 
 def segment_gaps(man, polyline, z):
@@ -558,6 +631,46 @@ class TestDiagramOperation:
         with pytest.raises(TransversalityError):
             operation_table(problem)
 
+    def test_aligned_problem_entries(self):
+        # every zero-dimension entry of the aligned labels at R = 0, as
+        # single counts give it and as counts after the table give it,
+        # inside the table's store: three pairs of one family raise and
+        # the fourth answers
+        problem = phased_problem([(0.0, 0.0), (0.9, 0.0), (-0.7, 0.55)])
+        assert aligned_entries(problem) == ALIGNED_ENTRIES
+        with counting.keeping():
+            with pytest.raises(TransversalityError,
+                               match="ends at x10 of index 1"):
+                operation_table(problem)
+            assert aligned_entries(problem) == ALIGNED_ENTRIES
+
+    @pytest.mark.parametrize("R", [0.0, 1.0])
+    def test_counts_after_a_table_read_its_families(self, R, monkeypatch):
+        # a table crosses its three family pairs once; a count in the
+        # same store reads its pair off them and crosses nothing, and a
+        # count outside it crosses its one-curve families
+        problem = phased_problem(CRITERION7_PHASES)
+        real, passes = operations.curve_intersections, []
+
+        def counted(man, curves_a, curves_b):
+            passes.append((len(curves_a), len(curves_b)))
+            return real(man, curves_a, curves_b)
+
+        monkeypatch.setattr(operations, "curve_intersections", counted)
+        inputs = [(("x10", "x01"), "x00"), (("x11", "x10"), "x10"),
+                  (("x01", "x11"), "x01")]
+        with counting.keeping():
+            table = operation_table(problem, edge_time=R)
+            assert passes == [(2, 2)] * 3
+            for pair, out in inputs:
+                assert graph_flow_count(problem, pair, out, edge_time=R) \
+                    == table[pair].get(out, 0)
+            assert len(passes) == 3
+        for pair, out in inputs:
+            assert graph_flow_count(problem, pair, out, edge_time=R) \
+                == table[pair].get(out, 0)
+        assert passes[3:] == [(1, 1)] * 3
+
     @pytest.mark.parametrize("seed", range(8))
     def test_near_alignment_sweep(self, seed):
         assert_oracle_table(operation_table(phased_problem(
@@ -576,24 +689,32 @@ class TestDiagramOperation:
     @pytest.mark.parametrize("shift", QUARTER_TURNS)
     def test_shifted_tables_cross_as_the_per_pair_oracle(self, shift,
                                                          monkeypatch):
-        # every curve pair, crossed in one pass, gives the crossings of
-        # crossing it branch pair by branch pair on all segments
+        # every curve pair, crossed in one pass over its two families,
+        # gives the crossings of crossing it branch pair by branch pair on
+        # all segments
         real = operations.curve_intersections
-        pairs = []
+        passes = []
 
-        def checked(man, curve_a, curve_b):
-            got = real(man, curve_a, curve_b)
-            want = curve_intersections_per_pair(man, curve_a, curve_b)
-            assert crossing_bits(got, curve_a, curve_b) == crossing_bits(
-                want, curve_a, curve_b)
-            pairs.append(len(got))
+        def checked(man, curves_a, curves_b):
+            got = real(man, curves_a, curves_b)
+            hits = 0
+            for i, curve_a in enumerate(curves_a):
+                for j, curve_b in enumerate(curves_b):
+                    want = read_pair(lambda: curve_intersections_per_pair(
+                        man, curve_a, curve_b), curve_a, curve_b)
+                    assert read_pair(lambda: got[i, j], curve_a,
+                                     curve_b) == want
+                    hits += len(got[i, j])
+            passes.append((len(curves_a) * len(curves_b), hits))
             return got
 
         monkeypatch.setattr(operations, "curve_intersections", checked)
         assert_oracle_table(operation_table(phased_problem(
             (CRITERION7_PHASES + 2.0 * np.pi * np.array(shift))
             % (2.0 * np.pi))))
-        assert len(pairs) == 12 and sum(pairs) > 0
+        # 3 passes cover the 12 pairs
+        assert len(passes) == 3 and sum(n for n, _h in passes) == 12
+        assert sum(h for _n, h in passes) > 0
 
     @pytest.mark.parametrize("R", [0.0, 1.0])
     def test_chord_crossings_lie_on_the_flow(self, R, monkeypatch):
@@ -604,9 +725,9 @@ class TestDiagramOperation:
         real = operations.curve_intersections
         crossings = []
 
-        def kept(man, curve_a, curve_b):
-            got = real(man, curve_a, curve_b)
-            crossings.extend(got)
+        def kept(man, curves_a, curves_b):
+            got = real(man, curves_a, curves_b)
+            crossings.extend(family_crossings(got))
             return got
 
         monkeypatch.setattr(operations, "curve_intersections", kept)
