@@ -49,6 +49,7 @@ from .operations import (
     FlowGraphProblem,
     diagram_flow_operation,
     euler_class,
+    identity_embedding,
     operation_table,
     pushforward,
     sphere_equator,
@@ -331,7 +332,6 @@ def _embedding_from_spec(system, spec):
     if kind == "equator":
         return sphere_equator(system)
     if kind == "identity":
-        from .operations import identity_embedding
         return identity_embedding(system)
     raise ParseError("unknown embedding spec %r" % spec)
 

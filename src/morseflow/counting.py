@@ -42,15 +42,16 @@ polylines are the curves, and a chord hit is the crossing, since a count
 needs each crossing and its orientation, not the point to the last digit.
 Two families of curves are crossed in one pass over their branches'
 charts (``Branch.chart``), every curve of one with every curve of the
-other, and the crossings are kept per curve pair (``Crossings``).  A pair
-whose curves meet at an end raises its own ``DegenerateCrossingError``
-only when it is read.  A figure-8 table crosses its three family pairs
-once; a single count or a chain passes one-curve families.  Their signs
-need no frame carried along a flow: a one-dimensional W^u or W^s is
-oriented at each point of a branch by ``Branch.tangent``, the field there
-or, for a curve mapped into the surface, the chord of its image, and a
-top-dimensional one by the orientation class of its point's eigenframe
-(``orientation_class``).
+other, and the crossings are kept per curve pair (``Crossings``).  The
+same pass checks the curves' ends and names the
+``DegenerateCrossingError`` of each pair whose curves meet at an end
+(``_end_errors``), which the pair raises only when it is read.  A
+figure-8 table crosses its three family pairs once; a single count or a
+chain passes one-curve families.  Their signs need no frame carried
+along a flow: a one-dimensional W^u or W^s is oriented at each point of
+a branch by ``Branch.tangent``, the field there or, for a curve mapped
+into the surface, the chord of its image, and a top-dimensional one by
+the orientation class of its point's eigenframe (``orientation_class``).
 
 Every other read of a limit alone (the classification flows of the
 figure-8 configurations, ``backward_limit`` and the index-0 entries of
@@ -62,7 +63,6 @@ its limit, an ascending one the maximum.  The trapped reads look
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import namedtuple
 from contextlib import contextmanager
@@ -312,9 +312,7 @@ Laid = namedtuple("Laid", "firsts starts d lengths anchors reaches blocks "
 
 def _lay(polylines):
     """The ``Laid`` curve of (nodes, chart) pairs."""
-    firsts = [0]
-    for _R, c in polylines:
-        firsts.append(firsts[-1] + len(c.lengths))
+    firsts = np.cumsum([0] + [len(c.lengths) for _R, c in polylines])
     blocks = [np.arange(f, e, _BLOCK) for f, e in zip(firsts, firsts[1:])]
     sizes = [len(b) for b in blocks]
     cat = np.concatenate
@@ -331,10 +329,11 @@ def _segments(laid, rows):
     return seg, seg < laid.stops[rows][:, None]
 
 
-def _local(laid, k):
-    """(polyline, its segment) of segment k of a laid curve."""
-    a = bisect.bisect_right(laid.firsts, k) - 1
-    return a, int(k) - laid.firsts[a]
+def _polylines(laid, seg):
+    """(polyline, its segment) of each segment of the array ``seg`` of a
+    laid curve."""
+    c = np.searchsorted(laid.firsts, seg, side="right") - 1
+    return c, seg - laid.firsts[c]
 
 
 def _curve_hits(man, A, B):
@@ -365,13 +364,15 @@ def _curve_hits(man, A, B):
     pair = (A.owners[I] * (len(B.firsts) - 1) + B.owners[J])[k[near]]
     near = near[np.argsort((pair * len(A.lengths) + ii[near])
                            * len(B.lengths) + jj[near])]
+    ii, jj = ii[near], jj[near]
+    (a, k), (b, l) = _polylines(A, ii), _polylines(B, jj)
     out = []
-    for i, j, r in zip(ii[near], jj[near], rel[near]):
+    for n, r in enumerate(rel[near]):
+        i, j = ii[n], jj[n]
         T = man.tangent_basis(A.starts[i])
         s, u = _cross_solve(T.T @ A.d[i], T.T @ B.d[j], T.T @ r)
         if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
-            (a, i), (b, j) = _local(A, i), _local(B, j)
-            out.append((a, b, i, j, s, u))
+            out.append((int(a[n]), int(b[n]), int(k[n]), int(l[n]), s, u))
     return out
 
 
@@ -380,12 +381,6 @@ def _chord_hits(man, P, Q):
     Q, in (i, j) order: ``_curve_hits`` of two curves of one polyline."""
     A, B = (_lay([(R, _chart(man, R))]) for R in (P, Q))
     return [hit[2:] for hit in _curve_hits(man, A, B)]
-
-
-def _laid_branches(man, branches):
-    """The ``Laid`` curve of ``branches`` on their charts in ``man``
-    (``Branch.chart``)."""
-    return _lay([(C.x, C.chart(man)) for C in branches])
 
 
 def _end_gaps(man, branches, laid):
@@ -415,38 +410,6 @@ def _end_gaps(man, branches, laid):
     return e, seg, t, np.linalg.norm(rel - t[:, None] * d, axis=1)
 
 
-def _check_ends(man, curve_a, curve_b, laid_a, laid_b):
-    """Raise ``DegenerateCrossingError`` when an end of a branch of one
-    curve lies on a branch of the other (``_end_gaps``).  An end is a
-    critical point (or its image), where the branch has no tangent, and
-    the limit is not on its curve at all: the curves do not meet
-    transversally there, and a chord hit, which takes half-open segments,
-    would drop a crossing at a limit.  The ends of a are checked first;
-    the error names the first end with a close segment and its nearest
-    segment (the first of equals).
-    """
-    for ends_of, others, laid, of_a in ((curve_a, curve_b, laid_b, True),
-                                        (curve_b, curve_a, laid_a, False)):
-        e, seg, t, gaps = _end_gaps(man, ends_of, laid)
-        close = np.nonzero(gaps <= _END_GAP)[0]
-        if not len(close):
-            continue
-        rows = np.nonzero(e == e[close[0]])[0]
-        r = rows[np.argmin(gaps[rows])]
-        E = ends_of[e[r] // 2]
-        at_end = (0, 0.0) if e[r] % 2 == 0 else (len(E.x) - 2, 1.0)
-        c, k = _local(laid, seg[r])
-        pair = ((E, *at_end), (others[c], k, float(t[r])))
-        (A, i, s), (B, j, u) = pair if of_a else pair[::-1]
-        raise DegenerateCrossingError(
-            "the branch curves into %s and %s meet within %.3g of an "
-            "end, a critical point or its image" % (
-                A.limit.name, B.limit.name, gaps[r]),
-            systems=(A.system.name, B.system.name),
-            limits=(A.limit.name, B.limit.name), segments=(i, j),
-            params=(s, u))
-
-
 # a family of curves laid as one: its branches curve by curve, the curve
 # of each branch, and the ``Laid`` curve of the branches
 Family = namedtuple("Family", "branches curve laid")
@@ -456,24 +419,47 @@ def _family(man, curves):
     branches = [C for curve in curves for C in curve]
     return Family(branches, np.array([i for i, curve in enumerate(curves)
                                       for _C in curve], dtype=int),
-                  _laid_branches(man, branches))
+                  _lay([(C.x, C.chart(man)) for C in branches]))
 
 
-def _end_pairs(man, fam_a, fam_b):
-    """The (i, j) of each pair of curve i of ``fam_a`` and curve j of
-    ``fam_b`` that ``_check_ends`` raises on: an end of a branch of one
-    curve within ``_END_GAP`` of a segment of the other, each end and
-    segment measured as the pair alone measures them (``_end_gaps``)."""
-    flagged = set()
+def _end_errors(man, fam_a, fam_b):
+    """{(i, j): the fields of the ``DegenerateCrossingError`` of curve i
+    of ``fam_a`` and curve j of ``fam_b``} for each pair where an end of a
+    branch of one curve lies within ``_END_GAP`` of a branch of the other
+    (``_end_gaps``).  An end is a critical point (or its image), where the
+    branch has no tangent, and the limit is not on its curve at all: the
+    curves do not meet transversally there, and a chord hit, which takes
+    half-open segments, would drop a crossing at a limit.  The ends of a
+    are checked first; the error names the first end with a close segment
+    on the pair's other curve, and the nearest such segment (the first of
+    equals).  A pair's rows of the family pass are the rows of the pair
+    alone, in their order and with their floats, since blocks never span
+    polylines and each branch keeps one chart (``Branch.chart``).
+    """
+    errors = {}
     for ends_of, other, of_a in ((fam_a, fam_b, True), (fam_b, fam_a, False)):
-        e, seg, _t, gaps = _end_gaps(man, ends_of.branches, other.laid)
-        close = gaps <= _END_GAP
-        polyline = np.searchsorted(other.laid.firsts, seg[close],
-                                   side="right") - 1
-        for mine, theirs in zip(ends_of.curve[e[close] // 2].tolist(),
-                                other.curve[polyline].tolist()):
-            flagged.add((mine, theirs) if of_a else (theirs, mine))
-    return flagged
+        e, seg, t, gaps = _end_gaps(man, ends_of.branches, other.laid)
+        c, k = _polylines(other.laid, seg)
+        mine, theirs = ends_of.curve[e // 2], other.curve[c]
+        for first in np.nonzero(gaps <= _END_GAP)[0]:
+            ij = (int(mine[first]), int(theirs[first]))[::1 if of_a else -1]
+            if ij in errors:
+                continue
+            rows = np.nonzero((e == e[first]) & (theirs == theirs[first]))[0]
+            r = rows[np.argmin(gaps[rows])]
+            E = ends_of.branches[e[r] // 2]
+            at_end = (0, 0.0) if e[r] % 2 == 0 else (len(E.x) - 2, 1.0)
+            pair = ((E, *at_end),
+                    (other.branches[c[r]], int(k[r]), float(t[r])))
+            (A, i, s), (B, j, u) = pair if of_a else pair[::-1]
+            errors[ij] = dict(
+                message="the branch curves into %s and %s meet within %.3g "
+                "of an end, a critical point or its image" % (
+                    A.limit.name, B.limit.name, gaps[r]),
+                systems=(A.system.name, B.system.name),
+                limits=(A.limit.name, B.limit.name), segments=(i, j),
+                params=(s, u))
+    return errors
 
 
 Crossing = namedtuple("Crossing", "point a k theta b l u")
@@ -482,20 +468,17 @@ Crossing = namedtuple("Crossing", "point a k theta b l u")
 class Crossings:
     """The crossings of two families of curves, read pair by pair:
     ``crossings[i, j]`` is the list of ``Crossing`` of curve i of family a
-    with curve j of family b.  A pair whose curves meet at an end raises
-    its ``DegenerateCrossingError`` when it is read, and only then: its
-    end check runs again on that pair alone (``_check_ends``), so the
-    error is the pair's own whatever the rest of the families hold."""
+    with curve j of family b.  A pair whose curves meet at an end raises a
+    fresh ``DegenerateCrossingError`` on each read, and only then, with
+    the fields the families' one end check gave that pair alone
+    (``_end_errors``), whatever the rest of the families hold."""
 
-    def __init__(self, man, curves_a, curves_b, pairs, flagged):
-        self.man, self.curves_a, self.curves_b = man, curves_a, curves_b
-        self._pairs, self._flagged = pairs, flagged
+    def __init__(self, pairs, errors):
+        self._pairs, self._errors = pairs, errors
 
     def __getitem__(self, ij):
-        if ij in self._flagged:
-            a, b = self.curves_a[ij[0]], self.curves_b[ij[1]]
-            _check_ends(self.man, a, b, _laid_branches(self.man, a),
-                        _laid_branches(self.man, b))
+        if ij in self._errors:
+            raise DegenerateCrossingError(**self._errors[ij])
         return self._pairs.get(ij, [])
 
 
@@ -507,12 +490,13 @@ def curve_intersections(man, curves_a, curves_b):
     each family is laid once on its branches' charts, and one pass
     crosses every branch of a with every branch of b (``_curve_hits``),
     polyline pair first.  One end check covers every pair of the
-    families (``_end_pairs``); a pair that meets at an end of one of its
-    curves raises ``TransversalityError`` when it is read.  Each pair
-    has one ``Crossing`` per point (branches share their critical point):
-    the point on branch a in a's own manifold, at theta on segment k of a
-    and u on segment l of b.  A single pair is a pair of one-curve
-    families.
+    families and names each pair's error (``_end_errors``); a pair that
+    meets at an end of one of its curves raises
+    ``DegenerateCrossingError``, a ``TransversalityError`` of exit status
+    5, when it is read.  Each pair has one ``Crossing`` per point
+    (branches share their critical point): the point on branch a in a's
+    own manifold, at theta on segment k of a and u on segment l of b.  A
+    single pair is a pair of one-curve families.
     """
     if man.dim != 2:
         raise GeometryError("curves are intersected on surfaces only")
@@ -525,8 +509,7 @@ def curve_intersections(man, curves_a, curves_b):
                                [])
         if all(A.system.manifold.distance(z, c.point) > 1e-9 for c in out):
             out.append(Crossing(z, A, k, theta, fam_b.branches[b], l, u))
-    return Crossings(man, curves_a, curves_b, pairs,
-                     _end_pairs(man, fam_a, fam_b))
+    return Crossings(pairs, _end_errors(man, fam_a, fam_b))
 
 
 def orientation_class(man, cp):

@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedDiagramError,
 )
 from .geometry.flow import fixed_time_flow, orientation_sign, orthonormalize
-from .geometry.systems import numpy_kernels
+from .geometry.systems import numpy_kernels, torus_cosine
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -147,8 +147,6 @@ def torus_factor_circle(codomain, fixed_axis, level, phase=0.0):
     """The circle {theta_axis = level} in a torus system, with its own
     one-angle cosine function.  An axis other than 0 or 1, or a level that
     is not finite, raises ``GeometryError``."""
-    from .geometry.systems import torus_cosine
-
     n = codomain.manifold.dim
     if n != 2:
         raise GeometryError("factor circles are built for two-dimensional tori")
@@ -182,8 +180,6 @@ def torus_factor_circle(codomain, fixed_axis, level, phase=0.0):
 
 def sphere_equator(codomain):
     """The equator of the embedded 2-sphere with a height-like function."""
-    from .geometry.systems import torus_cosine
-
     if codomain.manifold.coord_dim != 3:
         raise GeometryError("equator embedding expects the 2-sphere model")
     domain = torus_cosine(1, [1.0], [np.pi / 2], name="equator")

@@ -301,7 +301,16 @@ class TestLevelSearch:
 
     @pytest.mark.parametrize("name", sorted(T3_INPUTS))
     def test_t3_inputs_give_kunneth(self, name):
-        assert_kunneth_t3(t3_system(name))
+        # the gate keeps the lines of both resolutions, so the line set
+        # at k = 48 and 96 flies nothing more; an interpolated direction
+        # lies within 1.4e-4 radians of its axis at k = 48, and the bound
+        # falls with the chords' 1/k^2
+        system = t3_system(name)
+        with counting.keeping():
+            assert_kunneth_t3(system)
+            for k in (48, 96):
+                assert assert_single_axis_lines(
+                    system, k, angle=2e-4 * (48 / k) ** 2) == 12
 
     @pytest.mark.parametrize("name", ["unphased [1.0, 0.7, 0.5]",
                                       "phased draw 3"])
@@ -747,12 +756,14 @@ class TestComplexSweeps:
             branches(partial, partial.point("x10"), +1)
 
 
-def assert_single_axis_lines(system, k):
+def assert_single_axis_lines(system, k, angle=None):
     """The line set of uncoupled cosine wells: a line x -> y, with index
     drop one, exists only when the names differ in one coordinate, which
     drops from max to min there, and such a pair has exactly 2 lines, along
     + and - that axis in x's unstable frame (``find_connections`` at
-    resolution k).  Returns the number of pairs with lines."""
+    resolution k): each off the axis by at most ``angle`` radians, or, by
+    default, with components off it below 5e-9.  Returns the number of
+    pairs with lines."""
     n = system.manifold.dim
     paired = 0
     for x in system.critical_points:
@@ -766,10 +777,18 @@ def assert_single_axis_lines(system, k):
             assert (x.name[1 + axis], y.name[1 + axis]) == ("1", "0")
             assert len(dirs) == 2, (x.name, y.name, dirs)
             # a level line's direction is interpolated between two angles
-            # of x's circle: within 1e-4 radians of the axis
-            along = sorted(float((x.unstable_frame @ u)[axis]) for u in dirs)
-            assert along == pytest.approx([-1.0, 1.0], abs=5e-9), (
-                x.name, y.name, dirs)
+            # of x's circle: by default within 1e-4 radians of the axis
+            vs = [x.unstable_frame @ u for u in dirs]
+            along = sorted(float(v[axis]) for v in vs)
+            if angle is None:
+                assert along == pytest.approx([-1.0, 1.0], abs=5e-9), (
+                    x.name, y.name, dirs)
+            else:
+                off = [float(np.arctan2(np.linalg.norm(np.delete(v, axis)),
+                                        abs(v[axis]))) for v in vs]
+                assert np.sign(along).tolist() == [-1.0, 1.0], (
+                    x.name, y.name, dirs)
+                assert max(off) <= angle, (x.name, y.name, off)
             paired += 1
     return paired
 
@@ -878,8 +897,9 @@ class TestClosedFormFrames:
 
         def kept(man, curves_a, curves_b):
             got = real_cross(man, curves_a, curves_b)
-            crossings.extend(c for c in family_crossings(got)
-                             if c.b.image is not None)
+            crossings.extend(
+                c for c in family_crossings(got, curves_a, curves_b)
+                if c.b.image is not None)
             return got
 
         def signed(problem, a1, a2, a3, x, frames):
@@ -1082,8 +1102,8 @@ class TestChordSearch:
         curve_a, curve_b = as_branches(man, curves[0], "f"), as_branches(
             man, curves[1], "g")
         want = end_check(check_ends_all_segments, man, curve_a, curve_b)
-        got = end_check(counting._check_ends, man, curve_a, curve_b,
-                        *(laid(man, c) for c in curves))
+        got = end_check(lambda: counting.curve_intersections(
+            man, [curve_a], [curve_b])[0, 0])
         assert got == want
         if offset is not None and offset < 1e-10:
             assert want is not None
@@ -1115,9 +1135,34 @@ class TestChordSearch:
         got = counting.curve_intersections(man, curves_a, curves_b)
         for i, curve_a in enumerate(curves_a):
             for j, curve_b in enumerate(curves_b):
-                assert read_pair(lambda: got[i, j], curve_a, curve_b) == \
-                    read_pair(lambda: curve_intersections_per_pair(
-                        man, curve_a, curve_b), curve_a, curve_b)
+                want = read_pair(lambda: curve_intersections_per_pair(
+                    man, curve_a, curve_b), curve_a, curve_b)
+                # a flagged pair raises a fresh error with its fields on
+                # every read
+                for _read in range(2):
+                    assert read_pair(lambda: got[i, j], curve_a,
+                                     curve_b) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("surface", ["torus", "sphere"])
+    def test_an_end_on_two_curves_names_each_pair(self, seed, surface):
+        # an end of the curve of a placed on a curve of b lies on b's
+        # copy too, named h: each pair's error names its own curve of b,
+        # as that pair alone does, though the copy's segments tie with
+        # the first curve's
+        man = self.MANIFOLDS[surface]
+        rng = np.random.default_rng(seed)
+        ends, other = (two_branch_curve(man, rng, 40, 60, 0.5)
+                       for _ in range(2))
+        place_end(man, rng, ends, other, 0.0)
+        curve_a = as_branches(man, ends, "f")
+        curves_b = [as_branches(man, other, name) for name in "gh"]
+        got = counting.curve_intersections(man, [curve_a], curves_b)
+        for j, curve_b in enumerate(curves_b):
+            want = read_pair(lambda: curve_intersections_per_pair(
+                man, curve_a, curve_b), curve_a, curve_b)
+            assert want[0] == ("f", "gh"[j])
+            assert read_pair(lambda: got[0, j], curve_a, curve_b) == want
 
 
 class TestUnsupportedPairs:

@@ -474,10 +474,11 @@ def read_pair(read, curve_a, curve_b):
     return crossing_bits(got, curve_a, curve_b)
 
 
-def family_crossings(crossings):
-    """Every ``Crossing`` of every curve pair of a ``Crossings``."""
-    return [c for i in range(len(crossings.curves_a))
-            for j in range(len(crossings.curves_b)) for c in crossings[i, j]]
+def family_crossings(crossings, curves_a, curves_b):
+    """Every ``Crossing`` of every curve pair of the ``Crossings`` of the
+    families ``curves_a`` and ``curves_b``."""
+    return [c for i in range(len(curves_a))
+            for j in range(len(curves_b)) for c in crossings[i, j]]
 
 
 def segment_gaps(man, polyline, z):
@@ -727,7 +728,7 @@ class TestDiagramOperation:
 
         def kept(man, curves_a, curves_b):
             got = real(man, curves_a, curves_b)
-            crossings.extend(family_crossings(got))
+            crossings.extend(family_crossings(got, curves_a, curves_b))
             return got
 
         monkeypatch.setattr(operations, "curve_intersections", kept)
