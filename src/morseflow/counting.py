@@ -41,9 +41,13 @@ end at their limits (``curve_intersections``): the chords of the recorded
 polylines are the curves, and a chord hit is the crossing, since a count
 needs each crossing and its orientation, not the point to the last digit.
 Two families of curves are crossed in one pass over their branches'
-charts (``Branch.chart``), every curve of one with every curve of the
-other, and the crossings are kept per curve pair (``Crossings``).  The
-same pass checks the curves' ends and names the
+charts (``_chart``), every curve of one with every curve of the other,
+and the crossings are kept per curve pair (``Crossings``).  The pass
+charts only the segment pairs that can cross: the triangle inequality
+prunes blocks of segments by their anchors, then, in each kept block
+pair, each segment by the other block's anchor (``_curve_hits``), and
+the few near pairs are solved as arrays.  A family is laid once per call
+(``_family``).  The same pass checks the curves' ends and names the
 ``DegenerateCrossingError`` of each pair whose curves meet at an end
 (``_end_errors``), which the pair raises only when it is read.  A
 figure-8 table crosses its three family pairs once; a single count or a
@@ -92,6 +96,7 @@ from .geometry.flow import (
     orientation_sign,
     trap_family,
 )
+from .geometry.manifolds import TorusModel
 from .geometry.systems import level_trap
 
 RHO = 0.02              # radius of the level search's circles
@@ -161,15 +166,6 @@ class Branch:
         self.nodes = np.concatenate([points, limit.point[None, :]])
         self.x = (self.nodes if image is None
                   else np.array([image(p) for p in self.nodes]))
-        self._chart = None
-
-    def chart(self, man):
-        """The chart of ``x`` in ``man``, where the branch is intersected
-        (``_chart``): built on the branch's first intersection and kept
-        with the branch."""
-        if self._chart is None:
-            self._chart = _chart(man, self.x)
-        return self._chart
 
     def path(self):
         """(times, points) of the nodes from the upper end down: a W^s
@@ -209,12 +205,16 @@ class Branch:
 
 
 def _cross_solve(a, b, r):
-    """(s, u) with s a - u b = r in the plane (nan for parallel a, b)."""
-    den = a[0] * b[1] - a[1] * b[0]
-    if den == 0.0:
-        return math.nan, math.nan
-    return ((r[0] * b[1] - r[1] * b[0]) / den,
-            (r[0] * a[1] - r[1] * a[0]) / den)
+    """(n, s, u): the rows n where s a[n] - u b[n] = r[n] in the plane
+    has its solution with s, u in [0, 1), and that solution (none for
+    parallel a, b)."""
+    den = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    n = np.nonzero(den != 0.0)[0]
+    a, b, r, den = a[n], b[n], r[n], den[n]
+    s = (r[:, 0] * b[:, 1] - r[:, 1] * b[:, 0]) / den
+    u = (r[:, 0] * a[:, 1] - r[:, 1] * a[:, 0]) / den
+    inside = np.nonzero((0.0 <= s) & (s < 1.0) & (0.0 <= u) & (u < 1.0))[0]
+    return n[inside], s[inside], u[inside]
 
 
 def _branch_flows(system, cp, direction, record):
@@ -289,17 +289,13 @@ Chart = namedtuple("Chart", "d lengths anchors reaches")
 def _chart(man, R):
     """The chart of the polyline R in ``man``: its segment displacements
     ``d`` and ``lengths``, and for each run of ``_BLOCK`` consecutive
-    segments an anchor (its first node) and a reach (the largest distance
-    from the anchor to one of its segment starts plus that segment's
-    length)."""
+    segments an anchor (its first node) and a reach (the summed length of
+    its segments, which bounds the distance from the anchor to each of
+    their points: |displacement| is a metric)."""
     d = man.displacement(R[:-1], R[1:])
     lengths = np.linalg.norm(d, axis=1)
     starts = np.arange(0, len(lengths), _BLOCK)
-    anchors = R[starts]
-    off = np.linalg.norm(man.displacement(
-        np.repeat(anchors, _BLOCK, axis=0)[:len(lengths)], R[:-1]), axis=1)
-    return Chart(d, lengths, anchors,
-                 np.maximum.reduceat(off + lengths, starts))
+    return Chart(d, lengths, R[starts], np.add.reduceat(lengths, starts))
 
 
 # a curve's charts laid end to end with one segment numbering: ``firsts``
@@ -336,6 +332,37 @@ def _polylines(laid, seg):
     return c, seg - laid.firsts[c]
 
 
+def _within(man, x, y, bound):
+    """Whether |displacement(x[n], y[n])| <= bound[n], row by row: a prune
+    test, on the squared norm, whose rounding ``_SLACK`` covers."""
+    d = man.displacement(x, y)
+    return np.square(d) @ np.ones(d.shape[1]) <= bound * bound
+
+
+def _blocks_near(man, x, reach, B):
+    """(n, J): the rows n of the points ``x`` and the blocks J of B where
+    x[n] lies within reach[n] plus J's reach plus ``_SLACK`` of J's
+    anchor, in (n, J) order."""
+    m = len(B.anchors)
+    keep = _within(man, np.repeat(x, m, axis=0),
+                   np.tile(B.anchors, (len(x), 1)),
+                   np.add.outer(reach, B.reaches + _SLACK).ravel())
+    return np.divmod(np.nonzero(keep)[0], m)
+
+
+def _near_segments(man, A, I, B, J):
+    """The segments of the blocks ``A.blocks[I]`` (as ``_segments``),
+    each kept only if its start lies within its length plus the reach of
+    the paired block J[n] of B, plus ``_SLACK``, of that block's
+    anchor."""
+    seg, keep = _segments(A, I)
+    k, p = np.nonzero(keep)
+    s, J = seg[k, p], J[k]
+    keep[k, p] = _within(man, A.starts[s], B.anchors[J],
+                         A.lengths[s] + B.reaches[J] + _SLACK)
+    return seg, keep
+
+
 def _curve_hits(man, A, B):
     """(a, b, i, j, s, u) for each crossing P[i] + s (P[i+1] - P[i]) =
     Q[j] + u (Q[j+1] - Q[j]) with s, u in [0, 1) of polyline P = a of the
@@ -343,17 +370,23 @@ def _curve_hits(man, A, B):
     ``displacement``, in (a, b, i, j) order.
 
     Only segment pairs whose starts are closer than their summed lengths
-    are charted, and only pairs of blocks whose anchors are within their
-    summed reaches (plus ``_SLACK``) can hold such a pair: the distance
-    |displacement| is a metric (flat torus, sphere chords, products), so
-    the triangle inequality bounds a pair's distance by its anchors'.  One
-    gap matrix covers every block pair of the two curves, and one near
-    test every surviving segment pair; only the near pairs are sorted.
+    are charted, and the distance |displacement| is a metric (flat torus,
+    sphere chords, products), so the triangle inequality prunes twice
+    before a pair is measured.  Segment j of block J lies within reach_J
+    of J's anchor, so a segment i within L_i + L_j of it lies within L_i
+    + reach_J of that anchor: only pairs of blocks whose anchors are
+    within their summed reaches can hold such a pair (one gap test over
+    every block pair, ``_blocks_near``), and in a kept block pair (I, J)
+    only the segments of I within their length plus reach_J of J's
+    anchor, and of J within theirs plus reach_I of I's anchor
+    (``_near_segments``).  Each test allows ``_SLACK``.  One near test
+    covers the pairs of the kept segments, with the floats of testing
+    every pair; only the near pairs are sorted, and they are solved as
+    arrays (``_cross_solve``).
     """
-    gap = np.linalg.norm(man.displacement(A.anchors[:, None, :],
-                                          B.anchors[None, :, :]), axis=2)
-    I, J = np.nonzero(gap <= A.reaches[:, None] + B.reaches + _SLACK)
-    (ii, keep_i), (jj, keep_j) = _segments(A, I), _segments(B, J)
+    I, J = _blocks_near(man, A.anchors, A.reaches, B)
+    (ii, keep_i), (jj, keep_j) = (_near_segments(man, A, I, B, J),
+                                  _near_segments(man, B, J, A, I))
     k, p, q = np.nonzero(keep_i[:, :, None] & keep_j[:, None, :])
     ii, jj = ii[k, p], jj[k, q]
     rel = man.displacement(A.starts[ii], B.starts[jj])
@@ -364,16 +397,19 @@ def _curve_hits(man, A, B):
     pair = (A.owners[I] * (len(B.firsts) - 1) + B.owners[J])[k[near]]
     near = near[np.argsort((pair * len(A.lengths) + ii[near])
                            * len(B.lengths) + jj[near])]
-    ii, jj = ii[near], jj[near]
-    (a, k), (b, l) = _polylines(A, ii), _polylines(B, jj)
-    out = []
-    for n, r in enumerate(rel[near]):
-        i, j = ii[n], jj[n]
-        T = man.tangent_basis(A.starts[i])
-        s, u = _cross_solve(T.T @ A.d[i], T.T @ B.d[j], T.T @ r)
-        if 0.0 <= s < 1.0 and 0.0 <= u < 1.0:
-            out.append((int(a[n]), int(b[n]), int(k[n]), int(l[n]), s, u))
-    return out
+    ii, jj, rel = ii[near], jj[near], rel[near]
+    d_a, d_b = A.d[ii], B.d[jj]
+    if not isinstance(man, TorusModel):
+        # the tangent-plane chart at each P[i]; a torus's is its
+        # coordinates, where T.T @ v is v bit for bit (its basis is the
+        # identity, and a torus displacement has no -0.0)
+        charts = [man.tangent_basis(x).T for x in A.starts[ii]]
+        d_a, d_b, rel = (np.array([T @ v for T, v in zip(charts, vs)])
+                         .reshape(-1, 2) for vs in (d_a, d_b, rel))
+    n, s, u = _cross_solve(d_a, d_b, rel)
+    (a, k), (b, l) = _polylines(A, ii[n]), _polylines(B, jj[n])
+    return list(zip(a.tolist(), b.tolist(), k.tolist(), l.tolist(),
+                    s.tolist(), u.tolist()))
 
 
 def _chord_hits(man, P, Q):
@@ -383,12 +419,12 @@ def _chord_hits(man, P, Q):
     return [hit[2:] for hit in _curve_hits(man, A, B)]
 
 
-def _end_gaps(man, branches, laid):
-    """(e, seg, t, gap) for each end e of ``branches`` (2 k for the first
-    node of branch k, 2 k + 1 for its last) and each segment seg of the
-    laid curve that may lie within ``_END_GAP`` of it: the parameter t of
-    the segment's point nearest to the end, found on the chart at the
-    segment's start, and their distance.
+def _end_gaps(man, ends, laid):
+    """(e, seg, t, gap) for each end e of a family's branches (row 2 k of
+    ``ends`` for the first node of branch k, 2 k + 1 for its last) and
+    each segment seg of the laid curve that may lie within ``_END_GAP``
+    of it: the parameter t of the segment's point nearest to the end,
+    found on the chart at the segment's start, and their distance.
 
     A segment within ``_END_GAP`` of an end lies in a block whose anchor
     is within its reach plus ``_END_GAP`` of the end (the triangle
@@ -396,10 +432,8 @@ def _end_gaps(man, branches, laid):
     blocks are measured.  Each row's floats depend on that row's end and
     segment alone.
     """
-    ends = np.concatenate([C.x[[0, -1]] for C in branches])
-    gap = np.linalg.norm(man.displacement(laid.anchors[None, :, :],
-                                          ends[:, None, :]), axis=2)
-    e, blocks = np.nonzero(gap <= laid.reaches + (_END_GAP + _SLACK))
+    e, blocks = _blocks_near(man, ends, np.full(len(ends), _END_GAP),
+                             laid)
     seg, keep = _segments(laid, blocks)
     n, p = np.nonzero(keep)
     e, seg = e[n], seg[n, p]
@@ -411,15 +445,24 @@ def _end_gaps(man, branches, laid):
 
 
 # a family of curves laid as one: its branches curve by curve, the curve
-# of each branch, and the ``Laid`` curve of the branches
-Family = namedtuple("Family", "branches curve laid")
+# of each branch, the ``Laid`` curve of the branches, and their ends (the
+# first and last node of each branch)
+Family = namedtuple("Family", "branches curve laid ends")
 
 
 def _family(man, curves):
-    branches = [C for curve in curves for C in curve]
-    return Family(branches, np.array([i for i, curve in enumerate(curves)
-                                      for _C in curve], dtype=int),
-                  _lay([(C.x, C.chart(man)) for C in branches]))
+    """The ``Family`` of ``curves`` in ``man``, each branch charted
+    (``_chart``) and the family laid once per call, kept in its store by
+    the curves' branches (``_keep``): a figure-8 table crosses each of its
+    three families with both of the others."""
+    def lay():
+        branches = [C for curve in curves for C in curve]
+        return Family(branches, np.array([i for i, curve in enumerate(curves)
+                                          for _C in curve], dtype=int),
+                      _lay([(C.x, _chart(man, C.x)) for C in branches]),
+                      np.concatenate([C.x[[0, -1]] for C in branches]))
+
+    return _keep(("family", man, *map(tuple, curves)), lay)
 
 
 def _end_errors(man, fam_a, fam_b):
@@ -434,11 +477,11 @@ def _end_errors(man, fam_a, fam_b):
     on the pair's other curve, and the nearest such segment (the first of
     equals).  A pair's rows of the family pass are the rows of the pair
     alone, in their order and with their floats, since blocks never span
-    polylines and each branch keeps one chart (``Branch.chart``).
+    polylines and a branch's chart depends on its nodes alone.
     """
     errors = {}
     for ends_of, other, of_a in ((fam_a, fam_b, True), (fam_b, fam_a, False)):
-        e, seg, t, gaps = _end_gaps(man, ends_of.branches, other.laid)
+        e, seg, t, gaps = _end_gaps(man, ends_of.ends, other.laid)
         c, k = _polylines(other.laid, seg)
         mine, theirs = ends_of.curve[e // 2], other.curve[c]
         for first in np.nonzero(gaps <= _END_GAP)[0]:

@@ -162,8 +162,13 @@ class TorusModel(ManifoldModel):
         return np.asarray(v, dtype=float)
 
     def displacement(self, x, y):
-        d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return (d + np.pi) % TWO_PI - np.pi
+        """(y - x + pi) % 2 pi - pi, bit for bit, at under half its cost
+        on the chord search's arrays: numpy's float remainder is fmod plus
+        the divisor where fmod is negative, and the sign it gives a zero
+        fmod is lost in the final - pi."""
+        d = np.fmod(np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+                    + np.pi, TWO_PI)
+        return d + np.where(d < 0.0, TWO_PI, 0.0) - np.pi
 
     def random_point(self, rng):
         return rng.uniform(0.0, TWO_PI, size=self.dim)

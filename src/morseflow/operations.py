@@ -581,13 +581,17 @@ class FlowGraphProblem:
                         "labels %d and %d are the same system; configuration "
                         "counting needs distinct (e.g. phase-shifted) labels"
                         % (i, j))
-                for ca in a.critical_points:
-                    for cb in b.critical_points:
-                        if self.manifold.distance(ca.point, cb.point) < 1e-3:
-                            raise TransversalityError(
-                                "critical points %s/%s of labels %d/%d "
-                                "collide; shift the phases" % (
-                                    ca.name, cb.name, i, j))
+                # the first colliding pair in (a's point, b's point)
+                # order, from one distance matrix
+                gaps = np.linalg.norm(self.manifold.displacement(
+                    a.points[:, None, :], b.points[None, :, :]), axis=2)
+                close = np.argwhere(gaps < 1e-3)
+                if len(close):
+                    ca, cb = close[0]
+                    raise TransversalityError(
+                        "critical points %s/%s of labels %d/%d collide; "
+                        "shift the phases" % (a.catalog["name"][ca],
+                                              b.catalog["name"][cb], i, j))
 
     def chi_times_dim(self):
         return self.diagram.graph.euler_characteristic() * self.manifold.dim

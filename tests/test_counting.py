@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from morseflow.complexes import (
     RING_Z,
@@ -250,6 +250,15 @@ T3_INPUTS = t3_inputs()
 
 def t3_system(name):
     amps, phases = T3_INPUTS[name]
+    return torus_cosine(3, amps, phases=phases)
+
+
+def phased_t3_draw(i):
+    """Phased draw i (0 to 19) of default_rng(11)."""
+    rng = np.random.default_rng(11)
+    for _ in range(i):
+        t3_draw(rng)
+    amps, phases = t3_draw(rng)
     return torus_cosine(3, amps, phases=phases)
 
 
@@ -809,6 +818,18 @@ class TestLineSet:
         # in all three coordinates and have no line
         assert assert_single_axis_lines(t3, k) == 12
 
+    @pytest.mark.parametrize("i", range(3))
+    def test_phased_t3_draws(self, i):
+        # the first phased draws of default_rng(11), on the level search,
+        # whose chords cross through ``counting._curve_hits``: every line
+        # set at k = 48 and 96, with the angle bound of the T3 regression
+        # inputs (``TestLevelSearch.test_t3_inputs_give_kunneth``)
+        system = phased_t3_draw(i)
+        with counting.keeping():
+            for k in (48, 96):
+                assert assert_single_axis_lines(
+                    system, k, angle=2e-4 * (48 / k) ** 2) == 12
+
 
 def assert_band_is_the_sphere(system):
     cx = boundary_operator(system)
@@ -1023,6 +1044,30 @@ def end_check(check, *args):
     return None
 
 
+def edge_spikes(man, rng, a, radius, count, scale):
+    """A polyline of ``count`` spikes around the point a, each a segment
+    in from an outer node to an inner one and then one out to the next
+    spike: every outer node lies ``radius`` plus its spike's length off a.
+    On the flat torus the inner node lies ``radius`` off a and the outer
+    one straight beyond it; on the sphere, whose chords do not add up
+    along a great circle, the inner node lies further out, and the outer
+    one is solved for on their great circle through a: 2 sin(x) - 2 sin(x
+    - y) = radius for half their angles x and y from a."""
+    T = man.tangent_basis(a)
+    nodes = []
+    for theta in rng.uniform(0.0, 2.0 * np.pi, size=count):
+        n = T @ np.array([np.cos(theta), np.sin(theta)])
+        extra = scale * rng.uniform(0.1, 1.0)
+        if man.dim == man.coord_dim:
+            nodes += [man.project(a + (radius + extra) * n),
+                      man.project(a + radius * n)]
+            continue
+        y = 2.0 * np.arcsin((radius + extra) / 2.0) / 2.0
+        x = y / 2.0 + np.arccos(radius / (4.0 * np.sin(y / 2.0)))
+        nodes += [a * np.cos(phi) + n * np.sin(phi) for phi in (2 * x, 2 * y)]
+    return np.array(nodes)
+
+
 class TestChordSearch:
     """The block-pruned chord search returns exactly the hits of charting
     every segment pair (``oracles.chord_hits_all_pairs``)."""
@@ -1142,6 +1187,68 @@ class TestChordSearch:
                 for _read in range(2):
                     assert read_pair(lambda: got[i, j], curve_a,
                                      curve_b) == want
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80),
+           count=st.integers(1, 8), scale=st.sampled_from([0.01, 0.05, 0.2]),
+           offset=st.sampled_from([-1e-12, 0.0, 1e-12]),
+           surface=st.sampled_from(["torus", "sphere"]))
+    def test_segments_at_the_anchor_bound(self, seed, n, count, scale,
+                                          offset, surface):
+        # the spikes of P start L_i + reach_J (+- 1e-12) off the anchor of
+        # a block J of Q, the edge of the segment prune: its hits are
+        # still those of charting every segment pair
+        man = self.MANIFOLDS[surface]
+        rng = np.random.default_rng(seed)
+        Q = chord_walk(man, rng, n, scale)
+        chart = counting._chart(man, Q)
+        J = int(rng.integers(len(chart.anchors)))
+        a, reach = chart.anchors[J], chart.reaches[J]
+        # spikes well inside the torus's wrap and the sphere's diameter
+        assume(reach + scale < 1.0)
+        P = edge_spikes(man, rng, a, reach + offset, count, scale)
+        ins = counting._chart(man, P).lengths[::2]
+        assert np.linalg.norm(man.displacement(P[::2], a), axis=1) \
+            == pytest.approx(ins + reach + offset, rel=0.0, abs=1e-14)
+        assert bits(counting._chord_hits(man, P, Q)) == \
+            bits(chord_hits_all_pairs(man, P, Q))
+
+    def test_table_charts_few_segment_pairs(self, monkeypatch):
+        # the rows of torus displacement that the criterion-7 table's
+        # three crossing passes chart: the prune tests (``_within``), and
+        # the segment pairs they leave; charting every pair of surviving
+        # blocks took 3,136 + 4,864 + 2,560 = 10,560 pair rows, the
+        # segment prune leaves 262 + 318 + 268
+        real_disp, real_within = TorusModel.displacement, counting._within
+        real_hits = counting._curve_hits
+        passes, inside = [], []
+
+        def displacement(self, x, y):
+            d = real_disp(self, x, y)
+            if inside:
+                passes[-1][0] += len(d)
+            return d
+
+        def within(man, x, y, bound):
+            if inside:
+                passes[-1][1] += len(x)
+            return real_within(man, x, y, bound)
+
+        def curve_hits(man, A, B):
+            passes.append([0, 0])
+            inside.append(True)
+            try:
+                return real_hits(man, A, B)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(TorusModel, "displacement", displacement)
+        monkeypatch.setattr(counting, "_within", within)
+        monkeypatch.setattr(counting, "_curve_hits", curve_hits)
+        operations.operation_table(phased_problem(CRITERION7_PHASES))
+        pairs = [rows - pruned for rows, pruned in passes]
+        assert len(passes) == 3 and sum(pairs) < 1056, passes
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("surface", ["torus", "sphere"])

@@ -86,6 +86,26 @@ class TestManifolds:
         d = m.distance([0.1, 0.0], [2 * np.pi - 0.1, 0.0])
         assert abs(d - 0.2) < 1e-12
 
+    def test_torus_displacement_is_the_remainder_form(self):
+        # bit for bit (y - x + pi) % 2 pi - pi, on random angles and on
+        # differences at and next to 0, +-pi and multiples of 2 pi; and
+        # never -0.0, which the chord search's coordinate chart relies on
+        m = TorusModel(2)
+        rng = np.random.default_rng(5)
+        y = rng.uniform(-20.0, 20.0, size=(6000, 2))
+        edges = np.pi * rng.integers(-6, 7, size=(5000, 2))
+        d = np.concatenate([rng.uniform(-20.0, 20.0, size=(1000, 2)), edges,
+                            np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf)])
+        x = np.concatenate([y, y, y])[:len(d)] - d
+        y = np.concatenate([y, y, y])[:len(d)]
+        want = (y - x + np.pi) % (2.0 * np.pi) - np.pi
+        got = m.displacement(x, y)
+        assert got.tobytes() == want.tobytes()
+        assert not np.any((got == 0.0) & np.signbit(got))
+        assert m.displacement(1.0, 7.5).tobytes() == (
+            (np.float64(7.5) - 1.0 + np.pi) % (2.0 * np.pi) - np.pi).tobytes()
+
     def test_tangent_basis_orthonormal(self):
         m = SphereModel(2)
         x = m.project([0.3, -0.5, 1.0])

@@ -527,6 +527,19 @@ class TestDiagramOperation:
         with pytest.raises(TransversalityError):
             FlowGraphProblem(figure8_diagram(), [E, E], [E3])
 
+    @pytest.mark.parametrize("phases, message", [
+        # every label pair collides in four point pairs: the first label
+        # pair, then in1's first point with its partner in in2
+        ([(0.0, 0.0), (np.pi, 5e-4), (3e-4, np.pi)], "x00/x10 of labels 0/1"),
+        # only in2 and out collide
+        ([(0.9, 1.3), (0.0, 0.0), (np.pi, 5e-4)], "x00/x10 of labels 1/2"),
+    ])
+    def test_colliding_labels_name_their_first_pair(self, phases, message):
+        with pytest.raises(TransversalityError) as err:
+            phased_problem(phases)
+        assert str(err.value) == "critical points %s collide; shift the " \
+            "phases" % message
+
     def test_unsupported_diagram(self):
         # dumbbell reduces to the figure-8 family; the raw dumbbell with a
         # ghost edge must be reduced first
