@@ -135,10 +135,12 @@ def flow_limit(system, x, direction=+1, what="flow"):
     """The limit of the flow from x in ``direction``, which must converge
     (``_resolved`` names it ``what``), for readers of the limit alone: the
     flow records no nodes, and ends where the system's level trap for its
-    direction proves its limit (``level_trap``), short of the limit's
-    ball."""
-    return _resolved(flow(system, x, direction, record=False,
-                          trap=level_trap(system, direction)), what).limit
+    direction proves its limit (``level_trap``, made once per call and
+    kept in its store), short of the limit's ball."""
+    trap = _keep((system, direction, "trap"),
+                 lambda: level_trap(system, direction))
+    return _resolved(flow(system, x, direction, record=False, trap=trap),
+                     what).limit
 
 
 # -- curves of branch flows ------------------------------------------------------
@@ -192,12 +194,14 @@ class Branch:
         theta on segment k, as a one-column frame: side times the unit
         velocity there, since the linearised flow carries the velocity to
         itself and the branch leaves its point along side times the
-        eigenvector.  A branch with an image takes it in the image's
-        manifold ``man``: side times the unit chord of the image's segment
-        k on the tangent plane there, as the image keeps the order of the
-        nodes."""
+        eigenvector.  The velocity is the system's float field kernel of
+        the branch's direction, which gives ``direction * field`` bit for
+        bit.  A branch with an image takes it in the image's manifold
+        ``man``: side times the unit chord of the image's segment k on the
+        tangent plane there, as the image keeps the order of the nodes."""
         if self.image is None:
-            v = self.direction * self.system.field(self.point(k, theta))
+            field = self.system.float_kernels(self.direction)[0]
+            v = np.array(field(self.point(k, theta).tolist()))
         else:
             v = man.displacement(self.x[k], self.x[k + 1])
             v = man.tangent_project(man.project(self.x[k] + theta * v), v)

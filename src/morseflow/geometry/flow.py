@@ -344,16 +344,6 @@ def _loop_template(n, families):
     return "\n".join(lines) + "\n"
 
 
-def _family(kernel, adapter):
-    """(family, args) of a kernel: a ``Kernel``'s own, the adapter family
-    around a plain callable, or (None, ()) for no kernel."""
-    if kernel is None:
-        return None, ()
-    if isinstance(kernel, Kernel):
-        return kernel.family, kernel.args
-    return adapter, (kernel,)
-
-
 def integrate(field, value, project, sweep, x0, *, t_max, eps_conv=None,
               names=(), record=True, trap=None):
     """Adaptive negative-flow integration with event tracking.
@@ -372,9 +362,18 @@ def integrate(field, value, project, sweep, x0, *, t_max, eps_conv=None,
     """
     x = np.asarray(x0, dtype=float).tolist()
     n = len(x)
-    families, args = zip(*map(_family, (field, value, project, sweep, trap),
-                              _ADAPTERS))
-    loop = unrolled(_loop_template, n, families)
+    families, args = [], []
+    # a Kernel brings its family and numbers, a plain callable the adapter
+    # family around it, and no kernel neither
+    for kernel, adapter in zip((field, value, project, sweep, trap),
+                               _ADAPTERS):
+        if isinstance(kernel, Kernel):
+            families.append(kernel.family)
+            args.append(kernel.args)
+        else:
+            families.append(None if kernel is None else adapter)
+            args.append(() if kernel is None else (kernel,))
+    loop = unrolled(_loop_template, n, tuple(families))
 
     def fail(message, x, t, h, steps):
         return IntegrationError(message, x0=x0, x=np.array(x), t=t, h=h,
@@ -410,14 +409,14 @@ def flow(system, x0, direction=+1, t_max=T_MAX, record=True, trap=None):
     function is asserted monotone.
     """
     field, value = _float_kernels(system, direction)
-    names = system.catalog["name"].tolist()
-    man = system.manifold
+    catalog, man = system.catalog, system.manifold
+    # the loop names the catalog row whose ball it enters, or its trap's
     res = integrate(field, value, man.project_floats,
-                    man.distance_sweep(system.points), x0, t_max=t_max,
-                    eps_conv=system.eps_conv, names=names, record=record,
-                    trap=trap)
+                    man.distance_sweep(catalog["point"]), x0, t_max=t_max,
+                    eps_conv=system.eps_conv, names=range(len(catalog)),
+                    record=record, trap=trap)
     if res.limit is not None:
-        res.limit = system.point(res.limit)
+        res.limit = system.row(res.limit)
     return res
 
 

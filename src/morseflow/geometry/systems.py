@@ -2,8 +2,10 @@
 verified catalog of nondegenerate critical points.
 
 Construction recomputes the covariant Hessian at every declared critical
-point, checks nondegeneracy and the declared index, and stores the ordered
-eigenbasis that fixes the unstable-manifold orientations; it refuses a
+point (the function's own ``hessian`` where it has one, as torus cosine
+wells do, else central differences of the gradient), checks
+nondegeneracy and the declared index, and stores the ordered eigenbasis
+that fixes the unstable-manifold orientations; it refuses a
 convergence radius that reaches half the way between two catalog points.
 The catalog is one structured array per system, one record per point.
 A system hands the integrator its field and function on lists of Python
@@ -129,7 +131,9 @@ class MorseSystem:
     """Immutable bundle of (manifold, f, grad f, verified critical points).
 
     ``f`` is a callable on numpy points, and ``grad`` its gradient, or
-    None when ``f`` has a ``grad`` method.  When ``f`` also has a
+    None when ``f`` has a ``grad`` method.  A ``hessian`` method of ``f``
+    gives the Hessian that verifies the catalog (``hessian_matrix``).
+    When ``f`` also has a
     ``float_kernels(direction)`` method, as ``CosineWells`` does, the
     integrator reads the flow through those kernels, and otherwise through
     numpy adapters (``numpy_kernels``), plain callables.  A system holds
@@ -184,9 +188,10 @@ class MorseSystem:
     @property
     def critical_points(self):
         """The verified catalog, in declared order."""
-        return tuple(self._catalog_point(i) for i in range(len(self.catalog)))
+        return tuple(self.row(i) for i in range(len(self.catalog)))
 
-    def _catalog_point(self, i):
+    def row(self, i):
+        """The critical point of catalog row i."""
         return CriticalPoint._record(self.catalog["name"][i],
                                      int(self.catalog["index"][i]),
                                      self.catalog, i)
@@ -196,7 +201,7 @@ class MorseSystem:
         if name not in names:
             raise StructuralValidationError(
                 "system %s has no critical point named %r" % (self.name, name))
-        return self._catalog_point(names.index(name))
+        return self.row(names.index(name))
 
     @property
     def points(self):
@@ -204,7 +209,7 @@ class MorseSystem:
         return self.catalog["point"]
 
     def by_index(self, index):
-        return tuple(self._catalog_point(i) for i, k in enumerate(
+        return tuple(self.row(i) for i, k in enumerate(
             self.catalog["index"].tolist()) if k == index)
 
     def indices(self):
@@ -223,8 +228,14 @@ class MorseSystem:
         return numpy_kernels(self, direction)
 
     def hessian_matrix(self, x):
-        """Covariant Hessian in the orthonormal tangent basis at x."""
-        return _covariant_hessian(self.manifold, self.grad, x)
+        """(H, B): the covariant Hessian H in the orthonormal tangent basis
+        B at x.  H is ``f.hessian(x)``, which gives it in that basis, when
+        f has one, as ``CosineWells`` does, and else the central
+        differences of the gradient (``_covariant_hessian``)."""
+        hessian = getattr(self.f, "hessian", None)
+        if hessian is None:
+            return _covariant_hessian(self.manifold, self.grad, x)
+        return hessian(x), self.manifold.tangent_basis(x)
 
     def _verify(self, cp):
         """(name, index, point, eigenvalues, frame, value) of a declared
@@ -270,7 +281,7 @@ def numpy_kernels(system, direction):
 class CosineWells:
     """f(theta) = sum_i a_i cos(theta_i - phi_i) + c cos(sum_i theta_i +
     psi) on the flat n-torus: the function itself on numpy points, its
-    ``grad``, and the float kernels of its flow.
+    ``grad`` and ``hessian``, and the float kernels of its flow.
 
     The float kernels repeat the numpy forms operation for operation:
     ``math.sin`` and ``math.cos`` equal ``np.sin`` and ``np.cos`` bit for
@@ -299,6 +310,17 @@ class CosineWells:
         if self.c:
             g = g - self.c * math.sin(float(np.sum(th)) + self.psi)
         return g
+
+    def hessian(self, th):
+        """The Hessian of f at th in the torus's coordinates, which are
+        its tangent basis: -a_i cos(theta_i - phi_i) on the diagonal, and
+        the coupling's -c cos(sum theta + psi) in every entry."""
+        amps, phis = self.params
+        th = np.asarray(th, dtype=float)
+        H = np.diag(-amps * np.cos(th - phis))
+        if self.c:
+            H -= self.c * math.cos(float(np.sum(th)) + self.psi)
+        return H
 
     def float_kernels(self, direction):
         """(field, value) of the flow in ``direction``: -grad f and f,

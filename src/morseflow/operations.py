@@ -18,6 +18,7 @@ order of the nodes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -597,14 +598,53 @@ class FlowGraphProblem:
         return self.diagram.graph.euler_characteristic() * self.manifold.dim
 
 
+# one label's catalog, read once per call (``_catalog``): its points by
+# name, its points by index, and each index-1 point's position among them
+Catalog = namedtuple("Catalog", "point by_index position")
+
+
+def _catalog(system):
+    """The ``Catalog`` of a label, read once per call and kept in its
+    store (``_keep``): a figure-8 table looks its labels' points up by
+    name, by index and by position for every count it makes."""
+    def read():
+        points, by_index = system.critical_points, {}
+        for cp in points:
+            by_index.setdefault(cp.index, []).append(cp)
+        return Catalog({cp.name: cp for cp in points},
+                       {k: tuple(cps) for k, cps in by_index.items()},
+                       {cp.name: i for i, cp in enumerate(by_index.get(1, ()))})
+
+    return _keep((system, "catalog"), read)
+
+
+def _point(system, name):
+    """``system.point(name)`` off the call's ``Catalog``; a name that is
+    not there raises as ``point`` does."""
+    cp = _catalog(system).point.get(name)
+    return system.point(name) if cp is None else cp
+
+
+def _class(system, cp):
+    """``orientation_class`` of cp of the label ``system``, read once per
+    call and kept in its store."""
+    return _keep((system, "class", cp.name),
+                 lambda: orientation_class(system.manifold, cp))
+
+
 def expected_dimension(problem, input_names, output_names):
     """Index sum of inputs minus outputs plus chi(graph) * dim(M)."""
     total = 0
     for name, sys_in in zip(input_names, problem.incoming):
-        total += sys_in.point(name).index
+        total += _point(sys_in, name).index
     for name, sys_out in zip(output_names, problem.outgoing):
-        total -= sys_out.point(name).index
-    return total + problem.chi_times_dim()
+        total -= _point(sys_out, name).index
+    return total + _degree_shift(problem)
+
+
+def _degree_shift(problem):
+    """chi(graph) * dim(M), read once per call."""
+    return _keep((problem, "chi"), problem.chi_times_dim)
 
 
 def graph_flow_count(problem, inputs, output, edge_time=0.0):
@@ -615,11 +655,12 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0):
     outgoing stable manifold; at zero edge time this is the transverse
     triple intersection.
     """
-    if expected_dimension(problem, inputs, [output]) != 0:
-        raise ValueError("counting requires expected dimension zero")
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
-    a1, a2, a3 = E1.point(inputs[0]), E2.point(inputs[1]), E3.point(output)
+    a1, a2, a3 = (_point(E1, inputs[0]), _point(E2, inputs[1]),
+                  _point(E3, output))
+    if a1.index + a2.index - a3.index + _degree_shift(problem) != 0:
+        raise ValueError("counting requires expected dimension zero")
     return sum(_configuration_sign(problem, a1, a2, a3, x, frames)
                for x, frames in _find_configurations(problem, a1, a2, a3,
                                                      edge_time))
@@ -678,13 +719,11 @@ def _crossings(problem, R, a, b):
     systems = (a[0], b[0])
     if systems not in families:
         families[systems] = curve_intersections(problem.manifold, *(
-            [_curve(problem, system, cp, R) for cp in system.by_index(1)]
+            [_curve(problem, system, cp, R)
+             for cp in _catalog(system).by_index.get(1, ())]
             for system in systems))
-
-    def position(system, cp):
-        return [c.name for c in system.by_index(1)].index(cp.name)
-
-    return families[systems][position(*a), position(*b)]
+    return families[systems][tuple(_catalog(system).position[cp.name]
+                                   for system, cp in (a, b))]
 
 
 def _find_configurations(problem, a1, a2, a3, R):
@@ -737,40 +776,55 @@ def _find_configurations(problem, a1, a2, a3, R):
 
 
 def _configuration_sign(problem, a1, a2, a3, x, frames):
-    """Orientation sign of one configuration.
+    """Orientation sign of one configuration, in closed form.
 
-    Computed in the doubled tangent space: the two incoming unstable
-    frames against the diagonal copy of the outgoing stable tangent, with
-    the stable tangent oriented by the outgoing unstable frame and the
-    manifold orientation, which gives the orientation class of a3.  A W^u
-    or W^s of dimension 0 has the empty frame, one that spans the tangent
-    space the class-signed basis at x, and a one-dimensional one its
-    tangent at x in ``frames``.
+    In the doubled tangent space T_x + T_x, the two incoming unstable
+    frames U1 (first copy) and U2 (second copy) stand against the diagonal
+    copy of the outgoing stable frame S, each in the basis B at x: the
+    sign is that of det [[U1, 0, S], [0, U2, S]] (``tests/oracles.py``),
+    times the orientation class of a3, which orients S through the
+    outgoing unstable frame and the manifold.  A W^u or W^s of dimension
+    0 has the empty frame, one that spans the tangent space the
+    class-signed basis at x, whose determinant is its point's class, and a
+    one-dimensional one its tangent at x in ``frames``.  On a surface the
+    determinant is a product of 2 x 2 determinants, each read once:
+
+    - (1, 1): -det S det [u1 u2], with det S the class of a3;
+    - (2, 1): det U1 det [u2 s];
+    - (1, 2): det [u1 s] det U2;
+    - (2, 2), (2, 0) and (0, 2): the product of the classes of the frames
+      that span.
+
+    A product below 1e-8 in magnitude raises ``OrientationError``.  The
+    classes are read once per call (``_class``).
     """
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     man = problem.manifold
     n = man.dim
-
-    def frame(system, cp, d):
-        if d == 0:
-            return np.zeros((man.coord_dim, 0))
-        return _class_frame(man, cp, x) if d == n else frames[system]
-
-    U1, U2 = frame(E1, a1, a1.index), frame(E2, a2, a2.index)
-    S3 = frame(E3, a3, n - a3.index)
-    i1, i2 = a1.index, a2.index
-    if i1 + i2 + S3.shape[1] != 2 * n:
+    dims = (a1.index, a2.index, n - a3.index)
+    if n != 2 or sum(dims) != 2 * n:
         raise InternalInconsistencyError("configuration dimensions are off")
-    B = man.oriented_tangent_basis(x)
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :i1] = B.T @ U1
-    M[n:, i1:i1 + i2] = B.T @ U2
-    M[:n, i1 + i2:] = M[n:, i1 + i2:] = B.T @ S3
-    det = float(np.linalg.det(M))
+
+    def pair(u, v):
+        (p, q), (r, s) = (man.oriented_tangent_basis(x).T
+                          @ np.hstack([u, v])).tolist()
+        return p * s - q * r
+
+    if dims == (1, 1, 2):
+        det = -_class(E3, a3) * pair(frames[E1], frames[E2])
+    elif dims == (2, 1, 1):
+        det = _class(E1, a1) * pair(frames[E2], frames[E3])
+    elif dims == (1, 2, 1):
+        det = pair(frames[E1], frames[E3]) * _class(E2, a2)
+    else:
+        det = 1
+        for system, cp, d in zip((E1, E2, E3), (a1, a2, a3), dims):
+            if d == n:
+                det *= _class(system, cp)
     if abs(det) < 1e-8:
         raise OrientationError("degenerate configuration determinant")
-    return (1 if det > 0 else -1) * orientation_class(man, a3)
+    return (1 if det > 0 else -1) * _class(E3, a3)
 
 
 def diagram_flow_operation(problem, input_chain, edge_time=0.0):
@@ -789,9 +843,9 @@ def diagram_flow_operation(problem, input_chain, edge_time=0.0):
         for (n1, n2), coeff in input_chain:
             if coeff == 0:
                 continue
-            degree = (E1.point(n1).index + E2.point(n2).index
-                      + problem.chi_times_dim())
-            for cp3 in E3.by_index(degree):
+            degree = (_point(E1, n1).index + _point(E2, n2).index
+                      + _degree_shift(problem))
+            for cp3 in _catalog(E3).by_index.get(degree, ()):
                 cnt = graph_flow_count(problem, (n1, n2), cp3.name,
                                        edge_time=edge_time)
                 if cnt:
@@ -811,10 +865,10 @@ def operation_table(problem, edge_time=0.0):
     table = {}
     with keeping():
         _keep((problem, "families", edge_time), dict)
-        for c1 in E1.critical_points:
-            for c2 in E2.critical_points:
-                table[(c1.name, c2.name)] = diagram_flow_operation(
-                    problem, [((c1.name, c2.name), 1)], edge_time=edge_time)
+        for n1 in _catalog(E1).point:
+            for n2 in _catalog(E2).point:
+                table[(n1, n2)] = diagram_flow_operation(
+                    problem, [((n1, n2), 1)], edge_time=edge_time)
     return table
 
 

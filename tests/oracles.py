@@ -17,8 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from morseflow.complexes import GradedComplex
-from morseflow.counting import Crossing
-from morseflow.errors import DegenerateCrossingError
+from morseflow.counting import Crossing, orientation_class
+from morseflow.errors import DegenerateCrossingError, OrientationError
 from morseflow.geometry.flow import (
     CONVERGED,
     fixed_time_flow,
@@ -326,3 +326,47 @@ def loop_covariant_hessian(manifold, grad, x):
         gm = manifold.tangent_project(xm, grad(xm))
         H[:, j] = basis.T @ (gp - gm) / (2 * h)
     return 0.5 * (H + H.T), basis
+
+
+def doubled_tangent_det(problem, a1, a2, a3, x, frames):
+    """The determinant of a figure-8 configuration at x in the doubled
+    tangent space: of the 2n x 2n matrix [[U1, 0, S], [0, U2, S]] in the
+    basis B at x, the incoming unstable frames U1 (first copy of T_x) and
+    U2 (second copy) against the diagonal copy of the outgoing stable frame
+    S.  A frame of dimension 0 is empty, one of dimension n the basis at x
+    with its first column signed by its point's class, and a
+    one-dimensional one its tangent in ``frames``, keyed by system."""
+    E1, E2 = problem.incoming
+    E3 = problem.outgoing[0]
+    man = problem.manifold
+    n = man.dim
+    B = man.oriented_tangent_basis(x)
+
+    def frame(system, cp, d):
+        if d == 0:
+            return np.zeros((man.coord_dim, 0))
+        if d < n:
+            return frames[system]
+        F = B.copy()
+        F[:, 0] *= orientation_class(man, cp)
+        return F
+
+    U1, U2 = frame(E1, a1, a1.index), frame(E2, a2, a2.index)
+    S = frame(E3, a3, n - a3.index)
+    i1, i2 = a1.index, a2.index
+    assert i1 + i2 + S.shape[1] == 2 * n
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :i1] = B.T @ U1
+    M[n:, i1:i1 + i2] = B.T @ U2
+    M[:n, i1 + i2:] = M[n:, i1 + i2:] = B.T @ S
+    return float(np.linalg.det(M))
+
+
+def doubled_tangent_sign(problem, a1, a2, a3, x, frames):
+    """The sign of ``doubled_tangent_det`` times the orientation class of
+    a3; a determinant below 1e-8 raises ``OrientationError``."""
+    det = doubled_tangent_det(problem, a1, a2, a3, x, frames)
+    man = problem.manifold
+    if abs(det) < 1e-8:
+        raise OrientationError("degenerate configuration determinant")
+    return (1 if det > 0 else -1) * orientation_class(man, a3)

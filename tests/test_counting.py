@@ -830,6 +830,17 @@ class TestLineSet:
                 assert assert_single_axis_lines(
                     system, k, angle=2e-4 * (48 / k) ** 2) == 12
 
+    @pytest.mark.parametrize("i", range(3, 8))
+    def test_later_phased_t3_draws(self, i):
+        # phased draws 3 to 7 of default_rng(11), as ``test_phased_t3_draws``
+        # pins the first three: one store per draw, so the doubled run
+        # reads the level points of the first
+        system = phased_t3_draw(i)
+        with counting.keeping():
+            for k in (48, 96):
+                assert assert_single_axis_lines(
+                    system, k, angle=2e-4 * (48 / k) ** 2) == 12
+
 
 def assert_band_is_the_sphere(system):
     cx = boundary_operator(system)

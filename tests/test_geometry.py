@@ -172,6 +172,58 @@ class TestCentralDifferences:
             assert helper[key].tobytes() == loop[key].tobytes()
 
 
+# the 51 untranslated T2 amplitudes of the complexes workload, and the
+# criterion-7 figure-8 labels under the 16 quarter-turn torus shifts
+AMPLITUDES = [round(0.6 + 0.005 * k, 3) for k in range(51)]
+FIG8_PHASES = np.array([(0.0, 0.0), (0.9, 1.3), (-0.7, 0.55)])
+QUARTER_TURNS = [(j / 4, k / 4) for j in range(4) for k in range(4)]
+
+
+def differenced_eigenframe(system, cp):
+    """(eigenvalues, frame) of cp from the central differences of the
+    gradient (``systems._covariant_hessian``), the way a catalog takes
+    them from a function without a Hessian."""
+    H, B = systems._covariant_hessian(system.manifold, system.grad,
+                                      cp.point)
+    evals, evecs = np.linalg.eigh(H)
+    return evals, np.stack([B @ systems._canonical_sign(evecs[:, k])
+                            for k in range(len(evals))], axis=1)
+
+
+class TestExactHessian:
+    """Torus catalogs are verified with ``CosineWells.hessian``, which
+    leaves every frame of uncoupled wells as the central differences gave
+    it: their off-diagonal differences are exactly 0, so both matrices
+    are diagonal, in the same order."""
+
+    def test_uncoupled_frames_and_eigenvalues(self):
+        labels = [torus_cosine(2, [1.0, a]) for a in AMPLITUDES]
+        for shift in QUARTER_TURNS:
+            labels += [torus_cosine(2, [1.0, 0.7], phases=ph) for ph in
+                       (FIG8_PHASES + 2 * np.pi * np.array(shift))
+                       % (2 * np.pi)]
+        assert len(labels) == 99
+        for system in labels:
+            for cp in system.critical_points:
+                evals, frame = differenced_eigenframe(system, cp)
+                assert cp.frame.tobytes() == frame.tobytes(), cp.name
+                assert np.max(np.abs(cp.eigenvalues - evals)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [3, 945, 115])
+    def test_coupled_hessian_is_the_differenced_one(self, seed):
+        # the coupling term adds -c cos(sum theta + psi) to every entry
+        system = torus_cosine(2, [1.0, 0.7], perturb=0.05, seed=seed)
+        for cp in system.critical_points:
+            H, _B = systems._covariant_hessian(system.manifold, system.grad,
+                                               cp.point)
+            exact = system.f.hessian(cp.point)
+            assert np.abs(exact - H).max() <= 1e-8
+            assert exact[0, 1] == exact[1, 0] != 0.0
+            evals, frame = differenced_eigenframe(system, cp)
+            assert np.abs(cp.eigenvalues - evals).max() <= 1e-8
+            assert np.abs(cp.frame - frame).max() <= 1e-6
+
+
 class TestCatalogs:
     def test_sphere_height_indices(self, s2):
         assert sorted(cp.index for cp in s2.critical_points) == [0, 2]

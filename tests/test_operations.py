@@ -1,4 +1,6 @@
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from morseflow.geometry.bundles import (
     whitney_sum_with_trivial,
 )
 from morseflow.geometry.flow import fixed_time_flow
+from morseflow.geometry.manifolds import SphereModel, TorusModel
 from morseflow.operations import (
     FlowGraphProblem,
     diagram_flow_operation,
@@ -49,7 +52,12 @@ from morseflow.operations import (
 )
 import morseflow.operations as operations
 
-from oracles import curve_intersections_per_pair, torus_intersection_table
+from oracles import (
+    curve_intersections_per_pair,
+    doubled_tangent_det,
+    doubled_tangent_sign,
+    torus_intersection_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -780,6 +788,40 @@ class TestDiagramOperation:
             assert classify(c, c.point) == classify(
                 c, fine[int(np.argmin(gaps))])
 
+    def test_table_work(self, monkeypatch):
+        # the criterion-7 table at R = 0 signs its configurations in closed
+        # form, reads each orientation class once and each label's catalog
+        # once: 6 determinants (30 with the doubled tangent matrix) and no
+        # lookup of a point by name (146 when every count looked its points
+        # up); its 12 branch flights and 12 classification flows take
+        # 1,393 steps, as before
+        F = sys.modules["morseflow.geometry.flow"]
+        calls = {"det": 0, "point": 0, "integrate": 0, "steps": 0}
+        real_det, real_point = np.linalg.det, MorseSystem.point
+        real_integrate = F.integrate
+
+        def det(*args, **kwargs):
+            calls["det"] += 1
+            return real_det(*args, **kwargs)
+
+        def point(self, name):
+            calls["point"] += 1
+            return real_point(self, name)
+
+        def integrate(*args, **kwargs):
+            res = real_integrate(*args, **kwargs)
+            calls["integrate"] += 1
+            calls["steps"] += res.steps
+            return res
+
+        problem = phased_problem(CRITERION7_PHASES)
+        monkeypatch.setattr(np.linalg, "det", det)
+        monkeypatch.setattr(MorseSystem, "point", point)
+        monkeypatch.setattr(F, "integrate", integrate)
+        assert_oracle_table(operation_table(problem, edge_time=0.0))
+        assert calls == {"det": 6, "point": 0, "integrate": 24,
+                         "steps": 1393}
+
     def test_each_branch_is_charted_once(self, monkeypatch):
         # a table charts the two branches of W^u of each input's saddles
         # and of W^s of the output's saddles, once each; a complex crosses
@@ -923,6 +965,100 @@ class TestOrientationConvention:
         # magnitudes and the square-zero identity are convention-free
         assert [abs(int(v)) for v in d_flip.flat] == \
             [abs(int(v)) for v in d_base.flat]
+
+
+class Label:
+    """A stand-in label of a figure-8 problem: its manifold alone."""
+
+    def __init__(self, manifold):
+        self.manifold = manifold
+
+
+def signing_problem(surface, rng, pattern, classes):
+    """(problem, a1, a2, a3, x) on the T2 or S2 ``surface``: stand-in
+    labels, points of the indices ``pattern`` at random places whose
+    eigenframes have the orientation ``classes``, and a random x."""
+    man = TorusModel(2) if surface == "torus" else SphereModel(2)
+    points = []
+    for index, c in zip(pattern, classes):
+        p = man.random_point(rng)
+        a = rng.uniform(0.0, 2.0 * np.pi)
+        turn = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        frame = man.oriented_tangent_basis(p) @ turn @ np.diag([c, 1.0])
+        points.append(SimpleNamespace(name="p%d" % len(points), index=index,
+                                      point=p, frame=frame))
+    problem = SimpleNamespace(incoming=(Label(man), Label(man)),
+                              outgoing=(Label(man),), manifold=man)
+    return (problem, *points, man.random_point(rng))
+
+
+def tangents(problem, a1, a2, a3, x, angles):
+    """The one-dimensional frames of the configuration at x, keyed by
+    label: W^u of an index-1 input and W^s of an index-1 output, each the
+    unit tangent at its angle in the tangent basis at x."""
+    E1, E2 = problem.incoming
+    man = problem.manifold
+    dims = {E1: a1.index, E2: a2.index,
+            problem.outgoing[0]: man.dim - a3.index}
+    B = man.tangent_basis(x)
+    return {E: B @ np.array([[math.cos(t)], [math.sin(t)]])
+            for (E, d), t in zip(dims.items(), angles) if d == 1}
+
+
+def sign_or_raise(sign, *args):
+    try:
+        return sign(*args)
+    except OrientationError:
+        return "raises"
+
+
+# the index patterns (i1, i2, i3) of expected dimension zero on a surface
+PATTERNS = [(1, 1, 0), (1, 2, 1), (2, 1, 1), (2, 2, 2), (2, 0, 0), (0, 2, 0)]
+
+
+class TestConfigurationSign:
+    """The closed-form sign of a figure-8 configuration, a product of 2 x 2
+    determinants, against the determinant of its whole frame in the doubled
+    tangent space (``doubled_tangent_sign``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           surface=st.sampled_from(["torus", "sphere"]),
+           pattern=st.sampled_from(PATTERNS),
+           classes=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+           angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3))
+    def test_closed_form_is_the_doubled_determinant(
+            self, seed, surface, pattern, classes, angles):
+        args = signing_problem(surface, np.random.default_rng(seed), pattern,
+                               classes)
+        frames = tangents(*args, angles)
+        # the two forms round differently by about 1e-16, so a determinant
+        # at the 1e-8 floor may raise in one of them alone
+        det = doubled_tangent_det(*args, frames)
+        assume(abs(abs(det) - 1e-8) > 1e-14)
+        closed = sign_or_raise(operations._configuration_sign, *args, frames)
+        assert closed == sign_or_raise(doubled_tangent_sign, *args, frames)
+        if pattern in ((2, 2, 2), (2, 0, 0), (0, 2, 0)):
+            assert closed != "raises"
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           surface=st.sampled_from(["torus", "sphere"]),
+           pattern=st.sampled_from(PATTERNS[:3]),
+           classes=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+           angle=st.floats(0.0, 2.0 * math.pi),
+           gap=st.floats(1e-13, 1e-9), turn=st.sampled_from([0.0, math.pi]))
+    def test_near_degenerate_frames_raise_both_ways(
+            self, seed, surface, pattern, classes, angle, gap, turn):
+        # the two tangents of the configuration lie within ``gap`` of one
+        # line: both determinants fall below the 1e-8 floor
+        args = signing_problem(surface, np.random.default_rng(seed), pattern,
+                               classes)
+        frames = tangents(*args, (angle, angle + turn + gap, angle + gap))
+        assert len(frames) == 2
+        for sign in (operations._configuration_sign, doubled_tangent_sign):
+            with pytest.raises(OrientationError):
+                sign(*args, frames)
 
 
 def embedding_draws(count, seed):
