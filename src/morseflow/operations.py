@@ -655,12 +655,12 @@ def graph_flow_count(problem, inputs, output, edge_time=0.0):
     outgoing stable manifold; at zero edge time this is the transverse
     triple intersection.
     """
+    if expected_dimension(problem, inputs, [output]) != 0:
+        raise ValueError("counting requires expected dimension zero")
     E1, E2 = problem.incoming
     E3 = problem.outgoing[0]
     a1, a2, a3 = (_point(E1, inputs[0]), _point(E2, inputs[1]),
                   _point(E3, output))
-    if a1.index + a2.index - a3.index + _degree_shift(problem) != 0:
-        raise ValueError("counting requires expected dimension zero")
     return sum(_configuration_sign(problem, a1, a2, a3, x, frames)
                for x, frames in _find_configurations(problem, a1, a2, a3,
                                                      edge_time))
