@@ -39,12 +39,19 @@ def _eye(n):
 
 @dataclass
 class SmithForm:
-    """U @ A @ V == D with U, V unimodular; U_inv the inverse of U."""
+    """U @ A @ V == D with U, V unimodular; U_inv and V_inv their inverses.
+
+    The nonzero diagonal entries come first, so the last n - rank columns
+    of V are a saturated basis K of ker(A), and the last n - rank rows of
+    V_inv a left inverse L of it (L @ K == 1): L @ x are the coordinates
+    in K of each x in ker(A).
+    """
 
     D: np.ndarray
     U: np.ndarray
     V: np.ndarray
     U_inv: np.ndarray
+    V_inv: np.ndarray
 
     @property
     def diagonal(self):
@@ -61,7 +68,7 @@ def smith_normal_form(A):
     A = _as_int_matrix(A)
     m, n = A.shape
     U, U_inv = _eye(m), _eye(m)
-    V = _eye(n)
+    V, V_inv = _eye(n), _eye(n)
 
     def row_swap(i, j):
         A[[i, j], :] = A[[j, i], :]
@@ -71,6 +78,7 @@ def smith_normal_form(A):
     def col_swap(i, j):
         A[:, [i, j]] = A[:, [j, i]]
         V[:, [i, j]] = V[:, [j, i]]
+        V_inv[[i, j], :] = V_inv[[j, i], :]
 
     def row_add(src, dst, q):  # row_dst += q * row_src
         A[dst, :] += q * A[src, :]
@@ -80,6 +88,7 @@ def smith_normal_form(A):
     def col_add(src, dst, q):
         A[:, dst] += q * A[:, src]
         V[:, dst] += q * V[:, src]
+        V_inv[src, :] -= q * V_inv[dst, :]
 
     def row_negate(i):
         A[i, :] *= -1
@@ -134,43 +143,13 @@ def smith_normal_form(A):
         if A[t, t] < 0:
             row_negate(t)
         t += 1
-    return SmithForm(D=A, U=U, V=V, U_inv=U_inv)
+    return SmithForm(D=A, U=U, V=V, U_inv=U_inv, V_inv=V_inv)
 
 
 def kernel_basis(A):
     """Saturated integer basis of ker(A) as columns of an n x k matrix."""
-    A = _as_int_matrix(A)
-    m, n = A.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=object)
-    snf = smith_normal_form(A.copy())
-    cols = [j for j in range(n)
-            if j >= min(m, n) or snf.D[j, j] == 0]
-    return snf.V[:, cols]
-
-
-def solve_integer(K, B):
-    """Solve K X = B over Z for K with full column rank; errors if unsolvable."""
-    K = _as_int_matrix(K)
-    B = _as_int_matrix(B)
-    snf = smith_normal_form(K.copy())
-    r = snf.rank
-    if r != K.shape[1]:
-        raise InternalInconsistencyError("kernel basis is rank deficient")
-    UB = snf.U @ B
-    X = np.zeros((K.shape[1], B.shape[1]), dtype=object)
-    for i in range(K.shape[0]):
-        for j in range(B.shape[1]):
-            if i < r:
-                d = snf.D[i, i]
-                if UB[i, j] % d:
-                    raise InternalInconsistencyError(
-                        "integer solve failed: non-divisible entry")
-                X[i, j] = UB[i, j] // d
-            elif UB[i, j]:
-                raise InternalInconsistencyError(
-                    "integer solve failed: inconsistent system")
-    return snf.V @ X
+    snf = smith_normal_form(A)
+    return snf.V[:, snf.rank:]
 
 
 # -- GF(2) utilities ----------------------------------------------------------
@@ -305,9 +284,8 @@ class DegreeHomology:
     betti: int
     torsion: tuple
     representatives: np.ndarray      # dim(p) x betti cycle matrix
-    kernel: np.ndarray               # dim(p) x k
-    _coord_U: np.ndarray             # SNF transform for class coordinates
-    _diag: tuple
+    boundary: np.ndarray             # the map out of degree p
+    coordinates: np.ndarray          # betti x dim(p): free part of a cycle
 
 
 class HomologyResult:
@@ -339,15 +317,10 @@ class HomologyResult:
             return np.zeros((0,), dtype=object)
         d = self.data[p]
         vec = _as_int_matrix(np.array(vector, dtype=object).reshape(-1, 1))
-        if d.kernel.shape[1] == 0:
-            if any(int(x) for x in vec.flat):
-                raise InternalInconsistencyError("vector is not a cycle")
-            return np.zeros((0,), dtype=object)
-        y = solve_integer(d.kernel, vec)
-        coords = d._coord_U @ y
-        free = [i for i, dv in enumerate(d._diag) if dv == 0]
-        free += list(range(len(d._diag), d.kernel.shape[1]))
-        return np.array([int(coords[i, 0]) for i in free], dtype=object)
+        if any(int(x) for x in (d.boundary @ vec).flat):
+            raise InternalInconsistencyError("vector is not a cycle")
+        return np.array([int(x) for x in (d.coordinates @ vec).flat],
+                        dtype=object)
 
     def __repr__(self):
         return "HomologyResult(betti=%r)" % (
@@ -355,28 +328,31 @@ class HomologyResult:
 
 
 def homology(c):
-    """Homology (or cohomology, for shift=+1) with torsion and witnesses."""
+    """Homology (or cohomology, for shift=+1) with torsion and witnesses.
+
+    One Smith form of each degree's outgoing map d_out gives its kernel K
+    and a left inverse L of K (``SmithForm``).  The incoming map lands in
+    ker(d_out), so its image has the coordinates X = L @ d_in in K, and the
+    Smith form X = U^-1 D V^-1 gives the torsion (D's entries above 1) and
+    the free part (its zero columns and those past D): representatives K
+    @ U^-1 and a cycle's class coordinates U @ L, on those rows.
+    """
     if c.ring == RING_Z2:
         return _homology_mod2(c)
     out = []
     for p in c.degrees():
         d_out = c.map_from(p)
-        d_in = c.map_from(p - c.shift)  # the map landing in degree p
-        K = kernel_basis(d_out)
-        k = K.shape[1]
-        if k == 0:
-            out.append(DegreeHomology(p, 0, (), K, K, _eye(0), ()))
-            continue
-        X = solve_integer(K, d_in) if d_in.size else np.zeros((k, 0),
-                                                              dtype=object)
-        snf = smith_normal_form(X.copy())
+        snf_out = smith_normal_form(d_out)
+        r = snf_out.rank
+        K, L = snf_out.V[:, r:], snf_out.V_inv[r:, :]
+        snf = smith_normal_form(L @ c.map_from(p - c.shift))
         diag = tuple(snf.diagonal)
         torsion = tuple(int(d) for d in diag if d not in (0, 1))
         free_idx = [i for i, dv in enumerate(diag) if dv == 0]
-        free_idx += list(range(len(diag), k))
-        reps = (K @ snf.U_inv)[:, free_idx]
-        out.append(DegreeHomology(p, len(free_idx), torsion, reps, K,
-                                  snf.U, diag))
+        free_idx += list(range(len(diag), K.shape[1]))
+        out.append(DegreeHomology(p, len(free_idx), torsion,
+                                  (K @ snf.U_inv)[:, free_idx], d_out,
+                                  (snf.U @ L)[free_idx, :]))
     result = HomologyResult(c, out)
     _check_rank_nullity(c, result)
     return result
@@ -390,15 +366,18 @@ def _homology_mod2(c):
         k = c.dim(p) - rank_mod2(d_out)
         b = k - (rank_mod2(d_in) if d_in.size else 0)
         reps = np.zeros((c.dim(p), 0), dtype=object)
-        out.append(DegreeHomology(p, b, (), reps, reps, _eye(0), ()))
+        out.append(DegreeHomology(p, b, (), reps, d_out, reps.T))
     return HomologyResult(c, out)
 
 
 def _check_rank_nullity(c, result):
-    for p in c.degrees():
-        snf_out = smith_normal_form(c.map_from(p).copy())
-        snf_in = smith_normal_form(c.map_from(p - c.shift).copy())
-        expect = c.dim(p) - snf_out.rank - snf_in.rank
+    """The Betti numbers against the ranks of the maps themselves, each
+    map's rank taken once."""
+    degrees = c.degrees()
+    rank = {q: smith_normal_form(c.map_from(q)).rank
+            for q in set(degrees) | {p - c.shift for p in degrees}}
+    for p in degrees:
+        expect = c.dim(p) - rank[p] - rank[p - c.shift]
         got = result.betti(p)
         if expect != got:
             raise InternalInconsistencyError(

@@ -40,14 +40,15 @@ curves of recorded branch flows that start at their critical points and
 end at their limits (``curve_intersections``): the chords of the recorded
 polylines are the curves, and a chord hit is the crossing, since a count
 needs each crossing and its orientation, not the point to the last digit.
-Two families of curves are crossed in one pass over their branches'
-charts (``_chart``), every curve of one with every curve of the other,
-and the crossings are kept per curve pair (``Crossings``).  The pass
-charts only the segment pairs that can cross: the triangle inequality
-prunes blocks of segments by their anchors, then, in each kept block
-pair, each segment by the other block's anchor (``_curve_hits``), and
-the few near pairs are solved as arrays.  A family is laid once per call
-(``_family``).  The same pass checks the curves' ends and names the
+Two families of curves are crossed in one pass, every curve of one with
+every curve of the other, and the crossings are kept per curve pair
+(``Crossings``).  A family is laid once per call (``_family``), all its
+branches charted together: one displacement and one norm over their
+segments (``_lay``).  The pass charts only the segment pairs that can
+cross: the triangle inequality prunes blocks of segments by their
+anchors, then, in each kept block pair, each segment by the other
+block's anchor (``_curve_hits``), and the few near pairs are solved as
+arrays.  The same pass checks the curves' ends and names the
 ``DegenerateCrossingError`` of each pair whose curves meet at an end
 (``_end_errors``), which the pair raises only when it is read.  A
 figure-8 table crosses its three family pairs once; a single count or a
@@ -137,7 +138,7 @@ def flow_limit(system, x, direction=+1, what="flow"):
     flow records no nodes, and ends where the system's level trap for its
     direction proves its limit (``level_trap``, made once per call and
     kept in its store), short of the limit's ball."""
-    trap = _keep((system, direction, "trap"),
+    trap = _keep((level_trap, system, direction),
                  lambda: level_trap(system, direction))
     return _resolved(flow(system, x, direction, record=False, trap=trap),
                      what).limit
@@ -252,7 +253,7 @@ def branches(system, cp, direction):
     """The two branches of W^u(cp) (direction +1, one unstable direction)
     or W^s(cp) (direction -1, one stable direction) as curves, flown once
     per call and kept in its store (``_branch_flows``, ``_keep``)."""
-    return _keep((system, cp.name, direction), lambda: [
+    return _keep((branches, system, cp.name, direction), lambda: [
         Branch(system, np.concatenate([cp.point[None, :], res.points]),
                np.concatenate([[0.0], res.times]), res.limit, direction, side)
         for side, res in _branch_flows(system, cp, direction, True)])
@@ -271,10 +272,10 @@ def branch_ends(system, cp, direction):
     ends where the level trap proves its limit, anywhere below the
     second-lowest critical value, possibly at its start
     (``_branch_flows``), and no reader takes its ``x_end``."""
-    curves = _kept((system, cp.name, direction))
+    curves = _kept((branches, system, cp.name, direction))
     if curves is not None:
         return curves
-    return _keep((system, cp.name, direction, "ends"), lambda: [
+    return _keep((branch_ends, system, cp.name, direction), lambda: [
         BranchEnd(side, res.limit, res.x_end)
         for side, res in _branch_flows(system, cp, direction, False)])
 
@@ -287,39 +288,34 @@ _END_GAP = 1e-10
 # rounding allowance of the block tests
 _SLACK = 1e-9
 
-Chart = namedtuple("Chart", "d lengths anchors reaches")
-
-
-def _chart(man, R):
-    """The chart of the polyline R in ``man``: its segment displacements
-    ``d`` and ``lengths``, and for each run of ``_BLOCK`` consecutive
-    segments an anchor (its first node) and a reach (the summed length of
-    its segments, which bounds the distance from the anchor to each of
-    their points: |displacement| is a metric)."""
-    d = man.displacement(R[:-1], R[1:])
-    lengths = np.linalg.norm(d, axis=1)
-    starts = np.arange(0, len(lengths), _BLOCK)
-    return Chart(d, lengths, R[starts], np.add.reduceat(lengths, starts))
-
-
-# a curve's charts laid end to end with one segment numbering: ``firsts``
-# lists each polyline's first segment and the total, ``starts`` holds the
-# segment starts, and each block has its first segment, the end of its
+# a curve laid with one segment numbering: ``firsts`` lists each
+# polyline's first segment and the total, ``starts`` holds the segment
+# starts, ``d`` and ``lengths`` their displacements and lengths, and each
+# run of ``_BLOCK`` consecutive segments of one polyline, a block, has an
+# anchor (its first node), a reach (the summed length of its segments,
+# which bounds the distance from the anchor to each of their points:
+# |displacement| is a metric), its first segment, the end of its
 # polyline's segments (``stops``) and its polyline (``owners``)
 Laid = namedtuple("Laid", "firsts starts d lengths anchors reaches blocks "
                           "stops owners")
 
 
-def _lay(polylines):
-    """The ``Laid`` curve of (nodes, chart) pairs."""
-    firsts = np.cumsum([0] + [len(c.lengths) for _R, c in polylines])
+def _lay(man, polylines):
+    """The ``Laid`` curve of the polylines (node arrays) in ``man``, charted
+    in one pass: one displacement and one norm over every segment, and
+    one sum per block.  Each row's floats depend on its segment alone."""
+    firsts = np.cumsum([0] + [len(R) - 1 for R in polylines])
     blocks = [np.arange(f, e, _BLOCK) for f, e in zip(firsts, firsts[1:])]
     sizes = [len(b) for b in blocks]
     cat = np.concatenate
-    return Laid(firsts, cat([R[:-1] for R, _c in polylines]),
-                *(cat([c[k] for _R, c in polylines]) for k in range(4)),
-                cat(blocks), np.repeat(firsts[1:], sizes),
-                np.repeat(np.arange(len(blocks)), sizes))
+    starts = cat([R[:-1] for R in polylines])
+    d = man.displacement(starts, cat([R[1:] for R in polylines]))
+    lengths = np.linalg.norm(d, axis=1)
+    blocks = cat(blocks)
+    return Laid(firsts, starts, d, lengths, starts[blocks],
+                np.add.reduceat(lengths, blocks), blocks,
+                np.repeat(firsts[1:], sizes),
+                np.repeat(np.arange(len(sizes)), sizes))
 
 
 def _segments(laid, rows):
@@ -419,7 +415,7 @@ def _curve_hits(man, A, B):
 def _chord_hits(man, P, Q):
     """(i, j, s, u) for each crossing of the chords of the polylines P and
     Q, in (i, j) order: ``_curve_hits`` of two curves of one polyline."""
-    A, B = (_lay([(R, _chart(man, R))]) for R in (P, Q))
+    A, B = (_lay(man, [R]) for R in (P, Q))
     return [hit[2:] for hit in _curve_hits(man, A, B)]
 
 
@@ -455,18 +451,18 @@ Family = namedtuple("Family", "branches curve laid ends")
 
 
 def _family(man, curves):
-    """The ``Family`` of ``curves`` in ``man``, each branch charted
-    (``_chart``) and the family laid once per call, kept in its store by
-    the curves' branches (``_keep``): a figure-8 table crosses each of its
+    """The ``Family`` of ``curves`` in ``man``, its branches laid in one
+    chart pass (``_lay``) once per call and kept in its store by the
+    curves' branches (``_keep``): a figure-8 table crosses each of its
     three families with both of the others."""
     def lay():
         branches = [C for curve in curves for C in curve]
         return Family(branches, np.array([i for i, curve in enumerate(curves)
                                           for _C in curve], dtype=int),
-                      _lay([(C.x, _chart(man, C.x)) for C in branches]),
+                      _lay(man, [C.x for C in branches]),
                       np.concatenate([C.x[[0, -1]] for C in branches]))
 
-    return _keep(("family", man, *map(tuple, curves)), lay)
+    return _keep((_family, man, *map(tuple, curves)), lay)
 
 
 def _end_errors(man, fam_a, fam_b):
@@ -534,7 +530,7 @@ def curve_intersections(man, curves_a, curves_b):
     meets each of ``curves_b`` on the surface ``man``, as ``Crossings``.
 
     The curves are the chords of their polylines, crossed wrap-aware:
-    each family is laid once on its branches' charts, and one pass
+    each family is laid once, in one chart pass (``_lay``), and one pass
     crosses every branch of a with every branch of b (``_curve_hits``),
     polyline pair first.  One end check covers every pair of the
     families and names each pair's error (``_end_errors``); a pair that
@@ -691,7 +687,7 @@ def _level_point(system, cp, direction, c, t):
         return (None if res.limit is not None else
                 _level_read(system, res, direction, c, cp.name)[0])
 
-    return _keep((system, "level", cp.name, direction, c, t), read)
+    return _keep((_level_point, system, cp.name, direction, c, t), read)
 
 
 LevelCurve = namedtuple("LevelCurve", "t points whole")
@@ -805,7 +801,7 @@ def _level_lines(system, x_cp, y_cp, k):
                                                  y_cp, dir_x, dir_y)))
         return out
 
-    return _keep((system, "lines", x_cp.name, y_cp.name, k), lines)
+    return _keep((_level_lines, system, x_cp.name, y_cp.name, k), lines)
 
 
 def _joined_line(system, x_cp, y_cp, u, v):
@@ -897,7 +893,9 @@ def _kept(key):
 
 def _keep(key, make):
     """``make()``, kept in the open ``keeping`` block's store by ``key``
-    and made once per block; outside any block, made on every call."""
+    and made once per block; outside any block, made on every call.  A
+    key starts with the function that makes the value, then what it was
+    made of, so two makers never share a key."""
     store = _KEPT.get()
     if store is None:
         return make()

@@ -615,7 +615,7 @@ def _catalog(system):
                        {k: tuple(cps) for k, cps in by_index.items()},
                        {cp.name: i for i, cp in enumerate(by_index.get(1, ()))})
 
-    return _keep((system, "catalog"), read)
+    return _keep((_catalog, system), read)
 
 
 def _point(system, name):
@@ -628,7 +628,7 @@ def _point(system, name):
 def _class(system, cp):
     """``orientation_class`` of cp of the label ``system``, read once per
     call and kept in its store."""
-    return _keep((system, "class", cp.name),
+    return _keep((_class, system, cp.name),
                  lambda: orientation_class(system.manifold, cp))
 
 
@@ -644,7 +644,7 @@ def expected_dimension(problem, input_names, output_names):
 
 def _degree_shift(problem):
     """chi(graph) * dim(M), read once per call."""
-    return _keep((problem, "chi"), problem.chi_times_dim)
+    return _keep((_degree_shift, problem), problem.chi_times_dim)
 
 
 def graph_flow_count(problem, inputs, output, edge_time=0.0):
@@ -699,7 +699,7 @@ def _curve(problem, system, cp, R):
     if system is not problem.outgoing[0]:
         return branches(system, cp, +1)
     stable = branches(system, cp, -1)
-    return stable if not R else _keep((problem, cp.name, R), lambda: [
+    return stable if not R else _keep((_curve, problem, cp.name, R), lambda: [
         b.mapped(lambda y: _aux_time_map(problem, y, R, direction=-1))
         for b in stable])
 
@@ -712,7 +712,7 @@ def _crossings(problem, R, a, b):
     of in1 with W^u of in2 or either with W^s of out, once, and every
     read takes its pair off them; elsewhere a and b are crossed as
     one-curve families."""
-    families = _kept((problem, "families", R))
+    families = _kept((operation_table, problem, R))
     if families is None:
         return curve_intersections(problem.manifold, [_curve(problem, *a, R)],
                                    [_curve(problem, *b, R)])[0, 0]
@@ -864,7 +864,7 @@ def operation_table(problem, edge_time=0.0):
     E1, E2 = problem.incoming
     table = {}
     with keeping():
-        _keep((problem, "families", edge_time), dict)
+        _keep((operation_table, problem, edge_time), dict)
         for n1 in _catalog(E1).point:
             for n2 in _catalog(E2).point:
                 table[(n1, n2)] = diagram_flow_operation(

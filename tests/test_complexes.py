@@ -12,10 +12,12 @@ from morseflow.complexes import (
     kernel_basis,
     rank_mod2,
     smith_normal_form,
-    solve_integer,
     split_complex,
 )
+import morseflow.complexes as complexes
+from morseflow.counting import boundary_operator
 from morseflow.errors import AdmissibilityError
+from morseflow.geometry import sphere_band, torus_cosine
 
 from oracles import (
     s2xs2_complex,
@@ -125,11 +127,39 @@ class TestSmithNormalForm:
         assert K.shape == (3, 2)
         assert np.array_equal(A @ K, np.zeros((2, 2), dtype=object))
 
-    def test_solve_integer(self):
-        K = np.array([[2, 1], [0, 3], [1, 0]], dtype=object)
-        X = np.array([[1, -2], [3, 0]], dtype=object)
-        B = K @ X
-        assert np.array_equal(solve_integer(K, B), X)
+    def test_v_inverse_and_kernel_left_inverse(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            m, n = (int(v) for v in rng.integers(1, 6, size=2))
+            A = rng.integers(-4, 5, size=(m, n)) * rng.integers(0, 2, size=n)
+            snf = smith_normal_form(A)
+            assert np.array_equal(snf.V @ snf.V_inv, np.eye(n, dtype=object))
+            r = snf.rank
+            K, L = snf.V[:, r:], snf.V_inv[r:, :]
+            assert np.array_equal(A @ K, np.zeros((m, n - r), dtype=object))
+            assert np.array_equal(L @ K, np.eye(n - r, dtype=object))
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: torus_cosine(2, [1.0, 0.7]), 10),
+        (lambda: torus_cosine(3, [1.0, 0.7, 0.55]), 13),
+        (lambda: sphere_band(2), 10),
+    ], ids=["t2", "t3", "sphere-band"])
+    def test_one_smith_form_per_differential(self, monkeypatch, make,
+                                             count):
+        # a degree's kernel, the left inverse of its basis and the image
+        # coordinates come from one Smith form of its outgoing map, and
+        # one of the image coordinates; the rank-nullity check takes one
+        # per map
+        cx = boundary_operator(make())
+        real, calls = complexes.smith_normal_form, []
+
+        def counted(A):
+            calls.append(np.shape(A))
+            return real(A)
+
+        monkeypatch.setattr(complexes, "smith_normal_form", counted)
+        homology(cx)
+        assert len(calls) == count, calls
 
 
 class TestOracleComplexes:

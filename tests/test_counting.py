@@ -830,11 +830,11 @@ class TestLineSet:
                 assert assert_single_axis_lines(
                     system, k, angle=2e-4 * (48 / k) ** 2) == 12
 
-    @pytest.mark.parametrize("i", range(3, 8))
+    @pytest.mark.parametrize("i", range(3, 20))
     def test_later_phased_t3_draws(self, i):
-        # phased draws 3 to 7 of default_rng(11), as ``test_phased_t3_draws``
-        # pins the first three: one store per draw, so the doubled run
-        # reads the level points of the first
+        # phased draws 3 to 19 of default_rng(11), as
+        # ``test_phased_t3_draws`` pins the first three: one store per
+        # draw, so the doubled run reads the level points of the first
         system = phased_t3_draw(i)
         with counting.keeping():
             for k in (48, 96):
@@ -1013,7 +1013,7 @@ def two_branch_curve(man, rng, n, m, scale):
 
 
 def laid(man, curve):
-    return counting._lay([(R, counting._chart(man, R)) for R in curve])
+    return counting._lay(man, curve)
 
 
 def as_branches(man, curve, system):
@@ -1213,13 +1213,13 @@ class TestChordSearch:
         man = self.MANIFOLDS[surface]
         rng = np.random.default_rng(seed)
         Q = chord_walk(man, rng, n, scale)
-        chart = counting._chart(man, Q)
+        chart = counting._lay(man, [Q])
         J = int(rng.integers(len(chart.anchors)))
         a, reach = chart.anchors[J], chart.reaches[J]
         # spikes well inside the torus's wrap and the sphere's diameter
         assume(reach + scale < 1.0)
         P = edge_spikes(man, rng, a, reach + offset, count, scale)
-        ins = counting._chart(man, P).lengths[::2]
+        ins = counting._lay(man, [P]).lengths[::2]
         assert np.linalg.norm(man.displacement(P[::2], a), axis=1) \
             == pytest.approx(ins + reach + offset, rel=0.0, abs=1e-14)
         assert bits(counting._chord_hits(man, P, Q)) == \

@@ -114,6 +114,17 @@ class TestManifolds:
         assert np.allclose(b.T @ x, 0, atol=1e-12)
 
 
+def plain_wells(n, amplitudes, phases):
+    """``torus_cosine``'s system rebuilt on its wells as a plain function
+    with no ``hessian``, so that its catalog differences the gradient
+    (``systems._covariant_hessian``)."""
+    t = torus_cosine(n, amplitudes, phases=phases)
+    wells = t.f
+    return MorseSystem(t.manifold, lambda p: wells(p), wells.grad, [
+        CriticalPoint(cp.name, cp.point, cp.index)
+        for cp in t.critical_points], name=t.name)
+
+
 class TestCentralDifferences:
     """``ManifoldModel.central_differences`` against closed forms."""
 
@@ -160,7 +171,8 @@ class TestCentralDifferences:
         lambda: torus_cosine(2, [1.0, 0.7], phases=[0.4, 1.3]),
         lambda: torus_cosine(2, [1.0, 0.7], perturb=0.05, seed=3),
         lambda: torus_cosine(3, [1.0, 0.7, 0.55]),
-    ], ids=["t2", "t2-phased", "t2-perturbed", "t3"])
+        lambda: plain_wells(2, [1.0, 0.7], [0.4, 1.3]),
+    ], ids=["t2", "t2-phased", "t2-perturbed", "t3", "t2-no-hessian"])
     def test_catalogs_equal_the_column_loop(self, monkeypatch, make):
         # on a torus B = I, so B^T D rounds as the column loop does: the
         # catalog keeps every bit

@@ -21,6 +21,7 @@ from morseflow.fatgraph import ChordDiagram, FatGraph
 from morseflow.geometry import (
     CriticalPoint,
     MorseSystem,
+    product_system,
     sphere_band,
     sphere_height,
     torus_cosine,
@@ -826,14 +827,14 @@ class TestDiagramOperation:
         # a table charts the two branches of W^u of each input's saddles
         # and of W^s of the output's saddles, once each; a complex crosses
         # no curves and charts nothing
-        real = counting._chart
+        real = counting._lay
         charted = []
 
-        def counted(man, R):
-            charted.append(R)
-            return real(man, R)
+        def counted(man, polylines):
+            charted.extend(polylines)
+            return real(man, polylines)
 
-        monkeypatch.setattr(counting, "_chart", counted)
+        monkeypatch.setattr(counting, "_lay", counted)
         operation_table(phased_problem(CRITERION7_PHASES))
         assert len(charted) == 12
         assert len({id(R) for R in charted}) == 12
@@ -889,6 +890,24 @@ class TestDiagramOperation:
                 call()
         assert len(set(once)) == len(once) and flights == once
         assert pulled.count(-1) < 2 * pullbacks
+
+    def test_point_names_do_not_share_store_keys(self):
+        # the outgoing saddle x10 renamed "families": its pulled-back
+        # curve and the table's family crossings are kept apart, and the
+        # table is its twin's with the point renamed
+        problem = phased_problem(CRITERION7_PHASES)
+        out = problem.outgoing[0]
+        renamed = MorseSystem(out.manifold, out.f, None, [
+            CriticalPoint("families" if cp.name == "x10" else cp.name,
+                          cp.point, cp.index)
+            for cp in out.critical_points], name=out.name)
+        twin = FlowGraphProblem(figure8_diagram(), problem.incoming,
+                                [renamed])
+        table = operation_table(twin, edge_time=1.0)
+        assert {pair: {"x10" if name == "families" else name: v
+                       for name, v in counts.items()}
+                for pair, counts in table.items()} == \
+            operation_table(problem, edge_time=1.0)
 
     def test_unit_is_fundamental_class(self, nu_table):
         for x in ("x00", "x10", "x01", "x11"):
@@ -1158,3 +1177,53 @@ class TestTrappedLimitReads:
         monkeypatch.setattr(counting, "flow", spy)
         operation_table(phased_problem(CRITERION7_PHASES), edge_time=1.0)
         assert classifying and None not in classifying
+
+
+def step_control_outputs():
+    """The integer outputs of the step-control check: each complex's
+    matrices and its number of lines per pair, the band pair's matrices
+    and connecting maps, and the criterion-7 tables at R = 0 and 1."""
+    systems = [torus_cosine(2, [1.0, a]) for a in (0.6, 0.7, 0.8, 0.85)]
+    systems += [torus_cosine(3, [1.0, 0.7, 0.55]),
+                torus_cosine(3, [1.0, 0.7, 0.55], phases=[0.3, 1.1, 2.0]),
+                product_system(torus_cosine(1, [1.0]), sphere_band(2))]
+    out = []
+    for system in systems:
+        with counting.keeping():
+            out.append((matrices(boundary_operator(system).maps), {
+                (x.name, y.name): len(counting.find_connections(system, x,
+                                                                y))
+                for x in system.critical_points
+                for y in system.by_index(x.index - 1)}))
+    pair = counting.relative_complex(sphere_band(2),
+                                     counting.band_region(0.25))
+    out.append(([matrices(c.maps) for c in (pair.total, pair.sub,
+                                             pair.quotient)],
+                [pair.connecting_map(p).astype(int).tolist()
+                 for p in (1, 2)]))
+    problem = phased_problem(CRITERION7_PHASES)
+    return out + [operation_table(problem, edge_time=R) for R in (0.0, 1.0)]
+
+
+class TestStepControl:
+    """No integer output rests on a trajectory's last bits."""
+
+    def test_integer_outputs_survive_perturbed_step_control(self,
+                                                            monkeypatch):
+        # RTOL 1e-9 -> 1.3e-9 and H_INIT 1e-3 -> 0.9e-3 move every
+        # adaptive trajectory, and no count, matrix or table
+        F = sys.modules["morseflow.geometry.flow"]
+        real, steps = F.integrate, []
+
+        def integrate(*args, **kwargs):
+            res = real(*args, **kwargs)
+            steps.append(res.steps)
+            return res
+
+        monkeypatch.setattr(F, "integrate", integrate)
+        want, base = step_control_outputs(), list(steps)
+        steps.clear()
+        monkeypatch.setattr(F, "RTOL", 1.3e-9)
+        monkeypatch.setattr(F, "H_INIT", 0.9e-3)
+        assert step_control_outputs() == want
+        assert steps != base
