@@ -8,6 +8,7 @@ cubic-time normal form comfortably cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,9 +64,12 @@ class SmithForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(A):
-    """Exact Smith normal form over the integers with transform tracking."""
-    A = _as_int_matrix(A)
+def smith_normal_form(A, ring=RING_Z):
+    """Exact Smith normal form with transform tracking, over the integers
+    or, for ``ring`` Z/2, over the field of two elements: there the entries
+    are kept mod 2, each row or column addition reduces what it touches,
+    and every pivot is 1."""
+    A = _reduce(_as_int_matrix(A), ring)
     m, n = A.shape
     U, U_inv = _eye(m), _eye(m)
     V, V_inv = _eye(n), _eye(n)
@@ -81,14 +85,14 @@ def smith_normal_form(A):
         V_inv[[i, j], :] = V_inv[[j, i], :]
 
     def row_add(src, dst, q):  # row_dst += q * row_src
-        A[dst, :] += q * A[src, :]
-        U[dst, :] += q * U[src, :]
-        U_inv[:, src] -= q * U_inv[:, dst]
+        A[dst, :] = _reduce(A[dst, :] + q * A[src, :], ring)
+        U[dst, :] = _reduce(U[dst, :] + q * U[src, :], ring)
+        U_inv[:, src] = _reduce(U_inv[:, src] - q * U_inv[:, dst], ring)
 
     def col_add(src, dst, q):
-        A[:, dst] += q * A[:, src]
-        V[:, dst] += q * V[:, src]
-        V_inv[src, :] -= q * V_inv[dst, :]
+        A[:, dst] = _reduce(A[:, dst] + q * A[:, src], ring)
+        V[:, dst] = _reduce(V[:, dst] + q * V[:, src], ring)
+        V_inv[src, :] = _reduce(V_inv[src, :] - q * V_inv[dst, :], ring)
 
     def row_negate(i):
         A[i, :] *= -1
@@ -152,38 +156,10 @@ def kernel_basis(A):
     return snf.V[:, snf.rank:]
 
 
-# -- GF(2) utilities ----------------------------------------------------------
-
-def _mod2(a):
-    out = _as_int_matrix(a)
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            out[i, j] = int(out[i, j]) % 2
-    return out
-
-
-def rank_mod2(A):
-    A = _mod2(A)
-    m, n = A.shape
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if A[i, col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[row, piv], :] = A[[piv, row], :]
-        for i in range(m):
-            if i != row and A[i, col]:
-                A[i, :] = (A[i, :] + A[row, :]) % 2
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+def _reduce(m, ring):
+    """An array of Python ints as it is over the integers, and its entries
+    mod 2 over Z/2."""
+    return m % 2 if ring == RING_Z2 else m
 
 
 # -- graded complexes ---------------------------------------------------------
@@ -208,10 +184,8 @@ class GradedComplex:
         self.maps = {}
         for p, mat in maps.items():
             p = int(p)
-            mat = _as_int_matrix(mat, rows=self.dim(p + self.shift),
-                                 cols=self.dim(p))
-            if self.ring == RING_Z2:
-                mat = _mod2(mat)
+            mat = _reduce(_as_int_matrix(mat, rows=self.dim(p + self.shift),
+                                         cols=self.dim(p)), ring)
             expected = (self.dim(p + self.shift), self.dim(p))
             if mat.shape != expected:
                 raise InternalInconsistencyError(
@@ -245,17 +219,13 @@ class GradedComplex:
     def check_square_zero(self):
         for p in list(self.maps):
             m2 = self.map_from(p + self.shift) @ self.map_from(p)
-            if self.ring == RING_Z2:
-                bad = any(int(x) % 2 for x in m2.flat)
-            else:
-                bad = any(int(x) for x in m2.flat)
-            if m2.size and bad:
+            if any(int(x) for x in _reduce(m2, self.ring).flat):
                 raise InternalInconsistencyError(
                     "composite of maps out of degree %d is nonzero" % p)
 
     def to_mod2(self):
         return GradedComplex(self.generators,
-                             {p: _mod2(m) for p, m in self.maps.items()},
+                             {p: m % 2 for p, m in self.maps.items()},
                              ring=RING_Z2, shift=self.shift, check=False)
 
     def dual(self):
@@ -316,10 +286,12 @@ class HomologyResult:
         if p not in self.data:
             return np.zeros((0,), dtype=object)
         d = self.data[p]
+        ring = self.complex.ring
         vec = _as_int_matrix(np.array(vector, dtype=object).reshape(-1, 1))
-        if any(int(x) for x in (d.boundary @ vec).flat):
+        if any(int(x) for x in _reduce(d.boundary @ vec, ring).flat):
             raise InternalInconsistencyError("vector is not a cycle")
-        return np.array([int(x) for x in (d.coordinates @ vec).flat],
+        return np.array([int(x) for x in
+                         _reduce(d.coordinates @ vec, ring).flat],
                         dtype=object)
 
     def __repr__(self):
@@ -328,53 +300,44 @@ class HomologyResult:
 
 
 def homology(c):
-    """Homology (or cohomology, for shift=+1) with torsion and witnesses.
+    """Homology (or cohomology, for shift=+1) over the complex's ring, with
+    torsion and witnesses.
 
     One Smith form of each degree's outgoing map d_out gives its kernel K
     and a left inverse L of K (``SmithForm``).  The incoming map lands in
     ker(d_out), so its image has the coordinates X = L @ d_in in K, and the
     Smith form X = U^-1 D V^-1 gives the torsion (D's entries above 1) and
     the free part (its zero columns and those past D): representatives K
-    @ U^-1 and a cycle's class coordinates U @ L, on those rows.
+    @ U^-1 and a cycle's class coordinates U @ L, on those rows.  Over Z/2
+    the same elimination runs mod 2, so every pivot is 1 and there is no
+    torsion, and the representatives and coordinates are reduced mod 2.
     """
-    if c.ring == RING_Z2:
-        return _homology_mod2(c)
+    ring = c.ring
     out = []
     for p in c.degrees():
         d_out = c.map_from(p)
-        snf_out = smith_normal_form(d_out)
+        snf_out = smith_normal_form(d_out, ring)
         r = snf_out.rank
         K, L = snf_out.V[:, r:], snf_out.V_inv[r:, :]
-        snf = smith_normal_form(L @ c.map_from(p - c.shift))
+        snf = smith_normal_form(L @ c.map_from(p - c.shift), ring)
         diag = tuple(snf.diagonal)
         torsion = tuple(int(d) for d in diag if d not in (0, 1))
         free_idx = [i for i, dv in enumerate(diag) if dv == 0]
         free_idx += list(range(len(diag), K.shape[1]))
-        out.append(DegreeHomology(p, len(free_idx), torsion,
-                                  (K @ snf.U_inv)[:, free_idx], d_out,
-                                  (snf.U @ L)[free_idx, :]))
+        out.append(DegreeHomology(
+            p, len(free_idx), torsion,
+            _reduce((K @ snf.U_inv)[:, free_idx], ring), d_out,
+            _reduce((snf.U @ L)[free_idx, :], ring)))
     result = HomologyResult(c, out)
     _check_rank_nullity(c, result)
     return result
-
-
-def _homology_mod2(c):
-    out = []
-    for p in c.degrees():
-        d_out = c.map_from(p)
-        d_in = c.map_from(p - c.shift)
-        k = c.dim(p) - rank_mod2(d_out)
-        b = k - (rank_mod2(d_in) if d_in.size else 0)
-        reps = np.zeros((c.dim(p), 0), dtype=object)
-        out.append(DegreeHomology(p, b, (), reps, d_out, reps.T))
-    return HomologyResult(c, out)
 
 
 def _check_rank_nullity(c, result):
     """The Betti numbers against the ranks of the maps themselves, each
     map's rank taken once."""
     degrees = c.degrees()
-    rank = {q: smith_normal_form(c.map_from(q)).rank
+    rank = {q: smith_normal_form(c.map_from(q), c.ring).rank
             for q in set(degrees) | {p - c.shift for p in degrees}}
     for p in degrees:
         expect = c.dim(p) - rank[p] - rank[p - c.shift]
@@ -397,28 +360,33 @@ class RelativePair:
     sub_indices: dict       # degree -> tuple of generator positions in total
     quotient_indices: dict
 
+    @cached_property
+    def sub_homology(self):
+        return homology(self.sub)
+
+    @cached_property
+    def quotient_homology(self):
+        return homology(self.quotient)
+
     def connecting_map(self, p):
         """Snake-lemma map H_p(quotient) -> H_{p-1}(sub) on free parts."""
-        sub_homology = homology(self.sub)
-        reps = homology(self.quotient).representatives(p)
+        reps = self.quotient_homology.representatives(p)
+        sub = list(self.sub_indices.get(p - 1, ()))
         cols = []
         for jcol in range(reps.shape[1]):
             lift = np.zeros((self.total.dim(p), 1), dtype=object)
-            for i, j in enumerate(self.quotient_indices.get(p, ())):
-                lift[j, 0] = reps[i, jcol]
-            dz = self.total.map_from(p) @ lift
+            lift[list(self.quotient_indices.get(p, ())), 0] = reps[:, jcol]
+            dz = _reduce(self.total.map_from(p) @ lift, self.total.ring)
             # boundary of the lift must live in the subcomplex
-            sub_pos = set(self.sub_indices.get(p - 1, ()))
-            vec = []
-            for j in self.sub_indices.get(p - 1, ()):
-                vec.append(int(dz[j, 0]))
-            for j in range(self.total.dim(p - 1)):
-                if j not in sub_pos and int(dz[j, 0]) != 0:
-                    raise InternalInconsistencyError(
-                        "lifted boundary escapes the subcomplex")
-            cols.append(sub_homology.class_coordinates(p - 1, vec))
+            if any(int(dz[j, 0]) for j in range(self.total.dim(p - 1))
+                   if j not in sub):
+                raise InternalInconsistencyError(
+                    "lifted boundary escapes the subcomplex")
+            cols.append(self.sub_homology.class_coordinates(
+                p - 1, [int(dz[j, 0]) for j in sub]))
         if not cols:
-            return np.zeros((sub_homology.betti(p - 1), 0), dtype=object)
+            return np.zeros((self.sub_homology.betti(p - 1), 0),
+                            dtype=object)
         return np.stack(cols, axis=1)
 
 

@@ -190,19 +190,23 @@ class Branch:
         return own.project(p0 + theta * own.displacement(p0,
                                                          self.nodes[k + 1]))
 
-    def tangent(self, k, theta, man=None):
+    def tangent(self, k, theta, man=None, point=None):
         """The eigenvector, oriented, carried along the flow to the point at
         theta on segment k, as a one-column frame: side times the unit
         velocity there, since the linearised flow carries the velocity to
         itself and the branch leaves its point along side times the
         eigenvector.  The velocity is the system's float field kernel of
         the branch's direction, which gives ``direction * field`` bit for
-        bit.  A branch with an image takes it in the image's manifold
-        ``man``: side times the unit chord of the image's segment k on the
-        tangent plane there, as the image keeps the order of the nodes."""
+        bit, at ``point`` when the caller holds ``self.point(k, theta)``
+        (a ``Crossing``'s point on its a-side).  A branch with an image
+        takes it in the image's manifold ``man``: side times the unit
+        chord of the image's segment k on the tangent plane there, as the
+        image keeps the order of the nodes."""
         if self.image is None:
             field = self.system.float_kernels(self.direction)[0]
-            v = np.array(field(self.point(k, theta).tolist()))
+            if point is None:
+                point = self.point(k, theta)
+            v = np.array(field(point.tolist()))
         else:
             v = man.displacement(self.x[k], self.x[k + 1])
             v = man.tangent_project(man.project(self.x[k] + theta * v), v)
@@ -978,50 +982,55 @@ def cap_region(c):
                           name="cap<%g" % c)
 
 
+BOUNDARY_SAMPLES = 512  # seeded points projected onto a region's boundary
+
+
 def check_region_admissible(system, region):
     """Verify the outward-gradient condition on the region boundary.
 
-    Flows from 40 random seeds; every crossing of {aux = level} must be
-    transverse and entering (descending flows may only move into the
-    region).  Critical points must stay clear of the boundary.  The
-    gradient of ``region.aux`` is its central differences along the axes.
+    Critical points must stay 0.001 clear of {aux = level}.  On it, grad
+    f must point out of the region, transversally, so descending flows
+    only enter it: <grad f, a> >= 1e-6, with a the tangent part of the
+    central differences of ``region.aux`` along the axes.  That is
+    checked at ``BOUNDARY_SAMPLES`` seeded points, each Newton-projected
+    onto the boundary, z <- project(z - (aux(z) - level) a / |a|^2); a
+    point whose a vanishes (the whole empty region) or that does not
+    converge is skipped.  A refusal names the region, the boundary point
+    of least margin and that margin.
     """
     man = system.manifold
     for cp in system.critical_points:
         if abs(region.signed_coordinate(cp.point)) < 1e-3:
             raise AdmissibilityError(
                 "critical point %s lies within 0.001 of the region boundary"
-                % cp.name)
+                % cp.name, region=region.name, point=cp.point.tolist())
+    frame = np.eye(man.coord_dim)
     rng = np.random.default_rng(0)
-    crossings = 0
-    for _ in range(40):
-        x = man.random_point(rng)
-        res = flow(system, x, +1, record=True)
-        vals = [region.signed_coordinate(p) for p in res.points]
-        for i in range(len(vals) - 1):
-            if vals[i] == 0.0:
-                continue
-            if vals[i] * vals[i + 1] < 0:
-                crossings += 1
-                if vals[i] < 0:  # leaving the region along a descending flow
-                    raise AdmissibilityError(
-                        "gradient points into the region at a boundary "
-                        "crossing (flow exited %s)" % region.name)
-                mid = man.project(0.5 * (res.points[i] + res.points[i + 1]))
-                g = man.tangent_project(mid, system.grad(mid))
-                a = man.tangent_project(mid, man.central_differences(
-                    region.aux, mid, np.eye(man.coord_dim))[0])
-                if float(np.dot(g, a)) < 1e-6:
-                    raise AdmissibilityError(
-                        "gradient not outward-transverse on the boundary "
-                        "of %s" % region.name)
-    return crossings
+    worst = (1e-6, None)
+    for _ in range(BOUNDARY_SAMPLES):
+        z = man.random_point(rng)
+        for _ in range(50):
+            a = man.tangent_project(z, man.central_differences(
+                region.aux, z, frame)[0])
+            if not a.any():
+                break
+            r = region.signed_coordinate(z)
+            if abs(r) < 1e-12:
+                worst = min(worst, (float(np.dot(system.grad(z), a)), z),
+                            key=lambda w: w[0])
+                break
+            z = man.project(z - (r / np.dot(a, a)) * a)
+    margin, z = worst
+    if z is not None:
+        raise AdmissibilityError(
+            "gradient not outward-transverse on the boundary of %s: margin "
+            "%.3g at %s" % (region.name, margin, np.round(z, 6).tolist()),
+            region=region.name, point=z.tolist(), margin=margin)
 
 
 def relative_complex(system, region, ring=RING_Z):
     """Split the Morse complex along the region; returns a RelativePair."""
-    if region.name != "empty":
-        check_region_admissible(system, region)
+    check_region_admissible(system, region)
     total = boundary_operator(system, ring=ring)
     members = {cp.name: region.contains(cp.point)
                for cp in system.critical_points}
@@ -1124,7 +1133,7 @@ def hybrid_entry(sys_f, sys_g, m_cp, m2_cp, image=None):
             [branches(sys_g, m2_cp, -1)])[0, 0]:
         total += orientation_sign(
             man.oriented_tangent_basis(c.b.point(c.l, c.u)),
-            np.hstack([c.a.tangent(c.k, c.theta, man),
+            np.hstack([c.a.tangent(c.k, c.theta, man, c.point),
                        c.b.tangent(c.l, c.u)]),
             floor=1e-8) * orientation_class(man, m2_cp)
     return total

@@ -118,5 +118,12 @@ class OrientationError(MorseflowError):
 
 
 class AdmissibilityError(MorseflowError):
-    """A relative region or function pair fails its gradient condition."""
+    """A relative region or function pair fails its gradient condition.
+    A region's refusal names it in ``region`` and gives the offending
+    ``point``: a critical point too near its boundary, or the boundary
+    point of least ``margin`` <grad f, grad aux>."""
     code = 3
+
+    def __init__(self, message, region=None, point=None, margin=None):
+        super().__init__(message)
+        self.region, self.point, self.margin = region, point, margin

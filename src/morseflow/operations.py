@@ -302,7 +302,7 @@ def _umkehr_crossings_d1(emb, m_cp, p_cp):
         # components off it
         S = emb.push_frame(zeta, dom.manifold.tangent_basis(zeta))
         total += orientation_sign(
-            np.hstack([c.a.tangent(c.k, c.theta), S]),
+            np.hstack([c.a.tangent(c.k, c.theta, point=c.point), S]),
             np.hstack([_image_frame(emb, p_cp, zeta, c.point), S]),
             floor=1e-8)
     return total
@@ -755,7 +755,7 @@ def _find_configurations(problem, a1, a2, a3, R):
     if (i1, i2) == (1, 1):
         # the two unstable curves do not depend on R; the outgoing
         # minimum is checked after the R-flow
-        return [(c.point, {E1: c.a.tangent(c.k, c.theta),
+        return [(c.point, {E1: c.a.tangent(c.k, c.theta, point=c.point),
                            E2: c.b.tangent(c.l, c.u)})
                 for c in _crossings(problem, R, (E1, a1), (E2, a2))
                 if _flows_into(E3, _aux_time_map(problem, c.point, R), a3)]
@@ -765,7 +765,8 @@ def _find_configurations(problem, a1, a2, a3, R):
         # chord of the pulled-back segment
         curve_sys, curve_cp = (E2, a2) if i2 == 1 else (E1, a1)
         other_sys, other_cp = (E1, a1) if i2 == 1 else (E2, a2)
-        return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta),
+        return [(c.point, {curve_sys: c.a.tangent(c.k, c.theta,
+                                                       point=c.point),
                            E3: c.b.tangent(c.l, c.u, man)})
                 for c in _crossings(problem, R, (curve_sys, curve_cp),
                                     (E3, a3))

@@ -604,6 +604,21 @@ class TestHomologyCommand:
         sub = data["blocks"]["subcomplex"]["betti"]
         assert (sub["0"], sub["1"]) == (1, 1)
 
+    def test_inadmissible_region_names_its_worst_point(self, capsys,
+                                                       tmp_path):
+        # on the band the lower cap's boundary has grad f pointing in
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text(BAND_CFG)
+        code, out, err = run(capsys, "--json", "homology", str(cfg),
+                             "--relative", "cap:-0.5")
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "AdmissibilityError"
+        fields = error["fields"]
+        assert fields["region"] == "cap<-0.5"
+        assert fields["margin"] < 0
+        assert fields["point"][-1] == pytest.approx(-0.5)
+
     def test_relative_empty(self, capsys, torus_cfg):
         # the empty region takes no admissibility check: the quotient is
         # the whole complex and the subcomplex has no generator

@@ -5,12 +5,12 @@ import pytest
 
 from morseflow.complexes import (
     GradedComplex,
+    RING_Z,
     RING_Z2,
     chain_map_defect,
     cochain_complex,
     homology,
     kernel_basis,
-    rank_mod2,
     smith_normal_form,
     split_complex,
 )
@@ -153,9 +153,9 @@ class TestSmithNormalForm:
         cx = boundary_operator(make())
         real, calls = complexes.smith_normal_form, []
 
-        def counted(A):
+        def counted(A, ring=RING_Z):
             calls.append(np.shape(A))
-            return real(A)
+            return real(A, ring)
 
         monkeypatch.setattr(complexes, "smith_normal_form", counted)
         homology(cx)
@@ -228,8 +228,28 @@ class TestCochain:
 
 class TestMod2:
     def test_rank_mod2(self):
-        assert rank_mod2(np.array([[1, 1], [1, 1]], dtype=object)) == 1
-        assert rank_mod2(np.array([[2, 4], [6, 8]], dtype=object)) == 0
+        assert smith_normal_form(np.array([[1, 1], [1, 1]], dtype=object),
+                                 RING_Z2).rank == 1
+        assert smith_normal_form(np.array([[2, 4], [6, 8]], dtype=object),
+                                 RING_Z2).rank == 0
+
+    def test_mod2_smith_form(self):
+        # U A V = D mod 2, with U and V invertible mod 2; the rank is the
+        # number of odd invariant factors of A over the integers
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m, n = (int(v) for v in rng.integers(1, 6, size=2))
+            A = rng.integers(-4, 5, size=(m, n))
+            snf = smith_normal_form(A, RING_Z2)
+            assert set(snf.D.flat) <= {0, 1}
+            assert sum(snf.D.flat) == snf.rank      # D is diagonal
+            assert np.array_equal((snf.U @ A @ snf.V) % 2, snf.D)
+            assert np.array_equal((snf.U @ snf.U_inv) % 2,
+                                  np.eye(m, dtype=object))
+            assert np.array_equal((snf.V @ snf.V_inv) % 2,
+                                  np.eye(n, dtype=object))
+            odd = sum(1 for d in smith_normal_form(A).diagonal if d % 2)
+            assert snf.rank == odd
 
     def test_mod2_reduction_matches(self):
         c = torus_delta_complex()

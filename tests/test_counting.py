@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from morseflow.complexes import (
     homology,
 )
 from morseflow.counting import (
+    SublevelRegion,
     band_region,
     boundary_operator,
     branches,
@@ -27,6 +29,7 @@ from morseflow.counting import (
     orientation_class,
     relative_complex,
 )
+import morseflow.complexes as complexes
 import morseflow.counting as counting
 from morseflow.cli import main
 from morseflow.errors import (
@@ -1376,6 +1379,46 @@ class TestRelative:
         assert delta.shape == (1, 2)
         entries = sorted(abs(int(x)) for x in delta.flat)
         assert entries == [1, 1]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_connecting_map_mod2_is_the_integer_map_reduced(self, band2, p):
+        # the Z/2 pair runs the integer elimination mod 2, so its
+        # connecting map is the integer one reduced, [[1, 1]] at p = 2
+        whole = relative_complex(band2, band_region(0.25)).connecting_map(p)
+        mod2 = relative_complex(band2, band_region(0.25),
+                                ring=RING_Z2).connecting_map(p)
+        assert mod2.shape == whole.shape
+        assert [int(x) % 2 for x in whole.flat] == [int(x)
+                                                   for x in mod2.flat]
+
+    def test_bad_patch_between_flows_is_refused(self, band2):
+        # the rim band with a notch near longitude pi/2: on the notch's
+        # sides the gradient points into the region (margin about -0.2),
+        # on a patch of the boundary too narrow for a sample of flows
+        def aux(x):
+            dphi = math.atan2(x[1], x[0]) - math.pi / 2
+            dphi = (dphi + math.pi) % (2 * math.pi) - math.pi
+            return float(x[2] ** 2 - 0.4 * math.exp(-dphi ** 2 / 0.06 ** 2))
+
+        with pytest.raises(AdmissibilityError) as err:
+            check_region_admissible(
+                band2, SublevelRegion(aux=aux, level=0.25, name="notch"))
+        assert err.value.region == "notch"
+        assert err.value.margin < -0.1
+        assert aux(np.array(err.value.point)) == pytest.approx(0.25)
+
+    def test_connecting_maps_share_two_homologies(self, band2, monkeypatch):
+        pair = relative_complex(band2, band_region(0.25))
+        real, calls = complexes.homology, []
+
+        def counted(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(complexes, "homology", counted)
+        for p in range(4):
+            pair.connecting_map(p)
+        assert calls == [pair.quotient, pair.sub]
 
 
 class TestContinuation:
